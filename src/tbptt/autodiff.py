@@ -162,12 +162,17 @@ def weighted_loss_grad(
     return loss, d_theta, d_h0
 
 
-def segment_weights(n_steps: int, m: int, batch: int = 1) -> np.ndarray:
-    """Burn-in weighting of one segment: steps 1..m excluded, the rest averaged."""
+def segment_weights(n_steps: int, m: int, rows: int = 1) -> np.ndarray:
+    """Burn-in loss weights of ``rows`` segments of ``n_steps`` steps each.
+
+    Steps 1..m get weight zero and every later step 1/(rows * (n_steps - m)),
+    so the weighted loss is the mean over segments of each segment's mean
+    squared error after burn-in.
+    """
     if not 0 <= m <= n_steps - 1:
         raise ValueError(f"burn-in m={m} out of range [0, {n_steps - 1}]")
-    w = np.zeros((batch, n_steps))
-    w[:, m:] = 1.0 / (n_steps - m)
+    w = np.zeros((rows, n_steps))
+    w[:, m:] = 1.0 / (rows * (n_steps - m))
     return w
 
 

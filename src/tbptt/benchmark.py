@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import weighted_loss_grad
+from .autodiff import segment_weights, weighted_loss_grad
 from .data import SegmentationPlan, TimeSeriesDataset, segment_arrays
 from .rng import _mix
 from .rnn_core import CellSpec, Params, batched_forward, init_params
@@ -102,26 +102,22 @@ class _Problem:
                  plan: SegmentationPlan, m: int, spec: CellSpec):
         if variant not in VARIANTS:
             raise ValueError(f"variant {variant!r} not one of {VARIANTS}")
-        if not 0 <= m <= plan.N - 1:
-            raise ValueError(f"burn-in m={m} out of range [0, {plan.N - 1}]")
+        w = segment_weights(plan.N, m, plan.S)
         self.variant = variant
         self.spec = spec
         self.plan = plan
         self.m = m
         self.n_theta = init_params(spec, 0).theta.size
         self.sd = spec.state_dim
-        scale = 1.0 / (plan.S * (plan.N - m))
         if variant == "coupled":
             self.n_states = 1
             self.xs = dataset.inputs[None, :, :]
             self.ys = dataset.targets[None, :, :]
-            self.w = coupled_time_weights(plan, m, dataset.T)[None, :] * scale
+            # each segment term covering a time step adds one term's weight
+            self.w = coupled_time_weights(plan, m, dataset.T)[None, :] * w[0, -1]
         else:
             self.n_states = 0 if variant == "tbptt" else plan.S
-            xs, ys = segment_arrays(dataset, plan)
-            self.xs, self.ys = xs, ys
-            w = np.zeros((plan.S, plan.N))
-            w[:, m:] = scale
+            self.xs, self.ys = segment_arrays(dataset, plan)
             self.w = w
 
     @property
@@ -163,6 +159,11 @@ class _Problem:
 
 
 def _solve(problem: _Problem, opt: OptConfig) -> LiftedSolution:
+    if opt.max_iters < 1:
+        raise ValueError(f"max_iters={opt.max_iters} must be >= 1")
+    if opt.restarts < 0 or opt.restarts + len(opt.extra_starts) < 1:
+        raise ValueError(f"restarts={opt.restarts} with {len(opt.extra_starts)} "
+                         "extra starts leaves no starting point")
     starts: list[np.ndarray] = []
     for params, states in opt.extra_starts:
         starts.append(problem.join(params, states))

@@ -27,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, benchmark, data, training
-from .linalg import PowerIterationError
 from .rnn_core import CellSpec, NonFiniteError, Params, init_params
 from .training import AdamConfig, SGDConfig, TrainConfig, TrainingError
 
@@ -156,10 +155,13 @@ def _train_config(args, spec: CellSpec) -> TrainConfig:
     )
 
 
-def _load_train_dataset(args) -> data.TimeSeriesDataset:
-    cols_in = args.input_cols.split(",")
-    cols_tg = args.target_cols.split(",")
-    return data.load_csv(args.data, cols_in, cols_tg)
+def _load_dataset(args, path, transforms=None) -> data.TimeSeriesDataset:
+    """Read the requested columns of a CSV; unreadable content is a usage error."""
+    try:
+        return data.load_csv(path, args.input_cols.split(","), args.target_cols.split(","),
+                             transforms=transforms)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _run_training(dataset, args):
@@ -172,7 +174,7 @@ def _run_training(dataset, args):
 
 
 def cmd_train(args) -> int:
-    dataset = _load_train_dataset(args)
+    dataset = _load_dataset(args, args.data)
     try:
         config, log = _run_training(dataset, args)
     except (ValueError, UsageError) as exc:
@@ -200,7 +202,10 @@ def cmd_train(args) -> int:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok != ""]
+    try:
+        return [int(tok) for tok in text.split(",") if tok != ""]
+    except ValueError:
+        raise UsageError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _sweep_cell(dataset, test_set, args, N: int, m: int) -> dict:
@@ -233,13 +238,11 @@ SWEEP_COLUMNS = ["N", "m", "train_mse", "test_mse", "P", "lambda", "wall_time_s"
 
 
 def cmd_sweep(args) -> int:
-    dataset = _load_train_dataset(args)
+    dataset = _load_dataset(args, args.data)
     test_set = None
     if args.test:
-        cols_in = args.input_cols.split(",")
-        cols_tg = args.target_cols.split(",")
-        test_set = data.load_csv(
-            args.test, cols_in, cols_tg,
+        test_set = _load_dataset(
+            args, args.test,
             transforms=(dataset.input_transforms, dataset.target_transforms),
         )
     n_values = _int_list(args.N_list)
@@ -305,16 +308,23 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    dataset = _load_train_dataset(args)
+    dataset = _load_dataset(args, args.data)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     unknown = [v for v in variants if v not in benchmark.VARIANTS]
     if unknown:
-        print(f"error: unknown variants {unknown}", file=sys.stderr)
-        return 2
+        raise UsageError(f"unknown variants {unknown}")
     m_values = _int_list(args.m_list)
-    if any(m > args.N - 1 for m in m_values):
-        print(f"error: burn-in values {m_values} must stay below N={args.N}", file=sys.stderr)
-        return 2
+    if any(not 0 <= m <= args.N - 1 for m in m_values):
+        raise UsageError(f"burn-in values {m_values} must lie in [0, N-1] = [0, {args.N - 1}]")
+    if args.restarts < 1 or args.iters < 1:
+        raise UsageError(f"--restarts ({args.restarts}) and --iters ({args.iters}) must be >= 1")
+    if args.rho > 1.0:
+        raise UsageError(f"--rho {args.rho} must be <= 1")
+    try:
+        spec = _cell_spec(args, dataset.d_x, dataset.d_y)
+        plan = data.make_plan(dataset.T, args.N, args.stride)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     config = {
         "inputs": [str(args.data)],
         "N": args.N,
@@ -332,8 +342,6 @@ def cmd_benchmark(args) -> int:
     }
     run_dir, _ = make_run_dir(args, "benchmark", config)
 
-    spec = _cell_spec(args, dataset.d_x, dataset.d_y)
-    plan = data.make_plan(dataset.T, args.N, args.stride)
     rho = None if args.rho <= 0 else args.rho
     all_converged = True
     report_rows = []
@@ -486,7 +494,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NonFiniteError, TrainingError, PowerIterationError) as exc:
+    except (NonFiniteError, TrainingError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

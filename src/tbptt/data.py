@@ -8,6 +8,7 @@ and minimum overlap o_min. Windows always cover the whole sequence.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -143,8 +144,9 @@ class SegmentationPlan:
     def S(self) -> int:
         return len(self.starts)
 
-    @property
+    @functools.cached_property
     def overlaps(self) -> tuple[int, ...]:
+        # computed once per plan: the stateful chain reads it once per segment
         return tuple(
             self.N - (self.starts[i] - self.starts[i - 1]) for i in range(1, self.S)
         )
@@ -392,7 +394,7 @@ def load_csv(
     transforms: tuple[list[ColumnTransform], list[ColumnTransform]] | None = None,
     name: str | None = None,
 ) -> TimeSeriesDataset:
-    """Read a headed CSV of decimal doubles into a normalized dataset.
+    """Read a headed CSV of finite decimal doubles into a normalized dataset.
 
     Each requested column is min-max normalized to [-1, 1] (constant columns
     map to 0) unless explicit transforms are given, e.g. to apply a training
@@ -424,6 +426,9 @@ def load_csv(
                 raise ValueError(
                     f"{path}: non-numeric cell {cell!r} at row {r}, column {name_c!r}"
                 ) from None
+    if not np.isfinite(data).all():
+        r, c = np.argwhere(~np.isfinite(data))[0]
+        raise ValueError(f"{path}: non-finite cell at row {r + 2}, column {header[c]!r}")
 
     def take(cols, fitted):
         raw = np.stack([data[:, col_idx[c]] for c in cols], axis=1)

@@ -1,8 +1,8 @@
 """Small dense linear-algebra helpers on float64 numpy arrays.
 
-Vectors are 1-D arrays, matrices 2-D row-major arrays. The only nontrivial
-routine is a deterministic power-iteration spectral norm; everything else is
-a thin shape-checked wrapper so callers get actionable dimension errors.
+Vectors are 1-D arrays, matrices 2-D row-major arrays. Every routine is a
+thin shape-checked wrapper around numpy/LAPACK, so callers get actionable
+dimension errors.
 """
 
 from __future__ import annotations
@@ -12,18 +12,6 @@ import numpy as np
 
 class DimensionError(ValueError):
     """Operand shapes are incompatible."""
-
-
-class PowerIterationError(RuntimeError):
-    """Spectral-norm iteration hit its cap before converging.
-
-    Carries the last iterate and residual for diagnosis.
-    """
-
-    def __init__(self, message: str, last_sigma: float, residual: float):
-        super().__init__(message)
-        self.last_sigma = last_sigma
-        self.residual = residual
 
 
 def as_vector(v) -> np.ndarray:
@@ -51,52 +39,13 @@ def matvec(a, v) -> np.ndarray:
     return a @ v
 
 
-# Power iteration: fixed caps keep runs reproducible. Two fixed start vectors
-# guard against a start that happens to be orthogonal to the top singular
-# direction (all-ones is, e.g., for gram eigvector [1,-1]/sqrt(2)).
-_POWER_CAP = 10_000
-_POWER_TOL = 1e-13
-
-
-def _power_iterate(gram: np.ndarray, v0: np.ndarray) -> tuple[float, float, int]:
-    v = v0 / np.linalg.norm(v0)
-    theta = 0.0
-    for it in range(_POWER_CAP):
-        w = gram @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0, 0.0, it
-        theta_new = float(v @ w)  # Rayleigh quotient, eigenvalue of gram
-        v = w / nw
-        if abs(theta_new - theta) <= _POWER_TOL * max(1.0, abs(theta_new)):
-            resid = float(np.linalg.norm(gram @ v - theta_new * v))
-            if resid <= 1e-10 * max(1.0, abs(theta_new)):
-                return theta_new, resid, it
-        theta = theta_new
-    resid = float(np.linalg.norm(gram @ v - theta * v))
-    raise PowerIterationError(
-        f"power iteration did not converge within {_POWER_CAP} iterations "
-        f"(last eigenvalue {theta:.6e}, residual {resid:.3e})",
-        last_sigma=float(np.sqrt(max(theta, 0.0))),
-        residual=resid,
-    )
-
-
 def spectral_norm(a) -> float:
-    """Largest singular value via power iteration on A^T A.
+    """Largest singular value, from LAPACK's SVD (``np.linalg.norm(a, 2)``).
 
-    Deterministic: fixed start vectors, fixed iteration cap, relative
-    accuracy around 1e-10.
+    Exact to rounding, repeated top singular values included. Entries must
+    be finite: LAPACK raises on NaN and returns nan on Inf, so callers check.
     """
     a = as_matrix(a)
     if a.size == 0:
         raise DimensionError("spectral_norm of an empty matrix")
-    gram = a.T @ a
-    n = gram.shape[0]
-    ones = np.ones(n)
-    ramp = np.linspace(1.0, 2.0, n)
-    best = 0.0
-    for v0 in (ones, ramp):
-        theta, _, _ = _power_iterate(gram, v0)
-        best = max(best, theta)
-    return float(np.sqrt(max(best, 0.0)))
+    return float(np.linalg.norm(a, 2))

@@ -23,7 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .autodiff import weighted_loss_grad
+from .autodiff import segment_weights, weighted_loss_grad
 from .data import SegmentationPlan, TimeSeriesDataset, make_plan, segment_arrays
 from .linalg import spectral_norm
 from .rnn_core import CellSpec, Params, batched_forward, init_params
@@ -155,31 +155,26 @@ class TrainLog:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _objective_weights(S: int, N: int, m: int) -> np.ndarray:
-    w = np.zeros((S, N))
-    w[:, m:] = 1.0 / (S * (N - m))
-    return w
-
-
 def full_batch_objective(params: Params, dataset: TimeSeriesDataset,
                          plan: SegmentationPlan, m: int) -> float:
     """Average segment loss with zero initialization (the truncated objective)."""
-    if not 0 <= m <= plan.N - 1:
-        raise ValueError(f"burn-in m={m} out of range [0, {plan.N - 1}]")
+    w = segment_weights(plan.N, m, plan.S)
     xs, ys = segment_arrays(dataset, plan)
     h0 = np.zeros((plan.S, params.spec.state_dim))
     _, outputs, _ = batched_forward(params, h0, xs)
     err = outputs - ys
-    return float(np.sum(_objective_weights(plan.S, plan.N, m) * np.sum(err * err, axis=2)))
+    return float(np.sum(w * np.sum(err * err, axis=2)))
 
 
-def full_batch_gradient(params: Params, dataset: TimeSeriesDataset,
-                        plan: SegmentationPlan, m: int) -> tuple[float, np.ndarray]:
-    """Objective value and its exact gradient over all segments."""
-    xs, ys = segment_arrays(dataset, plan)
-    h0 = np.zeros((plan.S, params.spec.state_dim))
-    w = _objective_weights(plan.S, plan.N, m)
-    loss, d_theta, _ = weighted_loss_grad(params, h0, xs, ys, w)
+def full_batch_gradient(params: Params, xs: np.ndarray, ys: np.ndarray,
+                        m: int) -> tuple[float, np.ndarray]:
+    """Objective value and its exact gradient over all gathered windows.
+
+    ``xs`` (S, N, d_x) and ``ys`` (S, N, d_y) are ``segment_arrays`` output.
+    """
+    S, N = xs.shape[:2]
+    h0 = np.zeros((S, params.spec.state_dim))
+    loss, d_theta, _ = weighted_loss_grad(params, h0, xs, ys, segment_weights(N, m, S))
     return loss, d_theta
 
 
@@ -187,13 +182,16 @@ def project_stability(params: Params, rho: float | None) -> Params:
     """Scale the recurrent block so its spectral norm is at most rho.
 
     Idempotent: norms within 1e-9 of the bound are left untouched, so a
-    freshly projected matrix is never rescaled again.
+    freshly projected matrix is never rescaled again. A non-finite block
+    raises ``TrainingError``: it has no spectral norm to project with.
     """
     if rho is None:
         return params
     if not 0.0 < rho <= 1.0:
         raise ValueError("rho must lie in (0, 1]")
     w = params.block("W_hh")
+    if not np.isfinite(w).all():
+        raise TrainingError("non-finite recurrent block W_hh, cannot project its spectral norm")
     sigma = spectral_norm(w)
     if sigma <= rho * (1.0 + 1e-9):
         return params
@@ -210,27 +208,26 @@ def _check_finite_grad(d_theta: np.ndarray, epoch: int, batch: list[int]) -> Non
 
 def sgd_step(
     params: Params,
-    dataset: TimeSeriesDataset,
-    plan: SegmentationPlan,
+    xs: np.ndarray,
+    ys: np.ndarray,
     batch: list[int],
     config: TrainConfig,
     opt_state: AdamState | None = None,
     h0: np.ndarray | None = None,
     epoch: int = 0,
 ) -> Params:
-    """One update on a batch of segment indices (0-based into the plan).
+    """One update on a batch of window indices into ``xs``/``ys``.
 
+    ``xs`` (S, N, d_x) and ``ys`` (S, N, d_y) are all windows of the run,
+    gathered once by ``segment_arrays``; the step reads the batch's rows.
     ``h0`` optionally supplies per-segment initial states (stateful mode);
     the default is zero initialization.
     """
-    xs, ys = segment_arrays(dataset, plan)
-    xs, ys = xs[batch], ys[batch]
     b = len(batch)
     if h0 is None:
         h0 = np.zeros((b, params.spec.state_dim))
-    w = np.zeros((b, plan.N))
-    w[:, config.m :] = 1.0 / (b * (plan.N - config.m))
-    _, d_theta, _ = weighted_loss_grad(params, h0, xs, ys, w)
+    w = segment_weights(xs.shape[1], config.m, b)
+    _, d_theta, _ = weighted_loss_grad(params, h0, xs[batch], ys[batch], w)
     _check_finite_grad(d_theta, epoch, batch)
 
     if isinstance(config.optimizer, AdamConfig):
@@ -286,7 +283,7 @@ def train(dataset: TimeSeriesDataset, config: TrainConfig,
     params = init.copy() if init is not None else init_params(config.spec, config.seed)
     opt_state = AdamState(params.theta.size) if isinstance(config.optimizer, AdamConfig) else None
     shuffler = SplitMix64(config.seed).spawn(0xB0)
-    xs, _ = segment_arrays(dataset, plan)
+    xs, ys = segment_arrays(dataset, plan)
     cached_inits = np.zeros((plan.S, params.spec.state_dim))
 
     records: list[EpochRecord] = []
@@ -300,9 +297,9 @@ def train(dataset: TimeSeriesDataset, config: TrainConfig,
             h0 = None
             if config.mode == "stateful":
                 h0 = _stateful_inits(params, xs, plan, cached_inits, batch)
-            params = sgd_step(params, dataset, plan, batch, config,
+            params = sgd_step(params, xs, ys, batch, config,
                               opt_state=opt_state, h0=h0, epoch=epoch)
-        objective, d_theta = full_batch_gradient(params, dataset, plan, config.m)
+        objective, d_theta = full_batch_gradient(params, xs, ys, config.m)
         records.append(
             EpochRecord(
                 epoch=epoch,

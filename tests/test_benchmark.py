@@ -202,3 +202,10 @@ def test_burn_in_validated(noisy_instance):
     ds, plan = noisy_instance
     with pytest.raises(ValueError):
         solve_tbptt(ds, plan, plan.N, LIN1, FAST)
+
+
+@pytest.mark.parametrize("budget", [dict(restarts=0), dict(max_iters=0)])
+def test_zero_budget_rejected(noisy_instance, budget):
+    ds, plan = noisy_instance
+    with pytest.raises(ValueError, match="restarts|max_iters"):
+        solve_tbptt(ds, plan, 1, LIN1, OptConfig(**{"restarts": 1, **budget}))

@@ -215,3 +215,47 @@ def test_out_root_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("TBPTT_RUNS_DIR", str(tmp_path / "envruns"))
     assert run("synth", "--T", 20, "--T-test", 0, "--seed", 1) == 0
     assert (tmp_path / "envruns" / "synth").exists()
+
+
+# --- bad input: exit 2, an error line, and no run directory -------------------
+
+
+def assert_usage_error(capsys, out, command, *argv):
+    code = run("--out", out, command, *argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert any(line.startswith("error:") for line in err.splitlines())
+    assert not (out / command).exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep", "benchmark"])
+def test_unknown_column_is_usage_error(tmp_path, capsys, command):
+    data_file = synth(tmp_path) / "train.csv"
+    assert_usage_error(capsys, tmp_path / "x", command, "--data", data_file,
+                       "--input-cols", "nope")
+
+
+@pytest.mark.parametrize("text", [
+    "u,y\n0.5,1.0\nabc,2.0\n",
+    "u,y\n" + "0.5,1.0\n" * 40 + "nan,2.0\n",  # long enough to train on
+    "",
+])
+def test_unreadable_csv_is_usage_error(tmp_path, capsys, text):
+    data_file = tmp_path / "bad.csv"
+    data_file.write_text(text)
+    assert_usage_error(capsys, tmp_path / "x", "train", "--data", data_file,
+                       "--epochs", 1)
+
+
+def test_benchmark_window_longer_than_series_is_usage_error(tmp_path, capsys):
+    data_file = synth(tmp_path) / "train.csv"  # T = 60
+    assert_usage_error(capsys, tmp_path / "x", "benchmark", "--data", data_file,
+                       "--N", 100)
+
+
+@pytest.mark.parametrize("flag, value", [("--restarts", 0), ("--iters", 0), ("--rho", 1.5),
+                                         ("--m-list", -1), ("--m-list", "x")])
+def test_benchmark_bad_budget_or_bound_is_usage_error(tmp_path, capsys, flag, value):
+    data_file = synth(tmp_path) / "train.csv"
+    assert_usage_error(capsys, tmp_path / "x", "benchmark", "--data", data_file,
+                       "--N", 10, flag, value)

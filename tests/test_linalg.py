@@ -79,3 +79,12 @@ def test_spectral_norm_absolute_homogeneity():
 def test_spectral_norm_empty_rejected():
     with pytest.raises(DimensionError):
         spectral_norm(np.zeros((0, 2)))
+
+
+def test_spectral_norm_near_degenerate_top_pair():
+    # power iteration stalls on a 1e-4 gap; the SVD does not
+    rng = np.random.default_rng(11)
+    q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    r, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    a = q @ np.diag([1.0, 1.0 - 1e-4, 0.5, 0.25, 0.125, 0.0625]) @ r
+    assert abs(spectral_norm(a) - 1.0) <= 1e-12

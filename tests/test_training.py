@@ -4,7 +4,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from tbptt.data import Segment, TimeSeriesDataset, extract, make_plan
+from tbptt.data import (
+    Segment,
+    TimeSeriesDataset,
+    extract,
+    gen_synthetic,
+    make_plan,
+    segment_arrays,
+)
 from tbptt.autodiff import fd_gradient, loss_grad
 from tbptt.linalg import spectral_norm
 from tbptt.rng import SplitMix64
@@ -13,6 +20,7 @@ from tbptt.training import (
     AdamConfig,
     SGDConfig,
     TrainConfig,
+    TrainingError,
     _stateful_inits,
     full_batch_gradient,
     full_batch_objective,
@@ -103,7 +111,7 @@ def test_sgd_step_zero_rate_leaves_params():
     plan = make_plan(40, 8, 1)
     config = lin_config(optimizer=SGDConfig(lr=0.0), spectral_bound=None)
     params = scalar_linear(0.3, 0.5, 0.7)
-    out = sgd_step(params, ds, plan, [0, 3], config)
+    out = sgd_step(params, *segment_arrays(ds, plan), [0, 3], config)
     npt.assert_array_equal(out.theta, params.theta)
 
 
@@ -113,7 +121,7 @@ def test_sgd_step_single_segment_matches_hand_gradient():
     lr = 0.01
     config = lin_config(optimizer=SGDConfig(lr=lr), m=2, batch_size=1, spectral_bound=None)
     params = scalar_linear(0.3, 0.5, 0.7)
-    out = sgd_step(params, ds, plan, [5], config)
+    out = sgd_step(params, *segment_arrays(ds, plan), [5], config)
     fd = fd_gradient(params, extract(ds, plan, 6), 2)
     npt.assert_allclose(params.theta - out.theta, lr * fd.d_theta, rtol=1e-6)
 
@@ -124,8 +132,9 @@ def test_sgd_step_full_batch_equals_objective_gradient():
     lr = 0.05
     config = lin_config(optimizer=SGDConfig(lr=lr), m=1, batch_size=plan.S, spectral_bound=None)
     params = scalar_linear(0.4, -0.3, 0.9)
-    out = sgd_step(params, ds, plan, list(range(plan.S)), config)
-    _, d_theta = full_batch_gradient(params, ds, plan, 1)
+    xs, ys = segment_arrays(ds, plan)
+    out = sgd_step(params, xs, ys, list(range(plan.S)), config)
+    _, d_theta = full_batch_gradient(params, xs, ys, 1)
     npt.assert_allclose(params.theta - out.theta, lr * d_theta, rtol=1e-12)
 
 
@@ -138,11 +147,12 @@ def test_batch_directions_average_to_full_gradient():
     m, b = 1, 2
     lr = 1.0
     config = lin_config(optimizer=SGDConfig(lr=lr), m=m, batch_size=b, spectral_bound=None)
+    xs, ys = segment_arrays(ds, plan)
     directions = []
     for batch in itertools.combinations(range(plan.S), b):
-        out = sgd_step(params, ds, plan, list(batch), config)
+        out = sgd_step(params, xs, ys, list(batch), config)
         directions.append(params.theta - out.theta)
-    _, d_theta = full_batch_gradient(params, ds, plan, m)
+    _, d_theta = full_batch_gradient(params, xs, ys, m)
     npt.assert_allclose(np.mean(directions, axis=0), d_theta, rtol=1e-10, atol=1e-14)
 
 
@@ -154,7 +164,7 @@ def test_nonfinite_gradient_aborts_with_diagnostic():
     config = lin_config(optimizer=SGDConfig(lr=0.1), spectral_bound=None)
     params = scalar_linear(1e40, 1e40, 1e40)  # overflows within a segment
     with pytest.raises(NonFiniteError):
-        sgd_step(params, ds, plan, [0], config)
+        sgd_step(params, *segment_arrays(ds, plan), [0], config)
 
 
 # --- projection -------------------------------------------------------------
@@ -318,3 +328,58 @@ def test_train_stateful_runs_and_logs():
     log = train(ds, config)
     assert len(log.records) == 8
     assert all(np.isfinite(r.objective) for r in log.records)
+
+
+# --- near-degenerate and non-finite recurrent blocks -------------------------
+
+
+def near_degenerate_w(d=4, seed=11):
+    """Q diag(1, 1 - 1e-4, 0.5, ...) R: top two singular values nearly equal."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    r, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    sigmas = np.concatenate([[1.0, 1.0 - 1e-4], 0.5 ** np.arange(1, d - 1)])
+    return q @ np.diag(sigmas) @ r
+
+
+def test_train_from_near_degenerate_recurrent_block_completes():
+    ds, _ = gen_synthetic(3, 40, 0.05)
+    spec = CellSpec("elman", 1, 4, 1)
+    init = init_params(spec, 2).with_block("W_hh", near_degenerate_w())
+    config = TrainConfig(spec=spec, N=8, m=2, batch_size=8,
+                         optimizer=SGDConfig(lr=1e-6), epochs=2, seed=1,
+                         spectral_bound=0.999)
+    log = train(ds, config, init=init)
+    assert len(log.records) == 2
+    assert spectral_norm(log.params.block("W_hh")) <= 0.999 * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_projection_rejects_nonfinite_recurrent_block(bad):
+    spec = CellSpec("elman", 1, 3, 1)
+    w = np.eye(3)
+    w[1, 2] = bad
+    params = init_params(spec, 0).with_block("W_hh", w)
+    with pytest.raises(TrainingError, match="W_hh"):
+        project_stability(params, 0.999)
+
+
+# --- windows gathered once per run ------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["zero_init", "stateful"])
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_train_gathers_windows_once_per_run(monkeypatch, mode, epochs):
+    import tbptt.training as training
+
+    calls = []
+    real = training.segment_arrays
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training, "segment_arrays", counting)
+    log = train(memoryless_dataset(t=30), lin_config(epochs=epochs, N=6, mode=mode))
+    assert len(log.records) == epochs
+    assert len(calls) == 1
