@@ -119,13 +119,15 @@ def estimate_stability(params: Params, dataset: TimeSeriesDataset,
         return StabilityEstimate(C=0.0, lam=0.5, max_violation=0.0,
                                  num_pairs_tested=tested, passed=True)
 
-    keep = r_all > 1e-13 * r_max  # drop cancellation noise before taking logs
-    slope = float(np.polyfit(t_all[keep], np.log(r_all[keep]), 1)[0])
+    # drop cancellation noise: lambda^-t would blow it up into the envelope
+    keep = r_all > 1e-13 * r_max
+    t_kept, r_kept = t_all[keep], r_all[keep]
+    slope = float(np.polyfit(t_kept, np.log(r_kept), 1)[0])
     lam = min(math.exp(slope), 1.0) if slope < 0 else 1.0
     with np.errstate(over="ignore"):
-        ratios = r_all / np.power(lam, t_all)
+        ratios = r_kept / np.power(lam, t_kept)
     c = float(np.max(ratios[np.isfinite(ratios)]))
-    max_violation = float(np.max(r_all - c * np.power(lam, t_all)))
+    max_violation = float(np.max(r_kept - c * np.power(lam, t_kept)))
     return StabilityEstimate(C=c, lam=lam, max_violation=max_violation,
                              num_pairs_tested=tested, passed=lam < 1.0)
 

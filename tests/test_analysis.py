@@ -125,6 +125,16 @@ def test_stability_recovers_scalar_decay_rate():
     assert est.max_violation <= 1e-12
 
 
+@pytest.mark.parametrize("a", [0.3, 0.5])
+def test_stability_envelope_constant_ignores_rounding_noise(a):
+    # on a long input r_t = |c| a^t sinks into rounding noise; C must come
+    # from the samples lambda was fitted on, not from noise times lambda^-t
+    params = scalar_linear(a, 0.5, 1.7)
+    ds, _ = gen_synthetic(seed=6, T=400)
+    est = estimate_stability(params, ds, num_pairs=12, seed=4)
+    assert est.C == pytest.approx(1.7, rel=0.01)
+
+
 def test_stability_envelope_dominates_all_samples():
     ds, _ = gen_synthetic(seed=7, T=60, noise_std=0.1)
     from tbptt.rnn_core import init_params
