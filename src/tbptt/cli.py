@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 usage error, 3 numeric failure, 4 partial sweep.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import hashlib
 import json
@@ -237,6 +236,27 @@ def _sweep_cell(dataset, test_set, args, N: int, m: int) -> dict:
 SWEEP_COLUMNS = ["N", "m", "train_mse", "test_mse", "P", "lambda", "wall_time_s", "error"]
 
 
+def _error_row(N: int, m: int, error: str) -> dict:
+    return {**dict.fromkeys(SWEEP_COLUMNS, ""), "N": N, "m": m, "error": error}
+
+
+def _check_sweep_flags(args, dataset) -> None:
+    """Reject the flags every cell shares before any cell runs: one bad value
+    would otherwise fail the whole grid, cell by cell."""
+    try:
+        _cell_spec(args, dataset.d_x, dataset.d_y)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    if args.batch < 1:
+        raise UsageError(f"--batch {args.batch} must be >= 1")
+    if args.epochs < 0:
+        raise UsageError(f"--epochs {args.epochs} must be >= 0")
+    if args.rho > 1.0:
+        raise UsageError(f"--rho {args.rho} must be <= 1")
+    if args.stride < 1:
+        raise UsageError(f"--stride {args.stride} must be >= 1")
+
+
 def cmd_sweep(args) -> int:
     dataset = _load_dataset(args, args.data)
     test_set = None
@@ -247,6 +267,7 @@ def cmd_sweep(args) -> int:
         )
     n_values = _int_list(args.N_list)
     m_values = _int_list(args.m_list)
+    _check_sweep_flags(args, dataset)
     config = {
         "inputs": [str(args.data)] + ([str(args.test)] if args.test else []),
         "N_list": n_values,
@@ -266,27 +287,16 @@ def cmd_sweep(args) -> int:
     }
     run_dir, _ = make_run_dir(args, "sweep", config)
 
-    cells = [(N, m) for N in n_values for m in m_values]
     rows: dict[tuple[int, int], dict] = {}
-
-    def run_cell(cell):
-        N, m = cell
-        if m > N - 1 and args.mode != "bptt":
-            return {"N": N, "m": m, "train_mse": "", "test_mse": "", "P": "",
-                    "lambda": "", "wall_time_s": "", "error": f"m={m} exceeds N-1"}
-        try:
-            return _sweep_cell(dataset, test_set, args, N, m)
-        except Exception as exc:  # cell failures must not kill the sweep
-            return {"N": N, "m": m, "train_mse": "", "test_mse": "", "P": "",
-                    "lambda": "", "wall_time_s": "", "error": str(exc)}
-
-    if args.jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            for cell, row in zip(cells, pool.map(run_cell, cells)):
-                rows[cell] = row
-    else:
-        for cell in cells:
-            rows[cell] = run_cell(cell)
+    for N in n_values:
+        for m in m_values:
+            if m > N - 1 and args.mode != "bptt":
+                rows[N, m] = _error_row(N, m, f"m={m} exceeds N-1")
+                continue
+            try:
+                rows[N, m] = _sweep_cell(dataset, test_set, args, N, m)
+            except Exception as exc:  # cell failures must not kill the sweep
+                rows[N, m] = _error_row(N, m, str(exc))
 
     report = run_dir / "report.csv"
     with open(report, "w", newline="", encoding="utf-8") as fh:
@@ -459,8 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-list", default="0", dest="m_list", help="comma-separated burn-in values")
     p.add_argument("--test-burn", type=int, default=-1, dest="test_burn",
                    help="fixed burn-in for test evaluation; -1 reuses each cell's m")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="concurrent sweep cells")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("benchmark", help="solve reference problems and report regrets")

@@ -223,12 +223,10 @@ def _activation(kind: str, a: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function without overflow: 1/(1+e^-z) for z >= 0 and
+    e^z/(1+e^z) below, both through e^-|z| <= 1; NaN stays NaN."""
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
 def batched_forward(
@@ -262,26 +260,26 @@ def batched_forward(
 
     # overflow surfaces as a NonFiniteError below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        h = h0
         if spec.kind == "lstm":
+            g_block = slice(2 * d_h, 3 * d_h)
             for t in range(T):
-                c_prev, hh_prev = h[:, :d_h], h[:, d_h:]
-                z = inputs[:, t] @ W_xh.T + hh_prev @ W_hh.T
+                prev = states[:, t]
+                z = inputs[:, t] @ W_xh.T + prev[:, d_h:] @ W_hh.T
                 if b_h is not None:
                     z = z + b_h
-                gi = _sigmoid(z[:, :d_h])
-                gf = _sigmoid(z[:, d_h : 2 * d_h])
-                gg = np.tanh(z[:, 2 * d_h : 3 * d_h])
-                go = _sigmoid(z[:, 3 * d_h :])
-                c_new = gf * c_prev + gi * gg
+                gates = _sigmoid(z)
+                gates[:, g_block] = np.tanh(z[:, g_block])
+                gi, gf, go = gates[:, :d_h], gates[:, d_h : 2 * d_h], gates[:, 3 * d_h :]
+                gg = gates[:, g_block]
+                c_new = gf * prev[:, :d_h] + gi * gg
                 tanh_c = np.tanh(c_new)
-                hh_new = go * tanh_c
-                h = np.concatenate([c_new, hh_new], axis=1)
-                states[:, t + 1] = h
+                states[:, t + 1, :d_h] = c_new
+                states[:, t + 1, d_h:] = go * tanh_c
                 if keep_cache:
-                    cache["gates"][:, t] = np.concatenate([gi, gf, gg, go], axis=1)
+                    cache["gates"][:, t] = gates
                     cache["tanh_c"][:, t] = tanh_c
         else:
+            h = h0
             for t in range(T):
                 a = h @ W_hh.T + inputs[:, t] @ W_xh.T
                 if b_h is not None:

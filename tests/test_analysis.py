@@ -22,7 +22,7 @@ from tbptt.analysis import (
 from tbptt.benchmark import LiftedSolution, OptConfig, solve_coupled, solve_tbptt, solve_unconstrained
 from tbptt.data import TimeSeriesDataset, gen_synthetic, make_plan
 from tbptt.rng import SplitMix64
-from tbptt.rnn_core import CellSpec, forward, pack
+from tbptt.rnn_core import CellSpec, batched_forward, forward, init_params, pack
 
 LIN1 = CellSpec("linear", 1, 1, 1, activation="identity", use_biases=False)
 FAST = OptConfig(restarts=2, max_iters=4000, lr=0.05, plateau_iters=200, seed=0)
@@ -154,6 +154,56 @@ def test_stability_insensitive_model_degenerates_gracefully():
     est = estimate_stability(params, ds, num_pairs=8, seed=1)
     assert est.passed
     assert est.C == 0.0
+
+
+def per_pair_stability(params, dataset, num_pairs, seed):
+    """estimate_stability's samples with one forward pass per pair, from the
+    pair's start; returns (lambda, pairs tested)."""
+    sd = params.spec.state_dim
+    states, _, _ = batched_forward(params, np.zeros((1, sd)), dataset.inputs[None])
+    radius = 2.0 * float(np.max(np.linalg.norm(states[0], axis=1))) or 1.0
+    rng = SplitMix64(seed).spawn(0x57AB)
+    min_len = min(8, dataset.T)
+    ts, rs = [], []
+    for _ in range(num_pairs):
+        start = rng.randrange(dataset.T - min_len + 1)
+        x = dataset.inputs[start:]
+        pair = np.empty((2, sd))
+        for row in range(2):
+            direction = rng.normals(sd)
+            norm = np.linalg.norm(direction)
+            direction = direction / norm if norm > 0 else np.eye(sd)[0]
+            pair[row] = radius * rng.uniform() ** (1.0 / sd) * direction
+        gap = float(np.linalg.norm(pair[0] - pair[1]))
+        if gap < 1e-12:
+            continue
+        _, outs, _ = batched_forward(params, pair, np.broadcast_to(x, (2, *x.shape)))
+        ts.append(np.arange(1, x.shape[0] + 1, dtype=np.float64))
+        rs.append(np.linalg.norm(outs[0] - outs[1], axis=1) / gap)
+    t_all, r_all = np.concatenate(ts), np.concatenate(rs)
+    keep = r_all > 1e-13 * np.max(r_all)
+    slope = float(np.polyfit(t_all[keep], np.log(r_all[keep]), 1)[0])
+    return (min(math.exp(slope), 1.0) if slope < 0 else 1.0), len(rs)
+
+
+STABILITY_CELLS = {
+    "linear": lambda: scalar_linear(0.8, 0.5, 1.7),
+    "elman": lambda: init_params(CellSpec("elman", 1, 3, 1), 5),
+    "lstm": lambda: init_params(CellSpec("lstm", 1, 3, 1), 2),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(STABILITY_CELLS))
+@pytest.mark.parametrize("T, num_pairs", [(60, 16), (9, 12), (5, 6), (60, 1)])
+def test_stability_staggered_pass_matches_per_pair_runs(cell, T, num_pairs):
+    # T = 9 draws starts from {0, 1} (repeated starts); T = 5 < 8 starts
+    # every pair at 0
+    params = STABILITY_CELLS[cell]()
+    ds, _ = gen_synthetic(seed=T, T=T, noise_std=0.1)
+    est = estimate_stability(params, ds, num_pairs=num_pairs, seed=3)
+    lam, tested = per_pair_stability(params, ds, num_pairs, seed=3)
+    assert est.num_pairs_tested == tested == num_pairs
+    assert est.lam == pytest.approx(lam, rel=1e-6)
 
 
 def test_merge_stability_dominates_both():

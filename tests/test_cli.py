@@ -144,7 +144,7 @@ def test_sweep_single_cell_matches_train(tmp_path):
     out = tmp_path / "sweep"
     assert run("--out", out, "sweep", "--data", base / "train.csv",
                "--test", base / "test.csv", "--N-list", "12", "--m-list", "3",
-               "--jobs", 1, *TRAIN_FLAGS[:0], "--cell", "linear", "--d-h", 1,
+               *TRAIN_FLAGS[:0], "--cell", "linear", "--d-h", 1,
                "--batch", 8, "--opt", "adam", "--lr", 0.03, "--epochs", 15,
                "--seed", 4) == 0
     run_dir = only_run_dir(out, "sweep")
@@ -167,7 +167,7 @@ def test_sweep_flags_invalid_cells_and_continues(tmp_path):
     out = tmp_path / "sweep"
     code = run("--out", out, "sweep", "--data", base / "train.csv",
                "--N-list", "8", "--m-list", "0,8", "--epochs", 3,
-               "--batch", 4, "--jobs", 1)
+               "--batch", 4)
     assert code == 0  # invalid pairs are flagged, not fatal
     run_dir = only_run_dir(out, "sweep")
     with open(run_dir / "report.csv") as fh:
@@ -259,3 +259,12 @@ def test_benchmark_bad_budget_or_bound_is_usage_error(tmp_path, capsys, flag, va
     data_file = synth(tmp_path) / "train.csv"
     assert_usage_error(capsys, tmp_path / "x", "benchmark", "--data", data_file,
                        "--N", 10, flag, value)
+
+
+@pytest.mark.parametrize("flag, value", [("--d-h", 0), ("--batch", 0), ("--epochs", -1),
+                                         ("--rho", 1.5), ("--stride", 0)])
+def test_sweep_bad_shared_flag_is_usage_error(tmp_path, capsys, flag, value):
+    # flags every cell shares fail the sweep up front, not cell by cell (exit 4)
+    data_file = synth(tmp_path) / "train.csv"
+    assert_usage_error(capsys, tmp_path / "x", "sweep", "--data", data_file,
+                       "--N-list", 10, "--epochs", 1, flag, value)

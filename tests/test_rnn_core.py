@@ -9,6 +9,8 @@ from tbptt.rnn_core import (
     CellSpec,
     NonFiniteError,
     Params,
+    _sigmoid,
+    batched_forward,
     build_layout,
     forward,
     init_params,
@@ -213,3 +215,67 @@ def test_lstm_state_is_cell_then_hidden():
     b_y = params.block("b_y")
     expected = traj.hidden[1:, 2:] @ w_hy.T + b_y
     npt.assert_allclose(traj.outputs, expected, rtol=0, atol=0)
+
+
+# --- LSTM step against a per-gate reference -----------------------------------
+
+
+def masked_sigmoid(z):
+    """The logistic function as a masked two-branch evaluation."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_special_values():
+    z = np.array([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan, 3.5, -3.5])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = _sigmoid(z)
+    npt.assert_array_equal(got, masked_sigmoid(z))
+    npt.assert_array_equal(got[:7], [0.5, 0.5, 1.0, 0.0, 1.0, 0.0, np.nan])
+
+
+def reference_lstm(params, h0, inputs):
+    """One sequence step at a time, gate by gate."""
+    d_h = params.spec.d_h
+    W_hh, W_xh, b_h = params.block("W_hh"), params.block("W_xh"), params.block("b_h")
+    B, T, _ = inputs.shape
+    states = np.empty((B, T + 1, 2 * d_h))
+    states[:, 0] = h0
+    gates = np.empty((B, T, 4 * d_h))
+    tanh_cs = np.empty((B, T, d_h))
+    h = h0
+    for t in range(T):
+        c_prev, hh_prev = h[:, :d_h], h[:, d_h:]
+        z = inputs[:, t] @ W_xh.T + hh_prev @ W_hh.T + b_h
+        gi = masked_sigmoid(z[:, :d_h])
+        gf = masked_sigmoid(z[:, d_h : 2 * d_h])
+        gg = np.tanh(z[:, 2 * d_h : 3 * d_h])
+        go = masked_sigmoid(z[:, 3 * d_h :])
+        c_new = gf * c_prev + gi * gg
+        tanh_c = np.tanh(c_new)
+        h = np.concatenate([c_new, go * tanh_c], axis=1)
+        states[:, t + 1] = h
+        gates[:, t] = np.concatenate([gi, gf, gg, go], axis=1)
+        tanh_cs[:, t] = tanh_c
+    outputs = states[:, 1:, d_h:] @ params.block("W_hy").T + params.block("b_y")
+    return states, outputs, gates, tanh_cs
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_lstm_step_matches_per_gate_reference_bitwise(batch):
+    spec = CellSpec("lstm", 2, 3, 1)
+    params = init_params(spec, 11)
+    rng = np.random.default_rng(batch)
+    # large inputs drive gates into both saturated tails
+    inputs = rng.normal(scale=4.0, size=(batch, 25, 2))
+    h0 = rng.normal(size=(batch, spec.state_dim))
+    states, outputs, cache = batched_forward(params, h0, inputs, keep_cache=True)
+    ref_states, ref_outputs, ref_gates, ref_tanh_c = reference_lstm(params, h0, inputs)
+    npt.assert_array_equal(states, ref_states)
+    npt.assert_array_equal(outputs, ref_outputs)
+    npt.assert_array_equal(cache["gates"], ref_gates)
+    npt.assert_array_equal(cache["tanh_c"], ref_tanh_c)
