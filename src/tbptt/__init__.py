@@ -1,50 +1,4 @@
 """Truncated-backpropagation training for recurrent models, with burn-in
 tuning, reference-problem solvers, and regret diagnostics."""
 
-from .analysis import (
-    BoundConstants,
-    EpsilonCheck,
-    RegretReport,
-    StabilityEstimate,
-    TurnpikeReport,
-    bound_constants,
-    collect_observed,
-    epsilon_check,
-    estimate_stability,
-    performance,
-    regret_report,
-    turnpike_errors,
-)
-from .autodiff import Gradient, backward, fd_gradient, loss_grad
-from .benchmark import (
-    LiftedSolution,
-    OptConfig,
-    solve_coupled,
-    solve_tbptt,
-    solve_unconstrained,
-)
-from .data import (
-    SegmentationPlan,
-    Segment,
-    TimeSeriesDataset,
-    build_forecast_targets,
-    extract,
-    gen_synthetic,
-    gen_synthetic_splits,
-    load_csv,
-    make_plan,
-)
-from .linalg import matvec, spectral_norm
-from .rnn_core import CellSpec, Params, Trajectory, forward, init_params, output_at
-from .training import (
-    AdamConfig,
-    SGDConfig,
-    TrainConfig,
-    TrainLog,
-    full_batch_objective,
-    project_stability,
-    sgd_step,
-    train,
-)
-
 __version__ = "0.1.0"

@@ -6,14 +6,13 @@ optimality check, constructive bound constants, and regret reports.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .benchmark import LiftedSolution, variant_segment_outputs, variant_trajectories
-from .data import SegmentationPlan, TimeSeriesDataset
+from .benchmark import LiftedSolution, variant_trajectories
+from .data import SegmentationPlan, TimeSeriesDataset, segment_arrays
 from .rng import SplitMix64
 from .rnn_core import Params, batched_forward, forward
 
@@ -189,8 +188,8 @@ def turnpike_errors(sol_a: LiftedSolution, sol_b: LiftedSolution,
     """Per-step averaged squared gap between two solutions' segment outputs."""
     _check_same_instance(sol_a, plan)
     _check_same_instance(sol_b, plan)
-    ya = variant_segment_outputs(sol_a, dataset, plan)
-    yb = variant_segment_outputs(sol_b, dataset, plan)
+    ya = variant_trajectories(sol_a, dataset, plan)[1]
+    yb = variant_trajectories(sol_b, dataset, plan)[1]
     gaps = np.sum((ya - yb) ** 2, axis=2).mean(axis=0)  # (N,)
     e_j = gaps[m:]
     return TurnpikeReport(e_j=e_j, sum_e=float(np.sum(e_j)),
@@ -222,9 +221,9 @@ def epsilon_check(sol_star: LiftedSolution, sol_inf: LiftedSolution,
     """
     _check_same_instance(sol_star, plan)
     _check_same_instance(sol_inf, plan)
-    _, yd = _segment_targets(dataset, plan)
-    y_star = variant_segment_outputs(sol_star, dataset, plan)[:, m:]
-    y_inf = variant_segment_outputs(sol_inf, dataset, plan)[:, m:]
+    _, yd = segment_arrays(dataset, plan)
+    y_star = variant_trajectories(sol_star, dataset, plan)[1][:, m:]
+    y_inf = variant_trajectories(sol_inf, dataset, plan)[1][:, m:]
     y_data = yd[:, m:]
     diff = y_star - y_inf
     cross = float(np.sum(2.0 * (y_inf - y_data) * diff))
@@ -233,12 +232,6 @@ def epsilon_check(sol_star: LiftedSolution, sol_inf: LiftedSolution,
         return EpsilonCheck(cross, sq, math.inf, True)
     eps_max = math.inf if cross >= 0.0 else sq / (-cross)
     return EpsilonCheck(cross, sq, eps_max, cross > -sq)
-
-
-def _segment_targets(dataset: TimeSeriesDataset, plan: SegmentationPlan):
-    from .data import segment_arrays
-
-    return segment_arrays(dataset, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -405,13 +398,20 @@ def regret_report(sol_star: LiftedSolution, sol_bench: LiftedSolution,
                   constants: BoundConstants) -> RegretReport:
     """Assemble training and performance regrets with their bound values.
 
-    The second bound needs m <= o_min; outside that range its fields are left
-    unset rather than reporting a vacuous number.
+    The star is the ``tbptt`` solution, evaluated from the zero state, and
+    the benchmark the ``coupled`` one, evaluated from its global initial
+    state; any other pair raises ``ValueError``. The second bound needs
+    m <= o_min; outside that range its fields are left unset rather than
+    reporting a vacuous number.
     """
+    if (sol_star.variant, sol_bench.variant) != ("tbptt", "coupled"):
+        raise ValueError(
+            f"regret_report compares a tbptt star with a coupled benchmark, "
+            f"got {sol_star.variant!r} and {sol_bench.variant!r}"
+        )
     V_star, V_bench = sol_star.objective, sol_bench.objective
     P_star = performance(sol_star.params, None, dataset, m)
-    h_bench = sol_bench.init_states[0] if sol_bench.init_states.size else None
-    P_bench = performance(sol_bench.params, h_bench, dataset, m)
+    P_bench = performance(sol_bench.params, sol_bench.init_states[0], dataset, m)
 
     thm1_rhs = constants.C_bar * constants.lam**m / (plan.N - m)
     training_regret = V_star - V_bench

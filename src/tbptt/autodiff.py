@@ -1,8 +1,13 @@
 """Reverse-mode differentiation through the unrolled recurrence.
 
-The backward pass is exact over whatever sequence it is given: truncation
-lives entirely in how callers segment the data, never inside the gradient.
-``fd_gradient`` is the independent central-difference oracle used by tests.
+``weighted_loss_grad`` is the one loss-and-gradient entry point: a batch of
+sequences from given initial states, a squared error weighted per step
+(``segment_weights`` builds the burn-in weights), and the exact gradient
+with respect to theta and every row's initial state. ``weighted_loss`` is
+its value alone. The backward pass is exact over whatever sequences it is
+given: truncation lives entirely in how callers segment the data, never
+inside the gradient. ``fd_gradient`` is the independent central-difference
+oracle used by tests.
 """
 
 from __future__ import annotations
@@ -12,15 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DimensionError
-from .rnn_core import CellSpec, NonFiniteError, Params, batched_forward, pack
-
-
-@dataclass
-class Gradient:
-    """Derivatives with respect to theta and the initial state."""
-
-    d_theta: np.ndarray
-    d_h0: np.ndarray
+from .rnn_core import NonFiniteError, Params, batched_forward, pack
 
 
 @dataclass
@@ -125,18 +122,6 @@ def backprop(tape: Tape, cograds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pack(spec, grads).theta, d_h0
 
 
-def backward(params: Params, h0, inputs, output_cograds) -> Gradient:
-    """Exact gradient of sum_t <cograds[t], y_t> w.r.t. theta and h0."""
-    x = np.asarray(inputs, dtype=np.float64)
-    cg = np.asarray(output_cograds, dtype=np.float64)
-    if h0 is None:
-        h0 = np.zeros(params.spec.state_dim)
-    h0 = np.asarray(h0, dtype=np.float64)
-    tape = record(params, h0[None, :], x[None, :, :])
-    d_theta, d_h0 = backprop(tape, cg[None, :, :])
-    return Gradient(d_theta=d_theta, d_h0=d_h0[0])
-
-
 def weighted_loss(params: Params, h0: np.ndarray, inputs: np.ndarray,
                   targets: np.ndarray, weights: np.ndarray) -> float:
     """sum_{b,t} weights[b,t] * ||y_{b,t} - targets_{b,t}||^2 (value only)."""
@@ -176,44 +161,33 @@ def segment_weights(n_steps: int, m: int, rows: int = 1) -> np.ndarray:
     return w
 
 
-def loss_grad(params: Params, segment, m: int) -> tuple[float, Gradient]:
-    """Mean squared error of one segment after its burn-in, with exact gradient.
+def fd_gradient(params: Params, inputs: np.ndarray, targets: np.ndarray, m: int,
+                step: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
+    """Central-difference gradient of one sequence's burn-in loss from the
+    zero state; test oracle only.
 
-    The segment is run from the zero state; outputs at steps 1..m are excluded,
-    steps m+1..N are averaged.
+    ``inputs`` (N, d_x) and ``targets`` (N, d_y) are one window. Returns
+    (d_theta, d_h0 (1, state_dim)), the gradient ``weighted_loss_grad``
+    computes exactly for the same row and ``segment_weights(N, m)``.
     """
-    x = np.asarray(segment.inputs, dtype=np.float64)
-    yd = np.asarray(segment.targets, dtype=np.float64)
-    n = x.shape[0]
-    w = segment_weights(n, m)
-    h0 = np.zeros((1, params.spec.state_dim))
-    loss, d_theta, d_h0 = weighted_loss_grad(params, h0, x[None], yd[None], w)
-    return loss, Gradient(d_theta=d_theta, d_h0=d_h0[0])
-
-
-def fd_gradient(params: Params, segment, m: int, step: float = 1e-5) -> Gradient:
-    """Central-difference gradient of the segment loss; test oracle only."""
-    x = np.asarray(segment.inputs, dtype=np.float64)[None]
-    yd = np.asarray(segment.targets, dtype=np.float64)[None]
+    x = np.asarray(inputs, dtype=np.float64)[None]
+    yd = np.asarray(targets, dtype=np.float64)[None]
     w = segment_weights(x.shape[1], m)
     h0 = np.zeros((1, params.spec.state_dim))
 
     def value(theta: np.ndarray, h: np.ndarray) -> float:
         return weighted_loss(Params(theta, params.spec, params.layout), h, x, yd, w)
 
-    d_theta = np.zeros_like(params.theta)
-    for k in range(params.theta.size):
-        up = params.theta.copy()
-        dn = params.theta.copy()
-        up[k] += step
-        dn[k] -= step
-        d_theta[k] = (value(up, h0) - value(dn, h0)) / (2.0 * step)
+    def central(f, point: np.ndarray) -> np.ndarray:
+        grad = np.zeros(point.size)
+        for k in range(point.size):
+            up = point.copy()
+            dn = point.copy()
+            up.flat[k] += step
+            dn.flat[k] -= step
+            grad[k] = (f(up) - f(dn)) / (2.0 * step)
+        return grad.reshape(point.shape)
 
-    d_h0 = np.zeros(params.spec.state_dim)
-    for k in range(d_h0.size):
-        up = h0.copy()
-        dn = h0.copy()
-        up[0, k] += step
-        dn[0, k] -= step
-        d_h0[k] = (value(params.theta, up) - value(params.theta, dn)) / (2.0 * step)
-    return Gradient(d_theta=d_theta, d_h0=d_h0)
+    d_theta = central(lambda theta: value(theta, h0), params.theta)
+    d_h0 = central(lambda h: value(params.theta, h), h0)
+    return d_theta, d_h0

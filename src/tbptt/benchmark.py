@@ -10,6 +10,10 @@ of the per-segment initial states:
 All three are smooth unconstrained problems after eliminating the coupling
 constraints, solved by multi-start Adam with best-iterate tracking and an
 optional spectral-norm projection of the recurrent block after every step.
+``solve_variant`` is the one entry point. A start whose iterates stop being
+finite ends alone (``failed_starts`` in the diagnostics); the solve fails
+only when no start reached a finite objective. ``variant_trajectories`` is
+the one evaluation of a solution's per-segment states and outputs.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 from .autodiff import segment_weights, weighted_loss_grad
 from .data import SegmentationPlan, TimeSeriesDataset, segment_arrays
 from .rng import _mix
-from .rnn_core import CellSpec, Params, batched_forward, init_params
+from .rnn_core import CellSpec, NonFiniteError, Params, batched_forward, init_params
 from .training import AdamConfig, AdamState, project_stability
 
 VARIANTS = ("tbptt", "coupled", "unconstrained")
@@ -173,26 +177,35 @@ def _solve(problem: _Problem, opt: OptConfig) -> LiftedSolution:
 
     best_z: np.ndarray | None = None
     best_obj = np.inf
-    iters_used = 0
+    iters_used = failed = 0
+    error: NonFiniteError | None = None
     adam_cfg = AdamConfig(lr=opt.lr)
     for z0 in starts:
-        z = problem.project(z0.copy(), opt.spectral_bound)
-        adam = AdamState(problem.n_free)
-        anchor_obj, anchor_it = np.inf, 0
-        for it in range(opt.max_iters):
-            obj, grad = problem.value_grad(z)
-            iters_used += 1
-            if obj < best_obj:
-                best_obj, best_z = obj, z.copy()
-            if obj < anchor_obj - opt.plateau_tol:
-                anchor_obj, anchor_it = obj, it
-            if float(np.linalg.norm(grad)) <= opt.grad_tol:
-                break
-            if it - anchor_it >= opt.plateau_iters:
-                break
-            z = problem.project(z - adam.direction(grad, adam_cfg), opt.spectral_bound)
+        try:
+            z = problem.project(z0.copy(), opt.spectral_bound)
+            adam = AdamState(problem.n_free)
+            anchor_obj, anchor_it = np.inf, 0
+            for it in range(opt.max_iters):
+                obj, grad = problem.value_grad(z)
+                iters_used += 1
+                if not np.isfinite(obj):
+                    raise NonFiniteError("solver objective", it + 1)
+                if obj < best_obj:
+                    best_obj, best_z = obj, z.copy()
+                if obj < anchor_obj - opt.plateau_tol:
+                    anchor_obj, anchor_it = obj, it
+                if float(np.linalg.norm(grad)) <= opt.grad_tol:
+                    break
+                if it - anchor_it >= opt.plateau_iters:
+                    break
+                z = problem.project(z - adam.direction(grad, adam_cfg), opt.spectral_bound)
+        except NonFiniteError as exc:
+            # a diverging start ends alone; its finite iterates still count
+            failed += 1
+            error = exc
 
-    assert best_z is not None
+    if best_z is None:
+        raise error  # every start diverged before a finite objective
     obj, grad = problem.value_grad(best_z)
     grad_norm = float(np.linalg.norm(grad))
     params, states = problem.split(best_z)
@@ -203,7 +216,8 @@ def _solve(problem: _Problem, opt: OptConfig) -> LiftedSolution:
         variant=problem.variant,
         converged=grad_norm <= opt.grad_tol,
         grad_norm=grad_norm,
-        diagnostics={"iterations": iters_used, "starts": len(starts)},
+        diagnostics={"iterations": iters_used, "starts": len(starts),
+                     "failed_starts": failed},
     )
 
 
@@ -221,70 +235,35 @@ def _finish(sol: LiftedSolution, dataset: TimeSeriesDataset,
     return sol
 
 
-def solve_tbptt(dataset: TimeSeriesDataset, plan: SegmentationPlan, m: int,
-                spec: CellSpec, opt: OptConfig | None = None) -> LiftedSolution:
-    """Full-batch optimum of the zero-initialized segment objective."""
-    opt = opt or OptConfig()
-    sol = _solve(_Problem("tbptt", dataset, plan, m, spec), opt)
-    return _finish(sol, dataset, plan)
-
-
-def solve_coupled(dataset: TimeSeriesDataset, plan: SegmentationPlan, m: int,
-                  spec: CellSpec, opt: OptConfig | None = None) -> LiftedSolution:
-    """Benchmark optimum: one free global initial state, shared trajectory."""
-    opt = opt or OptConfig()
-    sol = _solve(_Problem("coupled", dataset, plan, m, spec), opt)
-    return _finish(sol, dataset, plan)
-
-
-def solve_unconstrained(dataset: TimeSeriesDataset, plan: SegmentationPlan, m: int,
-                        spec: CellSpec, opt: OptConfig | None = None) -> LiftedSolution:
-    """Reference optimum with every segment's initial state free."""
-    opt = opt or OptConfig()
-    sol = _solve(_Problem("unconstrained", dataset, plan, m, spec), opt)
-    return _finish(sol, dataset, plan)
-
-
 def solve_variant(variant: str, dataset: TimeSeriesDataset, plan: SegmentationPlan,
                   m: int, spec: CellSpec, opt: OptConfig | None = None) -> LiftedSolution:
-    fn = {"tbptt": solve_tbptt, "coupled": solve_coupled,
-          "unconstrained": solve_unconstrained}[variant]
-    return fn(dataset, plan, m, spec, opt)
-
-
-def coupled_segment_inits(sol: LiftedSolution, dataset: TimeSeriesDataset,
-                          plan: SegmentationPlan) -> np.ndarray:
-    """Per-segment initial states read off the coupled solution's trajectory."""
-    states, _, _ = batched_forward(
-        sol.params, sol.init_states[0][None], dataset.inputs[None]
-    )
-    idx = np.array(plan.starts) - 1  # state before the window's first input
-    return states[0, idx]
+    """Best point of one variant's segment objective, with its boundedness check."""
+    sol = _solve(_Problem(variant, dataset, plan, m, spec), opt or OptConfig())
+    return _finish(sol, dataset, plan)
 
 
 def segment_initial_states(sol: LiftedSolution, dataset: TimeSeriesDataset,
                            plan: SegmentationPlan) -> np.ndarray:
-    """(S, state_dim) initial states implied by a solution's variant."""
-    sd = sol.params.spec.state_dim
+    """(S, state_dim) initial states implied by a solution's variant.
+
+    A coupled solution's segment starts are read off its one length-T
+    trajectory: the state before each window's first input.
+    """
     if sol.variant == "tbptt":
-        return np.zeros((plan.S, sd))
+        return np.zeros((plan.S, sol.params.spec.state_dim))
     if sol.variant == "coupled":
-        return coupled_segment_inits(sol, dataset, plan)
+        states, _, _ = batched_forward(
+            sol.params, sol.init_states[0][None], dataset.inputs[None]
+        )
+        return states[0, np.array(plan.starts) - 1]
     return sol.init_states
-
-
-def variant_segment_outputs(sol: LiftedSolution, dataset: TimeSeriesDataset,
-                            plan: SegmentationPlan) -> np.ndarray:
-    """(S, N, d_y) per-segment outputs generated per the solution's variant."""
-    xs, _ = segment_arrays(dataset, plan)
-    h0 = segment_initial_states(sol, dataset, plan)
-    _, outputs, _ = batched_forward(sol.params, h0, xs)
-    return outputs
 
 
 def variant_trajectories(sol: LiftedSolution, dataset: TimeSeriesDataset,
                          plan: SegmentationPlan) -> tuple[np.ndarray, np.ndarray]:
-    """All hidden states and outputs the solution generates on this instance."""
+    """Per-segment states (S, N+1, sd) and outputs (S, N, d_y) that the
+    solution generates on this instance, each window from the initial state
+    its variant implies."""
     xs, _ = segment_arrays(dataset, plan)
     h0 = segment_initial_states(sol, dataset, plan)
     states, outputs, _ = batched_forward(sol.params, h0, xs)

@@ -23,13 +23,10 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
-from . import analysis, benchmark, data, training
-from .rnn_core import CellSpec, NonFiniteError, Params, init_params
+from . import __version__, analysis, benchmark, data, training
+from .rnn_core import CellSpec, NonFiniteError
 from .training import AdamConfig, SGDConfig, TrainConfig, TrainingError
 
-VERSION = "0.1.0"
 OUT_ROOT_ENV = "TBPTT_RUNS_DIR"
 
 
@@ -63,7 +60,7 @@ def make_run_dir(args, command: str, config: dict) -> tuple[Path, dict]:
         "seed": config.get("seed"),
         "inputs": config.get("inputs", []),
         "out_dir": str(run_dir),
-        "version": VERSION,
+        "version": __version__,
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
     (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
@@ -79,7 +76,17 @@ def _write_json(path: Path, payload) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _check_synth_flags(args) -> None:
+    if args.T < 1:
+        raise UsageError(f"--T {args.T} must be >= 1")
+    for flag, value in (("--T-val", args.T_val), ("--T-test", args.T_test),
+                        ("--noise", args.noise), ("--warmup", args.warmup)):
+        if not value >= 0:  # NaN noise fails too
+            raise UsageError(f"{flag} {value} must be >= 0")
+
+
 def cmd_synth(args) -> int:
+    _check_synth_flags(args)
     config = {
         "T": args.T,
         "T_val": args.T_val,
@@ -201,8 +208,9 @@ def cmd_train(args) -> int:
 
 
 def _int_list(text: str) -> list[int]:
+    """Comma-separated integers, repeats dropped, first-seen order kept."""
     try:
-        return [int(tok) for tok in text.split(",") if tok != ""]
+        return list(dict.fromkeys(int(tok) for tok in text.split(",") if tok != ""))
     except ValueError:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from None
 
@@ -319,7 +327,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_benchmark(args) -> int:
     dataset = _load_dataset(args, args.data)
-    variants = [v.strip() for v in args.variants.split(",") if v.strip()]
+    variants = list(dict.fromkeys(v.strip() for v in args.variants.split(",") if v.strip()))
     unknown = [v for v in variants if v not in benchmark.VARIANTS]
     if unknown:
         raise UsageError(f"unknown variants {unknown}")
@@ -393,7 +401,10 @@ def cmd_benchmark(args) -> int:
             report = analysis.regret_report(sols["tbptt"], sols["coupled"],
                                             dataset, plan, m, constants)
             report_rows.append(report)
-            _write_json(run_dir / f"report_m{m}.json", report.to_json_dict())
+            turnpike = analysis.turnpike_errors(sols["tbptt"], sols["coupled"],
+                                                dataset, plan, m)
+            _write_json(run_dir / f"report_m{m}.json",
+                        {**report.to_json_dict(), "turnpike": turnpike.to_json_dict()})
 
     if report_rows:
         with open(run_dir / "report.csv", "w", newline="", encoding="utf-8") as fh:

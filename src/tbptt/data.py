@@ -3,6 +3,8 @@
 Segmentation follows the overlapping-window scheme: S windows of length N
 with 1-based start samples s_i, pairwise overlaps o_i = N - (s_i - s_{i-1}),
 and minimum overlap o_min. Windows always cover the whole sequence.
+``segment_arrays`` gathers all S windows in one indexing step; it is the
+only way windows are read off a dataset.
 """
 
 from __future__ import annotations
@@ -87,50 +89,11 @@ class TimeSeriesDataset:
     def d_y(self) -> int:
         return self.targets.shape[1]
 
-    def slice(self, start: int, stop: int, name: str | None = None) -> "TimeSeriesDataset":
-        """Contiguous sub-series sharing this dataset's transforms."""
-        return TimeSeriesDataset(
-            self.inputs[start:stop].copy(),
-            self.targets[start:stop].copy(),
-            name=name or f"{self.name}[{start}:{stop}]",
-            input_transforms=list(self.input_transforms),
-            target_transforms=list(self.target_transforms),
-        )
-
     def denormalized_targets(self) -> np.ndarray:
         if not self.target_transforms:
             return self.targets.copy()
         cols = [tr.invert(self.targets[:, j]) for j, tr in enumerate(self.target_transforms)]
         return np.stack(cols, axis=1)
-
-    def to_json(self) -> str:
-        def tr_list(trs):
-            return [{"offset": t.offset, "scale": t.scale} for t in trs]
-
-        return json.dumps(
-            {
-                "name": self.name,
-                "inputs": self.inputs.tolist(),
-                "targets": self.targets.tolist(),
-                "input_transforms": tr_list(self.input_transforms),
-                "target_transforms": tr_list(self.target_transforms),
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "TimeSeriesDataset":
-        d = json.loads(text)
-
-        def trs(rows):
-            return [ColumnTransform(r["offset"], r["scale"]) for r in rows]
-
-        return TimeSeriesDataset(
-            np.array(d["inputs"], dtype=np.float64),
-            np.array(d["targets"], dtype=np.float64),
-            name=d["name"],
-            input_transforms=trs(d["input_transforms"]),
-            target_transforms=trs(d["target_transforms"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -170,28 +133,6 @@ def make_plan(T: int, N: int, stride: int) -> SegmentationPlan:
     if starts[-1] != last:
         starts.append(last)
     return SegmentationPlan(N=N, starts=tuple(starts))
-
-
-@dataclass
-class Segment:
-    """One window of the dataset; index is 1-based to match start-sample labels."""
-
-    index: int
-    inputs: np.ndarray  # (N, d_x)
-    targets: np.ndarray  # (N, d_y)
-
-
-def extract(dataset: TimeSeriesDataset, plan: SegmentationPlan, i: int) -> Segment:
-    """Window i (1-based): samples s_i .. s_i + N - 1."""
-    if not 1 <= i <= plan.S:
-        raise IndexError(f"segment index {i} out of range [1, {plan.S}]")
-    s = plan.starts[i - 1]
-    lo = s - 1
-    return Segment(
-        index=i,
-        inputs=dataset.inputs[lo : lo + plan.N].copy(),
-        targets=dataset.targets[lo : lo + plan.N].copy(),
-    )
 
 
 def segment_arrays(dataset: TimeSeriesDataset, plan: SegmentationPlan) -> tuple[np.ndarray, np.ndarray]:
@@ -254,10 +195,6 @@ class LinearSISOGenerator:
         w_hy = (self.c * self.output_scale)[None, :]
         return pack(spec, {"W_hh": self.a, "W_xh": w_xh, "W_hy": w_hy})
 
-    def normalized_state_at_start(self) -> np.ndarray:
-        """Initial state for realizing_params that matches the recorded data."""
-        return self.state_at_start.copy()
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -272,22 +209,6 @@ class LinearSISOGenerator:
                 "output_scale": self.output_scale,
             }
         )
-
-    @staticmethod
-    def from_json(text: str) -> "LinearSISOGenerator":
-        d = json.loads(text)
-        return LinearSISOGenerator(
-            a=np.array(d["a"]),
-            b=np.array(d["b"]),
-            c=np.array(d["c"]),
-            noise_std=float(d["noise_std"]),
-            seed=int(d["seed"]),
-            warmup=int(d["warmup"]),
-            state_at_start=np.array(d["state_at_start"]),
-            input_scale=float(d["input_scale"]),
-            output_scale=float(d["output_scale"]),
-        )
-
 
 def _simulate_raw(seed: int, total: int, warmup: int, noise_std: float):
     rng = SplitMix64(seed)
@@ -367,19 +288,6 @@ def gen_synthetic(seed: int, T: int, noise_std: float = 0.05, warmup: int = 50):
     """
     datasets, generator = gen_synthetic_splits(seed, (T,), noise_std, warmup)
     return datasets[0], generator
-
-
-def build_forecast_targets(series, horizon: int) -> TimeSeriesDataset:
-    """Scalar series -> forecasting dataset: x_t = series[t], y_t = next `horizon` values."""
-    s = np.asarray(series, dtype=np.float64).reshape(-1)
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if s.size <= horizon:
-        raise ValueError(f"series length {s.size} must exceed horizon {horizon}")
-    usable = s.size - horizon
-    inputs = s[:usable, None]
-    targets = np.stack([s[k + 1 : k + 1 + horizon] for k in range(usable)], axis=0)
-    return TimeSeriesDataset(inputs, targets, name="forecast")
 
 
 # ---------------------------------------------------------------------------

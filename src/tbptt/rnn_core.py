@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -137,11 +136,13 @@ class Params:
             raise DimensionError(f"theta has shape {self.theta.shape}, expected ({n},)")
 
     def block(self, name: str) -> np.ndarray:
-        """Copy of one named block, reshaped."""
+        """One named block, reshaped: a view of ``theta``, read-only by
+        convention (``with_block`` builds an updated copy)."""
         start, stop, shape = self.layout[name]
-        return self.theta[start:stop].reshape(shape).copy()
+        return self.theta[start:stop].reshape(shape)
 
     def unpack(self) -> dict[str, np.ndarray]:
+        """Every named block as a read-only view of ``theta``."""
         return {name: self.block(name) for name in self.layout}
 
     def with_block(self, name: str, value: np.ndarray) -> "Params":
@@ -316,16 +317,3 @@ def forward(params: Params, h0, inputs) -> Trajectory:
     states, outputs, _ = batched_forward(params, h0[None, :], x[None, :, :])
     return Trajectory(hidden=states[0], outputs=outputs[0])
 
-
-def output_at(params: Params, h0, inputs, t: int) -> np.ndarray:
-    """Output y_t for 1-based t; identical semantics to forward(...).outputs[t-1]."""
-    x = np.asarray(inputs, dtype=np.float64)
-    if not 1 <= t <= x.shape[0]:
-        raise IndexError(f"t={t} out of range [1, {x.shape[0]}]")
-    return forward(params, h0, x[:t]).outputs[-1]
-
-
-def zero_state(spec: CellSpec, batch: int | None = None) -> np.ndarray:
-    if batch is None:
-        return np.zeros(spec.state_dim)
-    return np.zeros((batch, spec.state_dim))

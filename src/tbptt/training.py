@@ -18,12 +18,12 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .autodiff import segment_weights, weighted_loss_grad
+from .autodiff import segment_weights, weighted_loss, weighted_loss_grad
 from .data import SegmentationPlan, TimeSeriesDataset, make_plan, segment_arrays
 from .linalg import spectral_norm
 from .rnn_core import CellSpec, Params, batched_forward, init_params
@@ -158,12 +158,9 @@ class TrainLog:
 def full_batch_objective(params: Params, dataset: TimeSeriesDataset,
                          plan: SegmentationPlan, m: int) -> float:
     """Average segment loss with zero initialization (the truncated objective)."""
-    w = segment_weights(plan.N, m, plan.S)
-    xs, ys = segment_arrays(dataset, plan)
     h0 = np.zeros((plan.S, params.spec.state_dim))
-    _, outputs, _ = batched_forward(params, h0, xs)
-    err = outputs - ys
-    return float(np.sum(w * np.sum(err * err, axis=2)))
+    return weighted_loss(params, h0, *segment_arrays(dataset, plan),
+                         segment_weights(plan.N, m, plan.S))
 
 
 def full_batch_gradient(params: Params, xs: np.ndarray, ys: np.ndarray,

@@ -5,7 +5,6 @@ import numpy.testing as npt
 import pytest
 
 from tbptt.analysis import (
-    BoundConstants,
     EpsilonCheck,
     ObservedSets,
     StabilityEstimate,
@@ -19,7 +18,7 @@ from tbptt.analysis import (
     thm2_radicand,
     turnpike_errors,
 )
-from tbptt.benchmark import LiftedSolution, OptConfig, solve_coupled, solve_tbptt, solve_unconstrained
+from tbptt.benchmark import LiftedSolution, OptConfig, segment_initial_states, solve_variant
 from tbptt.data import TimeSeriesDataset, gen_synthetic, make_plan
 from tbptt.rng import SplitMix64
 from tbptt.rnn_core import CellSpec, batched_forward, forward, init_params, pack
@@ -48,21 +47,19 @@ def solved_instance():
     ds, _ = gen_synthetic(seed=3, T=60, noise_std=0.05)
     plan = make_plan(60, 10, 1)
     m = 2
-    star = solve_tbptt(ds, plan, m, LIN1, FAST)
+    star = solve_variant("tbptt", ds, plan, m, LIN1, FAST)
     bench_opt = OptConfig(**{**FAST.__dict__, "extra_starts": [(star.params, None)]})
-    bench = solve_coupled(ds, plan, m, LIN1, bench_opt)
-    from tbptt.benchmark import coupled_segment_inits
-
+    bench = solve_variant("coupled", ds, plan, m, LIN1, bench_opt)
     un_opt = OptConfig(
         **{
             **FAST.__dict__,
             "extra_starts": [
                 (star.params, None),
-                (bench.params, coupled_segment_inits(bench, ds, plan)),
+                (bench.params, segment_initial_states(bench, ds, plan)),
             ],
         }
     )
-    un = solve_unconstrained(ds, plan, m, LIN1, un_opt)
+    un = solve_variant("unconstrained", ds, plan, m, LIN1, un_opt)
     return ds, plan, m, star, bench, un
 
 
@@ -403,11 +400,32 @@ def test_regret_report_skips_thm2_beyond_overlap():
     ds, _ = gen_synthetic(seed=9, T=40, noise_std=0.05)
     plan = make_plan(40, 8, 4)  # o_min = 4
     m = 6
-    star = solve_tbptt(ds, plan, m, LIN1, FAST)
-    bench = solve_coupled(ds, plan, m, LIN1, FAST)
+    star = solve_variant("tbptt", ds, plan, m, LIN1, FAST)
+    bench = solve_variant("coupled", ds, plan, m, LIN1, FAST)
     stab = StabilityEstimate(C=1.0, lam=0.5, max_violation=0.0, num_pairs_tested=2, passed=True)
     constants = bound_constants(stab, EpsilonCheck(0.0, 0.0, math.inf, True),
                                 collect_observed([star, bench], ds, plan))
     rep = regret_report(star, bench, ds, plan, m, constants)
     assert rep.thm2_rhs is None
     assert rep.thm2_violation is None
+
+
+def test_regret_report_evaluates_coupled_bench_from_its_state(solved_instance):
+    ds, plan, m, star, bench, _ = solved_instance
+    stab = StabilityEstimate(C=1.0, lam=0.5, max_violation=0.0, num_pairs_tested=2, passed=True)
+    constants = bound_constants(stab, EpsilonCheck(0.0, 0.0, math.inf, True),
+                                collect_observed([star, bench], ds, plan))
+    rep = regret_report(star, bench, ds, plan, m, constants)
+    assert rep.P_star == performance(star.params, None, ds, m)
+    assert rep.P_bench == performance(bench.params, bench.init_states[0], ds, m)
+
+
+@pytest.mark.parametrize("pair", [("bench", "star"), ("star", "un"), ("un", "bench")])
+def test_regret_report_rejects_other_variant_pairs(solved_instance, pair):
+    ds, plan, m, star, bench, un = solved_instance
+    sols = {"star": star, "bench": bench, "un": un}
+    stab = StabilityEstimate(C=1.0, lam=0.5, max_violation=0.0, num_pairs_tested=2, passed=True)
+    constants = bound_constants(stab, EpsilonCheck(0.0, 0.0, math.inf, True),
+                                collect_observed([star, bench], ds, plan))
+    with pytest.raises(ValueError, match="tbptt star with a coupled benchmark"):
+        regret_report(sols[pair[0]], sols[pair[1]], ds, plan, m, constants)

@@ -2,9 +2,15 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from tbptt.autodiff import backward, fd_gradient, loss_grad
-from tbptt.data import Segment
-from tbptt.rnn_core import CellSpec, NonFiniteError, init_params, pack
+from tbptt.autodiff import (
+    backprop,
+    fd_gradient,
+    record,
+    segment_weights,
+    weighted_loss,
+    weighted_loss_grad,
+)
+from tbptt.rnn_core import CellSpec, NonFiniteError, forward, init_params, pack
 
 
 def scalar_linear(a, b, c):
@@ -21,6 +27,21 @@ def random_cell(kind, rng):
     return init_params(spec, int(rng.integers(0, 1 << 30)))
 
 
+def reverse_sweep(params, h0, x, cograds):
+    """(d_theta, d_h0) of sum_t <cograds[t], y_t> for one sequence."""
+    if h0 is None:
+        h0 = np.zeros(params.spec.state_dim)
+    tape = record(params, np.asarray(h0, dtype=np.float64)[None], x[None])
+    d_theta, d_h0 = backprop(tape, cograds[None])
+    return d_theta, d_h0[0]
+
+
+def row_loss_grad(params, x, yd, m):
+    """Burn-in loss of one sequence from the zero state: (loss, d_theta, d_h0)."""
+    h0 = np.zeros((1, params.spec.state_dim))
+    return weighted_loss_grad(params, h0, x[None], yd[None], segment_weights(x.shape[0], m))
+
+
 def rel_linf(a, b):
     return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-10)
 
@@ -28,9 +49,9 @@ def rel_linf(a, b):
 def test_zero_cograds_give_zero_gradient():
     params = init_params(CellSpec("elman", 2, 3, 1), 4)
     x = np.random.default_rng(0).normal(size=(5, 2))
-    grad = backward(params, None, x, np.zeros((5, 1)))
-    npt.assert_array_equal(grad.d_theta, 0.0)
-    npt.assert_array_equal(grad.d_h0, 0.0)
+    d_theta, d_h0 = reverse_sweep(params, None, x, np.zeros((5, 1)))
+    npt.assert_array_equal(d_theta, 0.0)
+    npt.assert_array_equal(d_h0, 0.0)
 
 
 def test_scalar_linear_single_step_by_hand():
@@ -38,13 +59,13 @@ def test_scalar_linear_single_step_by_hand():
     a, b, c = 0.5, -1.2, 2.0
     h0, x1 = 0.7, 1.3
     params = scalar_linear(a, b, c)
-    grad = backward(params, np.array([h0]), np.array([[x1]]), np.array([[1.0]]))
+    d_theta, d_h0 = reverse_sweep(params, np.array([h0]), np.array([[x1]]), np.array([[1.0]]))
     h1 = a * h0 + b * x1
-    da, db, dc = grad.d_theta
+    da, db, dc = d_theta
     assert dc == pytest.approx(h1)
     assert db == pytest.approx(c * x1)
     assert da == pytest.approx(c * h0)
-    assert grad.d_h0[0] == pytest.approx(c * a)
+    assert d_h0[0] == pytest.approx(c * a)
 
 
 def test_backward_linear_in_cograds():
@@ -53,11 +74,11 @@ def test_backward_linear_in_cograds():
     x = rng.normal(size=(6, 1))
     u = rng.normal(size=(6, 2))
     v = rng.normal(size=(6, 2))
-    gu = backward(params, None, x, u)
-    gv = backward(params, None, x, v)
-    guv = backward(params, None, x, u + v)
-    npt.assert_allclose(guv.d_theta, gu.d_theta + gv.d_theta, rtol=1e-12, atol=1e-14)
-    npt.assert_allclose(guv.d_h0, gu.d_h0 + gv.d_h0, rtol=1e-12, atol=1e-14)
+    gu = reverse_sweep(params, None, x, u)
+    gv = reverse_sweep(params, None, x, v)
+    guv = reverse_sweep(params, None, x, u + v)
+    npt.assert_allclose(guv[0], gu[0] + gv[0], rtol=1e-12, atol=1e-14)
+    npt.assert_allclose(guv[1], gu[1] + gv[1], rtol=1e-12, atol=1e-14)
 
 
 def test_backward_rejects_nonfinite_cograds():
@@ -66,7 +87,7 @@ def test_backward_rejects_nonfinite_cograds():
     cg = np.ones((3, 1))
     cg[1] = np.nan
     with pytest.raises(NonFiniteError):
-        backward(params, None, x, cg)
+        reverse_sweep(params, None, x, cg)
 
 
 def test_gradient_matches_fd_all_cells():
@@ -78,13 +99,10 @@ def test_gradient_matches_fd_all_cells():
             m = int(rng.integers(0, n))
             x = rng.normal(size=(n, params.spec.d_x))
             yd = rng.normal(size=(n, params.spec.d_y))
-            seg = Segment(index=1, inputs=x, targets=yd)
-            _, grad = loss_grad(params, seg, m)
-            fd = fd_gradient(params, seg, m)
-            assert rel_linf(grad.d_theta, fd.d_theta) < 1e-6
-            assert np.max(np.abs(grad.d_h0 - fd.d_h0)) < 1e-6 * max(
-                1.0, np.max(np.abs(fd.d_h0))
-            )
+            _, d_theta, d_h0 = row_loss_grad(params, x, yd, m)
+            fd_theta, fd_h0 = fd_gradient(params, x, yd, m)
+            assert rel_linf(d_theta, fd_theta) < 1e-6
+            assert np.max(np.abs(d_h0 - fd_h0)) < 1e-6 * max(1.0, np.max(np.abs(fd_h0)))
 
 
 def test_initial_state_gradient_directional():
@@ -92,10 +110,6 @@ def test_initial_state_gradient_directional():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(7, 1))
     yd = rng.normal(size=(7, 1))
-    seg = Segment(index=1, inputs=x, targets=yd)
-
-    from tbptt.autodiff import segment_weights, weighted_loss, weighted_loss_grad
-
     w = segment_weights(7, 2)
     h0 = np.zeros((1, 3))
     loss0, _, d_h0 = weighted_loss_grad(params, h0, x[None], yd[None], w)
@@ -110,21 +124,17 @@ def test_loss_grad_perfect_fit():
     # a = 0 makes the data realizable from the zero state at every step
     params = scalar_linear(0.0, 1.0, 2.0)
     x = np.random.default_rng(6).normal(size=(5, 1))
-    seg = Segment(index=1, inputs=x, targets=2.0 * x)
-    loss, grad = loss_grad(params, seg, 0)
+    loss, d_theta, _ = row_loss_grad(params, x, 2.0 * x, 0)
     assert loss == pytest.approx(0.0, abs=1e-24)
     start, stop, _ = params.layout["W_hy"]
-    npt.assert_allclose(grad.d_theta[start:stop], 0.0, atol=1e-12)
+    npt.assert_allclose(d_theta[start:stop], 0.0, atol=1e-12)
 
 
 def test_loss_grad_max_burn_in_single_term():
     params = scalar_linear(0.3, 1.0, 1.0)
     x = np.ones((4, 1))
     yd = np.zeros((4, 1))
-    seg = Segment(index=1, inputs=x, targets=yd)
-    loss, _ = loss_grad(params, seg, 3)
-    from tbptt.rnn_core import forward
-
+    loss, _, _ = row_loss_grad(params, x, yd, 3)
     y4 = forward(params, None, x).outputs[3, 0]
     assert loss == pytest.approx(y4**2)
 
@@ -132,47 +142,43 @@ def test_loss_grad_max_burn_in_single_term():
 def test_loss_grad_hand_value():
     # predictions equal the inputs (a=0, b=c=1); inputs (0,2,3), targets (0,1,1)
     params = scalar_linear(0.0, 1.0, 1.0)
-    seg = Segment(
-        index=1,
-        inputs=np.array([[0.0], [2.0], [3.0]]),
-        targets=np.array([[0.0], [1.0], [1.0]]),
-    )
-    loss, _ = loss_grad(params, seg, 1)
+    x = np.array([[0.0], [2.0], [3.0]])
+    yd = np.array([[0.0], [1.0], [1.0]])
+    loss, _, _ = row_loss_grad(params, x, yd, 1)
     assert loss == pytest.approx(((2 - 1) ** 2 + (3 - 1) ** 2) / 2)
 
 
 def test_loss_grad_burn_in_range_checked():
     params = scalar_linear(0.1, 1.0, 1.0)
-    seg = Segment(index=1, inputs=np.ones((3, 1)), targets=np.ones((3, 1)))
+    x = np.ones((3, 1))
     with pytest.raises(ValueError):
-        loss_grad(params, seg, 3)
+        row_loss_grad(params, x, x, 3)
     with pytest.raises(ValueError):
-        loss_grad(params, seg, -1)
+        row_loss_grad(params, x, x, -1)
 
 
 def test_fd_quadratic_self_consistency():
     # single step, loss quadratic in each coordinate around this point
     params = scalar_linear(0.4, 0.8, 1.1)
-    seg = Segment(index=1, inputs=np.array([[1.5]]), targets=np.array([[0.3]]))
-    _, grad = loss_grad(params, seg, 0)
-    fd = fd_gradient(params, seg, 0)
-    npt.assert_allclose(fd.d_theta, grad.d_theta, rtol=1e-9, atol=1e-12)
+    x, yd = np.array([[1.5]]), np.array([[0.3]])
+    _, d_theta, _ = row_loss_grad(params, x, yd, 0)
+    fd_theta, _ = fd_gradient(params, x, yd, 0)
+    npt.assert_allclose(fd_theta, d_theta, rtol=1e-9, atol=1e-12)
 
 
 def test_fd_near_zero_at_stationary_point():
     params = scalar_linear(0.0, 1.0, 2.0)
     x = np.random.default_rng(7).normal(size=(4, 1))
-    seg = Segment(index=1, inputs=x, targets=2.0 * x)
-    fd = fd_gradient(params, seg, 0, step=1e-5)
-    assert np.max(np.abs(fd.d_theta)) < 1e-8
+    fd_theta, _ = fd_gradient(params, x, 2.0 * x, 0, step=1e-5)
+    assert np.max(np.abs(fd_theta)) < 1e-8
 
 
 def test_fd_second_order_convergence():
     params = init_params(CellSpec("elman", 1, 2, 1), 31)
     rng = np.random.default_rng(9)
-    seg = Segment(index=1, inputs=rng.normal(size=(6, 1)), targets=rng.normal(size=(6, 1)))
-    _, grad = loss_grad(params, seg, 1)
-    err_big = np.max(np.abs(fd_gradient(params, seg, 1, step=2e-4).d_theta - grad.d_theta))
-    err_small = np.max(np.abs(fd_gradient(params, seg, 1, step=1e-4).d_theta - grad.d_theta))
+    x, yd = rng.normal(size=(6, 1)), rng.normal(size=(6, 1))
+    _, d_theta, _ = row_loss_grad(params, x, yd, 1)
+    err_big = np.max(np.abs(fd_gradient(params, x, yd, 1, step=2e-4)[0] - d_theta))
+    err_small = np.max(np.abs(fd_gradient(params, x, yd, 1, step=1e-4)[0] - d_theta))
     assert err_small < err_big
     assert err_big / max(err_small, 1e-18) == pytest.approx(4.0, rel=0.8)

@@ -2,7 +2,6 @@ import csv
 import json
 from pathlib import Path
 
-import numpy as np
 import numpy.testing as npt
 import pytest
 
@@ -201,6 +200,11 @@ def test_benchmark_full_report(tmp_path):
     assert [r["m"] for r in rows] == ["1", "3"]
     report = json.loads((run_dir / "report_m1.json").read_text())
     assert {"V_star", "V_bench", "training_regret", "thm1_rhs"} <= set(report)
+    turnpike = report["turnpike"]
+    assert turnpike["reference"] == "coupled"
+    assert (turnpike["m"], turnpike["N"]) == (1, 10)
+    assert len(turnpike["e_j"]) == 10 - 1
+    assert turnpike["sum_e"] == sum(turnpike["e_j"])
 
 
 def test_benchmark_rejects_bad_variant_and_burn_in(tmp_path):
@@ -268,3 +272,55 @@ def test_sweep_bad_shared_flag_is_usage_error(tmp_path, capsys, flag, value):
     data_file = synth(tmp_path) / "train.csv"
     assert_usage_error(capsys, tmp_path / "x", "sweep", "--data", data_file,
                        "--N-list", 10, "--epochs", 1, flag, value)
+
+
+@pytest.mark.parametrize("flag, value", [("--T", 0), ("--T-val", -1), ("--T-test", -5),
+                                         ("--noise", -1), ("--warmup", -3)])
+def test_synth_bad_length_noise_or_warmup_is_usage_error(tmp_path, capsys, flag, value):
+    assert_usage_error(capsys, tmp_path / "x", "synth", flag, value)
+
+
+# --- repeated grid values ---------------------------------------------------
+
+
+def test_sweep_runs_a_repeated_grid_value_once(tmp_path, monkeypatch):
+    import tbptt.cli as cli
+
+    base = synth(tmp_path)
+    cells = []
+    real_cell = cli._sweep_cell
+
+    def counting_cell(dataset, test_set, args, N, m):
+        cells.append((N, m))
+        return real_cell(dataset, test_set, args, N, m)
+
+    monkeypatch.setattr(cli, "_sweep_cell", counting_cell)
+    out = tmp_path / "sweep"
+    assert run("--out", out, "sweep", "--data", base / "train.csv",
+               "--N-list", "10,12,10", "--m-list", "0,0", "--epochs", 1,
+               "--batch", 4) == 0
+    assert cells == [(10, 0), (12, 0)]
+    with open(only_run_dir(out, "sweep") / "report.csv") as fh:
+        assert [(r["N"], r["m"]) for r in csv.DictReader(fh)] == [("10", "0"), ("12", "0")]
+
+
+def test_benchmark_solves_a_repeated_burn_in_or_variant_once(tmp_path, monkeypatch):
+    import tbptt.benchmark as benchmark
+
+    base = synth(tmp_path)
+    solved = []
+    real_solve = benchmark.solve_variant
+
+    def counting_solve(variant, dataset, plan, m, spec, opt=None):
+        solved.append((variant, m))
+        return real_solve(variant, dataset, plan, m, spec, opt)
+
+    monkeypatch.setattr(benchmark, "solve_variant", counting_solve)
+    out = tmp_path / "bench"
+    assert run("--out", out, "benchmark", "--data", base / "train.csv",
+               "--N", 10, "--m-list", "5,5", "--variants", "tbptt,coupled,tbptt",
+               "--restarts", 1, "--iters", 50) == 0
+    assert solved == [("tbptt", 5), ("coupled", 5)]
+    with open(only_run_dir(out, "benchmark") / "report.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["m"] for r in rows] == ["5"]

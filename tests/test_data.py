@@ -4,8 +4,6 @@ import pytest
 
 from tbptt.data import (
     TimeSeriesDataset,
-    build_forecast_targets,
-    extract,
     gen_synthetic,
     gen_synthetic_splits,
     load_csv,
@@ -79,31 +77,30 @@ def _toy_dataset(t=10):
 def test_extract_prefix_and_indexing():
     ds = _toy_dataset()
     plan = make_plan(10, 4, 3)
-    first = extract(ds, plan, 1)
-    npt.assert_array_equal(first.inputs[:, 0], [1, 2, 3, 4])
-    second = extract(ds, plan, 2)
-    npt.assert_array_equal(second.inputs[:, 0], [4, 5, 6, 7])
-    npt.assert_array_equal(second.targets[:, 0], [40, 50, 60, 70])
-    with pytest.raises(IndexError):
-        extract(ds, plan, 4)
+    xs, ys = segment_arrays(ds, plan)
+    assert xs.shape == (3, 4, 1) and ys.shape == (3, 4, 1)
+    npt.assert_array_equal(xs[0, :, 0], [1, 2, 3, 4])
+    npt.assert_array_equal(xs[1, :, 0], [4, 5, 6, 7])
+    npt.assert_array_equal(ys[1, :, 0], [40, 50, 60, 70])
+    # the last window is clipped to end exactly at T
+    npt.assert_array_equal(xs[2, :, 0], [7, 8, 9, 10])
 
 
 def test_adjacent_dense_segments_share_points():
     ds = _toy_dataset()
     plan = make_plan(10, 4, 1)
-    a = extract(ds, plan, 2)
-    b = extract(ds, plan, 3)
-    npt.assert_array_equal(a.inputs[1:], b.inputs[:-1])
+    xs, _ = segment_arrays(ds, plan)
+    npt.assert_array_equal(xs[1, 1:], xs[2, :-1])
 
 
 def test_segment_arrays_matches_extract():
+    # window i (1-based) is samples s_i .. s_i + N - 1 of the series
     ds = _toy_dataset()
     plan = make_plan(10, 4, 3)
     xs, ys = segment_arrays(ds, plan)
-    for i in range(1, plan.S + 1):
-        seg = extract(ds, plan, i)
-        npt.assert_array_equal(xs[i - 1], seg.inputs)
-        npt.assert_array_equal(ys[i - 1], seg.targets)
+    for i, s in enumerate(plan.starts):
+        npt.assert_array_equal(xs[i], ds.inputs[s - 1 : s - 1 + plan.N])
+        npt.assert_array_equal(ys[i], ds.targets[s - 1 : s - 1 + plan.N])
 
 
 # --- synthetic generator ----------------------------------------------------
@@ -126,7 +123,7 @@ def test_gen_synthetic_normalized_range():
 def test_noiseless_data_realized_by_generator_params():
     ds, gen = gen_synthetic(seed=7, T=80, noise_std=0.0)
     params = gen.realizing_params()
-    traj = forward(params, gen.normalized_state_at_start(), ds.inputs)
+    traj = forward(params, gen.state_at_start, ds.inputs)
     npt.assert_allclose(traj.outputs, ds.targets, atol=1e-12)
 
 
@@ -156,30 +153,6 @@ def test_splits_share_transforms_and_concatenate():
         [d.denormalized_targets()[:, 0] for d in (train, val, test)]
     )
     npt.assert_allclose(raw_parts, whole[0].denormalized_targets()[:, 0], atol=1e-12)
-
-
-# --- forecasting targets ----------------------------------------------------
-
-
-def test_forecast_one_step_shift():
-    ds = build_forecast_targets(np.arange(1.0, 8.0), 1)
-    npt.assert_array_equal(ds.inputs[:, 0], [1, 2, 3, 4, 5, 6])
-    npt.assert_array_equal(ds.targets[:, 0], [2, 3, 4, 5, 6, 7])
-
-
-def test_forecast_constant_series():
-    ds = build_forecast_targets(np.full(9, 3.25), 4)
-    npt.assert_array_equal(ds.targets, 3.25)
-
-
-def test_forecast_window_indexing():
-    ds = build_forecast_targets(np.arange(1.0, 11.0), 3)
-    assert ds.T == 7
-    npt.assert_array_equal(ds.targets[1], [3.0, 4.0, 5.0])  # step t=2
-    with pytest.raises(ValueError):
-        build_forecast_targets(np.arange(3.0), 3)
-    with pytest.raises(ValueError):
-        build_forecast_targets(np.arange(10.0), 0)
 
 
 # --- CSV ingestion ----------------------------------------------------------
@@ -255,14 +228,6 @@ def test_normalize_denormalize_identity():
     npt.assert_allclose(tr.invert(tr.apply(col)), col, atol=1e-12)
     assert tr.apply(col).min() == pytest.approx(-1.0)
     assert tr.apply(col).max() == pytest.approx(1.0)
-
-
-def test_dataset_json_roundtrip():
-    ds, _ = gen_synthetic(seed=2, T=25, noise_std=0.1)
-    again = TimeSeriesDataset.from_json(ds.to_json())
-    npt.assert_array_equal(again.inputs, ds.inputs)
-    npt.assert_array_equal(again.targets, ds.targets)
-    assert again.input_transforms == ds.input_transforms
 
 
 def test_dataset_validation():

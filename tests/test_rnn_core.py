@@ -15,7 +15,6 @@ from tbptt.rnn_core import (
     forward,
     init_params,
     num_params,
-    output_at,
     pack,
 )
 
@@ -83,23 +82,10 @@ def test_semigroup_restart_exact():
         npt.assert_array_equal(tail.hidden[1:], full.hidden[k + 1 :])
 
 
-def test_output_at_matches_forward():
-    spec = CellSpec("elman", 1, 2, 1)
-    params = init_params(spec, 9)
-    x = np.random.default_rng(5).normal(size=(6, 1))
-    traj = forward(params, None, x)
-    npt.assert_array_equal(output_at(params, None, x, 6), traj.outputs[-1])
-    npt.assert_array_equal(output_at(params, None, x, 2), traj.outputs[1])
-    with pytest.raises(IndexError):
-        output_at(params, None, x, 7)
-    with pytest.raises(IndexError):
-        output_at(params, None, x, 0)
-
-
 def test_linear_scalar_output_at_t2():
     a, b, c = 0.5, 1.5, -2.0
     x = np.array([[1.0], [2.0]])
-    y2 = output_at(scalar_linear(a, b, c), None, x, 2)
+    y2 = forward(scalar_linear(a, b, c), None, x).outputs[1]
     assert y2[0] == pytest.approx(c * (a * b * 1.0 + b * 2.0))
 
 
@@ -161,6 +147,17 @@ def test_with_block_touches_exactly_one_range():
     assert changed.min() >= start and changed.max() < stop
     npt.assert_array_equal(updated.theta[:start], params.theta[:start])
     npt.assert_array_equal(updated.theta[stop:], params.theta[stop:])
+
+
+def test_blocks_are_views_of_theta():
+    spec = CellSpec("lstm", 2, 3, 2)
+    params = init_params(spec, 2)
+    for name, block in params.unpack().items():
+        start, stop, shape = params.layout[name]
+        assert block.shape == shape
+        assert np.shares_memory(block, params.theta)
+        npt.assert_array_equal(block.reshape(-1), params.theta[start:stop])
+    assert np.shares_memory(params.block("W_hy"), params.theta)
 
 
 def test_params_json_roundtrip_exact():

@@ -4,15 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from tbptt.data import (
-    Segment,
-    TimeSeriesDataset,
-    extract,
-    gen_synthetic,
-    make_plan,
-    segment_arrays,
-)
-from tbptt.autodiff import fd_gradient, loss_grad
+from tbptt.data import TimeSeriesDataset, gen_synthetic, make_plan, segment_arrays
+from tbptt.autodiff import fd_gradient, segment_weights, weighted_loss_grad
 from tbptt.linalg import spectral_norm
 from tbptt.rng import SplitMix64
 from tbptt.rnn_core import CellSpec, batched_forward, forward, init_params, pack
@@ -70,7 +63,10 @@ def test_full_batch_objective_is_mean_of_segment_losses():
     plan = make_plan(20, 6, 2)
     params = scalar_linear(0.2, 0.7, -0.4)
     m = 2
-    losses = [loss_grad(params, extract(ds, plan, i), m)[0] for i in range(1, plan.S + 1)]
+    xs, ys = segment_arrays(ds, plan)
+    h0 = np.zeros((1, 1))
+    w = segment_weights(plan.N, m)
+    losses = [weighted_loss_grad(params, h0, x[None], y[None], w)[0] for x, y in zip(xs, ys)]
     assert full_batch_objective(params, ds, plan, m) == pytest.approx(np.mean(losses), rel=1e-14)
 
 
@@ -91,8 +87,8 @@ def test_full_batch_objective_single_segment_reduces_to_loss():
     ds = memoryless_dataset(t=9)
     plan = make_plan(9, 9, 1)
     params = scalar_linear(0.1, 1.0, 1.0)
-    seg = extract(ds, plan, 1)
-    loss, _ = loss_grad(params, seg, 3)
+    loss, _, _ = weighted_loss_grad(params, np.zeros((1, 1)), ds.inputs[None],
+                                    ds.targets[None], segment_weights(9, 3))
     assert full_batch_objective(params, ds, plan, 3) == pytest.approx(loss, rel=1e-14)
 
 
@@ -122,8 +118,9 @@ def test_sgd_step_single_segment_matches_hand_gradient():
     config = lin_config(optimizer=SGDConfig(lr=lr), m=2, batch_size=1, spectral_bound=None)
     params = scalar_linear(0.3, 0.5, 0.7)
     out = sgd_step(params, *segment_arrays(ds, plan), [5], config)
-    fd = fd_gradient(params, extract(ds, plan, 6), 2)
-    npt.assert_allclose(params.theta - out.theta, lr * fd.d_theta, rtol=1e-6)
+    xs, ys = segment_arrays(ds, plan)
+    fd_theta, _ = fd_gradient(params, xs[5], ys[5], 2)
+    npt.assert_allclose(params.theta - out.theta, lr * fd_theta, rtol=1e-6)
 
 
 def test_sgd_step_full_batch_equals_objective_gradient():
@@ -300,7 +297,7 @@ def test_stateful_inits_chain_without_overlap():
     plan = make_plan(24, 6, 6)
     spec = CellSpec("elman", 1, 2, 1)
     params = init_params(spec, 4)
-    xs = np.stack([extract(ds, plan, i).inputs for i in range(1, plan.S + 1)])
+    xs, _ = segment_arrays(ds, plan)
     cached = np.zeros((plan.S, 2))
     h0 = _stateful_inits(params, xs, plan, cached, list(range(plan.S)))
     full = forward(params, None, ds.inputs)
@@ -313,7 +310,7 @@ def test_stateful_inits_with_overlap_use_meeting_point():
     plan = make_plan(20, 6, 2)
     spec = CellSpec("elman", 1, 2, 1)
     params = init_params(spec, 9)
-    xs = np.stack([extract(ds, plan, i).inputs for i in range(1, plan.S + 1)])
+    xs, _ = segment_arrays(ds, plan)
     cached = np.zeros((plan.S, 2))
     h0 = _stateful_inits(params, xs, plan, cached, list(range(plan.S)))
     # segment i starts at the state reached N - o_i = stride steps into its predecessor
