@@ -4,6 +4,9 @@ Subcommands: ``synth`` (generate data files), ``train`` (one training run),
 ``sweep`` (cross-product of window lengths and burn-in values), ``benchmark``
 (solve the coupled/unconstrained reference problems and report regrets).
 
+A sweep cell's ``train_mse`` is its last logged epoch objective, the same
+``train`` run's ``final_objective``; it is empty when ``--epochs 0``.
+
 Every run writes into ``<out-root>/<command>/<config-hash>/`` with a
 manifest.json describing it; rerunning with identical flags reproduces all
 numeric outputs bit-exactly (timestamps live only in the manifest).
@@ -221,14 +224,12 @@ def _sweep_cell(dataset, test_set, args, N: int, m: int) -> dict:
     cell_args.N, cell_args.m = N, m
     config, log = _run_training(dataset, cell_args)
     params = log.params
-    plan = data.make_plan(dataset.T, N, args.stride)
-    train_mse = training.full_batch_objective(params, dataset, plan, m)
     p_train = analysis.performance(params, None, dataset, m)
     stab = analysis.estimate_stability(params, dataset, num_pairs=16, seed=args.seed)
     row = {
         "N": N,
         "m": m,
-        "train_mse": train_mse,
+        "train_mse": log.records[-1].objective if log.records else "",
         "test_mse": "",
         "P": p_train,
         "lambda": stab.lam,
@@ -248,9 +249,10 @@ def _error_row(N: int, m: int, error: str) -> dict:
     return {**dict.fromkeys(SWEEP_COLUMNS, ""), "N": N, "m": m, "error": error}
 
 
-def _check_sweep_flags(args, dataset) -> None:
-    """Reject the flags every cell shares before any cell runs: one bad value
-    would otherwise fail the whole grid, cell by cell."""
+def _check_sweep_flags(args, dataset, n_values, m_values, test_set) -> None:
+    """Reject the flags every cell shares, and grid values no cell can run,
+    before any cell runs: one bad value would otherwise fail the grid cell by
+    cell. A burn-in beyond a valid window's N - 1 is still flagged per cell."""
     try:
         _cell_spec(args, dataset.d_x, dataset.d_y)
     except ValueError as exc:
@@ -263,6 +265,14 @@ def _check_sweep_flags(args, dataset) -> None:
         raise UsageError(f"--rho {args.rho} must be <= 1")
     if args.stride < 1:
         raise UsageError(f"--stride {args.stride} must be >= 1")
+    if any(not 1 <= N <= dataset.T for N in n_values):
+        raise UsageError(f"--N-list {n_values} must lie in [1, T] = [1, {dataset.T}]")
+    if any(not 0 <= m < dataset.T for m in m_values):
+        raise UsageError(f"--m-list {m_values} must lie in [0, T-1] = [0, {dataset.T - 1}]")
+    if args.test_burn < -1:
+        raise UsageError(f"--test-burn {args.test_burn} must be >= -1")
+    if test_set is not None and args.test_burn >= test_set.T:
+        raise UsageError(f"--test-burn {args.test_burn} must be < T_test = {test_set.T}")
 
 
 def cmd_sweep(args) -> int:
@@ -275,7 +285,7 @@ def cmd_sweep(args) -> int:
         )
     n_values = _int_list(args.N_list)
     m_values = _int_list(args.m_list)
-    _check_sweep_flags(args, dataset)
+    _check_sweep_flags(args, dataset, n_values, m_values, test_set)
     config = {
         "inputs": [str(args.data)] + ([str(args.test)] if args.test else []),
         "N_list": n_values,

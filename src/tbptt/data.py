@@ -10,7 +10,6 @@ only way windows are read off a dataset.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -107,9 +106,8 @@ class SegmentationPlan:
     def S(self) -> int:
         return len(self.starts)
 
-    @functools.cached_property
+    @property
     def overlaps(self) -> tuple[int, ...]:
-        # computed once per plan: the stateful chain reads it once per segment
         return tuple(
             self.N - (self.starts[i] - self.starts[i - 1]) for i in range(1, self.S)
         )

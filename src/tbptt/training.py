@@ -6,7 +6,7 @@ Three modes:
   the segment order is reshuffled each epoch (the classic truncated scheme).
 * ``stateful``: segments are visited chronologically and each one starts from
   the state its predecessor reached at the step where the windows meet,
-  recomputed under the current parameters.
+  recomputed under the current parameters by one forward pass per batch.
 * ``full_bptt``: one segment spanning the whole sequence.
 
 The per-step update is plain SGD or Adam on the batch-averaged gradient,
@@ -78,7 +78,10 @@ class AdamState:
 
 @dataclass
 class TrainConfig:
-    """Everything a training run depends on; hashable for run manifests."""
+    """Everything a training run depends on; hashable for run manifests.
+
+    ``train`` runs every one of the ``epochs``.
+    """
 
     spec: CellSpec
     N: int
@@ -90,9 +93,6 @@ class TrainConfig:
     seed: int = 0
     spectral_bound: float | None = 0.999
     mode: str = "zero_init"
-    early_stop: bool = False
-    early_stop_patience: int = 20
-    early_stop_tol: float = 1e-10
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -118,9 +118,6 @@ class TrainConfig:
             "seed": self.seed,
             "spectral_bound": self.spectral_bound,
             "mode": self.mode,
-            "early_stop": self.early_stop,
-            "early_stop_patience": self.early_stop_patience,
-            "early_stop_tol": self.early_stop_tol,
         }
 
     def digest(self) -> str:
@@ -243,26 +240,26 @@ def _batches(order: list[int], size: int) -> list[list[int]]:
 
 def _stateful_inits(
     params: Params,
-    xs: np.ndarray,
+    inputs: np.ndarray,
     plan: SegmentationPlan,
     cached: np.ndarray,
     batch: list[int],
 ) -> np.ndarray:
     """Chain initial states through the batch under the current parameters.
 
-    Segment i starts from the state its predecessor reaches after
-    N - o_i steps; the predecessor is replayed from its cached start.
+    Segment i starts from the state its predecessor reaches at sample s_i,
+    where the windows meet. ``batch`` must hold consecutive segment indices
+    (stateful mode never shuffles), so the chain is one forward pass over the
+    (T, d_x) series ``inputs``: from the cached start of the segment before
+    the batch to the start of the batch's last segment, read at each
+    segment's start. ``cached`` keeps every segment's start and is updated.
     """
-    h0 = np.zeros((len(batch), cached.shape[1]))
-    for row, i in enumerate(batch):
-        if i == 0:
-            cached[0] = 0.0
-            continue
-        chain = plan.N - plan.overlaps[i - 1]
-        states, _, _ = batched_forward(params, cached[i - 1][None], xs[i - 1][None, :chain])
-        cached[i] = states[0, chain]
-        h0[row] = cached[i]
-    return h0
+    j = max(batch[0] - 1, 0)
+    s_j = plan.starts[j]
+    states, _, _ = batched_forward(params, cached[j][None],
+                                   inputs[None, s_j - 1 : plan.starts[batch[-1]] - 1])
+    cached[batch] = states[0, [plan.starts[i] - s_j for i in batch]]
+    return cached[batch]
 
 
 def train(dataset: TimeSeriesDataset, config: TrainConfig,
@@ -284,7 +281,6 @@ def train(dataset: TimeSeriesDataset, config: TrainConfig,
     cached_inits = np.zeros((plan.S, params.spec.state_dim))
 
     records: list[EpochRecord] = []
-    best, stale = np.inf, 0
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         order = list(range(plan.S))
@@ -293,7 +289,7 @@ def train(dataset: TimeSeriesDataset, config: TrainConfig,
         for batch in _batches(order, config.batch_size):
             h0 = None
             if config.mode == "stateful":
-                h0 = _stateful_inits(params, xs, plan, cached_inits, batch)
+                h0 = _stateful_inits(params, dataset.inputs, plan, cached_inits, batch)
             params = sgd_step(params, xs, ys, batch, config,
                               opt_state=opt_state, h0=h0, epoch=epoch)
         objective, d_theta = full_batch_gradient(params, xs, ys, config.m)
@@ -305,13 +301,6 @@ def train(dataset: TimeSeriesDataset, config: TrainConfig,
                 wall_time_s=time.perf_counter() - t0,
             )
         )
-        if config.early_stop:
-            if objective < best - config.early_stop_tol:
-                best, stale = objective, 0
-            else:
-                stale += 1
-                if stale >= config.early_stop_patience:
-                    break
 
     return TrainLog(records=records, params=params,
                     config_digest=config.digest(), seed=config.seed)

@@ -138,9 +138,8 @@ def test_tbptt_matches_training_fixed_point(noisy_instance):
     m = 1
     theta0 = init_params(LIN1, 0)
     config = TrainConfig(spec=LIN1, N=plan.N, m=m, batch_size=plan.S,
-                         optimizer=AdamConfig(lr=0.02), epochs=1500, seed=0,
-                         spectral_bound=0.999, early_stop=True,
-                         early_stop_patience=100)
+                         optimizer=AdamConfig(lr=0.02), epochs=300, seed=0,
+                         spectral_bound=0.999)
     log = train(ds, config, init=theta0)
     opt = OptConfig(restarts=0, max_iters=20000, lr=0.02,
                     extra_starts=[(theta0, None)], plateau_iters=500)

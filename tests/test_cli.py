@@ -158,7 +158,37 @@ def test_sweep_single_cell_matches_train(tmp_path):
     assert run("--out", out2, "train", "--data", base / "train.csv", *TRAIN_FLAGS) == 0
     train_dir = only_run_dir(out2, "train")
     summary = json.loads((train_dir / "summary.json").read_text())
-    assert float(row["train_mse"]) == pytest.approx(summary["final_objective"], rel=1e-12)
+    assert float(row["train_mse"]) == summary["final_objective"]
+
+
+def test_sweep_bptt_burn_in_beyond_window_matches_train(tmp_path):
+    # bptt trains on the whole series, so N does not bound the burn-in
+    base = synth(tmp_path)
+    flags = ["--mode", "bptt", "--epochs", 2, "--batch", 1, "--seed", 3]
+    out = tmp_path / "sweep"
+    assert run("--out", out, "sweep", "--data", base / "train.csv",
+               "--N-list", 8, "--m-list", "0,12", *flags) == 0
+    with open(only_run_dir(out, "sweep") / "report.csv") as fh:
+        rows = {r["m"]: r for r in csv.DictReader(fh)}
+    assert rows["12"]["error"] == ""
+
+    out2 = tmp_path / "single"
+    assert run("--out", out2, "train", "--data", base / "train.csv",
+               "--N", 8, "--m", 12, *flags) == 0
+    summary = json.loads((only_run_dir(out2, "train") / "summary.json").read_text())
+    assert float(rows["12"]["train_mse"]) == summary["final_objective"]
+
+
+def test_sweep_without_epochs_leaves_train_mse_empty(tmp_path):
+    base = synth(tmp_path)
+    out = tmp_path / "sweep"
+    assert run("--out", out, "sweep", "--data", base / "train.csv",
+               "--N-list", 10, "--m-list", 2, "--epochs", 0) == 0
+    with open(only_run_dir(out, "sweep") / "report.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["error"] == ""
+    assert row["train_mse"] == ""
+    assert float(row["P"]) > 0
 
 
 def test_sweep_flags_invalid_cells_and_continues(tmp_path):
@@ -272,6 +302,18 @@ def test_sweep_bad_shared_flag_is_usage_error(tmp_path, capsys, flag, value):
     data_file = synth(tmp_path) / "train.csv"
     assert_usage_error(capsys, tmp_path / "x", "sweep", "--data", data_file,
                        "--N-list", 10, "--epochs", 1, flag, value)
+
+
+@pytest.mark.parametrize("flag, value", [("--N-list", 0), ("--N-list", "10,61"),
+                                         ("--m-list", -1), ("--m-list", 60),
+                                         ("--test-burn", -2), ("--test-burn", 30)])
+def test_sweep_grid_value_out_of_range_is_usage_error(tmp_path, capsys, flag, value):
+    # T = 60, T_test = 30: a value no cell can run fails the sweep up front
+    base = synth(tmp_path)
+    argv = {"--N-list": 10, "--m-list": 0, "--test-burn": -1, flag: value}
+    assert_usage_error(capsys, tmp_path / "x", "sweep", "--data", base / "train.csv",
+                       "--test", base / "test.csv", "--epochs", 1,
+                       *[a for item in argv.items() for a in item])
 
 
 @pytest.mark.parametrize("flag, value", [("--T", 0), ("--T-val", -1), ("--T-test", -5),

@@ -8,7 +8,7 @@ from tbptt.data import TimeSeriesDataset, gen_synthetic, make_plan, segment_arra
 from tbptt.autodiff import fd_gradient, segment_weights, weighted_loss_grad
 from tbptt.linalg import spectral_norm
 from tbptt.rng import SplitMix64
-from tbptt.rnn_core import CellSpec, batched_forward, forward, init_params, pack
+from tbptt.rnn_core import CellSpec, Params, batched_forward, forward, init_params, pack
 from tbptt.training import (
     AdamConfig,
     SGDConfig,
@@ -264,13 +264,6 @@ def test_train_validates_batch_size():
         train(ds, lin_config(N=20, batch_size=2))  # S == 1 < batch
 
 
-def test_train_early_stop_halts():
-    ds = memoryless_dataset(gain=1.0)
-    config = lin_config(epochs=500, early_stop=True, optimizer=AdamConfig(lr=0.1))
-    log = train(ds, config)
-    assert len(log.records) < 500
-
-
 def test_config_digest_stable_and_distinct():
     c1 = lin_config()
     c2 = lin_config()
@@ -297,9 +290,8 @@ def test_stateful_inits_chain_without_overlap():
     plan = make_plan(24, 6, 6)
     spec = CellSpec("elman", 1, 2, 1)
     params = init_params(spec, 4)
-    xs, _ = segment_arrays(ds, plan)
     cached = np.zeros((plan.S, 2))
-    h0 = _stateful_inits(params, xs, plan, cached, list(range(plan.S)))
+    h0 = _stateful_inits(params, ds.inputs, plan, cached, list(range(plan.S)))
     full = forward(params, None, ds.inputs)
     for i in range(1, plan.S):
         npt.assert_array_equal(h0[i], full.hidden[6 * i])
@@ -312,11 +304,64 @@ def test_stateful_inits_with_overlap_use_meeting_point():
     params = init_params(spec, 9)
     xs, _ = segment_arrays(ds, plan)
     cached = np.zeros((plan.S, 2))
-    h0 = _stateful_inits(params, xs, plan, cached, list(range(plan.S)))
+    h0 = _stateful_inits(params, ds.inputs, plan, cached, list(range(plan.S)))
     # segment i starts at the state reached N - o_i = stride steps into its predecessor
     for i in range(1, plan.S):
         states, _, _ = batched_forward(params, h0[i - 1][None], xs[i - 1][None, :2])
         npt.assert_array_equal(h0[i], states[0, 2])
+
+
+def per_segment_chain(params, xs, plan, cached, batch):
+    """Reference chain: replay each predecessor window from its cached start."""
+    h0 = np.zeros((len(batch), cached.shape[1]))
+    for row, i in enumerate(batch):
+        if i == 0:
+            cached[0] = 0.0
+            continue
+        chain = plan.starts[i] - plan.starts[i - 1]
+        states, _, _ = batched_forward(params, cached[i - 1][None], xs[i - 1][None, :chain])
+        cached[i] = states[0, chain]
+        h0[row] = cached[i]
+    return h0
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 16])
+@pytest.mark.parametrize("kind, N, stride", [
+    ("lstm", 7, 1), ("lstm", 7, 3), ("elman", 7, 1), ("elman", 7, 3),
+    ("elman", 41, 1),  # N = T: one segment, a zero-step forward
+])
+def test_stateful_inits_one_pass_matches_per_segment_chain(monkeypatch, kind, N, stride,
+                                                           batch_size):
+    import tbptt.training as training
+
+    ds, _ = gen_synthetic(5, 41, 0.05)
+    plan = make_plan(ds.T, N, stride)
+    spec = CellSpec(kind, 1, 3, 1)
+    params = init_params(spec, 2)
+    xs, _ = segment_arrays(ds, plan)
+    cached = np.zeros((plan.S, spec.state_dim))
+    expected_cached = cached.copy()
+    forwards = []
+    real_forward = training.batched_forward
+
+    def counting_forward(*args, **kwargs):
+        forwards.append(1)
+        return real_forward(*args, **kwargs)
+
+    monkeypatch.setattr(training, "batched_forward", counting_forward)
+    rng = SplitMix64(11)
+    order = list(range(plan.S))
+    batches = [order[k : k + batch_size] for k in range(0, plan.S, batch_size)]
+    for _ in range(2):  # the cache carries over into the next epoch
+        for batch in batches:
+            params = Params(params.theta + 0.05 * rng.normals(params.theta.size),
+                            params.spec, params.layout)
+            expected = per_segment_chain(params, xs, plan, expected_cached, batch)
+            forwards.clear()
+            h0 = _stateful_inits(params, ds.inputs, plan, cached, batch)
+            assert len(forwards) == 1
+            npt.assert_array_equal(h0, expected)
+            npt.assert_array_equal(cached, expected_cached)
 
 
 def test_train_stateful_runs_and_logs():
