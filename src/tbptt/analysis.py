@@ -169,7 +169,8 @@ def _check_same_instance(sol: LiftedSolution, plan: SegmentationPlan) -> None:
 
 @dataclass
 class TurnpikeReport:
-    """Batch-averaged squared output gaps e_j for j = m+1..N, plus their sum."""
+    """Batch-averaged squared output gaps e_j for j = m+1..N, plus their
+    correctly rounded sum (``math.fsum``, independent of summation order)."""
 
     e_j: np.ndarray
     sum_e: float
@@ -192,7 +193,7 @@ def turnpike_errors(sol_a: LiftedSolution, sol_b: LiftedSolution,
     yb = variant_trajectories(sol_b, dataset, plan)[1]
     gaps = np.sum((ya - yb) ** 2, axis=2).mean(axis=0)  # (N,)
     e_j = gaps[m:]
-    return TurnpikeReport(e_j=e_j, sum_e=float(np.sum(e_j)),
+    return TurnpikeReport(e_j=e_j, sum_e=math.fsum(e_j),
                           reference=sol_b.variant, m=m, N=plan.N)
 
 

@@ -22,7 +22,14 @@ from .rnn_core import NonFiniteError, Params, batched_forward, pack
 
 @dataclass
 class Tape:
-    """Cached forward pass: everything the backward sweep needs."""
+    """Cached forward pass: everything the backward sweep needs.
+
+    ``states`` is the forward pass's own (B, T'+1, sd) buffer, read by the
+    backward sweep and never copied. For the LSTM, ``cache`` holds the
+    forward's gate buffer ("gates", (B, T', 4·d_h), which first held the
+    hoisted input product and was overwritten with the gate activations)
+    and "tanh_c" (B, T', d_h); linear/Elman cells need no cache.
+    """
 
     params: Params
     inputs: np.ndarray  # (B, T', d_x)
@@ -41,15 +48,23 @@ def _phi_prime(activation: str, h_new: np.ndarray) -> np.ndarray:
     # derivative from the cached post-activation; relu'(0) := 0
     if activation == "tanh":
         return 1.0 - h_new * h_new
-    if activation == "relu":
-        return (h_new > 0.0).astype(np.float64)
-    return np.ones_like(h_new)
+    return (h_new > 0.0).astype(np.float64)
 
 
 def backprop(tape: Tape, cograds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reverse sweep for the scalar sum_t <cograds[:, t], y_t>.
 
     Returns (d_theta summed over the batch, d_h0 per batch row).
+
+    Linear/Elman cells: the loop carries only the adjoint. One
+    (B, T'+1, d_h) buffer first takes ``cograds · W_hy`` for every step in
+    one product; step t then adds the carried adjoint, applies phi' and
+    stores the result back in row t. The zero last row pairs with the final
+    state, so ``W_hh`` is one product against ``states.reshape(-1, sd)``,
+    and ``W_xh`` and ``b_h`` take one product each after the loop. This
+    buffer is the only full-length array the sweep allocates. The LSTM
+    sweep stays per step: it accumulates every weight gradient inside the
+    loop, which keeps its memory at the size of the tape.
     """
     spec = tape.params.spec
     blocks = tape.params.unpack()
@@ -66,16 +81,15 @@ def backprop(tape: Tape, cograds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d_h = spec.d_h
     read = tape.states[:, 1:, d_h:] if spec.kind == "lstm" else tape.states[:, 1:]
 
-    grads: dict[str, np.ndarray] = {
-        "W_hy": np.einsum("bti,btj->ij", cograds, read),
-        "W_hh": np.zeros_like(W_hh),
-        "W_xh": np.zeros_like(blocks["W_xh"]),
-    }
+    grads: dict[str, np.ndarray] = {"W_hy": np.einsum("bti,btj->ij", cograds, read)}
     if spec.use_biases:
         grads["b_y"] = cograds.sum(axis=(0, 1))
-        grads["b_h"] = np.zeros_like(blocks["b_h"])
 
     if spec.kind == "lstm":
+        grads["W_hh"] = np.zeros_like(W_hh)
+        grads["W_xh"] = np.zeros_like(blocks["W_xh"])
+        if spec.use_biases:
+            grads["b_h"] = np.zeros_like(blocks["b_h"])
         gates, tanh_c = tape.cache["gates"], tape.cache["tanh_c"]
         carry_dc = np.zeros((B, d_h))
         carry_dh = np.zeros((B, d_h))
@@ -108,16 +122,23 @@ def backprop(tape: Tape, cograds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             carry_dc = dc * gf
         d_h0 = np.concatenate([carry_dc, carry_dh], axis=1)
     else:
+        da = np.empty((B, T + 1, d_h))
+        da[:, T] = 0.0
+        np.einsum("bti,ij->btj", cograds, W_hy, out=da[:, :T])
         carry = np.zeros((B, d_h))
         for t in range(T - 1, -1, -1):
-            dh = cograds[:, t] @ W_hy + carry
-            da = dh * _phi_prime(spec.activation, tape.states[:, t + 1])
-            grads["W_hh"] += da.T @ tape.states[:, t]
-            grads["W_xh"] += da.T @ tape.inputs[:, t]
-            if spec.use_biases:
-                grads["b_h"] += da.sum(axis=0)
-            carry = da @ W_hh
+            # a fresh contiguous row: elementwise work on the strided da[:, t] is slow
+            a_t = da[:, t] + carry
+            if spec.activation != "identity":
+                a_t *= _phi_prime(spec.activation, tape.states[:, t + 1])
+            da[:, t] = a_t
+            carry = a_t @ W_hh
         d_h0 = carry
+        grads["W_hh"] = da.reshape(-1, d_h).T @ tape.states.reshape(-1, d_h)
+        grads["W_xh"] = np.matmul(da[:, :T].transpose(0, 2, 1), tape.inputs).sum(axis=0)
+        if spec.use_biases:
+            # summing B first: a one-pass reduction over (B, T'+1) rows is slow
+            grads["b_h"] = da.sum(axis=0).sum(axis=0)
 
     return pack(spec, grads).theta, d_h0
 

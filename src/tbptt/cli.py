@@ -252,7 +252,11 @@ def _error_row(N: int, m: int, error: str) -> dict:
 def _check_sweep_flags(args, dataset, n_values, m_values, test_set) -> None:
     """Reject the flags every cell shares, and grid values no cell can run,
     before any cell runs: one bad value would otherwise fail the grid cell by
-    cell. A burn-in beyond a valid window's N - 1 is still flagged per cell."""
+    cell. That covers a window shorter than ``--stride``, a ``--batch`` above
+    a window length's segment count S (one segment in bptt mode) and, when
+    each cell evaluates the test set with its own burn-in, a burn-in of at
+    least T_test. A burn-in beyond a valid window's N - 1 is still flagged
+    per cell."""
     try:
         _cell_spec(args, dataset.d_x, dataset.d_y)
     except ValueError as exc:
@@ -269,10 +273,23 @@ def _check_sweep_flags(args, dataset, n_values, m_values, test_set) -> None:
         raise UsageError(f"--N-list {n_values} must lie in [1, T] = [1, {dataset.T}]")
     if any(not 0 <= m < dataset.T for m in m_values):
         raise UsageError(f"--m-list {m_values} must lie in [0, T-1] = [0, {dataset.T - 1}]")
+    for N in n_values:
+        if args.mode == "bptt":
+            S = 1  # whole-sequence training has one segment whatever N is
+        else:
+            try:
+                S = data.make_plan(dataset.T, N, args.stride).S
+            except ValueError as exc:
+                raise UsageError(str(exc)) from None
+        if args.batch > S:
+            raise UsageError(f"--batch {args.batch} exceeds the S={S} segments of N={N}")
     if args.test_burn < -1:
         raise UsageError(f"--test-burn {args.test_burn} must be >= -1")
     if test_set is not None and args.test_burn >= test_set.T:
         raise UsageError(f"--test-burn {args.test_burn} must be < T_test = {test_set.T}")
+    if test_set is not None and args.test_burn == -1 and max(m_values) >= test_set.T:
+        raise UsageError(f"--m-list {m_values} must lie below T_test = {test_set.T} "
+                         "when --test-burn -1 evaluates each cell with its own m")
 
 
 def cmd_sweep(args) -> int:

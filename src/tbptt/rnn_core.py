@@ -238,6 +238,16 @@ def batched_forward(
     h0: (B, state_dim); inputs: (B, T', d_x). Returns (states (B, T'+1, sd),
     outputs (B, T', d_y), cache). The cache holds what the backward pass needs
     (LSTM gate activations; Elman derivatives are recomputed from the states).
+
+    The input half of every pre-activation, ``inputs · W_xhᵀ``, does not
+    depend on the carried state and is computed once per call, before the
+    time loop, into a buffer the pass returns anyway: ``states[:, 1:]`` for
+    linear/Elman cells, the (B, T', 4·d_h) gate buffer for the LSTM (kept
+    as ``cache["gates"]`` with ``keep_cache``). Step t then adds only
+    ``h · W_hhᵀ`` and the bias, and overwrites its row with the step's
+    state or gate activations. The product is an ``einsum``, whose bits per
+    element do not depend on B·T', so a prefix or a restart of a sequence
+    reproduces the full run exactly.
     """
     spec = params.spec
     blocks = params.unpack()
@@ -255,36 +265,38 @@ def batched_forward(
     states = np.empty((B, T + 1, spec.state_dim), dtype=np.float64)
     states[:, 0] = h0
     cache: dict = {}
-    if spec.kind == "lstm" and keep_cache:
-        cache["gates"] = np.empty((B, T, 4 * d_h), dtype=np.float64)
-        cache["tanh_c"] = np.empty((B, T, d_h), dtype=np.float64)
 
     # overflow surfaces as a NonFiniteError below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.kind == "lstm":
+            gates = np.einsum("btk,nk->btn", inputs, W_xh)
+            if keep_cache:
+                cache["gates"] = gates
+                cache["tanh_c"] = np.empty((B, T, d_h), dtype=np.float64)
             g_block = slice(2 * d_h, 3 * d_h)
             for t in range(T):
                 prev = states[:, t]
-                z = inputs[:, t] @ W_xh.T + prev[:, d_h:] @ W_hh.T
+                z = gates[:, t] + prev[:, d_h:] @ W_hh.T
                 if b_h is not None:
-                    z = z + b_h
-                gates = _sigmoid(z)
-                gates[:, g_block] = np.tanh(z[:, g_block])
-                gi, gf, go = gates[:, :d_h], gates[:, d_h : 2 * d_h], gates[:, 3 * d_h :]
-                gg = gates[:, g_block]
+                    z += b_h
+                act = _sigmoid(z)
+                act[:, g_block] = np.tanh(z[:, g_block])
+                gi, gf, go = act[:, :d_h], act[:, d_h : 2 * d_h], act[:, 3 * d_h :]
+                gg = act[:, g_block]
                 c_new = gf * prev[:, :d_h] + gi * gg
                 tanh_c = np.tanh(c_new)
                 states[:, t + 1, :d_h] = c_new
                 states[:, t + 1, d_h:] = go * tanh_c
                 if keep_cache:
-                    cache["gates"][:, t] = gates
+                    gates[:, t] = act
                     cache["tanh_c"][:, t] = tanh_c
         else:
+            np.einsum("btk,nk->btn", inputs, W_xh, out=states[:, 1:])
             h = h0
             for t in range(T):
-                a = h @ W_hh.T + inputs[:, t] @ W_xh.T
+                a = states[:, t + 1] + h @ W_hh.T
                 if b_h is not None:
-                    a = a + b_h
+                    a += b_h
                 h = _activation(spec.activation, a)
                 states[:, t + 1] = h
 

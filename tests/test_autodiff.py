@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -182,3 +184,115 @@ def test_fd_second_order_convergence():
     err_small = np.max(np.abs(fd_gradient(params, x, yd, 1, step=1e-4)[0] - d_theta))
     assert err_small < err_big
     assert err_big / max(err_small, 1e-18) == pytest.approx(4.0, rel=0.8)
+
+
+# --- the hoisted backward sweep against the per-step sweep ---------------------
+
+
+def per_step_backprop(tape, cograds):
+    """Reverse sweep that accumulates every weight gradient inside the time
+    loop, one step at a time: the reference for ``backprop``."""
+    spec = tape.params.spec
+    blocks = tape.params.unpack()
+    B, T, _ = tape.inputs.shape
+    W_hh, W_hy = blocks["W_hh"], blocks["W_hy"]
+    d_h = spec.d_h
+    read = tape.states[:, 1:, d_h:] if spec.kind == "lstm" else tape.states[:, 1:]
+    grads = {
+        "W_hy": np.einsum("bti,btj->ij", cograds, read),
+        "W_hh": np.zeros_like(W_hh),
+        "W_xh": np.zeros_like(blocks["W_xh"]),
+    }
+    if spec.use_biases:
+        grads["b_y"] = cograds.sum(axis=(0, 1))
+        grads["b_h"] = np.zeros_like(blocks["b_h"])
+    if spec.kind == "lstm":
+        gates, tanh_c = tape.cache["gates"], tape.cache["tanh_c"]
+        carry_dc = np.zeros((B, d_h))
+        carry_dh = np.zeros((B, d_h))
+        for t in range(T - 1, -1, -1):
+            dh = cograds[:, t] @ W_hy + carry_dh
+            gi, gf = gates[:, t, :d_h], gates[:, t, d_h : 2 * d_h]
+            gg, go = gates[:, t, 2 * d_h : 3 * d_h], gates[:, t, 3 * d_h :]
+            tc = tanh_c[:, t]
+            do = dh * tc
+            dc = carry_dc + dh * go * (1.0 - tc * tc)
+            dz = np.concatenate([
+                dc * gg * gi * (1.0 - gi),
+                dc * tape.states[:, t, :d_h] * gf * (1.0 - gf),
+                dc * gi * (1.0 - gg * gg),
+                do * go * (1.0 - go),
+            ], axis=1)
+            grads["W_xh"] += dz.T @ tape.inputs[:, t]
+            grads["W_hh"] += dz.T @ tape.states[:, t, d_h:]
+            if spec.use_biases:
+                grads["b_h"] += dz.sum(axis=0)
+            carry_dh = dz @ W_hh
+            carry_dc = dc * gf
+        d_h0 = np.concatenate([carry_dc, carry_dh], axis=1)
+    else:
+        carry = np.zeros((B, d_h))
+        for t in range(T - 1, -1, -1):
+            dh = cograds[:, t] @ W_hy + carry
+            h_new = tape.states[:, t + 1]
+            if spec.activation == "tanh":
+                da = dh * (1.0 - h_new * h_new)
+            elif spec.activation == "relu":
+                da = dh * (h_new > 0.0)
+            else:
+                da = dh
+            grads["W_hh"] += da.T @ tape.states[:, t]
+            grads["W_xh"] += da.T @ tape.inputs[:, t]
+            if spec.use_biases:
+                grads["b_h"] += da.sum(axis=0)
+            carry = da @ W_hh
+        d_h0 = carry
+    return pack(spec, grads).theta, d_h0
+
+
+KERNEL_CELLS = {
+    "linear": CellSpec("linear", 2, 3, 2, activation="identity", use_biases=False),
+    "elman-tanh": CellSpec("elman", 2, 3, 2, activation="tanh"),
+    "elman-relu": CellSpec("elman", 2, 3, 2, activation="relu"),
+    "lstm": CellSpec("lstm", 2, 3, 2),
+}
+
+
+@pytest.mark.parametrize("T", [1, 2, 21, 400])
+@pytest.mark.parametrize("B", [1, 3, 64])
+@pytest.mark.parametrize("cell", list(KERNEL_CELLS))
+def test_backprop_matches_per_step_sweep(cell, B, T):
+    spec = KERNEL_CELLS[cell]
+    params = init_params(spec, 41)
+    # a contracting recurrence keeps 400-step gradients in range
+    w_hh = params.block("W_hh")
+    params = params.with_block("W_hh", w_hh * (0.9 / np.linalg.norm(w_hh, 2)))
+    rng = np.random.default_rng(B * 1000 + T)
+    h0 = rng.normal(size=(B, spec.state_dim))
+    tape = record(params, h0, rng.normal(size=(B, T, spec.d_x)))
+    cograds = rng.normal(size=(B, T, spec.d_y))
+    d_theta, d_h0 = backprop(tape, cograds)
+    ref_theta, ref_h0 = per_step_backprop(tape, cograds)
+    for name, (start, stop, _) in params.layout.items():
+        assert rel_linf(d_theta[start:stop], ref_theta[start:stop]) < 1e-12, name
+    assert rel_linf(d_h0, ref_h0) < 1e-12
+
+
+def test_elman_backprop_allocates_one_states_sized_buffer():
+    # a full-length temporary beyond the adjoint buffer would double the excess
+    B, T = 64, 200
+    spec = CellSpec("elman", 2, 8, 1)
+    params = init_params(spec, 5)
+    rng = np.random.default_rng(0)
+    tape = record(params, np.zeros((B, spec.state_dim)), rng.normal(size=(B, T, spec.d_x)))
+    cograds = rng.normal(size=(B, T, spec.d_y))
+    backprop(tape, cograds)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        backprop(tape, cograds)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    per_step = B * spec.state_dim * tape.states.itemsize
+    assert peak <= tape.states.nbytes + 16 * per_step + 32 * 1024

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy.testing as npt
@@ -234,7 +235,7 @@ def test_benchmark_full_report(tmp_path):
     assert turnpike["reference"] == "coupled"
     assert (turnpike["m"], turnpike["N"]) == (1, 10)
     assert len(turnpike["e_j"]) == 10 - 1
-    assert turnpike["sum_e"] == sum(turnpike["e_j"])
+    assert turnpike["sum_e"] == math.fsum(turnpike["e_j"])
 
 
 def test_benchmark_rejects_bad_variant_and_burn_in(tmp_path):
@@ -314,6 +315,19 @@ def test_sweep_grid_value_out_of_range_is_usage_error(tmp_path, capsys, flag, va
     assert_usage_error(capsys, tmp_path / "x", "sweep", "--data", base / "train.csv",
                        "--test", base / "test.csv", "--epochs", 1,
                        *[a for item in argv.items() for a in item])
+
+
+@pytest.mark.parametrize("argv", [
+    ("--N-list", "3,10", "--stride", 5),  # N = 3 is shorter than the stride
+    ("--N-list", 10, "--stride", 5),  # S = 11 segments, below the default --batch 16
+    ("--N-list", 10, "--mode", "bptt", "--batch", 2),  # bptt trains on one segment
+    ("--N-list", 50, "--m-list", 40, "--batch", 4),  # m = 40 >= T_test = 30 at --test-burn -1
+])
+def test_sweep_grid_no_cell_can_run_is_usage_error(tmp_path, capsys, argv):
+    # T = 60, T_test = 30: each of these failed every affected cell and exited 4
+    base = synth(tmp_path)
+    assert_usage_error(capsys, tmp_path / "x", "sweep", "--data", base / "train.csv",
+                       "--test", base / "test.csv", "--epochs", 1, *argv)
 
 
 @pytest.mark.parametrize("flag, value", [("--T", 0), ("--T-val", -1), ("--T-test", -5),
