@@ -14,18 +14,24 @@ import numpy as np
 from .benchmark import LiftedSolution, variant_trajectories
 from .data import SegmentationPlan, TimeSeriesDataset, segment_arrays
 from .rng import SplitMix64
-from .rnn_core import Params, batched_forward, forward
+from .rnn_core import Params, Trajectory, batched_forward, forward
 
 # ---------------------------------------------------------------------------
 # Truncated-MSE performance over the full sequence
 # ---------------------------------------------------------------------------
 
 
-def performance(params: Params, h0, dataset: TimeSeriesDataset, m: int) -> float:
-    """Mean squared output error over steps m+1..T of the full sequence."""
+def performance(params: Params, h0, dataset: TimeSeriesDataset, m: int,
+                traj: Trajectory | None = None) -> float:
+    """Mean squared output error over steps m+1..T of the full sequence.
+
+    ``traj`` is the forward pass from ``h0`` over the series, when the
+    caller already has it.
+    """
     if not 0 <= m <= dataset.T - 1:
         raise ValueError(f"burn-in m={m} out of range [0, {dataset.T - 1}]")
-    traj = forward(params, h0, dataset.inputs)
+    if traj is None:
+        traj = forward(params, h0, dataset.inputs)
     err = traj.outputs[m:] - dataset.targets[m:]
     return float(np.mean(np.sum(err * err, axis=1)))
 
@@ -68,24 +74,25 @@ def merge_stability(a: StabilityEstimate, b: StabilityEstimate) -> StabilityEsti
 
 
 def estimate_stability(params: Params, dataset: TimeSeriesDataset,
-                       num_pairs: int = 32, seed: int = 0) -> StabilityEstimate:
+                       num_pairs: int = 32, seed: int = 0,
+                       traj: Trajectory | None = None) -> StabilityEstimate:
     """Fit the tightest geometric envelope on output differences from paired
     random initial states, driven by random tails of the training inputs.
 
     Initial states are drawn from a ball of twice the largest hidden-state
-    norm the model reaches on the training data. All pairs run in one
-    staggered pass over the inputs: sorted by start, each pair's two rows
-    join the batch when the pass reaches its start, so the pass takes at most
-    T recurrence steps whatever the number of pairs. lambda comes from a
+    norm the model reaches on the training data, read off ``traj``, the
+    zero-state forward pass over the series (run here when not given). All
+    pairs run in one staggered pass over the inputs: sorted by start, each
+    pair's two rows join the batch when the pass reaches its start, so the
+    pass takes at most T recurrence steps whatever the number of pairs. lambda comes from a
     pooled least-squares slope on log r_t; C is the smallest constant whose
     envelope dominates every sample the slope was fitted on.
     """
     sd = params.spec.state_dim
     T = dataset.T
-    states, _, _ = batched_forward(
-        params, np.zeros((1, sd)), dataset.inputs[None]
-    )
-    radius = 2.0 * float(np.max(np.linalg.norm(states[0], axis=1)))
+    if traj is None:
+        traj = forward(params, None, dataset.inputs)
+    radius = 2.0 * float(np.max(np.linalg.norm(traj.hidden, axis=1)))
     if radius == 0.0:
         radius = 1.0
 

@@ -10,10 +10,13 @@ of the per-segment initial states:
 All three are smooth unconstrained problems after eliminating the coupling
 constraints, solved by multi-start Adam with best-iterate tracking and an
 optional spectral-norm projection of the recurrent block after every step.
-``solve_variant`` is the one entry point. A start whose iterates stop being
-finite ends alone (``failed_starts`` in the diagnostics); the solve fails
-only when no start reached a finite objective. ``variant_trajectories`` is
-the one evaluation of a solution's per-segment states and outputs.
+The starts run together on a leading model axis: each solver iteration is
+one stacked forward and backward pass over every start still running, so
+they share the per-step Python cost of the recurrence. ``solve_variant`` is
+the one entry point. A start whose iterates stop being finite ends alone
+(``failed_starts`` in the diagnostics); the solve fails only when no start
+reached a finite objective. ``variant_trajectories`` is the one evaluation
+of a solution's per-segment states and outputs.
 """
 
 from __future__ import annotations
@@ -26,7 +29,14 @@ import numpy as np
 from .autodiff import segment_weights, weighted_loss_grad
 from .data import SegmentationPlan, TimeSeriesDataset, segment_arrays
 from .rng import _mix
-from .rnn_core import CellSpec, NonFiniteError, Params, batched_forward, init_params
+from .rnn_core import (
+    CellSpec,
+    NonFiniteError,
+    Params,
+    batched_forward,
+    init_params,
+    start_indices,
+)
 from .training import AdamConfig, AdamState, project_stability
 
 VARIANTS = ("tbptt", "coupled", "unconstrained")
@@ -129,8 +139,10 @@ class _Problem:
         return self.n_theta + self.n_states * self.sd
 
     def split(self, z: np.ndarray) -> tuple[Params, np.ndarray]:
-        params = Params(z[: self.n_theta].copy(), self.spec)
-        states = z[self.n_theta :].reshape(self.n_states, self.sd).copy()
+        """Parameters and free initial states of z, (n_free,) or R stacked
+        starts (R, n_free); stacked ones keep the leading axis."""
+        params = Params(z[..., : self.n_theta].copy(), self.spec)
+        states = z[..., self.n_theta :].reshape(z.shape[:-1] + (self.n_states, self.sd)).copy()
         return params, states
 
     def join(self, params: Params, states: np.ndarray | None) -> np.ndarray:
@@ -141,28 +153,39 @@ class _Problem:
             parts.append(np.asarray(states, dtype=np.float64).reshape(-1))
         return np.concatenate(parts)
 
-    def h0_of(self, states: np.ndarray) -> np.ndarray:
-        if self.variant == "tbptt":
-            return np.zeros((self.plan.S, self.sd))
-        return states
-
-    def value_grad(self, z: np.ndarray) -> tuple[float, np.ndarray]:
+    def value_grad(self, z: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+        """Objective and gradient at z; R stacked starts (R, n_free) give
+        (R,) objectives and (R, n_free) gradients in one pass."""
         params, states = self.split(z)
-        loss, d_theta, d_h0 = weighted_loss_grad(
-            params, self.h0_of(states), self.xs, self.ys, self.w
-        )
+        lead = z.shape[:-1]
+        h0 = np.zeros(lead + (self.plan.S, self.sd)) if self.variant == "tbptt" else states
+        loss, d_theta, d_h0 = weighted_loss_grad(params, h0, self.xs, self.ys, self.w)
         if self.n_states:
-            return loss, np.concatenate([d_theta, d_h0.reshape(-1)])
+            return loss, np.concatenate([d_theta, d_h0.reshape(lead + (-1,))], axis=-1)
         return loss, d_theta
 
     def project(self, z: np.ndarray, rho: float | None) -> np.ndarray:
+        """Project the recurrent block of z, or of each stacked start."""
         if rho is None:
             return z
-        params, states = self.split(z)
-        return self.join(project_stability(params, rho), states if self.n_states else None)
+        out = z.copy()
+        for r in start_indices(z.shape[:-1]):
+            theta = out[r][: self.n_theta]
+            theta[:] = project_stability(Params(theta, self.spec), rho).theta
+        return out
 
 
 def _solve(problem: _Problem, opt: OptConfig) -> LiftedSolution:
+    """Multi-start Adam with every start on one stacked model axis.
+
+    Each iteration is one stacked ``value_grad`` over the starts still
+    running. Each start keeps its own stop rules (``grad_tol``, plateau),
+    best iterate and iteration count, and leaves the stack with its Adam
+    moment rows when it stops. A start whose pass goes non-finite fails
+    alone and the others are evaluated again at the same iterate. The
+    answer is the best iterate over all starts, ties going to the lowest
+    start index, which is what running the starts one after another gives.
+    """
     if opt.max_iters < 1:
         raise ValueError(f"max_iters={opt.max_iters} must be >= 1")
     if opt.restarts < 0 or opt.restarts + len(opt.extra_starts) < 1:
@@ -175,40 +198,55 @@ def _solve(problem: _Problem, opt: OptConfig) -> LiftedSolution:
         theta0 = init_params(problem.spec, _mix(opt.seed ^ _mix(1000 + r)))
         starts.append(problem.join(theta0, None))
 
-    best_z: np.ndarray | None = None
-    best_obj = np.inf
+    n_starts = len(starts)
+    z = problem.project(np.stack(starts), opt.spectral_bound)
+    rows = np.arange(n_starts)  # the start index of each stacked row
+    best_obj = np.full(n_starts, np.inf)
+    best_z = np.empty_like(z)
+    anchor_obj = np.full(n_starts, np.inf)
+    anchor_it = np.zeros(n_starts, dtype=int)
+    adam = AdamState(z.shape)
+    adam_cfg = AdamConfig(lr=opt.lr)
     iters_used = failed = 0
     error: NonFiniteError | None = None
-    adam_cfg = AdamConfig(lr=opt.lr)
-    for z0 in starts:
+    it = 0
+    while rows.size and it < opt.max_iters:
         try:
-            z = problem.project(z0.copy(), opt.spectral_bound)
-            adam = AdamState(problem.n_free)
-            anchor_obj, anchor_it = np.inf, 0
-            for it in range(opt.max_iters):
-                obj, grad = problem.value_grad(z)
-                iters_used += 1
-                if not np.isfinite(obj):
-                    raise NonFiniteError("solver objective", it + 1)
-                if obj < best_obj:
-                    best_obj, best_z = obj, z.copy()
-                if obj < anchor_obj - opt.plateau_tol:
-                    anchor_obj, anchor_it = obj, it
-                if float(np.linalg.norm(grad)) <= opt.grad_tol:
-                    break
-                if it - anchor_it >= opt.plateau_iters:
-                    break
-                z = problem.project(z - adam.direction(grad, adam_cfg), opt.spectral_bound)
+            obj, grad = problem.value_grad(z)
         except NonFiniteError as exc:
-            # a diverging start ends alone; its finite iterates still count
-            failed += 1
-            error = exc
+            # the diverging starts end alone; their finite iterates still count
+            bad = np.zeros(rows.size, dtype=bool)
+            bad[list(exc.starts)] = True
+            failed += int(bad.sum())
+            error = NonFiniteError(exc.where, exc.time_index, tuple(rows[bad].tolist()))
+            rows, z = rows[~bad], z[~bad]
+            adam.keep(~bad)
+            continue
+        iters_used += rows.size
+        finite = np.isfinite(obj)
+        if not finite.all():
+            failed += int((~finite).sum())
+            error = NonFiniteError("solver objective", it + 1, tuple(rows[~finite].tolist()))
+        better = finite & (obj < best_obj[rows])
+        best_obj[rows[better]] = obj[better]
+        best_z[rows[better]] = z[better]
+        moved = obj < anchor_obj[rows] - opt.plateau_tol
+        anchor_obj[rows[moved]] = obj[moved]
+        anchor_it[rows[moved]] = it
+        grad_norm = np.array([np.linalg.norm(g) for g in grad])
+        # a NaN gradient norm does not stop a start: its next pass fails it
+        going = finite & ~(grad_norm <= opt.grad_tol) & (it - anchor_it[rows] < opt.plateau_iters)
+        rows, z, grad = rows[going], z[going], grad[going]
+        adam.keep(going)
+        z = problem.project(z - adam.direction(grad, adam_cfg), opt.spectral_bound)
+        it += 1
 
-    if best_z is None:
+    if not np.isfinite(best_obj).any():
         raise error  # every start diverged before a finite objective
-    obj, grad = problem.value_grad(best_z)
+    best = int(np.argmin(best_obj))  # the lowest start index among ties
+    obj, grad = problem.value_grad(best_z[best])
     grad_norm = float(np.linalg.norm(grad))
-    params, states = problem.split(best_z)
+    params, states = problem.split(best_z[best])
     return LiftedSolution(
         params=params,
         init_states=states,
@@ -216,7 +254,7 @@ def _solve(problem: _Problem, opt: OptConfig) -> LiftedSolution:
         variant=problem.variant,
         converged=grad_norm <= opt.grad_tol,
         grad_norm=grad_norm,
-        diagnostics={"iterations": iters_used, "starts": len(starts),
+        diagnostics={"iterations": iters_used, "starts": n_starts,
                      "failed_starts": failed},
     )
 

@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, analysis, benchmark, data, training
-from .rnn_core import CellSpec, NonFiniteError
+from .rnn_core import CellSpec, NonFiniteError, forward
 from .training import AdamConfig, SGDConfig, TrainConfig, TrainingError
 
 OUT_ROOT_ENV = "TBPTT_RUNS_DIR"
@@ -173,6 +173,12 @@ def _load_dataset(args, path, transforms=None) -> data.TimeSeriesDataset:
         raise UsageError(str(exc)) from None
 
 
+def _resolve_batch(args) -> None:
+    """``--batch`` defaults to 16 windows, and in bptt mode to its one segment."""
+    if args.batch is None:
+        args.batch = 1 if args.mode == "bptt" else 16
+
+
 def _run_training(dataset, args):
     spec = _cell_spec(args, dataset.d_x, dataset.d_y)
     if args.mode != "bptt" and args.m > args.N - 1:
@@ -183,6 +189,7 @@ def _run_training(dataset, args):
 
 
 def cmd_train(args) -> int:
+    _resolve_batch(args)
     dataset = _load_dataset(args, args.data)
     try:
         config, log = _run_training(dataset, args)
@@ -224,8 +231,11 @@ def _sweep_cell(dataset, test_set, args, N: int, m: int) -> dict:
     cell_args.N, cell_args.m = N, m
     config, log = _run_training(dataset, cell_args)
     params = log.params
-    p_train = analysis.performance(params, None, dataset, m)
-    stab = analysis.estimate_stability(params, dataset, num_pairs=16, seed=args.seed)
+    # one zero-state pass over the series serves both diagnostics
+    traj = forward(params, None, dataset.inputs)
+    p_train = analysis.performance(params, None, dataset, m, traj=traj)
+    stab = analysis.estimate_stability(params, dataset, num_pairs=16, seed=args.seed,
+                                       traj=traj)
     row = {
         "N": N,
         "m": m,
@@ -293,6 +303,7 @@ def _check_sweep_flags(args, dataset, n_values, m_values, test_set) -> None:
 
 
 def cmd_sweep(args) -> int:
+    _resolve_batch(args)
     dataset = _load_dataset(args, args.data)
     test_set = None
     if args.test:
@@ -464,7 +475,8 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--target-cols", default="y", help="comma-separated target columns")
     _add_model_flags(p)
     p.add_argument("--stride", type=int, default=1, help="segment start spacing")
-    p.add_argument("--batch", type=int, default=16, help="mini-batch size")
+    p.add_argument("--batch", type=int, default=None,
+                   help="mini-batch size (default 16; 1, the one segment, with --mode bptt)")
     p.add_argument("--opt", choices=["sgd", "adam"], default="adam", help="optimizer")
     p.add_argument("--lr", type=float, default=0.01, help="step size")
     p.add_argument("--epochs", type=int, default=200, help="epoch budget")

@@ -31,11 +31,46 @@ LSTM_GATES = ("i", "f", "g", "o")
 
 
 class NonFiniteError(FloatingPointError):
-    """A forward or backward pass produced NaN/Inf; names the first bad step."""
+    """A forward or backward pass produced NaN/Inf; names the first bad step
+    and, for a stacked call, the starts (rows of the leading model axis)
+    that went non-finite."""
 
-    def __init__(self, where: str, time_index: int):
-        super().__init__(f"non-finite value in {where} at time index {time_index}")
+    def __init__(self, where: str, time_index: int, starts: tuple[int, ...] | None = None):
+        message = f"non-finite value in {where} at time index {time_index}"
+        if starts is not None:
+            message += f" in starts {list(starts)}"
+        super().__init__(message)
+        self.where = where
         self.time_index = time_index
+        self.starts = starts
+
+
+def check_finite(where: str, *arrays: np.ndarray) -> None:
+    """Raise ``NonFiniteError`` unless every value is finite.
+
+    Each array is (..., B, T', k) with the same leading start shape. The
+    error names the first step with a non-finite value in any of them and,
+    when the arrays are stacked (R, B, T', k), every start that has one.
+    """
+    if all(np.isfinite(a).all() for a in arrays):
+        return
+    bad = ~np.logical_and.reduce([np.isfinite(a).all(axis=(-3, -1)) for a in arrays])
+    time_index = int(np.flatnonzero(bad.reshape(-1, bad.shape[-1]).any(axis=0))[0]) + 1
+    starts = tuple(np.flatnonzero(bad.any(axis=-1)).tolist()) if bad.ndim > 1 else None
+    raise NonFiniteError(where, time_index, starts)
+
+
+def time_major(a: np.ndarray) -> np.ndarray:
+    """A view of a (..., B, T, k) array with the time axis first, so that
+    step t is one integer index, with or without a leading start axis."""
+    nd = a.ndim
+    return a.transpose((nd - 2, *range(nd - 2), nd - 1))
+
+
+def start_indices(lead: tuple[int, ...]):
+    """The index of each start on a leading start shape: ``()`` alone, the
+    whole array, for an unstacked call."""
+    return range(lead[0]) if lead else ((),)
 
 
 @dataclass(frozen=True)
@@ -121,7 +156,11 @@ def num_params(spec: CellSpec) -> int:
 
 @dataclass
 class Params:
-    """Flat parameter vector plus its named block layout."""
+    """Flat parameter vector plus its named block layout.
+
+    ``theta`` is (n,) for one model or (R, n) for R models stacked on a
+    leading start axis, which every block then carries first.
+    """
 
     theta: np.ndarray
     spec: CellSpec
@@ -132,14 +171,14 @@ class Params:
             self.layout = build_layout(self.spec)
         self.theta = np.asarray(self.theta, dtype=np.float64)
         n = num_params(self.spec)
-        if self.theta.shape != (n,):
-            raise DimensionError(f"theta has shape {self.theta.shape}, expected ({n},)")
+        if self.theta.ndim not in (1, 2) or self.theta.shape[-1] != n:
+            raise DimensionError(f"theta has shape {self.theta.shape}, expected ({n},) or (R, {n})")
 
     def block(self, name: str) -> np.ndarray:
         """One named block, reshaped: a view of ``theta``, read-only by
         convention (``with_block`` builds an updated copy)."""
         start, stop, shape = self.layout[name]
-        return self.theta[start:stop].reshape(shape)
+        return self.theta[..., start:stop].reshape(self.theta.shape[:-1] + shape)
 
     def unpack(self) -> dict[str, np.ndarray]:
         """Every named block as a read-only view of ``theta``."""
@@ -178,16 +217,18 @@ class Params:
 
 
 def pack(spec: CellSpec, blocks: dict[str, np.ndarray]) -> Params:
-    """Inverse of unpack: assemble theta from named blocks."""
+    """Inverse of unpack: assemble theta from named blocks, each with the
+    same leading start shape (none, or (R,))."""
     layout = build_layout(spec)
     if set(blocks) != set(layout):
         raise ValueError(f"blocks {sorted(blocks)} do not match layout {sorted(layout)}")
-    theta = np.empty(num_params(spec), dtype=np.float64)
+    lead = np.shape(blocks["W_hh"])[:-2]
+    theta = np.empty(lead + (num_params(spec),), dtype=np.float64)
     for name, (start, stop, shape) in layout.items():
         value = np.asarray(blocks[name], dtype=np.float64)
-        if value.shape != shape:
-            raise DimensionError(f"block {name} has shape {shape}, got {value.shape}")
-        theta[start:stop] = value.reshape(-1)
+        if value.shape != lead + shape:
+            raise DimensionError(f"block {name} has shape {lead + shape}, got {value.shape}")
+        theta[..., start:stop] = value.reshape(lead + (-1,))
     return Params(theta, spec, layout)
 
 
@@ -239,76 +280,90 @@ def batched_forward(
     outputs (B, T', d_y), cache). The cache holds what the backward pass needs
     (LSTM gate activations; Elman derivatives are recomputed from the states).
 
+    A stacked ``params`` (theta (R, n)) runs R models on the same inputs at
+    once, each from its own initial states: h0 is (R, B, sd), and every
+    returned array gains the leading start axis. Each time step is then one
+    stacked product over the R models, so all of them share the per-step
+    Python cost. The unstacked call is the same code without that axis.
+
     The input half of every pre-activation, ``inputs · W_xhᵀ``, does not
     depend on the carried state and is computed once per call, before the
-    time loop, into a buffer the pass returns anyway: ``states[:, 1:]`` for
-    linear/Elman cells, the (B, T', 4·d_h) gate buffer for the LSTM (kept
-    as ``cache["gates"]`` with ``keep_cache``). Step t then adds only
+    time loop, into a buffer the pass returns anyway: ``states[..., 1:, :]``
+    for linear/Elman cells, the (..., B, T', 4·d_h) gate buffer for the LSTM
+    (kept as ``cache["gates"]`` with ``keep_cache``). Step t then adds only
     ``h · W_hhᵀ`` and the bias, and overwrites its row with the step's
-    state or gate activations. The product is an ``einsum``, whose bits per
-    element do not depend on B·T', so a prefix or a restart of a sequence
-    reproduces the full run exactly.
+    state or gate activations. The product is one 3-index ``einsum`` per
+    start, whose bits per element do not depend on B·T' or on R, so a
+    prefix, a restart or one start of a stack reproduces the full unstacked
+    run exactly.
     """
     spec = params.spec
     blocks = params.unpack()
+    lead = params.theta.shape[:-1]
     B, T, d_x = inputs.shape
     if d_x != spec.d_x:
         raise DimensionError(f"inputs have d_x={d_x}, spec wants {spec.d_x}")
-    if h0.shape != (B, spec.state_dim):
-        raise DimensionError(f"h0 has shape {h0.shape}, expected ({B}, {spec.state_dim})")
+    if h0.shape != lead + (B, spec.state_dim):
+        raise DimensionError(f"h0 has shape {h0.shape}, expected {lead + (B, spec.state_dim)}")
 
     W_hh, W_xh, W_hy = blocks["W_hh"], blocks["W_xh"], blocks["W_hy"]
-    b_h = blocks.get("b_h")
-    b_y = blocks.get("b_y")
+    W_hh_T = W_hh.mT
+    # biases broadcast over the batch rows (and, for b_y, the steps)
+    b_h = blocks["b_h"][..., None, :] if spec.use_biases else None
+    b_y = blocks["b_y"][..., None, None, :] if spec.use_biases else None
     d_h = spec.d_h
 
-    states = np.empty((B, T + 1, spec.state_dim), dtype=np.float64)
-    states[:, 0] = h0
+    states = np.empty(lead + (B, T + 1, spec.state_dim), dtype=np.float64)
+    states[..., 0, :] = h0
     cache: dict = {}
 
     # overflow surfaces as a NonFiniteError below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.kind == "lstm":
-            gates = np.einsum("btk,nk->btn", inputs, W_xh)
+            gates = np.empty(lead + (B, T, 4 * d_h), dtype=np.float64)
+            for r in start_indices(lead):
+                np.einsum("btk,nk->btn", inputs, W_xh[r], out=gates[r])
             if keep_cache:
                 cache["gates"] = gates
-                cache["tanh_c"] = np.empty((B, T, d_h), dtype=np.float64)
+                cache["tanh_c"] = np.empty(lead + (B, T, d_h), dtype=np.float64)
+                step_tanh_c = time_major(cache["tanh_c"])
+            step_states, step_gates = time_major(states), time_major(gates)
             g_block = slice(2 * d_h, 3 * d_h)
             for t in range(T):
-                prev = states[:, t]
-                z = gates[:, t] + prev[:, d_h:] @ W_hh.T
+                prev = step_states[t]
+                z = step_gates[t] + prev[..., d_h:] @ W_hh_T
                 if b_h is not None:
                     z += b_h
                 act = _sigmoid(z)
-                act[:, g_block] = np.tanh(z[:, g_block])
-                gi, gf, go = act[:, :d_h], act[:, d_h : 2 * d_h], act[:, 3 * d_h :]
-                gg = act[:, g_block]
-                c_new = gf * prev[:, :d_h] + gi * gg
+                act[..., g_block] = np.tanh(z[..., g_block])
+                gi, gf, go = act[..., :d_h], act[..., d_h : 2 * d_h], act[..., 3 * d_h :]
+                gg = act[..., g_block]
+                c_new = gf * prev[..., :d_h] + gi * gg
                 tanh_c = np.tanh(c_new)
-                states[:, t + 1, :d_h] = c_new
-                states[:, t + 1, d_h:] = go * tanh_c
+                row = step_states[t + 1]
+                row[..., :d_h] = c_new
+                row[..., d_h:] = go * tanh_c
                 if keep_cache:
-                    gates[:, t] = act
-                    cache["tanh_c"][:, t] = tanh_c
+                    step_gates[t] = act
+                    step_tanh_c[t] = tanh_c
         else:
-            np.einsum("btk,nk->btn", inputs, W_xh, out=states[:, 1:])
+            for r in start_indices(lead):
+                np.einsum("btk,nk->btn", inputs, W_xh[r], out=states[r][:, 1:])
+            step_states = time_major(states)
             h = h0
             for t in range(T):
-                a = states[:, t + 1] + h @ W_hh.T
+                a = step_states[t + 1] + h @ W_hh_T
                 if b_h is not None:
                     a += b_h
                 h = _activation(spec.activation, a)
-                states[:, t + 1] = h
+                step_states[t + 1] = h
 
-        read = states[:, 1:, d_h:] if spec.kind == "lstm" else states[:, 1:]
-        outputs = read @ W_hy.T
+        read = states[..., 1:, d_h:] if spec.kind == "lstm" else states[..., 1:, :]
+        outputs = read @ W_hy.mT[..., None, :, :]
         if b_y is not None:
             outputs = outputs + b_y
 
-    if not np.all(np.isfinite(states)) or not np.all(np.isfinite(outputs)):
-        for t in range(T):
-            if not (np.all(np.isfinite(states[:, t + 1])) and np.all(np.isfinite(outputs[:, t]))):
-                raise NonFiniteError("forward pass", t + 1)
+    check_finite("forward pass", states[..., 1:, :], outputs)
     return states, outputs, cache
 
 

@@ -60,12 +60,20 @@ OptimizerConfig = Union[SGDConfig, AdamConfig]
 
 
 class AdamState:
-    """First/second moment accumulators with bias correction."""
+    """First/second moment accumulators with bias correction.
 
-    def __init__(self, n: int):
-        self.m = np.zeros(n)
-        self.v = np.zeros(n)
+    ``shape`` is (n,) for one parameter vector or (R, n) for R stacked
+    starts that began together; ``keep`` drops the rows of starts that
+    stopped.
+    """
+
+    def __init__(self, shape: int | tuple[int, ...]):
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
         self.t = 0
+
+    def keep(self, rows: np.ndarray) -> None:
+        self.m, self.v = self.m[rows], self.v[rows]
 
     def direction(self, grad: np.ndarray, cfg: AdamConfig) -> np.ndarray:
         self.t += 1

@@ -12,7 +12,7 @@ from tbptt.autodiff import (
     weighted_loss,
     weighted_loss_grad,
 )
-from tbptt.rnn_core import CellSpec, NonFiniteError, forward, init_params, pack
+from tbptt.rnn_core import CellSpec, NonFiniteError, Params, forward, init_params, pack
 
 
 def scalar_linear(a, b, c):
@@ -296,3 +296,50 @@ def test_elman_backprop_allocates_one_states_sized_buffer():
         tracemalloc.stop()
     per_step = B * spec.state_dim * tape.states.itemsize
     assert peak <= tape.states.nbytes + 16 * per_step + 32 * 1024
+
+
+# --- starts stacked on a leading model axis -------------------------------------
+
+STACK_CELLS = [
+    CellSpec("linear", 2, 3, 2, activation="identity", use_biases=False),
+    CellSpec("elman", 2, 3, 2, activation="tanh"),
+    CellSpec("elman", 2, 3, 2, activation="relu"),
+    CellSpec("lstm", 2, 3, 2),
+]
+
+
+@pytest.mark.parametrize("B", [1, 380])
+@pytest.mark.parametrize("spec", STACK_CELLS, ids=lambda s: f"{s.kind}-{s.activation}")
+def test_stacked_loss_grad_slices_equal_unstacked_calls(spec, B):
+    # B = 1 rows of T = 400 (coupled) and B = 380 rows of T = 21 (tbptt, unconstrained)
+    R, T = 3, 400 if B == 1 else 21
+    rng = np.random.default_rng(B)
+    theta = np.stack([init_params(spec, 40 + r).theta for r in range(R)])
+    h0 = rng.normal(size=(R, B, spec.state_dim))
+    x = rng.normal(size=(B, T, spec.d_x))
+    y = rng.normal(size=(B, T, spec.d_y))
+    w = segment_weights(T, 5, B)
+    loss, d_theta, d_h0 = weighted_loss_grad(Params(theta, spec), h0, x, y, w)
+    assert loss.shape == (R,)
+    assert d_theta.shape == theta.shape
+    assert d_h0.shape == h0.shape
+    for r in range(R):
+        want_loss, want_theta, want_h0 = weighted_loss_grad(Params(theta[r], spec), h0[r], x, y, w)
+        assert loss[r] == want_loss
+        npt.assert_array_equal(d_theta[r], want_theta)
+        npt.assert_array_equal(d_h0[r], want_h0)
+
+
+def test_stacked_nonfinite_error_names_only_the_overflowing_start():
+    stable, wild = scalar_linear(0.5, 1.0, 1.0), scalar_linear(1e4, 1e4, 1e4)
+    theta = np.stack([stable.theta, wild.theta, stable.theta])
+    x = np.ones((2, 300, 1))
+    with pytest.raises(NonFiniteError) as alone:
+        forward(wild, None, x[0])
+    with pytest.raises(NonFiniteError) as err:
+        weighted_loss_grad(Params(theta, wild.spec), np.zeros((3, 2, 1)), x, x,
+                           segment_weights(300, 0, 2))
+    assert err.value.starts == (1,)
+    assert err.value.time_index == alone.value.time_index
+    assert "in starts [1]" in str(err.value)
+    assert alone.value.starts is None

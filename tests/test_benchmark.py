@@ -3,8 +3,11 @@ import numpy.testing as npt
 import pytest
 
 from tbptt.benchmark import (
+    VARIANTS,
     LiftedSolution,
     OptConfig,
+    _Problem,
+    _solve,
     coupled_time_weights,
     segment_initial_states,
     solve_variant,
@@ -12,8 +15,9 @@ from tbptt.benchmark import (
 )
 from tbptt.data import gen_synthetic, make_plan, segment_arrays
 from tbptt.linalg import spectral_norm
+from tbptt.rng import _mix
 from tbptt.rnn_core import CellSpec, NonFiniteError, batched_forward, forward, init_params, pack
-from tbptt.training import AdamConfig, TrainConfig, train
+from tbptt.training import AdamConfig, AdamState, TrainConfig, train
 
 LIN1 = CellSpec("linear", 1, 1, 1, activation="identity", use_biases=False)
 LIN2 = CellSpec("linear", 1, 2, 1, activation="identity", use_biases=False)
@@ -223,3 +227,150 @@ def test_every_start_diverging_raises(noisy_instance):
                     extra_starts=[(huge, None)])
     with pytest.raises(NonFiniteError):
         solve_variant("tbptt", ds, plan, 1, LIN1, opt)
+
+
+# --- the stacked solver against the serial one --------------------------------
+
+
+def serial_solve(problem, opt):
+    """The solver as it ran before starts were stacked: one start after
+    another, each to its own stop. Also returns each start's (stop reason,
+    last iteration, best objective)."""
+    starts = [problem.join(params, states) for params, states in opt.extra_starts]
+    for r in range(opt.restarts):
+        starts.append(problem.join(init_params(problem.spec, _mix(opt.seed ^ _mix(1000 + r))),
+                                   None))
+    best_z = None
+    best_obj = np.inf
+    iters_used = failed = 0
+    error = None
+    adam_cfg = AdamConfig(lr=opt.lr)
+    stops = []
+    for z0 in starts:
+        reason, start_best, it = "max_iters", np.inf, 0
+        try:
+            z = problem.project(z0.copy(), opt.spectral_bound)
+            adam = AdamState(problem.n_free)
+            anchor_obj, anchor_it = np.inf, 0
+            for it in range(opt.max_iters):
+                obj, grad = problem.value_grad(z)
+                iters_used += 1
+                if not np.isfinite(obj):
+                    raise NonFiniteError("solver objective", it + 1)
+                start_best = min(start_best, obj)
+                if obj < best_obj:
+                    best_obj, best_z = obj, z.copy()
+                if obj < anchor_obj - opt.plateau_tol:
+                    anchor_obj, anchor_it = obj, it
+                if float(np.linalg.norm(grad)) <= opt.grad_tol:
+                    reason = "grad_tol"
+                    break
+                if it - anchor_it >= opt.plateau_iters:
+                    reason = "plateau"
+                    break
+                z = problem.project(z - adam.direction(grad, adam_cfg), opt.spectral_bound)
+        except NonFiniteError as exc:
+            failed += 1
+            error = exc
+            reason = "non_finite"
+        stops.append((reason, it, start_best))
+    if best_z is None:
+        raise error
+    obj, grad = problem.value_grad(best_z)
+    grad_norm = float(np.linalg.norm(grad))
+    params, states = problem.split(best_z)
+    sol = LiftedSolution(params=params, init_states=states, objective=float(obj),
+                         variant=problem.variant, converged=grad_norm <= opt.grad_tol,
+                         grad_norm=grad_norm,
+                         diagnostics={"iterations": iters_used, "starts": len(starts),
+                                      "failed_starts": failed})
+    return sol, stops
+
+
+STACK_SPECS = {
+    "linear": CellSpec("linear", 1, 2, 1, activation="identity", use_biases=False),
+    "elman": CellSpec("elman", 1, 2, 1),
+    "lstm": CellSpec("lstm", 1, 2, 1),
+}
+
+
+def flat_start(problem):
+    """Zero weights and, with biases, the weighted mean target as output
+    bias: the gradient vanishes to rounding, so the start stops on grad_tol."""
+    spec = problem.spec
+    blocks = {name: np.zeros_like(b) for name, b in init_params(spec, 0).unpack().items()}
+    if spec.use_biases:
+        w = problem.w[..., None]
+        blocks["b_y"] = np.sum(w * problem.ys, axis=(0, 1)) / np.sum(w)
+    return pack(spec, blocks)
+
+
+def twin_start(spec):
+    """Two hidden units with the same weights, read out with +C and -C: the
+    output is rounding noise times C. Its gradient overflows, so without a
+    projection the first Adam step is NaN and the start fails at iteration 1."""
+    blocks = init_params(spec, 9).unpack()
+    for name in ("W_hh", "W_xh", "b_h"):
+        if name in blocks:
+            blocks[name] = blocks[name].copy()
+            blocks[name][1::2] = blocks[name][0::2]
+    blocks["W_hy"] = np.array([[1e165, -1e165]])
+    return pack(spec, blocks)
+
+
+def mirror(params, states):
+    """The sign-flipped hidden units of a linear or tanh cell, whose every
+    objective ties the original's bit for bit; an LSTM start is repeated."""
+    if params.spec.kind == "lstm":
+        return params, states
+    flipped = params.with_block("W_xh", -params.block("W_xh"))
+    flipped = flipped.with_block("W_hy", -params.block("W_hy"))
+    if params.spec.use_biases:
+        flipped = flipped.with_block("b_h", -params.block("b_h"))
+    return flipped, None if states is None else -states
+
+
+@pytest.fixture(scope="module")
+def stack_instance():
+    ds, _ = gen_synthetic(seed=3, T=40, noise_std=0.05)
+    return ds, make_plan(40, 8, 1)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging starts overflow
+@pytest.mark.parametrize("rho", [None, 0.5])
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("kind", list(STACK_SPECS))
+def test_stacked_solve_equals_serial_solve(stack_instance, kind, variant, rho):
+    ds, plan = stack_instance
+    spec = STACK_SPECS[kind]
+    problem = _Problem(variant, ds, plan, 2, spec)
+    states = None
+    if variant != "tbptt":
+        states = np.random.default_rng(0).normal(scale=0.3, size=(problem.n_states,
+                                                                  spec.state_dim))
+    p0, p1 = (init_params(spec, 23), states), (init_params(spec, 21), None)
+    loud = p0[0].with_block("W_hy", p0[0].block("W_hy") * 1e160)  # objective overflows
+    # each random start comes after its tied twin, so the best one is always a tie
+    extra = [mirror(*p0), mirror(*p1), (flat_start(problem), None), (loud, None)]
+    if rho is None:  # a projection of the twin's NaN recurrent block would raise
+        extra.append((twin_start(spec), None))
+    opt = OptConfig(restarts=0, max_iters=150, lr=0.05, plateau_iters=10, plateau_tol=1e-4,
+                    spectral_bound=rho, extra_starts=extra + [p0, p1])
+    want, stops = serial_solve(problem, opt)
+    got = _solve(problem, opt)
+
+    npt.assert_array_equal(got.params.theta, want.params.theta)
+    npt.assert_array_equal(got.init_states, want.init_states)
+    assert got.objective == want.objective
+    assert got.grad_norm == want.grad_norm
+    assert got.converged == want.converged
+    assert got.diagnostics == want.diagnostics
+    # the scenario holds every stop rule and a tie at the best objective
+    reasons = [reason for reason, _, _ in stops]
+    assert reasons[2] == "grad_tol"
+    assert reasons[3] == "non_finite"
+    assert "plateau" in reasons
+    if rho is None:
+        assert stops[4][:2] == ("non_finite", 1)
+    best = sorted(b for _, _, b in stops)
+    assert best[0] == best[1]

@@ -139,6 +139,35 @@ def test_train_bptt_mode_ignores_window(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_bptt_mode_without_batch_runs_its_one_segment(tmp_path, command):
+    # the default --batch 16 exceeded bptt's one segment and exited 2
+    data_file = synth(tmp_path) / "train.csv"
+    grid = ["--N-list", 8, "--m-list", 2] if command == "sweep" else ["--N", 8, "--m", 2]
+    out = tmp_path / "run"
+    assert run("--out", out, command, "--data", data_file, "--mode", "bptt",
+               "--epochs", 2, *grid) == 0
+    run_dir = only_run_dir(out, command)
+    config = json.loads((run_dir / "manifest.json").read_text())["config"]
+    assert config["batch_size" if command == "train" else "batch"] == 1
+    if command == "sweep":
+        with open(run_dir / "report.csv") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["error"] == ""
+    assert run("--out", tmp_path / "two", command, "--data", data_file, "--mode", "bptt",
+               "--epochs", 2, "--batch", 2, *grid) == 2
+
+
+def test_train_default_batch_keeps_config_digest(tmp_path):
+    # outside bptt mode the default is still 16 windows, so run directories do not move
+    data_file = synth(tmp_path) / "train.csv"
+    flags = ["--data", data_file, "--N", 10, "--epochs", 1]
+    assert run("--out", tmp_path / "a", "train", *flags) == 0
+    assert run("--out", tmp_path / "b", "train", *flags, "--batch", 16) == 0
+    assert (only_run_dir(tmp_path / "a", "train").name
+            == only_run_dir(tmp_path / "b", "train").name)
+
+
 def test_sweep_single_cell_matches_train(tmp_path):
     base = synth(tmp_path)
     out = tmp_path / "sweep"
