@@ -1,6 +1,11 @@
 """Diagnostics for trained and benchmark solutions: truncated-MSE performance,
 empirical output-stability constants, turnpike error curves, the strict-epsilon
 optimality check, constructive bound constants, and regret reports.
+
+Every function reads the forward passes its caller already made: a
+``Trajectory`` for a trained model, a ``benchmark.Evaluation`` for a reference
+solution. The only model runs here are ``estimate_stability``'s perturbed
+pairs.
 """
 
 from __future__ import annotations
@@ -11,27 +16,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .benchmark import LiftedSolution, variant_trajectories
+from .benchmark import Evaluation
 from .data import SegmentationPlan, TimeSeriesDataset, segment_arrays
 from .rng import SplitMix64
-from .rnn_core import Params, Trajectory, batched_forward, forward
+from .rnn_core import Params, Trajectory, batched_forward
 
 # ---------------------------------------------------------------------------
 # Truncated-MSE performance over the full sequence
 # ---------------------------------------------------------------------------
 
 
-def performance(params: Params, h0, dataset: TimeSeriesDataset, m: int,
-                traj: Trajectory | None = None) -> float:
-    """Mean squared output error over steps m+1..T of the full sequence.
-
-    ``traj`` is the forward pass from ``h0`` over the series, when the
-    caller already has it.
-    """
+def performance(traj: Trajectory, dataset: TimeSeriesDataset, m: int) -> float:
+    """Mean squared output error over steps m+1..T of ``traj``, a model's
+    forward pass over the full sequence of ``dataset``."""
     if not 0 <= m <= dataset.T - 1:
         raise ValueError(f"burn-in m={m} out of range [0, {dataset.T - 1}]")
-    if traj is None:
-        traj = forward(params, h0, dataset.inputs)
     err = traj.outputs[m:] - dataset.targets[m:]
     return float(np.mean(np.sum(err * err, axis=1)))
 
@@ -73,25 +72,22 @@ def merge_stability(a: StabilityEstimate, b: StabilityEstimate) -> StabilityEsti
     )
 
 
-def estimate_stability(params: Params, dataset: TimeSeriesDataset,
-                       num_pairs: int = 32, seed: int = 0,
-                       traj: Trajectory | None = None) -> StabilityEstimate:
+def estimate_stability(params: Params, dataset: TimeSeriesDataset, traj: Trajectory,
+                       num_pairs: int = 32, seed: int = 0) -> StabilityEstimate:
     """Fit the tightest geometric envelope on output differences from paired
     random initial states, driven by random tails of the training inputs.
 
     Initial states are drawn from a ball of twice the largest hidden-state
-    norm the model reaches on the training data, read off ``traj``, the
-    zero-state forward pass over the series (run here when not given). All
-    pairs run in one staggered pass over the inputs: sorted by start, each
-    pair's two rows join the batch when the pass reaches its start, so the
-    pass takes at most T recurrence steps whatever the number of pairs. lambda comes from a
+    norm the model reaches on the training data, read off ``traj``, its
+    zero-state forward pass over the series. All pairs run in one staggered
+    pass over the inputs: sorted by start, each pair's two rows join the
+    batch when the pass reaches its start, so the pass takes at most T
+    recurrence steps whatever the number of pairs. lambda comes from a
     pooled least-squares slope on log r_t; C is the smallest constant whose
     envelope dominates every sample the slope was fitted on.
     """
     sd = params.spec.state_dim
     T = dataset.T
-    if traj is None:
-        traj = forward(params, None, dataset.inputs)
     radius = 2.0 * float(np.max(np.linalg.norm(traj.hidden, axis=1)))
     if radius == 0.0:
         radius = 1.0
@@ -166,14 +162,6 @@ def estimate_stability(params: Params, dataset: TimeSeriesDataset,
 # ---------------------------------------------------------------------------
 
 
-def _check_same_instance(sol: LiftedSolution, plan: SegmentationPlan) -> None:
-    if sol.variant == "unconstrained" and sol.init_states.shape[0] != plan.S:
-        raise ValueError(
-            f"solution carries {sol.init_states.shape[0]} initial states "
-            f"but the plan has S={plan.S} segments"
-        )
-
-
 @dataclass
 class TurnpikeReport:
     """Batch-averaged squared output gaps e_j for j = m+1..N, plus their
@@ -190,18 +178,13 @@ class TurnpikeReport:
                 "reference": self.reference, "m": self.m, "N": self.N}
 
 
-def turnpike_errors(sol_a: LiftedSolution, sol_b: LiftedSolution,
-                    dataset: TimeSeriesDataset, plan: SegmentationPlan,
-                    m: int) -> TurnpikeReport:
-    """Per-step averaged squared gap between two solutions' segment outputs."""
-    _check_same_instance(sol_a, plan)
-    _check_same_instance(sol_b, plan)
-    ya = variant_trajectories(sol_a, dataset, plan)[1]
-    yb = variant_trajectories(sol_b, dataset, plan)[1]
-    gaps = np.sum((ya - yb) ** 2, axis=2).mean(axis=0)  # (N,)
+def turnpike_errors(a: Evaluation, b: Evaluation, m: int) -> TurnpikeReport:
+    """Per-step averaged squared gap between two solutions' segment outputs,
+    both evaluated on one instance."""
+    gaps = np.sum((a.outputs - b.outputs) ** 2, axis=2).mean(axis=0)  # (N,)
     e_j = gaps[m:]
     return TurnpikeReport(e_j=e_j, sum_e=math.fsum(e_j),
-                          reference=sol_b.variant, m=m, N=plan.N)
+                          reference=b.sol.variant, m=m, N=gaps.shape[0])
 
 
 @dataclass
@@ -219,7 +202,7 @@ class EpsilonCheck:
                 "epsilon_max": eps, "satisfied_strict": self.satisfied_strict}
 
 
-def epsilon_check(sol_star: LiftedSolution, sol_inf: LiftedSolution,
+def epsilon_check(star: Evaluation, inf: Evaluation,
                   dataset: TimeSeriesDataset, plan: SegmentationPlan,
                   m: int) -> EpsilonCheck:
     """Compare sum 2(y_ref - y_d)'(y - y_ref) against -sum ||y - y_ref||^2.
@@ -227,11 +210,9 @@ def epsilon_check(sol_star: LiftedSolution, sol_inf: LiftedSolution,
     The reference solution is the unconstrained one; strict satisfaction means
     an epsilon > 1 exists, or the two output sets coincide.
     """
-    _check_same_instance(sol_star, plan)
-    _check_same_instance(sol_inf, plan)
     _, yd = segment_arrays(dataset, plan)
-    y_star = variant_trajectories(sol_star, dataset, plan)[1][:, m:]
-    y_inf = variant_trajectories(sol_inf, dataset, plan)[1][:, m:]
+    y_star = star.outputs[:, m:]
+    y_inf = inf.outputs[:, m:]
     y_data = yd[:, m:]
     diff = y_star - y_inf
     cross = float(np.sum(2.0 * (y_inf - y_data) * diff))
@@ -256,21 +237,16 @@ class ObservedSets:
     max_hidden_norm: float
 
 
-def collect_observed(solutions: list[LiftedSolution], dataset: TimeSeriesDataset,
-                     plan: SegmentationPlan) -> ObservedSets:
-    """Largest output/hidden norms any given solution realizes on the instance,
-    over both the per-segment runs and the full-sequence run."""
+def collect_observed(records: list[Evaluation], dataset: TimeSeriesDataset) -> ObservedSets:
+    """Largest output/hidden norms any evaluated solution realizes on the
+    instance, over both the per-segment runs and the full-sequence run."""
     max_out = 0.0
     max_hidden = 0.0
-    for sol in solutions:
-        states, outputs = variant_trajectories(sol, dataset, plan)
-        max_out = max(max_out, float(np.max(np.linalg.norm(outputs, axis=2))))
-        max_hidden = max(max_hidden, float(np.max(np.linalg.norm(states, axis=2))))
-        sd = sol.params.spec.state_dim
-        h0 = sol.init_states[0] if sol.variant == "coupled" else np.zeros(sd)
-        full = forward(sol.params, h0, dataset.inputs)
-        max_out = max(max_out, float(np.max(np.linalg.norm(full.outputs, axis=1))))
-        max_hidden = max(max_hidden, float(np.max(np.linalg.norm(full.hidden, axis=1))))
+    for record in records:
+        max_out = max(max_out, float(np.max(np.linalg.norm(record.outputs, axis=2))))
+        max_hidden = max(max_hidden, float(np.max(np.linalg.norm(record.states, axis=2))))
+        max_out = max(max_out, float(np.max(np.linalg.norm(record.full.outputs, axis=1))))
+        max_hidden = max(max_hidden, float(np.max(np.linalg.norm(record.full.hidden, axis=1))))
     max_target = float(np.max(np.linalg.norm(dataset.targets, axis=1)))
     return ObservedSets(max_output_norm=max_out, max_target_norm=max_target,
                         max_hidden_norm=max_hidden)
@@ -401,25 +377,25 @@ def thm2_radicand(S: int, lam: float, m: int, o_min: int, T: int) -> float:
     return ((S - 1) * lam ** (2 * o_min) + S * lam**m) / (T - m)
 
 
-def regret_report(sol_star: LiftedSolution, sol_bench: LiftedSolution,
+def regret_report(star: Evaluation, bench: Evaluation,
                   dataset: TimeSeriesDataset, plan: SegmentationPlan, m: int,
                   constants: BoundConstants) -> RegretReport:
     """Assemble training and performance regrets with their bound values.
 
-    The star is the ``tbptt`` solution, evaluated from the zero state, and
-    the benchmark the ``coupled`` one, evaluated from its global initial
-    state; any other pair raises ``ValueError``. The second bound needs
+    The star is the ``tbptt`` solution and the benchmark the ``coupled``
+    one, each judged on its full pass from its global initial state (zero
+    for the star); any other pair raises ``ValueError``. The second bound needs
     m <= o_min; outside that range its fields are left unset rather than
     reporting a vacuous number.
     """
-    if (sol_star.variant, sol_bench.variant) != ("tbptt", "coupled"):
+    if (star.sol.variant, bench.sol.variant) != ("tbptt", "coupled"):
         raise ValueError(
             f"regret_report compares a tbptt star with a coupled benchmark, "
-            f"got {sol_star.variant!r} and {sol_bench.variant!r}"
+            f"got {star.sol.variant!r} and {bench.sol.variant!r}"
         )
-    V_star, V_bench = sol_star.objective, sol_bench.objective
-    P_star = performance(sol_star.params, None, dataset, m)
-    P_bench = performance(sol_bench.params, sol_bench.init_states[0], dataset, m)
+    V_star, V_bench = star.sol.objective, bench.sol.objective
+    P_star = performance(star.full, dataset, m)
+    P_bench = performance(bench.full, dataset, m)
 
     thm1_rhs = constants.C_bar * constants.lam**m / (plan.N - m)
     training_regret = V_star - V_bench

@@ -15,8 +15,9 @@ one stacked forward and backward pass over every start still running, so
 they share the per-step Python cost of the recurrence. ``solve_variant`` is
 the one entry point. A start whose iterates stop being finite ends alone
 (``failed_starts`` in the diagnostics); the solve fails only when no start
-reached a finite objective. ``variant_trajectories`` is the one evaluation
-of a solution's per-segment states and outputs.
+reached a finite objective. ``evaluate`` runs a solution over the instance
+once: its full-sequence pass from the variant's global initial state and its
+per-window states and outputs, which every analysis reads.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ from .rnn_core import (
     CellSpec,
     NonFiniteError,
     Params,
+    Trajectory,
     batched_forward,
+    forward,
     init_params,
     start_indices,
 )
@@ -182,7 +185,9 @@ def _solve(problem: _Problem, opt: OptConfig) -> LiftedSolution:
     running. Each start keeps its own stop rules (``grad_tol``, plateau),
     best iterate and iteration count, and leaves the stack with its Adam
     moment rows when it stops. A start whose pass goes non-finite fails
-    alone and the others are evaluated again at the same iterate. The
+    alone and the others are evaluated again at the same iterate; one whose
+    objective is finite but whose gradient is not fails after that objective
+    has counted. The
     answer is the best iterate over all starts, ties going to the lowest
     start index, which is what running the starts one after another gives.
     """
@@ -233,9 +238,12 @@ def _solve(problem: _Problem, opt: OptConfig) -> LiftedSolution:
         moved = obj < anchor_obj[rows] - opt.plateau_tol
         anchor_obj[rows[moved]] = obj[moved]
         anchor_it[rows[moved]] = it
+        # a non-finite gradient has no next iterate (its Adam step is NaN)
+        grad_finite = np.isfinite(grad).all(axis=-1)
+        failed += int((finite & ~grad_finite).sum())
         grad_norm = np.array([np.linalg.norm(g) for g in grad])
-        # a NaN gradient norm does not stop a start: its next pass fails it
-        going = finite & ~(grad_norm <= opt.grad_tol) & (it - anchor_it[rows] < opt.plateau_iters)
+        going = (finite & grad_finite & ~(grad_norm <= opt.grad_tol)
+                 & (it - anchor_it[rows] < opt.plateau_iters))
         rows, z, grad = rows[going], z[going], grad[going]
         adam.keep(going)
         z = problem.project(z - adam.direction(grad, adam_cfg), opt.spectral_bound)
@@ -259,50 +267,55 @@ def _solve(problem: _Problem, opt: OptConfig) -> LiftedSolution:
     )
 
 
+@dataclass
+class Evaluation:
+    """A solution with its passes over one instance: ``full`` from the
+    variant's global initial state, and each window's ``states`` (S, N+1, sd)
+    and ``outputs`` (S, N, d_y)."""
+
+    sol: LiftedSolution
+    full: Trajectory
+    states: np.ndarray
+    outputs: np.ndarray
+
+
+def evaluate(sol: LiftedSolution, dataset: TimeSeriesDataset,
+             plan: SegmentationPlan) -> Evaluation:
+    """Run a solution over the instance once. The global initial state is
+    the coupled solution's free state and zero otherwise; a window starts
+    from zero (tbptt), from the full pass's state before its first input
+    (coupled) or from its own free state (unconstrained, whose S must be the
+    plan's, or ``DimensionError`` is raised)."""
+    full = forward(sol.params, sol.init_states[0] if sol.variant == "coupled" else None,
+                   dataset.inputs)
+    if sol.variant == "tbptt":
+        h0 = np.zeros((plan.S, sol.params.spec.state_dim))
+    elif sol.variant == "coupled":
+        h0 = full.hidden[np.array(plan.starts) - 1]
+    else:
+        h0 = sol.init_states
+    xs, _ = segment_arrays(dataset, plan)
+    states, outputs, _ = batched_forward(sol.params, h0, xs)
+    return Evaluation(sol, full, states, outputs)
+
+
 def _finish(sol: LiftedSolution, dataset: TimeSeriesDataset,
-            plan: SegmentationPlan) -> LiftedSolution:
-    states, outputs = variant_trajectories(sol, dataset, plan)
+            plan: SegmentationPlan) -> Evaluation:
+    record = evaluate(sol, dataset, plan)
     data_peak = max(
         1.0,
         float(np.max(np.abs(dataset.inputs))),
         float(np.max(np.abs(dataset.targets))),
     )
-    peak = max(float(np.max(np.abs(states))), float(np.max(np.abs(outputs))))
+    peak = max(float(np.max(np.abs(record.states))), float(np.max(np.abs(record.outputs))))
     sol.diagnostics["bounded"] = bool(np.isfinite(peak) and peak <= 10.0 * data_peak)
     sol.diagnostics["state_output_peak"] = peak
-    return sol
+    return record
 
 
 def solve_variant(variant: str, dataset: TimeSeriesDataset, plan: SegmentationPlan,
-                  m: int, spec: CellSpec, opt: OptConfig | None = None) -> LiftedSolution:
-    """Best point of one variant's segment objective, with its boundedness check."""
+                  m: int, spec: CellSpec, opt: OptConfig | None = None) -> Evaluation:
+    """Best point of one variant's segment objective, with its boundedness
+    check, evaluated on the instance."""
     sol = _solve(_Problem(variant, dataset, plan, m, spec), opt or OptConfig())
     return _finish(sol, dataset, plan)
-
-
-def segment_initial_states(sol: LiftedSolution, dataset: TimeSeriesDataset,
-                           plan: SegmentationPlan) -> np.ndarray:
-    """(S, state_dim) initial states implied by a solution's variant.
-
-    A coupled solution's segment starts are read off its one length-T
-    trajectory: the state before each window's first input.
-    """
-    if sol.variant == "tbptt":
-        return np.zeros((plan.S, sol.params.spec.state_dim))
-    if sol.variant == "coupled":
-        states, _, _ = batched_forward(
-            sol.params, sol.init_states[0][None], dataset.inputs[None]
-        )
-        return states[0, np.array(plan.starts) - 1]
-    return sol.init_states
-
-
-def variant_trajectories(sol: LiftedSolution, dataset: TimeSeriesDataset,
-                         plan: SegmentationPlan) -> tuple[np.ndarray, np.ndarray]:
-    """Per-segment states (S, N+1, sd) and outputs (S, N, d_y) that the
-    solution generates on this instance, each window from the initial state
-    its variant implies."""
-    xs, _ = segment_arrays(dataset, plan)
-    h0 = segment_initial_states(sol, dataset, plan)
-    states, outputs, _ = batched_forward(sol.params, h0, xs)
-    return states, outputs

@@ -9,7 +9,8 @@ A sweep cell's ``train_mse`` is its last logged epoch objective, the same
 
 Every run writes into ``<out-root>/<command>/<config-hash>/`` with a
 manifest.json describing it; rerunning with identical flags reproduces all
-numeric outputs bit-exactly (timestamps live only in the manifest).
+numeric outputs bit-exactly (timestamps live only in the manifest, wall
+times only in timings.json).
 
 Exit codes: 0 success, 2 usage error, 3 numeric failure, 4 partial sweep.
 """
@@ -226,16 +227,14 @@ def _int_list(text: str) -> list[int]:
 
 
 def _sweep_cell(dataset, test_set, args, N: int, m: int) -> dict:
-    t0 = time.perf_counter()
     cell_args = argparse.Namespace(**vars(args))
     cell_args.N, cell_args.m = N, m
     config, log = _run_training(dataset, cell_args)
     params = log.params
     # one zero-state pass over the series serves both diagnostics
     traj = forward(params, None, dataset.inputs)
-    p_train = analysis.performance(params, None, dataset, m, traj=traj)
-    stab = analysis.estimate_stability(params, dataset, num_pairs=16, seed=args.seed,
-                                       traj=traj)
+    p_train = analysis.performance(traj, dataset, m)
+    stab = analysis.estimate_stability(params, dataset, traj, num_pairs=16, seed=args.seed)
     row = {
         "N": N,
         "m": m,
@@ -243,16 +242,16 @@ def _sweep_cell(dataset, test_set, args, N: int, m: int) -> dict:
         "test_mse": "",
         "P": p_train,
         "lambda": stab.lam,
-        "wall_time_s": time.perf_counter() - t0,
         "error": "",
     }
     if test_set is not None:
         m_eval = args.test_burn if args.test_burn >= 0 else m
-        row["test_mse"] = analysis.performance(params, None, test_set, m_eval)
+        row["test_mse"] = analysis.performance(forward(params, None, test_set.inputs),
+                                               test_set, m_eval)
     return row
 
 
-SWEEP_COLUMNS = ["N", "m", "train_mse", "test_mse", "P", "lambda", "wall_time_s", "error"]
+SWEEP_COLUMNS = ["N", "m", "train_mse", "test_mse", "P", "lambda", "error"]
 
 
 def _error_row(N: int, m: int, error: str) -> dict:
@@ -334,15 +333,18 @@ def cmd_sweep(args) -> int:
     run_dir, _ = make_run_dir(args, "sweep", config)
 
     rows: dict[tuple[int, int], dict] = {}
+    wall_times: dict[tuple[int, int], float] = {}
     for N in n_values:
         for m in m_values:
+            t0 = time.perf_counter()
             if m > N - 1 and args.mode != "bptt":
                 rows[N, m] = _error_row(N, m, f"m={m} exceeds N-1")
-                continue
-            try:
-                rows[N, m] = _sweep_cell(dataset, test_set, args, N, m)
-            except Exception as exc:  # cell failures must not kill the sweep
-                rows[N, m] = _error_row(N, m, str(exc))
+            else:
+                try:
+                    rows[N, m] = _sweep_cell(dataset, test_set, args, N, m)
+                except Exception as exc:  # cell failures must not kill the sweep
+                    rows[N, m] = _error_row(N, m, str(exc))
+            wall_times[N, m] = time.perf_counter() - t0
 
     report = run_dir / "report.csv"
     with open(report, "w", newline="", encoding="utf-8") as fh:
@@ -350,6 +352,9 @@ def cmd_sweep(args) -> int:
         writer.writeheader()
         for cell in sorted(rows):
             writer.writerow({k: rows[cell].get(k, "") for k in SWEEP_COLUMNS})
+    _write_json(run_dir / "timings.json",
+                {"cells": [{"N": N, "m": m, "wall_time_s": wall_times[N, m]}
+                           for N, m in sorted(wall_times)]})
     print(run_dir)
     failed = [c for c, r in rows.items() if r["error"]]
     invalid_only = all(rows[c]["error"].startswith("m=") for c in failed) if failed else True
@@ -399,48 +404,39 @@ def cmd_benchmark(args) -> int:
     run_dir, _ = make_run_dir(args, "benchmark", config)
 
     rho = None if args.rho <= 0 else args.rho
-    all_converged = True
     report_rows = []
     for m in m_values:
-        opt = benchmark.OptConfig(restarts=args.restarts, max_iters=args.iters,
-                                  lr=args.lr, seed=args.seed, spectral_bound=rho)
-        sols: dict[str, benchmark.LiftedSolution] = {}
+        records: dict[str, benchmark.Evaluation] = {}
         for variant in variants:
-            v_opt = benchmark.OptConfig(**{**opt.__dict__})
-            if variant == "coupled" and "tbptt" in sols:
-                v_opt.extra_starts = [(sols["tbptt"].params, None)]
-            if variant == "unconstrained":
-                extra = []
-                if "tbptt" in sols:
-                    extra.append((sols["tbptt"].params, None))
-                if "coupled" in sols:
-                    extra.append((
-                        sols["coupled"].params,
-                        benchmark.segment_initial_states(sols["coupled"], dataset, plan),
-                    ))
-                v_opt.extra_starts = extra
-            sol = benchmark.solve_variant(variant, dataset, plan, m, spec, v_opt)
-            sols[variant] = sol
-            all_converged &= sol.converged
-            (run_dir / f"solution_{variant}_m{m}.json").write_text(sol.to_json() + "\n")
+            extra = []
+            if variant != "tbptt" and "tbptt" in records:
+                extra.append((records["tbptt"].sol.params, None))
+            if variant == "unconstrained" and "coupled" in records:
+                extra.append((records["coupled"].sol.params, records["coupled"].states[:, 0]))
+            opt = benchmark.OptConfig(restarts=args.restarts, max_iters=args.iters,
+                                      lr=args.lr, seed=args.seed, spectral_bound=rho,
+                                      extra_starts=extra)
+            records[variant] = benchmark.solve_variant(variant, dataset, plan, m, spec, opt)
+            (run_dir / f"solution_{variant}_m{m}.json").write_text(
+                records[variant].sol.to_json() + "\n")
 
-        if "tbptt" in sols and "coupled" in sols:
+        if "tbptt" in records and "coupled" in records:
+            star, bench = records["tbptt"], records["coupled"]
+            # each stability radius comes from a zero-state pass, as the star's full one is
+            bench_zero = forward(bench.sol.params, None, dataset.inputs)
             stab = analysis.merge_stability(
-                analysis.estimate_stability(sols["tbptt"].params, dataset, seed=args.seed),
-                analysis.estimate_stability(sols["coupled"].params, dataset, seed=args.seed),
+                analysis.estimate_stability(star.sol.params, dataset, star.full, seed=args.seed),
+                analysis.estimate_stability(bench.sol.params, dataset, bench_zero, seed=args.seed),
             )
-            if "unconstrained" in sols:
-                eps = analysis.epsilon_check(sols["tbptt"], sols["unconstrained"],
-                                             dataset, plan, m)
+            if "unconstrained" in records:
+                eps = analysis.epsilon_check(star, records["unconstrained"], dataset, plan, m)
             else:
                 eps = analysis.EpsilonCheck(0.0, 0.0, float("inf"), True)
-            observed = analysis.collect_observed(list(sols.values()), dataset, plan)
+            observed = analysis.collect_observed(list(records.values()), dataset)
             constants = analysis.bound_constants(stab, eps, observed)
-            report = analysis.regret_report(sols["tbptt"], sols["coupled"],
-                                            dataset, plan, m, constants)
+            report = analysis.regret_report(star, bench, dataset, plan, m, constants)
             report_rows.append(report)
-            turnpike = analysis.turnpike_errors(sols["tbptt"], sols["coupled"],
-                                                dataset, plan, m)
+            turnpike = analysis.turnpike_errors(star, bench, m)
             _write_json(run_dir / f"report_m{m}.json",
                         {**report.to_json_dict(), "turnpike": turnpike.to_json_dict()})
 

@@ -16,6 +16,7 @@ block layout, so optimizers and serialization never special-case the cell.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,15 +144,18 @@ def build_layout(spec: CellSpec) -> Layout:
     layout: Layout = {}
     offset = 0
     for name, shape in blocks:
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         layout[name] = (offset, offset + size, shape)
         offset += size
     return layout
 
 
-def num_params(spec: CellSpec) -> int:
-    layout = build_layout(spec)
+def _layout_size(layout: Layout) -> int:
     return max(stop for _, stop, _ in layout.values())
+
+
+def num_params(spec: CellSpec) -> int:
+    return _layout_size(build_layout(spec))
 
 
 @dataclass
@@ -170,7 +174,7 @@ class Params:
         if not self.layout:
             self.layout = build_layout(self.spec)
         self.theta = np.asarray(self.theta, dtype=np.float64)
-        n = num_params(self.spec)
+        n = _layout_size(self.layout)
         if self.theta.ndim not in (1, 2) or self.theta.shape[-1] != n:
             raise DimensionError(f"theta has shape {self.theta.shape}, expected ({n},) or (R, {n})")
 
@@ -223,7 +227,7 @@ def pack(spec: CellSpec, blocks: dict[str, np.ndarray]) -> Params:
     if set(blocks) != set(layout):
         raise ValueError(f"blocks {sorted(blocks)} do not match layout {sorted(layout)}")
     lead = np.shape(blocks["W_hh"])[:-2]
-    theta = np.empty(lead + (num_params(spec),), dtype=np.float64)
+    theta = np.empty(lead + (_layout_size(layout),), dtype=np.float64)
     for name, (start, stop, shape) in layout.items():
         value = np.asarray(blocks[name], dtype=np.float64)
         if value.shape != lead + shape:
@@ -238,7 +242,7 @@ def init_params(spec: CellSpec, seed: int) -> Params:
     rng = SplitMix64(seed)
     scale = 1.0 / np.sqrt(spec.d_h)
     layout = build_layout(spec)
-    theta = np.zeros(num_params(spec), dtype=np.float64)
+    theta = np.zeros(_layout_size(layout), dtype=np.float64)
     for name, (start, stop, _) in layout.items():
         if name.startswith("W_"):
             theta[start:stop] = rng.uniforms(stop - start, -scale, scale)

@@ -18,7 +18,7 @@ from tbptt.analysis import (
     thm2_radicand,
     turnpike_errors,
 )
-from tbptt.benchmark import LiftedSolution, OptConfig, segment_initial_states, solve_variant
+from tbptt.benchmark import LiftedSolution, OptConfig, evaluate, solve_variant
 from tbptt.data import TimeSeriesDataset, gen_synthetic, make_plan
 from tbptt.rng import SplitMix64
 from tbptt.rnn_core import CellSpec, batched_forward, forward, init_params, pack
@@ -31,8 +31,8 @@ def scalar_linear(a, b, c):
     return pack(LIN1, {"W_hh": [[a]], "W_xh": [[b]], "W_hy": [[c]]})
 
 
-def tbptt_solution(params, plan):
-    return LiftedSolution(
+def tbptt_record(params, ds, plan):
+    sol = LiftedSolution(
         params=params,
         init_states=np.zeros((0, params.spec.state_dim)),
         objective=0.0,
@@ -40,6 +40,11 @@ def tbptt_solution(params, plan):
         converged=True,
         grad_norm=0.0,
     )
+    return evaluate(sol, ds, plan)
+
+
+def zero_pass(params, ds):
+    return forward(params, None, ds.inputs)
 
 
 @pytest.fixture(scope="module")
@@ -48,14 +53,14 @@ def solved_instance():
     plan = make_plan(60, 10, 1)
     m = 2
     star = solve_variant("tbptt", ds, plan, m, LIN1, FAST)
-    bench_opt = OptConfig(**{**FAST.__dict__, "extra_starts": [(star.params, None)]})
+    bench_opt = OptConfig(**{**FAST.__dict__, "extra_starts": [(star.sol.params, None)]})
     bench = solve_variant("coupled", ds, plan, m, LIN1, bench_opt)
     un_opt = OptConfig(
         **{
             **FAST.__dict__,
             "extra_starts": [
-                (star.params, None),
-                (bench.params, segment_initial_states(bench, ds, plan)),
+                (star.sol.params, None),
+                (bench.sol.params, bench.states[:, 0]),
             ],
         }
     )
@@ -70,7 +75,7 @@ def test_performance_zero_for_perfect_predictor():
     params = scalar_linear(0.0, 1.0, 2.0)
     x = SplitMix64(1).normals(20)[:, None]
     ds = TimeSeriesDataset(x, 2.0 * x)
-    assert performance(params, None, ds, 0) == pytest.approx(0.0, abs=1e-28)
+    assert performance(zero_pass(params, ds), ds, 0) == pytest.approx(0.0, abs=1e-28)
 
 
 def test_performance_single_term_at_max_burn_in():
@@ -78,7 +83,7 @@ def test_performance_single_term_at_max_burn_in():
     x = np.ones((5, 1))
     ds = TimeSeriesDataset(x, np.zeros((5, 1)))
     y5 = forward(params, None, x).outputs[-1, 0]
-    assert performance(params, None, ds, 4) == pytest.approx(y5**2)
+    assert performance(zero_pass(params, ds), ds, 4) == pytest.approx(y5**2)
 
 
 def test_performance_hand_value():
@@ -86,7 +91,7 @@ def test_performance_hand_value():
     params = scalar_linear(0.0, 1.0, 1.0)
     x = np.array([[0.0], [1.0], [2.0]])
     ds = TimeSeriesDataset(x, np.zeros((3, 1)))
-    assert performance(params, None, ds, 1) == pytest.approx((1.0 + 4.0) / 2)
+    assert performance(zero_pass(params, ds), ds, 1) == pytest.approx((1.0 + 4.0) / 2)
 
 
 def test_performance_m0_is_plain_mse():
@@ -95,7 +100,7 @@ def test_performance_m0_is_plain_mse():
     yd = SplitMix64(3).normals(15)[:, None]
     ds = TimeSeriesDataset(x, yd)
     outs = forward(params, None, x).outputs
-    assert performance(params, None, ds, 0) == pytest.approx(
+    assert performance(zero_pass(params, ds), ds, 0) == pytest.approx(
         float(np.mean((outs - yd) ** 2)), rel=1e-14
     )
 
@@ -104,7 +109,7 @@ def test_performance_rejects_large_burn_in():
     params = scalar_linear(0.0, 1.0, 1.0)
     ds = TimeSeriesDataset(np.ones((4, 1)), np.ones((4, 1)))
     with pytest.raises(ValueError):
-        performance(params, None, ds, 4)
+        performance(zero_pass(params, ds), ds, 4)
 
 
 # --- stability estimation ---------------------------------------------------
@@ -114,7 +119,7 @@ def test_stability_recovers_scalar_decay_rate():
     a, c = 0.8, 1.7
     params = scalar_linear(a, 0.5, c)
     ds, _ = gen_synthetic(seed=6, T=80, noise_std=0.1)
-    est = estimate_stability(params, ds, num_pairs=12, seed=4)
+    est = estimate_stability(params, ds, zero_pass(params, ds), num_pairs=12, seed=4)
     assert est.passed
     assert est.lam == pytest.approx(a, abs=1e-6)
     # envelope convention C lambda^t >= r_t with r_t = |c| a^t exactly
@@ -128,7 +133,7 @@ def test_stability_envelope_constant_ignores_rounding_noise(a):
     # from the samples lambda was fitted on, not from noise times lambda^-t
     params = scalar_linear(a, 0.5, 1.7)
     ds, _ = gen_synthetic(seed=6, T=400)
-    est = estimate_stability(params, ds, num_pairs=12, seed=4)
+    est = estimate_stability(params, ds, zero_pass(params, ds), num_pairs=12, seed=4)
     assert est.C == pytest.approx(1.7, rel=0.01)
 
 
@@ -138,7 +143,7 @@ def test_stability_envelope_dominates_all_samples():
     from tbptt.training import project_stability
 
     params = project_stability(init_params(CellSpec("elman", 1, 3, 1), 5), 0.95)
-    est = estimate_stability(params, ds, num_pairs=16, seed=9)
+    est = estimate_stability(params, ds, zero_pass(params, ds), num_pairs=16, seed=9)
     assert est.num_pairs_tested > 0
     assert est.max_violation <= 1e-12
     if est.passed:
@@ -148,7 +153,7 @@ def test_stability_envelope_dominates_all_samples():
 def test_stability_insensitive_model_degenerates_gracefully():
     params = scalar_linear(0.5, 1.0, 0.0)  # output never sees the state
     ds, _ = gen_synthetic(seed=8, T=40, noise_std=0.1)
-    est = estimate_stability(params, ds, num_pairs=8, seed=1)
+    est = estimate_stability(params, ds, zero_pass(params, ds), num_pairs=8, seed=1)
     assert est.passed
     assert est.C == 0.0
 
@@ -197,7 +202,7 @@ def test_stability_staggered_pass_matches_per_pair_runs(cell, T, num_pairs):
     # every pair at 0
     params = STABILITY_CELLS[cell]()
     ds, _ = gen_synthetic(seed=T, T=T, noise_std=0.1)
-    est = estimate_stability(params, ds, num_pairs=num_pairs, seed=3)
+    est = estimate_stability(params, ds, zero_pass(params, ds), num_pairs=num_pairs, seed=3)
     lam, tested = per_pair_stability(params, ds, num_pairs, seed=3)
     assert est.num_pairs_tested == tested == num_pairs
     assert est.lam == pytest.approx(lam, rel=1e-6)
@@ -217,7 +222,7 @@ def test_merge_stability_dominates_both():
 
 def test_turnpike_self_comparison_is_zero(solved_instance):
     ds, plan, m, star, _, _ = solved_instance
-    rep = turnpike_errors(star, star, ds, plan, m)
+    rep = turnpike_errors(star, star, m)
     npt.assert_array_equal(rep.e_j, 0.0)
     assert rep.sum_e == 0.0
     assert len(rep.e_j) == plan.N - m
@@ -225,7 +230,7 @@ def test_turnpike_self_comparison_is_zero(solved_instance):
 
 def test_turnpike_errors_decay_along_window(solved_instance):
     ds, plan, m, star, bench, _ = solved_instance
-    rep = turnpike_errors(star, bench, ds, plan, m)
+    rep = turnpike_errors(star, bench, m)
     assert rep.e_j[0] > rep.e_j[-1]
     assert np.all(rep.e_j >= 0)
     assert rep.sum_e == pytest.approx(float(np.sum(rep.e_j)))
@@ -236,30 +241,23 @@ def test_turnpike_sum_bounded_by_envelope_constant(solved_instance):
     # converged solutions obey sum_e <= 10 K lambda^m with constructive K
     ds, plan, m, star, bench, un = solved_instance
     stab = merge_stability(
-        estimate_stability(star.params, ds, num_pairs=16, seed=2),
-        estimate_stability(un.params, ds, num_pairs=16, seed=3),
+        estimate_stability(star.sol.params, ds, zero_pass(star.sol.params, ds), num_pairs=16, seed=2),
+        estimate_stability(un.sol.params, ds, zero_pass(un.sol.params, ds), num_pairs=16, seed=3),
     )
     eps = epsilon_check(star, un, ds, plan, m)
-    observed = collect_observed([star, bench, un], ds, plan)
+    observed = collect_observed([star, bench, un], ds)
     constants = bound_constants(stab, eps, observed)
     if constants.finite:
-        rep = turnpike_errors(star, un, ds, plan, m)
+        rep = turnpike_errors(star, un, m)
         assert rep.sum_e <= 10.0 * constants.K * constants.lam**m
-
-
-def test_turnpike_mismatched_plan_rejected(solved_instance):
-    ds, plan, m, star, _, un = solved_instance
-    other_plan = make_plan(60, 10, 2)
-    with pytest.raises(ValueError):
-        turnpike_errors(star, un, ds, other_plan, m)
 
 
 def test_corollary_triangle_split(solved_instance):
     # exact Young-inequality split, no fitted constants
     ds, plan, m, star, bench, un = solved_instance
-    sc = turnpike_errors(star, bench, ds, plan, m).sum_e
-    su = turnpike_errors(star, un, ds, plan, m).sum_e
-    cu = turnpike_errors(bench, un, ds, plan, m).sum_e
+    sc = turnpike_errors(star, bench, m).sum_e
+    su = turnpike_errors(star, un, m).sum_e
+    cu = turnpike_errors(bench, un, m).sum_e
     assert sc <= 2.0 * su + 2.0 * cu + 1e-12
 
 
@@ -280,8 +278,8 @@ def test_epsilon_orthogonal_residual_case():
     truth = scalar_linear(0.0, 1.0, 1.5)
     ds = TimeSeriesDataset(x, forward(truth, None, x).outputs)
     plan = make_plan(30, 6, 1)
-    ref = tbptt_solution(truth, plan)
-    other = tbptt_solution(scalar_linear(0.0, 1.0, 1.2), plan)
+    ref = tbptt_record(truth, ds, plan)
+    other = tbptt_record(scalar_linear(0.0, 1.0, 1.2), ds, plan)
     chk = epsilon_check(other, ref, ds, plan, 0)
     assert chk.cross_term == pytest.approx(0.0, abs=1e-18)
     assert chk.sq_norm > 0
@@ -355,16 +353,17 @@ def test_regret_report_degenerate_equality(solved_instance):
     ds, plan, m, star, _, _ = solved_instance
     stab = StabilityEstimate(C=1.0, lam=0.5, max_violation=0.0, num_pairs_tested=2, passed=True)
     eps = EpsilonCheck(0.0, 0.0, math.inf, True)
-    observed = collect_observed([star], ds, plan)
+    observed = collect_observed([star], ds)
     constants = bound_constants(stab, eps, observed)
-    rep = regret_report(star, star_as_bench(star, plan), ds, plan, m, constants)
+    rep = regret_report(star, evaluate(star_as_bench(star.sol), ds, plan), ds, plan, m,
+                        constants)
     assert rep.training_regret == 0.0
     assert rep.performance_regret == 0.0
     assert not rep.thm1_violation
     assert rep.thm2_rhs is not None and not rep.thm2_violation
 
 
-def star_as_bench(star, plan):
+def star_as_bench(star):
     # identical parameters framed as a benchmark with a zero initial state
     return LiftedSolution(
         params=star.params,
@@ -379,15 +378,15 @@ def star_as_bench(star, plan):
 def test_regret_report_on_solved_instance(solved_instance):
     ds, plan, m, star, bench, un = solved_instance
     stab = merge_stability(
-        estimate_stability(star.params, ds, num_pairs=16, seed=2),
-        estimate_stability(bench.params, ds, num_pairs=16, seed=3),
+        estimate_stability(star.sol.params, ds, zero_pass(star.sol.params, ds), num_pairs=16, seed=2),
+        estimate_stability(bench.sol.params, ds, zero_pass(bench.sol.params, ds), num_pairs=16, seed=3),
     )
     eps = epsilon_check(star, un, ds, plan, m)
-    observed = collect_observed([star, bench, un], ds, plan)
+    observed = collect_observed([star, bench, un], ds)
     constants = bound_constants(stab, eps, observed)
     rep = regret_report(star, bench, ds, plan, m, constants)
-    assert rep.V_star == star.objective
-    assert rep.V_bench == bench.objective
+    assert rep.V_star == star.sol.objective
+    assert rep.V_bench == bench.sol.objective
     assert rep.m == m and rep.N == plan.N and rep.S == plan.S and rep.o_min == plan.o_min
     assert rep.thm2_rhs is not None  # m=2 <= o_min=9
     row = rep.csv_row()
@@ -404,7 +403,7 @@ def test_regret_report_skips_thm2_beyond_overlap():
     bench = solve_variant("coupled", ds, plan, m, LIN1, FAST)
     stab = StabilityEstimate(C=1.0, lam=0.5, max_violation=0.0, num_pairs_tested=2, passed=True)
     constants = bound_constants(stab, EpsilonCheck(0.0, 0.0, math.inf, True),
-                                collect_observed([star, bench], ds, plan))
+                                collect_observed([star, bench], ds))
     rep = regret_report(star, bench, ds, plan, m, constants)
     assert rep.thm2_rhs is None
     assert rep.thm2_violation is None
@@ -414,10 +413,11 @@ def test_regret_report_evaluates_coupled_bench_from_its_state(solved_instance):
     ds, plan, m, star, bench, _ = solved_instance
     stab = StabilityEstimate(C=1.0, lam=0.5, max_violation=0.0, num_pairs_tested=2, passed=True)
     constants = bound_constants(stab, EpsilonCheck(0.0, 0.0, math.inf, True),
-                                collect_observed([star, bench], ds, plan))
+                                collect_observed([star, bench], ds))
     rep = regret_report(star, bench, ds, plan, m, constants)
-    assert rep.P_star == performance(star.params, None, ds, m)
-    assert rep.P_bench == performance(bench.params, bench.init_states[0], ds, m)
+    assert rep.P_star == performance(zero_pass(star.sol.params, ds), ds, m)
+    assert rep.P_bench == performance(
+        forward(bench.sol.params, bench.sol.init_states[0], ds.inputs), ds, m)
 
 
 @pytest.mark.parametrize("pair", [("bench", "star"), ("star", "un"), ("un", "bench")])
@@ -426,6 +426,6 @@ def test_regret_report_rejects_other_variant_pairs(solved_instance, pair):
     sols = {"star": star, "bench": bench, "un": un}
     stab = StabilityEstimate(C=1.0, lam=0.5, max_violation=0.0, num_pairs_tested=2, passed=True)
     constants = bound_constants(stab, EpsilonCheck(0.0, 0.0, math.inf, True),
-                                collect_observed([star, bench], ds, plan))
+                                collect_observed([star, bench], ds))
     with pytest.raises(ValueError, match="tbptt star with a coupled benchmark"):
         regret_report(sols[pair[0]], sols[pair[1]], ds, plan, m, constants)

@@ -9,9 +9,8 @@ from tbptt.benchmark import (
     _Problem,
     _solve,
     coupled_time_weights,
-    segment_initial_states,
+    evaluate,
     solve_variant,
-    variant_trajectories,
 )
 from tbptt.data import gen_synthetic, make_plan, segment_arrays
 from tbptt.linalg import spectral_norm
@@ -59,7 +58,7 @@ def test_tbptt_solution_realizable_reaches_zero():
     y = forward(truth, None, x).outputs
     ds = TimeSeriesDataset(x, y)
     plan = make_plan(60, 12, 1)
-    sol = solve_variant("tbptt", ds, plan, 6, LIN1, FAST)
+    sol = solve_variant("tbptt", ds, plan, 6, LIN1, FAST).sol
     assert sol.objective < 1e-6
     assert sol.diagnostics["bounded"]
 
@@ -68,11 +67,10 @@ def test_unconstrained_realizable_hits_zero(clean_instance):
     ds, plan, gen = clean_instance
     opt = OptConfig(restarts=2, max_iters=6000, lr=0.05, plateau_iters=300,
                     extra_starts=[(gen.realizing_params(), None)])
-    sol = solve_variant("unconstrained", ds, plan, 0, LIN2, opt)
-    assert sol.objective < 1e-9
-    outputs = variant_trajectories(sol, ds, plan)[1]
+    record = solve_variant("unconstrained", ds, plan, 0, LIN2, opt)
+    assert record.sol.objective < 1e-9
     _, targets = segment_arrays(ds, plan)
-    assert np.max(np.abs(outputs - targets)) < 1e-4
+    assert np.max(np.abs(record.outputs - targets)) < 1e-4
 
 
 def test_coupled_realizable_with_true_start(clean_instance):
@@ -80,7 +78,7 @@ def test_coupled_realizable_with_true_start(clean_instance):
     opt = OptConfig(restarts=2, max_iters=6000, lr=0.05, plateau_iters=300,
                     extra_starts=[(gen.realizing_params(),
                                    gen.state_at_start[None, :])])
-    sol = solve_variant("coupled", ds, plan, 0, LIN2, opt)
+    sol = solve_variant("coupled", ds, plan, 0, LIN2, opt).sol
     assert sol.objective < 1e-9
 
 
@@ -88,36 +86,38 @@ def test_coupled_single_segment_equals_unconstrained(noisy_instance):
     ds, _ = noisy_instance
     plan = make_plan(60, 60, 1)
     assert plan.S == 1
-    c = solve_variant("coupled", ds, plan, 3, LIN1, FAST)
-    u = solve_variant("unconstrained", ds, plan, 3, LIN1, FAST)
+    c = solve_variant("coupled", ds, plan, 3, LIN1, FAST).sol
+    u = solve_variant("unconstrained", ds, plan, 3, LIN1, FAST).sol
     assert c.objective == pytest.approx(u.objective, abs=1e-8)
 
 
 def test_feasible_set_ordering_with_warm_starts(noisy_instance):
     ds, plan = noisy_instance
     m = 2
-    star = solve_variant("tbptt", ds, plan, m, LIN1, FAST)
+    star = solve_variant("tbptt", ds, plan, m, LIN1, FAST).sol
     bench_opt = OptConfig(**{**FAST.__dict__, "extra_starts": [(star.params, None)]})
-    bench = solve_variant("coupled", ds, plan, m, LIN1, bench_opt)
+    bench_record = solve_variant("coupled", ds, plan, m, LIN1, bench_opt)
+    bench = bench_record.sol
     un_opt = OptConfig(
         **{
             **FAST.__dict__,
             "extra_starts": [
                 (star.params, None),
-                (bench.params, segment_initial_states(bench, ds, plan)),
+                (bench.params, bench_record.states[:, 0]),
             ],
         }
     )
-    un = solve_variant("unconstrained", ds, plan, m, LIN1, un_opt)
+    un = solve_variant("unconstrained", ds, plan, m, LIN1, un_opt).sol
     assert un.objective <= bench.objective + 1e-7
     assert un.objective <= star.objective + 1e-7
 
 
 def test_coupled_reconstruction_bitwise(noisy_instance):
     ds, plan = noisy_instance
-    sol = solve_variant("coupled", ds, plan, 2, LIN1, FAST)
-    inits = segment_initial_states(sol, ds, plan)
+    record = solve_variant("coupled", ds, plan, 2, LIN1, FAST)
+    sol, inits = record.sol, record.states[:, 0]
     global_traj = forward(sol.params, sol.init_states[0], ds.inputs)
+    npt.assert_array_equal(record.full.hidden, global_traj.hidden)
     for i, s in enumerate(plan.starts):
         seg_traj = forward(sol.params, inits[i], ds.inputs[s - 1 : s - 1 + plan.N])
         npt.assert_array_equal(seg_traj.outputs,
@@ -129,12 +129,11 @@ def test_coupled_objective_matches_segment_evaluation(noisy_instance):
     # evaluated from the reconstructed initial states
     ds, plan = noisy_instance
     m = 3
-    sol = solve_variant("coupled", ds, plan, m, LIN1, FAST)
-    outputs = variant_trajectories(sol, ds, plan)[1]
+    record = solve_variant("coupled", ds, plan, m, LIN1, FAST)
     _, targets = segment_arrays(ds, plan)
-    err = np.sum((outputs[:, m:] - targets[:, m:]) ** 2, axis=2)
+    err = np.sum((record.outputs[:, m:] - targets[:, m:]) ** 2, axis=2)
     direct = err.sum() / (plan.S * (plan.N - m))
-    assert sol.objective == pytest.approx(direct, rel=1e-12)
+    assert record.sol.objective == pytest.approx(direct, rel=1e-12)
 
 
 def test_tbptt_matches_training_fixed_point(noisy_instance):
@@ -147,7 +146,7 @@ def test_tbptt_matches_training_fixed_point(noisy_instance):
     log = train(ds, config, init=theta0)
     opt = OptConfig(restarts=0, max_iters=20000, lr=0.02,
                     extra_starts=[(theta0, None)], plateau_iters=500)
-    sol = solve_variant("tbptt", ds, plan, m, LIN1, opt)
+    sol = solve_variant("tbptt", ds, plan, m, LIN1, opt).sol
     assert sol.objective <= log.records[-1].objective + 1e-9
     assert sol.objective == pytest.approx(log.records[-1].objective, abs=1e-6)
 
@@ -155,7 +154,7 @@ def test_tbptt_matches_training_fixed_point(noisy_instance):
 def test_single_step_windows_degenerate_case(noisy_instance):
     ds, _ = noisy_instance
     plan = make_plan(60, 1, 1)
-    sol = solve_variant("tbptt", ds, plan, 0, LIN1, FAST)
+    sol = solve_variant("tbptt", ds, plan, 0, LIN1, FAST).sol
     xs, ys = segment_arrays(ds, plan)
     _, outputs, _ = batched_forward(sol.params, np.zeros((plan.S, 1)), xs)
     manual = float(np.mean(np.sum((outputs - ys) ** 2, axis=2)))
@@ -165,15 +164,15 @@ def test_single_step_windows_degenerate_case(noisy_instance):
 def test_solutions_respect_spectral_bound(noisy_instance):
     ds, plan = noisy_instance
     for variant in ("tbptt", "coupled", "unconstrained"):
-        sol = solve_variant(variant, ds, plan, 1, LIN1, FAST)
+        sol = solve_variant(variant, ds, plan, 1, LIN1, FAST).sol
         assert spectral_norm(sol.params.block("W_hh")) <= 0.999 * (1 + 1e-9)
 
 
 def test_variant_init_state_shapes(noisy_instance):
     ds, plan = noisy_instance
-    star = solve_variant("tbptt", ds, plan, 1, LIN1, FAST)
-    bench = solve_variant("coupled", ds, plan, 1, LIN1, FAST)
-    un = solve_variant("unconstrained", ds, plan, 1, LIN1, FAST)
+    star = solve_variant("tbptt", ds, plan, 1, LIN1, FAST).sol
+    bench = solve_variant("coupled", ds, plan, 1, LIN1, FAST).sol
+    un = solve_variant("unconstrained", ds, plan, 1, LIN1, FAST).sol
     assert star.init_states.shape == (0, 1)
     assert bench.init_states.shape == (1, 1)
     assert un.init_states.shape == (plan.S, 1)
@@ -182,13 +181,20 @@ def test_variant_init_state_shapes(noisy_instance):
 
 def test_lifted_solution_json_roundtrip(noisy_instance):
     ds, plan = noisy_instance
-    sol = solve_variant("coupled", ds, plan, 1, LIN1, FAST)
+    sol = solve_variant("coupled", ds, plan, 1, LIN1, FAST).sol
     again = LiftedSolution.from_json(sol.to_json())
     npt.assert_array_equal(again.params.theta, sol.params.theta)
     npt.assert_array_equal(again.init_states, sol.init_states)
     assert again.objective == sol.objective
     assert again.variant == sol.variant
     assert again.converged == sol.converged
+
+
+def test_evaluate_rejects_mismatched_plan(noisy_instance):
+    ds, plan = noisy_instance
+    un = solve_variant("unconstrained", ds, plan, 1, LIN1, FAST).sol
+    with pytest.raises(ValueError):
+        evaluate(un, ds, make_plan(60, 10, 2))
 
 
 def test_burn_in_validated(noisy_instance):
@@ -210,9 +216,9 @@ def test_diverging_start_fails_alone(noisy_instance):
     ds, plan = noisy_instance
     huge = pack(LIN1, {"W_hh": [[1e200]], "W_xh": [[1.0]], "W_hy": [[1.0]]})
     base = dict(restarts=1, max_iters=300, spectral_bound=None)
-    alone = solve_variant("tbptt", ds, plan, 1, LIN1, OptConfig(**base))
+    alone = solve_variant("tbptt", ds, plan, 1, LIN1, OptConfig(**base)).sol
     both = solve_variant("tbptt", ds, plan, 1, LIN1,
-                         OptConfig(**base, extra_starts=[(huge, None)]))
+                         OptConfig(**base, extra_starts=[(huge, None)])).sol
     assert both.diagnostics["failed_starts"] == 1
     assert both.diagnostics["starts"] == 2
     assert alone.diagnostics["failed_starts"] == 0
@@ -262,6 +268,8 @@ def serial_solve(problem, opt):
                     best_obj, best_z = obj, z.copy()
                 if obj < anchor_obj - opt.plateau_tol:
                     anchor_obj, anchor_it = obj, it
+                if not np.isfinite(grad).all():
+                    raise NonFiniteError("solver gradient", it + 1)
                 if float(np.linalg.norm(grad)) <= opt.grad_tol:
                     reason = "grad_tol"
                     break
@@ -307,8 +315,9 @@ def flat_start(problem):
 
 def twin_start(spec):
     """Two hidden units with the same weights, read out with +C and -C: the
-    output is rounding noise times C. Its gradient overflows, so without a
-    projection the first Adam step is NaN and the start fails at iteration 1."""
+    output is rounding noise times C. Its objective is finite and its
+    gradient overflows, so the start fails on its first pass, with or
+    without a projection."""
     blocks = init_params(spec, 9).unpack()
     for name in ("W_hh", "W_xh", "b_h"):
         if name in blocks:
@@ -351,9 +360,8 @@ def test_stacked_solve_equals_serial_solve(stack_instance, kind, variant, rho):
     p0, p1 = (init_params(spec, 23), states), (init_params(spec, 21), None)
     loud = p0[0].with_block("W_hy", p0[0].block("W_hy") * 1e160)  # objective overflows
     # each random start comes after its tied twin, so the best one is always a tie
-    extra = [mirror(*p0), mirror(*p1), (flat_start(problem), None), (loud, None)]
-    if rho is None:  # a projection of the twin's NaN recurrent block would raise
-        extra.append((twin_start(spec), None))
+    extra = [mirror(*p0), mirror(*p1), (flat_start(problem), None), (loud, None),
+             (twin_start(spec), None)]
     opt = OptConfig(restarts=0, max_iters=150, lr=0.05, plateau_iters=10, plateau_tol=1e-4,
                     spectral_bound=rho, extra_starts=extra + [p0, p1])
     want, stops = serial_solve(problem, opt)
@@ -370,7 +378,24 @@ def test_stacked_solve_equals_serial_solve(stack_instance, kind, variant, rho):
     assert reasons[2] == "grad_tol"
     assert reasons[3] == "non_finite"
     assert "plateau" in reasons
-    if rho is None:
-        assert stops[4][:2] == ("non_finite", 1)
+    assert stops[4][:2] == ("non_finite", 0)
     best = sorted(b for _, _, b in stops)
     assert best[0] == best[1]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the twin's gradient overflows
+@pytest.mark.parametrize("rho", [None, 0.5])
+@pytest.mark.parametrize("kind", list(STACK_SPECS))
+def test_overflowing_gradient_fails_alone(stack_instance, kind, rho):
+    # the twin start's objective counts, then it fails alone, also when a
+    # spectral bound would have to project its NaN step
+    ds, plan = stack_instance
+    spec = STACK_SPECS[kind]
+    problem = _Problem("tbptt", ds, plan, 2, spec)
+    base = dict(restarts=1, max_iters=20, spectral_bound=rho)
+    alone = _solve(problem, OptConfig(**base))
+    both = _solve(problem, OptConfig(**base, extra_starts=[(twin_start(spec), None)]))
+    assert alone.diagnostics == {"iterations": 20, "starts": 1, "failed_starts": 0}
+    assert both.diagnostics == {"iterations": 21, "starts": 2, "failed_starts": 1}
+    assert both.objective == alone.objective
+    npt.assert_array_equal(both.params.theta, alone.params.theta)

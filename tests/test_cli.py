@@ -235,6 +235,42 @@ def test_sweep_flags_invalid_cells_and_continues(tmp_path):
     assert "exceeds" in rows[("8", "8")]["error"]
 
 
+def test_sweep_report_byte_identical_on_rerun(tmp_path):
+    # wall times go to timings.json, one entry per grid cell, invalid ones too
+    data_file = synth(tmp_path) / "train.csv"
+    flags = ["sweep", "--data", data_file, "--N-list", "8,10", "--m-list", "0,8",
+             "--epochs", 1, "--batch", 4]
+    dirs = []
+    for name in ("s1", "s2"):
+        assert run("--out", tmp_path / name, *flags) == 0
+        dirs.append(only_run_dir(tmp_path / name, "sweep"))
+    report = (dirs[0] / "report.csv").read_bytes()
+    assert report == (dirs[1] / "report.csv").read_bytes()
+    with open(dirs[0] / "report.csv") as fh:
+        cells = [(int(r["N"]), int(r["m"])) for r in csv.DictReader(fh)]
+    assert cells == [(8, 0), (8, 8), (10, 0), (10, 8)]
+    timings = json.loads((dirs[0] / "timings.json").read_text())["cells"]
+    assert [(t["N"], t["m"]) for t in timings] == cells
+    assert all(t["wall_time_s"] >= 0 for t in timings)
+
+
+def test_benchmark_evaluates_each_solution_once(tmp_path, monkeypatch):
+    import tbptt.benchmark as benchmark
+
+    base = synth(tmp_path)
+    evaluated = []
+    real_evaluate = benchmark.evaluate
+
+    def counting_evaluate(sol, dataset, plan):
+        evaluated.append(sol.variant)
+        return real_evaluate(sol, dataset, plan)
+
+    monkeypatch.setattr(benchmark, "evaluate", counting_evaluate)
+    assert run("--out", tmp_path / "bench", "benchmark", "--data", base / "train.csv",
+               "--N", 10, "--m-list", "0,2", "--restarts", 1, "--iters", 50) == 0
+    assert evaluated == ["tbptt", "coupled", "unconstrained"] * 2
+
+
 def test_benchmark_selected_variant_only(tmp_path):
     base = synth(tmp_path)
     out = tmp_path / "bench"
