@@ -19,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DimensionError
-from .rnn_core import Params, batched_forward, check_finite, pack, start_indices, time_major
+from .rnn_core import (
+    Params, batched_forward, check_finite, pack, per_start, start_indices, time_major,
+)
 
 
 @dataclass
@@ -55,14 +57,6 @@ def _phi_prime(activation: str, h_new: np.ndarray) -> np.ndarray:
     return (h_new > 0.0).astype(np.float64)
 
 
-def _per_start(lead: tuple[int, ...], product) -> np.ndarray:
-    """``product(r)`` for every index r of the leading start shape, stacked
-    on it. The bulk products keep their 3-index form this way, so each
-    start gets the bits of its unstacked call."""
-    parts = [product(r) for r in start_indices(lead)]
-    return np.stack(parts) if lead else parts[0]
-
-
 def backprop(tape: Tape, cograds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reverse sweep for the scalar sum_t <cograds[..., t, :], y_t>.
 
@@ -96,10 +90,10 @@ def backprop(tape: Tape, cograds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     read = tape.states[..., 1:, d_h:] if spec.kind == "lstm" else tape.states[..., 1:, :]
 
     grads: dict[str, np.ndarray] = {
-        "W_hy": _per_start(lead, lambda r: np.einsum("bti,btj->ij", cograds[r], read[r]))
+        "W_hy": per_start(lead, lambda r: np.einsum("bti,btj->ij", cograds[r], read[r]))
     }
     if spec.use_biases:
-        grads["b_y"] = _per_start(lead, lambda r: cograds[r].sum(axis=(0, 1)))
+        grads["b_y"] = per_start(lead, lambda r: cograds[r].sum(axis=(0, 1)))
 
     if spec.kind == "lstm":
         grads["W_hh"] = np.zeros_like(W_hh)
@@ -155,13 +149,13 @@ def backprop(tape: Tape, cograds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             step_da[t] = a_t
             carry = a_t @ W_hh
         d_h0 = carry
-        grads["W_hh"] = _per_start(
+        grads["W_hh"] = per_start(
             lead, lambda r: da[r].reshape(-1, d_h).T @ tape.states[r].reshape(-1, d_h))
-        grads["W_xh"] = _per_start(
+        grads["W_xh"] = per_start(
             lead, lambda r: np.matmul(da[r][:, :T].transpose(0, 2, 1), tape.inputs).sum(axis=0))
         if spec.use_biases:
             # summing B first: a one-pass reduction over (B, T'+1) rows is slow
-            grads["b_h"] = _per_start(lead, lambda r: da[r].sum(axis=0).sum(axis=0))
+            grads["b_h"] = per_start(lead, lambda r: da[r].sum(axis=0).sum(axis=0))
 
     return pack(spec, grads).theta, d_h0
 
@@ -188,10 +182,13 @@ def weighted_loss_grad(
     with start r's theta and h0.
     """
     tape = record(params, h0, inputs)
-    err = tape.outputs - targets
-    loss = np.sum(weights * np.sum(err * err, axis=-1), axis=(-2, -1))
-    cograds = 2.0 * weights[..., None] * err
-    d_theta, d_h0 = backprop(tape, cograds)
+    # overflow surfaces as a non-finite loss, cogradient (NonFiniteError) or
+    # gradient, which every caller checks, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = tape.outputs - targets
+        loss = np.sum(weights * np.sum(err * err, axis=-1), axis=(-2, -1))
+        cograds = 2.0 * weights[..., None] * err
+        d_theta, d_h0 = backprop(tape, cograds)
     return (loss if loss.ndim else float(loss)), d_theta, d_h0
 
 

@@ -38,7 +38,6 @@ from .rnn_core import (
     batched_forward,
     forward,
     init_params,
-    start_indices,
 )
 from .training import AdamConfig, AdamState, project_stability
 
@@ -172,9 +171,8 @@ class _Problem:
         if rho is None:
             return z
         out = z.copy()
-        for r in start_indices(z.shape[:-1]):
-            theta = out[r][: self.n_theta]
-            theta[:] = project_stability(Params(theta, self.spec), rho).theta
+        theta = Params(z[..., : self.n_theta], self.spec)
+        out[..., : self.n_theta] = project_stability(theta, rho).theta
         return out
 
 
@@ -241,7 +239,8 @@ def _solve(problem: _Problem, opt: OptConfig) -> LiftedSolution:
         # a non-finite gradient has no next iterate (its Adam step is NaN)
         grad_finite = np.isfinite(grad).all(axis=-1)
         failed += int((finite & ~grad_finite).sum())
-        grad_norm = np.array([np.linalg.norm(g) for g in grad])
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is inf
+            grad_norm = np.array([np.linalg.norm(g) for g in grad])
         going = (finite & grad_finite & ~(grad_norm <= opt.grad_tol)
                  & (it - anchor_it[rows] < opt.plateau_iters))
         rows, z, grad = rows[going], z[going], grad[going]

@@ -5,7 +5,10 @@ Subcommands: ``synth`` (generate data files), ``train`` (one training run),
 (solve the coupled/unconstrained reference problems and report regrets).
 
 A sweep cell's ``train_mse`` is its last logged epoch objective, the same
-``train`` run's ``final_objective``; it is empty when ``--epochs 0``.
+``train`` run's ``final_objective``; it is empty when ``--epochs 0``. The
+cells of one window length N train together as one stacked run over their
+burn-ins, so ``timings.json`` gives each an even share of its group's wall
+time.
 
 Every run writes into ``<out-root>/<command>/<config-hash>/`` with a
 manifest.json describing it; rerunning with identical flags reproduces all
@@ -27,8 +30,12 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, analysis, benchmark, data, training
-from .rnn_core import CellSpec, NonFiniteError, forward
+from .rnn_core import (
+    CellSpec, NonFiniteError, Params, Trajectory, batched_forward, forward, start_indices,
+)
 from .training import AdamConfig, SGDConfig, TrainConfig, TrainingError
 
 OUT_ROOT_ENV = "TBPTT_RUNS_DIR"
@@ -226,29 +233,62 @@ def _int_list(text: str) -> list[int]:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _sweep_cell(dataset, test_set, args, N: int, m: int) -> dict:
+def _zero_state_passes(params: Params, dataset) -> list[Trajectory]:
+    """The zero-state forward pass over the series of each model stacked in
+    ``params`` (one, unstacked, or R), all in one pass."""
+    lead = params.theta.shape[:-1]
+    states, outputs, _ = batched_forward(
+        params, np.zeros(lead + (1, params.spec.state_dim)), dataset.inputs[None])
+    return [Trajectory(states[r][0], outputs[r][0]) for r in start_indices(lead)]
+
+
+def _sweep_group(dataset, test_set, args, N: int, ms: tuple[int, ...]) -> list[dict]:
+    """The rows of cells (N, m), m in ``ms``, trained as one stacked run.
+
+    Each model gets one zero-state pass over the training series, which
+    serves both its performance and its stability radius, and one over the
+    test series; the passes of all models run stacked. A failing cell
+    raises for the whole group. With one burn-in every call is unstacked,
+    in the order a lone cell has always taken, so its row and error text
+    are those of a lone cell.
+    """
     cell_args = argparse.Namespace(**vars(args))
-    cell_args.N, cell_args.m = N, m
-    config, log = _run_training(dataset, cell_args)
-    params = log.params
-    # one zero-state pass over the series serves both diagnostics
-    traj = forward(params, None, dataset.inputs)
-    p_train = analysis.performance(traj, dataset, m)
-    stab = analysis.estimate_stability(params, dataset, traj, num_pairs=16, seed=args.seed)
-    row = {
-        "N": N,
-        "m": m,
-        "train_mse": log.records[-1].objective if log.records else "",
-        "test_mse": "",
-        "P": p_train,
-        "lambda": stab.lam,
-        "error": "",
-    }
+    cell_args.N, cell_args.m = N, ms[0]
+    config = _train_config(cell_args, _cell_spec(args, dataset.d_x, dataset.d_y))
+    logs = training.train_burn_ins(dataset, config, ms)
+    thetas = [log.params.theta for log in logs]
+    stacked = Params(np.stack(thetas) if len(thetas) > 1 else thetas[0], config.spec)
+    rows = []
+    for m, log, traj in zip(ms, logs, _zero_state_passes(stacked, dataset)):
+        p_train = analysis.performance(traj, dataset, m)
+        stab = analysis.estimate_stability(log.params, dataset, traj, num_pairs=16,
+                                           seed=args.seed)
+        rows.append({
+            "N": N,
+            "m": m,
+            "train_mse": log.records[-1].objective if log.records else "",
+            "test_mse": "",
+            "P": p_train,
+            "lambda": stab.lam,
+            "error": "",
+        })
     if test_set is not None:
-        m_eval = args.test_burn if args.test_burn >= 0 else m
-        row["test_mse"] = analysis.performance(forward(params, None, test_set.inputs),
-                                               test_set, m_eval)
-    return row
+        for row, traj in zip(rows, _zero_state_passes(stacked, test_set)):
+            m_eval = args.test_burn if args.test_burn >= 0 else row["m"]
+            row["test_mse"] = analysis.performance(traj, test_set, m_eval)
+    return rows
+
+
+def _sweep_rows(dataset, test_set, args, N: int, ms: tuple[int, ...]) -> list[dict]:
+    """The rows of cells (N, m), m in ``ms``: one stacked run, and only if
+    that fails, each cell alone, so a failing cell reports its own error and
+    takes no other cell with it."""
+    try:
+        return _sweep_group(dataset, test_set, args, N, ms)
+    except Exception as exc:  # cell failures must not kill the sweep
+        if len(ms) == 1:
+            return [_error_row(N, ms[0], str(exc))]
+    return [_sweep_rows(dataset, test_set, args, N, (m,))[0] for m in ms]
 
 
 SWEEP_COLUMNS = ["N", "m", "train_mse", "test_mse", "P", "lambda", "error"]
@@ -302,6 +342,15 @@ def _check_sweep_flags(args, dataset, n_values, m_values, test_set) -> None:
 
 
 def cmd_sweep(args) -> int:
+    """Train and evaluate every (N, m) cell of the grid into ``report.csv``.
+
+    The runnable cells of one N share everything but the burn-in, so they
+    train as one stacked run (``training.train_burn_ins``); if any of them
+    fails, the group's cells rerun one by one, so each row holds exactly
+    what a lone run of its cell gives. Each cell's ``timings.json`` entry is
+    an even share of its group's wall time; a burn-in beyond N - 1 takes
+    none and gets an error row.
+    """
     _resolve_batch(args)
     dataset = _load_dataset(args, args.data)
     test_set = None
@@ -335,16 +384,17 @@ def cmd_sweep(args) -> int:
     rows: dict[tuple[int, int], dict] = {}
     wall_times: dict[tuple[int, int], float] = {}
     for N in n_values:
+        ms = tuple(m for m in m_values if m <= N - 1 or args.mode == "bptt")
         for m in m_values:
-            t0 = time.perf_counter()
-            if m > N - 1 and args.mode != "bptt":
+            if m not in ms:
                 rows[N, m] = _error_row(N, m, f"m={m} exceeds N-1")
-            else:
-                try:
-                    rows[N, m] = _sweep_cell(dataset, test_set, args, N, m)
-                except Exception as exc:  # cell failures must not kill the sweep
-                    rows[N, m] = _error_row(N, m, str(exc))
-            wall_times[N, m] = time.perf_counter() - t0
+                wall_times[N, m] = 0.0
+        if ms:
+            t0 = time.perf_counter()
+            for row in _sweep_rows(dataset, test_set, args, N, ms):
+                rows[N, row["m"]] = row
+            share = (time.perf_counter() - t0) / len(ms)
+            wall_times.update({(N, m): share for m in ms})
 
     report = run_dir / "report.csv"
     with open(report, "w", newline="", encoding="utf-8") as fh:

@@ -74,6 +74,14 @@ def start_indices(lead: tuple[int, ...]):
     return range(lead[0]) if lead else ((),)
 
 
+def per_start(lead: tuple[int, ...], product) -> np.ndarray:
+    """``product(r)`` for every index r of the leading start shape, stacked
+    on it. Work that keeps its unstacked form this way gives each start the
+    bits of its unstacked call."""
+    parts = [product(r) for r in start_indices(lead)]
+    return np.stack(parts) if lead else parts[0]
+
+
 @dataclass(frozen=True)
 class CellSpec:
     """Architecture choice: cell kind plus input/hidden/output widths."""
@@ -189,12 +197,15 @@ class Params:
         return {name: self.block(name) for name in self.layout}
 
     def with_block(self, name: str, value: np.ndarray) -> "Params":
+        """A copy with one named block replaced; a stacked ``theta`` takes a
+        value with its leading start axis, one block per start."""
         start, stop, shape = self.layout[name]
+        lead = self.theta.shape[:-1]
         value = np.asarray(value, dtype=np.float64)
-        if value.shape != shape:
-            raise DimensionError(f"block {name} has shape {shape}, got {value.shape}")
+        if value.shape != lead + shape:
+            raise DimensionError(f"block {name} has shape {lead + shape}, got {value.shape}")
         theta = self.theta.copy()
-        theta[start:stop] = value.reshape(-1)
+        theta[..., start:stop] = value.reshape(lead + (-1,))
         return Params(theta, self.spec, self.layout)
 
     def copy(self) -> "Params":

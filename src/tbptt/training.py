@@ -11,6 +11,13 @@ Three modes:
 
 The per-step update is plain SGD or Adam on the batch-averaged gradient,
 optionally followed by a spectral-norm projection of the recurrent block.
+
+``train_burn_ins`` trains one model per burn-in of a list that share every
+other setting: the same initial parameters, batch order, windows and
+optimizer, so only the loss weights differ. The models run on one leading
+start axis (theta (R, n)), one stacked forward and backward pass per batch,
+and each ends with the bits ``train`` gives it alone. ``train`` is the case
+of one burn-in, which runs unstacked.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -26,7 +33,7 @@ import numpy as np
 from .autodiff import segment_weights, weighted_loss, weighted_loss_grad
 from .data import SegmentationPlan, TimeSeriesDataset, make_plan, segment_arrays
 from .linalg import spectral_norm
-from .rnn_core import CellSpec, Params, batched_forward, init_params
+from .rnn_core import CellSpec, Params, batched_forward, init_params, per_start, start_indices
 from .rng import SplitMix64
 
 MODES = ("zero_init", "stateful", "full_bptt")
@@ -76,19 +83,23 @@ class AdamState:
         self.m, self.v = self.m[rows], self.v[rows]
 
     def direction(self, grad: np.ndarray, cfg: AdamConfig) -> np.ndarray:
+        """The next step; a row whose gradient overflows gets a non-finite
+        step silently, since every caller checks the gradient for that."""
         self.t += 1
-        self.m = cfg.beta1 * self.m + (1.0 - cfg.beta1) * grad
-        self.v = cfg.beta2 * self.v + (1.0 - cfg.beta2) * grad * grad
-        m_hat = self.m / (1.0 - cfg.beta1**self.t)
-        v_hat = self.v / (1.0 - cfg.beta2**self.t)
-        return cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.m = cfg.beta1 * self.m + (1.0 - cfg.beta1) * grad
+            self.v = cfg.beta2 * self.v + (1.0 - cfg.beta2) * grad * grad
+            m_hat = self.m / (1.0 - cfg.beta1**self.t)
+            v_hat = self.v / (1.0 - cfg.beta2**self.t)
+            return cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
 
 
 @dataclass
 class TrainConfig:
     """Everything a training run depends on; hashable for run manifests.
 
-    ``train`` runs every one of the ``epochs``.
+    ``train`` runs every one of the ``epochs``; ``train_burn_ins`` takes the
+    burn-ins from its own list in place of ``m``.
     """
 
     spec: CellSpec
@@ -183,9 +194,11 @@ def full_batch_gradient(params: Params, xs: np.ndarray, ys: np.ndarray,
 def project_stability(params: Params, rho: float | None) -> Params:
     """Scale the recurrent block so its spectral norm is at most rho.
 
-    Idempotent: norms within 1e-9 of the bound are left untouched, so a
-    freshly projected matrix is never rescaled again. A non-finite block
-    raises ``TrainingError``: it has no spectral norm to project with.
+    A stacked ``params`` (theta (R, n)) has each start's block projected on
+    its own, with the bits of its unstacked call. Idempotent: norms within
+    1e-9 of the bound are left untouched, so a freshly projected matrix is
+    never rescaled again. A non-finite block raises ``TrainingError``: it
+    has no spectral norm to project with.
     """
     if rho is None:
         return params
@@ -194,15 +207,23 @@ def project_stability(params: Params, rho: float | None) -> Params:
     w = params.block("W_hh")
     if not np.isfinite(w).all():
         raise TrainingError("non-finite recurrent block W_hh, cannot project its spectral norm")
-    sigma = spectral_norm(w)
-    if sigma <= rho * (1.0 + 1e-9):
+    lead = params.theta.shape[:-1]
+    scale = np.ones(lead + (1, 1))
+    for r in start_indices(lead):
+        sigma = spectral_norm(w[r])
+        if sigma > rho * (1.0 + 1e-9):
+            scale[r] = rho / sigma
+    if (scale == 1.0).all():
         return params
-    return params.with_block("W_hh", w * (rho / sigma))
+    return params.with_block("W_hh", w * scale)
 
 
 def _check_finite_grad(d_theta: np.ndarray, epoch: int, batch: list[int]) -> None:
-    if not np.all(np.isfinite(d_theta)):
-        comp = int(np.where(~np.isfinite(d_theta))[0][0])
+    """Raise unless every start's gradient is finite, naming the first
+    non-finite component of the first start that has one."""
+    bad = ~np.isfinite(d_theta)
+    if bad.any():
+        comp = int(np.nonzero(bad)[-1][0])
         raise TrainingError(
             f"non-finite gradient at epoch {epoch}, segments {batch}, component {comp}"
         )
@@ -217,18 +238,24 @@ def sgd_step(
     opt_state: AdamState | None = None,
     h0: np.ndarray | None = None,
     epoch: int = 0,
+    burn_ins: np.ndarray | None = None,
 ) -> Params:
     """One update on a batch of window indices into ``xs``/``ys``.
 
     ``xs`` (S, N, d_x) and ``ys`` (S, N, d_y) are all windows of the run,
     gathered once by ``segment_arrays``; the step reads the batch's rows.
     ``h0`` optionally supplies per-segment initial states (stateful mode);
-    the default is zero initialization.
+    the default is zero initialization. A stacked ``params`` (theta (R, n))
+    takes one stacked step, with ``burn_ins`` (R,) giving each start's
+    burn-in in place of ``config.m`` and ``h0``, when given, (R, B, sd).
     """
     b = len(batch)
+    lead = params.theta.shape[:-1]
     if h0 is None:
-        h0 = np.zeros((b, params.spec.state_dim))
-    w = segment_weights(xs.shape[1], config.m, b)
+        h0 = np.zeros(lead + (b, params.spec.state_dim))
+    if burn_ins is None:
+        burn_ins = np.full(lead, config.m)
+    w = per_start(lead, lambda r: segment_weights(xs.shape[1], int(burn_ins[r]), b))
     _, d_theta, _ = weighted_loss_grad(params, h0, xs[batch], ys[batch], w)
     _check_finite_grad(d_theta, epoch, batch)
 
@@ -260,35 +287,65 @@ def _stateful_inits(
     (stateful mode never shuffles), so the chain is one forward pass over the
     (T, d_x) series ``inputs``: from the cached start of the segment before
     the batch to the start of the batch's last segment, read at each
-    segment's start. ``cached`` keeps every segment's start and is updated.
+    segment's start. ``cached`` (S, sd) keeps every segment's start and is
+    updated. A stacked ``params`` chains every start in the same one pass,
+    with ``cached`` (R, S, sd).
     """
     j = max(batch[0] - 1, 0)
     s_j = plan.starts[j]
-    states, _, _ = batched_forward(params, cached[j][None],
+    states, _, _ = batched_forward(params, cached[..., j, None, :],
                                    inputs[None, s_j - 1 : plan.starts[batch[-1]] - 1])
-    cached[batch] = states[0, [plan.starts[i] - s_j for i in batch]]
-    return cached[batch]
+    cached[..., batch, :] = states[..., 0, [plan.starts[i] - s_j for i in batch], :]
+    return cached[..., batch, :]
 
 
 def train(dataset: TimeSeriesDataset, config: TrainConfig,
           init: Params | None = None) -> TrainLog:
-    """Run the configured training mode and log the full-batch objective per epoch."""
+    """Run the configured training mode and log the full-batch objective per
+    epoch: ``train_burn_ins`` with the one burn-in ``config.m``."""
+    return train_burn_ins(dataset, config, [config.m], init)[0]
+
+
+def train_burn_ins(dataset: TimeSeriesDataset, config: TrainConfig,
+                   burn_ins: list[int] | tuple[int, ...],
+                   init: Params | None = None) -> list[TrainLog]:
+    """One ``TrainLog`` per burn-in m of ``burn_ins``, each equal to that of
+    ``train(dataset, replace(config, m=m), init)``, digest included.
+
+    The runs share their initial parameters, batch order and windows, so
+    they train together: each batch is one stacked step of the R models
+    (one stateful chain, one forward and backward pass), each start with
+    its own burn-in weights, Adam moments and projection. The per-epoch
+    full-batch gradient stays one unstacked call per start, which keeps its
+    tape at the size of one model's. One burn-in runs unstacked (theta
+    (n,)), so ``train`` keeps its arrays and error messages. A start that
+    fails (a non-finite gradient or pass) fails the whole call. Each
+    epoch's wall time is split evenly over the starts.
+    """
+    configs = [replace(config, m=m) for m in burn_ins]  # validates each m
+    if not configs:
+        raise ValueError("train_burn_ins needs at least one burn-in")
     if config.mode == "full_bptt":
         plan = SegmentationPlan(N=dataset.T, starts=(1,))
-        if not 0 <= config.m <= dataset.T - 1:
-            raise ValueError(f"burn-in m={config.m} out of range [0, {dataset.T - 1}]")
+        for c in configs:
+            if not 0 <= c.m <= dataset.T - 1:
+                raise ValueError(f"burn-in m={c.m} out of range [0, {dataset.T - 1}]")
     else:
         plan = make_plan(dataset.T, config.N, config.stride)
     if config.batch_size > plan.S:
         raise ValueError(f"batch_size={config.batch_size} exceeds segment count S={plan.S}")
 
-    params = init.copy() if init is not None else init_params(config.spec, config.seed)
-    opt_state = AdamState(params.theta.size) if isinstance(config.optimizer, AdamConfig) else None
+    lead = (len(configs),) if len(configs) > 1 else ()
+    ms = np.array([c.m for c in configs]).reshape(lead)
+    start = init if init is not None else init_params(config.spec, config.seed)
+    params = Params(np.broadcast_to(start.theta, lead + start.theta.shape).copy(),
+                    start.spec, start.layout)
+    opt_state = AdamState(params.theta.shape) if isinstance(config.optimizer, AdamConfig) else None
     shuffler = SplitMix64(config.seed).spawn(0xB0)
     xs, ys = segment_arrays(dataset, plan)
-    cached_inits = np.zeros((plan.S, params.spec.state_dim))
+    cached_inits = np.zeros(lead + (plan.S, params.spec.state_dim))
 
-    records: list[EpochRecord] = []
+    records: list[list[EpochRecord]] = [[] for _ in configs]
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         order = list(range(plan.S))
@@ -298,17 +355,18 @@ def train(dataset: TimeSeriesDataset, config: TrainConfig,
             h0 = None
             if config.mode == "stateful":
                 h0 = _stateful_inits(params, dataset.inputs, plan, cached_inits, batch)
-            params = sgd_step(params, xs, ys, batch, config,
-                              opt_state=opt_state, h0=h0, epoch=epoch)
-        objective, d_theta = full_batch_gradient(params, xs, ys, config.m)
-        records.append(
-            EpochRecord(
-                epoch=epoch,
-                objective=objective,
-                grad_norm=float(np.linalg.norm(d_theta)),
-                wall_time_s=time.perf_counter() - t0,
-            )
-        )
+            params = sgd_step(params, xs, ys, batch, config, opt_state=opt_state,
+                              h0=h0, epoch=epoch, burn_ins=ms)
+        evaluated = [full_batch_gradient(Params(params.theta[r], params.spec, params.layout),
+                                         xs, ys, int(ms[r]))
+                     for r in start_indices(lead)]
+        wall = (time.perf_counter() - t0) / len(configs)
+        for log, (objective, d_theta) in zip(records, evaluated):
+            log.append(EpochRecord(epoch=epoch, objective=objective,
+                                   grad_norm=float(np.linalg.norm(d_theta)),
+                                   wall_time_s=wall))
 
-    return TrainLog(records=records, params=params,
-                    config_digest=config.digest(), seed=config.seed)
+    return [TrainLog(records=log,
+                     params=Params(params.theta[r].copy(), params.spec, params.layout),
+                     config_digest=c.digest(), seed=config.seed)
+            for r, c, log in zip(start_indices(lead), configs, records)]

@@ -345,7 +345,7 @@ def stack_instance():
     return ds, make_plan(40, 8, 1)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging starts overflow
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # diverging starts fail without warnings
 @pytest.mark.parametrize("rho", [None, 0.5])
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("kind", list(STACK_SPECS))
@@ -383,7 +383,7 @@ def test_stacked_solve_equals_serial_solve(stack_instance, kind, variant, rho):
     assert best[0] == best[1]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the twin's gradient overflows
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the twin fails without warnings
 @pytest.mark.parametrize("rho", [None, 0.5])
 @pytest.mark.parametrize("kind", list(STACK_SPECS))
 def test_overflowing_gradient_fails_alone(stack_instance, kind, rho):

@@ -1,14 +1,17 @@
+import argparse
 import csv
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import numpy.testing as npt
 import pytest
 
+from tbptt import analysis, cli, training
 from tbptt.cli import main
 from tbptt.data import load_csv
-from tbptt.rnn_core import CellSpec, Params, init_params
+from tbptt.rnn_core import CellSpec, Params, forward, init_params
 from tbptt.training import AdamConfig, TrainConfig, train
 
 
@@ -254,6 +257,97 @@ def test_sweep_report_byte_identical_on_rerun(tmp_path):
     assert all(t["wall_time_s"] >= 0 for t in timings)
 
 
+def lone_cell(dataset, test_set, args, N, m):
+    """One sweep cell trained and evaluated on its own: the per-cell sweep
+    that the stacked groups must reproduce byte for byte."""
+    cell_args = argparse.Namespace(**vars(args))
+    cell_args.N, cell_args.m = N, m
+    config, log = cli._run_training(dataset, cell_args)
+    params = log.params
+    traj = forward(params, None, dataset.inputs)
+    p_train = analysis.performance(traj, dataset, m)
+    stab = analysis.estimate_stability(params, dataset, traj, num_pairs=16, seed=args.seed)
+    row = {
+        "N": N,
+        "m": m,
+        "train_mse": log.records[-1].objective if log.records else "",
+        "test_mse": "",
+        "P": p_train,
+        "lambda": stab.lam,
+        "error": "",
+    }
+    if test_set is not None:
+        m_eval = args.test_burn if args.test_burn >= 0 else m
+        row["test_mse"] = analysis.performance(forward(params, None, test_set.inputs),
+                                               test_set, m_eval)
+    return row
+
+
+def lone_cell_sweep(argv, report):
+    """The sweep run cell by cell into ``report``; returns its exit code."""
+    args = cli.build_parser().parse_args(argv)
+    cli._resolve_batch(args)
+    dataset = cli._load_dataset(args, args.data)
+    test_set = cli._load_dataset(args, args.test, transforms=(dataset.input_transforms,
+                                                             dataset.target_transforms))
+    rows = {}
+    for N in cli._int_list(args.N_list):
+        for m in cli._int_list(args.m_list):
+            if m > N - 1 and args.mode != "bptt":
+                rows[N, m] = cli._error_row(N, m, f"m={m} exceeds N-1")
+            else:
+                try:
+                    rows[N, m] = lone_cell(dataset, test_set, args, N, m)
+                except Exception as exc:
+                    rows[N, m] = cli._error_row(N, m, str(exc))
+    with open(report, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=cli.SWEEP_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        for cell in sorted(rows):
+            writer.writerow({k: rows[cell].get(k, "") for k in cli.SWEEP_COLUMNS})
+    failed = [r["error"] for r in rows.values() if r["error"]]
+    return 4 if any(not e.startswith("m=") for e in failed) else 0
+
+
+@pytest.mark.parametrize("model", [("elman", "zero"), ("lstm", "stateful")])
+def test_sweep_report_equals_lone_cell_sweep(tmp_path, monkeypatch, model):
+    base = synth(tmp_path)
+    real_grad = training.weighted_loss_grad
+
+    def failing_grad(params, h0, inputs, targets, weights):
+        # the start with burn-in 3 at N = 10 gets a NaN gradient
+        loss, d_theta, d_h0 = real_grad(params, h0, inputs, targets, weights)
+        burn_in = np.sum(weights[..., 0, :] == 0.0, axis=-1)
+        bad = (burn_in == 3) & (inputs.shape[1] == 10)
+        return loss, np.where(bad[..., None], np.nan, d_theta), d_h0
+
+    groups = []
+    real_group = cli._sweep_group
+
+    def counting_group(dataset, test_set, args, N, ms):
+        groups.append((N, ms))
+        return real_group(dataset, test_set, args, N, ms)
+
+    monkeypatch.setattr(training, "weighted_loss_grad", failing_grad)
+    monkeypatch.setattr(cli, "_sweep_group", counting_group)
+    cell, mode = model
+    flags = ["sweep", "--data", base / "train.csv", "--test", base / "test.csv",
+             "--N-list", "8,10", "--m-list", "0,3,9,3", "--cell", cell, "--d-h", 3,
+             "--mode", mode, "--epochs", 2, "--batch", 4, "--seed", 4]
+    code = run("--out", tmp_path / "sweep", *flags)
+    oracle = tmp_path / "oracle.csv"
+    assert code == lone_cell_sweep([str(f) for f in flags], oracle) == 4
+    report = (only_run_dir(tmp_path / "sweep", "sweep") / "report.csv").read_bytes()
+    assert report == oracle.read_bytes()
+    # m = 9 exceeds N - 1 = 7; the group of N = 10 fails and reruns cell by cell
+    assert groups == [(8, (0, 3)), (10, (0, 3, 9)), (10, (0,)), (10, (3,)), (10, (9,))]
+    with open(oracle) as fh:
+        errors = {(r["N"], r["m"]): r["error"] for r in csv.DictReader(fh)}
+    assert errors[("8", "9")] == "m=9 exceeds N-1"
+    assert errors[("10", "3")].startswith("non-finite gradient at epoch 0")
+    assert [cell for cell, e in errors.items() if e] == [("8", "9"), ("10", "3")]
+
+
 def test_benchmark_evaluates_each_solution_once(tmp_path, monkeypatch):
     import tbptt.benchmark as benchmark
 
@@ -408,19 +502,19 @@ def test_sweep_runs_a_repeated_grid_value_once(tmp_path, monkeypatch):
     import tbptt.cli as cli
 
     base = synth(tmp_path)
-    cells = []
-    real_cell = cli._sweep_cell
+    groups = []
+    real_group = cli._sweep_group
 
-    def counting_cell(dataset, test_set, args, N, m):
-        cells.append((N, m))
-        return real_cell(dataset, test_set, args, N, m)
+    def counting_group(dataset, test_set, args, N, ms):
+        groups.append((N, ms))
+        return real_group(dataset, test_set, args, N, ms)
 
-    monkeypatch.setattr(cli, "_sweep_cell", counting_cell)
+    monkeypatch.setattr(cli, "_sweep_group", counting_group)
     out = tmp_path / "sweep"
     assert run("--out", out, "sweep", "--data", base / "train.csv",
                "--N-list", "10,12,10", "--m-list", "0,0", "--epochs", 1,
                "--batch", 4) == 0
-    assert cells == [(10, 0), (12, 0)]
+    assert groups == [(10, (0,)), (12, (0,))]
     with open(only_run_dir(out, "sweep") / "report.csv") as fh:
         assert [(r["N"], r["m"]) for r in csv.DictReader(fh)] == [("10", "0"), ("12", "0")]
 

@@ -149,6 +149,18 @@ def test_with_block_touches_exactly_one_range():
     npt.assert_array_equal(updated.theta[stop:], params.theta[stop:])
 
 
+def test_stacked_with_block_slices_equal_unstacked_calls():
+    spec = CellSpec("lstm", 2, 3, 2)
+    starts = [init_params(spec, seed) for seed in range(3)]
+    stacked = Params(np.stack([p.theta for p in starts]), spec)
+    value = np.random.default_rng(4).normal(size=(3, 12, 3))
+    updated = stacked.with_block("W_hh", value)
+    for r, params in enumerate(starts):
+        npt.assert_array_equal(updated.theta[r], params.with_block("W_hh", value[r]).theta)
+    with pytest.raises(DimensionError):
+        stacked.with_block("W_hh", value[0])  # one block for three starts
+
+
 def test_blocks_are_views_of_theta():
     spec = CellSpec("lstm", 2, 3, 2)
     params = init_params(spec, 2)

@@ -1,4 +1,6 @@
 import itertools
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -8,9 +10,13 @@ from tbptt.data import TimeSeriesDataset, gen_synthetic, make_plan, segment_arra
 from tbptt.autodiff import fd_gradient, segment_weights, weighted_loss_grad
 from tbptt.linalg import spectral_norm
 from tbptt.rng import SplitMix64
-from tbptt.rnn_core import CellSpec, Params, batched_forward, forward, init_params, pack
+from tbptt.rnn_core import (
+    CellSpec, Params, batched_forward, forward, init_params, pack, per_start,
+)
 from tbptt.training import (
+    MODES,
     AdamConfig,
+    AdamState,
     SGDConfig,
     TrainConfig,
     TrainingError,
@@ -20,6 +26,7 @@ from tbptt.training import (
     project_stability,
     sgd_step,
     train,
+    train_burn_ins,
 )
 
 
@@ -198,6 +205,30 @@ def test_projection_clips_lstm_recurrent_block():
     npt.assert_array_equal(out.block("W_xh"), params.block("W_xh"))
 
 
+@pytest.mark.parametrize("kind", ["elman", "lstm"])
+def test_stacked_projection_slices_equal_unstacked_calls(kind):
+    spec = CellSpec(kind, 1, 3, 1)
+    starts = [init_params(spec, seed) for seed in range(3)]
+    # starts 0 and 2 lie above the bound and are scaled, start 1 is left alone
+    for r, factor in ((0, 10.0), (1, 0.1), (2, 10.0)):
+        starts[r] = starts[r].with_block("W_hh", starts[r].block("W_hh") * factor)
+    stacked = Params(np.stack([p.theta for p in starts]), spec)
+    out = project_stability(stacked, 0.999)
+    for r, params in enumerate(starts):
+        npt.assert_array_equal(out.theta[r], project_stability(params, 0.999).theta)
+    npt.assert_array_equal(out.theta[1], starts[1].theta)
+
+
+def test_adam_direction_is_silent_on_an_overflowing_row():
+    grad = np.array([[1e200, np.inf, 1.0], [0.5, -0.25, 2.0]])
+    cfg = AdamConfig(lr=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        step = AdamState(grad.shape).direction(grad, cfg)
+    npt.assert_array_equal(step[1], AdamState(3).direction(grad[1], cfg))
+    assert step[0, 0] == 0.0 and np.isnan(step[0, 1])
+
+
 def test_projection_validates_rho():
     params = scalar_linear(0.5, 1.0, 1.0)
     with pytest.raises(ValueError):
@@ -326,20 +357,27 @@ def per_segment_chain(params, xs, plan, cached, batch):
 
 
 @pytest.mark.parametrize("batch_size", [1, 3, 16])
-@pytest.mark.parametrize("kind, N, stride", [
-    ("lstm", 7, 1), ("lstm", 7, 3), ("elman", 7, 1), ("elman", 7, 3),
-    ("elman", 41, 1),  # N = T: one segment, a zero-step forward
+@pytest.mark.parametrize("kind, N, stride, stack", [
+    *(pytest.param(kind, N, stride, None, id=f"{kind}-{N}-{stride}") for kind, N, stride in [
+        ("lstm", 7, 1), ("lstm", 7, 3), ("elman", 7, 1), ("elman", 7, 3),
+        ("elman", 41, 1),  # N = T: one segment, a zero-step forward
+    ]),
+    # two models stacked, chained in the one pass
+    pytest.param("lstm", 7, 3, 2, id="lstm-7-3-R2"),
+    pytest.param("elman", 7, 1, 2, id="elman-7-1-R2"),
 ])
 def test_stateful_inits_one_pass_matches_per_segment_chain(monkeypatch, kind, N, stride,
-                                                           batch_size):
+                                                           stack, batch_size):
     import tbptt.training as training
 
     ds, _ = gen_synthetic(5, 41, 0.05)
     plan = make_plan(ds.T, N, stride)
     spec = CellSpec(kind, 1, 3, 1)
-    params = init_params(spec, 2)
+    lead = () if stack is None else (stack,)
+    theta = init_params(spec, 2).theta
+    params = Params(np.broadcast_to(theta, lead + theta.shape).copy(), spec)
     xs, _ = segment_arrays(ds, plan)
-    cached = np.zeros((plan.S, spec.state_dim))
+    cached = np.zeros(lead + (plan.S, spec.state_dim))
     expected_cached = cached.copy()
     forwards = []
     real_forward = training.batched_forward
@@ -354,14 +392,60 @@ def test_stateful_inits_one_pass_matches_per_segment_chain(monkeypatch, kind, N,
     batches = [order[k : k + batch_size] for k in range(0, plan.S, batch_size)]
     for _ in range(2):  # the cache carries over into the next epoch
         for batch in batches:
-            params = Params(params.theta + 0.05 * rng.normals(params.theta.size),
-                            params.spec, params.layout)
-            expected = per_segment_chain(params, xs, plan, expected_cached, batch)
+            step = rng.normals(params.theta.size).reshape(params.theta.shape)
+            params = Params(params.theta + 0.05 * step, params.spec, params.layout)
+            expected = per_start(lead, lambda r: per_segment_chain(
+                Params(params.theta[r], spec), xs, plan, expected_cached[r], batch))
             forwards.clear()
             h0 = _stateful_inits(params, ds.inputs, plan, cached, batch)
             assert len(forwards) == 1
             npt.assert_array_equal(h0, expected)
             npt.assert_array_equal(cached, expected_cached)
+
+
+def recurrent_norm_start(spec, seed, norm):
+    params = init_params(spec, seed)
+    w = params.block("W_hh")
+    return params.with_block("W_hh", w * (norm / spectral_norm(w)))
+
+
+STACK_SPECS = [
+    CellSpec("linear", 1, 3, 1, activation="identity", use_biases=False),
+    CellSpec("elman", 1, 3, 1, activation="tanh"),
+    CellSpec("lstm", 1, 3, 1),
+]
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("bound", [None, 0.999])
+@pytest.mark.parametrize("optimizer", [SGDConfig(lr=0.02), AdamConfig(lr=0.02)],
+                         ids=["sgd", "adam"])
+@pytest.mark.parametrize("spec", STACK_SPECS, ids=lambda spec: spec.kind)
+@pytest.mark.parametrize("mode", MODES)
+def test_train_burn_ins_equal_train_per_burn_in(mode, spec, optimizer, bound, stride):
+    ds, _ = gen_synthetic(4, 40, 0.05)
+    config = TrainConfig(spec=spec, N=7, m=0, batch_size=1 if mode == "full_bptt" else 3,
+                         optimizer=optimizer, epochs=2, stride=stride, seed=2,
+                         spectral_bound=bound, mode=mode)
+    # under a bound, a start above it: the first projection scales every model
+    init = recurrent_norm_start(spec, 5, 1.2) if bound else None
+    burn_ins = [0, 2, 6]
+    logs = train_burn_ins(ds, config, burn_ins, init=init)
+    assert len(logs) == len(burn_ins)
+    for m, log in zip(burn_ins, logs):
+        alone = train(ds, replace(config, m=m), init=init)
+        npt.assert_array_equal(log.params.theta, alone.params.theta)
+        assert log.to_jsonl() == alone.to_jsonl()
+        assert log.config_digest == alone.config_digest == replace(config, m=m).digest()
+        assert len(log.records) == 2
+
+
+def test_train_burn_ins_rejects_bad_burn_in():
+    ds = memoryless_dataset(t=20)
+    with pytest.raises(ValueError):
+        train_burn_ins(ds, lin_config(N=6), [0, 6])  # m > N-1
+    with pytest.raises(ValueError):
+        train_burn_ins(ds, lin_config(N=6), [])
 
 
 def test_train_stateful_runs_and_logs():
