@@ -5,8 +5,8 @@ sequences from given initial states, a squared error weighted per step
 (``segment_weights`` builds the burn-in weights), and the exact gradient
 with respect to theta and every row's initial state. It also takes R
 models stacked on a leading start axis (theta (R, n), h0 (R, B, sd)) over
-shared inputs, targets and weights, and then returns one loss and one
-gradient per start. ``weighted_loss`` is its value alone. The backward pass
+shared inputs and targets, with shared or per-start weights, and then
+returns one loss and one gradient per start. ``weighted_loss`` is its value alone. The backward pass
 is exact over whatever sequences it is given: truncation lives entirely in
 how callers segment the data, never inside the gradient. ``fd_gradient`` is the independent central-difference
 oracle used by tests.
@@ -177,9 +177,10 @@ def weighted_loss_grad(
     weights: (B, T') nonnegative; entries of weight zero are excluded from the
     loss and contribute no cogradient. Returns (loss, d_theta, d_h0 (B, sd)).
     With R stacked starts (theta (R, n), h0 (R, B, sd)) over the shared
-    inputs, targets and weights, it returns per-start losses (R,), d_theta
-    (R, n) and d_h0 (R, B, sd), slice r bit-identical to the unstacked call
-    with start r's theta and h0.
+    inputs and targets, and weights shared (B, T') or per start
+    (R, B, T'), it returns per-start losses (R,), d_theta (R, n) and d_h0
+    (R, B, sd), slice r bit-identical to the unstacked call with start r's
+    theta, h0 and weights.
     """
     tape = record(params, h0, inputs)
     # overflow surfaces as a non-finite loss, cogradient (NonFiniteError) or

@@ -309,7 +309,8 @@ def lone_cell_sweep(argv, report):
     return 4 if any(not e.startswith("m=") for e in failed) else 0
 
 
-@pytest.mark.parametrize("model", [("elman", "zero"), ("lstm", "stateful")])
+@pytest.mark.parametrize("model", [("elman", "zero"), ("lstm", "stateful")],
+                         ids=["elman-zero", "lstm-stateful"])
 def test_sweep_report_equals_lone_cell_sweep(tmp_path, monkeypatch, model):
     base = synth(tmp_path)
     real_grad = training.weighted_loss_grad
