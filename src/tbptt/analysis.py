@@ -72,8 +72,9 @@ def merge_stability(a: StabilityEstimate, b: StabilityEstimate) -> StabilityEsti
     )
 
 
-def estimate_stability(params: Params, dataset: TimeSeriesDataset, traj: Trajectory,
-                       num_pairs: int = 32, seed: int = 0) -> StabilityEstimate:
+def estimate_stability(params: Params, dataset: TimeSeriesDataset,
+                       traj: Trajectory | list[Trajectory], num_pairs: int = 32,
+                       seed: int = 0) -> StabilityEstimate | list[StabilityEstimate]:
     """Fit the tightest geometric envelope on output differences from paired
     random initial states, driven by random tails of the training inputs.
 
@@ -85,54 +86,81 @@ def estimate_stability(params: Params, dataset: TimeSeriesDataset, traj: Traject
     recurrence steps whatever the number of pairs. lambda comes from a
     pooled least-squares slope on log r_t; C is the smallest constant whose
     envelope dominates every sample the slope was fitted on.
+
+    A stacked ``params`` (theta (R, n)) takes a list of R trajectories, one
+    per model, and returns one estimate per model, each with the bits of the
+    model's unstacked call. The draws (start, direction, u) do not depend on
+    the radius, so every model scales the same draws by its own radius and
+    all R run in the one staggered pass. Whether a pair is degenerate does
+    depend on the radius: when the models keep different pairs, each model
+    is estimated on its own. A list of one trajectory with unstacked
+    ``params`` returns a list of one estimate.
     """
+    single = not isinstance(traj, list)
+    trajs = [traj] if single else traj
+    lead = params.theta.shape[:-1]
+    if len(trajs) != (lead[0] if lead else 1):
+        raise ValueError(f"{len(trajs)} trajectories for parameters stacked as {lead}")
     sd = params.spec.state_dim
     T = dataset.T
-    radius = 2.0 * float(np.max(np.linalg.norm(traj.hidden, axis=1)))
-    if radius == 0.0:
-        radius = 1.0
+    radii = [2.0 * float(np.max(np.linalg.norm(t.hidden, axis=1))) or 1.0 for t in trajs]
 
     rng = SplitMix64(seed).spawn(0x57AB)
     min_len = min(8, T)
-    starts: list[int] = []
-    pairs: list[np.ndarray] = []
-    gaps: list[float] = []
+    draws = []  # (start, ((u^(1/sd), direction) per row of the pair))
     for _ in range(num_pairs):
         start = rng.randrange(T - min_len + 1)
-        pair = np.empty((2, sd))
-        for row in range(2):
+        rows = []
+        for _row in range(2):
             direction = rng.normals(sd)
             norm = np.linalg.norm(direction)
             direction = direction / norm if norm > 0 else np.eye(sd)[0]
-            pair[row] = radius * rng.uniform() ** (1.0 / sd) * direction
-        gap = float(np.linalg.norm(pair[0] - pair[1]))
-        if gap < 1e-12:
-            continue  # degenerate pair
-        starts.append(start)
-        pairs.append(pair)
-        gaps.append(gap)
+            rows.append((rng.uniform() ** (1.0 / sd), direction))
+        draws.append((start, rows))
 
-    if not pairs:
-        return StabilityEstimate(C=0.0, lam=0.5, max_violation=0.0,
-                                 num_pairs_tested=0, passed=True)
+    pairs = np.array([[[radius * u * d for u, d in rows] for _, rows in draws]
+                      for radius in radii]).reshape(len(radii), num_pairs, 2, sd)
+    gaps = np.array([[float(np.linalg.norm(pair[0] - pair[1])) for pair in model]
+                     for model in pairs])
+    kept = gaps >= 1e-12  # a degenerate pair is skipped
+    if (kept != kept[0]).any():
+        return [estimate_stability(Params(params.theta[r], params.spec, params.layout),
+                                   dataset, trajs[r], num_pairs, seed)
+                for r in range(len(trajs))]
 
-    order = sorted(range(len(pairs)), key=starts.__getitem__)
+    starts = [start for (start, _), keep in zip(draws, kept[0]) if keep]
+    if not starts:
+        estimates = [StabilityEstimate(C=0.0, lam=0.5, max_violation=0.0,
+                                       num_pairs_tested=0, passed=True) for _ in trajs]
+        return estimates[0] if single else estimates
+
+    order = sorted(range(len(starts)), key=starts.__getitem__)
     rows = np.ravel([(2 * p, 2 * p + 1) for p in order])  # batch row -> pair row
-    init = np.concatenate(pairs)[rows]
+    init = pairs[:, kept[0]].reshape(len(trajs), -1, sd)[:, rows].reshape(lead + (-1, sd))
     sorted_starts = sorted(starts)
-    outs = np.empty((init.shape[0], T, params.spec.d_y))  # pair row, absolute time
-    h = init[:0]
+    outs = np.empty(lead + (rows.size, T, params.spec.d_y))  # pair row, absolute time
+    h = init[..., :0, :]
     bounds = sorted(set(starts)) + [T]
     for lo, hi in zip(bounds, bounds[1:]):
         active = 2 * bisect.bisect_right(sorted_starts, lo)
-        h = np.concatenate([h, init[h.shape[0] : active]])
+        h = np.concatenate([h, init[..., h.shape[-2] : active, :]], axis=-2)
         x = dataset.inputs[lo:hi]
         seg_states, seg_outs, _ = batched_forward(
             params, h, np.broadcast_to(x, (active, *x.shape))
         )
-        outs[rows[:active], lo:hi] = seg_outs
-        h = seg_states[:, -1]
+        outs[..., rows[:active], lo:hi, :] = seg_outs
+        h = seg_states[..., -1, :]
 
+    outs = outs.reshape(len(trajs), *outs.shape[-3:])
+    estimates = [_fit_envelope(outs[r], starts, gaps[r, kept[r]]) for r in range(len(trajs))]
+    return estimates[0] if single else estimates
+
+
+def _fit_envelope(outs: np.ndarray, starts: list[int], gaps: np.ndarray) -> StabilityEstimate:
+    """The envelope fit of one model: ``outs`` (2P, T, d_y) holds pair p's
+    outputs in rows 2p and 2p + 1, from sample ``starts[p]`` on, and
+    ``gaps[p]`` is the distance of its initial states."""
+    T = outs.shape[1]
     t_all = np.concatenate([np.arange(1, T - start + 1, dtype=np.float64) for start in starts])
     r_all = np.concatenate([
         np.linalg.norm(outs[2 * p, start:] - outs[2 * p + 1, start:], axis=1) / gap
@@ -142,7 +170,7 @@ def estimate_stability(params: Params, dataset: TimeSeriesDataset, traj: Traject
     if r_max == 0.0:
         # outputs are insensitive to the initial state
         return StabilityEstimate(C=0.0, lam=0.5, max_violation=0.0,
-                                 num_pairs_tested=len(pairs), passed=True)
+                                 num_pairs_tested=len(starts), passed=True)
 
     # drop cancellation noise: lambda^-t would blow it up into the envelope
     keep = r_all > 1e-13 * r_max
@@ -154,7 +182,7 @@ def estimate_stability(params: Params, dataset: TimeSeriesDataset, traj: Traject
     c = float(np.max(ratios[np.isfinite(ratios)]))
     max_violation = float(np.max(r_kept - c * np.power(lam, t_kept)))
     return StabilityEstimate(C=c, lam=lam, max_violation=max_violation,
-                             num_pairs_tested=len(pairs), passed=lam < 1.0)
+                             num_pairs_tested=len(starts), passed=lam < 1.0)
 
 
 # ---------------------------------------------------------------------------

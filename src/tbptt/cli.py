@@ -4,11 +4,11 @@ Subcommands: ``synth`` (generate data files), ``train`` (one training run),
 ``sweep`` (cross-product of window lengths and burn-in values), ``benchmark``
 (solve the coupled/unconstrained reference problems and report regrets).
 
-A sweep cell's ``train_mse`` is its last logged epoch objective, the same
-``train`` run's ``final_objective``; it is empty when ``--epochs 0``. The
-cells of one window length N train together as one stacked run over their
-burn-ins, so ``timings.json`` gives each an even share of its group's wall
-time.
+A sweep cell's ``train_mse`` is the full-batch objective of its final
+parameters, computed by a forward pass alone; it equals the same ``train``
+run's ``final_objective`` and is empty when ``--epochs 0``. The cells of one
+window length N train together as one stacked run over their burn-ins, so
+``timings.json`` gives each an even share of its group's wall time.
 
 Every run writes into ``<out-root>/<command>/<config-hash>/`` with a
 manifest.json describing it; rerunning with identical flags reproduces all
@@ -117,18 +117,14 @@ def cmd_synth(args) -> int:
         lengths.append(args.T_test)
         names.append("test")
 
-    # the CSVs carry the raw (pre-normalization) series; loaders normalize
-    total = sum(lengths)
-    u, y, _ = data._simulate_raw(args.seed, total, args.warmup, args.noise)
+    # the CSVs carry the raw (pre-normalization) series, and generator.json
+    # the raw-unit system that recorded them; loaders normalize
+    u, y, generator = data._simulate_raw(args.seed, sum(lengths), args.warmup, args.noise)
     pos = 0
     for name, length in zip(names, lengths):
         data.write_csv(run_dir / f"{name}.csv",
                        {"u": u[pos : pos + length], "y": y[pos : pos + length]})
         pos += length
-
-    _, generator = data.gen_synthetic_splits(
-        args.seed, tuple(lengths), args.noise, args.warmup
-    )
     (run_dir / "generator.json").write_text(generator.to_json() + "\n")
     print(run_dir)
     return 0
@@ -245,35 +241,32 @@ def _zero_state_passes(params: Params, dataset) -> list[Trajectory]:
 def _sweep_group(dataset, test_set, args, N: int, ms: tuple[int, ...]) -> list[dict]:
     """The rows of cells (N, m), m in ``ms``, trained as one stacked run.
 
-    Each model gets one zero-state pass over the training series, which
-    serves both its performance and its stability radius, and one over the
-    test series; the passes of all models run stacked. A failing cell
-    raises for the whole group. With one burn-in every call is unstacked,
-    in the order a lone cell has always taken, so its row and error text
-    are those of a lone cell.
+    Training evaluates nothing per epoch; each model's ``train_mse`` is the
+    full-batch objective of its final parameters, one forward pass over the
+    run's windows. Each model then gets one zero-state pass over the
+    training series, which serves both its performance and its stability
+    radius, and one over the test series; the passes of all models run
+    stacked, and so does the stability probe. A failing cell raises for the
+    whole group. With one burn-in every call is unstacked, in the order a
+    lone cell has always taken, so its row and error text are those of a
+    lone cell.
     """
     cell_args = argparse.Namespace(**vars(args))
     cell_args.N, cell_args.m = N, ms[0]
     config = _train_config(cell_args, _cell_spec(args, dataset.d_x, dataset.d_y))
-    logs = training.train_burn_ins(dataset, config, ms)
-    thetas = [log.params.theta for log in logs]
-    stacked = Params(np.stack(thetas) if len(thetas) > 1 else thetas[0], config.spec)
-    rows = []
-    for m, log, traj in zip(ms, logs, _zero_state_passes(stacked, dataset)):
-        p_train = analysis.performance(traj, dataset, m)
-        stab = analysis.estimate_stability(log.params, dataset, traj, num_pairs=16,
-                                           seed=args.seed)
-        rows.append({
-            "N": N,
-            "m": m,
-            "train_mse": log.records[-1].objective if log.records else "",
-            "test_mse": "",
-            "P": p_train,
-            "lambda": stab.lam,
-            "error": "",
-        })
+    *_, (params, xs, ys) = training.train_burn_ins(dataset, config, ms)
+    models = [Params(params.theta[r], params.spec, params.layout)
+              for r in start_indices(params.theta.shape[:-1])]
+    train_mse = [training.full_batch_objective(model, xs, ys, m) if config.epochs else ""
+                 for m, model in zip(ms, models)]
+    trajs = _zero_state_passes(params, dataset)
+    perf = [analysis.performance(traj, dataset, m) for m, traj in zip(ms, trajs)]
+    stabs = analysis.estimate_stability(params, dataset, trajs, num_pairs=16, seed=args.seed)
+    rows = [{"N": N, "m": m, "train_mse": mse, "test_mse": "", "P": p, "lambda": stab.lam,
+             "error": ""}
+            for m, mse, p, stab in zip(ms, train_mse, perf, stabs)]
     if test_set is not None:
-        for row, traj in zip(rows, _zero_state_passes(stacked, test_set)):
+        for row, traj in zip(rows, _zero_state_passes(params, test_set)):
             m_eval = args.test_burn if args.test_burn >= 0 else row["m"]
             row["test_mse"] = analysis.performance(traj, test_set, m_eval)
     return rows
@@ -318,6 +311,9 @@ def _check_sweep_flags(args, dataset, n_values, m_values, test_set) -> None:
         raise UsageError(f"--rho {args.rho} must be <= 1")
     if args.stride < 1:
         raise UsageError(f"--stride {args.stride} must be >= 1")
+    if args.mode == "bptt" and len(n_values) > 1:
+        raise UsageError(f"--mode bptt trains on the whole series whatever N is: "
+                         f"give one --N-list value, not {n_values}")
     if any(not 1 <= N <= dataset.T for N in n_values):
         raise UsageError(f"--N-list {n_values} must lie in [1, T] = [1, {dataset.T}]")
     if any(not 0 <= m < dataset.T for m in m_values):
@@ -345,11 +341,14 @@ def cmd_sweep(args) -> int:
     """Train and evaluate every (N, m) cell of the grid into ``report.csv``.
 
     The runnable cells of one N share everything but the burn-in, so they
-    train as one stacked run (``training.train_burn_ins``); if any of them
-    fails, the group's cells rerun one by one, so each row holds exactly
-    what a lone run of its cell gives. Each cell's ``timings.json`` entry is
-    an even share of its group's wall time; a burn-in beyond N - 1 takes
-    none and gets an error row.
+    train as one stacked run (``training.train_burn_ins``) and share one
+    stability probe; training evaluates no epoch, and each ``train_mse`` is
+    one forward pass of the final parameters. If any cell of a group fails,
+    the group's cells rerun one by one, so each row holds exactly what a
+    lone run of its cell gives. Each cell's ``timings.json`` entry is an
+    even share of its group's wall time; a burn-in beyond N - 1 takes none
+    and gets an error row. In bptt mode every N trains the same
+    whole-series model, so the grid takes one N.
     """
     _resolve_batch(args)
     dataset = _load_dataset(args, args.data)
@@ -474,10 +473,9 @@ def cmd_benchmark(args) -> int:
             star, bench = records["tbptt"], records["coupled"]
             # each stability radius comes from a zero-state pass, as the star's full one is
             bench_zero = forward(bench.sol.params, None, dataset.inputs)
-            stab = analysis.merge_stability(
-                analysis.estimate_stability(star.sol.params, dataset, star.full, seed=args.seed),
-                analysis.estimate_stability(bench.sol.params, dataset, bench_zero, seed=args.seed),
-            )
+            pair = Params(np.stack([star.sol.params.theta, bench.sol.params.theta]), spec)
+            stab = analysis.merge_stability(*analysis.estimate_stability(
+                pair, dataset, [star.full, bench_zero], seed=args.seed))
             if "unconstrained" in records:
                 eps = analysis.epsilon_check(star, records["unconstrained"], dataset, plan, m)
             else:

@@ -154,11 +154,12 @@ _GEN_C = np.array([0.35, 0.5])
 
 @dataclass
 class LinearSISOGenerator:
-    """Ground-truth linear system behind the synthetic datasets.
+    """Ground-truth linear system behind the synthetic datasets, in raw units.
 
-    Keeps everything an oracle needs: the state-space matrices, the state at
-    the first recorded sample, the noise level, and the normalization scales
-    applied to the recorded series.
+    Keeps everything an oracle needs to reproduce a recording: the
+    state-space matrices, the state at the first recorded sample, the noise
+    level, and the seed and warmup of the simulation. Normalization is not
+    part of it: it belongs to whoever loads the series.
     """
 
     a: np.ndarray
@@ -168,8 +169,6 @@ class LinearSISOGenerator:
     seed: int
     warmup: int
     state_at_start: np.ndarray
-    input_scale: float
-    output_scale: float
 
     def signal_variance(self, terms: int = 2000) -> float:
         """Stationary variance of the noise-free output under unit white input.
@@ -183,14 +182,18 @@ class LinearSISOGenerator:
             ab = self.a @ ab
         return var
 
-    def realizing_params(self):
-        """Exact linear-cell parameters reproducing the normalized noise-free map."""
+    def realizing_params(self, dataset: TimeSeriesDataset):
+        """Exact linear-cell parameters reproducing the noise-free map on
+        ``dataset``, a recording normalized by pure scalings (no offsets)."""
         from .rnn_core import CellSpec, pack
 
+        (tr_u,), (tr_y,) = dataset.input_transforms, dataset.target_transforms
+        if tr_u.offset or tr_y.offset:
+            raise ValueError("a linear cell without biases cannot realize an offset")
         spec = CellSpec(kind="linear", d_x=1, d_h=2, d_y=1,
                         activation="identity", use_biases=False)
-        w_xh = self.b[:, None] / self.input_scale if self.input_scale else self.b[:, None]
-        w_hy = (self.c * self.output_scale)[None, :]
+        w_xh = self.b[:, None] / tr_u.scale if tr_u.scale else self.b[:, None]
+        w_hy = (self.c * (tr_y.scale if tr_y.scale else 1.0))[None, :]
         return pack(spec, {"W_hh": self.a, "W_xh": w_xh, "W_hy": w_hy})
 
     def to_json(self) -> str:
@@ -203,12 +206,13 @@ class LinearSISOGenerator:
                 "seed": self.seed,
                 "warmup": self.warmup,
                 "state_at_start": self.state_at_start.tolist(),
-                "input_scale": self.input_scale,
-                "output_scale": self.output_scale,
             }
         )
 
+
 def _simulate_raw(seed: int, total: int, warmup: int, noise_std: float):
+    """Raw input and output series of ``total`` recorded samples after
+    ``warmup`` unrecorded steps, and the generator that describes them."""
     rng = SplitMix64(seed)
     u = rng.normals(warmup + total)
     h = np.zeros(2)
@@ -222,7 +226,10 @@ def _simulate_raw(seed: int, total: int, warmup: int, noise_std: float):
         if t >= warmup:
             ys[t - warmup] = _GEN_C @ h
     noise = rng.normals(total, sigma=noise_std) if noise_std > 0 else np.zeros(total)
-    return u[warmup:], ys + noise, state_at_start
+    generator = LinearSISOGenerator(a=_GEN_A.copy(), b=_GEN_B.copy(), c=_GEN_C.copy(),
+                                    noise_std=noise_std, seed=seed, warmup=warmup,
+                                    state_at_start=state_at_start)
+    return u[warmup:], ys + noise, generator
 
 
 def gen_synthetic_splits(
@@ -242,8 +249,7 @@ def gen_synthetic_splits(
         raise ValueError("all split lengths must be >= 1")
     if noise_std < 0:
         raise ValueError("noise_std must be >= 0")
-    total = int(sum(lengths))
-    u, y, state0 = _simulate_raw(seed, total, warmup, noise_std)
+    u, y, generator = _simulate_raw(seed, int(sum(lengths)), warmup, noise_std)
 
     t0 = lengths[0]
     tr_u = maxabs_transform(u[:t0])
@@ -263,18 +269,6 @@ def gen_synthetic_splits(
             )
         )
         pos += length
-
-    generator = LinearSISOGenerator(
-        a=_GEN_A.copy(),
-        b=_GEN_B.copy(),
-        c=_GEN_C.copy(),
-        noise_std=noise_std,
-        seed=seed,
-        warmup=warmup,
-        state_at_start=state0,
-        input_scale=tr_u.scale if tr_u.scale else 1.0,
-        output_scale=tr_y.scale if tr_y.scale else 1.0,
-    )
     return datasets, generator
 
 
@@ -282,7 +276,8 @@ def gen_synthetic(seed: int, T: int, noise_std: float = 0.05, warmup: int = 50):
     """Seeded noisy recording of the fixed second-order system, normalized.
 
     Returns (train_dataset, generator); the generator carries everything an
-    oracle needs to reconstruct or realize the data.
+    oracle needs to reconstruct the raw series, and with the dataset's
+    transforms to realize the normalized one.
     """
     datasets, generator = gen_synthetic_splits(seed, (T,), noise_std, warmup)
     return datasets[0], generator

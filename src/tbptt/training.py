@@ -16,8 +16,11 @@ optionally followed by a spectral-norm projection of the recurrent block.
 other setting: the same initial parameters, batch order, windows and
 optimizer, so only the loss weights differ. The models run on one leading
 start axis (theta (R, n)), one stacked forward and backward pass per batch,
-and each ends with the bits ``train`` gives it alone. ``train`` is the case
-of one burn-in, which runs unstacked.
+and each ends with the bits ``train`` gives it alone. It yields the
+parameters after each epoch and evaluates nothing: ``train`` runs it with
+one burn-in, unstacked, and logs each epoch's full-batch objective and
+gradient norm (``full_batch_gradient``); a caller that reads only the final
+objective computes it with ``full_batch_objective``, a forward pass alone.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from typing import Union
 
@@ -171,12 +175,16 @@ class TrainLog:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def full_batch_objective(params: Params, dataset: TimeSeriesDataset,
-                         plan: SegmentationPlan, m: int) -> float:
-    """Average segment loss with zero initialization (the truncated objective)."""
-    h0 = np.zeros((plan.S, params.spec.state_dim))
-    return weighted_loss(params, h0, *segment_arrays(dataset, plan),
-                         segment_weights(plan.N, m, plan.S))
+def full_batch_objective(params: Params, xs: np.ndarray, ys: np.ndarray, m: int) -> float:
+    """Average segment loss with zero initialization (the truncated objective)
+    over all gathered windows, by one forward pass and no tape.
+
+    ``xs`` (S, N, d_x) and ``ys`` (S, N, d_y) are ``segment_arrays`` output.
+    The value is bit for bit the objective ``full_batch_gradient`` returns.
+    """
+    S, N = xs.shape[:2]
+    h0 = np.zeros((S, params.spec.state_dim))
+    return weighted_loss(params, h0, xs, ys, segment_weights(N, m, S))
 
 
 def full_batch_gradient(params: Params, xs: np.ndarray, ys: np.ndarray,
@@ -301,26 +309,42 @@ def _stateful_inits(
 
 def train(dataset: TimeSeriesDataset, config: TrainConfig,
           init: Params | None = None) -> TrainLog:
-    """Run the configured training mode and log the full-batch objective per
-    epoch: ``train_burn_ins`` with the one burn-in ``config.m``."""
-    return train_burn_ins(dataset, config, [config.m], init)[0]
+    """Run the configured training mode (``train_burn_ins`` with the one
+    burn-in ``config.m``) and log the full-batch objective and gradient norm
+    after every epoch."""
+    epochs = train_burn_ins(dataset, config, [config.m], init)
+    params, xs, ys = next(epochs)
+    records: list[EpochRecord] = []
+    t0 = time.perf_counter()
+    for epoch, (params, _, _) in enumerate(epochs):
+        objective, d_theta = full_batch_gradient(params, xs, ys, config.m)
+        records.append(EpochRecord(epoch=epoch, objective=objective,
+                                   grad_norm=float(np.linalg.norm(d_theta)),
+                                   wall_time_s=time.perf_counter() - t0))
+        t0 = time.perf_counter()
+    return TrainLog(records=records, params=params, config_digest=config.digest(),
+                    seed=config.seed)
 
 
 def train_burn_ins(dataset: TimeSeriesDataset, config: TrainConfig,
                    burn_ins: list[int] | tuple[int, ...],
-                   init: Params | None = None) -> list[TrainLog]:
-    """One ``TrainLog`` per burn-in m of ``burn_ins``, each equal to that of
-    ``train(dataset, replace(config, m=m), init)``, digest included.
+                   init: Params | None = None,
+                   ) -> Iterator[tuple[Params, np.ndarray, np.ndarray]]:
+    """Train one model per burn-in m of ``burn_ins`` and yield
+    ``(params, xs, ys)`` before the first epoch and after each one.
 
-    The runs share their initial parameters, batch order and windows, so
-    they train together: each batch is one stacked step of the R models
-    (one stateful chain, one forward and backward pass), each start with
-    its own burn-in weights, Adam moments and projection. The per-epoch
-    full-batch gradient stays one unstacked call per start, which keeps its
-    tape at the size of one model's. One burn-in runs unstacked (theta
+    ``params`` stacks the models on a leading start axis (theta (R, n)) in
+    the order of ``burn_ins``; start r after epoch k holds the bits of
+    ``train(dataset, replace(config, m=burn_ins[r]), init)`` after epoch k.
+    ``xs`` (S, N, d_x) and ``ys`` (S, N, d_y) are the run's windows,
+    gathered once, for a caller's full-batch evaluation. The runs share
+    their initial parameters, batch order and windows, so they train
+    together: each batch is one stacked step of the R models (one stateful
+    chain, one forward and backward pass), each start with its own burn-in
+    weights, Adam moments and projection. One burn-in runs unstacked (theta
     (n,)), so ``train`` keeps its arrays and error messages. A start that
-    fails (a non-finite gradient or pass) fails the whole call. Each
-    epoch's wall time is split evenly over the starts.
+    fails (a non-finite gradient or pass) fails the whole run. The
+    arguments are checked by the first ``next``.
     """
     configs = [replace(config, m=m) for m in burn_ins]  # validates each m
     if not configs:
@@ -345,9 +369,8 @@ def train_burn_ins(dataset: TimeSeriesDataset, config: TrainConfig,
     xs, ys = segment_arrays(dataset, plan)
     cached_inits = np.zeros(lead + (plan.S, params.spec.state_dim))
 
-    records: list[list[EpochRecord]] = [[] for _ in configs]
+    yield params, xs, ys
     for epoch in range(config.epochs):
-        t0 = time.perf_counter()
         order = list(range(plan.S))
         if config.mode == "zero_init":
             shuffler.shuffle(order)
@@ -357,16 +380,4 @@ def train_burn_ins(dataset: TimeSeriesDataset, config: TrainConfig,
                 h0 = _stateful_inits(params, dataset.inputs, plan, cached_inits, batch)
             params = sgd_step(params, xs, ys, batch, config, opt_state=opt_state,
                               h0=h0, epoch=epoch, burn_ins=ms)
-        evaluated = [full_batch_gradient(Params(params.theta[r], params.spec, params.layout),
-                                         xs, ys, int(ms[r]))
-                     for r in start_indices(lead)]
-        wall = (time.perf_counter() - t0) / len(configs)
-        for log, (objective, d_theta) in zip(records, evaluated):
-            log.append(EpochRecord(epoch=epoch, objective=objective,
-                                   grad_norm=float(np.linalg.norm(d_theta)),
-                                   wall_time_s=wall))
-
-    return [TrainLog(records=log,
-                     params=Params(params.theta[r].copy(), params.spec, params.layout),
-                     config_digest=c.digest(), seed=config.seed)
-            for r, c, log in zip(start_indices(lead), configs, records)]
+        yield params, xs, ys

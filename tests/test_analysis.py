@@ -21,7 +21,7 @@ from tbptt.analysis import (
 from tbptt.benchmark import LiftedSolution, OptConfig, evaluate, solve_variant
 from tbptt.data import TimeSeriesDataset, gen_synthetic, make_plan
 from tbptt.rng import SplitMix64
-from tbptt.rnn_core import CellSpec, batched_forward, forward, init_params, pack
+from tbptt.rnn_core import CellSpec, Params, batched_forward, forward, init_params, pack
 
 LIN1 = CellSpec("linear", 1, 1, 1, activation="identity", use_biases=False)
 FAST = OptConfig(restarts=2, max_iters=4000, lr=0.05, plateau_iters=200, seed=0)
@@ -206,6 +206,73 @@ def test_stability_staggered_pass_matches_per_pair_runs(cell, T, num_pairs):
     lam, tested = per_pair_stability(params, ds, num_pairs, seed=3)
     assert est.num_pairs_tested == tested == num_pairs
     assert est.lam == pytest.approx(lam, rel=1e-6)
+
+
+def scaled_input_block(params, factor):
+    """The model with its input weights scaled: its hidden states, and with
+    them its probe radius, shrink or grow."""
+    return params.with_block("W_xh", params.block("W_xh") * factor)
+
+
+def stack(models):
+    return Params(np.stack([p.theta for p in models]), models[0].spec, models[0].layout)
+
+
+@pytest.mark.parametrize("cell", sorted(STABILITY_CELLS))
+@pytest.mark.parametrize("T, num_pairs", [(60, 16), (9, 12), (300, 16)])
+def test_stacked_stability_equals_per_model_calls(monkeypatch, cell, T, num_pairs):
+    import tbptt.analysis as analysis
+
+    base = STABILITY_CELLS[cell]()
+    models = [base, scaled_input_block(base, 0.01), scaled_input_block(base, 0.5)]
+    ds, _ = gen_synthetic(seed=T, T=T, noise_std=0.1)
+    trajs = [zero_pass(p, ds) for p in models]
+    radii = [np.max(np.linalg.norm(t.hidden, axis=1)) for t in trajs]
+    assert radii[0] >= 10 * radii[1]
+    alone = [estimate_stability(p, ds, t, num_pairs=num_pairs, seed=3)
+             for p, t in zip(models, trajs)]
+    assert all(est.num_pairs_tested == num_pairs for est in alone)
+
+    calls = []
+    real = analysis.estimate_stability
+    monkeypatch.setattr(analysis, "estimate_stability",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    for k in (2, 3):  # two models whose radii differ 10x and more, then all three
+        stacked = analysis.estimate_stability(stack(models[:k]), ds, trajs[:k],
+                                              num_pairs=num_pairs, seed=3)
+        assert [e.to_json_dict() for e in stacked] == [e.to_json_dict() for e in alone[:k]]
+    assert len(calls) == 2  # one shared pass each, no per-model fallback
+
+
+@pytest.mark.parametrize("cell", sorted(STABILITY_CELLS))
+def test_stacked_stability_with_different_degenerate_pairs_falls_back(monkeypatch, cell):
+    import tbptt.analysis as analysis
+
+    base = STABILITY_CELLS[cell]()
+    # hidden states near 1e-14: every pair of the second model is degenerate
+    models = [base, scaled_input_block(base, 1e-14)]
+    ds, _ = gen_synthetic(seed=6, T=60, noise_std=0.1)
+    trajs = [zero_pass(p, ds) for p in models]
+    alone = [estimate_stability(p, ds, t, num_pairs=16, seed=3) for p, t in zip(models, trajs)]
+    assert [e.num_pairs_tested for e in alone] == [16, 0]
+
+    calls = []
+    real = analysis.estimate_stability
+    monkeypatch.setattr(analysis, "estimate_stability",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    stacked = analysis.estimate_stability(stack(models), ds, trajs, num_pairs=16, seed=3)
+    assert [e.to_json_dict() for e in stacked] == [e.to_json_dict() for e in alone]
+    assert len(calls) == 3  # the stacked call and one per model
+
+
+def test_stability_of_a_list_of_one_is_a_list():
+    params = STABILITY_CELLS["elman"]()
+    ds, _ = gen_synthetic(seed=6, T=40, noise_std=0.1)
+    traj = zero_pass(params, ds)
+    (est,) = estimate_stability(params, ds, [traj], num_pairs=8, seed=1)
+    assert est == estimate_stability(params, ds, traj, num_pairs=8, seed=1)
+    with pytest.raises(ValueError, match="trajectories"):
+        estimate_stability(stack([params, params]), ds, [traj], num_pairs=8, seed=1)
 
 
 def test_merge_stability_dominates_both():

@@ -66,7 +66,7 @@ def test_tbptt_solution_realizable_reaches_zero():
 def test_unconstrained_realizable_hits_zero(clean_instance):
     ds, plan, gen = clean_instance
     opt = OptConfig(restarts=2, max_iters=6000, lr=0.05, plateau_iters=300,
-                    extra_starts=[(gen.realizing_params(), None)])
+                    extra_starts=[(gen.realizing_params(ds), None)])
     record = solve_variant("unconstrained", ds, plan, 0, LIN2, opt)
     assert record.sol.objective < 1e-9
     _, targets = segment_arrays(ds, plan)
@@ -76,7 +76,7 @@ def test_unconstrained_realizable_hits_zero(clean_instance):
 def test_coupled_realizable_with_true_start(clean_instance):
     ds, plan, gen = clean_instance
     opt = OptConfig(restarts=2, max_iters=6000, lr=0.05, plateau_iters=300,
-                    extra_starts=[(gen.realizing_params(),
+                    extra_starts=[(gen.realizing_params(ds),
                                    gen.state_at_start[None, :])])
     sol = solve_variant("coupled", ds, plan, 0, LIN2, opt).sol
     assert sol.objective < 1e-9

@@ -8,7 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from tbptt import analysis, cli, training
+from tbptt import analysis, cli, data, training
 from tbptt.cli import main
 from tbptt.data import load_csv
 from tbptt.rnn_core import CellSpec, Params, forward, init_params
@@ -62,6 +62,34 @@ def test_synth_noiseless_flag(tmp_path):
     run_dir = only_run_dir(out, "synth")
     gen = json.loads((run_dir / "generator.json").read_text())
     assert gen["noise_std"] == 0.0
+
+
+@pytest.mark.parametrize("noise, warmup", [(0.02, 50), (0.0, 0), (0.0, 7)])
+def test_synth_generator_describes_the_csvs(tmp_path, noise, warmup):
+    run_dir = synth(tmp_path, noise=noise, warmup=warmup)  # T = 60, T_test = 30
+    gen = json.loads((run_dir / "generator.json").read_text())
+    assert set(gen) == {"a", "b", "c", "noise_std", "seed", "warmup", "state_at_start"}
+    assert (gen["seed"], gen["warmup"], gen["noise_std"]) == (5, warmup, noise)
+    csvs = [np.loadtxt(run_dir / f"{name}.csv", delimiter=",", skiprows=1)
+            for name in ("train", "test")]
+    # re-simulated from the file, the series is the one the CSVs hold, raw units
+    u, y, again = data._simulate_raw(gen["seed"], sum(len(c) for c in csvs), gen["warmup"],
+                                     gen["noise_std"])
+    npt.assert_array_equal(np.concatenate(csvs), np.stack([u, y], axis=1))
+    assert json.loads(again.to_json()) == gen
+    # the file's system, driven by the recorded inputs from its state at the
+    # first sample, gives the recorded outputs up to the noise
+    a, b, c = (np.array(gen[k]) for k in "abc")
+    h = np.array(gen["state_at_start"])
+    clean = []
+    for u_t in csvs[0][:, 0]:
+        h = a @ h + b * u_t
+        clean.append(c @ h)
+    residual = csvs[0][:, 1] - np.array(clean)
+    if noise == 0.0:
+        npt.assert_allclose(residual, 0.0, atol=1e-12)
+    else:
+        assert 0.5 * noise < np.std(residual) < 2.0 * noise
 
 
 TRAIN_FLAGS = ["--cell", "linear", "--d-h", 1, "--N", 12, "--m", 3,
@@ -349,6 +377,42 @@ def test_sweep_report_equals_lone_cell_sweep(tmp_path, monkeypatch, model):
     assert [cell for cell, e in errors.items() if e] == [("8", "9"), ("10", "3")]
 
 
+@pytest.mark.parametrize("mode", ["zero", "stateful"])
+def test_sweep_evaluates_only_what_it_reports(tmp_path, monkeypatch, mode):
+    # no per-epoch gradient, one stability probe per window length, and each
+    # train_mse the final objective of the same train run
+    base = synth(tmp_path)
+    flags = ["sweep", "--data", base / "train.csv", "--N-list", "8,10", "--m-list", "0,3",
+             "--cell", "lstm", "--d-h", 3, "--mode", mode, "--epochs", 3, "--batch", 4,
+             "--seed", 4]
+    gradients, probes = [], []
+    real_probe = analysis.estimate_stability
+
+    def counting_probe(params, dataset, traj, num_pairs=32, seed=0):
+        probes.append(params.theta.shape)
+        return real_probe(params, dataset, traj, num_pairs, seed)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(training, "full_batch_gradient",
+                      lambda *a, **k: gradients.append(1) or pytest.fail("gradient evaluated"))
+        patch.setattr(analysis, "estimate_stability", counting_probe)
+        assert run("--out", tmp_path / "sweep", *flags) == 0
+    assert gradients == []
+    assert len(probes) == 2 and all(shape[0] == 2 for shape in probes)
+
+    args = cli.build_parser().parse_args([str(f) for f in flags])
+    cli._resolve_batch(args)
+    dataset = cli._load_dataset(args, args.data)
+    with open(only_run_dir(tmp_path / "sweep", "sweep") / "report.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["N"], r["m"]) for r in rows] == [("8", "0"), ("8", "3"), ("10", "0"), ("10", "3")]
+    for row in rows:
+        args.N, args.m = int(row["N"]), int(row["m"])
+        _, log = cli._run_training(dataset, args)
+        assert float(row["train_mse"]) == log.records[-1].objective
+        assert row["train_mse"] == repr(log.records[-1].objective)
+
+
 def test_benchmark_evaluates_each_solution_once(tmp_path, monkeypatch):
     import tbptt.benchmark as benchmark
 
@@ -488,6 +552,15 @@ def test_sweep_grid_no_cell_can_run_is_usage_error(tmp_path, capsys, argv):
     base = synth(tmp_path)
     assert_usage_error(capsys, tmp_path / "x", "sweep", "--data", base / "train.csv",
                        "--test", base / "test.csv", "--epochs", 1, *argv)
+
+
+def test_sweep_bptt_with_several_window_lengths_is_usage_error(tmp_path, capsys):
+    # bptt ignores N, so every N would train the same model into equal rows
+    data_file = synth(tmp_path) / "train.csv"
+    assert_usage_error(capsys, tmp_path / "x", "sweep", "--data", data_file,
+                       "--mode", "bptt", "--N-list", "8,10", "--epochs", 1)
+    assert run("--out", tmp_path / "y", "sweep", "--data", data_file, "--mode", "bptt",
+               "--N-list", "8,8", "--epochs", 1) == 0
 
 
 @pytest.mark.parametrize("flag, value", [("--T", 0), ("--T-val", -1), ("--T-test", -5),

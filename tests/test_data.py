@@ -122,7 +122,7 @@ def test_gen_synthetic_normalized_range():
 
 def test_noiseless_data_realized_by_generator_params():
     ds, gen = gen_synthetic(seed=7, T=80, noise_std=0.0)
-    params = gen.realizing_params()
+    params = gen.realizing_params(ds)
     traj = forward(params, gen.state_at_start, ds.inputs)
     npt.assert_allclose(traj.outputs, ds.targets, atol=1e-12)
 
@@ -130,7 +130,7 @@ def test_noiseless_data_realized_by_generator_params():
 def test_warmup_zero_starts_at_rest():
     ds, gen = gen_synthetic(seed=7, T=40, noise_std=0.0, warmup=0)
     npt.assert_array_equal(gen.state_at_start, 0.0)
-    traj = forward(gen.realizing_params(), None, ds.inputs)
+    traj = forward(gen.realizing_params(ds), None, ds.inputs)
     npt.assert_allclose(traj.outputs, ds.targets, atol=1e-12)
 
 

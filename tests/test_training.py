@@ -1,4 +1,5 @@
 import itertools
+import json
 import warnings
 from dataclasses import replace
 
@@ -74,7 +75,7 @@ def test_full_batch_objective_is_mean_of_segment_losses():
     h0 = np.zeros((1, 1))
     w = segment_weights(plan.N, m)
     losses = [weighted_loss_grad(params, h0, x[None], y[None], w)[0] for x, y in zip(xs, ys)]
-    assert full_batch_objective(params, ds, plan, m) == pytest.approx(np.mean(losses), rel=1e-14)
+    assert full_batch_objective(params, xs, ys, m) == pytest.approx(np.mean(losses), rel=1e-14)
 
 
 def test_full_batch_objective_two_segments_hand_case():
@@ -87,7 +88,7 @@ def test_full_batch_objective_two_segments_hand_case():
     plan = make_plan(4, 2, 2)
     params = scalar_linear(0.0, 0.0, 0.0)
     # segment losses: mean(1,1)=1 and mean(3,3)=3
-    assert full_batch_objective(params, ds, plan, 0) == pytest.approx(2.0)
+    assert full_batch_objective(params, *segment_arrays(ds, plan), 0) == pytest.approx(2.0)
 
 
 def test_full_batch_objective_single_segment_reduces_to_loss():
@@ -96,14 +97,14 @@ def test_full_batch_objective_single_segment_reduces_to_loss():
     params = scalar_linear(0.1, 1.0, 1.0)
     loss, _, _ = weighted_loss_grad(params, np.zeros((1, 1)), ds.inputs[None],
                                     ds.targets[None], segment_weights(9, 3))
-    assert full_batch_objective(params, ds, plan, 3) == pytest.approx(loss, rel=1e-14)
+    assert full_batch_objective(params, *segment_arrays(ds, plan), 3) == pytest.approx(loss, rel=1e-14)
 
 
 def test_full_batch_objective_zero_at_realizable_optimum():
     ds = memoryless_dataset(gain=1.5)
     plan = make_plan(40, 8, 1)
     params = scalar_linear(0.0, 1.0, 1.5)
-    assert full_batch_objective(params, ds, plan, 0) == pytest.approx(0.0, abs=1e-26)
+    assert full_batch_objective(params, *segment_arrays(ds, plan), 0) == pytest.approx(0.0, abs=1e-26)
 
 
 # --- single update ----------------------------------------------------------
@@ -430,22 +431,45 @@ def test_train_burn_ins_equal_train_per_burn_in(mode, spec, optimizer, bound, st
     # under a bound, a start above it: the first projection scales every model
     init = recurrent_norm_start(spec, 5, 1.2) if bound else None
     burn_ins = [0, 2, 6]
-    logs = train_burn_ins(ds, config, burn_ins, init=init)
-    assert len(logs) == len(burn_ins)
-    for m, log in zip(burn_ins, logs):
+    stacked = list(train_burn_ins(ds, config, burn_ins, init=init))
+    assert len(stacked) == 1 + config.epochs
+    for r, m in enumerate(burn_ins):
         alone = train(ds, replace(config, m=m), init=init)
-        npt.assert_array_equal(log.params.theta, alone.params.theta)
-        assert log.to_jsonl() == alone.to_jsonl()
-        assert log.config_digest == alone.config_digest == replace(config, m=m).digest()
-        assert len(log.records) == 2
+        # the per-epoch log of train, rebuilt from start r of each yielded epoch
+        lines = []
+        for epoch, (params, xs, ys) in enumerate(stacked[1:]):
+            objective, d_theta = full_batch_gradient(
+                Params(params.theta[r], params.spec, params.layout), xs, ys, m)
+            lines.append(json.dumps({"epoch": epoch, "objective": objective,
+                                     "grad_norm": float(np.linalg.norm(d_theta))}) + "\n")
+        npt.assert_array_equal(stacked[-1][0].theta[r], alone.params.theta)
+        assert "".join(lines) == alone.to_jsonl()
+        assert len(alone.records) == 2
+        assert alone.config_digest == replace(config, m=m).digest()
 
 
 def test_train_burn_ins_rejects_bad_burn_in():
     ds = memoryless_dataset(t=20)
     with pytest.raises(ValueError):
-        train_burn_ins(ds, lin_config(N=6), [0, 6])  # m > N-1
+        next(train_burn_ins(ds, lin_config(N=6), [0, 6]))  # m > N-1
     with pytest.raises(ValueError):
-        train_burn_ins(ds, lin_config(N=6), [])
+        next(train_burn_ins(ds, lin_config(N=6), []))
+
+
+@pytest.mark.parametrize("spec", STACK_SPECS, ids=lambda spec: spec.kind)
+@pytest.mark.parametrize("mode", ["zero_init", "stateful"])
+@pytest.mark.parametrize("N", [21, 41])
+def test_full_batch_objective_equals_gradient_objective(spec, mode, N):
+    # the forward-only objective has the bits of the gradient call's, on the
+    # parameters after each epoch of a training run with three burn-ins
+    ds, _ = gen_synthetic(5, 120, 0.05)
+    config = TrainConfig(spec=spec, N=N, m=0, batch_size=16, optimizer=AdamConfig(lr=0.02),
+                         epochs=2, seed=1, mode=mode)
+    burn_ins = [0, 5, 10]
+    for params, xs, ys in train_burn_ins(ds, config, burn_ins):
+        for r, m in enumerate(burn_ins):
+            model = Params(params.theta[r], params.spec, params.layout)
+            assert full_batch_objective(model, xs, ys, m) == full_batch_gradient(model, xs, ys, m)[0]
 
 
 def test_train_stateful_runs_and_logs():
