@@ -73,31 +73,28 @@ def merge_stability(a: StabilityEstimate, b: StabilityEstimate) -> StabilityEsti
 
 
 def estimate_stability(params: Params, dataset: TimeSeriesDataset,
-                       traj: Trajectory | list[Trajectory], num_pairs: int = 32,
-                       seed: int = 0) -> StabilityEstimate | list[StabilityEstimate]:
+                       trajs: list[Trajectory], num_pairs: int = 32,
+                       seed: int = 0) -> list[StabilityEstimate]:
     """Fit the tightest geometric envelope on output differences from paired
     random initial states, driven by random tails of the training inputs.
 
     Initial states are drawn from a ball of twice the largest hidden-state
-    norm the model reaches on the training data, read off ``traj``, its
-    zero-state forward pass over the series. All pairs run in one staggered
-    pass over the inputs: sorted by start, each pair's two rows join the
-    batch when the pass reaches its start, so the pass takes at most T
-    recurrence steps whatever the number of pairs. lambda comes from a
+    norm the model reaches on the training data, read off its trajectory in
+    ``trajs``, its zero-state forward pass over the series. All pairs run in
+    one staggered pass over the inputs: sorted by start, each pair's two rows
+    join the batch when the pass reaches its start, so the pass takes at most
+    T recurrence steps whatever the number of pairs. lambda comes from a
     pooled least-squares slope on log r_t; C is the smallest constant whose
     envelope dominates every sample the slope was fitted on.
 
-    A stacked ``params`` (theta (R, n)) takes a list of R trajectories, one
-    per model, and returns one estimate per model, each with the bits of the
-    model's unstacked call. The draws (start, direction, u) do not depend on
-    the radius, so every model scales the same draws by its own radius and
-    all R run in the one staggered pass. Whether a pair is degenerate does
-    depend on the radius: when the models keep different pairs, each model
-    is estimated on its own. A list of one trajectory with unstacked
-    ``params`` returns a list of one estimate.
+    ``trajs`` holds one trajectory per model: one for unstacked ``params``,
+    R for a stacked theta (R, n). The result is one estimate per model, each
+    with the bits of the model's unstacked call. The draws (start, direction,
+    u) do not depend on the radius, so every model scales the same draws by
+    its own radius and all R run in the one staggered pass. Whether a pair
+    is degenerate does depend on the radius: when the models keep different
+    pairs, each model is estimated on its own.
     """
-    single = not isinstance(traj, list)
-    trajs = [traj] if single else traj
     lead = params.theta.shape[:-1]
     if len(trajs) != (lead[0] if lead else 1):
         raise ValueError(f"{len(trajs)} trajectories for parameters stacked as {lead}")
@@ -125,14 +122,13 @@ def estimate_stability(params: Params, dataset: TimeSeriesDataset,
     kept = gaps >= 1e-12  # a degenerate pair is skipped
     if (kept != kept[0]).any():
         return [estimate_stability(Params(params.theta[r], params.spec, params.layout),
-                                   dataset, trajs[r], num_pairs, seed)
+                                   dataset, [trajs[r]], num_pairs, seed)[0]
                 for r in range(len(trajs))]
 
     starts = [start for (start, _), keep in zip(draws, kept[0]) if keep]
     if not starts:
-        estimates = [StabilityEstimate(C=0.0, lam=0.5, max_violation=0.0,
-                                       num_pairs_tested=0, passed=True) for _ in trajs]
-        return estimates[0] if single else estimates
+        return [StabilityEstimate(C=0.0, lam=0.5, max_violation=0.0,
+                                  num_pairs_tested=0, passed=True) for _ in trajs]
 
     order = sorted(range(len(starts)), key=starts.__getitem__)
     rows = np.ravel([(2 * p, 2 * p + 1) for p in order])  # batch row -> pair row
@@ -152,8 +148,7 @@ def estimate_stability(params: Params, dataset: TimeSeriesDataset,
         h = seg_states[..., -1, :]
 
     outs = outs.reshape(len(trajs), *outs.shape[-3:])
-    estimates = [_fit_envelope(outs[r], starts, gaps[r, kept[r]]) for r in range(len(trajs))]
-    return estimates[0] if single else estimates
+    return [_fit_envelope(outs[r], starts, gaps[r, kept[r]]) for r in range(len(trajs))]
 
 
 def _fit_envelope(outs: np.ndarray, starts: list[int], gaps: np.ndarray) -> StabilityEstimate:

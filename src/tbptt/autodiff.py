@@ -6,10 +6,10 @@ sequences from given initial states, a squared error weighted per step
 with respect to theta and every row's initial state. It also takes R
 models stacked on a leading start axis (theta (R, n), h0 (R, B, sd)) over
 shared inputs and targets, with shared or per-start weights, and then
-returns one loss and one gradient per start. ``weighted_loss`` is its value alone. The backward pass
-is exact over whatever sequences it is given: truncation lives entirely in
-how callers segment the data, never inside the gradient. ``fd_gradient`` is the independent central-difference
-oracle used by tests.
+returns one loss and one gradient per start. ``weighted_loss`` is its value
+alone, unstacked or stacked, by the same reduction. The backward pass is
+exact over whatever sequences it is given: truncation lives entirely in how
+callers segment the data, never inside the gradient.
 """
 
 from __future__ import annotations
@@ -160,12 +160,20 @@ def backprop(tape: Tape, cograds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pack(spec, grads).theta, d_h0
 
 
+def _weighted_sse(err: np.ndarray, weights: np.ndarray) -> float | np.ndarray:
+    """sum_{b,t} weights[b,t] * ||err_{b,t}||^2 of (..., B, T', d_y) errors:
+    a float, or one value per start on a leading start axis."""
+    loss = np.sum(weights * np.sum(err * err, axis=-1), axis=(-2, -1))
+    return loss if loss.ndim else float(loss)
+
+
 def weighted_loss(params: Params, h0: np.ndarray, inputs: np.ndarray,
-                  targets: np.ndarray, weights: np.ndarray) -> float:
-    """sum_{b,t} weights[b,t] * ||y_{b,t} - targets_{b,t}||^2 (value only)."""
+                  targets: np.ndarray, weights: np.ndarray) -> float | np.ndarray:
+    """sum_{b,t} weights[b,t] * ||y_{b,t} - targets_{b,t}||^2 by a forward
+    pass alone: bit for bit the loss ``weighted_loss_grad`` returns, one per
+    start when ``params`` is stacked."""
     _, outputs, _ = batched_forward(params, h0, inputs)
-    err = outputs - targets
-    return float(np.sum(weights * np.sum(err * err, axis=2)))
+    return _weighted_sse(outputs - targets, weights)
 
 
 def weighted_loss_grad(
@@ -187,10 +195,10 @@ def weighted_loss_grad(
     # gradient, which every caller checks, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         err = tape.outputs - targets
-        loss = np.sum(weights * np.sum(err * err, axis=-1), axis=(-2, -1))
+        loss = _weighted_sse(err, weights)
         cograds = 2.0 * weights[..., None] * err
         d_theta, d_h0 = backprop(tape, cograds)
-    return (loss if loss.ndim else float(loss)), d_theta, d_h0
+    return loss, d_theta, d_h0
 
 
 def segment_weights(n_steps: int, m: int, rows: int = 1) -> np.ndarray:
@@ -206,34 +214,3 @@ def segment_weights(n_steps: int, m: int, rows: int = 1) -> np.ndarray:
     w[:, m:] = 1.0 / (rows * (n_steps - m))
     return w
 
-
-def fd_gradient(params: Params, inputs: np.ndarray, targets: np.ndarray, m: int,
-                step: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
-    """Central-difference gradient of one sequence's burn-in loss from the
-    zero state; test oracle only.
-
-    ``inputs`` (N, d_x) and ``targets`` (N, d_y) are one window. Returns
-    (d_theta, d_h0 (1, state_dim)), the gradient ``weighted_loss_grad``
-    computes exactly for the same row and ``segment_weights(N, m)``.
-    """
-    x = np.asarray(inputs, dtype=np.float64)[None]
-    yd = np.asarray(targets, dtype=np.float64)[None]
-    w = segment_weights(x.shape[1], m)
-    h0 = np.zeros((1, params.spec.state_dim))
-
-    def value(theta: np.ndarray, h: np.ndarray) -> float:
-        return weighted_loss(Params(theta, params.spec, params.layout), h, x, yd, w)
-
-    def central(f, point: np.ndarray) -> np.ndarray:
-        grad = np.zeros(point.size)
-        for k in range(point.size):
-            up = point.copy()
-            dn = point.copy()
-            up.flat[k] += step
-            dn.flat[k] -= step
-            grad[k] = (f(up) - f(dn)) / (2.0 * step)
-        return grad.reshape(point.shape)
-
-    d_theta = central(lambda theta: value(theta, h0), params.theta)
-    d_h0 = central(lambda h: value(params.theta, h), h0)
-    return d_theta, d_h0

@@ -38,6 +38,7 @@ from .rnn_core import (
     batched_forward,
     forward,
     init_params,
+    num_params,
 )
 from .training import AdamConfig, AdamState, project_stability
 
@@ -85,23 +86,6 @@ class LiftedSolution:
             }
         )
 
-    @staticmethod
-    def from_json(text: str) -> "LiftedSolution":
-        d = json.loads(text)
-        params = Params.from_json(json.dumps(d["params"]))
-        states = np.array(d["init_states"], dtype=np.float64)
-        if states.size == 0:
-            states = states.reshape(0, params.spec.state_dim)
-        return LiftedSolution(
-            params=params,
-            init_states=states,
-            objective=float(d["objective"]),
-            variant=d["variant"],
-            converged=bool(d["converged"]),
-            grad_norm=float(d["grad_norm"]),
-            diagnostics=d.get("diagnostics", {}),
-        )
-
 
 def coupled_time_weights(plan: SegmentationPlan, m: int, T: int) -> np.ndarray:
     """How many segment loss terms each global time step contributes to."""
@@ -123,7 +107,7 @@ class _Problem:
         self.spec = spec
         self.plan = plan
         self.m = m
-        self.n_theta = init_params(spec, 0).theta.size
+        self.n_theta = num_params(spec)
         self.sd = spec.state_dim
         if variant == "coupled":
             self.n_states = 1
@@ -136,13 +120,9 @@ class _Problem:
             self.xs, self.ys = segment_arrays(dataset, plan)
             self.w = w
 
-    @property
-    def n_free(self) -> int:
-        return self.n_theta + self.n_states * self.sd
-
     def split(self, z: np.ndarray) -> tuple[Params, np.ndarray]:
-        """Parameters and free initial states of z, (n_free,) or R stacked
-        starts (R, n_free); stacked ones keep the leading axis."""
+        """Parameters and free initial states of z, one point or R stacked
+        starts (one per row); stacked ones keep the leading axis."""
         params = Params(z[..., : self.n_theta].copy(), self.spec)
         states = z[..., self.n_theta :].reshape(z.shape[:-1] + (self.n_states, self.sd)).copy()
         return params, states
@@ -156,8 +136,8 @@ class _Problem:
         return np.concatenate(parts)
 
     def value_grad(self, z: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
-        """Objective and gradient at z; R stacked starts (R, n_free) give
-        (R,) objectives and (R, n_free) gradients in one pass."""
+        """Objective and gradient at z; R stacked starts (one per row of z)
+        give (R,) objectives and one gradient row each in one pass."""
         params, states = self.split(z)
         lead = z.shape[:-1]
         h0 = np.zeros(lead + (self.plan.S, self.sd)) if self.variant == "tbptt" else states

@@ -24,6 +24,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -177,6 +178,11 @@ def _load_dataset(args, path, transforms=None) -> data.TimeSeriesDataset:
         raise UsageError(str(exc)) from None
 
 
+def _check_lr(lr: float) -> None:
+    if not (math.isfinite(lr) and lr > 0):
+        raise UsageError(f"--lr {lr} must be finite and > 0")
+
+
 def _resolve_batch(args) -> None:
     """``--batch`` defaults to 16 windows, and in bptt mode to its one segment."""
     if args.batch is None:
@@ -193,6 +199,7 @@ def _run_training(dataset, args):
 
 
 def cmd_train(args) -> int:
+    _check_lr(args.lr)
     _resolve_batch(args)
     dataset = _load_dataset(args, args.data)
     try:
@@ -222,11 +229,15 @@ def cmd_train(args) -> int:
 
 
 def _int_list(text: str) -> list[int]:
-    """Comma-separated integers, repeats dropped, first-seen order kept."""
+    """Comma-separated integers, at least one, repeats dropped, first-seen
+    order kept."""
     try:
-        return list(dict.fromkeys(int(tok) for tok in text.split(",") if tok != ""))
+        values = list(dict.fromkeys(int(tok) for tok in text.split(",") if tok != ""))
     except ValueError:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from None
+    if not values:
+        raise UsageError(f"expected at least one comma-separated integer, got {text!r}")
+    return values
 
 
 def _zero_state_passes(params: Params, dataset) -> list[Trajectory]:
@@ -307,6 +318,7 @@ def _check_sweep_flags(args, dataset, n_values, m_values, test_set) -> None:
         raise UsageError(f"--batch {args.batch} must be >= 1")
     if args.epochs < 0:
         raise UsageError(f"--epochs {args.epochs} must be >= 0")
+    _check_lr(args.lr)
     if args.rho > 1.0:
         raise UsageError(f"--rho {args.rho} must be <= 1")
     if args.stride < 1:
@@ -420,6 +432,8 @@ def cmd_sweep(args) -> int:
 def cmd_benchmark(args) -> int:
     dataset = _load_dataset(args, args.data)
     variants = list(dict.fromkeys(v.strip() for v in args.variants.split(",") if v.strip()))
+    if not variants:
+        raise UsageError(f"--variants {args.variants!r} names no variant")
     unknown = [v for v in variants if v not in benchmark.VARIANTS]
     if unknown:
         raise UsageError(f"unknown variants {unknown}")
@@ -428,6 +442,7 @@ def cmd_benchmark(args) -> int:
         raise UsageError(f"burn-in values {m_values} must lie in [0, N-1] = [0, {args.N - 1}]")
     if args.restarts < 1 or args.iters < 1:
         raise UsageError(f"--restarts ({args.restarts}) and --iters ({args.iters}) must be >= 1")
+    _check_lr(args.lr)
     if args.rho > 1.0:
         raise UsageError(f"--rho {args.rho} must be <= 1")
     try:

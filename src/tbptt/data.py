@@ -1,4 +1,5 @@
-"""Time-series ingestion, normalization, segmentation, and synthetic data.
+"""Time-series ingestion, normalization, segmentation, and the synthetic
+recording behind ``tbptt synth``.
 
 Segmentation follows the overlapping-window scheme: S windows of length N
 with 1-based start samples s_i, pairwise overlaps o_i = N - (s_i - s_{i-1}),
@@ -23,8 +24,8 @@ from .rng import SplitMix64
 class ColumnTransform:
     """Affine per-column map x' = (x - offset) * scale.
 
-    A zero scale marks a constant column: it normalizes to 0 and inverts back
-    to the stored offset.
+    A zero scale marks a constant column: it normalizes to 0, and the offset
+    records the constant.
     """
 
     offset: float
@@ -33,11 +34,6 @@ class ColumnTransform:
     def apply(self, x: np.ndarray) -> np.ndarray:
         return (x - self.offset) * self.scale
 
-    def invert(self, x: np.ndarray) -> np.ndarray:
-        if self.scale == 0.0:
-            return np.full_like(x, self.offset)
-        return x / self.scale + self.offset
-
 
 def minmax_transform(column: np.ndarray) -> ColumnTransform:
     """Fit the affine map sending [min, max] to [-1, 1]."""
@@ -45,14 +41,6 @@ def minmax_transform(column: np.ndarray) -> ColumnTransform:
     if hi == lo:
         return ColumnTransform(offset=lo, scale=0.0)
     return ColumnTransform(offset=0.5 * (lo + hi), scale=2.0 / (hi - lo))
-
-
-def maxabs_transform(column: np.ndarray) -> ColumnTransform:
-    """Fit the pure scaling sending [-max|x|, max|x|] to [-1, 1] (no offset)."""
-    peak = float(np.max(np.abs(column)))
-    if peak == 0.0:
-        return ColumnTransform(offset=0.0, scale=0.0)
-    return ColumnTransform(offset=0.0, scale=1.0 / peak)
 
 
 @dataclass
@@ -87,12 +75,6 @@ class TimeSeriesDataset:
     @property
     def d_y(self) -> int:
         return self.targets.shape[1]
-
-    def denormalized_targets(self) -> np.ndarray:
-        if not self.target_transforms:
-            return self.targets.copy()
-        cols = [tr.invert(self.targets[:, j]) for j, tr in enumerate(self.target_transforms)]
-        return np.stack(cols, axis=1)
 
 
 @dataclass(frozen=True)
@@ -154,7 +136,7 @@ _GEN_C = np.array([0.35, 0.5])
 
 @dataclass
 class LinearSISOGenerator:
-    """Ground-truth linear system behind the synthetic datasets, in raw units.
+    """Ground-truth linear system behind the synthetic series, in raw units.
 
     Keeps everything an oracle needs to reproduce a recording: the
     state-space matrices, the state at the first recorded sample, the noise
@@ -169,32 +151,6 @@ class LinearSISOGenerator:
     seed: int
     warmup: int
     state_at_start: np.ndarray
-
-    def signal_variance(self, terms: int = 2000) -> float:
-        """Stationary variance of the noise-free output under unit white input.
-
-        Computed from the truncated impulse-response series sum_k (c a^k b)^2.
-        """
-        var = 0.0
-        ab = self.b.copy()
-        for _ in range(terms):
-            var += float(self.c @ ab) ** 2
-            ab = self.a @ ab
-        return var
-
-    def realizing_params(self, dataset: TimeSeriesDataset):
-        """Exact linear-cell parameters reproducing the noise-free map on
-        ``dataset``, a recording normalized by pure scalings (no offsets)."""
-        from .rnn_core import CellSpec, pack
-
-        (tr_u,), (tr_y,) = dataset.input_transforms, dataset.target_transforms
-        if tr_u.offset or tr_y.offset:
-            raise ValueError("a linear cell without biases cannot realize an offset")
-        spec = CellSpec(kind="linear", d_x=1, d_h=2, d_y=1,
-                        activation="identity", use_biases=False)
-        w_xh = self.b[:, None] / tr_u.scale if tr_u.scale else self.b[:, None]
-        w_hy = (self.c * (tr_y.scale if tr_y.scale else 1.0))[None, :]
-        return pack(spec, {"W_hh": self.a, "W_xh": w_xh, "W_hy": w_hy})
 
     def to_json(self) -> str:
         return json.dumps(
@@ -230,57 +186,6 @@ def _simulate_raw(seed: int, total: int, warmup: int, noise_std: float):
                                     noise_std=noise_std, seed=seed, warmup=warmup,
                                     state_at_start=state_at_start)
     return u[warmup:], ys + noise, generator
-
-
-def gen_synthetic_splits(
-    seed: int,
-    lengths: tuple[int, ...],
-    noise_std: float = 0.05,
-    warmup: int = 50,
-    name: str = "synthetic",
-):
-    """One continuous simulation cut into consecutive splits.
-
-    Normalization (pure scaling to [-1, 1]) is fitted on the first split and
-    shared by all of them, so one model applies across splits. Returns
-    (datasets, generator).
-    """
-    if min(lengths) < 1:
-        raise ValueError("all split lengths must be >= 1")
-    if noise_std < 0:
-        raise ValueError("noise_std must be >= 0")
-    u, y, generator = _simulate_raw(seed, int(sum(lengths)), warmup, noise_std)
-
-    t0 = lengths[0]
-    tr_u = maxabs_transform(u[:t0])
-    tr_y = maxabs_transform(y[:t0])
-    datasets = []
-    pos = 0
-    for k, length in enumerate(lengths):
-        part_u = tr_u.apply(u[pos : pos + length])
-        part_y = tr_y.apply(y[pos : pos + length])
-        datasets.append(
-            TimeSeriesDataset(
-                part_u[:, None],
-                part_y[:, None],
-                name=f"{name}-{k}" if len(lengths) > 1 else name,
-                input_transforms=[tr_u],
-                target_transforms=[tr_y],
-            )
-        )
-        pos += length
-    return datasets, generator
-
-
-def gen_synthetic(seed: int, T: int, noise_std: float = 0.05, warmup: int = 50):
-    """Seeded noisy recording of the fixed second-order system, normalized.
-
-    Returns (train_dataset, generator); the generator carries everything an
-    oracle needs to reconstruct the raw series, and with the dataset's
-    transforms to realize the normalized one.
-    """
-    datasets, generator = gen_synthetic_splits(seed, (T,), noise_std, warmup)
-    return datasets[0], generator
 
 
 # ---------------------------------------------------------------------------

@@ -121,17 +121,6 @@ class CellSpec:
             "use_biases": self.use_biases,
         }
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "CellSpec":
-        return CellSpec(
-            kind=d["kind"],
-            d_x=int(d["d_x"]),
-            d_h=int(d["d_h"]),
-            d_y=int(d["d_y"]),
-            activation=d["activation"],
-            use_biases=bool(d["use_biases"]),
-        )
-
 
 Layout = dict[str, tuple[int, int, tuple[int, ...]]]
 
@@ -208,9 +197,6 @@ class Params:
         theta[..., start:stop] = value.reshape(lead + (-1,))
         return Params(theta, self.spec, self.layout)
 
-    def copy(self) -> "Params":
-        return Params(self.theta.copy(), self.spec, self.layout)
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -219,16 +205,6 @@ class Params:
                 "theta": self.theta.tolist(),
             }
         )
-
-    @staticmethod
-    def from_json(text: str) -> "Params":
-        d = json.loads(text)
-        spec = CellSpec.from_json_dict(d["spec"])
-        params = Params(np.array(d["theta"], dtype=np.float64), spec)
-        stored = [[name, start, stop] for name, (start, stop, _) in params.layout.items()]
-        if stored != [list(row) for row in d["layout"]]:
-            raise ValueError("stored layout does not match the spec-derived layout")
-        return params
 
 
 def pack(spec: CellSpec, blocks: dict[str, np.ndarray]) -> Params:

@@ -163,9 +163,6 @@ class TrainLog:
     config_digest: str
     seed: int
 
-    def objectives(self) -> np.ndarray:
-        return np.array([r.objective for r in self.records])
-
     def to_jsonl(self) -> str:
         """Deterministic per-epoch lines; wall time is reported separately."""
         lines = [

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from helpers import gen_synthetic
 from tbptt.analysis import (
     EpsilonCheck,
     ObservedSets,
@@ -19,7 +20,7 @@ from tbptt.analysis import (
     turnpike_errors,
 )
 from tbptt.benchmark import LiftedSolution, OptConfig, evaluate, solve_variant
-from tbptt.data import TimeSeriesDataset, gen_synthetic, make_plan
+from tbptt.data import TimeSeriesDataset, make_plan
 from tbptt.rng import SplitMix64
 from tbptt.rnn_core import CellSpec, Params, batched_forward, forward, init_params, pack
 
@@ -119,7 +120,7 @@ def test_stability_recovers_scalar_decay_rate():
     a, c = 0.8, 1.7
     params = scalar_linear(a, 0.5, c)
     ds, _ = gen_synthetic(seed=6, T=80, noise_std=0.1)
-    est = estimate_stability(params, ds, zero_pass(params, ds), num_pairs=12, seed=4)
+    est = estimate_stability(params, ds, [zero_pass(params, ds)], num_pairs=12, seed=4)[0]
     assert est.passed
     assert est.lam == pytest.approx(a, abs=1e-6)
     # envelope convention C lambda^t >= r_t with r_t = |c| a^t exactly
@@ -133,7 +134,7 @@ def test_stability_envelope_constant_ignores_rounding_noise(a):
     # from the samples lambda was fitted on, not from noise times lambda^-t
     params = scalar_linear(a, 0.5, 1.7)
     ds, _ = gen_synthetic(seed=6, T=400)
-    est = estimate_stability(params, ds, zero_pass(params, ds), num_pairs=12, seed=4)
+    est = estimate_stability(params, ds, [zero_pass(params, ds)], num_pairs=12, seed=4)[0]
     assert est.C == pytest.approx(1.7, rel=0.01)
 
 
@@ -143,7 +144,7 @@ def test_stability_envelope_dominates_all_samples():
     from tbptt.training import project_stability
 
     params = project_stability(init_params(CellSpec("elman", 1, 3, 1), 5), 0.95)
-    est = estimate_stability(params, ds, zero_pass(params, ds), num_pairs=16, seed=9)
+    est = estimate_stability(params, ds, [zero_pass(params, ds)], num_pairs=16, seed=9)[0]
     assert est.num_pairs_tested > 0
     assert est.max_violation <= 1e-12
     if est.passed:
@@ -153,7 +154,7 @@ def test_stability_envelope_dominates_all_samples():
 def test_stability_insensitive_model_degenerates_gracefully():
     params = scalar_linear(0.5, 1.0, 0.0)  # output never sees the state
     ds, _ = gen_synthetic(seed=8, T=40, noise_std=0.1)
-    est = estimate_stability(params, ds, zero_pass(params, ds), num_pairs=8, seed=1)
+    est = estimate_stability(params, ds, [zero_pass(params, ds)], num_pairs=8, seed=1)[0]
     assert est.passed
     assert est.C == 0.0
 
@@ -202,7 +203,7 @@ def test_stability_staggered_pass_matches_per_pair_runs(cell, T, num_pairs):
     # every pair at 0
     params = STABILITY_CELLS[cell]()
     ds, _ = gen_synthetic(seed=T, T=T, noise_std=0.1)
-    est = estimate_stability(params, ds, zero_pass(params, ds), num_pairs=num_pairs, seed=3)
+    est = estimate_stability(params, ds, [zero_pass(params, ds)], num_pairs=num_pairs, seed=3)[0]
     lam, tested = per_pair_stability(params, ds, num_pairs, seed=3)
     assert est.num_pairs_tested == tested == num_pairs
     assert est.lam == pytest.approx(lam, rel=1e-6)
@@ -229,7 +230,7 @@ def test_stacked_stability_equals_per_model_calls(monkeypatch, cell, T, num_pair
     trajs = [zero_pass(p, ds) for p in models]
     radii = [np.max(np.linalg.norm(t.hidden, axis=1)) for t in trajs]
     assert radii[0] >= 10 * radii[1]
-    alone = [estimate_stability(p, ds, t, num_pairs=num_pairs, seed=3)
+    alone = [estimate_stability(p, ds, [t], num_pairs=num_pairs, seed=3)[0]
              for p, t in zip(models, trajs)]
     assert all(est.num_pairs_tested == num_pairs for est in alone)
 
@@ -253,7 +254,7 @@ def test_stacked_stability_with_different_degenerate_pairs_falls_back(monkeypatc
     models = [base, scaled_input_block(base, 1e-14)]
     ds, _ = gen_synthetic(seed=6, T=60, noise_std=0.1)
     trajs = [zero_pass(p, ds) for p in models]
-    alone = [estimate_stability(p, ds, t, num_pairs=16, seed=3) for p, t in zip(models, trajs)]
+    alone = [estimate_stability(p, ds, [t], num_pairs=16, seed=3)[0] for p, t in zip(models, trajs)]
     assert [e.num_pairs_tested for e in alone] == [16, 0]
 
     calls = []
@@ -270,7 +271,7 @@ def test_stability_of_a_list_of_one_is_a_list():
     ds, _ = gen_synthetic(seed=6, T=40, noise_std=0.1)
     traj = zero_pass(params, ds)
     (est,) = estimate_stability(params, ds, [traj], num_pairs=8, seed=1)
-    assert est == estimate_stability(params, ds, traj, num_pairs=8, seed=1)
+    assert est == estimate_stability(params, ds, [traj], num_pairs=8, seed=1)[0]
     with pytest.raises(ValueError, match="trajectories"):
         estimate_stability(stack([params, params]), ds, [traj], num_pairs=8, seed=1)
 
@@ -308,8 +309,10 @@ def test_turnpike_sum_bounded_by_envelope_constant(solved_instance):
     # converged solutions obey sum_e <= 10 K lambda^m with constructive K
     ds, plan, m, star, bench, un = solved_instance
     stab = merge_stability(
-        estimate_stability(star.sol.params, ds, zero_pass(star.sol.params, ds), num_pairs=16, seed=2),
-        estimate_stability(un.sol.params, ds, zero_pass(un.sol.params, ds), num_pairs=16, seed=3),
+        estimate_stability(star.sol.params, ds, [zero_pass(star.sol.params, ds)],
+                           num_pairs=16, seed=2)[0],
+        estimate_stability(un.sol.params, ds, [zero_pass(un.sol.params, ds)],
+                           num_pairs=16, seed=3)[0],
     )
     eps = epsilon_check(star, un, ds, plan, m)
     observed = collect_observed([star, bench, un], ds)
@@ -445,8 +448,10 @@ def star_as_bench(star):
 def test_regret_report_on_solved_instance(solved_instance):
     ds, plan, m, star, bench, un = solved_instance
     stab = merge_stability(
-        estimate_stability(star.sol.params, ds, zero_pass(star.sol.params, ds), num_pairs=16, seed=2),
-        estimate_stability(bench.sol.params, ds, zero_pass(bench.sol.params, ds), num_pairs=16, seed=3),
+        estimate_stability(star.sol.params, ds, [zero_pass(star.sol.params, ds)],
+                           num_pairs=16, seed=2)[0],
+        estimate_stability(bench.sol.params, ds, [zero_pass(bench.sol.params, ds)],
+                           num_pairs=16, seed=3)[0],
     )
     eps = epsilon_check(star, un, ds, plan, m)
     observed = collect_observed([star, bench, un], ds)

@@ -4,9 +4,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from helpers import fd_gradient
 from tbptt.autodiff import (
     backprop,
-    fd_gradient,
     record,
     segment_weights,
     weighted_loss,
@@ -328,6 +328,24 @@ def test_stacked_loss_grad_slices_equal_unstacked_calls(spec, B):
         assert loss[r] == want_loss
         npt.assert_array_equal(d_theta[r], want_theta)
         npt.assert_array_equal(d_h0[r], want_h0)
+
+
+@pytest.mark.parametrize("per_start_weights", [False, True])
+@pytest.mark.parametrize("spec", STACK_CELLS, ids=lambda s: f"{s.kind}-{s.activation}")
+def test_stacked_loss_equals_loss_grad_per_start(spec, per_start_weights):
+    R, B, T = 2, 10, 8
+    rng = np.random.default_rng(3)
+    params = Params(np.stack([init_params(spec, 50 + r).theta for r in range(R)]), spec)
+    h0 = rng.normal(size=(R, B, spec.state_dim))
+    x, y = rng.normal(size=(B, T, spec.d_x)), rng.normal(size=(B, T, spec.d_y))
+    if per_start_weights:
+        w = np.stack([segment_weights(T, m, B) for m in (0, 3)])
+    else:
+        w = segment_weights(T, 3, B)
+    loss = weighted_loss(params, h0, x, y, w)
+    want, _, _ = weighted_loss_grad(params, h0, x, y, w)
+    assert loss.shape == (R,)
+    npt.assert_array_equal(loss, want)
 
 
 def test_stacked_nonfinite_error_names_only_the_overflowing_start():

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from helpers import gen_synthetic, read_solution, realizing_params
 from tbptt.benchmark import (
     VARIANTS,
     LiftedSolution,
@@ -12,7 +13,7 @@ from tbptt.benchmark import (
     evaluate,
     solve_variant,
 )
-from tbptt.data import gen_synthetic, make_plan, segment_arrays
+from tbptt.data import make_plan, segment_arrays
 from tbptt.linalg import spectral_norm
 from tbptt.rng import _mix
 from tbptt.rnn_core import CellSpec, NonFiniteError, batched_forward, forward, init_params, pack
@@ -66,7 +67,7 @@ def test_tbptt_solution_realizable_reaches_zero():
 def test_unconstrained_realizable_hits_zero(clean_instance):
     ds, plan, gen = clean_instance
     opt = OptConfig(restarts=2, max_iters=6000, lr=0.05, plateau_iters=300,
-                    extra_starts=[(gen.realizing_params(ds), None)])
+                    extra_starts=[(realizing_params(gen, ds), None)])
     record = solve_variant("unconstrained", ds, plan, 0, LIN2, opt)
     assert record.sol.objective < 1e-9
     _, targets = segment_arrays(ds, plan)
@@ -76,7 +77,7 @@ def test_unconstrained_realizable_hits_zero(clean_instance):
 def test_coupled_realizable_with_true_start(clean_instance):
     ds, plan, gen = clean_instance
     opt = OptConfig(restarts=2, max_iters=6000, lr=0.05, plateau_iters=300,
-                    extra_starts=[(gen.realizing_params(ds),
+                    extra_starts=[(realizing_params(gen, ds),
                                    gen.state_at_start[None, :])])
     sol = solve_variant("coupled", ds, plan, 0, LIN2, opt).sol
     assert sol.objective < 1e-9
@@ -182,7 +183,7 @@ def test_variant_init_state_shapes(noisy_instance):
 def test_lifted_solution_json_roundtrip(noisy_instance):
     ds, plan = noisy_instance
     sol = solve_variant("coupled", ds, plan, 1, LIN1, FAST).sol
-    again = LiftedSolution.from_json(sol.to_json())
+    again = read_solution(sol.to_json())
     npt.assert_array_equal(again.params.theta, sol.params.theta)
     npt.assert_array_equal(again.init_states, sol.init_states)
     assert again.objective == sol.objective
@@ -256,7 +257,7 @@ def serial_solve(problem, opt):
         reason, start_best, it = "max_iters", np.inf, 0
         try:
             z = problem.project(z0.copy(), opt.spectral_bound)
-            adam = AdamState(problem.n_free)
+            adam = AdamState(z0.shape)
             anchor_obj, anchor_it = np.inf, 0
             for it in range(opt.max_iters):
                 obj, grad = problem.value_grad(z)

@@ -8,10 +8,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from helpers import read_params
 from tbptt import analysis, cli, data, training
 from tbptt.cli import main
 from tbptt.data import load_csv
-from tbptt.rnn_core import CellSpec, Params, forward, init_params
+from tbptt.rnn_core import CellSpec, forward, init_params
 from tbptt.training import AdamConfig, TrainConfig, train
 
 
@@ -119,7 +120,7 @@ def test_train_is_thin_shell_over_library(tmp_path):
 
     dataset = load_csv(data_file, ["u"], ["y"])
     config = TrainConfig(
-        spec=CellSpec.from_json_dict(cfg["spec"]),
+        spec=CellSpec(**cfg["spec"]),
         N=cfg["N"],
         m=cfg["m"],
         batch_size=cfg["batch_size"],
@@ -131,7 +132,7 @@ def test_train_is_thin_shell_over_library(tmp_path):
         mode=cfg["mode"],
     )
     log = train(dataset, config)
-    stored = Params.from_json((run_dir / "params.json").read_text())
+    stored = read_params((run_dir / "params.json").read_text())
     npt.assert_array_equal(stored.theta, log.params.theta)
 
 
@@ -141,7 +142,7 @@ def test_train_epochs_zero_keeps_initialization(tmp_path):
     assert run("--out", out, "train", "--data", data_file, "--cell", "elman",
                "--d-h", 2, "--N", 10, "--m", 0, "--epochs", 0, "--seed", 7) == 0
     run_dir = only_run_dir(out, "train")
-    stored = Params.from_json((run_dir / "params.json").read_text())
+    stored = read_params((run_dir / "params.json").read_text())
     expected = init_params(CellSpec("elman", 1, 2, 1), 7)
     npt.assert_array_equal(stored.theta, expected.theta)
 
@@ -294,7 +295,7 @@ def lone_cell(dataset, test_set, args, N, m):
     params = log.params
     traj = forward(params, None, dataset.inputs)
     p_train = analysis.performance(traj, dataset, m)
-    stab = analysis.estimate_stability(params, dataset, traj, num_pairs=16, seed=args.seed)
+    stab = analysis.estimate_stability(params, dataset, [traj], num_pairs=16, seed=args.seed)[0]
     row = {
         "N": N,
         "m": m,
@@ -561,6 +562,25 @@ def test_sweep_bptt_with_several_window_lengths_is_usage_error(tmp_path, capsys)
                        "--mode", "bptt", "--N-list", "8,10", "--epochs", 1)
     assert run("--out", tmp_path / "y", "sweep", "--data", data_file, "--mode", "bptt",
                "--N-list", "8,8", "--epochs", 1) == 0
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("sweep", "--m-list", ","), ("sweep", "--N-list", ","),
+    ("benchmark", "--m-list", ","), ("benchmark", "--variants", ","),
+    ("train", "--lr", -1), ("train", "--lr", 0), ("sweep", "--lr", "nan"),
+    ("benchmark", "--lr", "nan"), ("benchmark", "--lr", "inf"),
+])
+def test_flag_leaving_nothing_to_run_is_usage_error(tmp_path, capsys, command, flag, value):
+    # T = 60, T_test = 30: an empty grid or variant list, or a step size that
+    # is not finite and positive, ran nothing, failed or diverged
+    base = synth(tmp_path)
+    argv = {
+        "train": ["--N", 10, "--epochs", 1],
+        "sweep": ["--test", base / "test.csv", "--N-list", 10, "--epochs", 1],
+        "benchmark": ["--N", 10, "--restarts", 1, "--iters", 5],
+    }[command]
+    assert_usage_error(capsys, tmp_path / "x", command, "--data", base / "train.csv",
+                       *argv, flag, value)
 
 
 @pytest.mark.parametrize("flag, value", [("--T", 0), ("--T-val", -1), ("--T-test", -5),

@@ -2,10 +2,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from helpers import gen_synthetic, realizing_params
 from tbptt.data import (
+    ColumnTransform,
     TimeSeriesDataset,
-    gen_synthetic,
-    gen_synthetic_splits,
+    _simulate_raw,
     load_csv,
     make_plan,
     minmax_transform,
@@ -114,15 +115,9 @@ def test_gen_synthetic_deterministic():
     npt.assert_array_equal(g1.state_at_start, g2.state_at_start)
 
 
-def test_gen_synthetic_normalized_range():
-    ds, _ = gen_synthetic(seed=4, T=200, noise_std=0.3)
-    assert np.max(np.abs(ds.inputs)) <= 1.0 + 1e-12
-    assert np.max(np.abs(ds.targets)) <= 1.0 + 1e-12
-
-
 def test_noiseless_data_realized_by_generator_params():
     ds, gen = gen_synthetic(seed=7, T=80, noise_std=0.0)
-    params = gen.realizing_params(ds)
+    params = realizing_params(gen, ds)
     traj = forward(params, gen.state_at_start, ds.inputs)
     npt.assert_allclose(traj.outputs, ds.targets, atol=1e-12)
 
@@ -130,29 +125,23 @@ def test_noiseless_data_realized_by_generator_params():
 def test_warmup_zero_starts_at_rest():
     ds, gen = gen_synthetic(seed=7, T=40, noise_std=0.0, warmup=0)
     npt.assert_array_equal(gen.state_at_start, 0.0)
-    traj = forward(gen.realizing_params(ds), None, ds.inputs)
+    traj = forward(realizing_params(gen, ds), None, ds.inputs)
     npt.assert_allclose(traj.outputs, ds.targets, atol=1e-12)
 
 
 def test_output_variance_matches_analytic():
     # sample variance of the raw output ~ signal variance + noise variance
     noise = 0.1
-    ds, gen = gen_synthetic(seed=12, T=10_000, noise_std=noise)
-    raw = ds.denormalized_targets()[:, 0]
-    expected = gen.signal_variance() + noise**2
+    _, raw, gen = _simulate_raw(seed=12, total=10_000, warmup=50, noise_std=noise)
+    # stationary variance of the noise-free output under unit white input,
+    # from the truncated impulse-response series sum_k (c a^k b)^2
+    signal_variance = 0.0
+    ab = gen.b.copy()
+    for _ in range(2000):
+        signal_variance += float(gen.c @ ab) ** 2
+        ab = gen.a @ ab
+    expected = signal_variance + noise**2
     assert np.var(raw) == pytest.approx(expected, rel=0.10)
-
-
-def test_splits_share_transforms_and_concatenate():
-    (train, val, test), gen = gen_synthetic_splits(3, (60, 20, 30), noise_std=0.05)
-    assert train.T == 60 and val.T == 20 and test.T == 30
-    assert train.input_transforms[0] == val.input_transforms[0] == test.input_transforms[0]
-    whole, _ = gen_synthetic_splits(3, (110,), noise_std=0.05)
-    # same simulation, different normalization base: compare raw series
-    raw_parts = np.concatenate(
-        [d.denormalized_targets()[:, 0] for d in (train, val, test)]
-    )
-    npt.assert_allclose(raw_parts, whole[0].denormalized_targets()[:, 0], atol=1e-12)
 
 
 # --- CSV ingestion ----------------------------------------------------------
@@ -171,8 +160,8 @@ def test_load_csv_constant_column_maps_to_zero(tmp_path):
     path.write_text("u,y\n2.0,7.5\n3.0,7.5\n")
     ds = load_csv(path, ["u"], ["y"])
     npt.assert_array_equal(ds.targets, 0.0)
-    # de-normalization restores the constant
-    npt.assert_array_equal(ds.denormalized_targets(), 7.5)
+    # the transform keeps the constant
+    assert ds.target_transforms == [ColumnTransform(offset=7.5, scale=0.0)]
 
 
 def test_load_csv_minmax_by_hand(tmp_path):
@@ -187,7 +176,8 @@ def test_load_csv_crlf_and_roundtrip(tmp_path):
     path.write_bytes(b"u,y\r\n0.5,2.0\r\n1.5,4.0\r\n-0.5,6.0\r\n")
     ds = load_csv(path, ["u"], ["y"])
     raw = np.array([2.0, 4.0, 6.0])
-    npt.assert_allclose(ds.denormalized_targets()[:, 0], raw, atol=1e-12)
+    assert ds.target_transforms == [minmax_transform(raw)]
+    npt.assert_array_equal(ds.targets[:, 0], minmax_transform(raw).apply(raw))
 
 
 def test_load_csv_errors(tmp_path):
@@ -217,17 +207,11 @@ def test_write_csv_roundtrip_exact(tmp_path):
     y = rng.normal(size=17) * 1e-7
     path = tmp_path / "series.csv"
     write_csv(path, {"u": u, "y": y})
-    ds = load_csv(path, ["u"], ["y"])
-    npt.assert_allclose(ds.denormalized_targets()[:, 0], y, rtol=0, atol=1e-18)
-
-
-def test_normalize_denormalize_identity():
-    rng = np.random.default_rng(11)
-    col = rng.normal(size=50) * 3.0 + 1.0
-    tr = minmax_transform(col)
-    npt.assert_allclose(tr.invert(tr.apply(col)), col, atol=1e-12)
-    assert tr.apply(col).min() == pytest.approx(-1.0)
-    assert tr.apply(col).max() == pytest.approx(1.0)
+    # identity transforms read the stored doubles back unchanged
+    identity = [ColumnTransform(offset=0.0, scale=1.0)]
+    ds = load_csv(path, ["u"], ["y"], transforms=(identity, identity))
+    npt.assert_array_equal(ds.inputs[:, 0], u)
+    npt.assert_array_equal(ds.targets[:, 0], y)
 
 
 def test_dataset_validation():

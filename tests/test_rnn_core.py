@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from helpers import read_params
 from tbptt.linalg import DimensionError
 from tbptt.rnn_core import (
     CellSpec,
@@ -175,7 +176,7 @@ def test_blocks_are_views_of_theta():
 def test_params_json_roundtrip_exact():
     spec = CellSpec("elman", 2, 3, 2, activation="relu")
     params = init_params(spec, 21)
-    again = Params.from_json(params.to_json())
+    again = read_params(params.to_json())
     npt.assert_array_equal(again.theta, params.theta)
     assert again.spec == params.spec
     # layout survives the trip as the serialized table

@@ -7,8 +7,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from tbptt.data import TimeSeriesDataset, gen_synthetic, make_plan, segment_arrays
-from tbptt.autodiff import fd_gradient, segment_weights, weighted_loss_grad
+from helpers import fd_gradient, gen_synthetic
+from tbptt.data import TimeSeriesDataset, make_plan, segment_arrays
+from tbptt.autodiff import segment_weights, weighted_loss_grad
 from tbptt.linalg import spectral_norm
 from tbptt.rng import SplitMix64
 from tbptt.rnn_core import (
@@ -267,13 +268,13 @@ def test_train_converges_on_realizable_data():
 def test_windowed_min_objective_nonincreasing():
     ds = memoryless_dataset(gain=1.5)
     log = train(ds, lin_config(epochs=150, optimizer=AdamConfig(lr=0.03)))
-    objs = log.objectives()
+    objs = np.array([r.objective for r in log.records])
     window_mins = [objs[k : k + 50].min() for k in range(0, 150, 50)]
     assert all(b <= a + 1e-15 for a, b in zip(window_mins, window_mins[1:]))
 
 
 def test_train_respects_spectral_bound_each_epoch():
-    ds, _ = __import__("tbptt.data", fromlist=["gen_synthetic"]).gen_synthetic(5, 60, 0.1)
+    ds, _ = gen_synthetic(5, 60, 0.1)
     spec = CellSpec("elman", 1, 3, 1)
     config = TrainConfig(spec=spec, N=10, m=2, batch_size=8,
                          optimizer=AdamConfig(lr=0.05), epochs=10, seed=1,
