@@ -80,7 +80,8 @@ def estimate_stability(params: Params, dataset: TimeSeriesDataset,
 
     Initial states are drawn from a ball of twice the largest hidden-state
     norm the model reaches on the training data, read off its trajectory in
-    ``trajs``, its zero-state forward pass over the series. All pairs run in
+    ``trajs``, its forward pass over the series from its own initial state
+    (zero, or a coupled model's free state). All pairs run in
     one staggered pass over the inputs: sorted by start, each pair's two rows
     join the batch when the pass reaches its start, so the pass takes at most
     T recurrence steps whatever the number of pairs. lambda comes from a

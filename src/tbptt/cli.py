@@ -4,6 +4,12 @@ Subcommands: ``synth`` (generate data files), ``train`` (one training run),
 ``sweep`` (cross-product of window lengths and burn-in values), ``benchmark``
 (solve the coupled/unconstrained reference problems and report regrets).
 
+``train`` and ``sweep`` train with zero-initialized or state-passing windows
+(``--mode zero``/``stateful``). ``--mode bptt`` is full BPTT, the paper's
+optimization over the whole sequence: zero-initialized training on the one
+window N = T, whatever ``--N`` or ``--N-list`` says, with ``--batch`` 1 by
+default. Flags that no run can use exit 2 before a run directory is made.
+
 A sweep cell's ``train_mse`` is the full-batch objective of its final
 parameters, computed by a forward pass alone; it equals the same ``train``
 run's ``final_objective`` and is empty when ``--epochs 0``. The cells of one
@@ -35,7 +41,7 @@ import numpy as np
 
 from . import __version__, analysis, benchmark, data, training
 from .rnn_core import (
-    CellSpec, NonFiniteError, Params, Trajectory, batched_forward, forward, start_indices,
+    CellSpec, NonFiniteError, Params, Trajectory, batched_forward, start_indices,
 )
 from .training import AdamConfig, SGDConfig, TrainConfig, TrainingError
 
@@ -151,7 +157,8 @@ def _optimizer(args):
     return AdamConfig(lr=args.lr)
 
 
-_MODE_MAP = {"zero": "zero_init", "stateful": "stateful", "bptt": "full_bptt"}
+# --mode bptt is full BPTT: zero-init training on the one window N = T
+_MODES = {"zero": "zero_init", "stateful": "stateful", "bptt": "zero_init"}
 
 
 def _train_config(args, spec: CellSpec) -> TrainConfig:
@@ -165,7 +172,7 @@ def _train_config(args, spec: CellSpec) -> TrainConfig:
         stride=args.stride,
         seed=args.seed,
         spectral_bound=None if args.rho <= 0 else args.rho,
-        mode=_MODE_MAP[args.mode],
+        mode=_MODES[args.mode],
     )
 
 
@@ -178,35 +185,64 @@ def _load_dataset(args, path, transforms=None) -> data.TimeSeriesDataset:
         raise UsageError(str(exc)) from None
 
 
-def _check_lr(lr: float) -> None:
-    if not (math.isfinite(lr) and lr > 0):
-        raise UsageError(f"--lr {lr} must be finite and > 0")
+def _resolve_windows(args, n_values: list[int], T: int) -> list[int]:
+    """The window lengths a training command runs for the given
+    ``n_values``; also sets ``--batch`` to 16 windows unless given.
 
-
-def _resolve_batch(args) -> None:
-    """``--batch`` defaults to 16 windows, and in bptt mode to its one segment."""
+    In bptt mode every N trains the one window N = T, so the command takes
+    one N, whatever its value, and ``--batch`` defaults to that window's
+    one segment.
+    """
+    full = args.mode == "bptt"
     if args.batch is None:
-        args.batch = 1 if args.mode == "bptt" else 16
+        args.batch = 1 if full else 16
+    if not full:
+        return n_values
+    if len(n_values) > 1:
+        raise UsageError(f"--mode bptt trains on the one window N = T whatever N is: "
+                         f"give one window length, not {n_values}")
+    return [T]
 
 
-def _run_training(dataset, args):
-    spec = _cell_spec(args, dataset.d_x, dataset.d_y)
-    if args.mode != "bptt" and args.m > args.N - 1:
-        raise UsageError(f"burn-in m={args.m} exceeds N-1={args.N - 1}")
-    config = _train_config(args, spec)
-    log = training.train(dataset, config)
-    return config, log
+def _check_flags(args, dataset: data.TimeSeriesDataset, n_values: list[int],
+                 m_values: list[int]) -> None:
+    """Reject the flags that ``train``, ``sweep`` and ``benchmark`` share,
+    before any run directory is made: the cell spec, ``--lr``, ``--rho``, the
+    window lengths ``n_values`` and burn-ins ``m_values`` against the series
+    length T, the segmentation plan of each N with ``--stride`` and, in the
+    commands that train, ``--epochs`` and ``--batch`` against each plan's
+    segment count S. The checks that only one command needs stay with it."""
+    try:
+        _cell_spec(args, dataset.d_x, dataset.d_y)
+        plans = [data.make_plan(dataset.T, N, args.stride) for N in n_values]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    if not (math.isfinite(args.lr) and args.lr > 0):
+        raise UsageError(f"--lr {args.lr} must be finite and > 0")
+    if not args.rho <= 1.0:  # NaN fails too
+        raise UsageError(f"--rho {args.rho} must be <= 1")
+    if any(not 0 <= m < dataset.T for m in m_values):
+        raise UsageError(f"burn-ins {m_values} must lie in [0, T-1] = [0, {dataset.T - 1}]")
+    if "epochs" not in vars(args):  # benchmark has neither --epochs nor --batch
+        return
+    if args.epochs < 0:
+        raise UsageError(f"--epochs {args.epochs} must be >= 0")
+    if args.batch < 1:
+        raise UsageError(f"--batch {args.batch} must be >= 1")
+    for plan in plans:
+        if args.batch > plan.S:
+            raise UsageError(f"--batch {args.batch} exceeds the S={plan.S} segments of "
+                             f"N={plan.N}")
 
 
 def cmd_train(args) -> int:
-    _check_lr(args.lr)
-    _resolve_batch(args)
     dataset = _load_dataset(args, args.data)
-    try:
-        config, log = _run_training(dataset, args)
-    except (ValueError, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    (args.N,) = _resolve_windows(args, [args.N], dataset.T)
+    _check_flags(args, dataset, [args.N], [args.m])
+    if args.m > args.N - 1:
+        raise UsageError(f"burn-in m={args.m} exceeds N-1={args.N - 1}")
+    config = _train_config(args, _cell_spec(args, dataset.d_x, dataset.d_y))
+    log = training.train(dataset, config)
     run_cfg = {"inputs": [str(args.data)], **config.to_json_dict()}
     run_dir, _ = make_run_dir(args, "train", run_cfg)
     (run_dir / "params.json").write_text(log.params.to_json() + "\n")
@@ -302,53 +338,6 @@ def _error_row(N: int, m: int, error: str) -> dict:
     return {**dict.fromkeys(SWEEP_COLUMNS, ""), "N": N, "m": m, "error": error}
 
 
-def _check_sweep_flags(args, dataset, n_values, m_values, test_set) -> None:
-    """Reject the flags every cell shares, and grid values no cell can run,
-    before any cell runs: one bad value would otherwise fail the grid cell by
-    cell. That covers a window shorter than ``--stride``, a ``--batch`` above
-    a window length's segment count S (one segment in bptt mode) and, when
-    each cell evaluates the test set with its own burn-in, a burn-in of at
-    least T_test. A burn-in beyond a valid window's N - 1 is still flagged
-    per cell."""
-    try:
-        _cell_spec(args, dataset.d_x, dataset.d_y)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    if args.batch < 1:
-        raise UsageError(f"--batch {args.batch} must be >= 1")
-    if args.epochs < 0:
-        raise UsageError(f"--epochs {args.epochs} must be >= 0")
-    _check_lr(args.lr)
-    if args.rho > 1.0:
-        raise UsageError(f"--rho {args.rho} must be <= 1")
-    if args.stride < 1:
-        raise UsageError(f"--stride {args.stride} must be >= 1")
-    if args.mode == "bptt" and len(n_values) > 1:
-        raise UsageError(f"--mode bptt trains on the whole series whatever N is: "
-                         f"give one --N-list value, not {n_values}")
-    if any(not 1 <= N <= dataset.T for N in n_values):
-        raise UsageError(f"--N-list {n_values} must lie in [1, T] = [1, {dataset.T}]")
-    if any(not 0 <= m < dataset.T for m in m_values):
-        raise UsageError(f"--m-list {m_values} must lie in [0, T-1] = [0, {dataset.T - 1}]")
-    for N in n_values:
-        if args.mode == "bptt":
-            S = 1  # whole-sequence training has one segment whatever N is
-        else:
-            try:
-                S = data.make_plan(dataset.T, N, args.stride).S
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
-        if args.batch > S:
-            raise UsageError(f"--batch {args.batch} exceeds the S={S} segments of N={N}")
-    if args.test_burn < -1:
-        raise UsageError(f"--test-burn {args.test_burn} must be >= -1")
-    if test_set is not None and args.test_burn >= test_set.T:
-        raise UsageError(f"--test-burn {args.test_burn} must be < T_test = {test_set.T}")
-    if test_set is not None and args.test_burn == -1 and max(m_values) >= test_set.T:
-        raise UsageError(f"--m-list {m_values} must lie below T_test = {test_set.T} "
-                         "when --test-burn -1 evaluates each cell with its own m")
-
-
 def cmd_sweep(args) -> int:
     """Train and evaluate every (N, m) cell of the grid into ``report.csv``.
 
@@ -359,10 +348,8 @@ def cmd_sweep(args) -> int:
     the group's cells rerun one by one, so each row holds exactly what a
     lone run of its cell gives. Each cell's ``timings.json`` entry is an
     even share of its group's wall time; a burn-in beyond N - 1 takes none
-    and gets an error row. In bptt mode every N trains the same
-    whole-series model, so the grid takes one N.
+    and gets an error row.
     """
-    _resolve_batch(args)
     dataset = _load_dataset(args, args.data)
     test_set = None
     if args.test:
@@ -370,9 +357,16 @@ def cmd_sweep(args) -> int:
             args, args.test,
             transforms=(dataset.input_transforms, dataset.target_transforms),
         )
-    n_values = _int_list(args.N_list)
+    n_values = _resolve_windows(args, _int_list(args.N_list), dataset.T)
     m_values = _int_list(args.m_list)
-    _check_sweep_flags(args, dataset, n_values, m_values, test_set)
+    _check_flags(args, dataset, n_values, m_values)
+    if args.test_burn < -1:
+        raise UsageError(f"--test-burn {args.test_burn} must be >= -1")
+    if test_set is not None and args.test_burn >= test_set.T:
+        raise UsageError(f"--test-burn {args.test_burn} must be < T_test = {test_set.T}")
+    if test_set is not None and args.test_burn == -1 and max(m_values) >= test_set.T:
+        raise UsageError(f"--m-list {m_values} must lie below T_test = {test_set.T} "
+                         "when --test-burn -1 evaluates each cell with its own m")
     config = {
         "inputs": [str(args.data)] + ([str(args.test)] if args.test else []),
         "N_list": n_values,
@@ -395,7 +389,7 @@ def cmd_sweep(args) -> int:
     rows: dict[tuple[int, int], dict] = {}
     wall_times: dict[tuple[int, int], float] = {}
     for N in n_values:
-        ms = tuple(m for m in m_values if m <= N - 1 or args.mode == "bptt")
+        ms = tuple(m for m in m_values if m <= N - 1)
         for m in m_values:
             if m not in ms:
                 rows[N, m] = _error_row(N, m, f"m={m} exceeds N-1")
@@ -438,18 +432,13 @@ def cmd_benchmark(args) -> int:
     if unknown:
         raise UsageError(f"unknown variants {unknown}")
     m_values = _int_list(args.m_list)
-    if any(not 0 <= m <= args.N - 1 for m in m_values):
+    _check_flags(args, dataset, [args.N], m_values)
+    if max(m_values) > args.N - 1:
         raise UsageError(f"burn-in values {m_values} must lie in [0, N-1] = [0, {args.N - 1}]")
     if args.restarts < 1 or args.iters < 1:
         raise UsageError(f"--restarts ({args.restarts}) and --iters ({args.iters}) must be >= 1")
-    _check_lr(args.lr)
-    if args.rho > 1.0:
-        raise UsageError(f"--rho {args.rho} must be <= 1")
-    try:
-        spec = _cell_spec(args, dataset.d_x, dataset.d_y)
-        plan = data.make_plan(dataset.T, args.N, args.stride)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    spec = _cell_spec(args, dataset.d_x, dataset.d_y)
+    plan = data.make_plan(dataset.T, args.N, args.stride)
     config = {
         "inputs": [str(args.data)],
         "N": args.N,
@@ -486,11 +475,9 @@ def cmd_benchmark(args) -> int:
 
         if "tbptt" in records and "coupled" in records:
             star, bench = records["tbptt"], records["coupled"]
-            # each stability radius comes from a zero-state pass, as the star's full one is
-            bench_zero = forward(bench.sol.params, None, dataset.inputs)
             pair = Params(np.stack([star.sol.params.theta, bench.sol.params.theta]), spec)
             stab = analysis.merge_stability(*analysis.estimate_stability(
-                pair, dataset, [star.full, bench_zero], seed=args.seed))
+                pair, dataset, [star.full, bench.full], seed=args.seed))
             if "unconstrained" in records:
                 eps = analysis.epsilon_check(star, records["unconstrained"], dataset, plan, m)
             else:
@@ -542,8 +529,9 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="run seed")
     p.add_argument("--rho", type=float, default=0.999,
                    help="spectral bound on the recurrent block; <=0 disables")
-    p.add_argument("--mode", choices=["zero", "stateful", "bptt"], default="zero",
-                   help="zero-initialized, state-passing, or whole-sequence training")
+    p.add_argument("--mode", choices=list(_MODES), default="zero",
+                   help="zero-initialized or state-passing windows, or full BPTT: "
+                        "zero-initialized training on the one window N = T")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -49,7 +49,6 @@ class TimeSeriesDataset:
 
     inputs: np.ndarray  # (T, d_x)
     targets: np.ndarray  # (T, d_y)
-    name: str = "dataset"
     input_transforms: list[ColumnTransform] = field(default_factory=list)
     target_transforms: list[ColumnTransform] = field(default_factory=list)
 
@@ -198,7 +197,6 @@ def load_csv(
     input_cols: list[str],
     target_cols: list[str],
     transforms: tuple[list[ColumnTransform], list[ColumnTransform]] | None = None,
-    name: str | None = None,
 ) -> TimeSeriesDataset:
     """Read a headed CSV of finite decimal doubles into a normalized dataset.
 
@@ -245,13 +243,8 @@ def load_csv(
     in_fit, tg_fit = transforms if transforms is not None else (None, None)
     inputs, in_trs = take(input_cols, in_fit)
     targets, tg_trs = take(target_cols, tg_fit)
-    return TimeSeriesDataset(
-        inputs,
-        targets,
-        name=name or path.stem,
-        input_transforms=in_trs,
-        target_transforms=tg_trs,
-    )
+    return TimeSeriesDataset(inputs, targets, input_transforms=in_trs,
+                             target_transforms=tg_trs)
 
 
 def write_csv(path, columns: dict[str, np.ndarray]) -> None:

@@ -1,13 +1,15 @@
 """Mini-batch training over overlapping segments with a tunable burn-in phase.
 
-Three modes:
+Two modes:
 
 * ``zero_init``: every segment's forward pass starts from the zero state and
   the segment order is reshuffled each epoch (the classic truncated scheme).
 * ``stateful``: segments are visited chronologically and each one starts from
   the state its predecessor reached at the step where the windows meet,
   recomputed under the current parameters by one forward pass per batch.
-* ``full_bptt``: one segment spanning the whole sequence.
+
+Full BPTT, the optimization over the whole sequence, is the one window
+N = T (S = 1), where both modes train the same model.
 
 The per-step update is plain SGD or Adam on the batch-averaged gradient,
 optionally followed by a spectral-norm projection of the recurrent block.
@@ -40,7 +42,7 @@ from .linalg import spectral_norm
 from .rnn_core import CellSpec, Params, batched_forward, init_params, per_start, start_indices
 from .rng import SplitMix64
 
-MODES = ("zero_init", "stateful", "full_bptt")
+MODES = ("zero_init", "stateful")
 
 
 class TrainingError(RuntimeError):
@@ -102,8 +104,10 @@ class AdamState:
 class TrainConfig:
     """Everything a training run depends on; hashable for run manifests.
 
-    ``train`` runs every one of the ``epochs``; ``train_burn_ins`` takes the
-    burn-ins from its own list in place of ``m``.
+    The run trains on the length-``N`` windows of ``make_plan(T, N, stride)``
+    in one of ``MODES``; N = T is full BPTT. ``train`` runs every one of the
+    ``epochs``; ``train_burn_ins`` takes the burn-ins from its own list in
+    place of ``m``.
     """
 
     spec: CellSpec
@@ -120,7 +124,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode {self.mode!r} not one of {MODES}")
-        if self.mode != "full_bptt" and not 0 <= self.m <= self.N - 1:
+        if not 0 <= self.m <= self.N - 1:
             raise ValueError(f"burn-in m={self.m} must lie in [0, N-1] = [0, {self.N - 1}]")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -346,13 +350,7 @@ def train_burn_ins(dataset: TimeSeriesDataset, config: TrainConfig,
     configs = [replace(config, m=m) for m in burn_ins]  # validates each m
     if not configs:
         raise ValueError("train_burn_ins needs at least one burn-in")
-    if config.mode == "full_bptt":
-        plan = SegmentationPlan(N=dataset.T, starts=(1,))
-        for c in configs:
-            if not 0 <= c.m <= dataset.T - 1:
-                raise ValueError(f"burn-in m={c.m} out of range [0, {dataset.T - 1}]")
-    else:
-        plan = make_plan(dataset.T, config.N, config.stride)
+    plan = make_plan(dataset.T, config.N, config.stride)
     if config.batch_size > plan.S:
         raise ValueError(f"batch_size={config.batch_size} exceeds segment count S={plan.S}")
 

@@ -64,8 +64,7 @@ def gen_synthetic(seed: int, T: int, noise_std: float = 0.05, warmup: int = 50):
     u, y, generator = _simulate_raw(seed, T, warmup, noise_std)
     tr_u, tr_y = _maxabs_transform(u), _maxabs_transform(y)
     dataset = TimeSeriesDataset(tr_u.apply(u)[:, None], tr_y.apply(y)[:, None],
-                                name="synthetic", input_transforms=[tr_u],
-                                target_transforms=[tr_y])
+                                input_transforms=[tr_u], target_transforms=[tr_y])
     return dataset, generator
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import read_params
+from helpers import read_params, read_solution
 from tbptt import analysis, cli, data, training
 from tbptt.cli import main
 from tbptt.data import load_csv
@@ -161,14 +161,19 @@ def test_train_missing_file_is_usage_error(tmp_path):
 
 
 def test_train_bptt_mode_ignores_window(tmp_path):
+    # full BPTT is zero-init training on the one window N = T = 60, one segment per batch
     data_file = synth(tmp_path) / "train.csv"
     out = tmp_path / "run"
     assert run("--out", out, "train", "--data", data_file, "--mode", "bptt",
-               "--N", 7, "--stride", 5, "--m", 2, "--batch", 1,
-               "--epochs", 3, "--seed", 1) == 0
+               "--N", 7, "--stride", 5, "--m", 2, "--epochs", 3, "--seed", 1) == 0
     run_dir = only_run_dir(out, "train")
     lines = (run_dir / "log.jsonl").read_text().strip().splitlines()
     assert len(lines) == 3
+    assert run("--out", tmp_path / "zero", "train", "--data", data_file, "--mode", "zero",
+               "--N", 60, "--m", 2, "--batch", 1, "--epochs", 3, "--seed", 1) == 0
+    zero_dir = only_run_dir(tmp_path / "zero", "train")
+    for name in ("params.json", "log.jsonl"):
+        assert (run_dir / name).read_bytes() == (zero_dir / name).read_bytes()
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])
@@ -186,6 +191,7 @@ def test_bptt_mode_without_batch_runs_its_one_segment(tmp_path, command):
         with open(run_dir / "report.csv") as fh:
             (row,) = csv.DictReader(fh)
         assert row["error"] == ""
+        assert row["N"] == "60"  # the one window N = T
     assert run("--out", tmp_path / "two", command, "--data", data_file, "--mode", "bptt",
                "--epochs", 2, "--batch", 2, *grid) == 2
 
@@ -291,7 +297,8 @@ def lone_cell(dataset, test_set, args, N, m):
     that the stacked groups must reproduce byte for byte."""
     cell_args = argparse.Namespace(**vars(args))
     cell_args.N, cell_args.m = N, m
-    config, log = cli._run_training(dataset, cell_args)
+    log = training.train(dataset, cli._train_config(
+        cell_args, cli._cell_spec(cell_args, dataset.d_x, dataset.d_y)))
     params = log.params
     traj = forward(params, None, dataset.inputs)
     p_train = analysis.performance(traj, dataset, m)
@@ -315,14 +322,13 @@ def lone_cell(dataset, test_set, args, N, m):
 def lone_cell_sweep(argv, report):
     """The sweep run cell by cell into ``report``; returns its exit code."""
     args = cli.build_parser().parse_args(argv)
-    cli._resolve_batch(args)
     dataset = cli._load_dataset(args, args.data)
     test_set = cli._load_dataset(args, args.test, transforms=(dataset.input_transforms,
                                                              dataset.target_transforms))
     rows = {}
-    for N in cli._int_list(args.N_list):
+    for N in cli._resolve_windows(args, cli._int_list(args.N_list), dataset.T):
         for m in cli._int_list(args.m_list):
-            if m > N - 1 and args.mode != "bptt":
+            if m > N - 1:
                 rows[N, m] = cli._error_row(N, m, f"m={m} exceeds N-1")
             else:
                 try:
@@ -402,14 +408,15 @@ def test_sweep_evaluates_only_what_it_reports(tmp_path, monkeypatch, mode):
     assert len(probes) == 2 and all(shape[0] == 2 for shape in probes)
 
     args = cli.build_parser().parse_args([str(f) for f in flags])
-    cli._resolve_batch(args)
     dataset = cli._load_dataset(args, args.data)
+    cli._resolve_windows(args, cli._int_list(args.N_list), dataset.T)
     with open(only_run_dir(tmp_path / "sweep", "sweep") / "report.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert [(r["N"], r["m"]) for r in rows] == [("8", "0"), ("8", "3"), ("10", "0"), ("10", "3")]
     for row in rows:
         args.N, args.m = int(row["N"]), int(row["m"])
-        _, log = cli._run_training(dataset, args)
+        log = training.train(dataset, cli._train_config(
+            args, cli._cell_spec(args, dataset.d_x, dataset.d_y)))
         assert float(row["train_mse"]) == log.records[-1].objective
         assert row["train_mse"] == repr(log.records[-1].objective)
 
@@ -429,6 +436,28 @@ def test_benchmark_evaluates_each_solution_once(tmp_path, monkeypatch):
     assert run("--out", tmp_path / "bench", "benchmark", "--data", base / "train.csv",
                "--N", 10, "--m-list", "0,2", "--restarts", 1, "--iters", 50) == 0
     assert evaluated == ["tbptt", "coupled", "unconstrained"] * 2
+
+
+def test_benchmark_coupled_stability_radius_from_its_own_start(tmp_path, monkeypatch):
+    # the coupled model's stability radius comes from its pass from its own
+    # initial state, not from a zero-state pass
+    base = synth(tmp_path)
+    passes = []
+    real_probe = analysis.estimate_stability
+
+    def spying_probe(params, dataset, trajs, num_pairs=32, seed=0):
+        passes.append(trajs)
+        return real_probe(params, dataset, trajs, num_pairs, seed)
+
+    monkeypatch.setattr(analysis, "estimate_stability", spying_probe)
+    out = tmp_path / "bench"
+    assert run("--out", out, "benchmark", "--data", base / "train.csv", "--cell", "elman",
+               "--d-h", 2, "--N", 10, "--m-list", 2, "--variants", "tbptt,coupled",
+               "--restarts", 1, "--iters", 50) == 0
+    sol = read_solution((only_run_dir(out, "benchmark") / "solution_coupled_m2.json").read_text())
+    (trajs,) = passes
+    assert np.any(sol.init_states[0] != 0.0)
+    npt.assert_array_equal(trajs[1].hidden[0], sol.init_states[0])
 
 
 def test_benchmark_selected_variant_only(tmp_path):
@@ -521,13 +550,22 @@ def test_benchmark_bad_budget_or_bound_is_usage_error(tmp_path, capsys, flag, va
                        "--N", 10, flag, value)
 
 
-@pytest.mark.parametrize("flag, value", [("--d-h", 0), ("--batch", 0), ("--epochs", -1),
-                                         ("--rho", 1.5), ("--stride", 0)])
-def test_sweep_bad_shared_flag_is_usage_error(tmp_path, capsys, flag, value):
-    # flags every cell shares fail the sweep up front, not cell by cell (exit 4)
+@pytest.mark.parametrize("command, flag, value", [
+    *[(command, flag, value) for command in ("train", "sweep", "benchmark")
+      for flag, value in [("--d-h", 0), ("--stride", 0), ("--rho", 1.5), ("--rho", "nan")]],
+    *[(command, flag, value) for command in ("train", "sweep")
+      for flag, value in [("--batch", 0), ("--epochs", -1)]],
+])
+def test_bad_shared_flag_is_usage_error(tmp_path, capsys, command, flag, value):
+    # one up-front check: a sweep failed cell by cell (exit 4) and a benchmark
+    # raised a traceback on --rho nan
     data_file = synth(tmp_path) / "train.csv"
-    assert_usage_error(capsys, tmp_path / "x", "sweep", "--data", data_file,
-                       "--N-list", 10, "--epochs", 1, flag, value)
+    argv = {
+        "train": ["--N", 10, "--epochs", 1],
+        "sweep": ["--N-list", 10, "--epochs", 1],
+        "benchmark": ["--N", 10, "--restarts", 1, "--iters", 5],
+    }[command]
+    assert_usage_error(capsys, tmp_path / "x", command, "--data", data_file, *argv, flag, value)
 
 
 @pytest.mark.parametrize("flag, value", [("--N-list", 0), ("--N-list", "10,61"),

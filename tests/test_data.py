@@ -72,7 +72,7 @@ def test_plan_covers_whole_sequence():
 
 def _toy_dataset(t=10):
     grid = np.arange(1.0, t + 1.0)
-    return TimeSeriesDataset(grid[:, None], (10.0 * grid)[:, None], name="toy")
+    return TimeSeriesDataset(grid[:, None], (10.0 * grid)[:, None])
 
 
 def test_extract_prefix_and_indexing():

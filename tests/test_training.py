@@ -16,7 +16,6 @@ from tbptt.rnn_core import (
     CellSpec, Params, batched_forward, forward, init_params, pack, per_start,
 )
 from tbptt.training import (
-    MODES,
     AdamConfig,
     AdamState,
     SGDConfig,
@@ -41,7 +40,7 @@ def memoryless_dataset(seed=0, t=40, gain=2.0):
     """Data from y_t = gain * x_t: realizable from the zero state everywhere."""
     rng = SplitMix64(seed)
     x = rng.normals(t)[:, None]
-    return TimeSeriesDataset(x, gain * x, name="memoryless")
+    return TimeSeriesDataset(x, gain * x)
 
 
 LIN_SPEC = CellSpec("linear", 1, 1, 1, activation="identity", use_biases=False)
@@ -283,14 +282,6 @@ def test_train_respects_spectral_bound_each_epoch():
     assert spectral_norm(log.params.block("W_hh")) <= 0.9 * (1 + 1e-9)
 
 
-def test_train_full_bptt_ignores_window():
-    ds = memoryless_dataset(t=30)
-    config = lin_config(mode="full_bptt", N=999, stride=7, m=3, batch_size=1, epochs=5)
-    log = train(ds, config)
-    assert len(log.records) == 5
-    assert np.isfinite(log.records[-1].objective)
-
-
 def test_train_validates_batch_size():
     ds = memoryless_dataset(t=20)
     with pytest.raises(ValueError):
@@ -423,10 +414,12 @@ STACK_SPECS = [
 @pytest.mark.parametrize("optimizer", [SGDConfig(lr=0.02), AdamConfig(lr=0.02)],
                          ids=["sgd", "adam"])
 @pytest.mark.parametrize("spec", STACK_SPECS, ids=lambda spec: spec.kind)
-@pytest.mark.parametrize("mode", MODES)
-def test_train_burn_ins_equal_train_per_burn_in(mode, spec, optimizer, bound, stride):
+@pytest.mark.parametrize("case", ["zero_init", "stateful", "full_bptt"])
+def test_train_burn_ins_equal_train_per_burn_in(case, spec, optimizer, bound, stride):
     ds, _ = gen_synthetic(4, 40, 0.05)
-    config = TrainConfig(spec=spec, N=7, m=0, batch_size=1 if mode == "full_bptt" else 3,
+    # full BPTT is zero-init training on the one window N = T, so S = 1
+    mode, N, batch = ("zero_init", ds.T, 1) if case == "full_bptt" else (case, 7, 3)
+    config = TrainConfig(spec=spec, N=N, m=0, batch_size=batch,
                          optimizer=optimizer, epochs=2, stride=stride, seed=2,
                          spectral_bound=bound, mode=mode)
     # under a bound, a start above it: the first projection scales every model
