@@ -20,7 +20,8 @@ import numpy as np
 
 from .linalg import DimensionError
 from .rnn_core import (
-    Params, batched_forward, check_finite, pack, per_start, start_indices, time_major,
+    Params, batched_forward, check_finite, empty_time_major, pack, per_start, start_indices,
+    time_major,
 )
 
 
@@ -34,7 +35,10 @@ class Tape:
     hoisted input product and was overwritten with the gate activations)
     and "tanh_c" (B, T', d_h); linear/Elman cells need no cache. A tape of
     stacked ``params`` carries the leading start axis R on every array but
-    the shared ``inputs``.
+    the shared ``inputs``. ``states`` and the cache arrays are time-major in
+    memory (``rnn_core.empty_time_major``): (steps, R, B, k) behind the
+    batch-major shape, so ``time_major(a)[t]`` is one contiguous block.
+    ``inputs`` and ``outputs`` are ordinary batch-major arrays.
     """
 
     params: Params
@@ -63,17 +67,34 @@ def backprop(tape: Tape, cograds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (d_theta summed over the batch, d_h0 per batch row); for a
     stacked tape, d_theta is (R, n) and d_h0 (R, B, sd), one per start.
 
-    Linear/Elman cells: the loop carries only the adjoint. One
-    (..., B, T'+1, d_h) buffer first takes ``cograds · W_hy`` for every
-    step, one product per start; step t then adds the carried adjoint,
-    applies phi' and stores the result back in row t. The zero last row
-    pairs with the final state, so ``W_hh`` is one product against
-    ``states.reshape(-1, sd)``, and ``W_xh`` and ``b_h`` take one product
-    each after the loop, all per start. This buffer is the only
-    full-length array the sweep allocates. The LSTM sweep stays per step:
-    it accumulates every weight gradient inside the loop, which keeps its
-    memory at the size of the tape. Each step is one stacked product over
-    the starts.
+    The loop carries only the adjoints. Every full-length buffer it
+    allocates is time-major like the tape's (``empty_time_major``), so step
+    t reads and writes one contiguous block, and after the loop each weight
+    gradient is one product per start over time-major rows. Those rows are
+    views of an unstacked tape; a stacked tape's are copied one start at a
+    time, which gives each start the memory layout, and so the bits, of its
+    unstacked call.
+
+    Linear/Elman cells: one (..., B, T'+1, d_h) buffer ``da`` first takes
+    ``cograds · W_hy`` for every step, one product per start; step t adds
+    the carried adjoint to its row, applies phi' in place, and carries the
+    row's product with ``W_hh``: three or four operations per step. The
+    zero last row pairs with the final state, so ``W_hh`` is one product of
+    ``da``'s rows with the state rows. ``W_xh`` is one batched product with
+    the batch-major inputs, summed over the batch, and ``b_h`` a sum of the
+    rows. ``da`` is the only full-length array the sweep allocates.
+
+    LSTM cells: before the loop, everything that does not depend on the
+    carried adjoints is written in place, for all steps at once, into
+    three buffers: ``dz`` (gates-sized) takes the four gate-derivative
+    factors (∂c/∂z for i, f and g; tanh c · ∂o/∂z for o), ``c_path``
+    (..., B, T', d_h) the c-path factor o·(1 − tanh²c), and ``dh_out`` the
+    same size ``cograds · W_hy``. Step t then makes seven operations: dh
+    and dc in their rows, the in-place scaling of its ``dz`` row by dc
+    (i, f, g) and by dh (o), and the carries ``dz · W_hh`` and ``dc · f``.
+    After the loop ``W_hh``, ``W_xh`` and ``b_h`` take one product each
+    over the ``dz`` rows, as for the Elman cell. The three buffers come to
+    1.5 times the tape's gate buffer, the sweep's whole full-length memory.
     """
     spec = tape.params.spec
     blocks = tape.params.unpack()
@@ -86,78 +107,85 @@ def backprop(tape: Tape, cograds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     check_finite("output cogradients", cograds)
 
     W_hh, W_hy = blocks["W_hh"], blocks["W_hy"]
-    d_h = spec.d_h
-    read = tape.states[..., 1:, d_h:] if spec.kind == "lstm" else tape.states[..., 1:, :]
-
-    grads: dict[str, np.ndarray] = {
-        "W_hy": per_start(lead, lambda r: np.einsum("bti,btj->ij", cograds[r], read[r]))
-    }
-    if spec.use_biases:
-        grads["b_y"] = per_start(lead, lambda r: cograds[r].sum(axis=(0, 1)))
+    d_h, sd = spec.d_h, spec.state_dim
 
     if spec.kind == "lstm":
-        grads["W_hh"] = np.zeros_like(W_hh)
-        grads["W_xh"] = np.zeros_like(blocks["W_xh"])
-        if spec.use_biases:
-            grads["b_h"] = np.zeros_like(blocks["b_h"])
-        step_cograds, step_states = time_major(cograds), time_major(tape.states)
-        gates, tanh_c = time_major(tape.cache["gates"]), time_major(tape.cache["tanh_c"])
-        step_inputs = time_major(tape.inputs)
+        # time-major views: the buffers' own memory, step t at index t
+        G, tanh_c = time_major(tape.cache["gates"]), time_major(tape.cache["tanh_c"])
+        gi, gf, gg, go = (G[..., k * d_h : (k + 1) * d_h] for k in range(4))
+        dz = empty_time_major(lead, B, T, 4 * d_h)
+        Z = time_major(dz)
+        z_i, z_f, z_g, z_o = (Z[..., k * d_h : (k + 1) * d_h] for k in range(4))
+        # whole rows first: narrow gate columns make one short inner loop per row
+        np.subtract(1.0, G, out=Z)
+        Z *= G  # sigma' of the i, f and o gates
+        z_i *= gg
+        z_f *= time_major(tape.states)[:T, ..., :d_h]
+        np.multiply(gg, gg, out=z_g)
+        np.subtract(1.0, z_g, out=z_g)
+        z_g *= gi
+        z_o *= tanh_c
+        c_path = empty_time_major(lead, B, T, d_h)
+        C = time_major(c_path)
+        np.multiply(tanh_c, tanh_c, out=C)
+        np.subtract(1.0, C, out=C)
+        C *= go
+        dh_out = empty_time_major(lead, B, T, d_h)
+        for r in start_indices(lead):
+            np.einsum("bti,ij->btj", cograds[r], W_hy[r], out=dh_out[r])
+        DH = time_major(dh_out)
+
+        # Z's rows split per gate: (T', ..., B, 4, d_h), a view
+        Z_gates = Z.reshape(Z.shape[:-1] + (4, d_h))
         carry_dc = np.zeros(lead + (B, d_h))
         carry_dh = np.zeros(lead + (B, d_h))
         for t in range(T - 1, -1, -1):
-            dh = step_cograds[t] @ W_hy + carry_dh
-            g_t = gates[t]
-            gi = g_t[..., :d_h]
-            gf = g_t[..., d_h : 2 * d_h]
-            gg = g_t[..., 2 * d_h : 3 * d_h]
-            go = g_t[..., 3 * d_h :]
-            tc = tanh_c[t]
-            c_prev = step_states[t][..., :d_h]
-            hh_prev = step_states[t][..., d_h:]
-
-            do = dh * tc
-            dc = carry_dc + dh * go * (1.0 - tc * tc)
-            dz = np.concatenate(
-                [
-                    dc * gg * gi * (1.0 - gi),
-                    dc * c_prev * gf * (1.0 - gf),
-                    dc * gi * (1.0 - gg * gg),
-                    do * go * (1.0 - go),
-                ],
-                axis=-1,
-            )
-            grads["W_xh"] += dz.mT @ step_inputs[t]
-            grads["W_hh"] += dz.mT @ hh_prev
-            if spec.use_biases:
-                grads["b_h"] += dz.sum(axis=-2)
-            carry_dh = dz @ W_hh
-            carry_dc = dc * gf
+            dh = DH[t]
+            dh += carry_dh
+            dc = C[t]
+            dc *= dh
+            dc += carry_dc
+            z = Z_gates[t]
+            z[..., :3, :] *= dc[..., None, :]
+            z[..., 3, :] *= dh
+            carry_dh = Z[t] @ W_hh
+            carry_dc = dc * gf[t]
         d_h0 = np.concatenate([carry_dc, carry_dh], axis=-1)
+        adjoint = dz
     else:
-        da = np.empty(lead + (B, T + 1, d_h))
+        da = empty_time_major(lead, B, T + 1, d_h)
         da[..., T, :] = 0.0
         for r in start_indices(lead):
             np.einsum("bti,ij->btj", cograds[r], W_hy[r], out=da[r][:, :T])
         step_da, step_states = time_major(da), time_major(tape.states)
         carry = np.zeros(lead + (B, d_h))
         for t in range(T - 1, -1, -1):
-            # a fresh contiguous row: elementwise work on the strided step_da[t] is slow
-            a_t = step_da[t] + carry
+            a_t = step_da[t]
+            a_t += carry
             if spec.activation != "identity":
                 a_t *= _phi_prime(spec.activation, step_states[t + 1])
-            step_da[t] = a_t
             carry = a_t @ W_hh
         d_h0 = carry
-        grads["W_hh"] = per_start(
-            lead, lambda r: da[r].reshape(-1, d_h).T @ tape.states[r].reshape(-1, d_h))
-        grads["W_xh"] = per_start(
-            lead, lambda r: np.matmul(da[r][:, :T].transpose(0, 2, 1), tape.inputs).sum(axis=0))
-        if spec.use_biases:
-            # summing B first: a one-pass reduction over (B, T'+1) rows is slow
-            grads["b_h"] = per_start(lead, lambda r: da[r].sum(axis=0).sum(axis=0))
+        adjoint = da
 
-    return pack(spec, grads).theta, d_h0
+    def start_grads(r) -> dict[str, np.ndarray]:
+        # start r's time-major rows: views of an unstacked tape's buffers,
+        # contiguous copies of a stacked one's, so every product sees the
+        # memory of the start's unstacked call and gives its bits
+        adj = np.ascontiguousarray(time_major(adjoint[r]))  # (steps, B, k)
+        hidden = np.ascontiguousarray(time_major(tape.states[r])).reshape(-1, sd)[:, sd - d_h :]
+        grads = {
+            "W_hy": np.einsum("bti,tbj->ij", cograds[r], hidden[B:].reshape(T, B, d_h)),
+            "W_hh": adj.reshape(-1, adj.shape[-1]).T @ hidden[: adj.shape[0] * B],
+            "W_xh": np.matmul(adj[:T].transpose(1, 2, 0), tape.inputs).sum(axis=0),
+        }
+        if spec.use_biases:
+            grads["b_y"] = cograds[r].sum(axis=(0, 1))
+            # summing the steps first: long contiguous runs, not one per row
+            grads["b_h"] = adj.sum(axis=0).sum(axis=0)
+        return grads
+
+    return per_start(lead, lambda r: pack(spec, start_grads(r)).theta), d_h0
 
 
 def _weighted_sse(err: np.ndarray, weights: np.ndarray) -> float | np.ndarray:

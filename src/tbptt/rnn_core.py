@@ -63,9 +63,21 @@ def check_finite(where: str, *arrays: np.ndarray) -> None:
 
 def time_major(a: np.ndarray) -> np.ndarray:
     """A view of a (..., B, T, k) array with the time axis first, so that
-    step t is one integer index, with or without a leading start axis."""
+    step t is one integer index, with or without a leading start axis.
+
+    On a buffer from ``empty_time_major`` the view is its C-contiguous
+    storage: step t, ``time_major(a)[t]``, is one contiguous (..., B, k)
+    block, and an unstacked ``time_major(a).reshape(-1, k)`` is a view."""
     nd = a.ndim
     return a.transpose((nd - 2, *range(nd - 2), nd - 1))
+
+
+def empty_time_major(lead: tuple[int, ...], B: int, T: int, k: int) -> np.ndarray:
+    """An uninitialised float64 (*lead, B, T, k) array stored as
+    (T, *lead, B, k): the batch-major shape every caller indexes, over
+    time-major memory, so step t of a recurrence reads and writes one
+    contiguous block that holds the (B, k) rows of every start."""
+    return np.moveaxis(np.empty((T, *lead, B, k), dtype=np.float64), 0, -2)
 
 
 def start_indices(lead: tuple[int, ...]):
@@ -247,19 +259,21 @@ class Trajectory:
     outputs: np.ndarray  # (T', d_y)
 
 
-def _activation(kind: str, a: np.ndarray) -> np.ndarray:
+def _activate(kind: str, a: np.ndarray) -> None:
+    """Apply the activation to ``a`` in place."""
     if kind == "tanh":
-        return np.tanh(a)
-    if kind == "relu":
-        return np.maximum(a, 0.0)
-    return a
+        np.tanh(a, out=a)
+    elif kind == "relu":
+        np.maximum(a, 0.0, out=a)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function without overflow: 1/(1+e^-z) for z >= 0 and
-    e^z/(1+e^z) below, both through e^-|z| <= 1; NaN stays NaN."""
+    e^z/(1+e^z) below, both through e^-|z| <= 1; NaN stays NaN. ``out``
+    may be ``z`` itself."""
     ez = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    numerator = np.where(z >= 0, 1.0, ez)
+    return np.divide(numerator, np.add(1.0, ez, out=ez), out=out)
 
 
 def batched_forward(
@@ -277,16 +291,24 @@ def batched_forward(
     stacked product over the R models, so all of them share the per-step
     Python cost. The unstacked call is the same code without that axis.
 
+    Storage: ``states`` and the LSTM ``gates``/``tanh_c`` buffers come from
+    ``empty_time_major``, so their memory is (T'+1, ..., B, k) behind the
+    batch-major shape, and step t reads and writes one contiguous block
+    that holds every start's (B, k) rows. ``outputs`` is an ordinary
+    batch-major array.
+
     The input half of every pre-activation, ``inputs · W_xhᵀ``, does not
     depend on the carried state and is computed once per call, before the
     time loop, into a buffer the pass returns anyway: ``states[..., 1:, :]``
     for linear/Elman cells, the (..., B, T', 4·d_h) gate buffer for the LSTM
-    (kept as ``cache["gates"]`` with ``keep_cache``). Step t then adds only
-    ``h · W_hhᵀ`` and the bias, and overwrites its row with the step's
-    state or gate activations. The product is one 3-index ``einsum`` per
-    start, whose bits per element do not depend on B·T' or on R, so a
-    prefix, a restart or one start of a stack reproduces the full unstacked
-    run exactly.
+    (kept as ``cache["gates"]`` with ``keep_cache``). Step t then adds
+    ``h · W_hhᵀ`` and the bias into its row and applies the activation
+    there; the LSTM step writes its gate activations over the row, and c,
+    h = o·tanh c and tanh c straight into their rows (without
+    ``keep_cache``, tanh c goes to one reused row). The product is one
+    3-index ``einsum`` per start, whose bits per element do not depend on
+    B·T' or on R, so a prefix, a restart or one start of a stack reproduces
+    the full unstacked run exactly.
     """
     spec = params.spec
     blocks = params.unpack()
@@ -304,50 +326,46 @@ def batched_forward(
     b_y = blocks["b_y"][..., None, None, :] if spec.use_biases else None
     d_h = spec.d_h
 
-    states = np.empty(lead + (B, T + 1, spec.state_dim), dtype=np.float64)
+    states = empty_time_major(lead, B, T + 1, spec.state_dim)
     states[..., 0, :] = h0
+    step_states = time_major(states)
     cache: dict = {}
 
     # overflow surfaces as a NonFiniteError below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.kind == "lstm":
-            gates = np.empty(lead + (B, T, 4 * d_h), dtype=np.float64)
+            gates = empty_time_major(lead, B, T, 4 * d_h)
             for r in start_indices(lead):
                 np.einsum("btk,nk->btn", inputs, W_xh[r], out=gates[r])
+            tanh_c = empty_time_major(lead, B, T if keep_cache else 1, d_h)
             if keep_cache:
-                cache["gates"] = gates
-                cache["tanh_c"] = np.empty(lead + (B, T, d_h), dtype=np.float64)
-                step_tanh_c = time_major(cache["tanh_c"])
-            step_states, step_gates = time_major(states), time_major(gates)
+                cache["gates"], cache["tanh_c"] = gates, tanh_c
+            step_gates, step_tanh_c = time_major(gates), time_major(tanh_c)
             g_block = slice(2 * d_h, 3 * d_h)
             for t in range(T):
-                prev = step_states[t]
-                z = step_gates[t] + prev[..., d_h:] @ W_hh_T
+                prev, z, row = step_states[t], step_gates[t], step_states[t + 1]
+                z += prev[..., d_h:] @ W_hh_T
                 if b_h is not None:
                     z += b_h
-                act = _sigmoid(z)
-                act[..., g_block] = np.tanh(z[..., g_block])
-                gi, gf, go = act[..., :d_h], act[..., d_h : 2 * d_h], act[..., 3 * d_h :]
-                gg = act[..., g_block]
-                c_new = gf * prev[..., :d_h] + gi * gg
-                tanh_c = np.tanh(c_new)
-                row = step_states[t + 1]
-                row[..., :d_h] = c_new
-                row[..., d_h:] = go * tanh_c
-                if keep_cache:
-                    step_gates[t] = act
-                    step_tanh_c[t] = tanh_c
+                tanh_g = np.tanh(z[..., g_block])
+                _sigmoid(z, out=z)
+                z[..., g_block] = tanh_g
+                gi, gf, go = z[..., :d_h], z[..., d_h : 2 * d_h], z[..., 3 * d_h :]
+                c_new = row[..., :d_h]
+                np.multiply(gf, prev[..., :d_h], out=c_new)
+                c_new += gi * tanh_g
+                tc = step_tanh_c[t if keep_cache else 0]
+                np.tanh(c_new, out=tc)
+                np.multiply(go, tc, out=row[..., d_h:])
         else:
             for r in start_indices(lead):
                 np.einsum("btk,nk->btn", inputs, W_xh[r], out=states[r][:, 1:])
-            step_states = time_major(states)
-            h = h0
             for t in range(T):
-                a = step_states[t + 1] + h @ W_hh_T
+                h = step_states[t + 1]
+                h += step_states[t] @ W_hh_T
                 if b_h is not None:
-                    a += b_h
-                h = _activation(spec.activation, a)
-                step_states[t + 1] = h
+                    h += b_h
+                _activate(spec.activation, h)
 
         read = states[..., 1:, d_h:] if spec.kind == "lstm" else states[..., 1:, :]
         outputs = read @ W_hy.mT[..., None, :, :]

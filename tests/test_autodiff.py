@@ -258,6 +258,12 @@ KERNEL_CELLS = {
 }
 
 
+def contracting(params):
+    """``params`` with W_hh scaled to spectral norm 0.9."""
+    w_hh = params.block("W_hh")
+    return params.with_block("W_hh", w_hh * (0.9 / np.linalg.norm(w_hh, 2)))
+
+
 @pytest.mark.parametrize("T", [1, 2, 21, 400])
 @pytest.mark.parametrize("B", [1, 3, 64])
 @pytest.mark.parametrize("cell", list(KERNEL_CELLS))
@@ -276,6 +282,21 @@ def test_backprop_matches_per_step_sweep(cell, B, T):
     for name, (start, stop, _) in params.layout.items():
         assert rel_linf(d_theta[start:stop], ref_theta[start:stop]) < 1e-12, name
     assert rel_linf(d_h0, ref_h0) < 1e-12
+
+    # R = 3 stacked starts, each with its own parameters, initial states and
+    # cograds over the shared inputs, against each start's unstacked oracle
+    R = 3
+    starts = [contracting(init_params(spec, 42 + r)) for r in range(R)]
+    stacked_h0 = rng.normal(size=(R, B, spec.state_dim))
+    stacked_cograds = rng.normal(size=(R, B, T, spec.d_y))
+    stacked = record(Params(np.stack([p.theta for p in starts]), spec), stacked_h0, tape.inputs)
+    d_theta, d_h0 = backprop(stacked, stacked_cograds)
+    for r, start_params in enumerate(starts):
+        alone = record(start_params, stacked_h0[r], tape.inputs)
+        ref_theta, ref_h0 = per_step_backprop(alone, stacked_cograds[r])
+        for name, (start, stop, _) in params.layout.items():
+            assert rel_linf(d_theta[r, start:stop], ref_theta[start:stop]) < 1e-12, (r, name)
+        assert rel_linf(d_h0[r], ref_h0) < 1e-12, r
 
 
 def test_elman_backprop_allocates_one_states_sized_buffer():
@@ -296,6 +317,26 @@ def test_elman_backprop_allocates_one_states_sized_buffer():
         tracemalloc.stop()
     per_step = B * spec.state_dim * tape.states.itemsize
     assert peak <= tape.states.nbytes + 16 * per_step + 32 * 1024
+
+
+def test_lstm_backprop_memory_is_bounded_by_its_gate_buffer():
+    # the gate-sized dz buffer and two (B, T', d_h) buffers make 1.5 gate
+    # buffers; a full-length temporary in the carry-free set-up would exceed 1.6
+    B, T = 64, 200
+    spec = CellSpec("lstm", 2, 8, 1)
+    params = init_params(spec, 5)
+    rng = np.random.default_rng(0)
+    tape = record(params, np.zeros((B, spec.state_dim)), rng.normal(size=(B, T, spec.d_x)))
+    cograds = rng.normal(size=(B, T, spec.d_y))
+    backprop(tape, cograds)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        backprop(tape, cograds)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * tape.cache["gates"].nbytes + 32 * 1024
 
 
 # --- starts stacked on a leading model axis -------------------------------------

@@ -17,6 +17,8 @@ from tbptt.rnn_core import (
     init_params,
     num_params,
     pack,
+    start_indices,
+    time_major,
 )
 
 
@@ -294,3 +296,31 @@ def test_lstm_step_matches_per_gate_reference_bitwise(batch):
     npt.assert_array_equal(outputs, ref_outputs)
     npt.assert_array_equal(cache["gates"], ref_gates)
     npt.assert_array_equal(cache["tanh_c"], ref_tanh_c)
+
+
+# --- time-major step rows -------------------------------------------------------
+
+LAYOUT_CELLS = [
+    CellSpec("linear", 2, 3, 2, activation="identity", use_biases=False),
+    CellSpec("elman", 2, 3, 2),
+    CellSpec("lstm", 2, 3, 2),
+]
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["unstacked", "stacked"])
+@pytest.mark.parametrize("spec", LAYOUT_CELLS, ids=lambda s: s.kind)
+def test_step_rows_are_contiguous(spec, lead):
+    # a recurrence step reads and writes whole contiguous (B, k) rows
+    B, T = 4, 6
+    rng = np.random.default_rng(1)
+    theta = np.stack([init_params(spec, 60 + r).theta for r in range(3)])
+    params = Params(theta if lead else theta[0], spec)
+    h0 = rng.normal(size=lead + (B, spec.state_dim))
+    states, _, cache = batched_forward(params, h0, rng.normal(size=(B, T, spec.d_x)),
+                                       keep_cache=True)
+    assert set(cache) == ({"gates", "tanh_c"} if spec.kind == "lstm" else set())
+    for name, buffer in {"states": states, **cache}.items():
+        steps = time_major(buffer)
+        for t in range(steps.shape[0]):
+            for r in start_indices(lead):
+                assert steps[t][r].flags.c_contiguous, (name, t, r)
