@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -50,15 +50,6 @@ class StabilityEstimate:
     max_violation: float
     num_pairs_tested: int
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "C": self.C,
-            "lambda": self.lam,
-            "max_violation": self.max_violation,
-            "num_pairs_tested": self.num_pairs_tested,
-            "passed": self.passed,
-        }
 
 
 def merge_stability(a: StabilityEstimate, b: StabilityEstimate) -> StabilityEstimate:
@@ -122,7 +113,7 @@ def estimate_stability(params: Params, dataset: TimeSeriesDataset,
                      for model in pairs])
     kept = gaps >= 1e-12  # a degenerate pair is skipped
     if (kept != kept[0]).any():
-        return [estimate_stability(Params(params.theta[r], params.spec, params.layout),
+        return [estimate_stability(Params(params.theta[r], params.spec),
                                    dataset, [trajs[r]], num_pairs, seed)[0]
                 for r in range(len(trajs))]
 
@@ -198,8 +189,7 @@ class TurnpikeReport:
     N: int
 
     def to_json_dict(self) -> dict:
-        return {"e_j": self.e_j.tolist(), "sum_e": self.sum_e,
-                "reference": self.reference, "m": self.m, "N": self.N}
+        return {**asdict(self), "e_j": self.e_j.tolist()}
 
 
 def turnpike_errors(a: Evaluation, b: Evaluation, m: int) -> TurnpikeReport:
@@ -219,11 +209,6 @@ class EpsilonCheck:
     sq_norm: float
     epsilon_max: float  # inf means unbounded
     satisfied_strict: bool
-
-    def to_json_dict(self) -> dict:
-        eps = "unbounded" if math.isinf(self.epsilon_max) else self.epsilon_max
-        return {"cross_term": self.cross_term, "sq_norm": self.sq_norm,
-                "epsilon_max": eps, "satisfied_strict": self.satisfied_strict}
 
 
 def epsilon_check(star: Evaluation, inf: Evaluation,
@@ -294,11 +279,9 @@ class BoundConstants:
     finite: bool
 
     def to_json_dict(self) -> dict:
-        out = {k: getattr(self, k) for k in
-               ("L_l", "h_bar", "C", "lam", "epsilon", "C_bar", "K", "c1", "c2",
-                "E1", "E2", "finite")}
-        return {k: (v if not isinstance(v, float) or math.isfinite(v) else "inf")
-                for k, v in out.items()}
+        """The fields, with a non-finite value written as ``"inf"``."""
+        return {k: "inf" if isinstance(v, float) and not math.isfinite(v) else v
+                for k, v in asdict(self).items()}
 
 
 def bound_constants(stab: StabilityEstimate, eps: EpsilonCheck,
@@ -357,28 +340,10 @@ class RegretReport:
     N: int
     S: int
     o_min: int
-    constants: BoundConstants = field(repr=False, default=None)
+    constants: BoundConstants = field(repr=False)
 
     def to_json_dict(self) -> dict:
-        d = {
-            "V_star": self.V_star,
-            "V_bench": self.V_bench,
-            "training_regret": self.training_regret,
-            "P_star": self.P_star,
-            "P_bench": self.P_bench,
-            "performance_regret": self.performance_regret,
-            "thm1_rhs": self.thm1_rhs,
-            "thm2_rhs": self.thm2_rhs,
-            "thm1_violation": self.thm1_violation,
-            "thm2_violation": self.thm2_violation,
-            "m": self.m,
-            "N": self.N,
-            "S": self.S,
-            "o_min": self.o_min,
-        }
-        if self.constants is not None:
-            d["constants"] = self.constants.to_json_dict()
-        return d
+        return {**asdict(self), "constants": self.constants.to_json_dict()}
 
     @staticmethod
     def csv_header() -> list[str]:
@@ -394,7 +359,7 @@ class RegretReport:
                 "" if self.thm2_rhs is None else self.thm2_rhs,
                 self.thm1_violation,
                 "" if self.thm2_violation is None else self.thm2_violation,
-                c.lam if c else "", c.C_bar if c else "", c.E2 if c else ""]
+                c.lam, c.C_bar, c.E2]
 
 
 def thm2_radicand(S: int, lam: float, m: int, o_min: int, T: int) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -152,17 +152,8 @@ class LinearSISOGenerator:
     state_at_start: np.ndarray
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "a": self.a.tolist(),
-                "b": self.b.tolist(),
-                "c": self.c.tolist(),
-                "noise_std": self.noise_std,
-                "seed": self.seed,
-                "warmup": self.warmup,
-                "state_at_start": self.state_at_start.tolist(),
-            }
-        )
+        return json.dumps({k: v.tolist() if isinstance(v, np.ndarray) else v
+                           for k, v in asdict(self).items()})
 
 
 def _simulate_raw(seed: int, total: int, warmup: int, noise_std: float):

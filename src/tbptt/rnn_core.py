@@ -15,9 +15,12 @@ block layout, so optimizers and serialization never special-case the cell.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import asdict, dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -124,21 +127,16 @@ class CellSpec:
         return 2 * self.d_h if self.kind == "lstm" else self.d_h
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "d_x": self.d_x,
-            "d_h": self.d_h,
-            "d_y": self.d_y,
-            "activation": self.activation,
-            "use_biases": self.use_biases,
-        }
+        return asdict(self)
 
 
-Layout = dict[str, tuple[int, int, tuple[int, ...]]]
+Layout = Mapping[str, tuple[int, int, tuple[int, ...]]]
 
 
+@functools.cache
 def build_layout(spec: CellSpec) -> Layout:
-    """Named blocks -> (start, stop, shape), partitioning [0, n) in order."""
+    """Named blocks -> (start, stop, shape), partitioning [0, n) in order;
+    built once per spec, read-only."""
     gate = 4 if spec.kind == "lstm" else 1
     blocks: list[tuple[str, tuple[int, ...]]] = [
         ("W_hh", (gate * spec.d_h, spec.d_h)),
@@ -150,26 +148,23 @@ def build_layout(spec: CellSpec) -> Layout:
     if spec.use_biases:
         blocks.append(("b_y", (spec.d_y,)))
 
-    layout: Layout = {}
+    layout = {}
     offset = 0
     for name, shape in blocks:
         size = math.prod(shape)
         layout[name] = (offset, offset + size, shape)
         offset += size
-    return layout
-
-
-def _layout_size(layout: Layout) -> int:
-    return max(stop for _, stop, _ in layout.values())
+    return MappingProxyType(layout)
 
 
 def num_params(spec: CellSpec) -> int:
-    return _layout_size(build_layout(spec))
+    return max(stop for _, stop, _ in build_layout(spec).values())
 
 
 @dataclass
 class Params:
-    """Flat parameter vector plus its named block layout.
+    """Flat parameter vector of a cell spec, read through the spec's named
+    block layout.
 
     ``theta`` is (n,) for one model or (R, n) for R models stacked on a
     leading start axis, which every block then carries first.
@@ -177,15 +172,16 @@ class Params:
 
     theta: np.ndarray
     spec: CellSpec
-    layout: Layout = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.layout:
-            self.layout = build_layout(self.spec)
         self.theta = np.asarray(self.theta, dtype=np.float64)
-        n = _layout_size(self.layout)
+        n = num_params(self.spec)
         if self.theta.ndim not in (1, 2) or self.theta.shape[-1] != n:
             raise DimensionError(f"theta has shape {self.theta.shape}, expected ({n},) or (R, {n})")
+
+    @property
+    def layout(self) -> Layout:
+        return build_layout(self.spec)
 
     def block(self, name: str) -> np.ndarray:
         """One named block, reshaped: a view of ``theta``, read-only by
@@ -207,7 +203,7 @@ class Params:
             raise DimensionError(f"block {name} has shape {lead + shape}, got {value.shape}")
         theta = self.theta.copy()
         theta[..., start:stop] = value.reshape(lead + (-1,))
-        return Params(theta, self.spec, self.layout)
+        return Params(theta, self.spec)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -226,13 +222,13 @@ def pack(spec: CellSpec, blocks: dict[str, np.ndarray]) -> Params:
     if set(blocks) != set(layout):
         raise ValueError(f"blocks {sorted(blocks)} do not match layout {sorted(layout)}")
     lead = np.shape(blocks["W_hh"])[:-2]
-    theta = np.empty(lead + (_layout_size(layout),), dtype=np.float64)
+    theta = np.empty(lead + (num_params(spec),), dtype=np.float64)
     for name, (start, stop, shape) in layout.items():
         value = np.asarray(blocks[name], dtype=np.float64)
         if value.shape != lead + shape:
             raise DimensionError(f"block {name} has shape {lead + shape}, got {value.shape}")
         theta[..., start:stop] = value.reshape(lead + (-1,))
-    return Params(theta, spec, layout)
+    return Params(theta, spec)
 
 
 def init_params(spec: CellSpec, seed: int) -> Params:
@@ -241,14 +237,14 @@ def init_params(spec: CellSpec, seed: int) -> Params:
     rng = SplitMix64(seed)
     scale = 1.0 / np.sqrt(spec.d_h)
     layout = build_layout(spec)
-    theta = np.zeros(_layout_size(layout), dtype=np.float64)
+    theta = np.zeros(num_params(spec), dtype=np.float64)
     for name, (start, stop, _) in layout.items():
         if name.startswith("W_"):
             theta[start:stop] = rng.uniforms(stop - start, -scale, scale)
     if spec.kind == "lstm" and spec.use_biases:
         start, _, _ = layout["b_h"]
         theta[start + spec.d_h : start + 2 * spec.d_h] = 1.0
-    return Params(theta, spec, layout)
+    return Params(theta, spec)
 
 
 @dataclass

@@ -27,11 +27,9 @@ objective computes it with ``full_batch_objective``, a forward pass alone.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import time
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -54,7 +52,7 @@ class SGDConfig:
     lr: float
 
     def to_json_dict(self) -> dict:
-        return {"kind": "sgd", "lr": self.lr}
+        return {"kind": "sgd", **asdict(self)}
 
 
 @dataclass(frozen=True)
@@ -65,8 +63,7 @@ class AdamConfig:
     eps: float = 1e-8
 
     def to_json_dict(self) -> dict:
-        return {"kind": "adam", "lr": self.lr, "beta1": self.beta1,
-                "beta2": self.beta2, "eps": self.eps}
+        return {"kind": "adam", **asdict(self)}
 
 
 OptimizerConfig = Union[SGDConfig, AdamConfig]
@@ -102,7 +99,8 @@ class AdamState:
 
 @dataclass
 class TrainConfig:
-    """Everything a training run depends on; hashable for run manifests.
+    """Everything a training run depends on; ``to_json_dict`` is what a run
+    manifest records and hashes.
 
     The run trains on the length-``N`` windows of ``make_plan(T, N, stride)``
     in one of ``MODES``; N = T is full BPTT. ``train`` runs every one of the
@@ -134,45 +132,29 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
 
     def to_json_dict(self) -> dict:
-        return {
-            "spec": self.spec.to_json_dict(),
-            "N": self.N,
-            "m": self.m,
-            "batch_size": self.batch_size,
-            "optimizer": self.optimizer.to_json_dict(),
-            "epochs": self.epochs,
-            "stride": self.stride,
-            "seed": self.seed,
-            "spectral_bound": self.spectral_bound,
-            "mode": self.mode,
-        }
-
-    def digest(self) -> str:
-        text = json.dumps(self.to_json_dict(), sort_keys=True)
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
+        return {**asdict(self), "optimizer": self.optimizer.to_json_dict()}
 
 
 @dataclass
 class EpochRecord:
+    """One ``log.jsonl`` line: the full-batch objective and gradient norm
+    after an epoch. Deterministic; no wall time."""
+
     epoch: int
     objective: float
     grad_norm: float
-    wall_time_s: float
 
 
 @dataclass
 class TrainLog:
+    """What ``train`` returns: one record per epoch and the final
+    parameters. The run's config hash and wall time belong to its caller."""
+
     records: list[EpochRecord]
     params: Params
-    config_digest: str
-    seed: int
 
     def to_jsonl(self) -> str:
-        """Deterministic per-epoch lines; wall time is reported separately."""
-        lines = [
-            json.dumps({"epoch": r.epoch, "objective": r.objective, "grad_norm": r.grad_norm})
-            for r in self.records
-        ]
+        lines = [json.dumps(asdict(r)) for r in self.records]
         return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -274,7 +256,7 @@ def sgd_step(
         step = opt_state.direction(d_theta, config.optimizer)
     else:
         step = config.optimizer.lr * d_theta
-    updated = Params(params.theta - step, params.spec, params.layout)
+    updated = Params(params.theta - step, params.spec)
     return project_stability(updated, config.spectral_bound)
 
 
@@ -312,19 +294,16 @@ def train(dataset: TimeSeriesDataset, config: TrainConfig,
           init: Params | None = None) -> TrainLog:
     """Run the configured training mode (``train_burn_ins`` with the one
     burn-in ``config.m``) and log the full-batch objective and gradient norm
-    after every epoch."""
+    after every epoch. It keeps no time: the CLI's ``timings.json`` holds the
+    wall time of the whole call."""
     epochs = train_burn_ins(dataset, config, [config.m], init)
     params, xs, ys = next(epochs)
     records: list[EpochRecord] = []
-    t0 = time.perf_counter()
     for epoch, (params, _, _) in enumerate(epochs):
         objective, d_theta = full_batch_gradient(params, xs, ys, config.m)
         records.append(EpochRecord(epoch=epoch, objective=objective,
-                                   grad_norm=float(np.linalg.norm(d_theta)),
-                                   wall_time_s=time.perf_counter() - t0))
-        t0 = time.perf_counter()
-    return TrainLog(records=records, params=params, config_digest=config.digest(),
-                    seed=config.seed)
+                                   grad_norm=float(np.linalg.norm(d_theta))))
+    return TrainLog(records=records, params=params)
 
 
 def train_burn_ins(dataset: TimeSeriesDataset, config: TrainConfig,
@@ -357,8 +336,7 @@ def train_burn_ins(dataset: TimeSeriesDataset, config: TrainConfig,
     lead = (len(configs),) if len(configs) > 1 else ()
     ms = np.array([c.m for c in configs]).reshape(lead)
     start = init if init is not None else init_params(config.spec, config.seed)
-    params = Params(np.broadcast_to(start.theta, lead + start.theta.shape).copy(),
-                    start.spec, start.layout)
+    params = Params(np.broadcast_to(start.theta, lead + start.theta.shape).copy(), start.spec)
     opt_state = AdamState(params.theta.shape) if isinstance(config.optimizer, AdamConfig) else None
     shuffler = SplitMix64(config.seed).spawn(0xB0)
     xs, ys = segment_arrays(dataset, plan)

@@ -35,7 +35,7 @@ def fd_gradient(params: Params, inputs: np.ndarray, targets: np.ndarray, m: int,
     h0 = np.zeros((1, params.spec.state_dim))
 
     def value(theta: np.ndarray, h: np.ndarray) -> float:
-        return weighted_loss(Params(theta, params.spec, params.layout), h, x, yd, w)
+        return weighted_loss(Params(theta, params.spec), h, x, yd, w)
 
     def central(f, point: np.ndarray) -> np.ndarray:
         grad = np.zeros(point.size)

@@ -216,7 +216,7 @@ def scaled_input_block(params, factor):
 
 
 def stack(models):
-    return Params(np.stack([p.theta for p in models]), models[0].spec, models[0].layout)
+    return Params(np.stack([p.theta for p in models]), models[0].spec)
 
 
 @pytest.mark.parametrize("cell", sorted(STABILITY_CELLS))
@@ -241,7 +241,7 @@ def test_stacked_stability_equals_per_model_calls(monkeypatch, cell, T, num_pair
     for k in (2, 3):  # two models whose radii differ 10x and more, then all three
         stacked = analysis.estimate_stability(stack(models[:k]), ds, trajs[:k],
                                               num_pairs=num_pairs, seed=3)
-        assert [e.to_json_dict() for e in stacked] == [e.to_json_dict() for e in alone[:k]]
+        assert stacked == alone[:k]
     assert len(calls) == 2  # one shared pass each, no per-model fallback
 
 
@@ -262,7 +262,7 @@ def test_stacked_stability_with_different_degenerate_pairs_falls_back(monkeypatc
     monkeypatch.setattr(analysis, "estimate_stability",
                         lambda *a, **k: calls.append(1) or real(*a, **k))
     stacked = analysis.estimate_stability(stack(models), ds, trajs, num_pairs=16, seed=3)
-    assert [e.to_json_dict() for e in stacked] == [e.to_json_dict() for e in alone]
+    assert stacked == alone
     assert len(calls) == 3  # the stacked call and one per model
 
 

@@ -1,4 +1,3 @@
-import argparse
 import csv
 import json
 import math
@@ -292,13 +291,67 @@ def test_sweep_report_byte_identical_on_rerun(tmp_path):
     assert all(t["wall_time_s"] >= 0 for t in timings)
 
 
+def test_sweep_exit_code_ignores_error_text(tmp_path, monkeypatch):
+    # a runnable cell whose error happens to read like an invalid cell's
+    # still makes the sweep partial
+    data_file = synth(tmp_path) / "train.csv"
+
+    def failing_group(dataset, test_set, args, N, ms):
+        raise ValueError("m=3 diverged")
+
+    monkeypatch.setattr(cli, "_sweep_group", failing_group)
+    assert run("--out", tmp_path / "sweep", "sweep", "--data", data_file,
+               "--N-list", 10, "--m-list", "0,3", "--epochs", 1, "--batch", 4) == 4
+
+
+def test_run_files_keep_their_layout(tmp_path):
+    # the ordered keys of every JSON run file, which no output digest sees
+    base = synth(tmp_path)
+    assert run("--out", tmp_path / "train", "train", "--data", base / "train.csv",
+               *TRAIN_FLAGS) == 0
+    train_dir = only_run_dir(tmp_path / "train", "train")
+    summary = json.loads((train_dir / "summary.json").read_text())
+    assert list(summary) == ["final_objective", "epochs_run", "config_hash"]
+    assert summary["config_hash"] == "fbc2a49476ed181e"
+    assert list(json.loads((train_dir / "timings.json").read_text())) == ["wall_time_s"]
+    config = json.loads((train_dir / "manifest.json").read_text())["config"]
+    assert list(config) == ["inputs", "spec", "N", "m", "batch_size", "optimizer", "epochs",
+                            "stride", "seed", "spectral_bound", "mode"]
+    assert list(config["optimizer"]) == ["kind", "lr", "beta1", "beta2", "eps"]
+    line = (train_dir / "log.jsonl").read_text().splitlines()[0]
+    assert list(json.loads(line)) == ["epoch", "objective", "grad_norm"]
+    spec_keys = ["kind", "d_x", "d_h", "d_y", "activation", "use_biases"]
+    params = json.loads((train_dir / "params.json").read_text())
+    assert list(params) == ["spec", "layout", "theta"]
+    assert list(params["spec"]) == spec_keys
+    generator = json.loads((base / "generator.json").read_text())
+    assert list(generator) == ["a", "b", "c", "noise_std", "seed", "warmup", "state_at_start"]
+
+    assert run("--out", tmp_path / "bench", "benchmark", "--data", base / "train.csv",
+               "--N", 10, "--m-list", 2, "--restarts", 1, "--iters", 20) == 0
+    bench_dir = only_run_dir(tmp_path / "bench", "benchmark")
+    for variant in ("tbptt", "coupled", "unconstrained"):
+        sol = json.loads((bench_dir / f"solution_{variant}_m2.json").read_text())
+        assert list(sol) == ["variant", "objective", "converged", "grad_norm", "params",
+                             "init_states", "diagnostics"]
+        assert list(sol["params"]) == ["spec", "layout", "theta"]
+        assert list(sol["params"]["spec"]) == spec_keys
+        assert list(sol["diagnostics"]) == ["iterations", "starts", "failed_starts", "bounded",
+                                            "state_output_peak"]
+    report = json.loads((bench_dir / "report_m2.json").read_text())
+    assert list(report) == ["V_star", "V_bench", "training_regret", "P_star", "P_bench",
+                            "performance_regret", "thm1_rhs", "thm2_rhs", "thm1_violation",
+                            "thm2_violation", "m", "N", "S", "o_min", "constants", "turnpike"]
+    assert list(report["constants"]) == ["L_l", "h_bar", "C", "lam", "epsilon", "C_bar", "K",
+                                         "c1", "c2", "E1", "E2", "finite"]
+    assert list(report["turnpike"]) == ["e_j", "sum_e", "reference", "m", "N"]
+
+
 def lone_cell(dataset, test_set, args, N, m):
     """One sweep cell trained and evaluated on its own: the per-cell sweep
     that the stacked groups must reproduce byte for byte."""
-    cell_args = argparse.Namespace(**vars(args))
-    cell_args.N, cell_args.m = N, m
     log = training.train(dataset, cli._train_config(
-        cell_args, cli._cell_spec(cell_args, dataset.d_x, dataset.d_y)))
+        args, cli._cell_spec(args, dataset.d_x, dataset.d_y), N, m))
     params = log.params
     traj = forward(params, None, dataset.inputs)
     p_train = analysis.performance(traj, dataset, m)
@@ -414,9 +467,8 @@ def test_sweep_evaluates_only_what_it_reports(tmp_path, monkeypatch, mode):
         rows = list(csv.DictReader(fh))
     assert [(r["N"], r["m"]) for r in rows] == [("8", "0"), ("8", "3"), ("10", "0"), ("10", "3")]
     for row in rows:
-        args.N, args.m = int(row["N"]), int(row["m"])
         log = training.train(dataset, cli._train_config(
-            args, cli._cell_spec(args, dataset.d_x, dataset.d_y)))
+            args, cli._cell_spec(args, dataset.d_x, dataset.d_y), int(row["N"]), int(row["m"])))
         assert float(row["train_mse"]) == log.records[-1].objective
         assert row["train_mse"] == repr(log.records[-1].objective)
 
