@@ -43,24 +43,16 @@ def performance(traj: Trajectory, dataset: TimeSeriesDataset, m: int) -> float:
 @dataclass
 class StabilityEstimate:
     """Envelope constants (C, lambda) with C * lambda^t covering every sampled
-    normalized output difference r_t."""
+    normalized output difference r_t; lambda < 1 means the model was found
+    output-stable."""
 
     C: float
     lam: float
-    max_violation: float
-    num_pairs_tested: int
-    passed: bool
 
 
 def merge_stability(a: StabilityEstimate, b: StabilityEstimate) -> StabilityEstimate:
     """Constants dominating both estimates (for bounds involving two models)."""
-    return StabilityEstimate(
-        C=max(a.C, b.C),
-        lam=max(a.lam, b.lam),
-        max_violation=max(a.max_violation, b.max_violation),
-        num_pairs_tested=a.num_pairs_tested + b.num_pairs_tested,
-        passed=a.passed and b.passed,
-    )
+    return StabilityEstimate(C=max(a.C, b.C), lam=max(a.lam, b.lam))
 
 
 def estimate_stability(params: Params, dataset: TimeSeriesDataset,
@@ -119,8 +111,7 @@ def estimate_stability(params: Params, dataset: TimeSeriesDataset,
 
     starts = [start for (start, _), keep in zip(draws, kept[0]) if keep]
     if not starts:
-        return [StabilityEstimate(C=0.0, lam=0.5, max_violation=0.0,
-                                  num_pairs_tested=0, passed=True) for _ in trajs]
+        return [StabilityEstimate(C=0.0, lam=0.5) for _ in trajs]
 
     order = sorted(range(len(starts)), key=starts.__getitem__)
     rows = np.ravel([(2 * p, 2 * p + 1) for p in order])  # batch row -> pair row
@@ -156,8 +147,7 @@ def _fit_envelope(outs: np.ndarray, starts: list[int], gaps: np.ndarray) -> Stab
     r_max = float(np.max(r_all))
     if r_max == 0.0:
         # outputs are insensitive to the initial state
-        return StabilityEstimate(C=0.0, lam=0.5, max_violation=0.0,
-                                 num_pairs_tested=len(starts), passed=True)
+        return StabilityEstimate(C=0.0, lam=0.5)
 
     # drop cancellation noise: lambda^-t would blow it up into the envelope
     keep = r_all > 1e-13 * r_max
@@ -166,10 +156,7 @@ def _fit_envelope(outs: np.ndarray, starts: list[int], gaps: np.ndarray) -> Stab
     lam = min(math.exp(slope), 1.0) if slope < 0 else 1.0
     with np.errstate(over="ignore"):
         ratios = r_kept / np.power(lam, t_kept)
-    c = float(np.max(ratios[np.isfinite(ratios)]))
-    max_violation = float(np.max(r_kept - c * np.power(lam, t_kept)))
-    return StabilityEstimate(C=c, lam=lam, max_violation=max_violation,
-                             num_pairs_tested=len(starts), passed=lam < 1.0)
+    return StabilityEstimate(C=float(np.max(ratios[np.isfinite(ratios)])), lam=lam)
 
 
 # ---------------------------------------------------------------------------
@@ -201,23 +188,15 @@ def turnpike_errors(a: Evaluation, b: Evaluation, m: int) -> TurnpikeReport:
                           reference=b.sol.variant, m=m, N=gaps.shape[0])
 
 
-@dataclass
-class EpsilonCheck:
-    """Strictness margin of the optimality cross-term between two solutions."""
-
-    cross_term: float
-    sq_norm: float
-    epsilon_max: float  # inf means unbounded
-    satisfied_strict: bool
-
-
 def epsilon_check(star: Evaluation, inf: Evaluation,
                   dataset: TimeSeriesDataset, plan: SegmentationPlan,
-                  m: int) -> EpsilonCheck:
-    """Compare sum 2(y_ref - y_d)'(y - y_ref) against -sum ||y - y_ref||^2.
+                  m: int) -> float:
+    """The largest epsilon for which sum 2(y_ref - y_d)'(y - y_ref) >=
+    -sum ||y - y_ref||^2 / epsilon, ``math.inf`` when every epsilon works.
 
-    The reference solution is the unconstrained one; strict satisfaction means
-    an epsilon > 1 exists, or the two output sets coincide.
+    The reference solution is the unconstrained one. Strict satisfaction
+    means epsilon_max > 1; epsilon_max is infinite when the two output sets
+    coincide.
     """
     _, yd = segment_arrays(dataset, plan)
     y_star = star.outputs[:, m:]
@@ -226,10 +205,7 @@ def epsilon_check(star: Evaluation, inf: Evaluation,
     diff = y_star - y_inf
     cross = float(np.sum(2.0 * (y_inf - y_data) * diff))
     sq = float(np.sum(diff * diff))
-    if sq == 0.0:
-        return EpsilonCheck(cross, sq, math.inf, True)
-    eps_max = math.inf if cross >= 0.0 else sq / (-cross)
-    return EpsilonCheck(cross, sq, eps_max, cross > -sq)
+    return math.inf if sq == 0.0 or cross >= 0.0 else sq / -cross
 
 
 # ---------------------------------------------------------------------------
@@ -284,22 +260,19 @@ class BoundConstants:
                 for k, v in asdict(self).items()}
 
 
-def bound_constants(stab: StabilityEstimate, eps: EpsilonCheck,
+def bound_constants(stab: StabilityEstimate, epsilon_max: float,
                     observed: ObservedSets) -> BoundConstants:
     """Assemble the geometric-series constants from fitted (C, lambda), the
-    strict-epsilon margin, and observed output/hidden ranges.
+    strict-epsilon margin ``epsilon_max`` and observed output/hidden ranges.
 
-    When the output sets coincide (sq_norm = 0), any epsilon > 1 works and 2
-    is used. Nonconvergent lambda (>= 1) or epsilon_max <= 1 yields infinite
+    When epsilon_max is infinite, any epsilon > 1 works and 2 is used.
+    Nonconvergent lambda (>= 1) or epsilon_max <= 1 yields infinite
     constants and finite=False.
     """
     L_l = 2.0 * (observed.max_output_norm + observed.max_target_norm)
     h_bar = observed.max_hidden_norm
     lam, C = stab.lam, stab.C
-    if eps.sq_norm == 0.0 or math.isinf(eps.epsilon_max):
-        epsilon = 2.0
-    else:
-        epsilon = eps.epsilon_max
+    epsilon = 2.0 if math.isinf(epsilon_max) else epsilon_max
 
     finite = lam < 1.0 and epsilon > 1.0
     if not finite:

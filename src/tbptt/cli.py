@@ -68,7 +68,7 @@ def out_root(args) -> Path:
     return Path(os.environ.get(OUT_ROOT_ENV, "runs"))
 
 
-def make_run_dir(args, command: str, config: dict) -> tuple[Path, dict]:
+def make_run_dir(args, command: str, config: dict) -> Path:
     digest = config_hash(config)
     run_dir = out_root(args) / command / digest
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -83,7 +83,7 @@ def make_run_dir(args, command: str, config: dict) -> tuple[Path, dict]:
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
     (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    return run_dir, manifest
+    return run_dir
 
 
 def _write_json(path: Path, payload) -> None:
@@ -114,7 +114,7 @@ def cmd_synth(args) -> int:
         "warmup": args.warmup,
         "seed": args.seed,
     }
-    run_dir, _ = make_run_dir(args, "synth", config)
+    run_dir = make_run_dir(args, "synth", config)
 
     lengths = [args.T]
     names = ["train"]
@@ -247,7 +247,7 @@ def cmd_train(args) -> int:
     log = training.train(dataset, config)
     wall_time_s = time.perf_counter() - t0
     config_dict = config.to_json_dict()
-    run_dir, _ = make_run_dir(args, "train", {"inputs": [str(args.data)], **config_dict})
+    run_dir = make_run_dir(args, "train", {"inputs": [str(args.data)], **config_dict})
     (run_dir / "params.json").write_text(log.params.to_json() + "\n")
     (run_dir / "log.jsonl").write_text(log.to_jsonl())
     _write_json(run_dir / "timings.json", {"wall_time_s": wall_time_s})
@@ -385,7 +385,7 @@ def cmd_sweep(args) -> int:
         "mode": args.mode,
         "test_burn": args.test_burn,
     }
-    run_dir, _ = make_run_dir(args, "sweep", config)
+    run_dir = make_run_dir(args, "sweep", config)
 
     rows: dict[tuple[int, int], dict] = {}
     wall_times: dict[tuple[int, int], float] = {}
@@ -453,7 +453,7 @@ def cmd_benchmark(args) -> int:
         "seed": args.seed,
         "rho": args.rho,
     }
-    run_dir, _ = make_run_dir(args, "benchmark", config)
+    run_dir = make_run_dir(args, "benchmark", config)
 
     rho = None if args.rho <= 0 else args.rho
     report_rows = []
@@ -477,12 +477,12 @@ def cmd_benchmark(args) -> int:
             pair = Params(np.stack([star.sol.params.theta, bench.sol.params.theta]), spec)
             stab = analysis.merge_stability(*analysis.estimate_stability(
                 pair, dataset, [star.full, bench.full], seed=args.seed))
+            epsilon_max = math.inf
             if "unconstrained" in records:
-                eps = analysis.epsilon_check(star, records["unconstrained"], dataset, plan, m)
-            else:
-                eps = analysis.EpsilonCheck(0.0, 0.0, float("inf"), True)
+                epsilon_max = analysis.epsilon_check(star, records["unconstrained"], dataset,
+                                                     plan, m)
             observed = analysis.collect_observed(list(records.values()), dataset)
-            constants = analysis.bound_constants(stab, eps, observed)
+            constants = analysis.bound_constants(stab, epsilon_max, observed)
             report = analysis.regret_report(star, bench, dataset, plan, m, constants)
             report_rows.append(report)
             turnpike = analysis.turnpike_errors(star, bench, m)

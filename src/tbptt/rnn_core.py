@@ -126,9 +126,6 @@ class CellSpec:
     def state_dim(self) -> int:
         return 2 * self.d_h if self.kind == "lstm" else self.d_h
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 Layout = Mapping[str, tuple[int, int, tuple[int, ...]]]
 
@@ -208,7 +205,7 @@ class Params:
     def to_json(self) -> str:
         return json.dumps(
             {
-                "spec": self.spec.to_json_dict(),
+                "spec": asdict(self.spec),
                 "layout": [[name, start, stop] for name, (start, stop, _) in self.layout.items()],
                 "theta": self.theta.tolist(),
             }

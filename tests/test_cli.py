@@ -299,9 +299,15 @@ def test_sweep_exit_code_ignores_error_text(tmp_path, monkeypatch):
     def failing_group(dataset, test_set, args, N, ms):
         raise ValueError("m=3 diverged")
 
+    def failing_cell(dataset, test_set, args, N, m):
+        raise ValueError("m=3 diverged")
+
     monkeypatch.setattr(cli, "_sweep_group", failing_group)
-    assert run("--out", tmp_path / "sweep", "sweep", "--data", data_file,
-               "--N-list", 10, "--m-list", "0,3", "--epochs", 1, "--batch", 4) == 4
+    monkeypatch.setitem(globals(), "lone_cell", failing_cell)
+    flags = ["sweep", "--data", data_file, "--N-list", 10, "--m-list", "0,3", "--epochs", 1,
+             "--batch", 4]
+    assert run("--out", tmp_path / "sweep", *flags) == 4
+    assert lone_cell_sweep([str(f) for f in flags], tmp_path / "oracle.csv") == 4
 
 
 def test_run_files_keep_their_layout(tmp_path):
@@ -373,12 +379,16 @@ def lone_cell(dataset, test_set, args, N, m):
 
 
 def lone_cell_sweep(argv, report):
-    """The sweep run cell by cell into ``report``; returns its exit code."""
+    """The sweep run cell by cell into ``report``; returns its exit code, 4
+    when a cell with m <= N - 1 failed."""
     args = cli.build_parser().parse_args(argv)
     dataset = cli._load_dataset(args, args.data)
-    test_set = cli._load_dataset(args, args.test, transforms=(dataset.input_transforms,
-                                                             dataset.target_transforms))
+    test_set = None
+    if args.test is not None:
+        test_set = cli._load_dataset(args, args.test, transforms=(dataset.input_transforms,
+                                                                 dataset.target_transforms))
     rows = {}
+    failed = False
     for N in cli._resolve_windows(args, cli._int_list(args.N_list), dataset.T):
         for m in cli._int_list(args.m_list):
             if m > N - 1:
@@ -388,13 +398,13 @@ def lone_cell_sweep(argv, report):
                     rows[N, m] = lone_cell(dataset, test_set, args, N, m)
                 except Exception as exc:
                     rows[N, m] = cli._error_row(N, m, str(exc))
+                    failed = True
     with open(report, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=cli.SWEEP_COLUMNS, lineterminator="\n")
         writer.writeheader()
         for cell in sorted(rows):
             writer.writerow({k: rows[cell].get(k, "") for k in cli.SWEEP_COLUMNS})
-    failed = [r["error"] for r in rows.values() if r["error"]]
-    return 4 if any(not e.startswith("m=") for e in failed) else 0
+    return 4 if failed else 0
 
 
 @pytest.mark.parametrize("model", [("elman", "zero"), ("lstm", "stateful")],

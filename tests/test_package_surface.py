@@ -1,77 +1,137 @@
-"""Every name ``src/tbptt`` defines is used by the package or by the
-benchmark harness in ``perfbench``. A name that only tests call is a test
-oracle or fixture and belongs in ``tests/helpers.py``."""
+"""Every function and method ``src/tbptt`` defines runs, and every field of
+its dataclasses is read, in one in-process pass of the CLI over its
+subcommands. A function that only tests call is a test oracle or fixture
+and belongs in ``tests/helpers.py``; a field that nothing reads is carried
+for nothing and goes.
 
-import ast
-from pathlib import Path
+``unreached`` runs the pass under ``sys.setprofile``, which sees the code
+object of every Python function as it is called, so two classes' methods
+of one name count apart. A class-level ``__getattribute__`` on each
+dataclass sees every field read, ``dataclasses.asdict`` included, so a
+field that is only serialized counts as read; a read by a dunder method,
+such as the record's own checks, ``==`` or hash, does not.
+``surface_fixture`` holds one unused method and one unread field, which the
+guard must find.
+"""
 
-ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = ROOT / "src" / "tbptt"
-HARNESS = ROOT / "perfbench"
+import dataclasses
+import inspect
+import sys
+from types import CodeType, ModuleType
 
+import surface_fixture
+from tbptt import analysis, autodiff, benchmark, cli, data, linalg, rng, rnn_core, training
 
-def parse(directory: Path) -> dict[str, ast.Module]:
-    return {path.stem: ast.parse(path.read_text(), filename=str(path))
-            for path in sorted(directory.glob("*.py"))}
-
-
-def definitions(module: ast.Module):
-    """(qualified name, bare name) of every module-level function and class,
-    and of every method that is not a dunder."""
-    for node in module.body:
-        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            continue
-        yield node.name, node.name
-        if isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not (
-                        item.name.startswith("__") and item.name.endswith("__")):
-                    yield f"{node.name}.{item.name}", item.name
+PACKAGE = [analysis, autodiff, benchmark, cli, data, linalg, rng, rnn_core, training]
 
 
-def references(module: ast.Module) -> set[str]:
-    """Identifiers read as names or attributes, or imported, in ``module``;
-    docstrings and other strings do not count."""
-    found = set()
-    for node in ast.walk(module):
-        if isinstance(node, ast.Name):
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
-        elif isinstance(node, ast.alias):
-            found.update(node.name.split("."))
-            if node.asname:
-                found.add(node.asname)
+def definitions(module: ModuleType) -> dict[CodeType, str]:
+    """The code object of every module-level function of ``module``, and of
+    every non-dunder method, property or static method of its classes, with
+    its qualified name."""
+    found = {}
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue  # imported, or not a function or class
+        members = vars(obj).items() if inspect.isclass(obj) else [(None, obj)]
+        for attr, member in members:
+            if attr and attr.startswith("__") and attr.endswith("__"):
+                continue
+            if isinstance(member, property):
+                member = member.fget
+            elif isinstance(member, staticmethod):
+                member = member.__func__
+            member = inspect.unwrap(member) if callable(member) else member
+            if inspect.isfunction(member):
+                found[member.__code__] = f"{module.__name__}.{name}" + (f".{attr}" if attr else "")
     return found
 
 
-def target_references(module: ast.Module) -> set[str]:
-    """Every part of the dotted strings in the harness's ``TARGETS`` table,
-    which names the functions and methods it wraps."""
-    found = set()
-    for node in module.body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)):
-            for const in ast.walk(node.value):
-                if isinstance(const, ast.Constant) and isinstance(const.value, str):
-                    found.update(const.value.split("."))
-    return found
+def field_reader(cls: type, read: set):
+    """A ``__getattribute__`` for ``cls`` that adds (cls, field name) to
+    ``read`` for each field read outside a dunder method."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    original = cls.__getattribute__
+
+    def __getattribute__(self, name):
+        if name in names and not sys._getframe(1).f_code.co_name.startswith("__"):
+            read.add((cls, name))
+        return original(self, name)
+
+    return __getattribute__
 
 
-def unreached(package: Path, harness: Path) -> list[str]:
-    package_modules, harness_modules = parse(package), parse(harness)
-    used = set()
-    for module in (*package_modules.values(), *harness_modules.values()):
-        used |= references(module)
-    for module in harness_modules.values():
-        used |= target_references(module)
-    return [f"{module_name}.{qualname}"
-            for module_name, module in package_modules.items()
-            for qualname, name in definitions(module) if name not in used]
+def unreached(modules: list[ModuleType], drive) -> list[str]:
+    """Call ``drive()`` and return, by qualified name, every function and
+    method of ``modules`` that did not run and every dataclass field that
+    was not read."""
+    defined = {}
+    for module in modules:
+        defined |= definitions(module)
+    classes = [cls for module in modules for cls in vars(module).values()
+               if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__]
+
+    for module in modules:  # a cached function's body runs only on a miss
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) == module.__name__ and hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+    ran, read = set(), set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            ran.add(frame.f_code)
+
+    hooked = []
+    previous = sys.getprofile()
+    try:
+        for cls in classes:
+            hook = field_reader(cls, read)
+            hooked.append((cls, vars(cls).get("__getattribute__")))
+            cls.__getattribute__ = hook
+        sys.setprofile(profile)
+        drive()
+    finally:
+        sys.setprofile(previous)
+        for cls, own in reversed(hooked):
+            if own is None:
+                del cls.__getattribute__
+            else:
+                cls.__getattribute__ = own
+    unrun = [name for code, name in defined.items() if code not in ran]
+    unread = [f"{cls.__module__}.{cls.__qualname__}.{f.name}"
+              for cls in classes for f in dataclasses.fields(cls) if (cls, f.name) not in read]
+    return sorted(unrun + unread)
 
 
-def test_every_package_name_is_reached_outside_the_tests():
-    offenders = unreached(PACKAGE, HARNESS)
+def cli_pass(out):
+    """Every subcommand and mode, small: synth with validation and test
+    series; train as linear/zero/adam, elman/stateful/sgd and lstm/bptt; a
+    sweep with a test series whose m = 6 > N - 1 cell gets an error row;
+    and a benchmark of all three variants."""
+
+    def run(*argv):
+        assert cli.main(["--out", str(out), *map(str, argv)]) == 0, argv
+
+    run("synth", "--T", 60, "--T-val", 10, "--T-test", 30, "--seed", 5)
+    (series,) = (out / "synth").iterdir()
+    train, test = series / "train.csv", series / "test.csv"
+    few = ["--N", 10, "--m", 2, "--epochs", 2]
+    run("train", "--data", train, "--cell", "linear", "--mode", "zero", "--opt", "adam", *few)
+    run("train", "--data", train, "--cell", "elman", "--mode", "stateful", "--opt", "sgd", *few)
+    run("train", "--data", train, "--cell", "lstm", "--d-h", 2, "--mode", "bptt", "--epochs", 2)
+    run("sweep", "--data", train, "--test", test, "--N-list", "5,10", "--m-list", "0,3,6",
+        "--epochs", 2, "--batch", 4)
+    run("benchmark", "--data", train, "--N", 10, "--m-list", "0,3", "--restarts", 2,
+        "--iters", 20)
+
+
+def test_every_function_runs_and_every_field_is_read(tmp_path):
+    offenders = unreached(PACKAGE, lambda: cli_pass(tmp_path))
     assert not offenders, (
-        "defined in src/tbptt but used by neither src/tbptt nor perfbench: "
-        + ", ".join(offenders))
+        "never run or read in a pass of the CLI over its subcommands: " + ", ".join(offenders))
+
+
+def test_guard_finds_the_fixture_method_and_field_nothing_uses():
+    assert unreached([surface_fixture], surface_fixture.drive) == [
+        "surface_fixture.B.to_json", "surface_fixture.Record.unread"]
