@@ -19,8 +19,13 @@ window length N train together as one stacked run over their burn-ins, so
 Every run writes into ``<out-root>/<command>/<config-hash>/`` with a
 manifest.json describing it; rerunning with identical flags reproduces all
 numeric outputs bit-exactly (timestamps live only in the manifest, wall
-times only in timings.json). ``train``'s timings.json holds the wall time of
-its whole training call, setup included.
+times only in timings.json). The hash covers every flag except ``--out``.
+``train`` hashes its data files and columns with the training config its
+other flags resolve to, so there only flags that make the same run share a
+directory (``--activation`` of a linear cell, any ``--rho`` <= 0); its
+summary.json's ``config_hash`` digests that training config alone, and so is
+not the run directory's name. ``train``'s timings.json holds the wall time
+of its whole training call, setup included.
 
 Exit codes: 0 success, 2 usage error, 3 numeric failure, 4 partial sweep.
 """
@@ -68,12 +73,25 @@ def out_root(args) -> Path:
     return Path(os.environ.get(OUT_ROOT_ENV, "runs"))
 
 
-def make_run_dir(args, command: str, config: dict) -> Path:
+def run_config(args, **resolved) -> dict:
+    """A run's identity: every parsed flag except ``--out``, the data files
+    (``--data``, and ``--test`` when given) under ``inputs``, and the values
+    ``resolved`` from flags (a parsed grid or variant list) in their place."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("out", "command", "func")}
+    if "data" in flags:
+        flags = {"inputs": [str(p) for p in (flags.pop("data"), flags.pop("test", None)) if p],
+                 **flags}
+    return {**flags, **resolved}
+
+
+def make_run_dir(args, config: dict) -> Path:
+    """Make ``<out-root>/<args.command>/<config-hash>/`` for the run
+    identity ``config`` and write its manifest.json."""
     digest = config_hash(config)
-    run_dir = out_root(args) / command / digest
+    run_dir = out_root(args) / args.command / digest
     run_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": config,
         "config_hash": digest,
         "seed": config.get("seed"),
@@ -106,15 +124,7 @@ def _check_synth_flags(args) -> None:
 
 def cmd_synth(args) -> int:
     _check_synth_flags(args)
-    config = {
-        "T": args.T,
-        "T_val": args.T_val,
-        "T_test": args.T_test,
-        "noise": args.noise,
-        "warmup": args.warmup,
-        "seed": args.seed,
-    }
-    run_dir = make_run_dir(args, "synth", config)
+    run_dir = make_run_dir(args, run_config(args))
 
     lengths = [args.T]
     names = ["train"]
@@ -162,6 +172,10 @@ def _optimizer(args):
 _MODES = {"zero": "zero_init", "stateful": "stateful", "bptt": "zero_init"}
 
 
+def _spectral_bound(args) -> float | None:
+    return None if args.rho <= 0 else args.rho
+
+
 def _train_config(args, spec: CellSpec, N: int, m: int) -> TrainConfig:
     return TrainConfig(
         spec=spec,
@@ -172,7 +186,7 @@ def _train_config(args, spec: CellSpec, N: int, m: int) -> TrainConfig:
         epochs=args.epochs,
         stride=args.stride,
         seed=args.seed,
-        spectral_bound=None if args.rho <= 0 else args.rho,
+        spectral_bound=_spectral_bound(args),
         mode=_MODES[args.mode],
     )
 
@@ -247,7 +261,9 @@ def cmd_train(args) -> int:
     log = training.train(dataset, config)
     wall_time_s = time.perf_counter() - t0
     config_dict = config.to_json_dict()
-    run_dir = make_run_dir(args, "train", {"inputs": [str(args.data)], **config_dict})
+    data_keys = {k: v for k, v in run_config(args).items()
+                 if k in ("inputs", "input_cols", "target_cols")}
+    run_dir = make_run_dir(args, {**data_keys, **config_dict})
     (run_dir / "params.json").write_text(log.params.to_json() + "\n")
     (run_dir / "log.jsonl").write_text(log.to_jsonl())
     _write_json(run_dir / "timings.json", {"wall_time_s": wall_time_s})
@@ -368,24 +384,7 @@ def cmd_sweep(args) -> int:
     if test_set is not None and args.test_burn == -1 and max(m_values) >= test_set.T:
         raise UsageError(f"--m-list {m_values} must lie below T_test = {test_set.T} "
                          "when --test-burn -1 evaluates each cell with its own m")
-    config = {
-        "inputs": [str(args.data)] + ([str(args.test)] if args.test else []),
-        "N_list": n_values,
-        "m_list": m_values,
-        "cell": args.cell,
-        "d_h": args.d_h,
-        "activation": args.activation,
-        "stride": args.stride,
-        "batch": args.batch,
-        "opt": args.opt,
-        "lr": args.lr,
-        "epochs": args.epochs,
-        "seed": args.seed,
-        "rho": args.rho,
-        "mode": args.mode,
-        "test_burn": args.test_burn,
-    }
-    run_dir = make_run_dir(args, "sweep", config)
+    run_dir = make_run_dir(args, run_config(args, N_list=n_values, m_list=m_values))
 
     rows: dict[tuple[int, int], dict] = {}
     wall_times: dict[tuple[int, int], float] = {}
@@ -438,24 +437,8 @@ def cmd_benchmark(args) -> int:
         raise UsageError(f"--restarts ({args.restarts}) and --iters ({args.iters}) must be >= 1")
     spec = _cell_spec(args, dataset.d_x, dataset.d_y)
     plan = data.make_plan(dataset.T, args.N, args.stride)
-    config = {
-        "inputs": [str(args.data)],
-        "N": args.N,
-        "stride": args.stride,
-        "m_list": m_values,
-        "variants": variants,
-        "cell": args.cell,
-        "d_h": args.d_h,
-        "activation": args.activation,
-        "restarts": args.restarts,
-        "iters": args.iters,
-        "lr": args.lr,
-        "seed": args.seed,
-        "rho": args.rho,
-    }
-    run_dir = make_run_dir(args, "benchmark", config)
+    run_dir = make_run_dir(args, run_config(args, m_list=m_values, variants=variants))
 
-    rho = None if args.rho <= 0 else args.rho
     report_rows = []
     for m in m_values:
         records: dict[str, benchmark.Evaluation] = {}
@@ -466,8 +449,8 @@ def cmd_benchmark(args) -> int:
             if variant == "unconstrained" and "coupled" in records:
                 extra.append((records["coupled"].sol.params, records["coupled"].states[:, 0]))
             opt = benchmark.OptConfig(restarts=args.restarts, max_iters=args.iters,
-                                      lr=args.lr, seed=args.seed, spectral_bound=rho,
-                                      extra_starts=extra)
+                                      lr=args.lr, seed=args.seed,
+                                      spectral_bound=_spectral_bound(args), extra_starts=extra)
             records[variant] = benchmark.solve_variant(variant, dataset, plan, m, spec, opt)
             (run_dir / f"solution_{variant}_m{m}.json").write_text(
                 records[variant].sol.to_json() + "\n")
@@ -506,28 +489,29 @@ def cmd_benchmark(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
+def _add_fit_flags(p: argparse.ArgumentParser, lr: float) -> None:
+    """The flags of ``train``, ``sweep`` and ``benchmark``; only ``--lr``'s default differs."""
+    p.add_argument("--data", required=True, help="training CSV")
+    p.add_argument("--input-cols", default="u", help="comma-separated input columns")
+    p.add_argument("--target-cols", default="y", help="comma-separated target columns")
     p.add_argument("--cell", choices=["linear", "elman", "lstm"], default="linear",
                    help="recurrent cell kind")
     p.add_argument("--d-h", type=int, default=1, dest="d_h", help="hidden state width")
     p.add_argument("--activation", choices=["tanh", "relu", "identity"], default="tanh",
                    help="elman activation")
-
-
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data", required=True, help="training CSV")
-    p.add_argument("--input-cols", default="u", help="comma-separated input columns")
-    p.add_argument("--target-cols", default="y", help="comma-separated target columns")
-    _add_model_flags(p)
     p.add_argument("--stride", type=int, default=1, help="segment start spacing")
-    p.add_argument("--batch", type=int, default=None,
-                   help="mini-batch size (default 16; 1, the one segment, with --mode bptt)")
-    p.add_argument("--opt", choices=["sgd", "adam"], default="adam", help="optimizer")
-    p.add_argument("--lr", type=float, default=0.01, help="step size")
-    p.add_argument("--epochs", type=int, default=200, help="epoch budget")
+    p.add_argument("--lr", type=float, default=lr, help="step size")
     p.add_argument("--seed", type=int, default=0, help="run seed")
     p.add_argument("--rho", type=float, default=0.999,
                    help="spectral bound on the recurrent block; <=0 disables")
+
+
+def _add_train_flags(p: argparse.ArgumentParser) -> None:
+    _add_fit_flags(p, lr=0.01)
+    p.add_argument("--batch", type=int, default=None,
+                   help="mini-batch size (default 16; 1, the one segment, with --mode bptt)")
+    p.add_argument("--opt", choices=["sgd", "adam"], default="adam", help="optimizer")
+    p.add_argument("--epochs", type=int, default=200, help="epoch budget")
     p.add_argument("--mode", choices=list(_MODES), default="zero",
                    help="zero-initialized or state-passing windows, or full BPTT: "
                         "zero-initialized training on the one window N = T")
@@ -568,21 +552,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("benchmark", help="solve reference problems and report regrets")
-    p.add_argument("--data", required=True, help="training CSV")
-    p.add_argument("--input-cols", default="u", help="comma-separated input columns")
-    p.add_argument("--target-cols", default="y", help="comma-separated target columns")
-    _add_model_flags(p)
+    _add_fit_flags(p, lr=0.05)
     p.add_argument("--N", type=int, default=21, help="segment length")
-    p.add_argument("--stride", type=int, default=1, help="segment start spacing")
     p.add_argument("--m-list", default="0", dest="m_list", help="comma-separated burn-in values")
     p.add_argument("--variants", default="tbptt,coupled,unconstrained",
                    help="comma-separated problem variants to solve")
     p.add_argument("--restarts", type=int, default=4, help="optimizer restarts")
     p.add_argument("--iters", type=int, default=8000, help="iteration budget per start")
-    p.add_argument("--lr", type=float, default=0.05, help="optimizer step size")
-    p.add_argument("--seed", type=int, default=0, help="restart seed")
-    p.add_argument("--rho", type=float, default=0.999,
-                   help="spectral bound on the recurrent block; <=0 disables")
     p.set_defaults(func=cmd_benchmark)
     return parser
 
@@ -592,10 +568,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (UsageError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NonFiniteError, TrainingError) as exc:

@@ -40,23 +40,23 @@ class SplitMix64:
         u = (self.next_u64() >> 11) * 2.0**-53
         return lo + (hi - lo) * u
 
-    def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
+    def normal(self, sigma: float = 1.0) -> float:
         if self._spare_normal is not None:
             z = self._spare_normal
             self._spare_normal = None
-            return mu + sigma * z
+            return sigma * z
         # u1 in (0, 1] so log() is finite
         u1 = ((self.next_u64() >> 11) + 1) * 2.0**-53
         u2 = (self.next_u64() >> 11) * 2.0**-53
         r = math.sqrt(-2.0 * math.log(u1))
         self._spare_normal = r * math.sin(2.0 * math.pi * u2)
-        return mu + sigma * r * math.cos(2.0 * math.pi * u2)
+        return sigma * r * math.cos(2.0 * math.pi * u2)
 
     def uniforms(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         return np.array([self.uniform(lo, hi) for _ in range(n)], dtype=np.float64)
 
-    def normals(self, n: int, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
-        return np.array([self.normal(mu, sigma) for _ in range(n)], dtype=np.float64)
+    def normals(self, n: int, sigma: float = 1.0) -> np.ndarray:
+        return np.array([self.normal(sigma) for _ in range(n)], dtype=np.float64)
 
     def randrange(self, n: int) -> int:
         """Integer in [0, n) via Lemire multiply-shift (unbiased enough at 64 bits)."""

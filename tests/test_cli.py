@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -313,6 +314,7 @@ def test_sweep_exit_code_ignores_error_text(tmp_path, monkeypatch):
 def test_run_files_keep_their_layout(tmp_path):
     # the ordered keys of every JSON run file, which no output digest sees
     base = synth(tmp_path)
+    assert base.name == "8665a1ae864401cd"  # synth identities name perfbench's inputs
     assert run("--out", tmp_path / "train", "train", "--data", base / "train.csv",
                *TRAIN_FLAGS) == 0
     train_dir = only_run_dir(tmp_path / "train", "train")
@@ -321,8 +323,9 @@ def test_run_files_keep_their_layout(tmp_path):
     assert summary["config_hash"] == "fbc2a49476ed181e"
     assert list(json.loads((train_dir / "timings.json").read_text())) == ["wall_time_s"]
     config = json.loads((train_dir / "manifest.json").read_text())["config"]
-    assert list(config) == ["inputs", "spec", "N", "m", "batch_size", "optimizer", "epochs",
-                            "stride", "seed", "spectral_bound", "mode"]
+    assert list(config) == ["inputs", "input_cols", "target_cols", "spec", "N", "m",
+                            "batch_size", "optimizer", "epochs", "stride", "seed",
+                            "spectral_bound", "mode"]
     assert list(config["optimizer"]) == ["kind", "lr", "beta1", "beta2", "eps"]
     line = (train_dir / "log.jsonl").read_text().splitlines()[0]
     assert list(json.loads(line)) == ["epoch", "objective", "grad_norm"]
@@ -351,6 +354,82 @@ def test_run_files_keep_their_layout(tmp_path):
     assert list(report["constants"]) == ["L_l", "h_bar", "C", "lam", "epsilon", "C_bar", "K",
                                          "c1", "c2", "E1", "E2", "finite"]
     assert list(report["turnpike"]) == ["e_j", "sum_e", "reference", "m", "N"]
+
+
+# Base flags of each command, chosen so that every flag changes the run: an
+# Elman cell, so that --activation counts, and a test file, so that
+# --test-burn does. --data and --test are added where the data is made.
+FIT_BASE = {"--input-cols": "u", "--target-cols": "y", "--cell": "elman", "--d-h": 1,
+            "--activation": "tanh", "--stride": 1, "--lr": 0.03, "--seed": 4, "--rho": 0.999}
+TRAINING_BASE = {**FIT_BASE, "--batch": 8, "--opt": "adam", "--epochs": 1, "--mode": "zero"}
+IDENTITY_BASE = {
+    "synth": {"--T": 60, "--T-val": 0, "--T-test": 30, "--noise": 0.02, "--warmup": 50,
+              "--seed": 5},
+    "train": {**TRAINING_BASE, "--N": 10, "--m": 3},
+    "sweep": {**TRAINING_BASE, "--N-list": "10", "--m-list": "0,3", "--test-burn": -1},
+    "benchmark": {**FIT_BASE, "--N": 10, "--m-list": "0,3", "--variants": "tbptt,coupled",
+                  "--restarts": 1, "--iters": 3},
+}
+# another valid value of each flag; the columns keep their widths, so no
+# other part of the config moves with them
+OTHER_VALUE = {"--T": 61, "--T-val": 5, "--T-test": 31, "--noise": 0.03, "--warmup": 49,
+               "--input-cols": "y", "--target-cols": "u", "--cell": "lstm", "--d-h": 2,
+               "--activation": "relu", "--stride": 2, "--lr": 0.02, "--seed": 6, "--rho": 0.9,
+               "--batch": 4, "--opt": "sgd", "--epochs": 2, "--mode": "stateful", "--N": 11,
+               "--m": 2, "--N-list": "10,12", "--m-list": "0", "--test-burn": 1,
+               "--variants": "tbptt", "--restarts": 2, "--iters": 4}
+
+
+def subcommand_flags(command: str) -> set[str]:
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {a.option_strings[-1] for a in sub.choices[command]._actions
+            if a.option_strings and a.dest != "help"}
+
+
+@pytest.mark.parametrize("command", list(IDENTITY_BASE))
+def test_every_flag_but_out_is_part_of_the_run_identity(tmp_path, command):
+    # a run that changes any one flag gets its own run directory
+    a, b = synth(tmp_path, "a"), synth(tmp_path, "b", seed=6)
+    base, other = dict(IDENTITY_BASE[command]), dict(OTHER_VALUE)
+    if command != "synth":
+        base["--data"], other["--data"] = a / "train.csv", b / "train.csv"
+    if command == "sweep":
+        base["--test"], other["--test"] = a / "test.csv", b / "test.csv"
+    assert set(base) == subcommand_flags(command)
+
+    def run_dir_name(flags: dict, root: Path) -> str:
+        assert run("--out", root, command, *[x for item in flags.items() for x in item]) == 0
+        return only_run_dir(root, command).name
+
+    base_name = run_dir_name(base, tmp_path / "base")
+    shared = [flag for flag in base
+              if run_dir_name({**base, flag: other[flag]}, tmp_path / flag) == base_name]
+    assert shared == []
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("train", ["--N", 10, "--m", 2, "--epochs", 1]),
+    ("sweep", ["--N-list", 10, "--m-list", "0,2", "--epochs", 1]),
+    ("benchmark", ["--N", 10, "--m-list", 2, "--restarts", 1, "--iters", 5]),
+])
+def test_swapped_columns_keep_their_own_runs(tmp_path, command, flags):
+    # a second run with the columns swapped must not overwrite the first
+    argv = [command, "--data", synth(tmp_path) / "train.csv", *flags]
+    columns = [["--input-cols", "u", "--target-cols", "y"],
+               ["--input-cols", "y", "--target-cols", "u"]]
+    both = tmp_path / "both"
+    for cols in columns:
+        assert run("--out", both, *argv, *cols) == 0
+    assert len(list((both / command).iterdir())) == 2
+    for i, cols in enumerate(columns):
+        assert run("--out", tmp_path / f"alone{i}", *argv, *cols) == 0
+        alone = only_run_dir(tmp_path / f"alone{i}", command)
+        kept = both / command / alone.name
+        assert sorted(f.name for f in kept.iterdir()) == sorted(f.name for f in alone.iterdir())
+        for f in alone.iterdir():
+            if f.name not in ("manifest.json", "timings.json"):
+                assert (kept / f.name).read_bytes() == f.read_bytes(), f.name
 
 
 def lone_cell(dataset, test_set, args, N, m):
