@@ -40,7 +40,7 @@ from .rnn_core import (
     init_params,
     num_params,
 )
-from .training import AdamConfig, AdamState, project_stability
+from .training import AdamState, project_stability
 
 VARIANTS = ("tbptt", "coupled", "unconstrained")
 
@@ -189,7 +189,6 @@ def _solve(problem: _Problem, opt: OptConfig) -> LiftedSolution:
     anchor_obj = np.full(n_starts, np.inf)
     anchor_it = np.zeros(n_starts, dtype=int)
     adam = AdamState(z.shape)
-    adam_cfg = AdamConfig(lr=opt.lr)
     iters_used = failed = 0
     error: NonFiniteError | None = None
     it = 0
@@ -225,7 +224,7 @@ def _solve(problem: _Problem, opt: OptConfig) -> LiftedSolution:
                  & (it - anchor_it[rows] < opt.plateau_iters))
         rows, z, grad = rows[going], z[going], grad[going]
         adam.keep(going)
-        z = problem.project(z - adam.direction(grad, adam_cfg), opt.spectral_bound)
+        z = problem.project(z - adam.direction(grad, opt.lr), opt.spectral_bound)
         it += 1
 
     if not np.isfinite(best_obj).any():

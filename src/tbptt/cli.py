@@ -19,15 +19,15 @@ window length N train together as one stacked run over their burn-ins, so
 Every run writes into ``<out-root>/<command>/<config-hash>/`` with a
 manifest.json describing it; rerunning with identical flags reproduces all
 numeric outputs bit-exactly (timestamps live only in the manifest, wall
-times only in timings.json). The hash covers every flag except ``--out``.
-``train`` hashes its data files and columns with the training config its
-other flags resolve to, so there only flags that make the same run share a
-directory (``--activation`` of a linear cell, any ``--rho`` <= 0); its
-summary.json's ``config_hash`` digests that training config alone, and so is
-not the run directory's name. ``train``'s timings.json holds the wall time
-of its whole training call, setup included.
+times only in timings.json). A run's identity, which the hash digests, is
+every flag except ``--out``, with the data files (``--data``, and ``--test``
+when given) by the SHA-256 of their bytes: a file rewritten in place gets a
+new run directory, and two paths to one file share one. ``train``'s
+timings.json holds the wall time of its whole training call, setup
+included.
 
-Exit codes: 0 success, 2 usage error, 3 numeric failure, 4 partial sweep.
+Exit codes: 0 success, 2 usage error (a path that cannot be read or written
+included), 3 numeric failure, 4 partial sweep.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from . import __version__, analysis, benchmark, data, training
 from .rnn_core import (
     CellSpec, NonFiniteError, Params, Trajectory, batched_forward, start_indices,
 )
-from .training import AdamConfig, SGDConfig, TrainConfig, TrainingError
+from .training import TrainConfig, TrainingError
 
 OUT_ROOT_ENV = "TBPTT_RUNS_DIR"
 
@@ -73,39 +73,49 @@ def out_root(args) -> Path:
     return Path(os.environ.get(OUT_ROOT_ENV, "runs"))
 
 
+def _input_paths(args) -> list[str]:
+    """The data files a command reads: ``--data``, and ``--test`` when given."""
+    return [str(p) for p in (vars(args).get("data"), vars(args).get("test")) if p]
+
+
 def run_config(args, **resolved) -> dict:
-    """A run's identity: every parsed flag except ``--out``, the data files
-    (``--data``, and ``--test`` when given) under ``inputs``, and the values
-    ``resolved`` from flags (a parsed grid or variant list) in their place."""
-    flags = {k: v for k, v in vars(args).items() if k not in ("out", "command", "func")}
-    if "data" in flags:
-        flags = {"inputs": [str(p) for p in (flags.pop("data"), flags.pop("test", None)) if p],
+    """A run's identity: every parsed flag except ``--out``, with the data
+    files under ``inputs`` by the SHA-256 of their bytes in place of their
+    paths, and the values ``resolved`` from flags (a parsed grid or variant
+    list) in place of theirs. ``args`` is read as the command left it, so a
+    ``--batch`` or ``--N`` that ``_resolve_windows`` set enters resolved."""
+    flags = {k: v for k, v in vars(args).items()
+             if k not in ("out", "command", "func", "data", "test")}
+    paths = _input_paths(args)
+    if paths:
+        flags = {"inputs": [hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths],
                  **flags}
     return {**flags, **resolved}
 
 
+def _write_json(path: Path, payload) -> None:
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+
+
 def make_run_dir(args, config: dict) -> Path:
     """Make ``<out-root>/<args.command>/<config-hash>/`` for the run
-    identity ``config`` and write its manifest.json."""
+    identity ``config`` and write its manifest.json with ``_write_json``.
+    The manifest's top-level ``inputs`` lists the data files by the paths
+    given, outside the hash."""
     digest = config_hash(config)
     run_dir = out_root(args) / args.command / digest
     run_dir.mkdir(parents=True, exist_ok=True)
-    manifest = {
+    _write_json(run_dir / "manifest.json", {
         "command": args.command,
         "config": config,
         "config_hash": digest,
         "seed": config.get("seed"),
-        "inputs": config.get("inputs", []),
+        "inputs": _input_paths(args),
         "out_dir": str(run_dir),
         "version": __version__,
         "created_at": datetime.now(timezone.utc).isoformat(),
-    }
-    (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    })
     return run_dir
-
-
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +172,6 @@ def _cell_spec(args, d_x: int, d_y: int) -> CellSpec:
     return CellSpec("lstm", d_x, args.d_h, d_y)
 
 
-def _optimizer(args):
-    if args.opt == "sgd":
-        return SGDConfig(lr=args.lr)
-    return AdamConfig(lr=args.lr)
-
-
 # --mode bptt is full BPTT: zero-init training on the one window N = T
 _MODES = {"zero": "zero_init", "stateful": "stateful", "bptt": "zero_init"}
 
@@ -182,7 +186,8 @@ def _train_config(args, spec: CellSpec, N: int, m: int) -> TrainConfig:
         N=N,
         m=m,
         batch_size=args.batch,
-        optimizer=_optimizer(args),
+        optimizer=args.opt,
+        lr=args.lr,
         epochs=args.epochs,
         stride=args.stride,
         seed=args.seed,
@@ -260,19 +265,14 @@ def cmd_train(args) -> int:
     t0 = time.perf_counter()
     log = training.train(dataset, config)
     wall_time_s = time.perf_counter() - t0
-    config_dict = config.to_json_dict()
-    data_keys = {k: v for k, v in run_config(args).items()
-                 if k in ("inputs", "input_cols", "target_cols")}
-    run_dir = make_run_dir(args, {**data_keys, **config_dict})
+    run_dir = make_run_dir(args, run_config(args))
     (run_dir / "params.json").write_text(log.params.to_json() + "\n")
     (run_dir / "log.jsonl").write_text(log.to_jsonl())
     _write_json(run_dir / "timings.json", {"wall_time_s": wall_time_s})
-    summary = {
+    _write_json(run_dir / "summary.json", {
         "final_objective": log.records[-1].objective if log.records else None,
         "epochs_run": len(log.records),
-        "config_hash": config_hash(config_dict),
-    }
-    _write_json(run_dir / "summary.json", summary)
+    })
     print(run_dir)
     return 0
 
@@ -510,7 +510,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     _add_fit_flags(p, lr=0.01)
     p.add_argument("--batch", type=int, default=None,
                    help="mini-batch size (default 16; 1, the one segment, with --mode bptt)")
-    p.add_argument("--opt", choices=["sgd", "adam"], default="adam", help="optimizer")
+    p.add_argument("--opt", choices=training.OPTIMIZERS, default="adam", help="optimizer")
     p.add_argument("--epochs", type=int, default=200, help="epoch budget")
     p.add_argument("--mode", choices=list(_MODES), default="zero",
                    help="zero-initialized or state-passing windows, or full BPTT: "
@@ -568,7 +568,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, FileNotFoundError) as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NonFiniteError, TrainingError) as exc:

@@ -30,7 +30,6 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, replace
-from typing import Union
 
 import numpy as np
 
@@ -41,32 +40,13 @@ from .rnn_core import CellSpec, Params, batched_forward, init_params, per_start,
 from .rng import SplitMix64
 
 MODES = ("zero_init", "stateful")
+OPTIMIZERS = ("sgd", "adam")
+# Adam's moment decay rates and the guard of its denominator
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class TrainingError(RuntimeError):
     """Aborted update; message carries epoch, segment, and component info."""
-
-
-@dataclass(frozen=True)
-class SGDConfig:
-    lr: float
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "sgd", **asdict(self)}
-
-
-@dataclass(frozen=True)
-class AdamConfig:
-    lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "adam", **asdict(self)}
-
-
-OptimizerConfig = Union[SGDConfig, AdamConfig]
 
 
 class AdamState:
@@ -85,25 +65,26 @@ class AdamState:
     def keep(self, rows: np.ndarray) -> None:
         self.m, self.v = self.m[rows], self.v[rows]
 
-    def direction(self, grad: np.ndarray, cfg: AdamConfig) -> np.ndarray:
-        """The next step; a row whose gradient overflows gets a non-finite
-        step silently, since every caller checks the gradient for that."""
+    def direction(self, grad: np.ndarray, lr: float) -> np.ndarray:
+        """The next step, of step size ``lr``; a row whose gradient overflows
+        gets a non-finite step silently, since every caller checks the
+        gradient for that."""
         self.t += 1
         with np.errstate(over="ignore", invalid="ignore"):
-            self.m = cfg.beta1 * self.m + (1.0 - cfg.beta1) * grad
-            self.v = cfg.beta2 * self.v + (1.0 - cfg.beta2) * grad * grad
-            m_hat = self.m / (1.0 - cfg.beta1**self.t)
-            v_hat = self.v / (1.0 - cfg.beta2**self.t)
-            return cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * grad
+            self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * grad * grad
+            m_hat = self.m / (1.0 - ADAM_BETA1**self.t)
+            v_hat = self.v / (1.0 - ADAM_BETA2**self.t)
+            return lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
 class TrainConfig:
-    """Everything a training run depends on; ``to_json_dict`` is what a run
-    manifest records and hashes.
+    """Everything a training run depends on.
 
     The run trains on the length-``N`` windows of ``make_plan(T, N, stride)``
-    in one of ``MODES``; N = T is full BPTT. ``train`` runs every one of the
+    in one of ``MODES``, with ``optimizer`` (one of ``OPTIMIZERS``) at step
+    size ``lr``; N = T is full BPTT. ``train`` runs every one of the
     ``epochs``; ``train_burn_ins`` takes the burn-ins from its own list in
     place of ``m``.
     """
@@ -112,7 +93,8 @@ class TrainConfig:
     N: int
     m: int
     batch_size: int
-    optimizer: OptimizerConfig
+    optimizer: str
+    lr: float
     epochs: int
     stride: int = 1
     seed: int = 0
@@ -122,6 +104,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode {self.mode!r} not one of {MODES}")
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"optimizer {self.optimizer!r} not one of {OPTIMIZERS}")
         if not 0 <= self.m <= self.N - 1:
             raise ValueError(f"burn-in m={self.m} must lie in [0, N-1] = [0, {self.N - 1}]")
         if self.batch_size < 1:
@@ -130,9 +114,6 @@ class TrainConfig:
             raise ValueError("spectral_bound must lie in (0, 1] or be None")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-
-    def to_json_dict(self) -> dict:
-        return {**asdict(self), "optimizer": self.optimizer.to_json_dict()}
 
 
 @dataclass
@@ -250,12 +231,12 @@ def sgd_step(
     _, d_theta, _ = weighted_loss_grad(params, h0, xs[batch], ys[batch], w)
     _check_finite_grad(d_theta, epoch, batch)
 
-    if isinstance(config.optimizer, AdamConfig):
+    if config.optimizer == "adam":
         if opt_state is None:
             raise ValueError("Adam updates need an AdamState")
-        step = opt_state.direction(d_theta, config.optimizer)
+        step = opt_state.direction(d_theta, config.lr)
     else:
-        step = config.optimizer.lr * d_theta
+        step = config.lr * d_theta
     updated = Params(params.theta - step, params.spec)
     return project_stability(updated, config.spectral_bound)
 
@@ -337,7 +318,7 @@ def train_burn_ins(dataset: TimeSeriesDataset, config: TrainConfig,
     ms = np.array([c.m for c in configs]).reshape(lead)
     start = init if init is not None else init_params(config.spec, config.seed)
     params = Params(np.broadcast_to(start.theta, lead + start.theta.shape).copy(), start.spec)
-    opt_state = AdamState(params.theta.shape) if isinstance(config.optimizer, AdamConfig) else None
+    opt_state = AdamState(params.theta.shape) if config.optimizer == "adam" else None
     shuffler = SplitMix64(config.seed).spawn(0xB0)
     xs, ys = segment_arrays(dataset, plan)
     cached_inits = np.zeros(lead + (plan.S, params.spec.state_dim))

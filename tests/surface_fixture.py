@@ -1,6 +1,8 @@
-"""A module for the guard of ``test_package_surface.py`` to run on: ``drive``
+"""A module for the guards of ``test_package_surface.py`` to run on: ``drive``
 calls ``A.to_json`` but not ``B.to_json``, reads ``Record.read``, serializes
 ``Summary`` with ``asdict`` and reads ``Record.unread`` only through ``==``.
+It also calls ``scale``, which reads ``values`` itself and ``factor`` only
+in a comprehension, and never reads ``unused``.
 
 ``asdict`` reads every field of the record it is given, so the field that
 is only serialized sits in a dataclass of its own.
@@ -32,5 +34,10 @@ class B:
         return {}
 
 
+def scale(values: list[int], factor: int, unused: int) -> list[int]:
+    return [factor * v for v in values]
+
+
 def drive() -> None:
     A().to_json()
+    scale([1], 2, 3)

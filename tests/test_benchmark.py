@@ -17,7 +17,7 @@ from tbptt.data import make_plan, segment_arrays
 from tbptt.linalg import spectral_norm
 from tbptt.rng import _mix
 from tbptt.rnn_core import CellSpec, NonFiniteError, batched_forward, forward, init_params, pack
-from tbptt.training import AdamConfig, AdamState, TrainConfig, train
+from tbptt.training import AdamState, TrainConfig, train
 
 LIN1 = CellSpec("linear", 1, 1, 1, activation="identity", use_biases=False)
 LIN2 = CellSpec("linear", 1, 2, 1, activation="identity", use_biases=False)
@@ -142,7 +142,7 @@ def test_tbptt_matches_training_fixed_point(noisy_instance):
     m = 1
     theta0 = init_params(LIN1, 0)
     config = TrainConfig(spec=LIN1, N=plan.N, m=m, batch_size=plan.S,
-                         optimizer=AdamConfig(lr=0.02), epochs=300, seed=0,
+                         optimizer="adam", lr=0.02, epochs=300, seed=0,
                          spectral_bound=0.999)
     log = train(ds, config, init=theta0)
     opt = OptConfig(restarts=0, max_iters=20000, lr=0.02,
@@ -251,7 +251,6 @@ def serial_solve(problem, opt):
     best_obj = np.inf
     iters_used = failed = 0
     error = None
-    adam_cfg = AdamConfig(lr=opt.lr)
     stops = []
     for z0 in starts:
         reason, start_best, it = "max_iters", np.inf, 0
@@ -277,7 +276,7 @@ def serial_solve(problem, opt):
                 if it - anchor_it >= opt.plateau_iters:
                     reason = "plateau"
                     break
-                z = problem.project(z - adam.direction(grad, adam_cfg), opt.spectral_bound)
+                z = problem.project(z - adam.direction(grad, opt.lr), opt.spectral_bound)
         except NonFiniteError as exc:
             failed += 1
             error = exc

@@ -2,6 +2,9 @@ import argparse
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,7 @@ from tbptt import analysis, cli, data, training
 from tbptt.cli import main
 from tbptt.data import load_csv
 from tbptt.rnn_core import CellSpec, forward, init_params
-from tbptt.training import AdamConfig, TrainConfig, train
+from tbptt.training import TrainConfig, train
 
 
 def run(*argv):
@@ -116,20 +119,23 @@ def test_train_is_thin_shell_over_library(tmp_path):
     assert run("--out", out, "train", "--data", data_file, *TRAIN_FLAGS) == 0
     run_dir = only_run_dir(out, "train")
     manifest = json.loads((run_dir / "manifest.json").read_text())
-    cfg = manifest["config"]
+    cfg = manifest["config"]  # the run's flags
+    assert (cfg["cell"], cfg["mode"], cfg["input_cols"], cfg["target_cols"]) == (
+        "linear", "zero", "u", "y")
 
     dataset = load_csv(data_file, ["u"], ["y"])
     config = TrainConfig(
-        spec=CellSpec(**cfg["spec"]),
+        spec=CellSpec("linear", 1, cfg["d_h"], 1, activation="identity", use_biases=False),
         N=cfg["N"],
         m=cfg["m"],
-        batch_size=cfg["batch_size"],
-        optimizer=AdamConfig(lr=cfg["optimizer"]["lr"]),
+        batch_size=cfg["batch"],
+        optimizer=cfg["opt"],
+        lr=cfg["lr"],
         epochs=cfg["epochs"],
         stride=cfg["stride"],
         seed=cfg["seed"],
-        spectral_bound=cfg["spectral_bound"],
-        mode=cfg["mode"],
+        spectral_bound=cfg["rho"],
+        mode="zero_init",
     )
     log = train(dataset, config)
     stored = read_params((run_dir / "params.json").read_text())
@@ -186,7 +192,7 @@ def test_bptt_mode_without_batch_runs_its_one_segment(tmp_path, command):
                "--epochs", 2, *grid) == 0
     run_dir = only_run_dir(out, command)
     config = json.loads((run_dir / "manifest.json").read_text())["config"]
-    assert config["batch_size" if command == "train" else "batch"] == 1
+    assert config["batch"] == 1
     if command == "sweep":
         with open(run_dir / "report.csv") as fh:
             (row,) = csv.DictReader(fh)
@@ -318,15 +324,15 @@ def test_run_files_keep_their_layout(tmp_path):
     assert run("--out", tmp_path / "train", "train", "--data", base / "train.csv",
                *TRAIN_FLAGS) == 0
     train_dir = only_run_dir(tmp_path / "train", "train")
+    # the data enter the identity by content, so the name holds on any path
+    assert train_dir.name == "8972e378c2eedb05"
     summary = json.loads((train_dir / "summary.json").read_text())
-    assert list(summary) == ["final_objective", "epochs_run", "config_hash"]
-    assert summary["config_hash"] == "fbc2a49476ed181e"
+    assert list(summary) == ["final_objective", "epochs_run"]
     assert list(json.loads((train_dir / "timings.json").read_text())) == ["wall_time_s"]
     config = json.loads((train_dir / "manifest.json").read_text())["config"]
-    assert list(config) == ["inputs", "input_cols", "target_cols", "spec", "N", "m",
-                            "batch_size", "optimizer", "epochs", "stride", "seed",
-                            "spectral_bound", "mode"]
-    assert list(config["optimizer"]) == ["kind", "lr", "beta1", "beta2", "eps"]
+    assert list(config) == ["inputs", "input_cols", "target_cols", "cell", "d_h", "activation",
+                            "stride", "lr", "seed", "rho", "batch", "opt", "epochs", "mode",
+                            "N", "m"]
     line = (train_dir / "log.jsonl").read_text().splitlines()[0]
     assert list(json.loads(line)) == ["epoch", "objective", "grad_norm"]
     spec_keys = ["kind", "d_x", "d_h", "d_y", "activation", "use_biases"]
@@ -430,6 +436,25 @@ def test_swapped_columns_keep_their_own_runs(tmp_path, command, flags):
         for f in alone.iterdir():
             if f.name not in ("manifest.json", "timings.json"):
                 assert (kept / f.name).read_bytes() == f.read_bytes(), f.name
+
+
+def test_data_files_enter_the_run_identity_by_content(tmp_path, monkeypatch):
+    # two paths to one file share a run; a file rewritten in place gets its own
+    monkeypatch.chdir(tmp_path)
+    data_file, out = tmp_path / "d.csv", tmp_path / "runs"
+    data_file.write_bytes((synth(tmp_path, "a") / "train.csv").read_bytes())
+    flags = ["--N", 10, "--m", 2, "--epochs", 1]
+    assert run("--out", out, "train", "--data", "d.csv", *flags) == 0
+    assert run("--out", out, "train", "--data", "./d.csv", *flags) == 0
+    first = only_run_dir(out, "train")
+    params = (first / "params.json").read_bytes()
+    # the manifest lists the path as given, outside the hash
+    assert json.loads((first / "manifest.json").read_text())["inputs"] == ["./d.csv"]
+
+    data_file.write_bytes((synth(tmp_path, "b", seed=6) / "train.csv").read_bytes())
+    assert run("--out", out, "train", "--data", "d.csv", *flags) == 0
+    assert len(list((out / "train").iterdir())) == 2
+    assert (first / "params.json").read_bytes() == params
 
 
 def lone_cell(dataset, test_set, args, N, m):
@@ -656,6 +681,26 @@ def assert_usage_error(capsys, out, command, *argv):
     assert code == 2
     assert any(line.startswith("error:") for line in err.splitlines())
     assert not (out / command).exists()
+
+
+@pytest.mark.parametrize("case", ["train-data-dir", "sweep-test-dir", "out-is-a-file"])
+def test_bad_path_is_usage_error_without_traceback(tmp_path, case):
+    # a directory read as a CSV, or a file as the output root, exited 1 with
+    # a traceback; run as a process, so stderr is what a user sees
+    base = synth(tmp_path)
+    argv = {
+        "train-data-dir": ["--out", tmp_path / "x", "train", "--data", tmp_path],
+        "sweep-test-dir": ["--out", tmp_path / "x", "sweep", "--data", base / "train.csv",
+                           "--test", tmp_path],
+        "out-is-a-file": ["--out", base / "train.csv", "synth"],
+    }[case]
+    path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "tbptt.cli", *map(str, argv)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 2, proc.stderr
+    assert any(line.startswith("error:") for line in proc.stderr.splitlines())
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["train", "sweep", "benchmark"])

@@ -10,11 +10,16 @@ of one name count apart. A class-level ``__getattribute__`` on each
 dataclass sees every field read, ``dataclasses.asdict`` included, so a
 field that is only serialized counts as read; a read by a dunder method,
 such as the record's own checks, ``==`` or hash, does not.
-``surface_fixture`` holds one unused method and one unread field, which the
-guard must find.
+
+``unread_parameters`` reads the bytecode instead: a parameter of a function
+or method that neither its code object nor a nested one (a closure or, before
+Python 3.12, a comprehension) loads is passed for nothing and goes.
+``surface_fixture`` holds one unused method, one unread field and one unread
+parameter, which the guards must find.
 """
 
 import dataclasses
+import dis
 import inspect
 import sys
 from types import CodeType, ModuleType
@@ -104,6 +109,36 @@ def unreached(modules: list[ModuleType], drive) -> list[str]:
     return sorted(unrun + unread)
 
 
+def loaded_names(code: CodeType) -> set[str]:
+    """The local, cell and free variables that ``code`` or a code object
+    nested in it loads."""
+    names = set()
+    for ins in dis.get_instructions(code):
+        # LOAD_FAST_AND_CLEAR saves a name an inlined comprehension shadows
+        if (ins.opname.startswith("LOAD_FAST") and ins.opname != "LOAD_FAST_AND_CLEAR"
+                or ins.opname in ("LOAD_DEREF", "LOAD_CLASSDEREF")):
+            names.update(ins.argval if isinstance(ins.argval, tuple) else [ins.argval])
+    for const in code.co_consts:
+        if isinstance(const, CodeType):
+            names |= loaded_names(const)
+    return names
+
+
+def unread_parameters(modules: list[ModuleType]) -> list[str]:
+    """Every parameter, but ``self`` and ``cls``, of the functions and
+    methods of ``modules`` that no code loads, as ``qualified.name(param)``."""
+    unread = []
+    for module in modules:
+        for code, name in definitions(module).items():
+            count = (code.co_argcount + code.co_kwonlyargcount
+                     + bool(code.co_flags & inspect.CO_VARARGS)
+                     + bool(code.co_flags & inspect.CO_VARKEYWORDS))
+            loaded = loaded_names(code)
+            unread += [f"{name}({param})" for param in code.co_varnames[:count]
+                       if param not in ("self", "cls") and param not in loaded]
+    return sorted(unread)
+
+
 def cli_pass(out):
     """Every subcommand and mode, small: synth with validation and test
     series; train as linear/zero/adam, elman/stateful/sgd and lstm/bptt; a
@@ -135,3 +170,12 @@ def test_every_function_runs_and_every_field_is_read(tmp_path):
 def test_guard_finds_the_fixture_method_and_field_nothing_uses():
     assert unreached([surface_fixture], surface_fixture.drive) == [
         "surface_fixture.B.to_json", "surface_fixture.Record.unread"]
+
+
+def test_every_parameter_is_read():
+    offenders = unread_parameters(PACKAGE)
+    assert not offenders, "parameters that no code reads: " + ", ".join(offenders)
+
+
+def test_guard_finds_the_fixture_parameter_nothing_reads():
+    assert unread_parameters([surface_fixture]) == ["surface_fixture.scale(unused)"]
