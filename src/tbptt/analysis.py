@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -175,9 +175,6 @@ class TurnpikeReport:
     m: int
     N: int
 
-    def to_json_dict(self) -> dict:
-        return {**asdict(self), "e_j": self.e_j.tolist()}
-
 
 def turnpike_errors(a: Evaluation, b: Evaluation, m: int) -> TurnpikeReport:
     """Per-step averaged squared gap between two solutions' segment outputs,
@@ -254,11 +251,6 @@ class BoundConstants:
     E2: float
     finite: bool
 
-    def to_json_dict(self) -> dict:
-        """The fields, with a non-finite value written as ``"inf"``."""
-        return {k: "inf" if isinstance(v, float) and not math.isfinite(v) else v
-                for k, v in asdict(self).items()}
-
 
 def bound_constants(stab: StabilityEstimate, epsilon_max: float,
                     observed: ObservedSets) -> BoundConstants:
@@ -314,25 +306,6 @@ class RegretReport:
     S: int
     o_min: int
     constants: BoundConstants = field(repr=False)
-
-    def to_json_dict(self) -> dict:
-        return {**asdict(self), "constants": self.constants.to_json_dict()}
-
-    @staticmethod
-    def csv_header() -> list[str]:
-        return ["N", "m", "S", "o_min", "V_star", "V_bench", "training_regret",
-                "P_star", "P_bench", "performance_regret", "thm1_rhs", "thm2_rhs",
-                "thm1_violation", "thm2_violation", "lambda", "C_bar", "E2"]
-
-    def csv_row(self) -> list:
-        c = self.constants
-        return [self.N, self.m, self.S, self.o_min, self.V_star, self.V_bench,
-                self.training_regret, self.P_star, self.P_bench,
-                self.performance_regret, self.thm1_rhs,
-                "" if self.thm2_rhs is None else self.thm2_rhs,
-                self.thm1_violation,
-                "" if self.thm2_violation is None else self.thm2_violation,
-                c.lam, c.C_bar, c.E2]
 
 
 def thm2_radicand(S: int, lam: float, m: int, o_min: int, T: int) -> float:

@@ -22,7 +22,6 @@ per-window states and outputs, which every analysis reads.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,26 +64,13 @@ class OptConfig:
 class LiftedSolution:
     """Best point found for one variant, with convergence diagnostics."""
 
-    params: Params
-    init_states: np.ndarray  # (0 | 1 | S, state_dim)
-    objective: float
     variant: str
+    objective: float
     converged: bool
     grad_norm: float
+    params: Params
+    init_states: np.ndarray  # (0 | 1 | S, state_dim)
     diagnostics: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "variant": self.variant,
-                "objective": self.objective,
-                "converged": self.converged,
-                "grad_norm": self.grad_norm,
-                "params": json.loads(self.params.to_json()),
-                "init_states": self.init_states.tolist(),
-                "diagnostics": self.diagnostics,
-            }
-        )
 
 
 def coupled_time_weights(plan: SegmentationPlan, m: int, T: int) -> np.ndarray:

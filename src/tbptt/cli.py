@@ -26,6 +26,10 @@ new run directory, and two paths to one file share one. ``train``'s
 timings.json holds the wall time of its whole training call, setup
 included.
 
+Every JSON run file is strict JSON, written by ``to_json``: a non-finite
+number, such as a bound constant of a fitted lambda >= 1, is the string
+``"inf"``, ``"-inf"`` or ``"nan"``.
+
 Exit codes: 0 success, 2 usage error (a path that cannot be read or written
 included), 3 numeric failure, 4 partial sweep.
 """
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -93,8 +98,46 @@ def run_config(args, **resolved) -> dict:
     return {**flags, **resolved}
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+def _plain(value):
+    """``value`` as plain JSON data: ``Params`` as its spec, block layout and
+    ``theta``; any other dataclass field by field; dicts, lists, tuples and
+    arrays element by element; a non-finite float as ``"inf"``, ``"-inf"``
+    or ``"nan"``."""
+    if isinstance(value, Params):
+        return {"spec": _plain(value.spec),
+                "layout": [[name, start, stop]
+                           for name, (start, stop, _) in value.layout.items()],
+                "theta": _plain(value.theta)}
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        return _plain(value.tolist())
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    return value
+
+
+def to_json(record, indent: int | None = None) -> str:
+    """``record`` as strict JSON text; see ``_plain``."""
+    return json.dumps(_plain(record), indent=indent, allow_nan=False)
+
+
+def _write_json(path: Path, record, indent: int | None = 2) -> None:
+    path.write_text(to_json(record, indent) + "\n")
+
+
+def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
+    """A header line of ``columns``, then one line per row; a row's keys
+    that are not columns are left out."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore",
+                                lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def make_run_dir(args, config: dict) -> Path:
@@ -126,9 +169,11 @@ def make_run_dir(args, config: dict) -> Path:
 def _check_synth_flags(args) -> None:
     if args.T < 1:
         raise UsageError(f"--T {args.T} must be >= 1")
+    if not (math.isfinite(args.noise) and args.noise >= 0):
+        raise UsageError(f"--noise {args.noise} must be finite and >= 0")
     for flag, value in (("--T-val", args.T_val), ("--T-test", args.T_test),
-                        ("--noise", args.noise), ("--warmup", args.warmup)):
-        if not value >= 0:  # NaN noise fails too
+                        ("--warmup", args.warmup)):
+        if value < 0:
             raise UsageError(f"{flag} {value} must be >= 0")
 
 
@@ -153,7 +198,7 @@ def cmd_synth(args) -> int:
         data.write_csv(run_dir / f"{name}.csv",
                        {"u": u[pos : pos + length], "y": y[pos : pos + length]})
         pos += length
-    (run_dir / "generator.json").write_text(generator.to_json() + "\n")
+    _write_json(run_dir / "generator.json", generator, indent=None)
     print(run_dir)
     return 0
 
@@ -239,8 +284,8 @@ def _check_flags(args, dataset: data.TimeSeriesDataset, n_values: list[int],
         raise UsageError(str(exc)) from None
     if not (math.isfinite(args.lr) and args.lr > 0):
         raise UsageError(f"--lr {args.lr} must be finite and > 0")
-    if not args.rho <= 1.0:  # NaN fails too
-        raise UsageError(f"--rho {args.rho} must be <= 1")
+    if not (math.isfinite(args.rho) and args.rho <= 1.0):
+        raise UsageError(f"--rho {args.rho} must be finite and <= 1")
     if any(not 0 <= m < dataset.T for m in m_values):
         raise UsageError(f"burn-ins {m_values} must lie in [0, T-1] = [0, {dataset.T - 1}]")
     if "epochs" not in vars(args):  # benchmark has neither --epochs nor --batch
@@ -262,12 +307,12 @@ def cmd_train(args) -> int:
     if args.m > args.N - 1:
         raise UsageError(f"burn-in m={args.m} exceeds N-1={args.N - 1}")
     config = _train_config(args, _cell_spec(args, dataset.d_x, dataset.d_y), args.N, args.m)
+    run_dir = make_run_dir(args, run_config(args))
     t0 = time.perf_counter()
     log = training.train(dataset, config)
     wall_time_s = time.perf_counter() - t0
-    run_dir = make_run_dir(args, run_config(args))
-    (run_dir / "params.json").write_text(log.params.to_json() + "\n")
-    (run_dir / "log.jsonl").write_text(log.to_jsonl())
+    _write_json(run_dir / "params.json", log.params, indent=None)
+    (run_dir / "log.jsonl").write_text("".join(to_json(r) + "\n" for r in log.records))
     _write_json(run_dir / "timings.json", {"wall_time_s": wall_time_s})
     _write_json(run_dir / "summary.json", {
         "final_objective": log.records[-1].objective if log.records else None,
@@ -403,12 +448,7 @@ def cmd_sweep(args) -> int:
             share = (time.perf_counter() - t0) / len(ms)
             wall_times.update({(N, m): share for m in ms})
 
-    report = run_dir / "report.csv"
-    with open(report, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        for cell in sorted(rows):
-            writer.writerow({k: rows[cell].get(k, "") for k in SWEEP_COLUMNS})
+    _write_csv(run_dir / "report.csv", SWEEP_COLUMNS, [rows[cell] for cell in sorted(rows)])
     _write_json(run_dir / "timings.json",
                 {"cells": [{"N": N, "m": m, "wall_time_s": wall_times[N, m]}
                            for N, m in sorted(wall_times)]})
@@ -419,6 +459,11 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 # benchmark
 # ---------------------------------------------------------------------------
+
+
+BENCHMARK_COLUMNS = ["N", "m", "S", "o_min", "V_star", "V_bench", "training_regret",
+                     "P_star", "P_bench", "performance_regret", "thm1_rhs", "thm2_rhs",
+                     "thm1_violation", "thm2_violation", "lambda", "C_bar", "E2"]
 
 
 def cmd_benchmark(args) -> int:
@@ -452,8 +497,8 @@ def cmd_benchmark(args) -> int:
                                       lr=args.lr, seed=args.seed,
                                       spectral_bound=_spectral_bound(args), extra_starts=extra)
             records[variant] = benchmark.solve_variant(variant, dataset, plan, m, spec, opt)
-            (run_dir / f"solution_{variant}_m{m}.json").write_text(
-                records[variant].sol.to_json() + "\n")
+            _write_json(run_dir / f"solution_{variant}_m{m}.json", records[variant].sol,
+                        indent=None)
 
         if "tbptt" in records and "coupled" in records:
             star, bench = records["tbptt"], records["coupled"]
@@ -467,17 +512,13 @@ def cmd_benchmark(args) -> int:
             observed = analysis.collect_observed(list(records.values()), dataset)
             constants = analysis.bound_constants(stab, epsilon_max, observed)
             report = analysis.regret_report(star, bench, dataset, plan, m, constants)
-            report_rows.append(report)
-            turnpike = analysis.turnpike_errors(star, bench, m)
+            report_rows.append({**vars(report), "lambda": constants.lam,
+                                "C_bar": constants.C_bar, "E2": constants.E2})
             _write_json(run_dir / f"report_m{m}.json",
-                        {**report.to_json_dict(), "turnpike": turnpike.to_json_dict()})
+                        {**_plain(report), "turnpike": analysis.turnpike_errors(star, bench, m)})
 
     if report_rows:
-        with open(run_dir / "report.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(analysis.RegretReport.csv_header())
-            for report in report_rows:
-                writer.writerow(report.csv_row())
+        _write_csv(run_dir / "report.csv", BENCHMARK_COLUMNS, report_rows)
     print(run_dir)
     # non-convergence is flagged inside the solution files, not via exit code;
     # hard numeric failures surface as exceptions (exit 3)

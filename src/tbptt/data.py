@@ -11,8 +11,7 @@ only way windows are read off a dataset.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -150,10 +149,6 @@ class LinearSISOGenerator:
     seed: int
     warmup: int
     state_at_start: np.ndarray
-
-    def to_json(self) -> str:
-        return json.dumps({k: v.tolist() if isinstance(v, np.ndarray) else v
-                           for k, v in asdict(self).items()})
 
 
 def _simulate_raw(seed: int, total: int, warmup: int, noise_std: float):

@@ -16,10 +16,9 @@ block layout, so optimizers and serialization never special-case the cell.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -201,15 +200,6 @@ class Params:
         theta = self.theta.copy()
         theta[..., start:stop] = value.reshape(lead + (-1,))
         return Params(theta, self.spec)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "spec": asdict(self.spec),
-                "layout": [[name, start, stop] for name, (start, stop, _) in self.layout.items()],
-                "theta": self.theta.tolist(),
-            }
-        )
 
 
 def pack(spec: CellSpec, blocks: dict[str, np.ndarray]) -> Params:

@@ -27,9 +27,8 @@ objective computes it with ``full_batch_objective``, a forward pass alone.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -133,10 +132,6 @@ class TrainLog:
 
     records: list[EpochRecord]
     params: Params
-
-    def to_jsonl(self) -> str:
-        lines = [json.dumps(asdict(r)) for r in self.records]
-        return "\n".join(lines) + ("\n" if lines else "")
 
 
 def full_batch_objective(params: Params, xs: np.ndarray, ys: np.ndarray, m: int) -> float:

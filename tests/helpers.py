@@ -90,13 +90,13 @@ def _params_from(d: dict) -> Params:
 
 
 def read_params(text: str) -> Params:
-    """The parameters ``Params.to_json`` wrote, with the stored block layout
+    """The parameters a ``params.json`` holds, with the stored block layout
     checked against the one the spec derives."""
     return _params_from(json.loads(text))
 
 
 def read_solution(text: str) -> LiftedSolution:
-    """The solution ``LiftedSolution.to_json`` wrote."""
+    """The solution a ``solution_*.json`` holds."""
     d = json.loads(text)
     params = _params_from(d["params"])
     states = np.array(d["init_states"], dtype=np.float64)

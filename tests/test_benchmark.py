@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from helpers import gen_synthetic, read_solution, realizing_params
+from tbptt import cli
 from tbptt.benchmark import (
     VARIANTS,
     LiftedSolution,
@@ -183,7 +184,7 @@ def test_variant_init_state_shapes(noisy_instance):
 def test_lifted_solution_json_roundtrip(noisy_instance):
     ds, plan = noisy_instance
     sol = solve_variant("coupled", ds, plan, 1, LIN1, FAST).sol
-    again = read_solution(sol.to_json())
+    again = read_solution(cli.to_json(sol))
     npt.assert_array_equal(again.params.theta, sol.params.theta)
     npt.assert_array_equal(again.init_states, sol.init_states)
     assert again.objective == sol.objective

@@ -80,7 +80,7 @@ def test_synth_generator_describes_the_csvs(tmp_path, noise, warmup):
     u, y, again = data._simulate_raw(gen["seed"], sum(len(c) for c in csvs), gen["warmup"],
                                      gen["noise_std"])
     npt.assert_array_equal(np.concatenate(csvs), np.stack([u, y], axis=1))
-    assert json.loads(again.to_json()) == gen
+    assert json.loads(cli.to_json(again)) == gen
     # the file's system, driven by the recorded inputs from its state at the
     # first sample, gives the recorded outputs up to the noise
     a, b, c = (np.array(gen[k]) for k in "abc")
@@ -158,6 +158,18 @@ def test_train_usage_error_on_bad_burn_in(tmp_path):
     code = run("--out", tmp_path / "x", "train", "--data", data_file,
                "--N", 10, "--m", 10, "--epochs", 1)
     assert code == 2
+
+
+def test_train_checks_its_output_root_before_training(tmp_path, capsys, monkeypatch):
+    # an output root that is a file was reported only after the whole run
+    data_file = synth(tmp_path) / "train.csv"
+    trained = []
+    monkeypatch.setattr(training, "train", lambda dataset, config: trained.append(config))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run("--out", blocker, "train", "--data", data_file, *TRAIN_FLAGS) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert trained == []
 
 
 def test_train_missing_file_is_usage_error(tmp_path):
@@ -360,6 +372,17 @@ def test_run_files_keep_their_layout(tmp_path):
     assert list(report["constants"]) == ["L_l", "h_bar", "C", "lam", "epsilon", "C_bar", "K",
                                          "c1", "c2", "E1", "E2", "finite"]
     assert list(report["turnpike"]) == ["e_j", "sum_e", "reference", "m", "N"]
+    with open(bench_dir / "report.csv") as fh:
+        assert next(csv.reader(fh)) == [
+            "N", "m", "S", "o_min", "V_star", "V_bench", "training_regret", "P_star", "P_bench",
+            "performance_regret", "thm1_rhs", "thm2_rhs", "thm1_violation", "thm2_violation",
+            "lambda", "C_bar", "E2"]
+
+    assert run("--out", tmp_path / "sweep", "sweep", "--data", base / "train.csv",
+               "--N-list", 10, "--m-list", 2, "--epochs", 1, "--batch", 4) == 0
+    with open(only_run_dir(tmp_path / "sweep", "sweep") / "report.csv") as fh:
+        assert next(csv.reader(fh)) == ["N", "m", "train_mse", "test_mse", "P", "lambda",
+                                        "error"]
 
 
 # Base flags of each command, chosen so that every flag changes the run: an
@@ -658,6 +681,26 @@ def test_benchmark_full_report(tmp_path):
     assert turnpike["sum_e"] == math.fsum(turnpike["e_j"])
 
 
+def test_run_files_are_strict_json_when_the_bounds_are_infinite(tmp_path, monkeypatch):
+    # a fitted lambda = 1 makes the bound constants infinite; the report wrote
+    # its right-hand sides as Infinity, which a strict parser rejects
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    monkeypatch.setattr(analysis, "estimate_stability", lambda params, dataset, trajs, seed:
+                        [analysis.StabilityEstimate(C=1.0, lam=1.0) for _ in trajs])
+    base = synth(tmp_path)
+    out = tmp_path / "bench"
+    assert run("--out", out, "benchmark", "--data", base / "train.csv", "--N", 10,
+               "--m-list", 2, "--restarts", 1, "--iters", 20) == 0
+    run_dir = only_run_dir(out, "benchmark")
+    for path in run_dir.glob("*.json"):
+        json.loads(path.read_text(), parse_constant=reject)
+    report = json.loads((run_dir / "report_m2.json").read_text())
+    assert report["thm1_rhs"] == "inf"
+    assert report["constants"]["C_bar"] == "inf"
+
+
 def test_benchmark_rejects_bad_variant_and_burn_in(tmp_path):
     base = synth(tmp_path)
     assert run("--out", tmp_path / "z", "benchmark", "--data", base / "train.csv",
@@ -792,23 +835,25 @@ def test_sweep_bptt_with_several_window_lengths_is_usage_error(tmp_path, capsys)
     ("sweep", "--m-list", ","), ("sweep", "--N-list", ","),
     ("benchmark", "--m-list", ","), ("benchmark", "--variants", ","),
     ("train", "--lr", -1), ("train", "--lr", 0), ("sweep", "--lr", "nan"),
-    ("benchmark", "--lr", "nan"), ("benchmark", "--lr", "inf"),
+    ("benchmark", "--lr", "nan"), ("benchmark", "--lr", "inf"), ("train", "--rho", "-inf"),
 ])
 def test_flag_leaving_nothing_to_run_is_usage_error(tmp_path, capsys, command, flag, value):
     # T = 60, T_test = 30: an empty grid or variant list, or a step size that
-    # is not finite and positive, ran nothing, failed or diverged
+    # is not finite and positive, ran nothing, failed or diverged; a --rho of
+    # -inf trained unbounded and wrote Infinity into the manifest
     base = synth(tmp_path)
     argv = {
         "train": ["--N", 10, "--epochs", 1],
         "sweep": ["--test", base / "test.csv", "--N-list", 10, "--epochs", 1],
         "benchmark": ["--N", 10, "--restarts", 1, "--iters", 5],
     }[command]
+    # in the --flag=value form, a value such as -inf is not read as a flag
     assert_usage_error(capsys, tmp_path / "x", command, "--data", base / "train.csv",
-                       *argv, flag, value)
+                       *argv, f"{flag}={value}")
 
 
 @pytest.mark.parametrize("flag, value", [("--T", 0), ("--T-val", -1), ("--T-test", -5),
-                                         ("--noise", -1), ("--warmup", -3)])
+                                         ("--noise", -1), ("--noise", "inf"), ("--warmup", -3)])
 def test_synth_bad_length_noise_or_warmup_is_usage_error(tmp_path, capsys, flag, value):
     assert_usage_error(capsys, tmp_path / "x", "synth", flag, value)
 
