@@ -32,8 +32,9 @@ class Tape:
     ``states`` is the forward pass's own (B, T'+1, sd) buffer, read by the
     backward sweep and never copied. For the LSTM, ``cache`` holds the
     forward's gate buffer ("gates", (B, T', 4·d_h), which first held the
-    hoisted input product and was overwritten with the gate activations)
-    and "tanh_c" (B, T', d_h); linear/Elman cells need no cache. A tape of
+    hoisted input product and bias over the half-scaled i, f and o rows and
+    was overwritten with the i, f, g, o gate activations) and "tanh_c"
+    (B, T', d_h); linear/Elman cells need no cache. A tape of
     stacked ``params`` carries the leading start axis R on every array but
     the shared ``inputs``. ``states`` and the cache arrays are time-major in
     memory (``rnn_core.empty_time_major``): (steps, R, B, k) behind the

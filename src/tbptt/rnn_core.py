@@ -7,7 +7,8 @@ Three cell kinds share one interface:
 * ``elman``: h_t = phi(W_hh h_{t-1} + W_xh x_t + b_h), y_t = W_hy h_t + b_y.
 * ``lstm``: standard gated cell; the internal state is the concatenation
   [cell_state, hidden_activation] of length 2*d_h, and the output layer reads
-  the hidden-activation half.
+  the hidden-activation half. The i, f and o gates are logistic, computed as
+  sigma(z) = tanh(z/2)/2 + 1/2, so one tanh covers all four gates.
 
 All learnable weights live in one flat float64 vector ``theta`` with a named
 block layout, so optimizers and serialization never special-case the cell.
@@ -250,15 +251,6 @@ def _activate(kind: str, a: np.ndarray) -> None:
         np.maximum(a, 0.0, out=a)
 
 
-def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Logistic function without overflow: 1/(1+e^-z) for z >= 0 and
-    e^z/(1+e^z) below, both through e^-|z| <= 1; NaN stays NaN. ``out``
-    may be ``z`` itself."""
-    ez = np.exp(-np.abs(z))
-    numerator = np.where(z >= 0, 1.0, ez)
-    return np.divide(numerator, np.add(1.0, ez, out=ez), out=out)
-
-
 def batched_forward(
     params: Params, h0: np.ndarray, inputs: np.ndarray, keep_cache: bool = False
 ) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -285,13 +277,24 @@ def batched_forward(
     time loop, into a buffer the pass returns anyway: ``states[..., 1:, :]``
     for linear/Elman cells, the (..., B, T', 4·d_h) gate buffer for the LSTM
     (kept as ``cache["gates"]`` with ``keep_cache``). Step t then adds
-    ``h · W_hhᵀ`` and the bias into its row and applies the activation
-    there; the LSTM step writes its gate activations over the row, and c,
-    h = o·tanh c and tanh c straight into their rows (without
-    ``keep_cache``, tanh c goes to one reused row). The product is one
-    3-index ``einsum`` per start, whose bits per element do not depend on
-    B·T' or on R, so a prefix, a restart or one start of a stack reproduces
-    the full unstacked run exactly.
+    ``h · W_hhᵀ`` (and, for Elman cells, the bias) into its row and applies
+    the activation there. The product is one 3-index ``einsum`` per start,
+    whose bits per element do not depend on B·T' or on R, so the states of
+    a prefix, of a restart and of one start of a stack are the full
+    unstacked run's bits. Outputs are exact only at a fixed shape: changing
+    ``inputs[:, t:]`` leaves ``outputs[:, :t]`` as they were, but numpy's
+    product ``read · W_hyᵀ`` takes a one-row vector path at T' = 1, so the
+    outputs of a one-step prefix or tail can differ in their last bits.
+
+    LSTM gates: each logistic gate is sigma(z) = tanh(z/2)/2 + 1/2, so the
+    call multiplies the i, f and o rows of ``W_xh``, ``W_hh`` and ``b_h`` by
+    1/2 (exact, a power of two) and adds the scaled bias into the hoisted
+    product. Step t adds ``h · W_hhᵀ`` into its gate row, applies one tanh
+    to the whole row, then ``z *= (1/2, 1/2, 1, 1/2)`` and
+    ``z += (1/2, 1/2, 0, 1/2)`` per gate block: the row holds the i, f, g, o
+    activations. c, h = o·tanh c and tanh c go straight into their rows
+    (without ``keep_cache``, tanh c goes to one reused row). The gates are
+    within 2⁻⁵² of the logistic function, exactly 0 or 1 in its tails.
     """
     spec = params.spec
     blocks = params.unpack()
@@ -317,26 +320,29 @@ def batched_forward(
     # overflow surfaces as a NonFiniteError below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.kind == "lstm":
+            # sigma(z) = tanh(z/2)/2 + 1/2 on the halved i, f and o rows
+            scale = np.repeat([1.0 if gate == "g" else 0.5 for gate in LSTM_GATES], d_h)
+            shift = 1.0 - scale
+            W_xh, W_hh_T = W_xh * scale[:, None], (W_hh * scale[:, None]).mT
             gates = empty_time_major(lead, B, T, 4 * d_h)
             for r in start_indices(lead):
                 np.einsum("btk,nk->btn", inputs, W_xh[r], out=gates[r])
+            if b_h is not None:
+                gates += b_h[..., None, :] * scale
             tanh_c = empty_time_major(lead, B, T if keep_cache else 1, d_h)
             if keep_cache:
                 cache["gates"], cache["tanh_c"] = gates, tanh_c
             step_gates, step_tanh_c = time_major(gates), time_major(tanh_c)
-            g_block = slice(2 * d_h, 3 * d_h)
             for t in range(T):
                 prev, z, row = step_states[t], step_gates[t], step_states[t + 1]
                 z += prev[..., d_h:] @ W_hh_T
-                if b_h is not None:
-                    z += b_h
-                tanh_g = np.tanh(z[..., g_block])
-                _sigmoid(z, out=z)
-                z[..., g_block] = tanh_g
-                gi, gf, go = z[..., :d_h], z[..., d_h : 2 * d_h], z[..., 3 * d_h :]
+                np.tanh(z, out=z)
+                z *= scale
+                z += shift
+                gi, gf, gg, go = (z[..., k * d_h : (k + 1) * d_h] for k in range(4))
                 c_new = row[..., :d_h]
                 np.multiply(gf, prev[..., :d_h], out=c_new)
-                c_new += gi * tanh_g
+                c_new += gi * gg
                 tc = step_tanh_c[t if keep_cache else 0]
                 np.tanh(c_new, out=tc)
                 np.multiply(go, tc, out=row[..., d_h:])

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -11,7 +12,6 @@ from tbptt.rnn_core import (
     CellSpec,
     NonFiniteError,
     Params,
-    _sigmoid,
     batched_forward,
     build_layout,
     forward,
@@ -61,13 +61,29 @@ def test_forward_markov_in_initial_state():
 
 
 def test_causality_prefix_exact():
-    spec = CellSpec("lstm", 2, 3, 2)
-    params = init_params(spec, 11)
-    x = np.random.default_rng(2).normal(size=(9, 2))
-    full = forward(params, None, x)
-    for t in (1, 4, 9):
-        part = forward(params, None, x[:t])
-        npt.assert_array_equal(part.outputs, full.outputs[:t])
+    # The states of a prefix or a restart are the full pass's bits; the
+    # outputs are exact under a fixed shape only, because the output product
+    # takes numpy's one-row vector path at T' = 1.
+    for spec in (
+        CellSpec("linear", 2, 3, 2, activation="identity", use_biases=False),
+        CellSpec("elman", 2, 3, 2),
+        CellSpec("lstm", 2, 3, 2),
+    ):
+        for seed in range(50):
+            params = init_params(spec, seed)
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=(9, spec.d_x))
+            full = forward(params, None, x)
+            for t in (1, 4, 8):
+                other = x.copy()
+                other[t:] = rng.normal(size=(9 - t, spec.d_x))
+                changed = forward(params, None, other)
+                npt.assert_array_equal(changed.outputs[:t], full.outputs[:t])
+                npt.assert_array_equal(changed.hidden[: t + 1], full.hidden[: t + 1])
+                prefix = forward(params, None, x[:t])
+                npt.assert_array_equal(prefix.hidden, full.hidden[: t + 1])
+                tail = forward(params, full.hidden[t], x[t:])
+                npt.assert_array_equal(tail.hidden, full.hidden[t:])
 
 
 def test_semigroup_restart_exact():
@@ -243,24 +259,40 @@ def masked_sigmoid(z):
     return out
 
 
-def test_sigmoid_special_values():
-    z = np.array([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan, 3.5, -3.5])
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        got = _sigmoid(z)
-    npt.assert_array_equal(got, masked_sigmoid(z))
-    npt.assert_array_equal(got[:7], [0.5, 0.5, 1.0, 0.0, 1.0, 0.0, np.nan])
+def test_lstm_gates_track_the_logistic_and_tanh():
+    # W_xh = 1, W_hh = 0 and b_h = 0: every gate's pre-activation is the input
+    spec = CellSpec("lstm", 1, 1, 1)
+    params = pack(spec, {"W_hh": np.zeros((4, 1)), "W_xh": np.ones((4, 1)), "b_h": np.zeros(4),
+                         "W_hy": np.ones((1, 1)), "b_y": np.zeros(1)})
+    tails = np.array([0.0, -0.0, 60.0, -60.0, 745.0, -745.0, 800.0, -800.0])
+    z = np.concatenate([np.linspace(-40.0, 40.0, 200_001), tails])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, cache = batched_forward(params, np.zeros((z.size, 2)), z[:, None, None],
+                                      keep_cache=True)
+    gates = cache["gates"][:, 0]
+    sigmoid_gates = gates[:, [0, 1, 3]]  # i, f, o
+    assert np.max(np.abs(sigmoid_gates - masked_sigmoid(z)[:, None])) <= 2.0**-52
+    npt.assert_array_equal(gates[:, 2], np.tanh(z))
+    expected_tails = [0.5, 0.5, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0]
+    npt.assert_array_equal(sigmoid_gates[-8:], np.repeat(expected_tails, 3).reshape(8, 3))
 
 
 def reference_lstm(params, h0, inputs):
-    """One sequence step at a time, gate by gate.
+    """One sequence step at a time, gate by gate, with each logistic gate as
+    sigma(z) = tanh(z/2)/2 + 1/2 over i, f and o weight and bias rows halved.
 
     The input half of the pre-activation is the kernel's one product over
-    the whole batch, so the comparison stays bitwise.
+    the whole batch, and tanh runs over the whole gate row as in the kernel,
+    so the comparison stays bitwise.
     """
     d_h = params.spec.d_h
-    W_hh, W_xh, b_h = params.block("W_hh"), params.block("W_xh"), params.block("b_h")
+    half = np.repeat([0.5, 0.5, 1.0, 0.5], d_h)  # i, f, g, o
+    W_hh = params.block("W_hh") * half[:, None]
+    W_xh = params.block("W_xh") * half[:, None]
+    b_h = params.block("b_h") * half
     B, T, _ = inputs.shape
-    x_part = np.einsum("btk,nk->btn", inputs, W_xh)
+    x_part = np.einsum("btk,nk->btn", inputs, W_xh) + b_h
     states = np.empty((B, T + 1, 2 * d_h))
     states[:, 0] = h0
     gates = np.empty((B, T, 4 * d_h))
@@ -268,11 +300,11 @@ def reference_lstm(params, h0, inputs):
     h = h0
     for t in range(T):
         c_prev, hh_prev = h[:, :d_h], h[:, d_h:]
-        z = x_part[:, t] + hh_prev @ W_hh.T + b_h
-        gi = masked_sigmoid(z[:, :d_h])
-        gf = masked_sigmoid(z[:, d_h : 2 * d_h])
-        gg = np.tanh(z[:, 2 * d_h : 3 * d_h])
-        go = masked_sigmoid(z[:, 3 * d_h :])
+        tanh_z = np.tanh(x_part[:, t] + hh_prev @ W_hh.T)
+        gi = 0.5 * tanh_z[:, :d_h] + 0.5
+        gf = 0.5 * tanh_z[:, d_h : 2 * d_h] + 0.5
+        gg = tanh_z[:, 2 * d_h : 3 * d_h]
+        go = 0.5 * tanh_z[:, 3 * d_h :] + 0.5
         c_new = gf * c_prev + gi * gg
         tanh_c = np.tanh(c_new)
         h = np.concatenate([c_new, go * tanh_c], axis=1)
