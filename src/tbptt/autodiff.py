@@ -1,15 +1,19 @@
 """Reverse-mode differentiation through the unrolled recurrence.
 
-``weighted_loss_grad`` is the one loss-and-gradient entry point: a batch of
+``weighted_loss_grad`` is the loss-and-gradient entry point: a batch of
 sequences from given initial states, a squared error weighted per step
 (``segment_weights`` builds the burn-in weights), and the exact gradient
-with respect to theta and every row's initial state. It also takes R
-models stacked on a leading start axis (theta (R, n), h0 (R, B, sd)) over
-shared inputs and targets, with shared or per-start weights, and then
-returns one loss and one gradient per start. ``weighted_loss`` is its value
-alone, unstacked or stacked, by the same reduction. The backward pass is
-exact over whatever sequences it is given: truncation lives entirely in how
-callers segment the data, never inside the gradient.
+with respect to theta and every row's initial state. It is ``record``, the
+forward pass that keeps a ``Tape``, followed by ``tape_loss_grad``, the one
+loss and gradient of a tape; a caller that already holds the batch's
+forward pass (the stateful state chain) builds its tape itself and calls
+``tape_loss_grad`` alone. Both also take R models stacked on a leading
+start axis (theta (R, n), h0 (R, B, sd)) over shared inputs and targets,
+with shared or per-start weights, and then return one loss and one
+gradient per start. ``weighted_loss`` is the value alone, unstacked or
+stacked, by the same reduction. The backward pass is exact over whatever
+sequences it is given: truncation lives entirely in how callers segment
+the data, never inside the gradient.
 """
 
 from __future__ import annotations
@@ -29,15 +33,18 @@ from .rnn_core import (
 class Tape:
     """Cached forward pass: everything the backward sweep needs.
 
-    ``states`` is the forward pass's own (B, T'+1, sd) buffer, read by the
-    backward sweep and never copied. For the LSTM, ``cache`` holds the
+    On a tape from ``record``, ``states`` is the forward pass's own
+    (B, T'+1, sd) buffer, read by the backward sweep and never copied; the
+    stateful chain's tape (``training._stateful_inits``) holds windows
+    gathered from one longer pass instead. For the LSTM, ``cache`` holds the
     forward's gate buffer ("gates", (B, T', 4·d_h), which first held the
     hoisted input product and bias over the half-scaled i, f and o rows and
     was overwritten with the i, f, g, o gate activations) and "tanh_c"
     (B, T', d_h); linear/Elman cells need no cache. A tape of
     stacked ``params`` carries the leading start axis R on every array but
     the shared ``inputs``. ``states`` and the cache arrays are time-major in
-    memory (``rnn_core.empty_time_major``): (steps, R, B, k) behind the
+    memory, on either kind of tape (``rnn_core.empty_time_major``,
+    ``rnn_core.take_steps``): (steps, R, B, k) behind the
     batch-major shape, so ``time_major(a)[t]`` is one contiguous block.
     ``inputs`` and ``outputs`` are ordinary batch-major arrays.
     """
@@ -205,6 +212,21 @@ def weighted_loss(params: Params, h0: np.ndarray, inputs: np.ndarray,
     return _weighted_sse(outputs - targets, weights)
 
 
+def tape_loss_grad(tape: Tape, targets: np.ndarray,
+                   weights: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Value and gradient of the weighted squared-error sum of a recorded
+    batch: ``weighted_loss_grad`` after its forward pass. Every gradient
+    the package takes goes through here, whoever made the tape."""
+    # overflow surfaces as a non-finite loss, cogradient (NonFiniteError) or
+    # gradient, which every caller checks, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = tape.outputs - targets
+        loss = _weighted_sse(err, weights)
+        cograds = 2.0 * weights[..., None] * err
+        d_theta, d_h0 = backprop(tape, cograds)
+    return loss, d_theta, d_h0
+
+
 def weighted_loss_grad(
     params: Params, h0: np.ndarray, inputs: np.ndarray,
     targets: np.ndarray, weights: np.ndarray,
@@ -219,15 +241,7 @@ def weighted_loss_grad(
     (R, B, sd), slice r bit-identical to the unstacked call with start r's
     theta, h0 and weights.
     """
-    tape = record(params, h0, inputs)
-    # overflow surfaces as a non-finite loss, cogradient (NonFiniteError) or
-    # gradient, which every caller checks, not as a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        err = tape.outputs - targets
-        loss = _weighted_sse(err, weights)
-        cograds = 2.0 * weights[..., None] * err
-        d_theta, d_h0 = backprop(tape, cograds)
-    return loss, d_theta, d_h0
+    return tape_loss_grad(record(params, h0, inputs), targets, weights)
 
 
 def segment_weights(n_steps: int, m: int, rows: int = 1) -> np.ndarray:

@@ -80,7 +80,32 @@ def empty_time_major(lead: tuple[int, ...], B: int, T: int, k: int) -> np.ndarra
     (T, *lead, B, k): the batch-major shape every caller indexes, over
     time-major memory, so step t of a recurrence reads and writes one
     contiguous block that holds the (B, k) rows of every start."""
-    return np.moveaxis(np.empty((T, *lead, B, k), dtype=np.float64), 0, -2)
+    return _batch_major(np.empty((T, *lead, B, k), dtype=np.float64))
+
+
+def _batch_major(a: np.ndarray) -> np.ndarray:
+    """The inverse of ``time_major``: a (T, ..., B, k) array viewed as
+    (..., B, T, k), by one transpose."""
+    nd = a.ndim
+    return a.transpose((*range(1, nd - 1), 0, nd - 1))
+
+
+def take_steps(a: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Windows of one sequence, gathered into a new time-major buffer.
+
+    ``a`` is a (..., 1, L, k) array of one batch row and ``steps`` a (B, n)
+    array of its step indices. Row b, step t of the (..., B, n, k) result
+    is ``a[..., 0, steps[b, t], :]``, for every start of a leading start
+    axis. The windows may overlap and their offsets need not be even: one
+    gather of k-wide rows serves every plan, read in place from a buffer of
+    ``empty_time_major``.
+    """
+    lead, k = a.shape[:-3], a.shape[-1]
+    n_starts = math.prod(lead)
+    # row (s, r) of the time-major memory is step s of start r
+    rows = steps.T[:, None, :] * n_starts + np.arange(n_starts)[:, None]
+    gathered = np.take(time_major(a).reshape(-1, k), rows, axis=0)  # (n, R, B, k)
+    return _batch_major(gathered.reshape(steps.shape[1], *lead, steps.shape[0], k))
 
 
 def start_indices(lead: tuple[int, ...]):
@@ -332,20 +357,22 @@ def batched_forward(
             tanh_c = empty_time_major(lead, B, T if keep_cache else 1, d_h)
             if keep_cache:
                 cache["gates"], cache["tanh_c"] = gates, tanh_c
+            # the gate columns and state halves of every step, sliced once
             step_gates, step_tanh_c = time_major(gates), time_major(tanh_c)
+            gi, gf, gg, go = (step_gates[..., k * d_h : (k + 1) * d_h] for k in range(4))
+            step_c, step_h = step_states[..., :d_h], step_states[..., d_h:]
             for t in range(T):
-                prev, z, row = step_states[t], step_gates[t], step_states[t + 1]
-                z += prev[..., d_h:] @ W_hh_T
+                z = step_gates[t]
+                z += step_h[t] @ W_hh_T
                 np.tanh(z, out=z)
                 z *= scale
                 z += shift
-                gi, gf, gg, go = (z[..., k * d_h : (k + 1) * d_h] for k in range(4))
-                c_new = row[..., :d_h]
-                np.multiply(gf, prev[..., :d_h], out=c_new)
-                c_new += gi * gg
+                c_new = step_c[t + 1]
+                np.multiply(gf[t], step_c[t], out=c_new)
+                c_new += gi[t] * gg[t]
                 tc = step_tanh_c[t if keep_cache else 0]
                 np.tanh(c_new, out=tc)
-                np.multiply(go, tc, out=row[..., d_h:])
+                np.multiply(go[t], tc, out=step_h[t + 1])
         else:
             for r in start_indices(lead):
                 np.einsum("btk,nk->btn", inputs, W_xh[r], out=states[r][:, 1:])

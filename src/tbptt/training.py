@@ -6,7 +6,12 @@ Two modes:
   the segment order is reshuffled each epoch (the classic truncated scheme).
 * ``stateful``: segments are visited chronologically and each one starts from
   the state its predecessor reached at the step where the windows meet,
-  recomputed under the current parameters by one forward pass per batch.
+  recomputed under the current parameters. Under one parameter vector the
+  windows of a batch are slices of one trajectory, so one forward pass per
+  batch, from the cached start of the segment before it through its last
+  window, gives both the chained starts and the tape its gradient reads
+  (the one forward pass of Williams & Peng's BPTT(h; h'), Neural
+  Computation 2(4), 1990).
 
 Full BPTT, the optimization over the whole sequence, is the one window
 N = T (S = 1), where both modes train the same model.
@@ -32,10 +37,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import segment_weights, weighted_loss, weighted_loss_grad
+from .autodiff import (
+    Tape, record, segment_weights, tape_loss_grad, weighted_loss, weighted_loss_grad,
+)
 from .data import SegmentationPlan, TimeSeriesDataset, make_plan, segment_arrays
 from .linalg import spectral_norm
-from .rnn_core import CellSpec, Params, batched_forward, init_params, per_start, start_indices
+from .rnn_core import (
+    CellSpec, Params, batched_forward, init_params, per_start, start_indices, take_steps,
+)
 from .rng import SplitMix64
 
 MODES = ("zero_init", "stateful")
@@ -203,7 +212,7 @@ def sgd_step(
     batch: list[int],
     config: TrainConfig,
     opt_state: AdamState | None = None,
-    h0: np.ndarray | None = None,
+    tape: Tape | None = None,
     epoch: int = 0,
     burn_ins: np.ndarray | None = None,
 ) -> Params:
@@ -211,19 +220,21 @@ def sgd_step(
 
     ``xs`` (S, N, d_x) and ``ys`` (S, N, d_y) are all windows of the run,
     gathered once by ``segment_arrays``; the step reads the batch's rows.
-    ``h0`` optionally supplies per-segment initial states (stateful mode);
-    the default is zero initialization. A stacked ``params`` (theta (R, n))
-    takes one stacked step, with ``burn_ins`` (R,) giving each start's
-    burn-in in place of ``config.m`` and ``h0``, when given, (R, B, sd).
+    ``tape`` is the batch's forward pass under ``params`` when the caller
+    has one (stateful mode: ``_stateful_inits``); without it the step
+    records the batch from the zero state (zero initialization). Either
+    way the gradient is ``tape_loss_grad`` of that tape. A stacked
+    ``params`` (theta (R, n)) takes one stacked step, with ``burn_ins`` (R,)
+    giving each start's burn-in in place of ``config.m``.
     """
     b = len(batch)
     lead = params.theta.shape[:-1]
-    if h0 is None:
-        h0 = np.zeros(lead + (b, params.spec.state_dim))
+    if tape is None:
+        tape = record(params, np.zeros(lead + (b, params.spec.state_dim)), xs[batch])
     if burn_ins is None:
         burn_ins = np.full(lead, config.m)
     w = per_start(lead, lambda r: segment_weights(xs.shape[1], int(burn_ins[r]), b))
-    _, d_theta, _ = weighted_loss_grad(params, h0, xs[batch], ys[batch], w)
+    _, d_theta, _ = tape_loss_grad(tape, ys[batch], w)
     _check_finite_grad(d_theta, epoch, batch)
 
     if config.optimizer == "adam":
@@ -246,24 +257,42 @@ def _stateful_inits(
     plan: SegmentationPlan,
     cached: np.ndarray,
     batch: list[int],
-) -> np.ndarray:
-    """Chain initial states through the batch under the current parameters.
+) -> Tape:
+    """Chain initial states through the batch under the current parameters
+    and return the batch's tape, both from one forward pass.
 
     Segment i starts from the state its predecessor reaches at sample s_i,
     where the windows meet. ``batch`` must hold consecutive segment indices
-    (stateful mode never shuffles), so the chain is one forward pass over the
-    (T, d_x) series ``inputs``: from the cached start of the segment before
-    the batch to the start of the batch's last segment, read at each
-    segment's start. ``cached`` (S, sd) keeps every segment's start and is
-    updated. A stacked ``params`` chains every start in the same one pass,
-    with ``cached`` (R, S, sd).
+    (stateful mode never shuffles), so under one parameter vector its
+    windows are slices of one trajectory of the (T, d_x) series
+    ``inputs``. One forward pass at batch size 1 runs that trajectory, the
+    span: from the cached start of segment j, the one before the batch
+    (the first segment itself for batch 0), through the last input of the
+    batch's last window, s_last - s_j + N steps. Window i covers the span's
+    steps s_i - s_j to s_i - s_j + N. The windows' states, LSTM
+    ``gates``/``tanh_c``, outputs and inputs are gathered from the span
+    into a ``Tape`` of (B, N) windows (``rnn_core.take_steps``, time-major
+    like ``record``'s), which ``sgd_step`` differentiates;
+    ``tape.states[..., 0, :]`` are the chained starts. ``cached`` (S, sd)
+    keeps every segment's start and is updated. A stacked ``params`` chains
+    every start in the same one pass, with ``cached`` (R, S, sd) and a
+    stacked tape.
+
+    A non-finite span raises ``NonFiniteError`` whose time index counts span
+    steps: index k is the state after k inputs of the span, which starts at
+    segment j's start.
     """
     j = max(batch[0] - 1, 0)
-    s_j = plan.starts[j]
-    states, _, _ = batched_forward(params, cached[..., j, None, :],
-                                   inputs[None, s_j - 1 : plan.starts[batch[-1]] - 1])
-    cached[..., batch, :] = states[..., 0, [plan.starts[i] - s_j for i in batch], :]
-    return cached[..., batch, :]
+    s_j, N = plan.starts[j], plan.N
+    span_inputs = inputs[s_j - 1 : plan.starts[batch[-1]] - 1 + N]
+    states, outputs, cache = batched_forward(params, cached[..., j, None, :],
+                                             span_inputs[None], keep_cache=True)
+    offsets = np.array([plan.starts[i] - s_j for i in batch])
+    steps = offsets[:, None] + np.arange(N + 1)  # (B, N + 1) span steps per window
+    cached[..., batch, :] = states[..., 0, offsets, :]
+    return Tape(params=params, inputs=span_inputs[steps[:, :N]],
+                states=take_steps(states, steps), outputs=outputs[..., 0, steps[:, :N], :],
+                cache={name: take_steps(a, steps[:, :N]) for name, a in cache.items()})
 
 
 def train(dataset: TimeSeriesDataset, config: TrainConfig,
@@ -295,12 +324,12 @@ def train_burn_ins(dataset: TimeSeriesDataset, config: TrainConfig,
     ``xs`` (S, N, d_x) and ``ys`` (S, N, d_y) are the run's windows,
     gathered once, for a caller's full-batch evaluation. The runs share
     their initial parameters, batch order and windows, so they train
-    together: each batch is one stacked step of the R models (one stateful
-    chain, one forward and backward pass), each start with its own burn-in
-    weights, Adam moments and projection. One burn-in runs unstacked (theta
-    (n,)), so ``train`` keeps its arrays and error messages. A start that
-    fails (a non-finite gradient or pass) fails the whole run. The
-    arguments are checked by the first ``next``.
+    together: each batch is one stacked step of the R models (one forward
+    pass, the stateful span or a zero-state record, and one backward pass),
+    each start with its own burn-in weights, Adam moments and projection.
+    One burn-in runs unstacked (theta (n,)), so ``train`` keeps its arrays
+    and error messages. A start that fails (a non-finite gradient or pass)
+    fails the whole run. The arguments are checked by the first ``next``.
     """
     configs = [replace(config, m=m) for m in burn_ins]  # validates each m
     if not configs:
@@ -324,9 +353,9 @@ def train_burn_ins(dataset: TimeSeriesDataset, config: TrainConfig,
         if config.mode == "zero_init":
             shuffler.shuffle(order)
         for batch in _batches(order, config.batch_size):
-            h0 = None
+            tape = None
             if config.mode == "stateful":
-                h0 = _stateful_inits(params, dataset.inputs, plan, cached_inits, batch)
+                tape = _stateful_inits(params, dataset.inputs, plan, cached_inits, batch)
             params = sgd_step(params, xs, ys, batch, config, opt_state=opt_state,
-                              h0=h0, epoch=epoch, burn_ins=ms)
+                              tape=tape, epoch=epoch, burn_ins=ms)
         yield params, xs, ys

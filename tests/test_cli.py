@@ -538,13 +538,14 @@ def lone_cell_sweep(argv, report):
                          ids=["elman-zero", "lstm-stateful"])
 def test_sweep_report_equals_lone_cell_sweep(tmp_path, monkeypatch, model):
     base = synth(tmp_path)
-    real_grad = training.weighted_loss_grad
+    real_grad = training.tape_loss_grad
 
-    def failing_grad(params, h0, inputs, targets, weights):
-        # the start with burn-in 3 at N = 10 gets a NaN gradient
-        loss, d_theta, d_h0 = real_grad(params, h0, inputs, targets, weights)
+    def failing_grad(tape, targets, weights):
+        # the start with burn-in 3 at N = 10 gets a NaN gradient; every
+        # training step, zero-init or stateful, takes its gradient here
+        loss, d_theta, d_h0 = real_grad(tape, targets, weights)
         burn_in = np.sum(weights[..., 0, :] == 0.0, axis=-1)
-        bad = (burn_in == 3) & (inputs.shape[1] == 10)
+        bad = (burn_in == 3) & (tape.inputs.shape[1] == 10)
         return loss, np.where(bad[..., None], np.nan, d_theta), d_h0
 
     groups = []
@@ -554,7 +555,7 @@ def test_sweep_report_equals_lone_cell_sweep(tmp_path, monkeypatch, model):
         groups.append((N, ms))
         return real_group(dataset, test_set, args, N, ms)
 
-    monkeypatch.setattr(training, "weighted_loss_grad", failing_grad)
+    monkeypatch.setattr(training, "tape_loss_grad", failing_grad)
     monkeypatch.setattr(cli, "_sweep_group", counting_group)
     cell, mode = model
     flags = ["sweep", "--data", base / "train.csv", "--test", base / "test.csv",

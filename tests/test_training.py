@@ -8,11 +8,11 @@ import pytest
 
 from helpers import fd_gradient, gen_synthetic
 from tbptt.data import TimeSeriesDataset, make_plan, segment_arrays
-from tbptt.autodiff import segment_weights, weighted_loss_grad
+from tbptt.autodiff import segment_weights, tape_loss_grad, weighted_loss_grad
 from tbptt.linalg import spectral_norm
 from tbptt.rng import SplitMix64
 from tbptt.rnn_core import (
-    CellSpec, Params, batched_forward, forward, init_params, pack, per_start,
+    CellSpec, NonFiniteError, Params, batched_forward, forward, init_params, pack, per_start,
 )
 from tbptt.training import (
     AdamState,
@@ -309,7 +309,7 @@ def test_stateful_inits_chain_without_overlap():
     spec = CellSpec("elman", 1, 2, 1)
     params = init_params(spec, 4)
     cached = np.zeros((plan.S, 2))
-    h0 = _stateful_inits(params, ds.inputs, plan, cached, list(range(plan.S)))
+    h0 = _stateful_inits(params, ds.inputs, plan, cached, list(range(plan.S))).states[:, 0]
     full = forward(params, None, ds.inputs)
     for i in range(1, plan.S):
         npt.assert_array_equal(h0[i], full.hidden[6 * i])
@@ -322,7 +322,7 @@ def test_stateful_inits_with_overlap_use_meeting_point():
     params = init_params(spec, 9)
     xs, _ = segment_arrays(ds, plan)
     cached = np.zeros((plan.S, 2))
-    h0 = _stateful_inits(params, ds.inputs, plan, cached, list(range(plan.S)))
+    h0 = _stateful_inits(params, ds.inputs, plan, cached, list(range(plan.S))).states[:, 0]
     # segment i starts at the state reached N - o_i = stride steps into its predecessor
     for i in range(1, plan.S):
         states, _, _ = batched_forward(params, h0[i - 1][None], xs[i - 1][None, :2])
@@ -384,16 +384,11 @@ def test_stateful_inits_one_pass_matches_per_segment_chain(monkeypatch, kind, N,
             expected = per_start(lead, lambda r: per_segment_chain(
                 Params(params.theta[r], spec), xs, plan, expected_cached[r], batch))
             forwards.clear()
-            h0 = _stateful_inits(params, ds.inputs, plan, cached, batch)
+            tape = _stateful_inits(params, ds.inputs, plan, cached, batch)
             assert len(forwards) == 1
+            h0 = tape.states[..., 0, :]
             npt.assert_array_equal(h0, expected)
             npt.assert_array_equal(cached, expected_cached)
-
-
-def recurrent_norm_start(spec, seed, norm):
-    params = init_params(spec, seed)
-    w = params.block("W_hh")
-    return params.with_block("W_hh", w * (norm / spectral_norm(w)))
 
 
 STACK_SPECS = [
@@ -401,6 +396,69 @@ STACK_SPECS = [
     CellSpec("elman", 1, 3, 1, activation="tanh"),
     CellSpec("lstm", 1, 3, 1),
 ]
+
+
+@pytest.mark.parametrize("stack", [None, 2], ids=["R1", "R2"])
+@pytest.mark.parametrize("batch_size", [1, 3, 16])
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("spec", STACK_SPECS, ids=lambda spec: spec.kind)
+def test_stateful_span_tape_equals_per_window_passes(spec, stride, batch_size, stack):
+    # N = 7 on T = 41: stride 3 ends with a clipped window (starts ..., 34, 35)
+    ds, _ = gen_synthetic(5, 41, 0.05)
+    plan = make_plan(ds.T, 7, stride)
+    lead = () if stack is None else (stack,)
+    theta = init_params(spec, 2).theta
+    params = Params(np.broadcast_to(theta, lead + theta.shape).copy(), spec)
+    xs, ys = segment_arrays(ds, plan)
+    cached = np.zeros(lead + (plan.S, spec.state_dim))
+    expected_cached = cached.copy()
+    rng = SplitMix64(13)
+    order = list(range(plan.S))
+    for batch in [order[k : k + batch_size] for k in range(0, plan.S, batch_size)]:
+        step = rng.normals(params.theta.size).reshape(params.theta.shape)
+        params = Params(params.theta + 0.05 * step, params.spec)
+        per_start(lead, lambda r: per_segment_chain(
+            Params(params.theta[r], spec), xs, plan, expected_cached[r], batch))
+        tape = _stateful_inits(params, ds.inputs, plan, cached, batch)
+        npt.assert_array_equal(cached, expected_cached)
+        starts = tape.states[..., 0, :]
+        npt.assert_array_equal(starts, expected_cached[..., batch, :])
+        npt.assert_array_equal(tape.inputs, xs[batch])
+        # each window's own B = 1 pass from its chained start, bit for bit
+        for row, i in enumerate(batch):
+            states, _, cache = batched_forward(params, starts[..., row, None, :],
+                                               xs[i][None], keep_cache=True)
+            npt.assert_array_equal(tape.states[..., row, :, :], states[..., 0, :, :])
+            assert cache.keys() == tape.cache.keys()
+            for name, value in cache.items():
+                npt.assert_array_equal(tape.cache[name][..., row, :, :], value[..., 0, :, :])
+        # the gradient of the recorded batch from the same starts; the outputs
+        # of the span's longer pass may differ from the batch pass's in their
+        # last bits (numpy's output product depends on the number of steps)
+        w = segment_weights(plan.N, 2, len(batch))
+        got = tape_loss_grad(tape, ys[batch], w)
+        want = weighted_loss_grad(params, starts, xs[batch], ys[batch], w)
+        for g, v in zip(got, want):
+            npt.assert_allclose(g, v, rtol=1e-12, atol=1e-15)
+
+
+def test_stateful_span_names_the_span_step_of_a_non_finite_value():
+    # batch [3, 4, 5] at N = 7, stride 1: the span starts at segment 2's start
+    # (sample 3) and runs through sample 12, the last window's last input
+    ds = memoryless_dataset(seed=3, t=20)
+    inputs = ds.inputs.copy()
+    inputs[9] = np.nan  # input 8 of the span, input 5 of segment 5's window
+    plan = make_plan(20, 7, 1)
+    params = init_params(CellSpec("elman", 1, 2, 1), 4)
+    with pytest.raises(NonFiniteError) as err:
+        _stateful_inits(params, inputs, plan, np.zeros((plan.S, 2)), [3, 4, 5])
+    assert err.value.time_index == 8
+
+
+def recurrent_norm_start(spec, seed, norm):
+    params = init_params(spec, seed)
+    w = params.block("W_hh")
+    return params.with_block("W_hh", w * (norm / spectral_norm(w)))
 
 
 @pytest.mark.parametrize("stride", [1, 3])
