@@ -24,8 +24,7 @@ import numpy as np
 
 from .linalg import DimensionError
 from .rnn_core import (
-    Params, batched_forward, check_finite, empty_time_major, pack, per_start, start_indices,
-    time_major,
+    Params, batched_forward, check_finite, empty_time_major, start_indices, time_major,
 )
 
 
@@ -81,7 +80,9 @@ def backprop(tape: Tape, cograds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gradient is one product per start over time-major rows. Those rows are
     views of an unstacked tape; a stacked tape's are copied one start at a
     time, which gives each start the memory layout, and so the bits, of its
-    unstacked call.
+    unstacked call. Each start's block gradients are written through the
+    layout's slices into its row of one theta-shaped array, the d_theta
+    returned.
 
     Linear/Elman cells: one (..., B, T'+1, d_h) buffer ``da`` first takes
     ``cograds · W_hy`` for every step, one product per start; step t adds
@@ -176,7 +177,9 @@ def backprop(tape: Tape, cograds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         d_h0 = carry
         adjoint = da
 
-    def start_grads(r) -> dict[str, np.ndarray]:
+    d_theta = np.empty(tape.params.theta.shape)
+    layout = tape.params.layout
+    for r in start_indices(lead):
         # start r's time-major rows: views of an unstacked tape's buffers,
         # contiguous copies of a stacked one's, so every product sees the
         # memory of the start's unstacked call and gives its bits
@@ -191,9 +194,11 @@ def backprop(tape: Tape, cograds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             grads["b_y"] = cograds[r].sum(axis=(0, 1))
             # summing the steps first: long contiguous runs, not one per row
             grads["b_h"] = adj.sum(axis=0).sum(axis=0)
-        return grads
-
-    return per_start(lead, lambda r: pack(spec, start_grads(r)).theta), d_h0
+        row = d_theta[r]
+        for name, grad in grads.items():
+            start, stop, _ = layout[name]
+            row[start:stop] = grad.reshape(-1)
+    return d_theta, d_h0
 
 
 def _weighted_sse(err: np.ndarray, weights: np.ndarray) -> float | np.ndarray:

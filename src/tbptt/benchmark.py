@@ -151,9 +151,12 @@ def _solve(problem: _Problem, opt: OptConfig) -> LiftedSolution:
     moment rows when it stops. A start whose pass goes non-finite fails
     alone and the others are evaluated again at the same iterate; one whose
     objective is finite but whose gradient is not fails after that objective
-    has counted. The
-    answer is the best iterate over all starts, ties going to the lowest
-    start index, which is what running the starts one after another gives.
+    has counted. The answer is the best iterate over all starts, ties going
+    to the lowest start index, which is what running the starts one after
+    another gives. Each start keeps its objective and gradient at its best
+    iterate, so the answer's ``objective`` and ``grad_norm`` are read from
+    the loop, not evaluated again: a stacked row of ``value_grad`` has the
+    bits of the unstacked call at that row's point.
     """
     if opt.max_iters < 1:
         raise ValueError(f"max_iters={opt.max_iters} must be >= 1")
@@ -172,6 +175,7 @@ def _solve(problem: _Problem, opt: OptConfig) -> LiftedSolution:
     rows = np.arange(n_starts)  # the start index of each stacked row
     best_obj = np.full(n_starts, np.inf)
     best_z = np.empty_like(z)
+    best_grad = np.empty_like(z)  # the gradient at best_z
     anchor_obj = np.full(n_starts, np.inf)
     anchor_it = np.zeros(n_starts, dtype=int)
     adam = AdamState(z.shape)
@@ -198,6 +202,7 @@ def _solve(problem: _Problem, opt: OptConfig) -> LiftedSolution:
         better = finite & (obj < best_obj[rows])
         best_obj[rows[better]] = obj[better]
         best_z[rows[better]] = z[better]
+        best_grad[rows[better]] = grad[better]
         moved = obj < anchor_obj[rows] - opt.plateau_tol
         anchor_obj[rows[moved]] = obj[moved]
         anchor_it[rows[moved]] = it
@@ -216,13 +221,12 @@ def _solve(problem: _Problem, opt: OptConfig) -> LiftedSolution:
     if not np.isfinite(best_obj).any():
         raise error  # every start diverged before a finite objective
     best = int(np.argmin(best_obj))  # the lowest start index among ties
-    obj, grad = problem.value_grad(best_z[best])
-    grad_norm = float(np.linalg.norm(grad))
+    grad_norm = float(np.linalg.norm(best_grad[best]))
     params, states = problem.split(best_z[best])
     return LiftedSolution(
         params=params,
         init_states=states,
-        objective=float(obj),
+        objective=float(best_obj[best]),
         variant=problem.variant,
         converged=grad_norm <= opt.grad_tol,
         grad_norm=grad_norm,

@@ -189,7 +189,11 @@ class Params:
     block layout.
 
     ``theta`` is (n,) for one model or (R, n) for R models stacked on a
-    leading start axis, which every block then carries first.
+    leading start axis, which every block then carries first. The block
+    views are built once, with one layout lookup, when the vector is made,
+    so the forward and backward pass of a step share them; ``theta`` is
+    therefore never rebound (``with_block`` and every update make a new
+    ``Params``).
     """
 
     theta: np.ndarray
@@ -197,9 +201,15 @@ class Params:
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=np.float64)
-        n = num_params(self.spec)
+        layout = build_layout(self.spec)
+        n = max(stop for _, stop, _ in layout.values())
         if self.theta.ndim not in (1, 2) or self.theta.shape[-1] != n:
             raise DimensionError(f"theta has shape {self.theta.shape}, expected ({n},) or (R, {n})")
+        lead = self.theta.shape[:-1]
+        self._blocks = MappingProxyType({
+            name: self.theta[..., start:stop].reshape(lead + shape)
+            for name, (start, stop, shape) in layout.items()
+        })
 
     @property
     def layout(self) -> Layout:
@@ -208,12 +218,13 @@ class Params:
     def block(self, name: str) -> np.ndarray:
         """One named block, reshaped: a view of ``theta``, read-only by
         convention (``with_block`` builds an updated copy)."""
-        start, stop, shape = self.layout[name]
-        return self.theta[..., start:stop].reshape(self.theta.shape[:-1] + shape)
+        return self._blocks[name]
 
-    def unpack(self) -> dict[str, np.ndarray]:
-        """Every named block as a read-only view of ``theta``."""
-        return {name: self.block(name) for name in self.layout}
+    def unpack(self) -> Mapping[str, np.ndarray]:
+        """Every named block as a read-only view of ``theta``, in layout
+        order: the views built with the vector, not new ones per call, in a
+        read-only mapping."""
+        return self._blocks
 
     def with_block(self, name: str, value: np.ndarray) -> "Params":
         """A copy with one named block replaced; a stacked ``theta`` takes a
@@ -226,22 +237,6 @@ class Params:
         theta = self.theta.copy()
         theta[..., start:stop] = value.reshape(lead + (-1,))
         return Params(theta, self.spec)
-
-
-def pack(spec: CellSpec, blocks: dict[str, np.ndarray]) -> Params:
-    """Inverse of unpack: assemble theta from named blocks, each with the
-    same leading start shape (none, or (R,))."""
-    layout = build_layout(spec)
-    if set(blocks) != set(layout):
-        raise ValueError(f"blocks {sorted(blocks)} do not match layout {sorted(layout)}")
-    lead = np.shape(blocks["W_hh"])[:-2]
-    theta = np.empty(lead + (num_params(spec),), dtype=np.float64)
-    for name, (start, stop, shape) in layout.items():
-        value = np.asarray(blocks[name], dtype=np.float64)
-        if value.shape != lead + shape:
-            raise DimensionError(f"block {name} has shape {lead + shape}, got {value.shape}")
-        theta[..., start:stop] = value.reshape(lead + (-1,))
-    return Params(theta, spec)
 
 
 def init_params(spec: CellSpec, seed: int) -> Params:
@@ -266,14 +261,6 @@ class Trajectory:
 
     hidden: np.ndarray  # (T'+1, state_dim)
     outputs: np.ndarray  # (T', d_y)
-
-
-def _activate(kind: str, a: np.ndarray) -> None:
-    """Apply the activation to ``a`` in place."""
-    if kind == "tanh":
-        np.tanh(a, out=a)
-    elif kind == "relu":
-        np.maximum(a, 0.0, out=a)
 
 
 def batched_forward(
@@ -376,12 +363,16 @@ def batched_forward(
         else:
             for r in start_indices(lead):
                 np.einsum("btk,nk->btn", inputs, W_xh[r], out=states[r][:, 1:])
+            activation = spec.activation
             for t in range(T):
                 h = step_states[t + 1]
                 h += step_states[t] @ W_hh_T
                 if b_h is not None:
                     h += b_h
-                _activate(spec.activation, h)
+                if activation == "tanh":
+                    np.tanh(h, out=h)
+                elif activation == "relu":
+                    np.maximum(h, 0.0, out=h)
 
         read = states[..., 1:, d_h:] if spec.kind == "lstm" else states[..., 1:, :]
         outputs = read @ W_hy.mT[..., None, :, :]

@@ -43,7 +43,7 @@ from .autodiff import (
 from .data import SegmentationPlan, TimeSeriesDataset, make_plan, segment_arrays
 from .linalg import spectral_norm
 from .rnn_core import (
-    CellSpec, Params, batched_forward, init_params, per_start, start_indices, take_steps,
+    CellSpec, Params, batched_forward, init_params, per_start, take_steps,
 )
 from .rng import SplitMix64
 
@@ -171,10 +171,13 @@ def project_stability(params: Params, rho: float | None) -> Params:
     """Scale the recurrent block so its spectral norm is at most rho.
 
     A stacked ``params`` (theta (R, n)) has each start's block projected on
-    its own, with the bits of its unstacked call. Idempotent: norms within
-    1e-9 of the bound are left untouched, so a freshly projected matrix is
-    never rescaled again. A non-finite block raises ``TrainingError``: it
-    has no spectral norm to project with.
+    its own, with the bits of its unstacked call: one ``spectral_norm``
+    call takes the norms of all R blocks, and each clipped block is scaled
+    by rho / sigma, the others by exactly 1. Idempotent: norms within 1e-9
+    of the bound are left untouched, so a freshly projected matrix is never
+    rescaled again, and ``params`` itself is returned when no block is
+    clipped, an empty (0, n) stack included. A non-finite block raises
+    ``TrainingError``: it has no spectral norm to project with.
     """
     if rho is None:
         return params
@@ -183,15 +186,13 @@ def project_stability(params: Params, rho: float | None) -> Params:
     w = params.block("W_hh")
     if not np.isfinite(w).all():
         raise TrainingError("non-finite recurrent block W_hh, cannot project its spectral norm")
-    lead = params.theta.shape[:-1]
-    scale = np.ones(lead + (1, 1))
-    for r in start_indices(lead):
-        sigma = spectral_norm(w[r])
-        if sigma > rho * (1.0 + 1e-9):
-            scale[r] = rho / sigma
-    if (scale == 1.0).all():
+    sigma = spectral_norm(w)
+    clipped = sigma > rho * (1.0 + 1e-9)
+    if not np.any(clipped):
         return params
-    return params.with_block("W_hh", w * scale)
+    # rho / rho is exactly 1, and a zero norm is never divided by
+    scale = rho / np.where(clipped, sigma, rho)
+    return params.with_block("W_hh", w * scale[..., None, None])
 
 
 def _check_finite_grad(d_theta: np.ndarray, epoch: int, batch: list[int]) -> None:

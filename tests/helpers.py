@@ -1,5 +1,7 @@
 """Oracles and fixtures that only tests use.
 
+``pack`` assembles a theta from named blocks, the inverse of
+``Params.unpack`` and the oracle of ``backprop``'s gradient assembly.
 ``fd_gradient`` is the central-difference gradient the exact one is checked
 against. ``gen_synthetic`` builds a normalized recording of the system
 ``tbptt synth`` simulates, scaled by each column's largest magnitude, and
@@ -17,7 +19,24 @@ import numpy as np
 from tbptt.autodiff import segment_weights, weighted_loss
 from tbptt.benchmark import LiftedSolution
 from tbptt.data import ColumnTransform, LinearSISOGenerator, TimeSeriesDataset, _simulate_raw
-from tbptt.rnn_core import CellSpec, Params, pack
+from tbptt.linalg import DimensionError
+from tbptt.rnn_core import CellSpec, Params, build_layout, num_params
+
+
+def pack(spec: CellSpec, blocks) -> Params:
+    """Inverse of unpack: assemble theta from named blocks, each with the
+    same leading start shape (none, or (R,))."""
+    layout = build_layout(spec)
+    if set(blocks) != set(layout):
+        raise ValueError(f"blocks {sorted(blocks)} do not match layout {sorted(layout)}")
+    lead = np.shape(blocks["W_hh"])[:-2]
+    theta = np.empty(lead + (num_params(spec),), dtype=np.float64)
+    for name, (start, stop, shape) in layout.items():
+        value = np.asarray(blocks[name], dtype=np.float64)
+        if value.shape != lead + shape:
+            raise DimensionError(f"block {name} has shape {lead + shape}, got {value.shape}")
+        theta[..., start:stop] = value.reshape(lead + (-1,))
+    return Params(theta, spec)
 
 
 def fd_gradient(params: Params, inputs: np.ndarray, targets: np.ndarray, m: int,

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import gen_synthetic
+from helpers import gen_synthetic, pack
 from tbptt.analysis import (
     ObservedSets,
     StabilityEstimate,
@@ -21,7 +21,7 @@ from tbptt.analysis import (
 from tbptt.benchmark import LiftedSolution, OptConfig, evaluate, solve_variant
 from tbptt.data import TimeSeriesDataset, make_plan
 from tbptt.rng import SplitMix64
-from tbptt.rnn_core import CellSpec, Params, batched_forward, forward, init_params, pack
+from tbptt.rnn_core import CellSpec, Params, batched_forward, forward, init_params
 
 LIN1 = CellSpec("linear", 1, 1, 1, activation="identity", use_biases=False)
 FAST = OptConfig(restarts=2, max_iters=4000, lr=0.05, plateau_iters=200, seed=0)

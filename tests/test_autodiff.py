@@ -4,7 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import fd_gradient
+from helpers import fd_gradient, pack
+from tbptt import autodiff
 from tbptt.autodiff import (
     backprop,
     record,
@@ -12,7 +13,10 @@ from tbptt.autodiff import (
     weighted_loss,
     weighted_loss_grad,
 )
-from tbptt.rnn_core import CellSpec, NonFiniteError, Params, forward, init_params, pack
+from tbptt.rnn_core import (
+    CellSpec, NonFiniteError, Params, empty_time_major, forward, init_params, per_start,
+    time_major,
+)
 
 
 def scalar_linear(a, b, c):
@@ -335,6 +339,52 @@ def test_lstm_backprop_memory_is_bounded_by_its_gate_buffer():
     finally:
         tracemalloc.stop()
     assert peak <= 1.6 * tape.cache["gates"].nbytes + 32 * 1024
+
+
+def block_grads(tape, cograds, adjoint, r) -> dict[str, np.ndarray]:
+    """Start r's block gradients from ``backprop``'s adjoint buffer, by the
+    products ``backprop`` makes after its loop, over the same memory."""
+    spec = tape.params.spec
+    B, T, _ = tape.inputs.shape
+    d_h, sd = spec.d_h, spec.state_dim
+    adj = np.ascontiguousarray(time_major(adjoint[r]))
+    hidden = np.ascontiguousarray(time_major(tape.states[r])).reshape(-1, sd)[:, sd - d_h :]
+    grads = {
+        "W_hy": np.einsum("bti,tbj->ij", cograds[r], hidden[B:].reshape(T, B, d_h)),
+        "W_hh": adj.reshape(-1, adj.shape[-1]).T @ hidden[: adj.shape[0] * B],
+        "W_xh": np.matmul(adj[:T].transpose(1, 2, 0), tape.inputs).sum(axis=0),
+    }
+    if spec.use_biases:
+        grads["b_y"] = cograds[r].sum(axis=(0, 1))
+        grads["b_h"] = adj.sum(axis=0).sum(axis=0)
+    return grads
+
+
+@pytest.mark.parametrize("R", [None, 3])
+@pytest.mark.parametrize("cell", list(KERNEL_CELLS))
+def test_backprop_writes_pack_of_its_block_gradients(cell, R, monkeypatch):
+    # the adjoint is the first full-length buffer backprop allocates: da for
+    # linear/Elman cells, dz for the LSTM
+    spec = KERNEL_CELLS[cell]
+    lead = (R,) if R else ()
+    B, T = 5, 7
+    rng = np.random.default_rng(17)
+    theta = np.stack([init_params(spec, 60 + r).theta for r in range(R or 1)]).reshape(
+        lead + (-1,))
+    tape = record(Params(theta, spec), rng.normal(size=lead + (B, spec.state_dim)),
+                  rng.normal(size=(B, T, spec.d_x)))
+    cograds = rng.normal(size=lead + (B, T, spec.d_y))
+    buffers = []
+
+    def spy(*args):
+        buffers.append(empty_time_major(*args))
+        return buffers[-1]
+
+    monkeypatch.setattr(autodiff, "empty_time_major", spy)
+    d_theta, _ = backprop(tape, cograds)
+    want = per_start(lead, lambda r: pack(spec, block_grads(tape, cograds, buffers[0], r)).theta)
+    assert d_theta.shape == want.shape
+    assert d_theta.tobytes() == want.tobytes()
 
 
 # --- starts stacked on a leading model axis -------------------------------------

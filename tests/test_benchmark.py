@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import gen_synthetic, read_solution, realizing_params
+from helpers import gen_synthetic, pack, read_solution, realizing_params
 from tbptt import cli
 from tbptt.benchmark import (
     VARIANTS,
@@ -17,7 +17,7 @@ from tbptt.benchmark import (
 from tbptt.data import make_plan, segment_arrays
 from tbptt.linalg import spectral_norm
 from tbptt.rng import _mix
-from tbptt.rnn_core import CellSpec, NonFiniteError, batched_forward, forward, init_params, pack
+from tbptt.rnn_core import CellSpec, NonFiniteError, batched_forward, forward, init_params
 from tbptt.training import AdamState, TrainConfig, train
 
 LIN1 = CellSpec("linear", 1, 1, 1, activation="identity", use_biases=False)
@@ -319,7 +319,7 @@ def twin_start(spec):
     output is rounding noise times C. Its objective is finite and its
     gradient overflows, so the start fails on its first pass, with or
     without a projection."""
-    blocks = init_params(spec, 9).unpack()
+    blocks = dict(init_params(spec, 9).unpack())
     for name in ("W_hh", "W_xh", "b_h"):
         if name in blocks:
             blocks[name] = blocks[name].copy()
@@ -398,3 +398,16 @@ def test_overflowing_gradient_fails_alone(stack_instance, kind, rho):
     assert both.diagnostics == {"iterations": 21, "starts": 2, "failed_starts": 1}
     assert both.objective == alone.objective
     npt.assert_array_equal(both.params.theta, alone.params.theta)
+
+
+def test_solve_evaluates_once_per_iteration(stack_instance, monkeypatch):
+    # the answer's objective and gradient norm are kept from the loop
+    ds, plan = stack_instance
+    problem = _Problem("tbptt", ds, plan, 2, STACK_SPECS["elman"])
+    evaluate_stack = problem.value_grad
+    rows = []
+    monkeypatch.setattr(problem, "value_grad",
+                        lambda z: rows.append(z.shape[:-1]) or evaluate_stack(z))
+    sol = _solve(problem, OptConfig(restarts=2, max_iters=20, plateau_iters=300))
+    assert rows == [(2,)] * 20
+    assert sol.diagnostics["iterations"] == 40

@@ -64,3 +64,33 @@ def test_spectral_norm_near_degenerate_top_pair():
     r, _ = np.linalg.qr(rng.normal(size=(6, 6)))
     a = q @ np.diag([1.0, 1.0 - 1e-4, 0.5, 0.25, 0.125, 0.0625]) @ r
     assert abs(spectral_norm(a) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (3, 6), (1, 5), (5, 1)])
+def test_stacked_spectral_norm_equals_each_matrix_alone(shape):
+    # random, repeated top singular values, zero, and scaled copies
+    rng = np.random.default_rng(sum(shape))
+    k = min(shape)
+    q, _ = np.linalg.qr(rng.normal(size=(shape[0], shape[0])))
+    r, _ = np.linalg.qr(rng.normal(size=(shape[1], shape[1])))
+    repeated = q[:, :k] @ np.diag([2.0] * min(k, 2) + [0.5] * (k - 2)) @ r[:k]
+    base = rng.normal(size=shape)
+    stack = np.stack([base, repeated, np.zeros(shape), -3.0 * base, 1e-300 * base])
+    sigma = spectral_norm(stack)
+    assert sigma.shape == (len(stack),)
+    for a, s in zip(stack, sigma):
+        alone = spectral_norm(a)
+        assert isinstance(alone, float)
+        assert s.tobytes() == np.float64(alone).tobytes()
+        assert alone == np.linalg.norm(a, 2)
+    assert spectral_norm(stack.reshape((5, 1) + shape)).tobytes() == sigma.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 0), (3, 0, 2), (3, 2, 0)])
+def test_spectral_norm_rejects_empty_matrices_of_any_stack(shape):
+    with pytest.raises(DimensionError):
+        spectral_norm(np.zeros(shape))
+
+
+def test_spectral_norm_of_an_empty_stack_is_empty():
+    assert spectral_norm(np.zeros((0, 3, 3))).shape == (0,)

@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import read_params
+from helpers import pack, read_params
 from tbptt import cli
 from tbptt.linalg import DimensionError
 from tbptt.rnn_core import (
@@ -17,7 +17,6 @@ from tbptt.rnn_core import (
     forward,
     init_params,
     num_params,
-    pack,
     start_indices,
     time_major,
 )

@@ -6,13 +6,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import fd_gradient, gen_synthetic
+from helpers import fd_gradient, gen_synthetic, pack
 from tbptt.data import TimeSeriesDataset, make_plan, segment_arrays
 from tbptt.autodiff import segment_weights, tape_loss_grad, weighted_loss_grad
 from tbptt.linalg import spectral_norm
 from tbptt.rng import SplitMix64
 from tbptt.rnn_core import (
-    CellSpec, NonFiniteError, Params, batched_forward, forward, init_params, pack, per_start,
+    CellSpec, NonFiniteError, Params, batched_forward, forward, init_params, num_params,
+    per_start,
 )
 from tbptt.training import (
     AdamState,
@@ -208,15 +209,27 @@ def test_projection_clips_lstm_recurrent_block():
 @pytest.mark.parametrize("kind", ["elman", "lstm"])
 def test_stacked_projection_slices_equal_unstacked_calls(kind):
     spec = CellSpec(kind, 1, 3, 1)
-    starts = [init_params(spec, seed) for seed in range(3)]
-    # starts 0 and 2 lie above the bound and are scaled, start 1 is left alone
+    starts = [init_params(spec, seed) for seed in range(4)]
+    # starts 0 and 2 lie above the bound and are scaled; start 1 lies below
+    # it and start 3 within 1e-9 above it, and both are left alone
     for r, factor in ((0, 10.0), (1, 0.1), (2, 10.0)):
         starts[r] = starts[r].with_block("W_hh", starts[r].block("W_hh") * factor)
+    w = starts[3].block("W_hh")
+    starts[3] = starts[3].with_block("W_hh", w * (0.999 * (1 + 5e-10) / spectral_norm(w)))
     stacked = Params(np.stack([p.theta for p in starts]), spec)
     out = project_stability(stacked, 0.999)
     for r, params in enumerate(starts):
-        npt.assert_array_equal(out.theta[r], project_stability(params, 0.999).theta)
-    npt.assert_array_equal(out.theta[1], starts[1].theta)
+        assert out.theta[r].tobytes() == project_stability(params, 0.999).theta.tobytes()
+    for r in (1, 3):
+        assert out.theta[r].tobytes() == starts[r].theta.tobytes()
+    assert project_stability(out, 0.999) is out
+
+
+def test_projection_returns_an_empty_stack_as_it_is():
+    # the solver projects once more after its last start has stopped
+    spec = CellSpec("elman", 1, 3, 1)
+    empty = Params(np.empty((0, num_params(spec))), spec)
+    assert project_stability(empty, 0.999) is empty
 
 
 def test_adam_direction_is_silent_on_an_overflowing_row():
@@ -555,6 +568,15 @@ def test_projection_rejects_nonfinite_recurrent_block(bad):
     params = init_params(spec, 0).with_block("W_hh", w)
     with pytest.raises(TrainingError, match="W_hh"):
         project_stability(params, 0.999)
+
+
+def test_stacked_projection_rejects_one_nonfinite_start():
+    spec = CellSpec("elman", 1, 3, 1)
+    theta = np.stack([init_params(spec, seed).theta for seed in range(3)])
+    start, _, _ = init_params(spec, 0).layout["W_hh"]
+    theta[1, start + 5] = np.nan
+    with pytest.raises(TrainingError, match="W_hh"):
+        project_stability(Params(theta, spec), 0.999)
 
 
 # --- windows gathered once per run ------------------------------------------
