@@ -24,7 +24,8 @@ import numpy as np
 
 from .linalg import DimensionError
 from .rnn_core import (
-    Params, batched_forward, check_finite, empty_time_major, start_indices, time_major,
+    Params, batched_forward, check_finite, empty_time_major, start_indices, step_products,
+    time_major,
 )
 
 
@@ -41,11 +42,12 @@ class Tape:
     was overwritten with the i, f, g, o gate activations) and "tanh_c"
     (B, T', d_h); linear/Elman cells need no cache. A tape of
     stacked ``params`` carries the leading start axis R on every array but
-    the shared ``inputs``. ``states`` and the cache arrays are time-major in
-    memory, on either kind of tape (``rnn_core.empty_time_major``,
-    ``rnn_core.take_steps``): (steps, R, B, k) behind the
-    batch-major shape, so ``time_major(a)[t]`` is one contiguous block.
-    ``inputs`` and ``outputs`` are ordinary batch-major arrays.
+    the shared ``inputs``. ``states`` and the cache arrays are step-major
+    and batch-innermost in memory, on either kind of tape
+    (``rnn_core.empty_time_major``, ``rnn_core.take_steps``): (steps, R,
+    k, B) behind the batch-major shape, so ``time_major(a)[t]`` is one
+    contiguous (R, k, B) block. ``inputs`` and ``outputs`` may have any
+    memory order; the backward sweep reads them through strided views.
     """
 
     params: Params
@@ -61,13 +63,6 @@ def record(params: Params, h0: np.ndarray, inputs: np.ndarray) -> Tape:
     return Tape(params=params, inputs=inputs, states=states, outputs=outputs, cache=cache)
 
 
-def _phi_prime(activation: str, h_new: np.ndarray) -> np.ndarray:
-    # derivative from the cached post-activation; relu'(0) := 0
-    if activation == "tanh":
-        return 1.0 - h_new * h_new
-    return (h_new > 0.0).astype(np.float64)
-
-
 def backprop(tape: Tape, cograds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reverse sweep for the scalar sum_t <cograds[..., t, :], y_t>.
 
@@ -75,35 +70,39 @@ def backprop(tape: Tape, cograds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stacked tape, d_theta is (R, n) and d_h0 (R, B, sd), one per start.
 
     The loop carries only the adjoints. Every full-length buffer it
-    allocates is time-major like the tape's (``empty_time_major``), so step
-    t reads and writes one contiguous block, and after the loop each weight
-    gradient is one product per start over time-major rows. Those rows are
-    views of an unstacked tape; a stacked tape's are copied one start at a
-    time, which gives each start the memory layout, and so the bits, of its
-    unstacked call. Each start's block gradients are written through the
-    layout's slices into its row of one theta-shaped array, the d_theta
-    returned.
+    allocates comes from ``empty_time_major``, like the tape's: step t is
+    one contiguous (..., k, B) block, batch rows innermost, and its
+    products with the weights are (R, n, k) @ (R, k, B) GEMMs. The
+    cogradients and inputs are read through step-major views of whatever
+    memory they have, never copied whole. After the loop each start's
+    weight gradients are products of its own step blocks (``_step_sum``),
+    one start at a time over views with the shape and stride order of its
+    unstacked call, so each start gets that call's bits. They are written
+    through the layout's slices into the start's row of one theta-shaped
+    array, the d_theta returned.
 
-    Linear/Elman cells: one (..., B, T'+1, d_h) buffer ``da`` first takes
-    ``cograds · W_hy`` for every step, one product per start; step t adds
-    the carried adjoint to its row, applies phi' in place, and carries the
-    row's product with ``W_hh``: three or four operations per step. The
-    zero last row pairs with the final state, so ``W_hh`` is one product of
-    ``da``'s rows with the state rows. ``W_xh`` is one batched product with
-    the batch-major inputs, summed over the batch, and ``b_h`` a sum of the
-    rows. ``da`` is the only full-length array the sweep allocates.
+    Linear/Elman cells: one (..., B, T', d_h) buffer ``da`` first takes
+    ``W_hyᵀ · cograds`` for every step; step t adds the carried adjoint to
+    its block, multiplies it by phi', computed into one reused (..., d_h, B)
+    block from the step's states (1 - h² for tanh, h > 0 for relu), and
+    carries ``W_hhᵀ`` times the block. ``W_hh`` is then the step products
+    of ``da`` with the previous states, ``W_xh`` with the inputs, and
+    ``b_h`` the sum of ``da``. ``da`` is the only full-length array the
+    sweep allocates.
 
     LSTM cells: before the loop, everything that does not depend on the
     carried adjoints is written in place, for all steps at once, into
     three buffers: ``dz`` (gates-sized) takes the four gate-derivative
     factors (∂c/∂z for i, f and g; tanh c · ∂o/∂z for o), ``c_path``
     (..., B, T', d_h) the c-path factor o·(1 − tanh²c), and ``dh_out`` the
-    same size ``cograds · W_hy``. Step t then makes seven operations: dh
-    and dc in their rows, the in-place scaling of its ``dz`` row by dc
-    (i, f, g) and by dh (o), and the carries ``dz · W_hh`` and ``dc · f``.
-    After the loop ``W_hh``, ``W_xh`` and ``b_h`` take one product each
-    over the ``dz`` rows, as for the Elman cell. The three buffers come to
-    1.5 times the tape's gate buffer, the sweep's whole full-length memory.
+    same size ``W_hyᵀ · cograds``. Each gate's factor is a slice of d_h
+    components of every step block, whole runs of B rows. Step t then makes
+    seven operations: dh and dc in their blocks, the in-place scaling of its
+    ``dz`` block by dc (i, f, g) and by dh (o), and the carries
+    ``W_hhᵀ · dz`` and ``dc · f``. After the loop ``W_hh``, ``W_xh`` and
+    ``b_h`` are the step products and sum of ``dz``, as for the Elman cell.
+    The three buffers come to 1.5 times the tape's gate buffer, the sweep's
+    whole full-length memory.
     """
     spec = tape.params.spec
     blocks = tape.params.unpack()
@@ -117,19 +116,22 @@ def backprop(tape: Tape, cograds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     W_hh, W_hy = blocks["W_hh"], blocks["W_hy"]
     d_h, sd = spec.d_h, spec.state_dim
+    # step-major views, (steps, ..., k, B): the tape's own memory for the
+    # states, and the cogradients (and, below, the inputs) in whatever
+    # memory they come
+    S, dY = time_major(tape.states), time_major(cograds)
+    W_hh_T = W_hh.mT
 
     if spec.kind == "lstm":
-        # time-major views: the buffers' own memory, step t at index t
         G, tanh_c = time_major(tape.cache["gates"]), time_major(tape.cache["tanh_c"])
-        gi, gf, gg, go = (G[..., k * d_h : (k + 1) * d_h] for k in range(4))
+        gi, gf, gg, go = (G[..., k * d_h : (k + 1) * d_h, :] for k in range(4))
         dz = empty_time_major(lead, B, T, 4 * d_h)
-        Z = time_major(dz)
-        z_i, z_f, z_g, z_o = (Z[..., k * d_h : (k + 1) * d_h] for k in range(4))
-        # whole rows first: narrow gate columns make one short inner loop per row
-        np.subtract(1.0, G, out=Z)
-        Z *= G  # sigma' of the i, f and o gates
+        A = time_major(dz)
+        z_i, z_f, z_g, z_o = (A[..., k * d_h : (k + 1) * d_h, :] for k in range(4))
+        np.subtract(1.0, G, out=A)
+        A *= G  # sigma' of the i, f and o gates
         z_i *= gg
-        z_f *= time_major(tape.states)[:T, ..., :d_h]
+        z_f *= S[:T, ..., :d_h, :]
         np.multiply(gg, gg, out=z_g)
         np.subtract(1.0, z_g, out=z_g)
         z_g *= gi
@@ -140,71 +142,105 @@ def backprop(tape: Tape, cograds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.subtract(1.0, C, out=C)
         C *= go
         dh_out = empty_time_major(lead, B, T, d_h)
-        for r in start_indices(lead):
-            np.einsum("bti,ij->btj", cograds[r], W_hy[r], out=dh_out[r])
-        DH = time_major(dh_out)
+        DH = step_products(W_hy.mT, dY, out=time_major(dh_out))
 
-        # Z's rows split per gate: (T', ..., B, 4, d_h), a view
-        Z_gates = Z.reshape(Z.shape[:-1] + (4, d_h))
-        carry_dc = np.zeros(lead + (B, d_h))
-        carry_dh = np.zeros(lead + (B, d_h))
+        # A's step blocks split per gate: (T', ..., 4, d_h, B), a view
+        A_gates = A.reshape(A.shape[:-2] + (4, d_h, B))
+        carry_dc = np.zeros(lead + (d_h, B))
+        carry_dh = np.zeros(lead + (d_h, B))
         for t in range(T - 1, -1, -1):
             dh = DH[t]
             dh += carry_dh
             dc = C[t]
             dc *= dh
             dc += carry_dc
-            z = Z_gates[t]
-            z[..., :3, :] *= dc[..., None, :]
-            z[..., 3, :] *= dh
-            carry_dh = Z[t] @ W_hh
-            carry_dc = dc * gf[t]
-        d_h0 = np.concatenate([carry_dc, carry_dh], axis=-1)
-        adjoint = dz
+            z = A_gates[t]
+            z[..., :3, :, :] *= dc[..., None, :, :]
+            z[..., 3, :, :] *= dh
+            np.matmul(W_hh_T, A[t], carry_dh)
+            np.multiply(dc, gf[t], carry_dc)
+        d_h0 = np.concatenate([carry_dc, carry_dh], axis=-2)
     else:
-        da = empty_time_major(lead, B, T + 1, d_h)
-        da[..., T, :] = 0.0
-        for r in start_indices(lead):
-            np.einsum("bti,ij->btj", cograds[r], W_hy[r], out=da[r][:, :T])
-        step_da, step_states = time_major(da), time_major(tape.states)
-        carry = np.zeros(lead + (B, d_h))
+        da = empty_time_major(lead, B, T, d_h)
+        A = step_products(W_hy.mT, dY, out=time_major(da))
+        carry = np.zeros(lead + (d_h, B))
+        # phi' of one step, from its post-activation states; relu'(0) := 0
+        phi = np.empty(lead + (d_h, B))
+        tanh, relu = spec.activation == "tanh", spec.activation == "relu"
+        # outputs go in positionally: numpy parses them faster than the keyword
         for t in range(T - 1, -1, -1):
-            a_t = step_da[t]
+            a_t = A[t]
             a_t += carry
-            if spec.activation != "identity":
-                a_t *= _phi_prime(spec.activation, step_states[t + 1])
-            carry = a_t @ W_hh
+            if tanh:
+                h = S[t + 1]
+                np.multiply(h, h, phi)
+                np.subtract(1.0, phi, phi)
+                a_t *= phi
+            elif relu:
+                np.greater(S[t + 1], 0.0, phi)
+                a_t *= phi
+            np.matmul(W_hh_T, a_t, carry)
         d_h0 = carry
-        adjoint = da
 
     d_theta = np.empty(tape.params.theta.shape)
     layout = tape.params.layout
+    X = time_major(tape.inputs)
+    # one start at a time, each over step-major views of the shape and
+    # stride order of its unstacked call, so each gives that call's bits:
+    # start r is index r of the (T', R, k, B) views with the start axis
+    # first, and an unstacked call's (T', k, B) views are index ()
+    starts = [a.swapaxes(0, -3) for a in (A, S, dY)]
     for r in start_indices(lead):
-        # start r's time-major rows: views of an unstacked tape's buffers,
-        # contiguous copies of a stacked one's, so every product sees the
-        # memory of the start's unstacked call and gives its bits
-        adj = np.ascontiguousarray(time_major(adjoint[r]))  # (steps, B, k)
-        hidden = np.ascontiguousarray(time_major(tape.states[r])).reshape(-1, sd)[:, sd - d_h :]
+        adj, states, cog = (a[r] for a in starts)
+        if B == 1:
+            # the steps as the rows of one (T', k) matrix, contiguous as in
+            # an unstacked call
+            adj, states, cog = (np.ascontiguousarray(a) for a in (adj, states, cog))
+        hidden = states[:, sd - d_h :]
         grads = {
-            "W_hy": np.einsum("bti,tbj->ij", cograds[r], hidden[B:].reshape(T, B, d_h)),
-            "W_hh": adj.reshape(-1, adj.shape[-1]).T @ hidden[: adj.shape[0] * B],
-            "W_xh": np.matmul(adj[:T].transpose(1, 2, 0), tape.inputs).sum(axis=0),
+            "W_hy": _step_sum(cog, hidden[1:]),
+            "W_hh": _step_sum(adj, hidden[:T]),
+            "W_xh": _step_sum(adj, X),
         }
         if spec.use_biases:
-            grads["b_y"] = cograds[r].sum(axis=(0, 1))
-            # summing the steps first: long contiguous runs, not one per row
-            grads["b_h"] = adj.sum(axis=0).sum(axis=0)
+            # each step's batch rows first: contiguous runs of B
+            grads["b_y"] = cog.sum(axis=-1).sum(axis=0)
+            grads["b_h"] = adj.sum(axis=-1).sum(axis=0)
         row = d_theta[r]
         for name, grad in grads.items():
             start, stop, _ = layout[name]
             row[start:stop] = grad.reshape(-1)
-    return d_theta, d_h0
+    return d_theta, d_h0.mT
+
+
+# steps per product in ``_step_sum``: its temporary is at most this many
+# (i, j) blocks, whatever T' is
+_SUM_STEPS = 64
+
+
+def _step_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum over steps t and batch rows c of ``a[t, :, c] ⊗ b[t, :, c]``, for
+    one start's step-major (T', i, B) and (T', j, B) arrays or views: a
+    weight-gradient block (i, j).
+
+    Per step one (i, B) @ (B, j) GEMM, summed over the steps in order, in
+    chunks of ``_SUM_STEPS`` steps. With one batch row the steps are the
+    rows of a (T', i) and a (T', j) matrix, and the sum is one
+    (i, T') @ (T', j) product."""
+    if a.shape[-1] == 1:
+        return a[..., 0].T @ b[..., 0]
+    total = np.matmul(a[:_SUM_STEPS], b[:_SUM_STEPS].mT).sum(axis=0)
+    for lo in range(_SUM_STEPS, a.shape[0], _SUM_STEPS):
+        total += np.matmul(a[lo : lo + _SUM_STEPS], b[lo : lo + _SUM_STEPS].mT).sum(axis=0)
+    return total
 
 
 def _weighted_sse(err: np.ndarray, weights: np.ndarray) -> float | np.ndarray:
     """sum_{b,t} weights[b,t] * ||err_{b,t}||^2 of (..., B, T', d_y) errors:
-    a float, or one value per start on a leading start axis."""
-    loss = np.sum(weights * np.sum(err * err, axis=-1), axis=(-2, -1))
+    a float, or one value per start on a leading start axis. The squares
+    are summed in batch-major order whatever the memory of ``err``, so a
+    start's sum is the same with or without the other starts."""
+    loss = np.sum(weights * np.sum(np.multiply(err, err, order="C"), axis=-1), axis=(-2, -1))
     return loss if loss.ndim else float(loss)
 
 
@@ -221,14 +257,18 @@ def tape_loss_grad(tape: Tape, targets: np.ndarray,
                    weights: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Value and gradient of the weighted squared-error sum of a recorded
     batch: ``weighted_loss_grad`` after its forward pass. Every gradient
-    the package takes goes through here, whoever made the tape."""
+    the package takes goes through here, whoever made the tape. The errors,
+    and then in place the cogradients, go to one buffer of
+    ``empty_time_major``, so ``backprop`` reads their step blocks as
+    contiguous (..., d_y, B) runs."""
     # overflow surfaces as a non-finite loss, cogradient (NonFiniteError) or
     # gradient, which every caller checks, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        err = tape.outputs - targets
+        *lead, B, T, d_y = tape.outputs.shape
+        err = np.subtract(tape.outputs, targets, out=empty_time_major(tuple(lead), B, T, d_y))
         loss = _weighted_sse(err, weights)
-        cograds = 2.0 * weights[..., None] * err
-        d_theta, d_h0 = backprop(tape, cograds)
+        err *= 2.0 * weights[..., None]  # the cogradients, step-major like the passes
+        d_theta, d_h0 = backprop(tape, err)
     return loss, d_theta, d_h0
 
 

@@ -12,6 +12,14 @@ Three cell kinds share one interface:
 
 All learnable weights live in one flat float64 vector ``theta`` with a named
 block layout, so optimizers and serialization never special-case the cell.
+
+Every recurrence buffer (the states, the LSTM gates, the backward pass's
+adjoints) has a batch-major shape, (..., B, T', k), over step-major,
+batch-innermost memory, (T', ..., k, B) (``empty_time_major``). Step t is
+one contiguous block, each of its k components a contiguous run of the B
+batch rows, so every elementwise operation of a step runs over whole
+blocks however narrow k is, and the step's product with a weight matrix
+is one (n, k) @ (k, B) GEMM per start (``step_products``).
 """
 
 from __future__ import annotations
@@ -65,47 +73,75 @@ def check_finite(where: str, *arrays: np.ndarray) -> None:
 
 
 def time_major(a: np.ndarray) -> np.ndarray:
-    """A view of a (..., B, T, k) array with the time axis first, so that
-    step t is one integer index, with or without a leading start axis.
+    """A view of a (..., B, T, k) array as (T, ..., k, B): steps first and
+    batch rows innermost, so step t is one integer index, with or without
+    a leading start axis.
 
     On a buffer from ``empty_time_major`` the view is its C-contiguous
-    storage: step t, ``time_major(a)[t]``, is one contiguous (..., B, k)
-    block, and an unstacked ``time_major(a).reshape(-1, k)`` is a view."""
+    storage: step t, ``time_major(a)[t]``, is one contiguous (..., k, B)
+    block, each of its k components a contiguous run of B batch rows."""
     nd = a.ndim
-    return a.transpose((nd - 2, *range(nd - 2), nd - 1))
+    return a.transpose((nd - 2, *range(nd - 3), nd - 1, nd - 3))
 
 
 def empty_time_major(lead: tuple[int, ...], B: int, T: int, k: int) -> np.ndarray:
     """An uninitialised float64 (*lead, B, T, k) array stored as
-    (T, *lead, B, k): the batch-major shape every caller indexes, over
-    time-major memory, so step t of a recurrence reads and writes one
-    contiguous block that holds the (B, k) rows of every start."""
-    return _batch_major(np.empty((T, *lead, B, k), dtype=np.float64))
+    (T, *lead, k, B): the batch-major shape every caller indexes, over
+    step-major, batch-innermost memory. Step t of a recurrence reads and
+    writes one contiguous block; its product with a weight matrix is one
+    (n, k) @ (k, B) GEMM per start, and a slice of k components (an LSTM
+    gate, a state half) is one contiguous run of B rows per component."""
+    return _batch_major(np.empty((T, *lead, k, B), dtype=np.float64))
 
 
 def _batch_major(a: np.ndarray) -> np.ndarray:
-    """The inverse of ``time_major``: a (T, ..., B, k) array viewed as
+    """The inverse of ``time_major``: a (T, ..., k, B) array viewed as
     (..., B, T, k), by one transpose."""
     nd = a.ndim
-    return a.transpose((*range(1, nd - 1), 0, nd - 1))
+    return a.transpose((*range(1, nd - 2), nd - 1, 0, nd - 2))
 
 
 def take_steps(a: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """Windows of one sequence, gathered into a new time-major buffer.
+    """Windows of one sequence, gathered into a new step-major buffer.
 
     ``a`` is a (..., 1, L, k) array of one batch row and ``steps`` a (B, n)
     array of its step indices. Row b, step t of the (..., B, n, k) result
     is ``a[..., 0, steps[b, t], :]``, for every start of a leading start
-    axis. The windows may overlap and their offsets need not be even: one
-    gather of k-wide rows serves every plan, read in place from a buffer of
-    ``empty_time_major``.
+    axis. The windows may overlap and their offsets need not be even. With
+    one batch row, step s of the source is one contiguous run of every
+    start's k values: one gather takes those runs in (step, window) order,
+    and one transposing copy puts the windows innermost, into the memory
+    of ``empty_time_major``.
     """
-    lead, k = a.shape[:-3], a.shape[-1]
-    n_starts = math.prod(lead)
-    # row (s, r) of the time-major memory is step s of start r
-    rows = steps.T[:, None, :] * n_starts + np.arange(n_starts)[:, None]
-    gathered = np.take(time_major(a).reshape(-1, k), rows, axis=0)  # (n, R, B, k)
-    return _batch_major(gathered.reshape(steps.shape[1], *lead, steps.shape[0], k))
+    lead, L, k = a.shape[:-3], a.shape[-2], a.shape[-1]
+    runs = np.take(time_major(a).reshape(L, -1), steps.T, axis=0)  # (n, B, R·k)
+    runs = runs.reshape(*steps.T.shape, *lead, k)
+    return _batch_major(np.ascontiguousarray(runs.transpose(0, *range(2, runs.ndim), 1)))
+
+
+def step_products(w: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``w @ a[t]`` for every step t of a step-major (T, *lead, k, B) array
+    or view ``a``, with ``w`` (*lead, n, k): the (T, *lead, n, B) products,
+    written to ``out`` when given.
+
+    Each step of each start is one (n, k) @ (k, B) product, so a start's
+    bits do not depend on R or on the other starts. With one batch row a
+    start's (k, 1) blocks are the rows of one (T, k) matrix, and the product
+    is ``a`` as rows times ``wᵀ``, one call per start over all its steps.
+    """
+    if out is None:
+        out = np.empty(a.shape[:-2] + (w.shape[-2], a.shape[-1]))
+    if a.shape[-1] == 1:
+        np.matmul(_rows(a), w.mT, out=_rows(out))
+    else:
+        np.matmul(w, a, out=out)
+    return out
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """A step-major (T, *lead, k, 1) array as (*lead, T, k): the same memory,
+    each start's steps as the rows of one matrix."""
+    return a[..., 0].swapaxes(0, -2)
 
 
 def start_indices(lead: tuple[int, ...]):
@@ -279,34 +315,39 @@ def batched_forward(
     Python cost. The unstacked call is the same code without that axis.
 
     Storage: ``states`` and the LSTM ``gates``/``tanh_c`` buffers come from
-    ``empty_time_major``, so their memory is (T'+1, ..., B, k) behind the
-    batch-major shape, and step t reads and writes one contiguous block
-    that holds every start's (B, k) rows. ``outputs`` is an ordinary
-    batch-major array.
+    ``empty_time_major``, and so does the memory of ``outputs``: each is
+    (T', ..., k, B) behind the batch-major shape, and step t reads and
+    writes one contiguous block holding every start's (k, B) columns, with
+    the batch rows innermost. The inputs are copied once into the same
+    step-major order.
 
-    The input half of every pre-activation, ``inputs · W_xhᵀ``, does not
-    depend on the carried state and is computed once per call, before the
-    time loop, into a buffer the pass returns anyway: ``states[..., 1:, :]``
-    for linear/Elman cells, the (..., B, T', 4·d_h) gate buffer for the LSTM
-    (kept as ``cache["gates"]`` with ``keep_cache``). Step t then adds
-    ``h · W_hhᵀ`` (and, for Elman cells, the bias) into its row and applies
-    the activation there. The product is one 3-index ``einsum`` per start,
-    whose bits per element do not depend on B·T' or on R, so the states of
-    a prefix, of a restart and of one start of a stack are the full
-    unstacked run's bits. Outputs are exact only at a fixed shape: changing
-    ``inputs[:, t:]`` leaves ``outputs[:, :t]`` as they were, but numpy's
-    product ``read · W_hyᵀ`` takes a one-row vector path at T' = 1, so the
-    outputs of a one-step prefix or tail can differ in their last bits.
+    The input half of every pre-activation, ``W_xh · x``, does not depend
+    on the carried state and is computed once per call, before the time
+    loop, into a buffer the pass returns anyway: ``states[..., 1:, :]`` for
+    linear/Elman cells, the (..., B, T', 4·d_h) gate buffer for the LSTM
+    (kept as ``cache["gates"]`` with ``keep_cache``), with the bias added
+    to it in the same place. Step t then adds ``W_hh · h``, an
+    (R, n, k) @ (R, k, B) product, into its block and applies the
+    activation there. The input product is one 3-index ``einsum`` per start,
+    whose bits per element do not depend on B·T' or on R, and each step's
+    product is one GEMM per start, so the states of a prefix, of a restart
+    and of one start of a stack are the full unstacked run's bits. The
+    outputs are ``step_products(W_hy, ...)``: with B > 1 one product per
+    step, so a prefix's outputs are the full run's bits too; with one batch
+    row one product of the steps' rows with ``W_hyᵀ``, which numpy takes as
+    a one-row vector product at T' = 1, so the outputs of a one-step prefix
+    or tail can differ from the longer run's in their last bits.
 
     LSTM gates: each logistic gate is sigma(z) = tanh(z/2)/2 + 1/2, so the
     call multiplies the i, f and o rows of ``W_xh``, ``W_hh`` and ``b_h`` by
     1/2 (exact, a power of two) and adds the scaled bias into the hoisted
-    product. Step t adds ``h · W_hhᵀ`` into its gate row, applies one tanh
-    to the whole row, then ``z *= (1/2, 1/2, 1, 1/2)`` and
-    ``z += (1/2, 1/2, 0, 1/2)`` per gate block: the row holds the i, f, g, o
-    activations. c, h = o·tanh c and tanh c go straight into their rows
-    (without ``keep_cache``, tanh c goes to one reused row). The gates are
-    within 2⁻⁵² of the logistic function, exactly 0 or 1 in its tails.
+    product. Step t adds ``W_hh · h`` into its gate block, applies one tanh
+    to the whole block, then ``z *= (1/2, 1/2, 1, 1/2)`` and
+    ``z += (1/2, 1/2, 0, 1/2)`` per gate: the block holds the i, f, g, o
+    activations, each gate a contiguous d_h·B run. c, h = o·tanh c and
+    tanh c go straight into their blocks (without ``keep_cache``, tanh c
+    goes to one reused block). The gates are within 2⁻⁵² of the logistic
+    function, exactly 0 or 1 in its tails.
     """
     spec = params.spec
     blocks = params.unpack()
@@ -318,66 +359,70 @@ def batched_forward(
         raise DimensionError(f"h0 has shape {h0.shape}, expected {lead + (B, spec.state_dim)}")
 
     W_hh, W_xh, W_hy = blocks["W_hh"], blocks["W_xh"], blocks["W_hy"]
-    W_hh_T = W_hh.mT
-    # biases broadcast over the batch rows (and, for b_y, the steps)
-    b_h = blocks["b_h"][..., None, :] if spec.use_biases else None
-    b_y = blocks["b_y"][..., None, None, :] if spec.use_biases else None
+    # biases broadcast over the batch rows of a step block
+    b_h = blocks["b_h"][..., None] if spec.use_biases else None
+    b_y = blocks["b_y"][..., None] if spec.use_biases else None
     d_h = spec.d_h
 
     states = empty_time_major(lead, B, T + 1, spec.state_dim)
     states[..., 0, :] = h0
     step_states = time_major(states)
+    # the inputs in step-major memory, read by the hoisted input product
+    x = _batch_major(np.ascontiguousarray(time_major(inputs)))
     cache: dict = {}
 
     # overflow surfaces as a NonFiniteError below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.kind == "lstm":
             # sigma(z) = tanh(z/2)/2 + 1/2 on the halved i, f and o rows
-            scale = np.repeat([1.0 if gate == "g" else 0.5 for gate in LSTM_GATES], d_h)
+            scale = np.repeat([1.0 if gate == "g" else 0.5 for gate in LSTM_GATES], d_h)[:, None]
             shift = 1.0 - scale
-            W_xh, W_hh_T = W_xh * scale[:, None], (W_hh * scale[:, None]).mT
+            W_xh, W_hh = W_xh * scale, W_hh * scale
             gates = empty_time_major(lead, B, T, 4 * d_h)
+            step_gates = time_major(gates)
             for r in start_indices(lead):
-                np.einsum("btk,nk->btn", inputs, W_xh[r], out=gates[r])
+                np.einsum("btk,nk->btn", x, W_xh[r], out=gates[r])
             if b_h is not None:
-                gates += b_h[..., None, :] * scale
+                step_gates += b_h * scale
             tanh_c = empty_time_major(lead, B, T if keep_cache else 1, d_h)
             if keep_cache:
                 cache["gates"], cache["tanh_c"] = gates, tanh_c
-            # the gate columns and state halves of every step, sliced once
-            step_gates, step_tanh_c = time_major(gates), time_major(tanh_c)
-            gi, gf, gg, go = (step_gates[..., k * d_h : (k + 1) * d_h] for k in range(4))
-            step_c, step_h = step_states[..., :d_h], step_states[..., d_h:]
+            # the gates and state halves of every step block, sliced once
+            step_tanh_c = time_major(tanh_c)
+            gi, gf, gg, go = (step_gates[..., k * d_h : (k + 1) * d_h, :] for k in range(4))
+            step_c, step_h = step_states[..., :d_h, :], step_states[..., d_h:, :]
+            # outputs go in positionally: numpy parses them faster than the keyword
             for t in range(T):
                 z = step_gates[t]
-                z += step_h[t] @ W_hh_T
-                np.tanh(z, out=z)
+                z += W_hh @ step_h[t]
+                np.tanh(z, z)
                 z *= scale
                 z += shift
                 c_new = step_c[t + 1]
-                np.multiply(gf[t], step_c[t], out=c_new)
+                np.multiply(gf[t], step_c[t], c_new)
                 c_new += gi[t] * gg[t]
                 tc = step_tanh_c[t if keep_cache else 0]
-                np.tanh(c_new, out=tc)
-                np.multiply(go[t], tc, out=step_h[t + 1])
+                np.tanh(c_new, tc)
+                np.multiply(go[t], tc, step_h[t + 1])
         else:
             for r in start_indices(lead):
-                np.einsum("btk,nk->btn", inputs, W_xh[r], out=states[r][:, 1:])
+                np.einsum("btk,nk->btn", x, W_xh[r], out=states[r][:, 1:])
+            if b_h is not None:
+                step_states[1:] += b_h
             activation = spec.activation
             for t in range(T):
                 h = step_states[t + 1]
-                h += step_states[t] @ W_hh_T
-                if b_h is not None:
-                    h += b_h
+                h += W_hh @ step_states[t]
                 if activation == "tanh":
-                    np.tanh(h, out=h)
+                    np.tanh(h, h)
                 elif activation == "relu":
                     np.maximum(h, 0.0, out=h)
 
-        read = states[..., 1:, d_h:] if spec.kind == "lstm" else states[..., 1:, :]
-        outputs = read @ W_hy.mT[..., None, :, :]
+        read = step_states[1:, ..., d_h:, :] if spec.kind == "lstm" else step_states[1:]
+        outputs = step_products(W_hy, read)
         if b_y is not None:
-            outputs = outputs + b_y
+            outputs += b_y
+        outputs = _batch_major(outputs)
 
     check_finite("forward pass", states[..., 1:, :], outputs)
     return states, outputs, cache

@@ -272,8 +272,8 @@ def _stateful_inits(
     batch's last window, s_last - s_j + N steps. Window i covers the span's
     steps s_i - s_j to s_i - s_j + N. The windows' states, LSTM
     ``gates``/``tanh_c``, outputs and inputs are gathered from the span
-    into a ``Tape`` of (B, N) windows (``rnn_core.take_steps``, time-major
-    like ``record``'s), which ``sgd_step`` differentiates;
+    into a ``Tape`` of (B, N) windows (``rnn_core.take_steps``, step-major
+    and batch-innermost like ``record``'s), which ``sgd_step`` differentiates;
     ``tape.states[..., 0, :]`` are the chained starts. ``cached`` (S, sd)
     keeps every segment's start and is updated. A stacked ``params`` chains
     every start in the same one pass, with ``cached`` (R, S, sd) and a

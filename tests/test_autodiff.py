@@ -343,20 +343,23 @@ def test_lstm_backprop_memory_is_bounded_by_its_gate_buffer():
 
 def block_grads(tape, cograds, adjoint, r) -> dict[str, np.ndarray]:
     """Start r's block gradients from ``backprop``'s adjoint buffer, by the
-    products ``backprop`` makes after its loop, over the same memory."""
+    products ``backprop`` makes after its loop, over the same memory: per
+    step, a (k, B) @ (B, j) product of step-major blocks, summed over the
+    steps in order (B > 1, T' <= 64: one chunk of steps)."""
     spec = tape.params.spec
-    B, T, _ = tape.inputs.shape
+    T = tape.inputs.shape[1]
     d_h, sd = spec.d_h, spec.state_dim
-    adj = np.ascontiguousarray(time_major(adjoint[r]))
-    hidden = np.ascontiguousarray(time_major(tape.states[r])).reshape(-1, sd)[:, sd - d_h :]
+    adj = time_major(adjoint[r])  # (T', k, B)
+    hidden = time_major(tape.states[r])[:, sd - d_h :]
+    g = time_major(cograds[r])
     grads = {
-        "W_hy": np.einsum("bti,tbj->ij", cograds[r], hidden[B:].reshape(T, B, d_h)),
-        "W_hh": adj.reshape(-1, adj.shape[-1]).T @ hidden[: adj.shape[0] * B],
-        "W_xh": np.matmul(adj[:T].transpose(1, 2, 0), tape.inputs).sum(axis=0),
+        "W_hy": np.matmul(g, hidden[1:].mT).sum(axis=0),
+        "W_hh": np.matmul(adj, hidden[:T].mT).sum(axis=0),
+        "W_xh": np.matmul(adj, time_major(tape.inputs).mT).sum(axis=0),
     }
     if spec.use_biases:
-        grads["b_y"] = cograds[r].sum(axis=(0, 1))
-        grads["b_h"] = adj.sum(axis=0).sum(axis=0)
+        grads["b_y"] = g.sum(axis=-1).sum(axis=0)
+        grads["b_h"] = adj.sum(axis=-1).sum(axis=0)
     return grads
 
 
@@ -397,22 +400,28 @@ STACK_CELLS = [
 ]
 
 
-@pytest.mark.parametrize("B", [1, 380])
+@pytest.mark.parametrize("B", [1, 16, 380])
 @pytest.mark.parametrize("spec", STACK_CELLS, ids=lambda s: f"{s.kind}-{s.activation}")
 def test_stacked_loss_grad_slices_equal_unstacked_calls(spec, B):
-    # B = 1 rows of T = 400 (coupled) and B = 380 rows of T = 21 (tbptt, unconstrained)
-    R, T = 3, 400 if B == 1 else 21
+    # B = 1 rows of T = 400 (coupled), B = 16 rows of T = 70 (more than one
+    # chunk of step products) and B = 380 rows of T = 21 (tbptt, unconstrained);
+    # slice r of each stacked array has the bits of start r's unstacked call
+    R, T = 3, {1: 400, 16: 70, 380: 21}[B]
     rng = np.random.default_rng(B)
     theta = np.stack([init_params(spec, 40 + r).theta for r in range(R)])
     h0 = rng.normal(size=(R, B, spec.state_dim))
     x = rng.normal(size=(B, T, spec.d_x))
     y = rng.normal(size=(B, T, spec.d_y))
     w = segment_weights(T, 5, B)
+    tape = record(Params(theta, spec), h0, x)
     loss, d_theta, d_h0 = weighted_loss_grad(Params(theta, spec), h0, x, y, w)
     assert loss.shape == (R,)
     assert d_theta.shape == theta.shape
     assert d_h0.shape == h0.shape
     for r in range(R):
+        alone = record(Params(theta[r], spec), h0[r], x)
+        npt.assert_array_equal(tape.states[r], alone.states)
+        npt.assert_array_equal(tape.outputs[r], alone.outputs)
         want_loss, want_theta, want_h0 = weighted_loss_grad(Params(theta[r], spec), h0[r], x, y, w)
         assert loss[r] == want_loss
         npt.assert_array_equal(d_theta[r], want_theta)

@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from helpers import pack, read_params
-from tbptt import cli
+from tbptt import autodiff, cli
 from tbptt.linalg import DimensionError
 from tbptt.rnn_core import (
     CellSpec,
@@ -14,10 +14,11 @@ from tbptt.rnn_core import (
     Params,
     batched_forward,
     build_layout,
+    empty_time_major,
     forward,
     init_params,
     num_params,
-    start_indices,
+    take_steps,
     time_major,
 )
 
@@ -282,36 +283,43 @@ def reference_lstm(params, h0, inputs):
     sigma(z) = tanh(z/2)/2 + 1/2 over i, f and o weight and bias rows halved.
 
     The input half of the pre-activation is the kernel's one product over
-    the whole batch, and tanh runs over the whole gate row as in the kernel,
-    so the comparison stays bitwise.
+    the whole batch, tanh runs over the whole gate row, and every product
+    has the kernel's orientation: a step carries the state as (k, B)
+    columns and multiplies them by the weights from the left; the outputs
+    are W_hy times each step's columns, or, with one batch row, the steps'
+    rows times W_hyᵀ in one product. So the comparison stays bitwise.
     """
     d_h = params.spec.d_h
     half = np.repeat([0.5, 0.5, 1.0, 0.5], d_h)  # i, f, g, o
     W_hh = params.block("W_hh") * half[:, None]
     W_xh = params.block("W_xh") * half[:, None]
     b_h = params.block("b_h") * half
+    W_hy = params.block("W_hy")
     B, T, _ = inputs.shape
     x_part = np.einsum("btk,nk->btn", inputs, W_xh) + b_h
     states = np.empty((B, T + 1, 2 * d_h))
     states[:, 0] = h0
     gates = np.empty((B, T, 4 * d_h))
     tanh_cs = np.empty((B, T, d_h))
-    h = h0
+    outputs = np.empty((B, T, W_hy.shape[0]))
+    h = h0.T
     for t in range(T):
-        c_prev, hh_prev = h[:, :d_h], h[:, d_h:]
-        tanh_z = np.tanh(x_part[:, t] + hh_prev @ W_hh.T)
-        gi = 0.5 * tanh_z[:, :d_h] + 0.5
-        gf = 0.5 * tanh_z[:, d_h : 2 * d_h] + 0.5
-        gg = tanh_z[:, 2 * d_h : 3 * d_h]
-        go = 0.5 * tanh_z[:, 3 * d_h :] + 0.5
+        c_prev, hh_prev = h[:d_h], h[d_h:]
+        tanh_z = np.tanh(x_part[:, t].T + W_hh @ hh_prev)
+        gi = 0.5 * tanh_z[:d_h] + 0.5
+        gf = 0.5 * tanh_z[d_h : 2 * d_h] + 0.5
+        gg = tanh_z[2 * d_h : 3 * d_h]
+        go = 0.5 * tanh_z[3 * d_h :] + 0.5
         c_new = gf * c_prev + gi * gg
         tanh_c = np.tanh(c_new)
-        h = np.concatenate([c_new, go * tanh_c], axis=1)
-        states[:, t + 1] = h
-        gates[:, t] = np.concatenate([gi, gf, gg, go], axis=1)
-        tanh_cs[:, t] = tanh_c
-    outputs = states[:, 1:, d_h:] @ params.block("W_hy").T + params.block("b_y")
-    return states, outputs, gates, tanh_cs
+        h = np.concatenate([c_new, go * tanh_c])
+        states[:, t + 1] = h.T
+        gates[:, t] = np.concatenate([gi, gf, gg, go]).T
+        tanh_cs[:, t] = tanh_c.T
+        outputs[:, t] = (W_hy @ h[d_h:]).T
+    if B == 1:
+        outputs = states[:, 1:, d_h:] @ W_hy.T
+    return states, outputs + params.block("b_y"), gates, tanh_cs
 
 
 @pytest.mark.parametrize("batch", [1, 3])
@@ -330,7 +338,7 @@ def test_lstm_step_matches_per_gate_reference_bitwise(batch):
     npt.assert_array_equal(cache["tanh_c"], ref_tanh_c)
 
 
-# --- time-major step rows -------------------------------------------------------
+# --- step-major, batch-innermost step rows -------------------------------------
 
 LAYOUT_CELLS = [
     CellSpec("linear", 2, 3, 2, activation="identity", use_biases=False),
@@ -341,18 +349,42 @@ LAYOUT_CELLS = [
 
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["unstacked", "stacked"])
 @pytest.mark.parametrize("spec", LAYOUT_CELLS, ids=lambda s: s.kind)
-def test_step_rows_are_contiguous(spec, lead):
-    # a recurrence step reads and writes whole contiguous (B, k) rows
+def test_step_rows_are_contiguous(spec, lead, monkeypatch):
+    # every recurrence buffer, forward and backward, stores step t as one
+    # C-contiguous (..., k, B) block: each component a run of the B batch rows
     B, T = 4, 6
     rng = np.random.default_rng(1)
     theta = np.stack([init_params(spec, 60 + r).theta for r in range(3)])
     params = Params(theta if lead else theta[0], spec)
     h0 = rng.normal(size=lead + (B, spec.state_dim))
-    states, _, cache = batched_forward(params, h0, rng.normal(size=(B, T, spec.d_x)),
-                                       keep_cache=True)
+    inputs = rng.normal(size=(B, T, spec.d_x))
+    states, _, cache = batched_forward(params, h0, inputs, keep_cache=True)
     assert set(cache) == ({"gates", "tanh_c"} if spec.kind == "lstm" else set())
-    for name, buffer in {"states": states, **cache}.items():
-        steps = time_major(buffer)
-        for t in range(steps.shape[0]):
-            for r in start_indices(lead):
-                assert steps[t][r].flags.c_contiguous, (name, t, r)
+    buffers = {"states": states, **cache}
+    # a stateful tape's windows, gathered from one B = 1 pass
+    span_states, _, span_cache = batched_forward(params, h0[..., :1, :], inputs[:1],
+                                                 keep_cache=True)
+    steps = np.array([[0, 1, 2], [2, 3, 4]])
+    buffers["take_steps(states)"] = take_steps(span_states, steps)
+    for name, value in span_cache.items():
+        buffers[f"take_steps({name})"] = take_steps(value, steps)
+    # the backward's buffers: the cogradients, then da, or dz, c_path and dh_out
+    backward = []
+
+    def spy(*args):
+        backward.append(empty_time_major(*args))
+        return backward[-1]
+
+    monkeypatch.setattr(autodiff, "empty_time_major", spy)
+    autodiff.weighted_loss_grad(params, h0, inputs, rng.normal(size=(B, T, spec.d_y)),
+                                autodiff.segment_weights(T, 1, B))
+    assert len(backward) == (4 if spec.kind == "lstm" else 2)
+    buffers.update({f"backward {i}": a for i, a in enumerate(backward)})
+    for name, buffer in buffers.items():
+        steps_of = time_major(buffer)
+        rows, k = buffer.shape[-3], buffer.shape[-1]
+        for t in range(steps_of.shape[0]):
+            assert steps_of[t].shape == lead + (k, rows), (name, t)
+            assert steps_of[t].flags.c_contiguous, (name, t)
+
+
