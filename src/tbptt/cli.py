@@ -13,8 +13,11 @@ default. Flags that no run can use exit 2 before a run directory is made.
 A sweep cell's ``train_mse`` is the full-batch objective of its final
 parameters, computed by a forward pass alone; it equals the same ``train``
 run's ``final_objective`` and is empty when ``--epochs 0``. The cells of one
-window length N train together as one stacked run over their burn-ins, so
-``timings.json`` gives each an even share of its group's wall time.
+window length N train together as one stacked run over their burn-ins; then
+every trained model of the grid is evaluated in one stacked pass.
+The sweep's ``timings.json`` holds each N's training time and the
+evaluation's time under ``phases``, and gives each cell its group's
+training share plus an even share of the evaluation.
 
 Every run writes into ``<out-root>/<command>/<config-hash>/`` with a
 manifest.json describing it; rerunning with identical flags reproduces all
@@ -348,31 +351,58 @@ def _zero_state_passes(params: Params, dataset) -> list[Trajectory]:
     return [Trajectory(states[r][0], outputs[r][0]) for r in start_indices(lead)]
 
 
-def _sweep_group(dataset, test_set, args, N: int, ms: tuple[int, ...]) -> list[dict]:
-    """The rows of cells (N, m), m in ``ms``, trained as one stacked run.
+def _train_group(dataset, args, N: int, ms: tuple[int, ...]) -> list[tuple]:
+    """The ``(train_mse, final parameters)`` of cells (N, m), m in ``ms``,
+    trained as one stacked run.
 
     Training evaluates nothing per epoch; each model's ``train_mse`` is the
     full-batch objective of its final parameters, one forward pass over the
-    run's windows. Each model then gets one zero-state pass over the
-    training series, which serves both its performance and its stability
-    radius, and one over the test series; the passes of all models run
-    stacked, and so does the stability probe. A failing cell raises for the
-    whole group. With one burn-in every call is unstacked, in the order a
-    lone cell has always taken, so its row and error text are those of a
-    lone cell.
+    run's windows. A failing cell raises for the whole group. With one
+    burn-in the run is unstacked, in the order a lone cell has always taken,
+    so its error text is a lone cell's.
     """
     config = _train_config(args, _cell_spec(args, dataset.d_x, dataset.d_y), N, ms[0])
     *_, (params, xs, ys) = training.train_burn_ins(dataset, config, ms)
     models = [Params(params.theta[r], params.spec)
               for r in start_indices(params.theta.shape[:-1])]
-    train_mse = [training.full_batch_objective(model, xs, ys, m) if config.epochs else ""
-                 for m, model in zip(ms, models)]
+    return [(training.full_batch_objective(model, xs, ys, m) if config.epochs else "", model)
+            for m, model in zip(ms, models)]
+
+
+def _train_cells(dataset, args, N: int, ms: tuple[int, ...]) -> dict[int, tuple | str]:
+    """Each burn-in m of ``ms`` mapped to ``_train_group``'s pair for cell
+    (N, m), or to its error text: one stacked run, and only if that fails,
+    each cell alone, so a failing cell reports its own error and takes no
+    other cell with it."""
+    try:
+        return dict(zip(ms, _train_group(dataset, args, N, ms)))
+    except Exception as exc:  # cell failures must not kill the sweep
+        if len(ms) == 1:
+            return {ms[0]: str(exc)}
+    return {m: _train_cells(dataset, args, N, (m,))[m] for m in ms}
+
+
+def _evaluate(cells: list[tuple], dataset, test_set, args) -> list[dict]:
+    """The rows of trained cells ``(N, m, train_mse, params)``, evaluated
+    together.
+
+    The models are stacked on one start axis. Each gets one zero-state pass
+    over the training series, which serves both its performance and its
+    stability radius, and one over the test series; the passes of all
+    models run stacked, and so does the one stability probe, which gives
+    each model the bits of its unstacked call. A failing model raises for
+    all of them. One cell is evaluated unstacked, in the order a lone cell
+    has always taken, so its row and error text are those of a lone cell.
+    """
+    windows, ms, mses, models = zip(*cells)
+    params = models[0] if len(models) == 1 else Params(
+        np.stack([model.theta for model in models]), models[0].spec)
     trajs = _zero_state_passes(params, dataset)
     perf = [analysis.performance(traj, dataset, m) for m, traj in zip(ms, trajs)]
     stabs = analysis.estimate_stability(params, dataset, trajs, num_pairs=16, seed=args.seed)
     rows = [{"N": N, "m": m, "train_mse": mse, "test_mse": "", "P": p, "lambda": stab.lam,
              "error": ""}
-            for m, mse, p, stab in zip(ms, train_mse, perf, stabs)]
+            for N, m, mse, p, stab in zip(windows, ms, mses, perf, stabs)]
     if test_set is not None:
         for row, traj in zip(rows, _zero_state_passes(params, test_set)):
             m_eval = args.test_burn if args.test_burn >= 0 else row["m"]
@@ -380,16 +410,18 @@ def _sweep_group(dataset, test_set, args, N: int, ms: tuple[int, ...]) -> list[d
     return rows
 
 
-def _sweep_rows(dataset, test_set, args, N: int, ms: tuple[int, ...]) -> list[dict]:
-    """The rows of cells (N, m), m in ``ms``: one stacked run, and only if
-    that fails, each cell alone, so a failing cell reports its own error and
-    takes no other cell with it."""
+def _evaluated_rows(cells: list[tuple], dataset, test_set, args) -> list[dict]:
+    """The rows of trained cells ``(N, m, train_mse, params)``: one stacked
+    evaluation, and only if that fails, each cell alone. A cell's trained
+    parameters hold the bits of its lone training, so each row is what a
+    lone run of its cell gives."""
     try:
-        return _sweep_group(dataset, test_set, args, N, ms)
+        return _evaluate(cells, dataset, test_set, args)
     except Exception as exc:  # cell failures must not kill the sweep
-        if len(ms) == 1:
-            return [_error_row(N, ms[0], str(exc))]
-    return [_sweep_rows(dataset, test_set, args, N, (m,))[0] for m in ms]
+        if len(cells) == 1:
+            N, m = cells[0][:2]
+            return [_error_row(N, m, str(exc))]
+    return [_evaluated_rows([cell], dataset, test_set, args)[0] for cell in cells]
 
 
 SWEEP_COLUMNS = ["N", "m", "train_mse", "test_mse", "P", "lambda", "error"]
@@ -403,13 +435,18 @@ def cmd_sweep(args) -> int:
     """Train and evaluate every (N, m) cell of the grid into ``report.csv``.
 
     The runnable cells of one N share everything but the burn-in, so they
-    train as one stacked run (``training.train_burn_ins``) and share one
-    stability probe; training evaluates no epoch, and each ``train_mse`` is
-    one forward pass of the final parameters. If any cell of a group fails,
-    the group's cells rerun one by one, so each row holds exactly what a
-    lone run of its cell gives. Each cell's ``timings.json`` entry is an
-    even share of its group's wall time; a burn-in beyond N - 1 takes none
-    and gets an error row. The exit code is 4 when a cell that could run
+    train as one stacked run (``training.train_burn_ins``); training
+    evaluates no epoch, and each ``train_mse`` is one forward pass of the
+    final parameters. The evaluation does not depend on N, so every model
+    the grid trained is evaluated in one stack: one zero-state pass over
+    each series and one stability probe. If any cell of a group fails to
+    train, the group's cells rerun one by one; if the stacked evaluation
+    fails, each cell is evaluated alone. So each row holds exactly what a
+    lone run of its cell gives. ``timings.json`` holds the wall time of
+    each N's training and of the evaluation under ``phases``; each cell's
+    entry is an even share of its group's training plus, if it trained, an
+    even share of the evaluation. A burn-in beyond N - 1 takes none and
+    gets an error row. The exit code is 4 when a cell that could run
     failed, and 0 otherwise.
     """
     dataset = _load_dataset(args, args.data)
@@ -433,7 +470,8 @@ def cmd_sweep(args) -> int:
 
     rows: dict[tuple[int, int], dict] = {}
     wall_times: dict[tuple[int, int], float] = {}
-    failed = False
+    trained: list[tuple] = []  # (N, m, train_mse, params) of each cell that trained
+    train_phases = []
     for N in n_values:
         ms = tuple(m for m in m_values if m <= N - 1)
         for m in m_values:
@@ -442,17 +480,29 @@ def cmd_sweep(args) -> int:
                 wall_times[N, m] = 0.0
         if ms:
             t0 = time.perf_counter()
-            for row in _sweep_rows(dataset, test_set, args, N, ms):
-                rows[N, row["m"]] = row
-                failed = failed or bool(row["error"])
-            share = (time.perf_counter() - t0) / len(ms)
-            wall_times.update({(N, m): share for m in ms})
+            for m, cell in _train_cells(dataset, args, N, ms).items():
+                if isinstance(cell, str):
+                    rows[N, m] = _error_row(N, m, cell)
+                else:
+                    trained.append((N, m, *cell))
+            train_s = time.perf_counter() - t0
+            train_phases.append({"N": N, "wall_time_s": train_s})
+            wall_times.update({(N, m): train_s / len(ms) for m in ms})
+    t0 = time.perf_counter()
+    for row in _evaluated_rows(trained, dataset, test_set, args) if trained else []:
+        rows[row["N"], row["m"]] = row
+    evaluate_s = time.perf_counter() - t0
+    for N, m, *_ in trained:
+        wall_times[N, m] += evaluate_s / len(trained)
 
     _write_csv(run_dir / "report.csv", SWEEP_COLUMNS, [rows[cell] for cell in sorted(rows)])
-    _write_json(run_dir / "timings.json",
-                {"cells": [{"N": N, "m": m, "wall_time_s": wall_times[N, m]}
-                           for N, m in sorted(wall_times)]})
+    _write_json(run_dir / "timings.json", {
+        "phases": {"train": train_phases, "evaluate": {"wall_time_s": evaluate_s}},
+        "cells": [{"N": N, "m": m, "wall_time_s": wall_times[N, m]}
+                  for N, m in sorted(wall_times)],
+    })
     print(run_dir)
+    failed = any(row["error"] for (N, m), row in rows.items() if m <= N - 1)
     return 4 if failed else 0
 
 

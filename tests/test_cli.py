@@ -12,7 +12,7 @@ import numpy.testing as npt
 import pytest
 
 from helpers import read_params, read_solution
-from tbptt import analysis, cli, data, training
+from tbptt import analysis, cli, data, rnn_core, training
 from tbptt.cli import main
 from tbptt.data import load_csv
 from tbptt.rnn_core import CellSpec, forward, init_params
@@ -292,7 +292,8 @@ def test_sweep_flags_invalid_cells_and_continues(tmp_path):
 
 
 def test_sweep_report_byte_identical_on_rerun(tmp_path):
-    # wall times go to timings.json, one entry per grid cell, invalid ones too
+    # wall times go to timings.json: each N's training and the one evaluation
+    # under phases, and one entry per grid cell, invalid ones too
     data_file = synth(tmp_path) / "train.csv"
     flags = ["sweep", "--data", data_file, "--N-list", "8,10", "--m-list", "0,8",
              "--epochs", 1, "--batch", 4]
@@ -305,9 +306,22 @@ def test_sweep_report_byte_identical_on_rerun(tmp_path):
     with open(dirs[0] / "report.csv") as fh:
         cells = [(int(r["N"]), int(r["m"])) for r in csv.DictReader(fh)]
     assert cells == [(8, 0), (8, 8), (10, 0), (10, 8)]
-    timings = json.loads((dirs[0] / "timings.json").read_text())["cells"]
-    assert [(t["N"], t["m"]) for t in timings] == cells
-    assert all(t["wall_time_s"] >= 0 for t in timings)
+    timings = json.loads((dirs[0] / "timings.json").read_text())
+    assert list(timings) == ["phases", "cells"]
+    phases = timings["phases"]
+    assert list(phases) == ["train", "evaluate"]
+    assert [list(t) for t in phases["train"]] == [["N", "wall_time_s"]] * 2
+    assert [t["N"] for t in phases["train"]] == [8, 10]
+    assert list(phases["evaluate"]) == ["wall_time_s"]
+    assert [(t["N"], t["m"]) for t in timings["cells"]] == cells
+    assert all(t["wall_time_s"] >= 0 for t in timings["cells"])
+    # the (8, 8) cell exceeds N - 1 and takes no time; the others share the
+    # phases: each its group's training share plus an even evaluation share
+    train_s = {t["N"]: t["wall_time_s"] for t in phases["train"]}
+    evaluate_s = phases["evaluate"]["wall_time_s"]
+    shares = [0.0 if (N, m) == (8, 8) else train_s[N] / (1 if N == 8 else 2) + evaluate_s / 3
+              for N, m in cells]
+    assert [t["wall_time_s"] for t in timings["cells"]] == pytest.approx(shares)
 
 
 def test_sweep_exit_code_ignores_error_text(tmp_path, monkeypatch):
@@ -315,13 +329,13 @@ def test_sweep_exit_code_ignores_error_text(tmp_path, monkeypatch):
     # still makes the sweep partial
     data_file = synth(tmp_path) / "train.csv"
 
-    def failing_group(dataset, test_set, args, N, ms):
+    def failing_group(dataset, args, N, ms):
         raise ValueError("m=3 diverged")
 
     def failing_cell(dataset, test_set, args, N, m):
         raise ValueError("m=3 diverged")
 
-    monkeypatch.setattr(cli, "_sweep_group", failing_group)
+    monkeypatch.setattr(cli, "_train_group", failing_group)
     monkeypatch.setitem(globals(), "lone_cell", failing_cell)
     flags = ["sweep", "--data", data_file, "--N-list", 10, "--m-list", "0,3", "--epochs", 1,
              "--batch", 4]
@@ -549,14 +563,14 @@ def test_sweep_report_equals_lone_cell_sweep(tmp_path, monkeypatch, model):
         return loss, np.where(bad[..., None], np.nan, d_theta), d_h0
 
     groups = []
-    real_group = cli._sweep_group
+    real_group = cli._train_group
 
-    def counting_group(dataset, test_set, args, N, ms):
+    def counting_group(dataset, args, N, ms):
         groups.append((N, ms))
-        return real_group(dataset, test_set, args, N, ms)
+        return real_group(dataset, args, N, ms)
 
     monkeypatch.setattr(training, "tape_loss_grad", failing_grad)
-    monkeypatch.setattr(cli, "_sweep_group", counting_group)
+    monkeypatch.setattr(cli, "_train_group", counting_group)
     cell, mode = model
     flags = ["sweep", "--data", base / "train.csv", "--test", base / "test.csv",
              "--N-list", "8,10", "--m-list", "0,3,9,3", "--cell", cell, "--d-h", 3,
@@ -574,33 +588,77 @@ def test_sweep_report_equals_lone_cell_sweep(tmp_path, monkeypatch, model):
     assert errors[("10", "3")].startswith("non-finite gradient at epoch 0")
     assert [cell for cell, e in errors.items() if e] == [("8", "9"), ("10", "3")]
 
+    # the stacked evaluation of the grid's trained models fails too: the
+    # zero-state pass of the model of cell (8, 3) goes non-finite, stacked or
+    # alone, so each cell is evaluated alone and reports a lone cell's row
+    args = cli.build_parser().parse_args([str(f) for f in flags])
+    dataset = cli._load_dataset(args, args.data)
+    spec = cli._cell_spec(args, dataset.d_x, dataset.d_y)
+    poisoned = train(dataset, cli._train_config(args, spec, 8, 3)).params
+    real_forward = rnn_core.batched_forward
+    stacks = []
+
+    def poisoned_forward(params, h0, inputs, keep_cache=False):
+        states, outputs, cache = real_forward(params, h0, inputs, keep_cache)
+        if inputs.shape[0] == 1:  # a one-row pass: a zero-state pass over a series
+            stacks.append(params.theta.shape)
+            outputs[np.all(params.theta == poisoned.theta, axis=-1)] = np.nan
+            rnn_core.check_finite("forward pass", states[..., 1:, :], outputs)
+        return states, outputs, cache
+
+    monkeypatch.setattr(rnn_core, "batched_forward", poisoned_forward)
+    monkeypatch.setattr(cli, "batched_forward", poisoned_forward)
+    code = run("--out", tmp_path / "poisoned", *flags)
+    n = poisoned.theta.size
+    # one stacked pass of the four trained models over the training series,
+    # then each model alone: (8, 3) fails on that series, the other three
+    # pass over both series
+    assert [shape for shape in stacks if shape != (n,)] == [(4, n)]
+    assert stacks.count((n,)) == 1 + 2 * 3
+    assert code == lone_cell_sweep([str(f) for f in flags], oracle) == 4
+    report = (only_run_dir(tmp_path / "poisoned", "sweep") / "report.csv").read_bytes()
+    assert report == oracle.read_bytes()
+    with open(oracle) as fh:
+        errors = {(r["N"], r["m"]): r["error"] for r in csv.DictReader(fh)}
+    assert errors[("8", "3")] == "non-finite value in forward pass at time index 1"
+    assert [cell for cell, e in errors.items() if e] == [("8", "3"), ("8", "9"), ("10", "3")]
+
 
 @pytest.mark.parametrize("mode", ["zero", "stateful"])
 def test_sweep_evaluates_only_what_it_reports(tmp_path, monkeypatch, mode):
-    # no per-epoch gradient, one stability probe per window length, and each
-    # train_mse the final objective of the same train run
+    # no per-epoch gradient; the four models of the grid stacked for one
+    # stability probe and one zero-state pass per series; and each train_mse
+    # the final objective of the same train run
     base = synth(tmp_path)
-    flags = ["sweep", "--data", base / "train.csv", "--N-list", "8,10", "--m-list", "0,3",
-             "--cell", "lstm", "--d-h", 3, "--mode", mode, "--epochs", 3, "--batch", 4,
-             "--seed", 4]
-    gradients, probes = [], []
+    flags = ["sweep", "--data", base / "train.csv", "--test", base / "test.csv",
+             "--N-list", "8,10", "--m-list", "0,3", "--cell", "lstm", "--d-h", 3,
+             "--mode", mode, "--epochs", 3, "--batch", 4, "--seed", 4]
+    gradients, probes, passes = [], [], []
     real_probe = analysis.estimate_stability
+    real_passes = cli._zero_state_passes
 
     def counting_probe(params, dataset, traj, num_pairs=32, seed=0):
         probes.append(params.theta.shape)
         return real_probe(params, dataset, traj, num_pairs, seed)
 
+    def counting_passes(params, dataset):
+        passes.append((params.theta.shape, dataset.T))
+        return real_passes(params, dataset)
+
     with monkeypatch.context() as patch:
         patch.setattr(training, "full_batch_gradient",
                       lambda *a, **k: gradients.append(1) or pytest.fail("gradient evaluated"))
         patch.setattr(analysis, "estimate_stability", counting_probe)
+        patch.setattr(cli, "_zero_state_passes", counting_passes)
         assert run("--out", tmp_path / "sweep", *flags) == 0
     assert gradients == []
-    assert len(probes) == 2 and all(shape[0] == 2 for shape in probes)
 
     args = cli.build_parser().parse_args([str(f) for f in flags])
     dataset = cli._load_dataset(args, args.data)
     cli._resolve_windows(args, cli._int_list(args.N_list), dataset.T)
+    n = init_params(cli._cell_spec(args, dataset.d_x, dataset.d_y), 0).theta.size
+    assert probes == [(4, n)]
+    assert passes == [((4, n), dataset.T), ((4, n), cli._load_dataset(args, args.test).T)]
     with open(only_run_dir(tmp_path / "sweep", "sweep") / "report.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert [(r["N"], r["m"]) for r in rows] == [("8", "0"), ("8", "3"), ("10", "0"), ("10", "3")]
@@ -867,13 +925,13 @@ def test_sweep_runs_a_repeated_grid_value_once(tmp_path, monkeypatch):
 
     base = synth(tmp_path)
     groups = []
-    real_group = cli._sweep_group
+    real_group = cli._train_group
 
-    def counting_group(dataset, test_set, args, N, ms):
+    def counting_group(dataset, args, N, ms):
         groups.append((N, ms))
-        return real_group(dataset, test_set, args, N, ms)
+        return real_group(dataset, args, N, ms)
 
-    monkeypatch.setattr(cli, "_sweep_group", counting_group)
+    monkeypatch.setattr(cli, "_train_group", counting_group)
     out = tmp_path / "sweep"
     assert run("--out", out, "sweep", "--data", base / "train.csv",
                "--N-list", "10,12,10", "--m-list", "0,0", "--epochs", 1,
