@@ -14,6 +14,16 @@ gradient per start. ``weighted_loss`` is the value alone, unstacked or
 stacked, by the same reduction. The backward pass is exact over whatever
 sequences it is given: truncation lives entirely in how callers segment
 the data, never inside the gradient.
+
+Buffers: each pass allocates its full-length arrays (states, outputs, LSTM
+gates, adjoints) with ``rnn_core.empty_time_major``, unless its caller
+passes an ``rnn_core.Workspace``, which hands the same arrays to every
+pass over the same shapes. ``benchmark._Problem`` keeps one for the
+iterations of a solve and ``training.train`` one for its epoch log; every
+other caller keeps what a pass returns and passes none. ``tape_loss_grad``
+writes the errors and then the cogradients over the tape's ``outputs``,
+and ``backprop`` reads the cogradients and the tape and writes only its
+adjoint buffers, so a tape's outputs are spent by its gradient.
 """
 
 from __future__ import annotations
@@ -24,8 +34,8 @@ import numpy as np
 
 from .linalg import DimensionError
 from .rnn_core import (
-    Params, batched_forward, check_finite, empty_time_major, start_indices, step_products,
-    time_major,
+    CellSpec, Layout, Params, Workspace, batched_forward, check_finite, per_start, start_indices,
+    step_products, time_major,
 )
 
 
@@ -42,12 +52,13 @@ class Tape:
     was overwritten with the i, f, g, o gate activations) and "tanh_c"
     (B, T', d_h); linear/Elman cells need no cache. A tape of
     stacked ``params`` carries the leading start axis R on every array but
-    the shared ``inputs``. ``states`` and the cache arrays are step-major
-    and batch-innermost in memory, on either kind of tape
+    the shared ``inputs``. ``states``, ``outputs`` and the cache arrays are
+    step-major and batch-innermost in memory, on either kind of tape
     (``rnn_core.empty_time_major``, ``rnn_core.take_steps``): (steps, R,
     k, B) behind the batch-major shape, so ``time_major(a)[t]`` is one
-    contiguous (R, k, B) block. ``inputs`` and ``outputs`` may have any
-    memory order; the backward sweep reads them through strided views.
+    contiguous (R, k, B) block. ``inputs`` may have any memory order; the
+    backward sweep reads them through strided views. ``tape_loss_grad``
+    overwrites ``outputs`` with the cogradients.
     """
 
     params: Params
@@ -57,29 +68,39 @@ class Tape:
     cache: dict
 
 
-def record(params: Params, h0: np.ndarray, inputs: np.ndarray) -> Tape:
-    """Forward pass over a batch, keeping the activations backprop needs."""
-    states, outputs, cache = batched_forward(params, h0, inputs, keep_cache=True)
+def record(params: Params, h0: np.ndarray, inputs: np.ndarray,
+           workspace: Workspace | None = None) -> Tape:
+    """Forward pass over a batch, keeping the activations backprop needs,
+    in the arrays of ``workspace`` when one is given."""
+    states, outputs, cache = batched_forward(params, h0, inputs, keep_cache=True,
+                                             workspace=workspace)
     return Tape(params=params, inputs=inputs, states=states, outputs=outputs, cache=cache)
 
 
-def backprop(tape: Tape, cograds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def backprop(tape: Tape, cograds: np.ndarray,
+             workspace: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Reverse sweep for the scalar sum_t <cograds[..., t, :], y_t>.
 
     Returns (d_theta summed over the batch, d_h0 per batch row); for a
     stacked tape, d_theta is (R, n) and d_h0 (R, B, sd), one per start.
+    Both are new arrays. The tape and ``cograds`` are read, never written;
+    the sweep writes only its adjoint buffers, which it takes from
+    ``workspace`` ("da", or "dz", "c_path" and "dh_out") when one is given
+    and allocates otherwise.
 
-    The loop carries only the adjoints. Every full-length buffer it
-    allocates comes from ``empty_time_major``, like the tape's: step t is
-    one contiguous (..., k, B) block, batch rows innermost, and its
-    products with the weights are (R, n, k) @ (R, k, B) GEMMs. The
-    cogradients and inputs are read through step-major views of whatever
-    memory they have, never copied whole. After the loop each start's
-    weight gradients are products of its own step blocks (``_step_sum``),
-    one start at a time over views with the shape and stride order of its
-    unstacked call, so each start gets that call's bits. They are written
-    through the layout's slices into the start's row of one theta-shaped
-    array, the d_theta returned.
+    The loop carries only the adjoints. Every full-length buffer is
+    (..., B, T', k) over the memory of ``empty_time_major``, like the
+    tape's: step t is one contiguous (..., k, B) block, batch rows
+    innermost, and its products with the weights are (R, n, k) @ (R, k, B)
+    GEMMs. The cogradients and inputs are read through step-major views of
+    whatever memory they have, never copied whole. After the loop the weight
+    gradients are products of step blocks (``_step_sum``) over views with
+    the stride order of an unstacked call, so each start gets that call's
+    bits: with B > 1 one stacked product per block for all starts, each
+    (start, step) one (i, B) @ (B, j) GEMM; with one batch row one start at
+    a time, its steps the rows of one contiguous matrix. They are written
+    through the layout's slices into one theta-shaped array, the d_theta
+    returned.
 
     Linear/Elman cells: one (..., B, T', d_h) buffer ``da`` first takes
     ``W_hyᵀ · cograds`` for every step; step t adds the carried adjoint to
@@ -87,8 +108,8 @@ def backprop(tape: Tape, cograds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     block from the step's states (1 - h² for tanh, h > 0 for relu), and
     carries ``W_hhᵀ`` times the block. ``W_hh`` is then the step products
     of ``da`` with the previous states, ``W_xh`` with the inputs, and
-    ``b_h`` the sum of ``da``. ``da`` is the only full-length array the
-    sweep allocates.
+    ``b_h`` the sum of ``da``. ``da`` is the sweep's only full-length
+    buffer.
 
     LSTM cells: before the loop, everything that does not depend on the
     carried adjoints is written in place, for all steps at once, into
@@ -113,9 +134,10 @@ def backprop(tape: Tape, cograds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"cograds shape {cograds.shape} != outputs shape {tape.outputs.shape}"
         )
     check_finite("output cogradients", cograds)
+    ws = workspace if workspace is not None else Workspace()
 
     W_hh, W_hy = blocks["W_hh"], blocks["W_hy"]
-    d_h, sd = spec.d_h, spec.state_dim
+    d_h = spec.d_h
     # step-major views, (steps, ..., k, B): the tape's own memory for the
     # states, and the cogradients (and, below, the inputs) in whatever
     # memory they come
@@ -125,8 +147,7 @@ def backprop(tape: Tape, cograds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if spec.kind == "lstm":
         G, tanh_c = time_major(tape.cache["gates"]), time_major(tape.cache["tanh_c"])
         gi, gf, gg, go = (G[..., k * d_h : (k + 1) * d_h, :] for k in range(4))
-        dz = empty_time_major(lead, B, T, 4 * d_h)
-        A = time_major(dz)
+        A = time_major(ws.empty("dz", lead, B, T, 4 * d_h))
         z_i, z_f, z_g, z_o = (A[..., k * d_h : (k + 1) * d_h, :] for k in range(4))
         np.subtract(1.0, G, out=A)
         A *= G  # sigma' of the i, f and o gates
@@ -136,13 +157,11 @@ def backprop(tape: Tape, cograds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.subtract(1.0, z_g, out=z_g)
         z_g *= gi
         z_o *= tanh_c
-        c_path = empty_time_major(lead, B, T, d_h)
-        C = time_major(c_path)
+        C = time_major(ws.empty("c_path", lead, B, T, d_h))
         np.multiply(tanh_c, tanh_c, out=C)
         np.subtract(1.0, C, out=C)
         C *= go
-        dh_out = empty_time_major(lead, B, T, d_h)
-        DH = step_products(W_hy.mT, dY, out=time_major(dh_out))
+        DH = step_products(W_hy.mT, dY, out=time_major(ws.empty("dh_out", lead, B, T, d_h)))
 
         # A's step blocks split per gate: (T', ..., 4, d_h, B), a view
         A_gates = A.reshape(A.shape[:-2] + (4, d_h, B))
@@ -161,8 +180,7 @@ def backprop(tape: Tape, cograds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.multiply(dc, gf[t], carry_dc)
         d_h0 = np.concatenate([carry_dc, carry_dh], axis=-2)
     else:
-        da = empty_time_major(lead, B, T, d_h)
-        A = step_products(W_hy.mT, dY, out=time_major(da))
+        A = step_products(W_hy.mT, dY, out=time_major(ws.empty("da", lead, B, T, d_h)))
         carry = np.zeros(lead + (d_h, B))
         # phi' of one step, from its post-activation states; relu'(0) := 0
         phi = np.empty(lead + (d_h, B))
@@ -185,32 +203,48 @@ def backprop(tape: Tape, cograds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d_theta = np.empty(tape.params.theta.shape)
     layout = tape.params.layout
     X = time_major(tape.inputs)
-    # one start at a time, each over step-major views of the shape and
-    # stride order of its unstacked call, so each gives that call's bits:
-    # start r is index r of the (T', R, k, B) views with the start axis
-    # first, and an unstacked call's (T', k, B) views are index ()
-    starts = [a.swapaxes(0, -3) for a in (A, S, dY)]
-    for r in start_indices(lead):
-        adj, states, cog = (a[r] for a in starts)
-        if B == 1:
-            # the steps as the rows of one (T', k) matrix, contiguous as in
-            # an unstacked call
-            adj, states, cog = (np.ascontiguousarray(a) for a in (adj, states, cog))
-        hidden = states[:, sd - d_h :]
-        grads = {
-            "W_hy": _step_sum(cog, hidden[1:]),
-            "W_hh": _step_sum(adj, hidden[:T]),
-            "W_xh": _step_sum(adj, X),
-        }
-        if spec.use_biases:
-            # each step's batch rows first: contiguous runs of B
-            grads["b_y"] = cog.sum(axis=-1).sum(axis=0)
-            grads["b_h"] = adj.sum(axis=-1).sum(axis=0)
-        row = d_theta[r]
-        for name, grad in grads.items():
-            start, stop, _ = layout[name]
-            row[start:stop] = grad.reshape(-1)
+    if B > 1:
+        # the (T', R, k, B) views of every start at once; the shared inputs
+        # broadcast over the start axis
+        grads = _weight_grads(A, S, dY, X[:, None] if lead else X, spec, lead)
+        _write_grads(d_theta, grads, layout)
+    else:
+        # start r is index r of the views with the start axis first, and an
+        # unstacked call's (T', k, 1) views are index (); each start's steps
+        # as the rows of one (T', k) matrix, contiguous as in an unstacked call
+        starts = [a.swapaxes(0, -3) for a in (A, S, dY)]
+        for r in start_indices(lead):
+            adj, states, cog = (np.ascontiguousarray(a[r]) for a in starts)
+            _write_grads(d_theta[r], _weight_grads(adj, states, cog, X, spec, ()), layout)
     return d_theta, d_h0.mT
+
+
+def _weight_grads(adj: np.ndarray, states: np.ndarray, cog: np.ndarray, x: np.ndarray,
+                  spec: CellSpec, lead: tuple[int, ...]) -> dict[str, np.ndarray]:
+    """The gradient of every weight block, by name, from step-major
+    (T', *lead, k, B) adjoints ``adj``, (T'+1, *lead, sd, B) states,
+    cogradients ``cog`` and inputs ``x``: one (*lead, ...) array each."""
+    T = adj.shape[0]
+    hidden = states[..., spec.state_dim - spec.d_h :, :]
+    grads = {
+        "W_hy": _step_sum(cog, hidden[1:], lead),
+        "W_hh": _step_sum(adj, hidden[:T], lead),
+        "W_xh": _step_sum(adj, x, lead),
+    }
+    if spec.use_biases:
+        # each step's batch rows first: contiguous runs of B
+        grads["b_y"] = _sum_steps(cog.sum(axis=-1), lead)
+        grads["b_h"] = _sum_steps(adj.sum(axis=-1), lead)
+    return grads
+
+
+def _write_grads(d_theta: np.ndarray, grads: dict[str, np.ndarray], layout: Layout) -> None:
+    """Each block gradient of ``grads`` into its ``layout`` slice of the
+    (*lead, n) ``d_theta``, whose lead the gradients carry first."""
+    lead = d_theta.shape[:-1]
+    for name, grad in grads.items():
+        start, stop, _ = layout[name]
+        d_theta[..., start:stop] = grad.reshape(lead + (-1,))
 
 
 # steps per product in ``_step_sum``: its temporary is at most this many
@@ -218,29 +252,44 @@ def backprop(tape: Tape, cograds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _SUM_STEPS = 64
 
 
-def _step_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum over steps t and batch rows c of ``a[t, :, c] ⊗ b[t, :, c]``, for
-    one start's step-major (T', i, B) and (T', j, B) arrays or views: a
-    weight-gradient block (i, j).
+def _step_sum(a: np.ndarray, b: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
+    """sum over steps t and batch rows c of ``a[t, ..., :, c] ⊗ b[t, ..., :, c]``,
+    for step-major (T', *lead, i, B) and (T', *lead, j, B) arrays or views:
+    a weight-gradient block (*lead, i, j), one per start.
 
-    Per step one (i, B) @ (B, j) GEMM, summed over the steps in order, in
-    chunks of ``_SUM_STEPS`` steps. With one batch row the steps are the
-    rows of a (T', i) and a (T', j) matrix, and the sum is one
-    (i, T') @ (T', j) product."""
+    Per step and start one (i, B) @ (B, j) GEMM, summed over the steps in
+    order (``_sum_steps``), in chunks of ``_SUM_STEPS`` steps. With one
+    batch row (unstacked only) the steps are the rows of a (T', i) and a
+    (T', j) matrix, and the sum is one (i, T') @ (T', j) product."""
     if a.shape[-1] == 1:
         return a[..., 0].T @ b[..., 0]
-    total = np.matmul(a[:_SUM_STEPS], b[:_SUM_STEPS].mT).sum(axis=0)
+    total = _sum_steps(np.matmul(a[:_SUM_STEPS], b[:_SUM_STEPS].mT), lead)
     for lo in range(_SUM_STEPS, a.shape[0], _SUM_STEPS):
-        total += np.matmul(a[lo : lo + _SUM_STEPS], b[lo : lo + _SUM_STEPS].mT).sum(axis=0)
+        total += _sum_steps(np.matmul(a[lo : lo + _SUM_STEPS], b[lo : lo + _SUM_STEPS].mT), lead)
     return total
+
+
+def _sum_steps(p: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
+    """The sum over the steps of (T', *lead, ...) per-step values, each
+    start's with the bits of its unstacked call. numpy sums a start's
+    (T', ...) array in step order, but pairwise when a step holds one
+    number, so a stack of such starts is summed one start at a time."""
+    if lead and p[0, 0].size == 1:
+        return per_start(lead, lambda r: p[:, r].sum(axis=0))
+    return p.sum(axis=0)
 
 
 def _weighted_sse(err: np.ndarray, weights: np.ndarray) -> float | np.ndarray:
     """sum_{b,t} weights[b,t] * ||err_{b,t}||^2 of (..., B, T', d_y) errors:
     a float, or one value per start on a leading start axis. The squares
-    are summed in batch-major order whatever the memory of ``err``, so a
-    start's sum is the same with or without the other starts."""
-    loss = np.sum(weights * np.sum(np.multiply(err, err, order="C"), axis=-1), axis=(-2, -1))
+    go to one batch-major temporary, which at d_y = 1 also takes the
+    weighting, and are summed in batch-major order whatever the memory of
+    ``err``, so a start's sum is the same with or without the other
+    starts."""
+    squares = np.multiply(err, err, order="C")
+    per_step = squares[..., 0] if squares.shape[-1] == 1 else squares.sum(axis=-1)
+    per_step *= weights
+    loss = np.sum(per_step, axis=(-2, -1))
     return loss if loss.ndim else float(loss)
 
 
@@ -250,31 +299,33 @@ def weighted_loss(params: Params, h0: np.ndarray, inputs: np.ndarray,
     pass alone: bit for bit the loss ``weighted_loss_grad`` returns, one per
     start when ``params`` is stacked."""
     _, outputs, _ = batched_forward(params, h0, inputs)
-    return _weighted_sse(outputs - targets, weights)
+    return _weighted_sse(np.subtract(outputs, targets, out=outputs), weights)
 
 
-def tape_loss_grad(tape: Tape, targets: np.ndarray,
-                   weights: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+def tape_loss_grad(tape: Tape, targets: np.ndarray, weights: np.ndarray,
+                   workspace: Workspace | None = None) -> tuple[float, np.ndarray, np.ndarray]:
     """Value and gradient of the weighted squared-error sum of a recorded
     batch: ``weighted_loss_grad`` after its forward pass. Every gradient
-    the package takes goes through here, whoever made the tape. The errors,
-    and then in place the cogradients, go to one buffer of
-    ``empty_time_major``, so ``backprop`` reads their step blocks as
-    contiguous (..., d_y, B) runs."""
+    the package takes goes through here, whoever made the tape.
+
+    The tape's ``outputs`` are overwritten, in place: first with the
+    errors, then with the cogradients, which ``backprop`` reads (with
+    ``workspace`` for its adjoints). Every tape's outputs are step-major
+    (``record``'s, and ``take_steps``'s on the stateful chain), so
+    ``backprop`` reads their step blocks as contiguous (..., d_y, B) runs."""
     # overflow surfaces as a non-finite loss, cogradient (NonFiniteError) or
     # gradient, which every caller checks, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        *lead, B, T, d_y = tape.outputs.shape
-        err = np.subtract(tape.outputs, targets, out=empty_time_major(tuple(lead), B, T, d_y))
+        err = np.subtract(tape.outputs, targets, out=tape.outputs)
         loss = _weighted_sse(err, weights)
-        err *= 2.0 * weights[..., None]  # the cogradients, step-major like the passes
-        d_theta, d_h0 = backprop(tape, err)
+        err *= 2.0 * weights[..., None]  # the cogradients
+        d_theta, d_h0 = backprop(tape, err, workspace)
     return loss, d_theta, d_h0
 
 
 def weighted_loss_grad(
     params: Params, h0: np.ndarray, inputs: np.ndarray,
-    targets: np.ndarray, weights: np.ndarray,
+    targets: np.ndarray, weights: np.ndarray, workspace: Workspace | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Value and gradient of the weighted squared-error sum.
 
@@ -284,9 +335,12 @@ def weighted_loss_grad(
     inputs and targets, and weights shared (B, T') or per start
     (R, B, T'), it returns per-start losses (R,), d_theta (R, n) and d_h0
     (R, B, sd), slice r bit-identical to the unstacked call with start r's
-    theta, h0 and weights.
+    theta, h0 and weights. The forward and backward pass take their
+    buffers from ``workspace`` when one is given; what the call returns is
+    new either way.
     """
-    return tape_loss_grad(record(params, h0, inputs), targets, weights)
+    tape = record(params, h0, inputs, workspace)
+    return tape_loss_grad(tape, targets, weights, workspace)
 
 
 def segment_weights(n_steps: int, m: int, rows: int = 1) -> np.ndarray:

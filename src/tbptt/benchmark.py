@@ -34,6 +34,7 @@ from .rnn_core import (
     NonFiniteError,
     Params,
     Trajectory,
+    Workspace,
     batched_forward,
     forward,
     init_params,
@@ -82,7 +83,11 @@ def coupled_time_weights(plan: SegmentationPlan, m: int, T: int) -> np.ndarray:
 
 
 class _Problem:
-    """Flat-vector view of one variant: z = [theta, free initial states]."""
+    """Flat-vector view of one variant: z = [theta, free initial states].
+
+    ``value_grad`` runs every pass in the problem's one ``Workspace``, so the
+    iterations of a solve reuse the same full-length buffers, made anew only
+    when the stack's shape changes; it returns no array of them."""
 
     def __init__(self, variant: str, dataset: TimeSeriesDataset,
                  plan: SegmentationPlan, m: int, spec: CellSpec):
@@ -105,6 +110,7 @@ class _Problem:
             self.n_states = 0 if variant == "tbptt" else plan.S
             self.xs, self.ys = segment_arrays(dataset, plan)
             self.w = w
+        self.workspace = Workspace()
 
     def split(self, z: np.ndarray) -> tuple[Params, np.ndarray]:
         """Parameters and free initial states of z, one point or R stacked
@@ -127,7 +133,8 @@ class _Problem:
         params, states = self.split(z)
         lead = z.shape[:-1]
         h0 = np.zeros(lead + (self.plan.S, self.sd)) if self.variant == "tbptt" else states
-        loss, d_theta, d_h0 = weighted_loss_grad(params, h0, self.xs, self.ys, self.w)
+        loss, d_theta, d_h0 = weighted_loss_grad(params, h0, self.xs, self.ys, self.w,
+                                                 self.workspace)
         if self.n_states:
             return loss, np.concatenate([d_theta, d_h0.reshape(lead + (-1,))], axis=-1)
         return loss, d_theta

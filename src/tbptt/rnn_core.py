@@ -19,7 +19,11 @@ batch-innermost memory, (T', ..., k, B) (``empty_time_major``). Step t is
 one contiguous block, each of its k components a contiguous run of the B
 batch rows, so every elementwise operation of a step runs over whole
 blocks however narrow k is, and the step's product with a weight matrix
-is one (n, k) @ (k, B) GEMM per start (``step_products``).
+is one (n, k) @ (k, B) GEMM per start (``step_products``). A pass allocates
+these buffers itself, or takes them from a ``Workspace`` that a caller
+passes to pass after pass over the same shapes (a solver's iterations, a
+training run's epoch log), so only the first of those passes allocates
+and faults in fresh pages.
 """
 
 from __future__ import annotations
@@ -94,6 +98,29 @@ def empty_time_major(lead: tuple[int, ...], B: int, T: int, k: int) -> np.ndarra
     return _batch_major(np.empty((T, *lead, k, B), dtype=np.float64))
 
 
+class Workspace:
+    """The full-length buffers of a caller's passes, one per name, kept
+    from one pass to the next.
+
+    ``empty(name, lead, B, T, k)`` is ``empty_time_major(lead, B, T, k)``
+    the first time, and the same array, not zeroed, on every later call
+    with that name and shape; a call with another shape (a solver's stack
+    after a start stops) makes and keeps a new one. A pass given a
+    workspace writes its states, outputs and adjoints there, so the next
+    pass given it overwrites them: a caller passes one only when it keeps
+    none of a pass's arrays, and a pass without one allocates its own.
+    ``buffers`` holds the current array of each name."""
+
+    def __init__(self):
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def empty(self, name: str, lead: tuple[int, ...], B: int, T: int, k: int) -> np.ndarray:
+        buf = self.buffers.get(name)
+        if buf is None or buf.shape != (*lead, B, T, k):
+            buf = self.buffers[name] = empty_time_major(lead, B, T, k)
+        return buf
+
+
 def _batch_major(a: np.ndarray) -> np.ndarray:
     """The inverse of ``time_major``: a (T, ..., k, B) array viewed as
     (..., B, T, k), by one transpose."""
@@ -128,11 +155,19 @@ def step_products(w: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -
     bits do not depend on R or on the other starts. With one batch row a
     start's (k, 1) blocks are the rows of one (T, k) matrix, and the product
     is ``a`` as rows times ``wᵀ``, one call per start over all its steps.
+    With k = 1 and B > 1 (a cogradient's ``W_hyᵀ · dY`` at d_y = 1) every
+    product is an outer product: one broadcast ``einsum`` over all steps and
+    starts. Like a GEMM, it adds each product to a zeroed output, so a -0.0
+    product gives +0.0 and the bits are the K = 1 GEMM's; a broadcast
+    ``np.multiply`` would keep the -0.0, and allocates two iterator buffers
+    of 8192 values per call.
     """
     if out is None:
         out = np.empty(a.shape[:-2] + (w.shape[-2], a.shape[-1]))
     if a.shape[-1] == 1:
         np.matmul(_rows(a), w.mT, out=_rows(out))
+    elif a.shape[-2] == 1:
+        np.einsum("...nk,t...kb->t...nb", w, a, out=out)
     else:
         np.matmul(w, a, out=out)
     return out
@@ -300,7 +335,8 @@ class Trajectory:
 
 
 def batched_forward(
-    params: Params, h0: np.ndarray, inputs: np.ndarray, keep_cache: bool = False
+    params: Params, h0: np.ndarray, inputs: np.ndarray, keep_cache: bool = False,
+    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Run the recursion on a batch of sequences sharing one parameter vector.
 
@@ -319,7 +355,10 @@ def batched_forward(
     (T', ..., k, B) behind the batch-major shape, and step t reads and
     writes one contiguous block holding every start's (k, B) columns, with
     the batch rows innermost. The inputs are copied once into the same
-    step-major order.
+    step-major order. Given a ``workspace``, the call writes ``states``,
+    ``outputs`` and the LSTM buffers into its "states", "outputs", "gates"
+    and "tanh_c" arrays and returns those: the workspace's next pass
+    overwrites them.
 
     The input half of every pre-activation, ``W_xh · x``, does not depend
     on the carried state and is computed once per call, before the time
@@ -363,8 +402,9 @@ def batched_forward(
     b_h = blocks["b_h"][..., None] if spec.use_biases else None
     b_y = blocks["b_y"][..., None] if spec.use_biases else None
     d_h = spec.d_h
+    ws = workspace if workspace is not None else Workspace()
 
-    states = empty_time_major(lead, B, T + 1, spec.state_dim)
+    states = ws.empty("states", lead, B, T + 1, spec.state_dim)
     states[..., 0, :] = h0
     step_states = time_major(states)
     # the inputs in step-major memory, read by the hoisted input product
@@ -378,13 +418,13 @@ def batched_forward(
             scale = np.repeat([1.0 if gate == "g" else 0.5 for gate in LSTM_GATES], d_h)[:, None]
             shift = 1.0 - scale
             W_xh, W_hh = W_xh * scale, W_hh * scale
-            gates = empty_time_major(lead, B, T, 4 * d_h)
+            gates = ws.empty("gates", lead, B, T, 4 * d_h)
             step_gates = time_major(gates)
             for r in start_indices(lead):
                 np.einsum("btk,nk->btn", x, W_xh[r], out=gates[r])
             if b_h is not None:
                 step_gates += b_h * scale
-            tanh_c = empty_time_major(lead, B, T if keep_cache else 1, d_h)
+            tanh_c = ws.empty("tanh_c", lead, B, T if keep_cache else 1, d_h)
             if keep_cache:
                 cache["gates"], cache["tanh_c"] = gates, tanh_c
             # the gates and state halves of every step block, sliced once
@@ -419,10 +459,10 @@ def batched_forward(
                     np.maximum(h, 0.0, out=h)
 
         read = step_states[1:, ..., d_h:, :] if spec.kind == "lstm" else step_states[1:]
-        outputs = step_products(W_hy, read)
+        outputs = ws.empty("outputs", lead, B, T, spec.d_y)
+        step_outputs = step_products(W_hy, read, out=time_major(outputs))
         if b_y is not None:
-            outputs += b_y
-        outputs = _batch_major(outputs)
+            step_outputs += b_y
 
     check_finite("forward pass", states[..., 1:, :], outputs)
     return states, outputs, cache

@@ -43,7 +43,7 @@ from .autodiff import (
 from .data import SegmentationPlan, TimeSeriesDataset, make_plan, segment_arrays
 from .linalg import spectral_norm
 from .rnn_core import (
-    CellSpec, Params, batched_forward, init_params, per_start, take_steps,
+    CellSpec, Params, Workspace, batched_forward, init_params, per_start, take_steps,
 )
 from .rng import SplitMix64
 
@@ -155,15 +155,17 @@ def full_batch_objective(params: Params, xs: np.ndarray, ys: np.ndarray, m: int)
     return weighted_loss(params, h0, xs, ys, segment_weights(N, m, S))
 
 
-def full_batch_gradient(params: Params, xs: np.ndarray, ys: np.ndarray,
-                        m: int) -> tuple[float, np.ndarray]:
+def full_batch_gradient(params: Params, xs: np.ndarray, ys: np.ndarray, m: int,
+                        workspace: Workspace | None = None) -> tuple[float, np.ndarray]:
     """Objective value and its exact gradient over all gathered windows.
 
     ``xs`` (S, N, d_x) and ``ys`` (S, N, d_y) are ``segment_arrays`` output.
+    The passes take their buffers from ``workspace`` when one is given.
     """
     S, N = xs.shape[:2]
     h0 = np.zeros((S, params.spec.state_dim))
-    loss, d_theta, _ = weighted_loss_grad(params, h0, xs, ys, segment_weights(N, m, S))
+    loss, d_theta, _ = weighted_loss_grad(params, h0, xs, ys, segment_weights(N, m, S),
+                                          workspace)
     return loss, d_theta
 
 
@@ -273,7 +275,9 @@ def _stateful_inits(
     steps s_i - s_j to s_i - s_j + N. The windows' states, LSTM
     ``gates``/``tanh_c``, outputs and inputs are gathered from the span
     into a ``Tape`` of (B, N) windows (``rnn_core.take_steps``, step-major
-    and batch-innermost like ``record``'s), which ``sgd_step`` differentiates;
+    and batch-innermost like ``record``'s, the outputs too, so the
+    cogradients ``tape_loss_grad`` writes over them are step-major), which
+    ``sgd_step`` differentiates;
     ``tape.states[..., 0, :]`` are the chained starts. ``cached`` (S, sd)
     keeps every segment's start and is updated. A stacked ``params`` chains
     every start in the same one pass, with ``cached`` (R, S, sd) and a
@@ -292,7 +296,7 @@ def _stateful_inits(
     steps = offsets[:, None] + np.arange(N + 1)  # (B, N + 1) span steps per window
     cached[..., batch, :] = states[..., 0, offsets, :]
     return Tape(params=params, inputs=span_inputs[steps[:, :N]],
-                states=take_steps(states, steps), outputs=outputs[..., 0, steps[:, :N], :],
+                states=take_steps(states, steps), outputs=take_steps(outputs, steps[:, :N]),
                 cache={name: take_steps(a, steps[:, :N]) for name, a in cache.items()})
 
 
@@ -301,12 +305,14 @@ def train(dataset: TimeSeriesDataset, config: TrainConfig,
     """Run the configured training mode (``train_burn_ins`` with the one
     burn-in ``config.m``) and log the full-batch objective and gradient norm
     after every epoch. It keeps no time: the CLI's ``timings.json`` holds the
-    wall time of the whole call."""
+    wall time of the whole call. The epochs' full-batch passes share one
+    ``Workspace``."""
     epochs = train_burn_ins(dataset, config, [config.m], init)
     params, xs, ys = next(epochs)
     records: list[EpochRecord] = []
+    workspace = Workspace()
     for epoch, (params, _, _) in enumerate(epochs):
-        objective, d_theta = full_batch_gradient(params, xs, ys, config.m)
+        objective, d_theta = full_batch_gradient(params, xs, ys, config.m, workspace)
         records.append(EpochRecord(epoch=epoch, objective=objective,
                                    grad_norm=float(np.linalg.norm(d_theta))))
     return TrainLog(records=records, params=params)

@@ -14,8 +14,8 @@ from tbptt.autodiff import (
     weighted_loss_grad,
 )
 from tbptt.rnn_core import (
-    CellSpec, NonFiniteError, Params, empty_time_major, forward, init_params, per_start,
-    time_major,
+    CellSpec, NonFiniteError, Params, Workspace, forward, init_params, per_start,
+    step_products, time_major,
 )
 
 
@@ -365,8 +365,8 @@ def block_grads(tape, cograds, adjoint, r) -> dict[str, np.ndarray]:
 
 @pytest.mark.parametrize("R", [None, 3])
 @pytest.mark.parametrize("cell", list(KERNEL_CELLS))
-def test_backprop_writes_pack_of_its_block_gradients(cell, R, monkeypatch):
-    # the adjoint is the first full-length buffer backprop allocates: da for
+def test_backprop_writes_pack_of_its_block_gradients(cell, R):
+    # the adjoint buffer backprop leaves in its workspace: da for
     # linear/Elman cells, dz for the LSTM
     spec = KERNEL_CELLS[cell]
     lead = (R,) if R else ()
@@ -377,15 +377,10 @@ def test_backprop_writes_pack_of_its_block_gradients(cell, R, monkeypatch):
     tape = record(Params(theta, spec), rng.normal(size=lead + (B, spec.state_dim)),
                   rng.normal(size=(B, T, spec.d_x)))
     cograds = rng.normal(size=lead + (B, T, spec.d_y))
-    buffers = []
-
-    def spy(*args):
-        buffers.append(empty_time_major(*args))
-        return buffers[-1]
-
-    monkeypatch.setattr(autodiff, "empty_time_major", spy)
-    d_theta, _ = backprop(tape, cograds)
-    want = per_start(lead, lambda r: pack(spec, block_grads(tape, cograds, buffers[0], r)).theta)
+    workspace = Workspace()
+    d_theta, _ = backprop(tape, cograds, workspace)
+    adjoint = workspace.buffers["dz" if spec.kind == "lstm" else "da"]
+    want = per_start(lead, lambda r: pack(spec, block_grads(tape, cograds, adjoint, r)).theta)
     assert d_theta.shape == want.shape
     assert d_theta.tobytes() == want.tobytes()
 
@@ -398,10 +393,18 @@ STACK_CELLS = [
     CellSpec("elman", 2, 3, 2, activation="relu"),
     CellSpec("lstm", 2, 3, 2),
 ]
+# d_x = d_y = 1, the CLI's shape: W_hyᵀ · dY is an outer product; at d_h = 1
+# every weight block and b_y are single numbers, summed pairwise over the steps
+SCALAR_IO_CELLS = [
+    CellSpec("linear", 1, 2, 1, activation="identity", use_biases=False),
+    CellSpec("elman", 1, 1, 1, activation="tanh"),
+    CellSpec("lstm", 1, 3, 1),
+]
 
 
 @pytest.mark.parametrize("B", [1, 16, 380])
-@pytest.mark.parametrize("spec", STACK_CELLS, ids=lambda s: f"{s.kind}-{s.activation}")
+@pytest.mark.parametrize("spec", STACK_CELLS + SCALAR_IO_CELLS, ids=lambda s: (
+    f"{s.kind}-{s.activation}" + ("" if s in STACK_CELLS else f"-d_h{s.d_h}-scalar-io")))
 def test_stacked_loss_grad_slices_equal_unstacked_calls(spec, B):
     # B = 1 rows of T = 400 (coupled), B = 16 rows of T = 70 (more than one
     # chunk of step products) and B = 380 rows of T = 21 (tbptt, unconstrained);
@@ -424,8 +427,36 @@ def test_stacked_loss_grad_slices_equal_unstacked_calls(spec, B):
         npt.assert_array_equal(tape.outputs[r], alone.outputs)
         want_loss, want_theta, want_h0 = weighted_loss_grad(Params(theta[r], spec), h0[r], x, y, w)
         assert loss[r] == want_loss
-        npt.assert_array_equal(d_theta[r], want_theta)
-        npt.assert_array_equal(d_h0[r], want_h0)
+        assert d_theta[r].tobytes() == want_theta.tobytes()
+        assert d_h0[r].tobytes() == want_h0.tobytes()
+    # one workspace for repeated calls: the same bits, in the same buffers,
+    # none of which the call returns
+    workspace = Workspace()
+    first = weighted_loss_grad(Params(theta, spec), h0, x, y, w, workspace)
+    kept = dict(workspace.buffers)
+    again = weighted_loss_grad(Params(theta, spec), h0, x, y, w, workspace)
+    for got in (first, again):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, (loss, d_theta, d_h0)))
+    assert workspace.buffers.keys() == kept.keys()
+    assert all(workspace.buffers[name] is a for name, a in kept.items())
+    assert not any(np.shares_memory(a, b) for a in first[1:] for b in kept.values())
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["unstacked", "stacked"])
+@pytest.mark.parametrize("B", [1, 5])
+def test_outer_step_products_have_the_gemm_bits(B, lead):
+    # k = 1: a broadcast product, whose -0.0 products come out as the +0.0
+    # of the K = 1 GEMM
+    rng = np.random.default_rng(B)
+    w = rng.normal(size=lead + (4, 1))
+    a = rng.normal(size=(6,) + lead + (1, B))
+    a[::2] *= 0.0  # zeros of both signs
+    w[..., 1, 0] = -0.0
+    got = step_products(w, a)
+    want = np.matmul(w, a)
+    assert got.shape == want.shape
+    assert np.signbit(np.multiply(w, a)).sum() > np.signbit(want).sum()
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("per_start_weights", [False, True])

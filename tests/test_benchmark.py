@@ -17,6 +17,7 @@ from tbptt.benchmark import (
 from tbptt.data import make_plan, segment_arrays
 from tbptt.linalg import spectral_norm
 from tbptt.rng import _mix
+from tbptt import rnn_core
 from tbptt.rnn_core import CellSpec, NonFiniteError, batched_forward, forward, init_params
 from tbptt.training import AdamState, TrainConfig, train
 
@@ -411,3 +412,93 @@ def test_solve_evaluates_once_per_iteration(stack_instance, monkeypatch):
     sol = _solve(problem, OptConfig(restarts=2, max_iters=20, plateau_iters=300))
     assert rows == [(2,)] * 20
     assert sol.diagnostics["iterations"] == 40
+
+
+# --- one workspace per solve ---------------------------------------------------
+
+
+def ramp_start(problem):
+    """A linear start of two equal hidden units that grow to about 3e154 over
+    the longest sequence, read out by zeros: its first objective and
+    gradient are finite, and after its first Adam step of 10 its objective
+    overflows, so it fails in the second iteration."""
+    longest = problem.xs.shape[1]
+    c = (3e154 / np.max(np.abs(problem.xs))) ** (1.0 / (longest - 1))
+    return pack(problem.spec, {"W_hh": c * np.eye(2), "W_xh": [[1.0], [1.0]],
+                               "W_hy": [[0.0, 0.0]]})
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("kind", list(STACK_SPECS))
+def test_solve_in_one_workspace_equals_fresh_buffers(stack_instance, kind, variant):
+    # the stack shrinks as starts fail (linear huge: its first forward pass
+    # overflows and the rest are evaluated again; twin: end of iteration 1;
+    # ramp: iteration 2) and stop on plateaus; every size of it runs in the
+    # problem's workspace
+    ds, plan = stack_instance
+    spec = STACK_SPECS[kind]
+    shared, fresh = (_Problem(variant, ds, plan, 2, spec) for _ in range(2))
+    fresh.workspace = None  # every pass allocates its own buffers
+    extra = [(init_params(spec, 23), None), (twin_start(spec), None)]
+    if kind == "linear":
+        huge = pack(spec, {"W_hh": 1e200 * np.eye(2), "W_xh": [[1.0], [1.0]],
+                           "W_hy": [[1.0, 1.0]]})
+        extra += [(huge, None), (ramp_start(shared), None)]
+    opt = OptConfig(restarts=2, max_iters=60, lr=10.0 if kind == "linear" else 0.05,
+                    plateau_iters=10, plateau_tol=1e-3, spectral_bound=None,
+                    extra_starts=extra)
+    sizes = []
+    evaluate_stack = shared.value_grad
+    shared.value_grad = lambda z: sizes.append(z.shape[0]) or evaluate_stack(z)
+    got, want = _solve(shared, opt), _solve(fresh, opt)
+
+    assert got.params.theta.tobytes() == want.params.theta.tobytes()
+    assert got.init_states.tobytes() == want.init_states.tobytes()
+    assert got.objective == want.objective
+    assert got.grad_norm == want.grad_norm
+    assert got.diagnostics == want.diagnostics
+    starts = len(extra) + 2
+    if kind == "linear":
+        assert sizes[:4] == [starts, starts - 1, starts - 2, starts - 3]
+        assert got.diagnostics["failed_starts"] == 3
+    else:
+        assert sizes[:2] == [starts, starts - 1]
+    assert len(set(sizes)) > 2, sizes
+
+
+def test_solve_reuses_its_workspace_per_stack_shape(stack_instance, monkeypatch):
+    # an iteration allocates full-length buffers only when the stack's shape
+    # is new; the same buffer objects serve every iteration of one shape,
+    # and no array value_grad returns shares their memory
+    ds, plan = stack_instance
+    problem = _Problem("unconstrained", ds, plan, 2, STACK_SPECS["lstm"])
+    allocated = []
+    allocate = rnn_core.empty_time_major
+    monkeypatch.setattr(rnn_core, "empty_time_major",
+                        lambda *args: allocated.append(args) or allocate(*args))
+    seen = []  # (stack size, allocations, the workspace's buffers) per iteration
+    evaluate_stack = problem.value_grad
+
+    def spy(z):
+        allocated.clear()
+        obj, grad = evaluate_stack(z)
+        buffers = dict(problem.workspace.buffers)
+        assert not any(np.shares_memory(a, b) for a in (obj, grad) for b in buffers.values())
+        seen.append((z.shape[0], len(allocated), buffers))
+        return obj, grad
+
+    monkeypatch.setattr(problem, "value_grad", spy)
+    _solve(problem, OptConfig(restarts=2, max_iters=40, plateau_iters=10, plateau_tol=1e-4,
+                              spectral_bound=None,
+                              extra_starts=[(twin_start(problem.spec), None)]))
+    names = {"states", "outputs", "gates", "tanh_c", "dz", "c_path", "dh_out"}
+    assert [size for size, _, _ in seen[:2]] == [3, 2]
+    for (size, made, buffers), (last_size, _, last) in zip(seen[1:], seen):
+        assert buffers.keys() == names
+        if size == last_size:
+            assert made == 0
+            assert all(buffers[name] is last[name] for name in names)
+        else:
+            assert made == len(names)
+            assert not any(buffers[name] is last[name] for name in names)
+    assert sum(size == last for (size, _, _), (last, _, _) in zip(seen[1:], seen)) >= 10

@@ -7,20 +7,21 @@ import pytest
 
 from helpers import pack, read_params
 from tbptt import autodiff, cli
+from tbptt.data import make_plan
 from tbptt.linalg import DimensionError
 from tbptt.rnn_core import (
     CellSpec,
     NonFiniteError,
     Params,
+    Workspace,
     batched_forward,
     build_layout,
-    empty_time_major,
     forward,
     init_params,
     num_params,
-    take_steps,
     time_major,
 )
+from tbptt.training import _stateful_inits
 
 
 def scalar_linear(a, b, c):
@@ -350,36 +351,45 @@ LAYOUT_CELLS = [
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["unstacked", "stacked"])
 @pytest.mark.parametrize("spec", LAYOUT_CELLS, ids=lambda s: s.kind)
 def test_step_rows_are_contiguous(spec, lead, monkeypatch):
-    # every recurrence buffer, forward and backward, stores step t as one
-    # C-contiguous (..., k, B) block: each component a run of the B batch rows
+    # every recurrence buffer, forward and backward, and the cogradients of
+    # both kinds of tape store step t as one C-contiguous (..., k, B) block:
+    # each component a run of the B batch rows
     B, T = 4, 6
     rng = np.random.default_rng(1)
     theta = np.stack([init_params(spec, 60 + r).theta for r in range(3)])
     params = Params(theta if lead else theta[0], spec)
     h0 = rng.normal(size=lead + (B, spec.state_dim))
     inputs = rng.normal(size=(B, T, spec.d_x))
-    states, _, cache = batched_forward(params, h0, inputs, keep_cache=True)
+    states, outputs, cache = batched_forward(params, h0, inputs, keep_cache=True)
     assert set(cache) == ({"gates", "tanh_c"} if spec.kind == "lstm" else set())
-    buffers = {"states": states, **cache}
-    # a stateful tape's windows, gathered from one B = 1 pass
-    span_states, _, span_cache = batched_forward(params, h0[..., :1, :], inputs[:1],
-                                                 keep_cache=True)
-    steps = np.array([[0, 1, 2], [2, 3, 4]])
-    buffers["take_steps(states)"] = take_steps(span_states, steps)
-    for name, value in span_cache.items():
-        buffers[f"take_steps({name})"] = take_steps(value, steps)
-    # the backward's buffers: the cogradients, then da, or dz, c_path and dh_out
-    backward = []
+    buffers = {"states": states, "outputs": outputs, **cache}
+    cograds = []
+    real_backprop = autodiff.backprop
 
-    def spy(*args):
-        backward.append(empty_time_major(*args))
-        return backward[-1]
+    def spy(tape, cog, workspace=None):
+        cograds.append(cog)
+        return real_backprop(tape, cog, workspace)
 
-    monkeypatch.setattr(autodiff, "empty_time_major", spy)
+    monkeypatch.setattr(autodiff, "backprop", spy)
+    # a recorded tape's gradient in a workspace, which then holds the
+    # forward's buffers and the backward's: da, or dz, c_path and dh_out
+    workspace = Workspace()
     autodiff.weighted_loss_grad(params, h0, inputs, rng.normal(size=(B, T, spec.d_y)),
-                                autodiff.segment_weights(T, 1, B))
-    assert len(backward) == (4 if spec.kind == "lstm" else 2)
-    buffers.update({f"backward {i}": a for i, a in enumerate(backward)})
+                                autodiff.segment_weights(T, 1, B), workspace)
+    backward = {"dz", "c_path", "dh_out"} if spec.kind == "lstm" else {"da"}
+    assert workspace.buffers.keys() == {"states", "outputs"} | cache.keys() | backward
+    buffers.update({f"workspace {name}": a for name, a in workspace.buffers.items()})
+    # a stateful tape: windows gathered from one B = 1 pass over a series
+    series = rng.normal(size=(10, spec.d_x))
+    plan = make_plan(10, 4, 2)
+    cached = np.zeros(lead + (plan.S, spec.state_dim))
+    tape = _stateful_inits(params, series, plan, cached, list(range(plan.S)))
+    buffers.update({f"stateful {name}": a for name, a in
+                    [("states", tape.states), ("outputs", tape.outputs), *tape.cache.items()]})
+    autodiff.tape_loss_grad(tape, rng.normal(size=(plan.S, 4, spec.d_y)),
+                            autodiff.segment_weights(4, 1, plan.S))
+    assert len(cograds) == 2
+    buffers["recorded cogradients"], buffers["stateful cogradients"] = cograds
     for name, buffer in buffers.items():
         steps_of = time_major(buffer)
         rows, k = buffer.shape[-3], buffer.shape[-1]

@@ -598,3 +598,28 @@ def test_train_gathers_windows_once_per_run(monkeypatch, mode, epochs):
     log = train(memoryless_dataset(t=30), lin_config(epochs=epochs, N=6, mode=mode))
     assert len(log.records) == epochs
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", ["elman", "lstm"])
+def test_train_logs_every_epoch_in_one_workspace(monkeypatch, kind):
+    # the epoch log's full-batch passes share one workspace, and each
+    # record has the bits of a call that allocates its own buffers
+    import tbptt.training as training
+
+    workspaces = []
+    real = training.full_batch_gradient
+
+    def spy(params, xs, ys, m, workspace=None):
+        workspaces.append(workspace)
+        got = real(params, xs, ys, m, workspace)
+        want = real(params, xs, ys, m)
+        assert got[0] == want[0]
+        assert got[1].tobytes() == want[1].tobytes()
+        return got
+
+    monkeypatch.setattr(training, "full_batch_gradient", spy)
+    ds, _ = gen_synthetic(5, 41, 0.05)
+    log = train(ds, lin_config(spec=CellSpec(kind, 1, 3, 1), epochs=3, N=7))
+    assert len(log.records) == 3
+    assert workspaces[0] is not None
+    assert all(w is workspaces[0] for w in workspaces)
