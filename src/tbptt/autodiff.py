@@ -11,9 +11,12 @@ forward pass (the stateful state chain) builds its tape itself and calls
 start axis (theta (R, n), h0 (R, B, sd)) over shared inputs and targets,
 with shared or per-start weights, and then return one loss and one
 gradient per start. ``weighted_loss`` is the value alone, unstacked or
-stacked, by the same reduction. The backward pass is exact over whatever
-sequences it is given: truncation lives entirely in how callers segment
-the data, never inside the gradient.
+stacked, by the same reduction. ``linear_scan_loss_grad`` is
+``weighted_loss_grad`` of a bias-free linear cell over one batch row by a
+chunked scan (``_scan``) instead of the step loop, equal to it to
+rounding. The backward pass is exact over whatever sequences it is given:
+truncation lives entirely in how callers segment the data, never inside
+the gradient.
 
 Buffers: each pass allocates its full-length arrays (states, outputs, LSTM
 gates, adjoints) with ``rnn_core.empty_time_major``, unless its caller
@@ -34,8 +37,8 @@ import numpy as np
 
 from .linalg import DimensionError
 from .rnn_core import (
-    CellSpec, Layout, Params, Workspace, batched_forward, check_finite, per_start, start_indices,
-    step_products, time_major,
+    CellSpec, Layout, NonFiniteError, Params, Workspace, batched_forward, check_finite, per_start,
+    start_indices, step_products, time_major,
 )
 
 
@@ -341,6 +344,108 @@ def weighted_loss_grad(
     """
     tape = record(params, h0, inputs, workspace)
     return tape_loss_grad(tape, targets, weights, workspace)
+
+
+# steps per chunk of ``_scan``: fixed, whatever T' is, so the powers of the
+# recurrent matrix it takes stay below A^20
+_SCAN_CHUNK = 20
+
+
+def _scan(A: np.ndarray, U: np.ndarray, h0: np.ndarray) -> np.ndarray:
+    """The states h_1 … h_T' of h_t = A h_{t-1} + U_t as the rows of a
+    (*lead, T', d) array, for (*lead, d, d) ``A``, (*lead, T', d) ``U`` and
+    (*lead, 1, d) ``h0``: a two-level chunked scan in place of T' steps.
+
+    The steps split into C chunks of L = ``_SCAN_CHUNK`` (U padded with
+    zeros). All chunks run from zero at once, L steps at batch C; the state
+    entering each chunk follows from the last one's by A^L, C steps; and
+    step j of every chunk adds A^(j+1) times its chunk's entry state, all of
+    them in one product. A¹ … A^L come by doubling. Every product is a
+    (stacked) matmul with one GEMM per start, so a start's bits do not
+    depend on the others. An A^L that overflows makes the result
+    non-finite, also where the step loop's states are finite (0·∞)."""
+    lead, T, d = U.shape[:-2], U.shape[-2], U.shape[-1]
+    L = _SCAN_CHUNK
+    C = -(-T // L)
+    A_T = A.mT
+    local = np.zeros(lead + (C, L, d))
+    local.reshape(lead + (C * L, d))[..., :T, :] = U
+    for j in range(1, L):
+        local[..., j, :] += local[..., j - 1, :] @ A_T
+    powers = np.empty(lead + (L, d, d))  # powers[..., k, :, :] = A^(k+1)
+    powers[..., 0, :, :] = A
+    k = 1
+    while k < L:
+        n = min(k, L - k)
+        np.matmul(powers[..., :n, :, :], powers[..., k - 1 : k, :, :],
+                  out=powers[..., k : k + n, :, :])
+        k += n
+    entry = np.empty(lead + (C, d))
+    entry[..., :1, :] = h0
+    A_L_T = powers[..., L - 1, :, :].mT
+    for c in range(1, C):
+        entry[..., c : c + 1, :] = entry[..., c - 1 : c, :] @ A_L_T + local[..., c - 1, -1:, :]
+    # (*lead, d, L·d): column (j, o) holds row o of A^(j+1)
+    lifts = np.ascontiguousarray(powers.transpose(*range(len(lead)), -1, -3, -2))
+    local += (entry @ lifts.reshape(lead + (d, L * d))).reshape(local.shape)
+    return local.reshape(lead + (C * L, d))[..., :T, :]
+
+
+def linear_scan_loss_grad(
+    params: Params, h0: np.ndarray, inputs: np.ndarray, targets: np.ndarray,
+    weights: np.ndarray,
+) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
+    """``weighted_loss_grad`` of a bias-free linear cell over one batch row
+    (inputs (1, T', d_x)), by ``_scan`` in place of the step loop: the same
+    arguments but the workspace, unstacked or stacked, and the same return
+    contract. The values agree with the loop's to rounding, not bit for
+    bit; a stacked start keeps the bits of its unstacked call.
+
+    Forward, the states are the scan of ``W_hh`` over the hoisted input
+    product ``W_xh · x``; backward, the adjoints a_t = W_hhᵀ a_{t+1} +
+    W_hyᵀ g_t are the scan of ``W_hhᵀ`` over the reversed steps. Each weight
+    gradient is one product over all steps and d_h0 = W_hhᵀ a_1; the loss
+    is ``_weighted_sse``, as in the loop.
+
+    A start whose states, cogradients, adjoints, loss or gradient are not
+    all finite gets what the loop gives it: the loop runs for those starts
+    alone, and its ``NonFiniteError`` is raised with their indices in the
+    call. So a spurious 0·∞ of an overflowing power never surfaces, and
+    overflow fails a start exactly as the loop does."""
+    blocks = params.unpack()
+    W_hh, W_xh, W_hy = blocks["W_hh"], blocks["W_xh"], blocks["W_hy"]
+    lead = params.theta.shape[:-1]
+    x, y = inputs[0], targets[0]
+    # overflow surfaces as a non-finite value, sent to the loop below
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = np.empty(lead + (x.shape[0] + 1, W_hh.shape[-1]))  # h_0 … h_T'
+        states[..., :1, :] = h0
+        states[..., 1:, :] = _scan(W_hh, x @ W_xh.mT, h0)
+        cog = np.subtract(states[..., 1:, :] @ W_hy.mT, y)
+        loss = _weighted_sse(cog[..., None, :, :], weights)
+        cog *= 2.0 * weights[..., 0, :, None]
+        zero = np.zeros(lead + (1, W_hh.shape[-1]))
+        adj = np.ascontiguousarray(_scan(W_hh.mT, (cog @ W_hy)[..., ::-1, :], zero)[..., ::-1, :])
+        d_h0 = adj[..., :1, :] @ W_hh
+        d_theta = np.empty(params.theta.shape)
+        _write_grads(d_theta, {"W_hh": adj.mT @ states[..., :-1, :], "W_xh": adj.mT @ x,
+                               "W_hy": cog.mT @ states[..., 1:, :]}, params.layout)
+    finite = np.isfinite(loss) & np.isfinite(d_theta).all(axis=-1)
+    for a in (states, cog, adj, d_h0):
+        finite &= np.isfinite(a).all(axis=(-2, -1))
+    if finite.all():
+        return loss, d_theta, d_h0
+    if not lead:
+        return weighted_loss_grad(params, h0, inputs, targets, weights)
+    bad = np.flatnonzero(~finite)
+    try:
+        loop = weighted_loss_grad(Params(params.theta[bad], params.spec), h0[bad], inputs,
+                                  targets, weights[bad] if weights.ndim == 3 else weights)
+    except NonFiniteError as exc:
+        starts = tuple(bad[list(exc.starts)].tolist())
+        raise NonFiniteError(exc.where, exc.time_index, starts) from exc
+    loss[bad], d_theta[bad], d_h0[bad] = loop
+    return loss, d_theta, d_h0
 
 
 def segment_weights(n_steps: int, m: int, rows: int = 1) -> np.ndarray:

@@ -12,8 +12,14 @@ constraints, solved by multi-start Adam with best-iterate tracking and an
 optional spectral-norm projection of the recurrent block after every step.
 The starts run together on a leading model axis: each solver iteration is
 one stacked forward and backward pass over every start still running, so
-they share the per-step Python cost of the recurrence. ``solve_variant`` is
-the one entry point. A start whose iterates stop being finite ends alone
+they share the per-step Python cost of the recurrence. The linear
+``coupled`` iterations are B = 1 passes over the whole series, where that
+per-step cost is all of it, so they take ``autodiff.linear_scan_loss_grad``,
+a chunked scan in place of the step loop, equal to it to rounding. Every
+other pass keeps the loop: the scan buys nothing at the wide batches of
+``tbptt`` and ``unconstrained``, and ``evaluate``'s passes are tied bit for
+bit to prefixes and restarts of ``forward``. ``solve_variant`` is the one
+entry point. A start whose iterates stop being finite ends alone
 (``failed_starts`` in the diagnostics); the solve fails only when no start
 reached a finite objective. ``evaluate`` runs a solution over the instance
 once: its full-sequence pass from the variant's global initial state and its
@@ -26,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import segment_weights, weighted_loss_grad
+from .autodiff import linear_scan_loss_grad, segment_weights, weighted_loss_grad
 from .data import SegmentationPlan, TimeSeriesDataset, segment_arrays
 from .rng import _mix
 from .rnn_core import (
@@ -36,6 +42,7 @@ from .rnn_core import (
     Trajectory,
     Workspace,
     batched_forward,
+    empty_time_major,
     forward,
     init_params,
     num_params,
@@ -85,9 +92,12 @@ def coupled_time_weights(plan: SegmentationPlan, m: int, T: int) -> np.ndarray:
 class _Problem:
     """Flat-vector view of one variant: z = [theta, free initial states].
 
-    ``value_grad`` runs every pass in the problem's one ``Workspace``, so the
-    iterations of a solve reuse the same full-length buffers, made anew only
-    when the stack's shape changes; it returns no array of them."""
+    ``value_grad`` runs every loop pass in the problem's one ``Workspace``,
+    so the iterations of a solve reuse the same full-length buffers, made
+    anew only when the stack's shape changes; it returns no array of them.
+    A linear ``coupled`` problem (``scan``) takes the chunked scan instead,
+    which needs no workspace. The inputs and targets are kept in the passes'
+    step-major memory, so no pass copies them."""
 
     def __init__(self, variant: str, dataset: TimeSeriesDataset,
                  plan: SegmentationPlan, m: int, spec: CellSpec):
@@ -102,14 +112,17 @@ class _Problem:
         self.sd = spec.state_dim
         if variant == "coupled":
             self.n_states = 1
-            self.xs = dataset.inputs[None, :, :]
-            self.ys = dataset.targets[None, :, :]
+            xs, ys = dataset.inputs[None, :, :], dataset.targets[None, :, :]
             # each segment term covering a time step adds one term's weight
             self.w = coupled_time_weights(plan, m, dataset.T)[None, :] * w[0, -1]
         else:
             self.n_states = 0 if variant == "tbptt" else plan.S
-            self.xs, self.ys = segment_arrays(dataset, plan)
+            xs, ys = segment_arrays(dataset, plan)
             self.w = w
+        # in the passes' own step-major memory, so no pass copies its inputs
+        self.xs, self.ys = (empty_time_major((), *a.shape) for a in (xs, ys))
+        self.xs[...], self.ys[...] = xs, ys
+        self.scan = variant == "coupled" and spec.kind == "linear"
         self.workspace = Workspace()
 
     def split(self, z: np.ndarray) -> tuple[Params, np.ndarray]:
@@ -133,8 +146,11 @@ class _Problem:
         params, states = self.split(z)
         lead = z.shape[:-1]
         h0 = np.zeros(lead + (self.plan.S, self.sd)) if self.variant == "tbptt" else states
-        loss, d_theta, d_h0 = weighted_loss_grad(params, h0, self.xs, self.ys, self.w,
-                                                 self.workspace)
+        if self.scan:
+            loss, d_theta, d_h0 = linear_scan_loss_grad(params, h0, self.xs, self.ys, self.w)
+        else:
+            loss, d_theta, d_h0 = weighted_loss_grad(params, h0, self.xs, self.ys, self.w,
+                                                     self.workspace)
         if self.n_states:
             return loss, np.concatenate([d_theta, d_h0.reshape(lead + (-1,))], axis=-1)
         return loss, d_theta

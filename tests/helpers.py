@@ -3,16 +3,19 @@
 ``pack`` assembles a theta from named blocks, the inverse of
 ``Params.unpack`` and the oracle of ``backprop``'s gradient assembly.
 ``fd_gradient`` is the central-difference gradient the exact one is checked
-against. ``gen_synthetic`` builds a normalized recording of the system
-``tbptt synth`` simulates, scaled by each column's largest magnitude, and
-``realizing_params`` gives the linear cell that reproduces its noise-free
-map. ``read_params`` and ``read_solution`` read back what ``params.json`` and
-``solution_*.json`` hold.
+against, and ``exact_linear_loss_grad`` the weighted loss and gradient of a
+bias-free linear cell in exact rational arithmetic. ``gen_synthetic``
+builds a normalized recording of the system ``tbptt synth`` simulates,
+scaled by each column's largest magnitude, and ``realizing_params`` gives
+the linear cell that reproduces its noise-free map. ``read_params`` and
+``read_solution`` read back what ``params.json`` and ``solution_*.json``
+hold.
 """
 
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import numpy as np
 
@@ -69,6 +72,50 @@ def fd_gradient(params: Params, inputs: np.ndarray, targets: np.ndarray, m: int,
     d_theta = central(lambda theta: value(theta, h0), params.theta)
     d_h0 = central(lambda h: value(params.theta, h), h0)
     return d_theta, d_h0
+
+
+def exact_linear_loss_grad(W_hh, W_xh, W_hy, h0, inputs, targets, weights):
+    """The weighted squared-error sum of a bias-free linear cell over one
+    sequence, and its gradient, exactly: every float64 is a dyadic
+    rational, so the pass runs in ``Fraction``s from the same numbers.
+
+    The blocks are (d_h, d_h), (d_h, d_x) and (d_y, d_h) arrays, ``h0`` is
+    (d_h,), ``inputs`` (T', d_x), ``targets`` (T', d_y) and ``weights``
+    (T',). Returns (loss, {block name: gradient}, d_h0) as Fractions in
+    nested lists; the gradient is the reverse sweep's, exact too. It uses
+    no code of the package, so it checks every float path."""
+    def exact(a):
+        return [exact(b) for b in a] if np.ndim(a) else Fraction(float(a))
+
+    def times(m, v):
+        return [sum(a * b for a, b in zip(row, v)) for row in m]
+
+    def transpose(m):
+        return [list(col) for col in zip(*m)]
+
+    def add_outer(acc, u, v):
+        for row, a in zip(acc, u):
+            for j, b in enumerate(v):
+                row[j] += a * b
+
+    A, Bx, Cy = exact(W_hh), exact(W_xh), exact(W_hy)
+    xs, ys, ws = exact(inputs), exact(targets), exact(weights)
+    states, cograds = [exact(h0)], []
+    loss = Fraction(0)
+    for x, y, w in zip(xs, ys, ws):
+        states.append([a + b for a, b in zip(times(A, states[-1]), times(Bx, x))])
+        err = [a - b for a, b in zip(times(Cy, states[-1]), y)]
+        loss += w * sum(e * e for e in err)
+        cograds.append([2 * w * e for e in err])
+    grads = {name: [[Fraction(0)] * len(m[0]) for _ in m]
+             for name, m in (("W_hh", A), ("W_xh", Bx), ("W_hy", Cy))}
+    adj = [Fraction(0)] * len(A)
+    for t in range(len(xs) - 1, -1, -1):
+        adj = [a + b for a, b in zip(times(transpose(A), adj), times(transpose(Cy), cograds[t]))]
+        add_outer(grads["W_hy"], cograds[t], states[t + 1])
+        add_outer(grads["W_hh"], adj, states[t])
+        add_outer(grads["W_xh"], adj, xs[t])
+    return loss, grads, times(transpose(A), adj)
 
 
 def _maxabs_transform(column: np.ndarray) -> ColumnTransform:

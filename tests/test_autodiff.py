@@ -490,3 +490,111 @@ def test_stacked_nonfinite_error_names_only_the_overflowing_start():
     assert err.value.time_index == alone.value.time_index
     assert "in starts [1]" in str(err.value)
     assert alone.value.starts is None
+
+
+# --- the chunked linear scan against the step loop ---------------------------
+
+L = autodiff._SCAN_CHUNK
+SCAN_CELLS = [CellSpec("linear", 1, 2, 1, activation="identity", use_biases=False),
+              KERNEL_CELLS["linear"]]
+
+
+def scan_case(spec, T, R=None):
+    """Contracting linear starts (stacked when R is given) over one row of
+    T steps, with coupled-style weights: zero over a burn-in, then
+    uneven."""
+    rng = np.random.default_rng(T)
+    thetas = [contracting(init_params(spec, 60 + r)).theta for r in range(R or 1)]
+    params = Params(np.stack(thetas) if R else thetas[0], spec)
+    h0 = rng.normal(size=(R,) * bool(R) + (1, spec.state_dim))
+    x, y = rng.normal(size=(1, T, spec.d_x)), rng.normal(size=(1, T, spec.d_y))
+    w = rng.integers(0, 4, size=(1, T)) / T
+    w[:, : T // 4] = 0.0
+    return params, h0, x, y, w
+
+
+def assert_same_bits(got, want):
+    for a, b in zip(got, want):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("R", [None, 3], ids=["unstacked", "stacked"])
+@pytest.mark.parametrize("T", [1, L - 1, L, L + 1, 2 * L + 3, 400])
+@pytest.mark.parametrize("spec", SCAN_CELLS, ids=["d_h2", "d_h3"])
+def test_scan_matches_the_loop(spec, T, R):
+    # loss, d_theta and d_h0 within 1e-13 of the loop's, relative to each
+    # value's largest magnitude; a stacked start has its unstacked call's bits
+    params, h0, x, y, w = scan_case(spec, T, R)
+    got = autodiff.linear_scan_loss_grad(params, h0, x, y, w)
+    want = weighted_loss_grad(params, h0, x, y, w)
+    for a, b in zip(got, want):
+        assert np.shape(a) == np.shape(b)
+        assert rel_linf(np.asarray(a), np.asarray(b)) <= 1e-13
+    for r in range(R or 0):
+        alone = autodiff.linear_scan_loss_grad(Params(params.theta[r], spec), h0[r], x, y, w)
+        assert_same_bits((got[0][r], got[1][r], got[2][r]), alone)
+
+
+@pytest.mark.parametrize("A", [np.zeros((2, 2)), np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])],
+                         ids=["zero", "identity", "nilpotent"])
+def test_scan_degenerate_recurrences(A):
+    params, h0, x, y, w = scan_case(SCAN_CELLS[0], 2 * L + 3)
+    params = params.with_block("W_hh", A)
+    got = autodiff.linear_scan_loss_grad(params, h0, x, y, w)
+    want = weighted_loss_grad(params, h0, x, y, w)
+    for a, b in zip(got, want):
+        assert rel_linf(np.asarray(a), np.asarray(b)) <= 1e-13
+    # h_t = W_xh x_t exactly when A = 0
+    if not A.any():
+        states = autodiff._scan(A, x[0] @ params.block("W_xh").T, h0)
+        npt.assert_array_equal(states, x[0] @ params.block("W_xh").T)
+
+
+@pytest.mark.parametrize("R", [None, 2], ids=["unstacked", "stacked"])
+def test_scan_overflowing_power_returns_the_loop_values(R):
+    # from h0 = 0 with W_xh = 0 every state of the loop is exactly zero and
+    # finite, and W_hy = 0 keeps its adjoints zero; A^L = 1e400 overflows,
+    # so the scan alone gives 0·∞. A stacked finite start keeps its scan bits.
+    spec = SCAN_CELLS[0]
+    params, _, x, y, w = scan_case(spec, 2 * L + 3, R)
+    wild = pack(spec, {"W_hh": 1e20 * np.eye(2), "W_xh": [[0.0], [0.0]], "W_hy": [[0.0, 0.0]]})
+    zero = np.zeros((1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        alone = autodiff._scan(wild.block("W_hh"), np.zeros((2 * L + 3, 2)), zero)
+    assert not np.isfinite(alone).all()
+    want = weighted_loss_grad(wild, zero, x, y, w)
+    assert all(np.isfinite(a).all() for a in want)
+    if R is None:
+        assert_same_bits(autodiff.linear_scan_loss_grad(wild, zero, x, y, w), want)
+        return
+    theta = params.theta.copy()
+    theta[1] = wild.theta
+    h0 = np.zeros((R, 1, 2))
+    per_start = np.stack([w[:, ::-1], w])  # per-start weights, start 1's as above
+    loss, d_theta, d_h0 = autodiff.linear_scan_loss_grad(Params(theta, spec), h0, x, y,
+                                                         per_start)
+    assert_same_bits((loss[1], d_theta[1], d_h0[1]), want)
+    finite = autodiff.linear_scan_loss_grad(Params(theta[0], spec), h0[0], x, y, per_start[0])
+    assert_same_bits((loss[0], d_theta[0], d_h0[0]), finite)
+
+
+@pytest.mark.parametrize("R", [None, 3], ids=["unstacked", "stacked"])
+def test_scan_diverging_start_raises_the_loop_error(R):
+    spec = SCAN_CELLS[0]
+    params, h0, x, y, w = scan_case(spec, 400, R)
+    wild = pack(spec, {"W_hh": 1e3 * np.eye(2), "W_xh": [[1.0], [1.0]], "W_hy": [[1.0, 1.0]]})
+    if R is None:
+        params = wild
+    else:
+        theta = params.theta.copy()
+        theta[1] = wild.theta
+        params = Params(theta, spec)
+    with pytest.raises(NonFiniteError) as loop:
+        weighted_loss_grad(params, h0, x, y, w)
+    with pytest.raises(NonFiniteError) as scan:
+        autodiff.linear_scan_loss_grad(params, h0, x, y, w)
+    assert loop.value.where == "forward pass"
+    assert loop.value.starts == (None if R is None else (1,))
+    got, want = scan.value, loop.value
+    assert (got.where, got.time_index, got.starts) == (want.where, want.time_index, want.starts)
+    assert str(got) == str(want)

@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import gen_synthetic, pack, read_solution, realizing_params
+from helpers import exact_linear_loss_grad, gen_synthetic, pack, read_solution, realizing_params
 from tbptt import cli
+from tbptt.autodiff import weighted_loss_grad
 from tbptt.benchmark import (
     VARIANTS,
     LiftedSolution,
@@ -502,3 +505,51 @@ def test_solve_reuses_its_workspace_per_stack_shape(stack_instance, monkeypatch)
             assert made == len(names)
             assert not any(buffers[name] is last[name] for name in names)
     assert sum(size == last for (size, _, _), (last, _, _) in zip(seen[1:], seen)) >= 10
+
+
+# --- the coupled objective against exact arithmetic ----------------------------
+
+
+def exact_value_grad(problem, z):
+    """The coupled objective and gradient at one point z of a linear
+    problem, exactly: the loss and the gradient in z's order."""
+    params, states = problem.split(z)
+    blocks = params.unpack()
+    loss, grads, d_h0 = exact_linear_loss_grad(
+        blocks["W_hh"], blocks["W_xh"], blocks["W_hy"], states[0], problem.xs[0],
+        problem.ys[0], problem.w[0])
+    flat = [g for name in params.layout for row in grads[name] for g in row]
+    return loss, flat + d_h0
+
+
+def assert_near_exact(got, exact, rtol):
+    """Every value within ``rtol`` of the exact ones, relative to their
+    largest magnitude, with the difference taken exactly."""
+    scale = max(abs(e) for e in exact)
+    worst = max(abs(Fraction(float(g)) - e) for g, e in zip(got, exact))
+    assert worst <= rtol * scale, float(worst / scale)
+
+
+def test_coupled_scan_and_loop_lie_near_the_exact_values(stack_instance):
+    # T = 40, two chunks of the scan: both float paths, stacked and
+    # unstacked, within 1e-13 of the exact loss and gradient
+    ds, plan = stack_instance
+    spec = STACK_SPECS["linear"]
+    problem = _Problem("coupled", ds, plan, 2, spec)
+    assert problem.scan and ds.T == 40
+    rng = np.random.default_rng(4)
+    z = np.stack([problem.join(init_params(spec, 30 + r), rng.normal(size=(1, 2)))
+                  for r in range(2)])
+    stacked_obj, stacked_grad = problem.value_grad(z)
+    for r in range(2):
+        loss, grad = exact_value_grad(problem, z[r])
+        params, states = problem.split(z[r])
+        loop_loss, d_theta, d_h0 = weighted_loss_grad(params, states, problem.xs, problem.ys,
+                                                      problem.w)
+        scan_obj, scan_grad = problem.value_grad(z[r])
+        assert scan_obj == stacked_obj[r]
+        assert scan_grad.tobytes() == stacked_grad[r].tobytes()
+        for value, gradient in [(loop_loss, np.concatenate([d_theta, d_h0.ravel()])),
+                                (scan_obj, scan_grad)]:
+            assert_near_exact([value], [loss], 1e-13)
+            assert_near_exact(gradient, grad, 1e-13)

@@ -143,7 +143,8 @@ def cli_pass(out):
     """Every subcommand and mode, small: synth with validation and test
     series; train as linear/zero/adam, elman/stateful/sgd and lstm/bptt; a
     sweep with a test series whose m = 6 > N - 1 cell gets an error row;
-    and a benchmark of all three variants."""
+    a benchmark of all three variants; and a linear ``coupled`` benchmark
+    alone, whose iterations take the chunked scan."""
 
     def run(*argv):
         assert cli.main(["--out", str(out), *map(str, argv)]) == 0, argv
@@ -159,6 +160,8 @@ def cli_pass(out):
         "--epochs", 2, "--batch", 4)
     run("benchmark", "--data", train, "--N", 10, "--m-list", "0,3", "--restarts", 2,
         "--iters", 20)
+    run("benchmark", "--data", train, "--cell", "linear", "--variants", "coupled", "--N", 10,
+        "--m-list", 3, "--restarts", 1, "--iters", 5)
 
 
 def test_every_function_runs_and_every_field_is_read(tmp_path):
