@@ -11,17 +11,26 @@ forward pass (the stateful state chain) builds its tape itself and calls
 start axis (theta (R, n), h0 (R, B, sd)) over shared inputs and targets,
 with shared or per-start weights, and then return one loss and one
 gradient per start. ``weighted_loss`` is the value alone, unstacked or
-stacked, by the same reduction. ``linear_scan_loss_grad`` is
-``weighted_loss_grad`` of a bias-free linear cell over one batch row by a
-chunked scan (``_scan``) instead of the step loop, equal to it to
-rounding. The backward pass is exact over whatever sequences it is given:
-truncation lives entirely in how callers segment the data, never inside
-the gradient.
+stacked, by the same reduction. The backward pass is exact over whatever
+sequences it is given: truncation lives entirely in how callers segment
+the data, never inside the gradient.
+
+A bias-free linear cell needs no step loop, and two passes give its
+``weighted_loss_grad`` without one, equal to the loop's to rounding:
+``linear_scan_loss_grad`` over one long batch row, by a chunked scan
+(``_scan``), and ``linear_window_loss_grad`` over many short windows,
+through the cell's impulse response W_hy·W_hh^j·W_xh (its Markov
+parameters) and one Toeplitz product per start. Both take the powers of
+W_hh from ``_powers`` and send every start whose values are not finite to
+the loop (``_loop_where_not_finite``). A linear cell with biases would add
+one more impulse-response term per step to the window pass, Σ_{j<t}
+W_hy·W_hh^j·b_h + b_y, and b_h to the scan's hoisted input product.
 
 Buffers: each pass allocates its full-length arrays (states, outputs, LSTM
 gates, adjoints) with ``rnn_core.empty_time_major``, unless its caller
 passes an ``rnn_core.Workspace``, which hands the same arrays to every
-pass over the same shapes. ``benchmark._Problem`` keeps one for the
+pass over the same shapes; the window pass keeps its one full-size array,
+the outputs, there too. ``benchmark._Problem`` keeps one for the
 iterations of a solve and ``training.train`` one for its epoch log; every
 other caller keeps what a pass returns and passes none. ``tape_loss_grad``
 writes the errors and then the cogradients over the tape's ``outputs``,
@@ -31,6 +40,7 @@ adjoint buffers, so a tape's outputs are spent by its gradient.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -350,6 +360,29 @@ def weighted_loss_grad(
 # recurrent matrix it takes stay below A^20
 _SCAN_CHUNK = 20
 
+# the largest window N·d_x·d_y that ``linear_window_loss_grad`` serves. Its
+# Toeplitz products grow as (N·d_x)·(N·d_y) per window, the step loop's as
+# N: at R = 4 and S = 400 - N + 1 the pass took 0.83 of the loop's time at
+# 128 and 1.17 at 160 with d_h = 1, the cheapest loop (BENCH_impulse_windows.json)
+WINDOW_TERMS = 128
+
+
+def _powers(A: np.ndarray, L: int) -> np.ndarray:
+    """A⁰ … A^L of (*lead, d, d) ``A`` as one (*lead, L+1, d, d) array, by
+    doubling: A^(k+1) … A^(2k) are one stacked product of A¹ … A^k with A^k,
+    so L powers take log₂ L products, each one GEMM per start and power."""
+    lead, d = A.shape[:-2], A.shape[-1]
+    powers = np.empty(lead + (L + 1, d, d))
+    powers[..., 0, :, :] = np.eye(d)
+    powers[..., 1, :, :] = A
+    k = 1
+    while k < L:
+        n = min(k, L - k)
+        np.matmul(powers[..., 1 : n + 1, :, :], powers[..., k : k + 1, :, :],
+                  out=powers[..., k + 1 : k + n + 1, :, :])
+        k += n
+    return powers
+
 
 def _scan(A: np.ndarray, U: np.ndarray, h0: np.ndarray) -> np.ndarray:
     """The states h_1 … h_T' of h_t = A h_{t-1} + U_t as the rows of a
@@ -360,7 +393,7 @@ def _scan(A: np.ndarray, U: np.ndarray, h0: np.ndarray) -> np.ndarray:
     zeros). All chunks run from zero at once, L steps at batch C; the state
     entering each chunk follows from the last one's by A^L, C steps; and
     step j of every chunk adds A^(j+1) times its chunk's entry state, all of
-    them in one product. A¹ … A^L come by doubling. Every product is a
+    them in one product, with A¹ … A^L from ``_powers``. Every product is a
     (stacked) matmul with one GEMM per start, so a start's bits do not
     depend on the others. An A^L that overflows makes the result
     non-finite, also where the step loop's states are finite (0·∞)."""
@@ -372,14 +405,7 @@ def _scan(A: np.ndarray, U: np.ndarray, h0: np.ndarray) -> np.ndarray:
     local.reshape(lead + (C * L, d))[..., :T, :] = U
     for j in range(1, L):
         local[..., j, :] += local[..., j - 1, :] @ A_T
-    powers = np.empty(lead + (L, d, d))  # powers[..., k, :, :] = A^(k+1)
-    powers[..., 0, :, :] = A
-    k = 1
-    while k < L:
-        n = min(k, L - k)
-        np.matmul(powers[..., :n, :, :], powers[..., k - 1 : k, :, :],
-                  out=powers[..., k : k + n, :, :])
-        k += n
+    powers = _powers(A, L)[..., 1:, :, :]  # powers[..., k, :, :] = A^(k+1)
     entry = np.empty(lead + (C, d))
     entry[..., :1, :] = h0
     A_L_T = powers[..., L - 1, :, :].mT
@@ -389,6 +415,43 @@ def _scan(A: np.ndarray, U: np.ndarray, h0: np.ndarray) -> np.ndarray:
     lifts = np.ascontiguousarray(powers.transpose(*range(len(lead)), -1, -3, -2))
     local += (entry @ lifts.reshape(lead + (d, L * d))).reshape(local.shape)
     return local.reshape(lead + (C * L, d))[..., :T, :]
+
+
+def _loop_where_not_finite(result, checked, params: Params, h0: np.ndarray | None,
+                           inputs: np.ndarray, targets: np.ndarray, weights: np.ndarray):
+    """``result``, the (loss, d_theta, d_h0) of a linear cell's pass, with
+    the step loop's result in place of every start whose loss, gradient or
+    ``checked`` intermediate arrays (each with the call's leading start
+    shape) are not all finite.
+
+    The loop runs for those starts alone, from zero states when ``h0`` is
+    None (and the pass's d_h0 is None too), and its ``NonFiniteError`` is
+    raised with their indices in the call. So a pass whose arithmetic
+    differs from the loop's (a 0·∞ of an overflowing power) never surfaces
+    a value the loop would not give, and a start that overflows fails
+    exactly as it does through the loop."""
+    loss, d_theta, d_h0 = result
+    lead = params.theta.shape[:-1]
+    finite = np.isfinite(loss)
+    for a in (d_theta, *checked) + ((d_h0,) if h0 is not None else ()):
+        finite &= np.isfinite(a).reshape(lead + (-1,)).all(axis=-1)
+    if finite.all():
+        return result
+    loop_h0 = np.zeros(lead + (inputs.shape[0], params.spec.state_dim)) if h0 is None else h0
+    if not lead:
+        loop = weighted_loss_grad(params, loop_h0, inputs, targets, weights)
+        return loop if h0 is not None else (loop[0], loop[1], None)
+    bad = np.flatnonzero(~finite)
+    try:
+        loop = weighted_loss_grad(Params(params.theta[bad], params.spec), loop_h0[bad], inputs,
+                                  targets, weights[bad] if weights.ndim == 3 else weights)
+    except NonFiniteError as exc:
+        starts = tuple(bad[list(exc.starts)].tolist())
+        raise NonFiniteError(exc.where, exc.time_index, starts) from exc
+    loss[bad], d_theta[bad] = loop[0], loop[1]
+    if h0 is not None:
+        d_h0[bad] = loop[2]
+    return loss, d_theta, d_h0
 
 
 def linear_scan_loss_grad(
@@ -405,18 +468,14 @@ def linear_scan_loss_grad(
     product ``W_xh · x``; backward, the adjoints a_t = W_hhᵀ a_{t+1} +
     W_hyᵀ g_t are the scan of ``W_hhᵀ`` over the reversed steps. Each weight
     gradient is one product over all steps and d_h0 = W_hhᵀ a_1; the loss
-    is ``_weighted_sse``, as in the loop.
-
-    A start whose states, cogradients, adjoints, loss or gradient are not
-    all finite gets what the loop gives it: the loop runs for those starts
-    alone, and its ``NonFiniteError`` is raised with their indices in the
-    call. So a spurious 0·∞ of an overflowing power never surfaces, and
-    overflow fails a start exactly as the loop does."""
+    is ``_weighted_sse``, as in the loop. A start whose states, cogradients,
+    adjoints, loss or gradient are not all finite gets the loop's result
+    (``_loop_where_not_finite``)."""
     blocks = params.unpack()
     W_hh, W_xh, W_hy = blocks["W_hh"], blocks["W_xh"], blocks["W_hy"]
     lead = params.theta.shape[:-1]
     x, y = inputs[0], targets[0]
-    # overflow surfaces as a non-finite value, sent to the loop below
+    # overflow surfaces as a non-finite value, sent to the loop
     with np.errstate(over="ignore", invalid="ignore"):
         states = np.empty(lead + (x.shape[0] + 1, W_hh.shape[-1]))  # h_0 … h_T'
         states[..., :1, :] = h0
@@ -430,22 +489,116 @@ def linear_scan_loss_grad(
         d_theta = np.empty(params.theta.shape)
         _write_grads(d_theta, {"W_hh": adj.mT @ states[..., :-1, :], "W_xh": adj.mT @ x,
                                "W_hy": cog.mT @ states[..., 1:, :]}, params.layout)
-    finite = np.isfinite(loss) & np.isfinite(d_theta).all(axis=-1)
-    for a in (states, cog, adj, d_h0):
-        finite &= np.isfinite(a).all(axis=(-2, -1))
-    if finite.all():
-        return loss, d_theta, d_h0
-    if not lead:
-        return weighted_loss_grad(params, h0, inputs, targets, weights)
-    bad = np.flatnonzero(~finite)
-    try:
-        loop = weighted_loss_grad(Params(params.theta[bad], params.spec), h0[bad], inputs,
-                                  targets, weights[bad] if weights.ndim == 3 else weights)
-    except NonFiniteError as exc:
-        starts = tuple(bad[list(exc.starts)].tolist())
-        raise NonFiniteError(exc.where, exc.time_index, starts) from exc
-    loss[bad], d_theta[bad], d_h0[bad] = loop
-    return loss, d_theta, d_h0
+    return _loop_where_not_finite((loss, d_theta, d_h0), (states, cog, adj), params, h0,
+                                  inputs, targets, weights)
+
+
+@functools.cache
+def _window_gathers(N: int, d_x: int, d_y: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The indices of the window pass's three gathers. The first two are
+    flat indices into a source with one zero appended, which they point at
+    where a term does not exist:
+
+    * Toeplitz, (N·d_x, N·d_y): entry ((s, a), (t, o)) of Toep(K) is
+      K_{t-s}[o, a] for t ≥ s, read from K as (N, d_y, d_x);
+    * its adjoint, (N, d_y, d_x, N): entry (j, o, a, s) is M[(s, a), (s+j, o)]
+      for s + j < N, read from M as (N·d_x, N·d_y), so summing over s gives
+      dK_j;
+    * Hankel, (N+1, N+1): entry (j, u) is j + u, the step of dP that
+      Λ_j takes through (A^u)ᵀ, in a dP padded with N zero steps.
+
+    Every call with the same shape shares them, so they are read-only."""
+    s, a, t, o = np.ix_(range(N), range(d_x), range(N), range(d_y))
+    j = t - s
+    toeplitz = np.where(j >= 0, (j * d_y + o) * d_x + a, N * d_y * d_x).reshape(N * d_x, N * d_y)
+    j, o, a, s = np.ix_(range(N), range(d_y), range(d_x), range(N))
+    adjoint = np.where(s + j < N, (s * d_x + a) * (N * d_y) + (s + j) * d_y + o,
+                       N * d_x * N * d_y)
+    hankel = np.add.outer(range(N + 1), range(N + 1))
+    for index in (toeplitz, adjoint, hankel):
+        index.flags.writeable = False
+    return toeplitz, adjoint, hankel
+
+
+def linear_window_loss_grad(
+    params: Params, h0: np.ndarray | None, inputs: np.ndarray, targets: np.ndarray,
+    weights: np.ndarray, workspace: Workspace | None = None,
+) -> tuple[float | np.ndarray, np.ndarray, np.ndarray | None]:
+    """``weighted_loss_grad`` of a bias-free linear cell over S windows
+    (inputs (S, N, d_x), targets (S, N, d_y)) through its impulse response,
+    with no step loop: the same arguments, where ``h0`` is None for zero
+    starts (and the returned d_h0 is None) or (..., S, d_h), unstacked or
+    stacked, and the same return contract. The values agree with the
+    loop's to rounding, not bit for bit; a stacked start keeps the bits of
+    its unstacked call. The inputs and targets are read as (S, N·d)
+    matrices, so C-contiguous ones are never copied. The one full-size
+    buffer, the (..., S, N·d_y) outputs, which become the errors and then
+    the cogradients in place, is the "window_outputs" array of
+    ``workspace`` when one is given.
+
+    Forward: P_j = W_hy·A^j for j = 0…N, with A = W_hh and its powers from
+    ``_powers``, and K_j = P_j·W_xh, the Markov parameters of the cell. A
+    window's outputs are y_t = Σ_{s≤t} K_{t-s}·x_s + P_t·h0, so all of them
+    are X·Toep(K), one (S, N·d_x) @ (N·d_x, N·d_y) GEMM per start, plus
+    h0·[P_1…P_N]ᵀ. The loss is ``_weighted_sse``, as in the loop.
+
+    Backward, from the cogradients G: M = Xᵀ·G and dK_j = Σ_s M[s, s+j],
+    the adjoint of the Toeplitz gather; dP_j = dK_j·W_xhᵀ + Σ_i G_i[j]·h0_iᵀ
+    (the latter for j ≥ 1); Λ_j = Σ_u dP_{j+u}·(A^u)ᵀ, one Hankel-gather
+    GEMM; then dW_hy = Λ_0, dW_hh = Σ_j P_jᵀ·Λ_{j+1}, dW_xh = Σ_j P_jᵀ·dK_j
+    and d_h0 = G·[P_1…P_N]. Every product is a (stacked) matmul with one
+    GEMM per start and every sum runs over one start's own contiguous
+    values. A start whose outputs, impulse response, cogradients, loss or
+    gradient are not all finite gets the loop's result
+    (``_loop_where_not_finite``); a state that overflows while the outputs
+    stay finite is never formed here, so that start gets finite values where
+    the loop raises ``NonFiniteError``."""
+    blocks = params.unpack()
+    W_hh, W_xh, W_hy = blocks["W_hh"], blocks["W_xh"], blocks["W_hy"]
+    lead = params.theta.shape[:-1]
+    S, N, d_x = inputs.shape
+    d_y, d_h = W_hy.shape[-2:]
+    toeplitz, adjoint, hankel = _window_gathers(N, d_x, d_y)
+    X = inputs.reshape(S, N * d_x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = _powers(W_hh, N)  # (..., N+1, d_h, d_h)
+        P = W_hy[..., None, :, :] @ powers  # (..., N+1, d_y, d_h)
+        K = P[..., :N, :, :] @ W_xh[..., None, :, :]  # (..., N, d_y, d_x)
+        K = np.concatenate([K.reshape(lead + (-1,)), np.zeros(lead + (1,))], axis=-1)
+        ws = workspace if workspace is not None else Workspace()
+        # (..., S, N·d_y): the outputs, then the errors, then the cogradients
+        Y = np.matmul(X, np.take(K, toeplitz, axis=-1),
+                      out=ws.plain("window_outputs", lead + (S, N * d_y)))
+        P_out = P[..., 1:, :, :].reshape(lead + (N * d_y, d_h))  # [P_1 … P_N]ᵀ
+        if h0 is not None:
+            Y += h0 @ P_out.mT
+        err = np.subtract(Y, targets.reshape(S, N * d_y), out=Y).reshape(lead + (S, N, d_y))
+        loss = _weighted_sse(err, weights)
+        err *= 2.0 * weights[..., None]
+        G = Y
+
+        M = X.T @ G  # (..., N·d_x, N·d_y)
+        M = np.concatenate([M.reshape(lead + (-1,)), np.zeros(lead + (1,))], axis=-1)
+        dK = np.take(M, adjoint, axis=-1).sum(axis=-1)  # (..., N, d_y, d_x)
+        # dP_0 … dP_N, and N zero steps after them for the Hankel gather
+        dP = np.zeros(lead + (2 * N + 1, d_y, d_h))
+        np.matmul(dK, W_xh.mT[..., None, :, :], out=dP[..., :N, :, :])
+        if h0 is not None:
+            dP[..., 1 : N + 1, :, :] += (G.mT @ h0).reshape(lead + (N, d_y, d_h))
+        H = np.take(dP, hankel, axis=-3)  # (..., N+1 (j), N+1 (u), d_y, d_h)
+        H = np.ascontiguousarray(H.swapaxes(-3, -2)).reshape(lead + ((N + 1) * d_y,
+                                                                     (N + 1) * d_h))
+        # rows (u, h) of the stacked (A^u)ᵀ
+        Q = np.ascontiguousarray(powers.mT).reshape(lead + ((N + 1) * d_h, d_h))
+        Lam = H @ Q  # Λ_0 … Λ_N, rows (j, o)
+        P_in = P[..., :N, :, :].reshape(lead + (N * d_y, d_h))  # [P_0 … P_{N-1}]ᵀ
+        d_theta = np.empty(params.theta.shape)
+        _write_grads(d_theta, {"W_hh": P_in.mT @ Lam[..., d_y:, :],
+                               "W_xh": P_in.mT @ dK.reshape(lead + (N * d_y, d_x)),
+                               "W_hy": Lam[..., :d_y, :]}, params.layout)
+        d_h0 = None if h0 is None else G @ P_out
+    return _loop_where_not_finite((loss, d_theta, d_h0), (P, G), params, h0, inputs, targets,
+                                  weights)
 
 
 def segment_weights(n_steps: int, m: int, rows: int = 1) -> np.ndarray:

@@ -12,18 +12,22 @@ constraints, solved by multi-start Adam with best-iterate tracking and an
 optional spectral-norm projection of the recurrent block after every step.
 The starts run together on a leading model axis: each solver iteration is
 one stacked forward and backward pass over every start still running, so
-they share the per-step Python cost of the recurrence. The linear
-``coupled`` iterations are B = 1 passes over the whole series, where that
-per-step cost is all of it, so they take ``autodiff.linear_scan_loss_grad``,
-a chunked scan in place of the step loop, equal to it to rounding. Every
-other pass keeps the loop: the scan buys nothing at the wide batches of
-``tbptt`` and ``unconstrained``, and ``evaluate``'s passes are tied bit for
-bit to prefixes and restarts of ``forward``. ``solve_variant`` is the one
-entry point. A start whose iterates stop being finite ends alone
-(``failed_starts`` in the diagnostics); the solve fails only when no start
-reached a finite objective. ``evaluate`` runs a solution over the instance
-once: its full-sequence pass from the variant's global initial state and its
-per-window states and outputs, which every analysis reads.
+they share the per-step Python cost of the recurrence. A linear cell's
+iterations skip that cost altogether. ``coupled`` runs B = 1 passes over
+the whole series, so it takes ``autodiff.linear_scan_loss_grad``, a
+chunked scan. ``tbptt`` and ``unconstrained`` run wide batches of short
+windows, so they take ``autodiff.linear_window_loss_grad``: each window's
+outputs are one product with the Toeplitz matrix of the cell's impulse
+response, as long as N·d_x·d_y is at most ``autodiff.WINDOW_TERMS``. Both
+agree with the step loop to rounding. Every other pass keeps the loop:
+nonlinear cells, windows above that bound, and ``evaluate``'s passes,
+which are tied bit for bit to prefixes and restarts of ``forward``.
+``solve_variant`` is the one entry point. A start whose iterates stop
+being finite ends alone (``failed_starts`` in the diagnostics); the solve
+fails only when no start reached a finite objective. ``evaluate`` runs a
+solution over the instance once: its full-sequence pass from the variant's
+global initial state and its per-window states and outputs, which every
+analysis reads.
 """
 
 from __future__ import annotations
@@ -32,7 +36,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import linear_scan_loss_grad, segment_weights, weighted_loss_grad
+from .autodiff import (
+    WINDOW_TERMS, linear_scan_loss_grad, linear_window_loss_grad, segment_weights,
+    weighted_loss_grad,
+)
 from .data import SegmentationPlan, TimeSeriesDataset, segment_arrays
 from .rng import _mix
 from .rnn_core import (
@@ -92,12 +99,17 @@ def coupled_time_weights(plan: SegmentationPlan, m: int, T: int) -> np.ndarray:
 class _Problem:
     """Flat-vector view of one variant: z = [theta, free initial states].
 
-    ``value_grad`` runs every loop pass in the problem's one ``Workspace``,
-    so the iterations of a solve reuse the same full-length buffers, made
-    anew only when the stack's shape changes; it returns no array of them.
-    A linear ``coupled`` problem (``scan``) takes the chunked scan instead,
-    which needs no workspace. The inputs and targets are kept in the passes'
-    step-major memory, so no pass copies them."""
+    ``value_grad`` takes one of three passes (``linear_pass``): the chunked
+    scan for a linear ``coupled`` problem, the window pass for a linear
+    ``tbptt`` or ``unconstrained`` one whose N·d_x·d_y is at most
+    ``WINDOW_TERMS``, and the step loop (None) otherwise. ``xs`` and ``ys``
+    are kept in the memory the problem's pass reads, so no pass copies
+    them: batch-major (S, N, d) for the window pass, which reads each as
+    one (S, N·d) matrix, and step-major for the loop and the scan (one row,
+    so both orders are the same). The loop and the window pass write their
+    full-length buffers into the problem's one ``Workspace``, so the
+    iterations of a solve reuse them, made anew only when the stack's shape
+    changes; ``value_grad`` returns no array of them."""
 
     def __init__(self, variant: str, dataset: TimeSeriesDataset,
                  plan: SegmentationPlan, m: int, spec: CellSpec):
@@ -119,10 +131,17 @@ class _Problem:
             self.n_states = 0 if variant == "tbptt" else plan.S
             xs, ys = segment_arrays(dataset, plan)
             self.w = w
-        # in the passes' own step-major memory, so no pass copies its inputs
-        self.xs, self.ys = (empty_time_major((), *a.shape) for a in (xs, ys))
-        self.xs[...], self.ys[...] = xs, ys
-        self.scan = variant == "coupled" and spec.kind == "linear"
+        self.linear_pass = None  # the step loop
+        if spec.kind == "linear" and variant == "coupled":
+            self.linear_pass = linear_scan_loss_grad
+        elif spec.kind == "linear" and plan.N * spec.d_x * spec.d_y <= WINDOW_TERMS:
+            self.linear_pass = linear_window_loss_grad
+        if self.linear_pass is linear_window_loss_grad:
+            self.xs, self.ys = xs, ys  # batch-major, the window pass's (S, N·d) rows
+        else:
+            # step-major, the loop's memory; with one row also the scan's
+            self.xs, self.ys = (empty_time_major((), *a.shape) for a in (xs, ys))
+            self.xs[...], self.ys[...] = xs, ys
         self.workspace = Workspace()
 
     def split(self, z: np.ndarray) -> tuple[Params, np.ndarray]:
@@ -145,10 +164,14 @@ class _Problem:
         give (R,) objectives and one gradient row each in one pass."""
         params, states = self.split(z)
         lead = z.shape[:-1]
-        h0 = np.zeros(lead + (self.plan.S, self.sd)) if self.variant == "tbptt" else states
-        if self.scan:
-            loss, d_theta, d_h0 = linear_scan_loss_grad(params, h0, self.xs, self.ys, self.w)
+        if self.linear_pass is linear_scan_loss_grad:
+            loss, d_theta, d_h0 = linear_scan_loss_grad(params, states, self.xs, self.ys, self.w)
+        elif self.linear_pass is linear_window_loss_grad:
+            h0 = None if self.variant == "tbptt" else states
+            loss, d_theta, d_h0 = linear_window_loss_grad(params, h0, self.xs, self.ys, self.w,
+                                                          self.workspace)
         else:
+            h0 = np.zeros(lead + (self.plan.S, self.sd)) if self.variant == "tbptt" else states
             loss, d_theta, d_h0 = weighted_loss_grad(params, h0, self.xs, self.ys, self.w,
                                                      self.workspace)
         if self.n_states:

@@ -105,11 +105,13 @@ class Workspace:
     ``empty(name, lead, B, T, k)`` is ``empty_time_major(lead, B, T, k)``
     the first time, and the same array, not zeroed, on every later call
     with that name and shape; a call with another shape (a solver's stack
-    after a start stops) makes and keeps a new one. A pass given a
-    workspace writes its states, outputs and adjoints there, so the next
-    pass given it overwrites them: a caller passes one only when it keeps
-    none of a pass's arrays, and a pass without one allocates its own.
-    ``buffers`` holds the current array of each name."""
+    after a start stops) makes and keeps a new one. ``plain(name, shape)``
+    does the same for a C-contiguous array of ``shape`` (the linear window
+    pass's outputs). A pass given a workspace writes its states, outputs
+    and adjoints there, so the next pass given it overwrites them: a caller
+    passes one only when it keeps none of a pass's arrays, and a pass
+    without one allocates its own. ``buffers`` holds the current array of
+    each name."""
 
     def __init__(self):
         self.buffers: dict[str, np.ndarray] = {}
@@ -118,6 +120,12 @@ class Workspace:
         buf = self.buffers.get(name)
         if buf is None or buf.shape != (*lead, B, T, k):
             buf = self.buffers[name] = empty_time_major(lead, B, T, k)
+        return buf
+
+    def plain(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        buf = self.buffers.get(name)
+        if buf is None or buf.shape != shape:
+            buf = self.buffers[name] = np.empty(shape)
         return buf
 
 

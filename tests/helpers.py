@@ -4,7 +4,8 @@
 ``Params.unpack`` and the oracle of ``backprop``'s gradient assembly.
 ``fd_gradient`` is the central-difference gradient the exact one is checked
 against, and ``exact_linear_loss_grad`` the weighted loss and gradient of a
-bias-free linear cell in exact rational arithmetic. ``gen_synthetic``
+bias-free linear cell in exact rational arithmetic, which
+``assert_near_exact`` holds float values to. ``gen_synthetic``
 builds a normalized recording of the system ``tbptt synth`` simulates,
 scaled by each column's largest magnitude, and ``realizing_params`` gives
 the linear cell that reproduces its noise-free map. ``read_params`` and
@@ -116,6 +117,14 @@ def exact_linear_loss_grad(W_hh, W_xh, W_hy, h0, inputs, targets, weights):
         add_outer(grads["W_hh"], adj, states[t])
         add_outer(grads["W_xh"], adj, xs[t])
     return loss, grads, times(transpose(A), adj)
+
+
+def assert_near_exact(got, exact, rtol):
+    """Every value of ``got`` within ``rtol`` of the ``exact`` ones, relative
+    to their largest magnitude, with the difference taken exactly."""
+    scale = max(abs(e) for e in exact)
+    worst = max(abs(Fraction(float(g)) - e) for g, e in zip(got, exact))
+    assert worst <= rtol * scale, float(worst / scale)
 
 
 def _maxabs_transform(column: np.ndarray) -> ColumnTransform:

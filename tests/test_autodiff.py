@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import fd_gradient, pack
+from helpers import assert_near_exact, exact_linear_loss_grad, fd_gradient, pack
 from tbptt import autodiff
 from tbptt.autodiff import (
     backprop,
@@ -15,7 +15,7 @@ from tbptt.autodiff import (
 )
 from tbptt.rnn_core import (
     CellSpec, NonFiniteError, Params, Workspace, forward, init_params, per_start,
-    step_products, time_major,
+    start_indices, step_products, time_major,
 )
 
 
@@ -550,39 +550,85 @@ def test_scan_degenerate_recurrences(A):
         npt.assert_array_equal(states, x[0] @ params.block("W_xh").T)
 
 
-@pytest.mark.parametrize("R", [None, 2], ids=["unstacked", "stacked"])
-def test_scan_overflowing_power_returns_the_loop_values(R):
+# --- one fallback for both linear passes ------------------------------------
+
+N_W = 21  # the window pass's cases: bench-linear's N, so A^N_W of 1e20·I overflows
+
+
+def window_case(spec, S, N, R=None):
+    """Contracting linear starts (stacked when R is given) over S windows of
+    N steps, with free initial states and burn-in weights."""
+    rng = np.random.default_rng(S * 100 + N)
+    thetas = [contracting(init_params(spec, 70 + r)).theta for r in range(R or 1)]
+    params = Params(np.stack(thetas) if R else thetas[0], spec)
+    h0 = rng.normal(size=(R,) * bool(R) + (S, spec.state_dim))
+    x, y = rng.normal(size=(S, N, spec.d_x)), rng.normal(size=(S, N, spec.d_y))
+    return params, h0, x, y, segment_weights(N, N // 4, S)
+
+
+# each linear pass with a case of its shape: one row of T = 2L + 3 steps for
+# the scan, five windows of N_W steps for the window pass
+LINEAR_PASSES = {
+    "scan": (autodiff.linear_scan_loss_grad, lambda spec, R: scan_case(spec, 2 * L + 3, R)),
+    "windows": (autodiff.linear_window_loss_grad, lambda spec, R: window_case(spec, 5, N_W, R)),
+}
+
+
+def both_passes(stacked):
+    """(path, R) over both linear passes, unstacked and with ``stacked``
+    starts; the scan's cases keep the ids they had before the window pass."""
+    return pytest.mark.parametrize(
+        ("path", "R"), [("scan", None), ("scan", stacked), ("windows", None), ("windows", stacked)],
+        ids=["unstacked", "stacked", "windows-unstacked", "windows-stacked"])
+
+
+@both_passes(2)
+def test_scan_overflowing_power_returns_the_loop_values(path, R):
     # from h0 = 0 with W_xh = 0 every state of the loop is exactly zero and
-    # finite, and W_hy = 0 keeps its adjoints zero; A^L = 1e400 overflows,
-    # so the scan alone gives 0·∞. A stacked finite start keeps its scan bits.
+    # finite, and W_hy = 0 keeps its adjoints zero; A^20 = 1e400 overflows,
+    # so the pass alone gives 0·∞ (the scan's states, the window pass's
+    # impulse response W_hy·A^j). A stacked finite start keeps its pass's bits.
     spec = SCAN_CELLS[0]
-    params, _, x, y, w = scan_case(spec, 2 * L + 3, R)
+    linear_pass, case = LINEAR_PASSES[path]
+    params, h0, x, y, w = case(spec, R)
     wild = pack(spec, {"W_hh": 1e20 * np.eye(2), "W_xh": [[0.0], [0.0]], "W_hy": [[0.0, 0.0]]})
-    zero = np.zeros((1, 2))
+    zero = np.zeros(h0.shape[-2:])
     with np.errstate(over="ignore", invalid="ignore"):
-        alone = autodiff._scan(wild.block("W_hh"), np.zeros((2 * L + 3, 2)), zero)
+        if path == "scan":
+            alone = autodiff._scan(wild.block("W_hh"), np.zeros((2 * L + 3, 2)), zero)
+        else:
+            alone = wild.block("W_hy") @ autodiff._powers(wild.block("W_hh"), N_W)
     assert not np.isfinite(alone).all()
     want = weighted_loss_grad(wild, zero, x, y, w)
     assert all(np.isfinite(a).all() for a in want)
     if R is None:
-        assert_same_bits(autodiff.linear_scan_loss_grad(wild, zero, x, y, w), want)
+        assert_same_bits(linear_pass(wild, zero, x, y, w), want)
+        if path == "windows":  # zero starts: the loop's loss and d_theta, no d_h0
+            loss, d_theta, d_h0 = linear_pass(wild, None, x, y, w)
+            assert d_h0 is None
+            assert_same_bits((loss, d_theta), want[:2])
         return
     theta = params.theta.copy()
     theta[1] = wild.theta
-    h0 = np.zeros((R, 1, 2))
+    h0 = np.zeros((R,) + zero.shape)
     per_start = np.stack([w[:, ::-1], w])  # per-start weights, start 1's as above
-    loss, d_theta, d_h0 = autodiff.linear_scan_loss_grad(Params(theta, spec), h0, x, y,
-                                                         per_start)
+    loss, d_theta, d_h0 = linear_pass(Params(theta, spec), h0, x, y, per_start)
     assert_same_bits((loss[1], d_theta[1], d_h0[1]), want)
-    finite = autodiff.linear_scan_loss_grad(Params(theta[0], spec), h0[0], x, y, per_start[0])
+    finite = linear_pass(Params(theta[0], spec), h0[0], x, y, per_start[0])
     assert_same_bits((loss[0], d_theta[0], d_h0[0]), finite)
 
 
-@pytest.mark.parametrize("R", [None, 3], ids=["unstacked", "stacked"])
-def test_scan_diverging_start_raises_the_loop_error(R):
+@both_passes(3)
+def test_scan_diverging_start_raises_the_loop_error(path, R):
+    # the loop's states overflow under 1e3·I over the scan's 400 steps, and
+    # under 1e20·I over the window pass's N_W
     spec = SCAN_CELLS[0]
-    params, h0, x, y, w = scan_case(spec, 400, R)
-    wild = pack(spec, {"W_hh": 1e3 * np.eye(2), "W_xh": [[1.0], [1.0]], "W_hy": [[1.0, 1.0]]})
+    linear_pass = LINEAR_PASSES[path][0]
+    if path == "scan":
+        (params, h0, x, y, w), scale = scan_case(spec, 400, R), 1e3
+    else:
+        (params, h0, x, y, w), scale = window_case(spec, 5, N_W, R), 1e20
+    wild = pack(spec, {"W_hh": scale * np.eye(2), "W_xh": [[1.0], [1.0]], "W_hy": [[1.0, 1.0]]})
     if R is None:
         params = wild
     else:
@@ -592,9 +638,147 @@ def test_scan_diverging_start_raises_the_loop_error(R):
     with pytest.raises(NonFiniteError) as loop:
         weighted_loss_grad(params, h0, x, y, w)
     with pytest.raises(NonFiniteError) as scan:
-        autodiff.linear_scan_loss_grad(params, h0, x, y, w)
+        linear_pass(params, h0, x, y, w)
     assert loop.value.where == "forward pass"
     assert loop.value.starts == (None if R is None else (1,))
     got, want = scan.value, loop.value
     assert (got.where, got.time_index, got.starts) == (want.where, want.time_index, want.starts)
     assert str(got) == str(want)
+
+
+# --- the window pass through the impulse response ---------------------------
+
+# d_x = d_y = 1 (the CLI's shape) and a wider cell
+WINDOW_CELLS = [SCAN_CELLS[0], CellSpec("linear", 2, 3, 3, activation="identity",
+                                        use_biases=False)]
+
+
+def exact_window_loss_grad(params, h0, x, y, w):
+    """One start's exact loss, gradient in theta's order and flat d_h0 over
+    the windows: ``exact_linear_loss_grad`` of every window, summed."""
+    blocks = params.unpack()
+    loss, grad, d_h0 = 0, [0] * params.theta.size, []
+    for i in range(x.shape[0]):
+        start = np.zeros(params.spec.d_h) if h0 is None else h0[i]
+        value, grads, d_start = exact_linear_loss_grad(
+            blocks["W_hh"], blocks["W_xh"], blocks["W_hy"], start, x[i], y[i], w[i])
+        flat = [g for name in params.layout for row in grads[name] for g in row]
+        loss, grad, d_h0 = loss + value, [a + b for a, b in zip(grad, flat)], d_h0 + d_start
+    return loss, grad, d_h0
+
+
+@pytest.mark.parametrize("R", [None, 2], ids=["unstacked", "stacked"])
+@pytest.mark.parametrize("free", [False, True], ids=["zero-starts", "free-starts"])
+@pytest.mark.parametrize("spec", WINDOW_CELLS, ids=["scalar-io", "d_x2-d_y3"])
+def test_window_pass_lies_near_the_exact_values(spec, free, R):
+    # loss, d_theta and d_h0 within 1e-13 of the exact values, relative to
+    # each one's largest magnitude
+    params, h0, x, y, w = window_case(spec, 4, 12, R)
+    h0 = h0 if free else None
+    loss, d_theta, d_h0 = autodiff.linear_window_loss_grad(params, h0, x, y, w)
+    assert (d_h0 is None) == (not free)
+    for r in start_indices(params.theta.shape[:-1]):
+        start = Params(params.theta[r], spec)
+        exact_loss, exact_grad, exact_h0 = exact_window_loss_grad(
+            start, None if h0 is None else h0[r], x, y, w)
+        assert_near_exact([np.asarray(loss)[r]], [exact_loss], 1e-13)
+        assert_near_exact(d_theta[r], exact_grad, 1e-13)
+        if free:
+            assert_near_exact(d_h0[r].ravel(), exact_h0, 1e-13)
+
+
+@pytest.mark.parametrize("per_start_weights", [False, True], ids=["shared", "per-start"])
+@pytest.mark.parametrize("free", [False, True], ids=["zero-starts", "free-starts"])
+@pytest.mark.parametrize("spec", WINDOW_CELLS, ids=["scalar-io", "d_x2-d_y3"])
+def test_window_pass_stacked_rows_equal_unstacked_calls(spec, free, per_start_weights):
+    # bench-linear's windows (S = 380, N = 21); slice r of each stacked array
+    # has the bits of start r's unstacked call
+    R, S, N = 3, 380, 21
+    params, h0, x, y, w = window_case(spec, S, N, R)
+    h0 = h0 if free else None
+    if per_start_weights:
+        w = np.stack([segment_weights(N, m, S) for m in (0, 5, N - 1)])
+    loss, d_theta, d_h0 = autodiff.linear_window_loss_grad(params, h0, x, y, w)
+    assert loss.shape == (R,) and d_theta.shape == params.theta.shape
+    for r in range(R):
+        alone = autodiff.linear_window_loss_grad(Params(params.theta[r], spec),
+                                                 None if h0 is None else h0[r], x, y,
+                                                 w[r] if per_start_weights else w)
+        assert_same_bits((loss[r], d_theta[r]), alone[:2])
+        if free:
+            assert d_h0[r].tobytes() == alone[2].tobytes()
+        else:
+            assert d_h0 is None and alone[2] is None
+
+
+def test_window_pass_reuses_its_workspace_outputs():
+    # the same bits in one workspace, call after call, in the same outputs
+    # buffer, which no returned array shares
+    params, h0, x, y, w = window_case(SCAN_CELLS[0], 30, N_W, 2)
+    want = autodiff.linear_window_loss_grad(params, h0, x, y, w)
+    workspace = Workspace()
+    first = autodiff.linear_window_loss_grad(params, h0, x, y, w, workspace)
+    (kept,) = workspace.buffers.values()
+    again = autodiff.linear_window_loss_grad(params, h0, x, y, w, workspace)
+    assert workspace.buffers == {"window_outputs": kept}
+    for got in (first, again):
+        assert_same_bits(got, want)
+        assert not any(np.shares_memory(a, kept) for a in got[1:])
+
+
+# (spec, S, N): one window; one step; the CLI's default d_h = 1; more
+# outputs than inputs
+DEGENERATE_WINDOWS = {
+    "S1": (SCAN_CELLS[0], 1, N_W),
+    "N1": (SCAN_CELLS[0], 7, 1),
+    "d_h1": (CellSpec("linear", 1, 1, 1, activation="identity", use_biases=False), 7, N_W),
+    "d_x2-d_y3": (WINDOW_CELLS[1], 7, 9),
+}
+
+
+@pytest.mark.parametrize("R", [None, 2], ids=["unstacked", "stacked"])
+@pytest.mark.parametrize("case", list(DEGENERATE_WINDOWS))
+def test_window_pass_matches_the_loop_on_degenerate_shapes(case, R):
+    spec, S, N = DEGENERATE_WINDOWS[case]
+    params, h0, x, y, w = window_case(spec, S, N, R)
+    for start in (None, h0):
+        got = autodiff.linear_window_loss_grad(params, start, x, y, w)
+        want = weighted_loss_grad(params, np.zeros_like(h0) if start is None else start, x, y, w)
+        for a, b in zip(got[:2] if start is None else got, want):
+            assert np.shape(a) == np.shape(b)
+            assert rel_linf(np.asarray(a), np.asarray(b)) <= 1e-13
+
+
+@pytest.mark.parametrize("A", [np.zeros((2, 2)), np.array([[0.0, 1.0], [0.0, 0.0]])],
+                         ids=["zero", "nilpotent"])
+def test_window_pass_degenerate_recurrences(A):
+    # the powers of a nilpotent A are exact: A⁰ = I, A¹ = A, then zeros
+    params, h0, x, y, w = window_case(SCAN_CELLS[0], 7, N_W)
+    params = params.with_block("W_hh", A)
+    got = autodiff.linear_window_loss_grad(params, h0, x, y, w)
+    want = weighted_loss_grad(params, h0, x, y, w)
+    for a, b in zip(got, want):
+        assert rel_linf(np.asarray(a), np.asarray(b)) <= 1e-13
+    powers = autodiff._powers(A, N_W)
+    npt.assert_array_equal(powers[:2], [np.eye(2), A])
+    assert not powers[2:].any()
+
+
+def test_window_pass_is_finite_where_only_a_state_overflows():
+    # the states t·1e307 of W_xh = 1e307 over unit inputs overflow at t = 18,
+    # so the loop raises; read out by W_hy = 1e-300 and weighted by 1e-250,
+    # the outputs (about 1e7·t), the loss and the gradient are finite. The
+    # window pass forms no state: it returns them, near the exact values
+    spec = DEGENERATE_WINDOWS["d_h1"][0]
+    params = pack(spec, {"W_hh": [[1.0]], "W_xh": [[1e307]], "W_hy": [[1e-300]]})
+    S, N = 3, N_W
+    x = np.ones((S, N, 1))
+    y = np.random.default_rng(8).normal(size=(S, N, 1))
+    w = np.full((S, N), 1e-250)
+    with pytest.raises(NonFiniteError) as loop:
+        weighted_loss_grad(params, np.zeros((S, 1)), x, y, w)
+    assert (loop.value.where, loop.value.time_index) == ("forward pass", 18)
+    loss, d_theta, _ = autodiff.linear_window_loss_grad(params, None, x, y, w)
+    exact_loss, exact_grad, _ = exact_window_loss_grad(params, None, x, y, w)
+    assert_near_exact([loss], [exact_loss], 1e-13)
+    assert_near_exact(d_theta, exact_grad, 1e-13)

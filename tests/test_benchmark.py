@@ -1,12 +1,14 @@
-from fractions import Fraction
-
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import exact_linear_loss_grad, gen_synthetic, pack, read_solution, realizing_params
+from helpers import (
+    assert_near_exact, exact_linear_loss_grad, gen_synthetic, pack, read_solution, realizing_params,
+)
 from tbptt import cli
-from tbptt.autodiff import weighted_loss_grad
+from tbptt.autodiff import (
+    WINDOW_TERMS, linear_scan_loss_grad, linear_window_loss_grad, weighted_loss_grad,
+)
 from tbptt.benchmark import (
     VARIANTS,
     LiftedSolution,
@@ -420,32 +422,46 @@ def test_solve_evaluates_once_per_iteration(stack_instance, monkeypatch):
 # --- one workspace per solve ---------------------------------------------------
 
 
+def identity_start(spec, **blocks):
+    """A start of the identity cell of ``spec``'s shape from its weight
+    blocks, with zero biases when the cell has them: the same map either way."""
+    if spec.use_biases:
+        blocks |= {"b_h": np.zeros(spec.d_h), "b_y": np.zeros(spec.d_y)}
+    return pack(spec, blocks)
+
+
 def ramp_start(problem):
-    """A linear start of two equal hidden units that grow to about 3e154 over
-    the longest sequence, read out by zeros: its first objective and
-    gradient are finite, and after its first Adam step of 10 its objective
-    overflows, so it fails in the second iteration."""
+    """An identity-cell start of two equal hidden units that grow to about
+    3e154 over the longest sequence, read out by zeros: its first objective
+    and gradient are finite, and after its first Adam step of 10 its
+    objective overflows, so it fails in the second iteration."""
     longest = problem.xs.shape[1]
     c = (3e154 / np.max(np.abs(problem.xs))) ** (1.0 / (longest - 1))
-    return pack(problem.spec, {"W_hh": c * np.eye(2), "W_xh": [[1.0], [1.0]],
-                               "W_hy": [[0.0, 0.0]]})
+    return identity_start(problem.spec, W_hh=c * np.eye(2), W_xh=[[1.0], [1.0]],
+                          W_hy=[[0.0, 0.0]])
+
+
+# linear problems take no loop pass (the scan, the window pass), so the
+# linear cases run an identity Elman cell of the same shape on the loop
+WORKSPACE_SPECS = {**STACK_SPECS, "linear": CellSpec("elman", 1, 2, 1, activation="identity")}
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("kind", list(STACK_SPECS))
+@pytest.mark.parametrize("kind", list(WORKSPACE_SPECS))
 def test_solve_in_one_workspace_equals_fresh_buffers(stack_instance, kind, variant):
     # the stack shrinks as starts fail (linear huge: its first forward pass
     # overflows and the rest are evaluated again; twin: end of iteration 1;
     # ramp: iteration 2) and stop on plateaus; every size of it runs in the
     # problem's workspace
     ds, plan = stack_instance
-    spec = STACK_SPECS[kind]
+    spec = WORKSPACE_SPECS[kind]
     shared, fresh = (_Problem(variant, ds, plan, 2, spec) for _ in range(2))
+    assert shared.linear_pass is None
     fresh.workspace = None  # every pass allocates its own buffers
     extra = [(init_params(spec, 23), None), (twin_start(spec), None)]
     if kind == "linear":
-        huge = pack(spec, {"W_hh": 1e200 * np.eye(2), "W_xh": [[1.0], [1.0]],
-                           "W_hy": [[1.0, 1.0]]})
+        huge = identity_start(spec, W_hh=1e200 * np.eye(2), W_xh=[[1.0], [1.0]],
+                              W_hy=[[1.0, 1.0]])
         extra += [(huge, None), (ramp_start(shared), None)]
     opt = OptConfig(restarts=2, max_iters=60, lr=10.0 if kind == "linear" else 0.05,
                     plateau_iters=10, plateau_tol=1e-3, spectral_bound=None,
@@ -522,21 +538,13 @@ def exact_value_grad(problem, z):
     return loss, flat + d_h0
 
 
-def assert_near_exact(got, exact, rtol):
-    """Every value within ``rtol`` of the exact ones, relative to their
-    largest magnitude, with the difference taken exactly."""
-    scale = max(abs(e) for e in exact)
-    worst = max(abs(Fraction(float(g)) - e) for g, e in zip(got, exact))
-    assert worst <= rtol * scale, float(worst / scale)
-
-
 def test_coupled_scan_and_loop_lie_near_the_exact_values(stack_instance):
     # T = 40, two chunks of the scan: both float paths, stacked and
     # unstacked, within 1e-13 of the exact loss and gradient
     ds, plan = stack_instance
     spec = STACK_SPECS["linear"]
     problem = _Problem("coupled", ds, plan, 2, spec)
-    assert problem.scan and ds.T == 40
+    assert problem.linear_pass is linear_scan_loss_grad and ds.T == 40
     rng = np.random.default_rng(4)
     z = np.stack([problem.join(init_params(spec, 30 + r), rng.normal(size=(1, 2)))
                   for r in range(2)])
@@ -553,3 +561,50 @@ def test_coupled_scan_and_loop_lie_near_the_exact_values(stack_instance):
                                 (scan_obj, scan_grad)]:
             assert_near_exact([value], [loss], 1e-13)
             assert_near_exact(gradient, grad, 1e-13)
+
+
+# --- the linear window problems through the impulse response -------------------
+
+
+@pytest.mark.parametrize("variant", ["tbptt", "unconstrained"])
+def test_window_problem_on_a_strided_plan_matches_the_loop(stack_instance, variant):
+    # stride 5 over T = 40 with N = 8: the last window is clipped to end at
+    # T, overlapping the one before it by 6 steps
+    ds, _ = stack_instance
+    plan = make_plan(40, 8, 5)
+    assert plan.starts[-2:] == (31, 33)
+    problem = _Problem(variant, ds, plan, 2, LIN2)
+    assert problem.linear_pass is linear_window_loss_grad
+    assert problem.xs.flags.c_contiguous and problem.ys.flags.c_contiguous
+    rng = np.random.default_rng(6)
+    z = np.stack([problem.join(init_params(LIN2, 30 + r), rng.normal(size=(plan.S, 2)))
+                  for r in range(2)])
+    obj, grad = problem.value_grad(z)
+    xs, ys = segment_arrays(ds, plan)
+    for r in range(2):
+        params, states = problem.split(z[r])
+        h0 = np.zeros((plan.S, 2)) if variant == "tbptt" else states
+        loss, d_theta, d_h0 = weighted_loss_grad(params, h0, xs, ys, problem.w)
+        want = d_theta if variant == "tbptt" else np.concatenate([d_theta, d_h0.ravel()])
+        assert abs(obj[r] - loss) <= 1e-13 * abs(loss)
+        assert np.max(np.abs(grad[r] - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_window_above_the_bound_takes_the_loop():
+    # N·d_x·d_y = WINDOW_TERMS takes the window pass; one more step, the
+    # step loop, whose bits value_grad then returns
+    ds, _ = gen_synthetic(seed=4, T=WINDOW_TERMS + 20, noise_std=0.05)
+    at, above = (_Problem("unconstrained", ds, make_plan(ds.T, N, 7), 3, LIN2)
+                 for N in (WINDOW_TERMS, WINDOW_TERMS + 1))
+    assert at.linear_pass is linear_window_loss_grad
+    assert above.linear_pass is None
+    rng = np.random.default_rng(2)
+    start = init_params(LIN2, 5)
+    start = start.with_block("W_hh", 0.5 * start.block("W_hh"))
+    z = above.join(start, rng.normal(size=(above.plan.S, 2)))
+    obj, grad = above.value_grad(z)
+    params, states = above.split(z)
+    loss, d_theta, d_h0 = weighted_loss_grad(params, states, *segment_arrays(ds, above.plan),
+                                             above.w)
+    assert obj == loss
+    assert grad.tobytes() == np.concatenate([d_theta, d_h0.ravel()]).tobytes()

@@ -143,8 +143,10 @@ def cli_pass(out):
     """Every subcommand and mode, small: synth with validation and test
     series; train as linear/zero/adam, elman/stateful/sgd and lstm/bptt; a
     sweep with a test series whose m = 6 > N - 1 cell gets an error row;
-    a benchmark of all three variants; and a linear ``coupled`` benchmark
-    alone, whose iterations take the chunked scan."""
+    a benchmark of all three variants on the default linear cell, whose
+    ``tbptt`` and ``unconstrained`` iterations take the window pass; and a
+    linear ``coupled`` benchmark alone, whose iterations take the chunked
+    scan."""
 
     def run(*argv):
         assert cli.main(["--out", str(out), *map(str, argv)]) == 0, argv
