@@ -26,16 +26,11 @@ the loop (``_loop_where_not_finite``). A linear cell with biases would add
 one more impulse-response term per step to the window pass, Σ_{j<t}
 W_hy·W_hh^j·b_h + b_y, and b_h to the scan's hoisted input product.
 
-Buffers: each pass allocates its full-length arrays (states, outputs, LSTM
-gates, adjoints) with ``rnn_core.empty_time_major``, unless its caller
-passes an ``rnn_core.Workspace``, which hands the same arrays to every
-pass over the same shapes; the window pass keeps its one full-size array,
-the outputs, there too. ``benchmark._Problem`` keeps one for the
-iterations of a solve and ``training.train`` one for its epoch log; every
-other caller keeps what a pass returns and passes none. ``tape_loss_grad``
-writes the errors and then the cogradients over the tape's ``outputs``,
-and ``backprop`` reads the cogradients and the tape and writes only its
-adjoint buffers, so a tape's outputs are spent by its gradient.
+Buffers follow the memory layout of ``rnn_core``'s module docstring, in a
+caller's ``Workspace`` when one is given. ``tape_loss_grad`` writes the
+errors and then the cogradients over the tape's ``outputs``, and
+``backprop`` writes only its adjoint buffers, so a tape's outputs are
+spent by its gradient.
 """
 
 from __future__ import annotations
@@ -60,18 +55,13 @@ class Tape:
     (B, T'+1, sd) buffer, read by the backward sweep and never copied; the
     stateful chain's tape (``training._stateful_inits``) holds windows
     gathered from one longer pass instead. For the LSTM, ``cache`` holds the
-    forward's gate buffer ("gates", (B, T', 4·d_h), which first held the
-    hoisted input product and bias over the half-scaled i, f and o rows and
-    was overwritten with the i, f, g, o gate activations) and "tanh_c"
-    (B, T', d_h); linear/Elman cells need no cache. A tape of
+    forward's "gates" (B, T', 4·d_h), the i, f, g, o gate activations, and
+    "tanh_c" (B, T', d_h); linear/Elman cells need no cache. A tape of
     stacked ``params`` carries the leading start axis R on every array but
-    the shared ``inputs``. ``states``, ``outputs`` and the cache arrays are
-    step-major and batch-innermost in memory, on either kind of tape
-    (``rnn_core.empty_time_major``, ``rnn_core.take_steps``): (steps, R,
-    k, B) behind the batch-major shape, so ``time_major(a)[t]`` is one
-    contiguous (R, k, B) block. ``inputs`` may have any memory order; the
-    backward sweep reads them through strided views. ``tape_loss_grad``
-    overwrites ``outputs`` with the cogradients.
+    the shared ``inputs``. Every array but ``inputs``, which may have any
+    memory order, is step-major (``rnn_core``'s module docstring) on either
+    kind of tape. ``tape_loss_grad`` overwrites ``outputs`` with the
+    cogradients.
     """
 
     params: Params
@@ -101,12 +91,8 @@ def backprop(tape: Tape, cograds: np.ndarray,
     ``workspace`` ("da", or "dz", "c_path" and "dh_out") when one is given
     and allocates otherwise.
 
-    The loop carries only the adjoints. Every full-length buffer is
-    (..., B, T', k) over the memory of ``empty_time_major``, like the
-    tape's: step t is one contiguous (..., k, B) block, batch rows
-    innermost, and its products with the weights are (R, n, k) @ (R, k, B)
-    GEMMs. The cogradients and inputs are read through step-major views of
-    whatever memory they have, never copied whole. After the loop the weight
+    The loop carries only the adjoints, in step-major buffers like the
+    tape's (``rnn_core``'s module docstring). After the loop the weight
     gradients are products of step blocks (``_step_sum``) over views with
     the stride order of an unstacked call, so each start gets that call's
     bits: with B > 1 one stacked product per block for all starts, each
@@ -129,8 +115,7 @@ def backprop(tape: Tape, cograds: np.ndarray,
     three buffers: ``dz`` (gates-sized) takes the four gate-derivative
     factors (∂c/∂z for i, f and g; tanh c · ∂o/∂z for o), ``c_path``
     (..., B, T', d_h) the c-path factor o·(1 − tanh²c), and ``dh_out`` the
-    same size ``W_hyᵀ · cograds``. Each gate's factor is a slice of d_h
-    components of every step block, whole runs of B rows. Step t then makes
+    same size ``W_hyᵀ · cograds``. Step t then makes
     seven operations: dh and dc in their blocks, the in-place scaling of its
     ``dz`` block by dc (i, f, g) and by dh (o), and the carries
     ``W_hhᵀ · dz`` and ``dc · f``. After the loop ``W_hh``, ``W_xh`` and
@@ -323,9 +308,7 @@ def tape_loss_grad(tape: Tape, targets: np.ndarray, weights: np.ndarray,
 
     The tape's ``outputs`` are overwritten, in place: first with the
     errors, then with the cogradients, which ``backprop`` reads (with
-    ``workspace`` for its adjoints). Every tape's outputs are step-major
-    (``record``'s, and ``take_steps``'s on the stateful chain), so
-    ``backprop`` reads their step blocks as contiguous (..., d_y, B) runs."""
+    ``workspace`` for its adjoints), step-major like every tape's outputs."""
     # overflow surfaces as a non-finite loss, cogradient (NonFiniteError) or
     # gradient, which every caller checks, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):

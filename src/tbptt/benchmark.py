@@ -105,11 +105,11 @@ class _Problem:
     ``WINDOW_TERMS``, and the step loop (None) otherwise. ``xs`` and ``ys``
     are kept in the memory the problem's pass reads, so no pass copies
     them: batch-major (S, N, d) for the window pass, which reads each as
-    one (S, N·d) matrix, and step-major for the loop and the scan (one row,
-    so both orders are the same). The loop and the window pass write their
-    full-length buffers into the problem's one ``Workspace``, so the
-    iterations of a solve reuse them, made anew only when the stack's shape
-    changes; ``value_grad`` returns no array of them."""
+    one (S, N·d) matrix, and step-major (``rnn_core``'s module docstring)
+    for the loop and the scan (one row, so both orders are the same). The
+    loop and the window pass keep their buffers in the problem's one
+    ``Workspace`` over the iterations of a solve; ``value_grad`` returns no
+    array of them."""
 
     def __init__(self, variant: str, dataset: TimeSeriesDataset,
                  plan: SegmentationPlan, m: int, spec: CellSpec):

@@ -15,9 +15,8 @@ parameters, computed by a forward pass alone; it equals the same ``train``
 run's ``final_objective`` and is empty when ``--epochs 0``. The cells of one
 window length N train together as one stacked run over their burn-ins; then
 every trained model of the grid is evaluated in one stacked pass.
-The sweep's ``timings.json`` holds each N's training time and the
-evaluation's time under ``phases``, and gives each cell its group's
-training share plus an even share of the evaluation.
+The sweep's ``timings.json`` holds, under ``phases``, the times it measures:
+each N's training and the one evaluation.
 
 Every run writes into ``<out-root>/<command>/<config-hash>/`` with a
 manifest.json describing it; rerunning with identical flags reproduces all
@@ -369,20 +368,19 @@ def _train_group(dataset, args, N: int, ms: tuple[int, ...]) -> list[tuple]:
             for m, model in zip(ms, models)]
 
 
-def _train_cells(dataset, args, N: int, ms: tuple[int, ...]) -> dict[int, tuple | str]:
-    """Each burn-in m of ``ms`` mapped to ``_train_group``'s pair for cell
-    (N, m), or to its error text: one stacked run, and only if that fails,
-    each cell alone, so a failing cell reports its own error and takes no
-    other cell with it."""
+def _alone_on_failure(run, items: tuple) -> list:
+    """``run(items)``, one result per item; if that raises, ``run`` of each
+    item alone, where an item that fails alone gets its error text in place
+    of its result. So a failing item takes no other with it."""
     try:
-        return dict(zip(ms, _train_group(dataset, args, N, ms)))
+        return run(items)
     except Exception as exc:  # cell failures must not kill the sweep
-        if len(ms) == 1:
-            return {ms[0]: str(exc)}
-    return {m: _train_cells(dataset, args, N, (m,))[m] for m in ms}
+        if len(items) == 1:
+            return [str(exc)]
+    return [_alone_on_failure(run, (item,))[0] for item in items]
 
 
-def _evaluate(cells: list[tuple], dataset, test_set, args) -> list[dict]:
+def _evaluate(cells: tuple[tuple, ...], dataset, test_set, args) -> list[dict]:
     """The rows of trained cells ``(N, m, train_mse, params)``, evaluated
     together.
 
@@ -410,20 +408,6 @@ def _evaluate(cells: list[tuple], dataset, test_set, args) -> list[dict]:
     return rows
 
 
-def _evaluated_rows(cells: list[tuple], dataset, test_set, args) -> list[dict]:
-    """The rows of trained cells ``(N, m, train_mse, params)``: one stacked
-    evaluation, and only if that fails, each cell alone. A cell's trained
-    parameters hold the bits of its lone training, so each row is what a
-    lone run of its cell gives."""
-    try:
-        return _evaluate(cells, dataset, test_set, args)
-    except Exception as exc:  # cell failures must not kill the sweep
-        if len(cells) == 1:
-            N, m = cells[0][:2]
-            return [_error_row(N, m, str(exc))]
-    return [_evaluated_rows([cell], dataset, test_set, args)[0] for cell in cells]
-
-
 SWEEP_COLUMNS = ["N", "m", "train_mse", "test_mse", "P", "lambda", "error"]
 
 
@@ -441,13 +425,12 @@ def cmd_sweep(args) -> int:
     the grid trained is evaluated in one stack: one zero-state pass over
     each series and one stability probe. If any cell of a group fails to
     train, the group's cells rerun one by one; if the stacked evaluation
-    fails, each cell is evaluated alone. So each row holds exactly what a
-    lone run of its cell gives. ``timings.json`` holds the wall time of
-    each N's training and of the evaluation under ``phases``; each cell's
-    entry is an even share of its group's training plus, if it trained, an
-    even share of the evaluation. A burn-in beyond N - 1 takes none and
-    gets an error row. The exit code is 4 when a cell that could run
-    failed, and 0 otherwise.
+    fails, each cell is evaluated alone (``_alone_on_failure``). So each
+    row holds exactly what a lone run of its cell gives. A burn-in beyond
+    N - 1 is neither trained nor evaluated and gets an error row.
+    ``timings.json`` holds the wall time of each N's training and of the
+    evaluation under ``phases``. The exit code is 4 when a cell that could
+    run failed, and 0 otherwise.
     """
     dataset = _load_dataset(args, args.data)
     test_set = None
@@ -469,37 +452,32 @@ def cmd_sweep(args) -> int:
     run_dir = make_run_dir(args, run_config(args, N_list=n_values, m_list=m_values))
 
     rows: dict[tuple[int, int], dict] = {}
-    wall_times: dict[tuple[int, int], float] = {}
     trained: list[tuple] = []  # (N, m, train_mse, params) of each cell that trained
     train_phases = []
     for N in n_values:
         ms = tuple(m for m in m_values if m <= N - 1)
-        for m in m_values:
-            if m not in ms:
-                rows[N, m] = _error_row(N, m, f"m={m} exceeds N-1")
-                wall_times[N, m] = 0.0
+        rows.update({(N, m): _error_row(N, m, f"m={m} exceeds N-1")
+                     for m in m_values if m not in ms})
         if ms:
             t0 = time.perf_counter()
-            for m, cell in _train_cells(dataset, args, N, ms).items():
+            cells = _alone_on_failure(lambda group: _train_group(dataset, args, N, group), ms)
+            train_phases.append({"N": N, "wall_time_s": time.perf_counter() - t0})
+            for m, cell in zip(ms, cells):
                 if isinstance(cell, str):
                     rows[N, m] = _error_row(N, m, cell)
                 else:
                     trained.append((N, m, *cell))
-            train_s = time.perf_counter() - t0
-            train_phases.append({"N": N, "wall_time_s": train_s})
-            wall_times.update({(N, m): train_s / len(ms) for m in ms})
     t0 = time.perf_counter()
-    for row in _evaluated_rows(trained, dataset, test_set, args) if trained else []:
-        rows[row["N"], row["m"]] = row
+    if trained:
+        evaluated = _alone_on_failure(
+            lambda cells: _evaluate(cells, dataset, test_set, args), tuple(trained))
+        for (N, m, *_), row in zip(trained, evaluated):
+            rows[N, m] = _error_row(N, m, row) if isinstance(row, str) else row
     evaluate_s = time.perf_counter() - t0
-    for N, m, *_ in trained:
-        wall_times[N, m] += evaluate_s / len(trained)
 
     _write_csv(run_dir / "report.csv", SWEEP_COLUMNS, [rows[cell] for cell in sorted(rows)])
     _write_json(run_dir / "timings.json", {
         "phases": {"train": train_phases, "evaluate": {"wall_time_s": evaluate_s}},
-        "cells": [{"N": N, "m": m, "wall_time_s": wall_times[N, m]}
-                  for N, m in sorted(wall_times)],
     })
     print(run_dir)
     failed = any(row["error"] for (N, m), row in rows.items() if m <= N - 1)

@@ -13,17 +13,22 @@ Three cell kinds share one interface:
 All learnable weights live in one flat float64 vector ``theta`` with a named
 block layout, so optimizers and serialization never special-case the cell.
 
-Every recurrence buffer (the states, the LSTM gates, the backward pass's
-adjoints) has a batch-major shape, (..., B, T', k), over step-major,
-batch-innermost memory, (T', ..., k, B) (``empty_time_major``). Step t is
-one contiguous block, each of its k components a contiguous run of the B
-batch rows, so every elementwise operation of a step runs over whole
-blocks however narrow k is, and the step's product with a weight matrix
-is one (n, k) @ (k, B) GEMM per start (``step_products``). A pass allocates
-these buffers itself, or takes them from a ``Workspace`` that a caller
-passes to pass after pass over the same shapes (a solver's iterations, a
-training run's epoch log), so only the first of those passes allocates
-and faults in fresh pages.
+Memory layout, the one statement of it: each
+full-length recurrence buffer (the states, outputs, LSTM gates and tanh c
+of a forward pass, the adjoints of a backward pass, the windows of a
+stateful tape) has a batch-major shape, (..., B, T', k), over step-major,
+batch-innermost memory, (T', ..., k, B). ``empty_time_major`` makes such
+a buffer, ``take_steps`` gathers one, and ``time_major`` views it in its
+storage order. Step t is one contiguous (..., k, B) block, each of its k
+components a contiguous run of the B batch rows, so every elementwise
+operation of a step runs over whole blocks however narrow k is, a slice
+of components (an LSTM gate, a state half) is whole runs, and the step's
+product with a weight matrix is one (n, k) @ (k, B) GEMM per start
+(``step_products``). Inputs and cogradients may have any memory order; a
+pass reads them through step-major views. A pass allocates its buffers,
+or takes them from a ``Workspace`` that its caller keeps over passes of
+the same shapes (``benchmark._Problem`` per solve, ``training.train`` per
+epoch log), so only the first of those passes faults in fresh pages.
 """
 
 from __future__ import annotations
@@ -77,24 +82,16 @@ def check_finite(where: str, *arrays: np.ndarray) -> None:
 
 
 def time_major(a: np.ndarray) -> np.ndarray:
-    """A view of a (..., B, T, k) array as (T, ..., k, B): steps first and
-    batch rows innermost, so step t is one integer index, with or without
-    a leading start axis.
-
-    On a buffer from ``empty_time_major`` the view is its C-contiguous
-    storage: step t, ``time_major(a)[t]``, is one contiguous (..., k, B)
-    block, each of its k components a contiguous run of B batch rows."""
+    """A view of a (..., B, T, k) array as (T, ..., k, B), so step t is one
+    integer index, with or without a leading start axis; on a step-major
+    buffer (module docstring) it is the C-contiguous storage."""
     nd = a.ndim
     return a.transpose((nd - 2, *range(nd - 3), nd - 1, nd - 3))
 
 
 def empty_time_major(lead: tuple[int, ...], B: int, T: int, k: int) -> np.ndarray:
-    """An uninitialised float64 (*lead, B, T, k) array stored as
-    (T, *lead, k, B): the batch-major shape every caller indexes, over
-    step-major, batch-innermost memory. Step t of a recurrence reads and
-    writes one contiguous block; its product with a weight matrix is one
-    (n, k) @ (k, B) GEMM per start, and a slice of k components (an LSTM
-    gate, a state half) is one contiguous run of B rows per component."""
+    """An uninitialised float64 (*lead, B, T, k) array over (T, *lead, k, B)
+    memory: a step-major buffer (module docstring)."""
     return _batch_major(np.empty((T, *lead, k, B), dtype=np.float64))
 
 
@@ -106,12 +103,10 @@ class Workspace:
     the first time, and the same array, not zeroed, on every later call
     with that name and shape; a call with another shape (a solver's stack
     after a start stops) makes and keeps a new one. ``plain(name, shape)``
-    does the same for a C-contiguous array of ``shape`` (the linear window
-    pass's outputs). A pass given a workspace writes its states, outputs
-    and adjoints there, so the next pass given it overwrites them: a caller
-    passes one only when it keeps none of a pass's arrays, and a pass
-    without one allocates its own. ``buffers`` holds the current array of
-    each name."""
+    does the same for a C-contiguous array (the linear window pass's
+    outputs). The next pass given a workspace overwrites what the last one
+    wrote there, so a caller passes one only when it keeps none of a
+    pass's arrays. ``buffers`` holds the current array of each name."""
 
     def __init__(self):
         self.buffers: dict[str, np.ndarray] = {}
@@ -145,8 +140,8 @@ def take_steps(a: np.ndarray, steps: np.ndarray) -> np.ndarray:
     axis. The windows may overlap and their offsets need not be even. With
     one batch row, step s of the source is one contiguous run of every
     start's k values: one gather takes those runs in (step, window) order,
-    and one transposing copy puts the windows innermost, into the memory
-    of ``empty_time_major``.
+    and one transposing copy puts the windows innermost, into step-major
+    memory.
     """
     lead, L, k = a.shape[:-3], a.shape[-2], a.shape[-1]
     runs = np.take(time_major(a).reshape(L, -1), steps.T, axis=0)  # (n, B, R·k)
@@ -157,18 +152,16 @@ def take_steps(a: np.ndarray, steps: np.ndarray) -> np.ndarray:
 def step_products(w: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``w @ a[t]`` for every step t of a step-major (T, *lead, k, B) array
     or view ``a``, with ``w`` (*lead, n, k): the (T, *lead, n, B) products,
-    written to ``out`` when given.
+    written to ``out`` when given, one GEMM per step and start, so a
+    start's bits do not depend on the others.
 
-    Each step of each start is one (n, k) @ (k, B) product, so a start's
-    bits do not depend on R or on the other starts. With one batch row a
-    start's (k, 1) blocks are the rows of one (T, k) matrix, and the product
-    is ``a`` as rows times ``wᵀ``, one call per start over all its steps.
-    With k = 1 and B > 1 (a cogradient's ``W_hyᵀ · dY`` at d_y = 1) every
-    product is an outer product: one broadcast ``einsum`` over all steps and
-    starts. Like a GEMM, it adds each product to a zeroed output, so a -0.0
-    product gives +0.0 and the bits are the K = 1 GEMM's; a broadcast
-    ``np.multiply`` would keep the -0.0, and allocates two iterator buffers
-    of 8192 values per call.
+    With one batch row a start's steps are the rows of one (T, k) matrix,
+    times ``wᵀ`` in one call. With k = 1 and B > 1 (a cogradient's
+    ``W_hyᵀ · dY`` at d_y = 1) every product is an outer product: one
+    broadcast ``einsum`` over all steps and starts. Like a GEMM, it adds
+    each product to a zeroed output, so a -0.0 product gives +0.0 and the
+    bits are the K = 1 GEMM's; a broadcast ``np.multiply`` would keep the
+    -0.0, and allocates two iterator buffers of 8192 values per call.
     """
     if out is None:
         out = np.empty(a.shape[:-2] + (w.shape[-2], a.shape[-1]))
@@ -358,15 +351,10 @@ def batched_forward(
     stacked product over the R models, so all of them share the per-step
     Python cost. The unstacked call is the same code without that axis.
 
-    Storage: ``states`` and the LSTM ``gates``/``tanh_c`` buffers come from
-    ``empty_time_major``, and so does the memory of ``outputs``: each is
-    (T', ..., k, B) behind the batch-major shape, and step t reads and
-    writes one contiguous block holding every start's (k, B) columns, with
-    the batch rows innermost. The inputs are copied once into the same
-    step-major order. Given a ``workspace``, the call writes ``states``,
-    ``outputs`` and the LSTM buffers into its "states", "outputs", "gates"
-    and "tanh_c" arrays and returns those: the workspace's next pass
-    overwrites them.
+    Storage: ``states``, ``outputs`` and the LSTM ``gates``/``tanh_c`` are
+    step-major (module docstring), and the inputs are copied once into the
+    same order. Given a ``workspace``, they are its "states", "outputs",
+    "gates" and "tanh_c" arrays.
 
     The input half of every pre-activation, ``W_xh · x``, does not depend
     on the carried state and is computed once per call, before the time

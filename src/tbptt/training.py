@@ -257,6 +257,7 @@ def _batches(order: list[int], size: int) -> list[list[int]]:
 def _stateful_inits(
     params: Params,
     inputs: np.ndarray,
+    xs: np.ndarray,
     plan: SegmentationPlan,
     cached: np.ndarray,
     batch: list[int],
@@ -273,15 +274,13 @@ def _stateful_inits(
     (the first segment itself for batch 0), through the last input of the
     batch's last window, s_last - s_j + N steps. Window i covers the span's
     steps s_i - s_j to s_i - s_j + N. The windows' states, LSTM
-    ``gates``/``tanh_c``, outputs and inputs are gathered from the span
-    into a ``Tape`` of (B, N) windows (``rnn_core.take_steps``, step-major
-    and batch-innermost like ``record``'s, the outputs too, so the
-    cogradients ``tape_loss_grad`` writes over them are step-major), which
-    ``sgd_step`` differentiates;
-    ``tape.states[..., 0, :]`` are the chained starts. ``cached`` (S, sd)
-    keeps every segment's start and is updated. A stacked ``params`` chains
-    every start in the same one pass, with ``cached`` (R, S, sd) and a
-    stacked tape.
+    ``gates``/``tanh_c`` and outputs are gathered from the span
+    (``rnn_core.take_steps``) into a ``Tape`` of (B, N) windows, whose
+    inputs are ``xs[batch]``, the batch's rows of the run's windows (S, N,
+    d_x); ``sgd_step`` differentiates it. ``tape.states[..., 0, :]`` are
+    the chained starts. ``cached`` (S, sd) keeps every segment's start and
+    is updated. A stacked ``params`` chains every start in the same one
+    pass, with ``cached`` (R, S, sd) and a stacked tape.
 
     A non-finite span raises ``NonFiniteError`` whose time index counts span
     steps: index k is the state after k inputs of the span, which starts at
@@ -295,7 +294,7 @@ def _stateful_inits(
     offsets = np.array([plan.starts[i] - s_j for i in batch])
     steps = offsets[:, None] + np.arange(N + 1)  # (B, N + 1) span steps per window
     cached[..., batch, :] = states[..., 0, offsets, :]
-    return Tape(params=params, inputs=span_inputs[steps[:, :N]],
+    return Tape(params=params, inputs=xs[batch],
                 states=take_steps(states, steps), outputs=take_steps(outputs, steps[:, :N]),
                 cache={name: take_steps(a, steps[:, :N]) for name, a in cache.items()})
 
@@ -362,7 +361,7 @@ def train_burn_ins(dataset: TimeSeriesDataset, config: TrainConfig,
         for batch in _batches(order, config.batch_size):
             tape = None
             if config.mode == "stateful":
-                tape = _stateful_inits(params, dataset.inputs, plan, cached_inits, batch)
+                tape = _stateful_inits(params, dataset.inputs, xs, plan, cached_inits, batch)
             params = sgd_step(params, xs, ys, batch, config, opt_state=opt_state,
                               tape=tape, epoch=epoch, burn_ins=ms)
         yield params, xs, ys

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import pack, read_params
 from tbptt import autodiff, cli
-from tbptt.data import make_plan
+from tbptt.data import TimeSeriesDataset, make_plan, segment_arrays
 from tbptt.linalg import DimensionError
 from tbptt.rnn_core import (
     CellSpec,
@@ -380,10 +380,11 @@ def test_step_rows_are_contiguous(spec, lead, monkeypatch):
     assert workspace.buffers.keys() == {"states", "outputs"} | cache.keys() | backward
     buffers.update({f"workspace {name}": a for name, a in workspace.buffers.items()})
     # a stateful tape: windows gathered from one B = 1 pass over a series
-    series = rng.normal(size=(10, spec.d_x))
+    series = TimeSeriesDataset(rng.normal(size=(10, spec.d_x)), np.zeros((10, spec.d_y)))
     plan = make_plan(10, 4, 2)
     cached = np.zeros(lead + (plan.S, spec.state_dim))
-    tape = _stateful_inits(params, series, plan, cached, list(range(plan.S)))
+    xs, _ = segment_arrays(series, plan)
+    tape = _stateful_inits(params, series.inputs, xs, plan, cached, list(range(plan.S)))
     buffers.update({f"stateful {name}": a for name, a in
                     [("states", tape.states), ("outputs", tape.outputs), *tape.cache.items()]})
     autodiff.tape_loss_grad(tape, rng.normal(size=(plan.S, 4, spec.d_y)),

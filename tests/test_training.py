@@ -322,7 +322,8 @@ def test_stateful_inits_chain_without_overlap():
     spec = CellSpec("elman", 1, 2, 1)
     params = init_params(spec, 4)
     cached = np.zeros((plan.S, 2))
-    h0 = _stateful_inits(params, ds.inputs, plan, cached, list(range(plan.S))).states[:, 0]
+    xs, _ = segment_arrays(ds, plan)
+    h0 = _stateful_inits(params, ds.inputs, xs, plan, cached, list(range(plan.S))).states[:, 0]
     full = forward(params, None, ds.inputs)
     for i in range(1, plan.S):
         npt.assert_array_equal(h0[i], full.hidden[6 * i])
@@ -335,7 +336,7 @@ def test_stateful_inits_with_overlap_use_meeting_point():
     params = init_params(spec, 9)
     xs, _ = segment_arrays(ds, plan)
     cached = np.zeros((plan.S, 2))
-    h0 = _stateful_inits(params, ds.inputs, plan, cached, list(range(plan.S))).states[:, 0]
+    h0 = _stateful_inits(params, ds.inputs, xs, plan, cached, list(range(plan.S))).states[:, 0]
     # segment i starts at the state reached N - o_i = stride steps into its predecessor
     for i in range(1, plan.S):
         states, _, _ = batched_forward(params, h0[i - 1][None], xs[i - 1][None, :2])
@@ -397,7 +398,7 @@ def test_stateful_inits_one_pass_matches_per_segment_chain(monkeypatch, kind, N,
             expected = per_start(lead, lambda r: per_segment_chain(
                 Params(params.theta[r], spec), xs, plan, expected_cached[r], batch))
             forwards.clear()
-            tape = _stateful_inits(params, ds.inputs, plan, cached, batch)
+            tape = _stateful_inits(params, ds.inputs, xs, plan, cached, batch)
             assert len(forwards) == 1
             h0 = tape.states[..., 0, :]
             npt.assert_array_equal(h0, expected)
@@ -432,7 +433,7 @@ def test_stateful_span_tape_equals_per_window_passes(spec, stride, batch_size, s
         params = Params(params.theta + 0.05 * step, params.spec)
         per_start(lead, lambda r: per_segment_chain(
             Params(params.theta[r], spec), xs, plan, expected_cached[r], batch))
-        tape = _stateful_inits(params, ds.inputs, plan, cached, batch)
+        tape = _stateful_inits(params, ds.inputs, xs, plan, cached, batch)
         npt.assert_array_equal(cached, expected_cached)
         starts = tape.states[..., 0, :]
         npt.assert_array_equal(starts, expected_cached[..., batch, :])
@@ -455,6 +456,31 @@ def test_stateful_span_tape_equals_per_window_passes(spec, stride, batch_size, s
             npt.assert_allclose(g, v, rtol=1e-12, atol=1e-15)
 
 
+@pytest.mark.parametrize("burn_ins", [[2], [0, 2]], ids=["unstacked", "stacked"])
+def test_stateful_tape_inputs_are_the_run_windows(monkeypatch, burn_ins):
+    # the tape's inputs are the batch's rows of the run's one window gather,
+    # not a second gather off the span
+    import tbptt.training as training
+
+    ds, _ = gen_synthetic(5, 41, 0.05)
+    config = lin_config(N=7, stride=3, batch_size=3, epochs=2, mode="stateful")
+    windows, _ = segment_arrays(ds, make_plan(ds.T, config.N, config.stride))
+    taped = []
+    real_step = training.sgd_step
+
+    def spy(params, xs, ys, batch, config, **kwargs):
+        taped.append((batch, kwargs["tape"].inputs))
+        return real_step(params, xs, ys, batch, config, **kwargs)
+
+    monkeypatch.setattr(training, "sgd_step", spy)
+    for _ in train_burn_ins(ds, config, burn_ins):
+        pass
+    assert len(taped) == 2 * -(-len(windows) // 3)
+    for batch, inputs in taped:
+        assert inputs.shape == windows[batch].shape
+        assert inputs.tobytes() == windows[batch].tobytes()
+
+
 def test_stateful_span_names_the_span_step_of_a_non_finite_value():
     # batch [3, 4, 5] at N = 7, stride 1: the span starts at segment 2's start
     # (sample 3) and runs through sample 12, the last window's last input
@@ -462,9 +488,10 @@ def test_stateful_span_names_the_span_step_of_a_non_finite_value():
     inputs = ds.inputs.copy()
     inputs[9] = np.nan  # input 8 of the span, input 5 of segment 5's window
     plan = make_plan(20, 7, 1)
+    xs, _ = segment_arrays(TimeSeriesDataset(inputs, ds.targets), plan)
     params = init_params(CellSpec("elman", 1, 2, 1), 4)
     with pytest.raises(NonFiniteError) as err:
-        _stateful_inits(params, inputs, plan, np.zeros((plan.S, 2)), [3, 4, 5])
+        _stateful_inits(params, inputs, xs, plan, np.zeros((plan.S, 2)), [3, 4, 5])
     assert err.value.time_index == 8
 
 
