@@ -11,9 +11,11 @@ forward pass (the stateful state chain) builds its tape itself and calls
 start axis (theta (R, n), h0 (R, B, sd)) over shared inputs and targets,
 with shared or per-start weights, and then return one loss and one
 gradient per start. ``weighted_loss`` is the value alone, unstacked or
-stacked, by the same reduction. The backward pass is exact over whatever
-sequences it is given: truncation lives entirely in how callers segment
-the data, never inside the gradient.
+stacked, by the same reduction, from forward passes over chunks of steps
+of at most ``LOSS_BLOCK_VALUES`` values, or one step when one step of
+every row takes more. The backward pass is exact over whatever sequences
+it is given: truncation lives entirely in how callers segment the data,
+never inside the gradient.
 
 A bias-free linear cell needs no step loop, and two passes give its
 ``weighted_loss_grad`` without one, equal to the loop's to rounding:
@@ -36,6 +38,7 @@ spent by its gradient.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -291,13 +294,46 @@ def _weighted_sse(err: np.ndarray, weights: np.ndarray) -> float | np.ndarray:
     return loss if loss.ndim else float(loss)
 
 
+# float64 values in the buffers of one step chunk of ``weighted_loss``: its
+# states, outputs and LSTM gates over every batch row and start
+LOSS_BLOCK_VALUES = 1 << 18
+
+
 def weighted_loss(params: Params, h0: np.ndarray, inputs: np.ndarray,
                   targets: np.ndarray, weights: np.ndarray) -> float | np.ndarray:
-    """sum_{b,t} weights[b,t] * ||y_{b,t} - targets_{b,t}||^2 by a forward
-    pass alone: bit for bit the loss ``weighted_loss_grad`` returns, one per
-    start when ``params`` is stacked."""
-    _, outputs, _ = batched_forward(params, h0, inputs)
-    return _weighted_sse(np.subtract(outputs, targets, out=outputs), weights)
+    """sum_{b,t} weights[b,t] * ||y_{b,t} - targets_{b,t}||^2 by forward
+    passes alone: bit for bit the loss ``weighted_loss_grad`` returns, one
+    per start when ``params`` is stacked.
+
+    With B > 1 rows the steps run in chunks of as many whole steps as fit
+    ``LOSS_BLOCK_VALUES``, at least one, each chunk a ``batched_forward`` of
+    every row restarted from the last chunk's states, in one ``Workspace``.
+    Every step's products keep their shape, so the chunks have the one
+    pass's bits; a chunk of fewer rows would not, since a GEMM's bits depend
+    on its column count. With one row the pass is one chunk: its output
+    product takes all steps at once (``step_products``). Each chunk writes
+    its errors into one (..., B, T', d_y) array, which ``_weighted_sse``
+    sums once. A chunk that goes non-finite sends the call to the whole
+    pass, which raises the ``NonFiniteError`` one pass gives."""
+    spec = params.spec
+    lead = params.theta.shape[:-1]
+    B, T, d_x = inputs.shape
+    gates = 4 * spec.d_h if spec.kind == "lstm" else 0
+    step_values = B * (math.prod(lead) * (spec.state_dim + spec.d_y + gates) + d_x)
+    steps = max(1, T if B == 1 else LOSS_BLOCK_VALUES // max(1, step_values))
+    err = np.empty(lead + (B, T, spec.d_y))
+    workspace = Workspace()
+    h = h0
+    try:
+        for lo in range(0, T, steps):
+            states, outputs, _ = batched_forward(params, h, inputs[:, lo : lo + steps],
+                                                 workspace=workspace)
+            np.subtract(outputs, targets[:, lo : lo + steps], out=err[..., lo : lo + steps, :])
+            h = states[..., -1, :].copy()
+    except NonFiniteError:
+        batched_forward(params, h0, inputs)
+        raise
+    return _weighted_sse(err, weights)
 
 
 def tape_loss_grad(tape: Tape, targets: np.ndarray, weights: np.ndarray,

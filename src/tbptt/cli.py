@@ -16,7 +16,9 @@ run's ``final_objective`` and is empty when ``--epochs 0``. The cells of one
 window length N train together as one stacked run over their burn-ins; then
 every trained model of the grid is evaluated in one stacked pass.
 The sweep's ``timings.json`` holds, under ``phases``, the times it measures:
-each N's training and the one evaluation.
+each N's training and the one evaluation. The benchmark's holds, in the
+same shape, each (m, variant) solve and each m's analysis (the stability
+fit, the checks and the report).
 
 Every run writes into ``<out-root>/<command>/<config-hash>/`` with a
 manifest.json describing it; rerunning with identical flags reproduces all
@@ -513,6 +515,7 @@ def cmd_benchmark(args) -> int:
     run_dir = make_run_dir(args, run_config(args, m_list=m_values, variants=variants))
 
     report_rows = []
+    solve_phases, analysis_phases = [], []
     for m in m_values:
         records: dict[str, benchmark.Evaluation] = {}
         for variant in variants:
@@ -524,11 +527,15 @@ def cmd_benchmark(args) -> int:
             opt = benchmark.OptConfig(restarts=args.restarts, max_iters=args.iters,
                                       lr=args.lr, seed=args.seed,
                                       spectral_bound=_spectral_bound(args), extra_starts=extra)
+            t0 = time.perf_counter()
             records[variant] = benchmark.solve_variant(variant, dataset, plan, m, spec, opt)
+            solve_phases.append({"m": m, "variant": variant,
+                                 "wall_time_s": time.perf_counter() - t0})
             _write_json(run_dir / f"solution_{variant}_m{m}.json", records[variant].sol,
                         indent=None)
 
         if "tbptt" in records and "coupled" in records:
+            t0 = time.perf_counter()
             star, bench = records["tbptt"], records["coupled"]
             pair = Params(np.stack([star.sol.params.theta, bench.sol.params.theta]), spec)
             stab = analysis.merge_stability(*analysis.estimate_stability(
@@ -544,9 +551,12 @@ def cmd_benchmark(args) -> int:
                                 "C_bar": constants.C_bar, "E2": constants.E2})
             _write_json(run_dir / f"report_m{m}.json",
                         {**_plain(report), "turnpike": analysis.turnpike_errors(star, bench, m)})
+            analysis_phases.append({"m": m, "wall_time_s": time.perf_counter() - t0})
 
     if report_rows:
         _write_csv(run_dir / "report.csv", BENCHMARK_COLUMNS, report_rows)
+    _write_json(run_dir / "timings.json",
+                {"phases": {"solve": solve_phases, "analysis": analysis_phases}})
     print(run_dir)
     # non-convergence is flagged inside the solution files, not via exit code;
     # hard numeric failures surface as exceptions (exit 3)

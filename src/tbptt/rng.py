@@ -14,7 +14,9 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 
-def _mix(z: int) -> int:
+def _mix(z):
+    """The splitmix64 finalizer of a Python int, or of every value of a
+    uint64 array, whose products wrap modulo 2^64 by themselves."""
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
@@ -65,7 +67,20 @@ class SplitMix64:
         return (self.next_u64() * n) >> 64
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
+        """In-place Fisher-Yates: item i, from the last down to the second,
+        swaps with item ``randrange(i + 1)``, for up to 2^32 items.
+
+        The n - 1 draws are the stream's next values mix(state + k·gamma),
+        k = 1 … n - 1, made in one uint64 pass, and the state advances by
+        (n - 1)·gamma. Lemire's high word (u·m) >> 64 of u = 2^32·hi + lo
+        and m = i + 1 <= 2^32 is (hi·m + (lo·m >> 32)) >> 32, whose terms
+        all fit 64 bits."""
+        n = len(items)
+        if n < 2:
+            return
+        z = _mix(np.arange(1, n, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(self._state))
+        self._state = (self._state + (n - 1) * _GAMMA) & _MASK
+        m = np.arange(n, 1, -1, dtype=np.uint64)
+        js = ((z >> 32) * m + (((z & 0xFFFFFFFF) * m) >> 32)) >> 32
+        for i, j in zip(range(n - 1, 0, -1), js.tolist()):
             items[i], items[j] = items[j], items[i]

@@ -29,6 +29,13 @@ pass reads them through step-major views. A pass allocates its buffers,
 or takes them from a ``Workspace`` that its caller keeps over passes of
 the same shapes (``benchmark._Problem`` per solve, ``training.train`` per
 epoch log), so only the first of those passes faults in fresh pages.
+
+Memory of a pass: a pass that keeps its cache (``record``, the stateful
+span) holds every step of every buffer, which its backward pass reads. A
+forward-only pass holds the LSTM gates of one block of whole steps,
+``GATE_BLOCK_VALUES`` values, and returns full-length states and outputs;
+``autodiff.weighted_loss`` runs its steps in chunks of
+``autodiff.LOSS_BLOCK_VALUES`` values, so of those it holds one chunk.
 """
 
 from __future__ import annotations
@@ -49,6 +56,10 @@ ACTIVATIONS = ("tanh", "relu", "identity")
 
 # LSTM gate row blocks, in fixed order: input, forget, cell candidate, output.
 LSTM_GATES = ("i", "f", "g", "o")
+
+# float64 values in the LSTM gate buffer of a forward pass without a cache:
+# it holds as many whole steps as fit, at least one
+GATE_BLOCK_VALUES = 1 << 18
 
 
 class NonFiniteError(FloatingPointError):
@@ -354,17 +365,21 @@ def batched_forward(
     Storage: ``states``, ``outputs`` and the LSTM ``gates``/``tanh_c`` are
     step-major (module docstring), and the inputs are copied once into the
     same order. Given a ``workspace``, they are its "states", "outputs",
-    "gates" and "tanh_c" arrays.
+    "gates" and "tanh_c" arrays. With ``keep_cache`` the gates hold every
+    step; without it they hold one block of whole steps, as many as fit
+    ``GATE_BLOCK_VALUES`` values and at least one, which the steps of the
+    pass fill block after block.
 
     The input half of every pre-activation, ``W_xh · x``, does not depend
-    on the carried state and is computed once per call, before the time
-    loop, into a buffer the pass returns anyway: ``states[..., 1:, :]`` for
-    linear/Elman cells, the (..., B, T', 4·d_h) gate buffer for the LSTM
-    (kept as ``cache["gates"]`` with ``keep_cache``), with the bias added
-    to it in the same place. Step t then adds ``W_hh · h``, an
-    (R, n, k) @ (R, k, B) product, into its block and applies the
-    activation there. The input product is one 3-index ``einsum`` per start,
-    whose bits per element do not depend on B·T' or on R, and each step's
+    on the carried state and is computed before the steps it serves, into
+    a buffer the pass holds anyway: once per call into
+    ``states[..., 1:, :]`` for linear/Elman cells, once per gate block into
+    the LSTM gate buffer (kept as ``cache["gates"]`` with ``keep_cache``),
+    with the bias added to it in the same place. Step t then adds
+    ``W_hh · h``, an (R, n, k) @ (R, k, B) product, into its block and
+    applies the activation there. The input product is one 3-index
+    ``einsum`` per start and block, whose bits per element do not depend
+    on B·T', on the block or on R, and each step's
     product is one GEMM per start, so the states of a prefix, of a restart
     and of one start of a stack are the full unstacked run's bits. The
     outputs are ``step_products(W_hy, ...)``: with B > 1 one product per
@@ -414,32 +429,42 @@ def batched_forward(
             scale = np.repeat([1.0 if gate == "g" else 0.5 for gate in LSTM_GATES], d_h)[:, None]
             shift = 1.0 - scale
             W_xh, W_hh = W_xh * scale, W_hh * scale
-            gates = ws.empty("gates", lead, B, T, 4 * d_h)
-            step_gates = time_major(gates)
-            for r in start_indices(lead):
-                np.einsum("btk,nk->btn", x, W_xh[r], out=gates[r])
             if b_h is not None:
-                step_gates += b_h * scale
+                b_h = b_h * scale
+            # whole steps per gate block: every step with keep_cache, else as
+            # many as fit GATE_BLOCK_VALUES, at least one
+            step_values = math.prod(lead) * B * 4 * d_h
+            block = max(1, T if keep_cache else GATE_BLOCK_VALUES // max(1, step_values))
+            gates = ws.empty("gates", lead, B, min(block, T), 4 * d_h)
+            step_gates = time_major(gates)
             tanh_c = ws.empty("tanh_c", lead, B, T if keep_cache else 1, d_h)
             if keep_cache:
                 cache["gates"], cache["tanh_c"] = gates, tanh_c
-            # the gates and state halves of every step block, sliced once
+            # the gates of every step of a block, sliced once
             step_tanh_c = time_major(tanh_c)
             gi, gf, gg, go = (step_gates[..., k * d_h : (k + 1) * d_h, :] for k in range(4))
-            step_c, step_h = step_states[..., :d_h, :], step_states[..., d_h:, :]
-            # outputs go in positionally: numpy parses them faster than the keyword
-            for t in range(T):
-                z = step_gates[t]
-                z += W_hh @ step_h[t]
-                np.tanh(z, z)
-                z *= scale
-                z += shift
-                c_new = step_c[t + 1]
-                np.multiply(gf[t], step_c[t], c_new)
-                c_new += gi[t] * gg[t]
-                tc = step_tanh_c[t if keep_cache else 0]
-                np.tanh(c_new, tc)
-                np.multiply(go[t], tc, step_h[t + 1])
+            for lo in range(0, T, block):
+                n = min(block, T - lo)
+                for r in start_indices(lead):
+                    np.einsum("btk,nk->btn", x[:, lo : lo + n], W_xh[r], out=gates[r][:, :n])
+                if b_h is not None:
+                    step_gates[:n] += b_h
+                # the state halves from step lo on; with keep_cache lo is 0, so
+                # t indexes tanh_c too
+                step_c, step_h = step_states[lo:, ..., :d_h, :], step_states[lo:, ..., d_h:, :]
+                # outputs go in positionally: numpy parses them faster than the keyword
+                for t in range(n):
+                    z = step_gates[t]
+                    z += W_hh @ step_h[t]
+                    np.tanh(z, z)
+                    z *= scale
+                    z += shift
+                    c_new = step_c[t + 1]
+                    np.multiply(gf[t], step_c[t], c_new)
+                    c_new += gi[t] * gg[t]
+                    tc = step_tanh_c[t if keep_cache else 0]
+                    np.tanh(c_new, tc)
+                    np.multiply(go[t], tc, step_h[t + 1])
         else:
             for r in start_indices(lead):
                 np.einsum("btk,nk->btn", x, W_xh[r], out=states[r][:, 1:])

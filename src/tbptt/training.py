@@ -27,7 +27,7 @@ and each ends with the bits ``train`` gives it alone. It yields the
 parameters after each epoch and evaluates nothing: ``train`` runs it with
 one burn-in, unstacked, and logs each epoch's full-batch objective and
 gradient norm (``full_batch_gradient``); a caller that reads only the final
-objective computes it with ``full_batch_objective``, a forward pass alone.
+objective computes it with ``full_batch_objective``, forward passes alone.
 """
 
 from __future__ import annotations
@@ -145,10 +145,13 @@ class TrainLog:
 
 def full_batch_objective(params: Params, xs: np.ndarray, ys: np.ndarray, m: int) -> float:
     """Average segment loss with zero initialization (the truncated objective)
-    over all gathered windows, by one forward pass and no tape.
+    over all gathered windows, by forward passes alone and no tape.
 
     ``xs`` (S, N, d_x) and ``ys`` (S, N, d_y) are ``segment_arrays`` output.
     The value is bit for bit the objective ``full_batch_gradient`` returns.
+    ``weighted_loss`` runs all S windows in chunks of steps, so beyond the
+    windows, the weights and the (S, N, d_y) errors it holds one chunk of
+    states, outputs and LSTM gates, not the whole pass's.
     """
     S, N = xs.shape[:2]
     h0 = np.zeros((S, params.spec.state_dim))

@@ -10,7 +10,8 @@ builds a normalized recording of the system ``tbptt synth`` simulates,
 scaled by each column's largest magnitude, and ``realizing_params`` gives
 the linear cell that reproduces its noise-free map. ``read_params`` and
 ``read_solution`` read back what ``params.json`` and ``solution_*.json``
-hold.
+hold. ``scalar_shuffle`` is the one-draw-at-a-time Fisher-Yates that
+``SplitMix64.shuffle`` vectorizes.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from tbptt.autodiff import segment_weights, weighted_loss
 from tbptt.benchmark import LiftedSolution
 from tbptt.data import ColumnTransform, LinearSISOGenerator, TimeSeriesDataset, _simulate_raw
 from tbptt.linalg import DimensionError
+from tbptt.rng import SplitMix64
 from tbptt.rnn_core import CellSpec, Params, build_layout, num_params
 
 
@@ -186,3 +188,11 @@ def read_solution(text: str) -> LiftedSolution:
         grad_norm=float(d["grad_norm"]),
         diagnostics=d.get("diagnostics", {}),
     )
+
+
+def scalar_shuffle(rng: SplitMix64, items: list) -> None:
+    """In-place Fisher-Yates, one ``randrange`` draw per swap: item i, from
+    the last down to the second, swaps with item ``rng.randrange(i + 1)``."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        items[i], items[j] = items[j], items[i]

@@ -341,6 +341,31 @@ def test_lstm_backprop_memory_is_bounded_by_its_gate_buffer():
     assert peak <= 1.6 * tape.cache["gates"].nbytes + 32 * 1024
 
 
+@pytest.mark.parametrize("S", [1000, 4000])
+def test_weighted_loss_memory_is_its_errors_and_one_chunk(S):
+    # N = 50 steps in chunks of LOSS_BLOCK_VALUES (10 steps at S = 1000, 2 at
+    # S = 4000): beyond the errors and their squares, the peak is one chunk
+    # and a few steps of every row, not the pass's states and gates
+    # (S·51·8 and S·50·16 values)
+    N, spec = 50, CellSpec("lstm", 1, 4, 1)
+    params = init_params(spec, 5)
+    rng = np.random.default_rng(0)
+    h0 = np.zeros((S, spec.state_dim))
+    x, y = rng.normal(size=(S, N, spec.d_x)), rng.normal(size=(S, N, spec.d_y))
+    w = segment_weights(N, 5, S)
+    weighted_loss(params, h0, x, y, w)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        weighted_loss(params, h0, x, y, w)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    errors = y.nbytes
+    one_step = S * (spec.state_dim + 4 * spec.d_h + spec.d_y + spec.d_x) * y.itemsize
+    assert peak <= 2 * errors + 8 * autodiff.LOSS_BLOCK_VALUES + 4 * one_step + 32 * 1024
+
+
 def block_grads(tape, cograds, adjoint, r) -> dict[str, np.ndarray]:
     """Start r's block gradients from ``backprop``'s adjoint buffer, by the
     products ``backprop`` makes after its loop, over the same memory: per
@@ -459,25 +484,43 @@ def test_outer_step_products_have_the_gemm_bits(B, lead):
     assert got.tobytes() == want.tobytes()
 
 
+def chunk_budget(spec, lead, B, steps):
+    """The ``LOSS_BLOCK_VALUES`` under which ``weighted_loss`` takes exactly
+    ``steps`` steps per chunk."""
+    gates = 4 * spec.d_h if spec.kind == "lstm" else 0
+    return steps * B * (int(np.prod(lead)) * (spec.state_dim + spec.d_y + gates) + spec.d_x)
+
+
 @pytest.mark.parametrize("per_start_weights", [False, True])
 @pytest.mark.parametrize("spec", STACK_CELLS, ids=lambda s: f"{s.kind}-{s.activation}")
-def test_stacked_loss_equals_loss_grad_per_start(spec, per_start_weights):
-    R, B, T = 2, 10, 8
+def test_stacked_loss_equals_loss_grad_per_start(spec, per_start_weights, monkeypatch):
+    # T = 8 steps in chunks of one step, of three (8 is no multiple of 3),
+    # of all eight, and in a chunk larger than the pass; with one row the
+    # pass is one chunk. Each start's loss has the bits of its gradient
+    # call's, stacked and unstacked.
+    R, T = 2, 8
     rng = np.random.default_rng(3)
     params = Params(np.stack([init_params(spec, 50 + r).theta for r in range(R)]), spec)
-    h0 = rng.normal(size=(R, B, spec.state_dim))
-    x, y = rng.normal(size=(B, T, spec.d_x)), rng.normal(size=(B, T, spec.d_y))
-    if per_start_weights:
-        w = np.stack([segment_weights(T, m, B) for m in (0, 3)])
-    else:
-        w = segment_weights(T, 3, B)
-    loss = weighted_loss(params, h0, x, y, w)
-    want, _, _ = weighted_loss_grad(params, h0, x, y, w)
-    assert loss.shape == (R,)
-    npt.assert_array_equal(loss, want)
+    for B in (10, 1):
+        h0 = rng.normal(size=(R, B, spec.state_dim))
+        x, y = rng.normal(size=(B, T, spec.d_x)), rng.normal(size=(B, T, spec.d_y))
+        if per_start_weights:
+            w = np.stack([segment_weights(T, m, B) for m in (0, 3)])
+        else:
+            w = segment_weights(T, 3, B)
+        want, _, _ = weighted_loss_grad(params, h0, x, y, w)
+        for steps in (1, 3, T, 100):
+            monkeypatch.setattr(autodiff, "LOSS_BLOCK_VALUES", chunk_budget(spec, (R,), B, steps))
+            loss = weighted_loss(params, h0, x, y, w)
+            assert loss.shape == (R,)
+            npt.assert_array_equal(loss, want)
+            monkeypatch.setattr(autodiff, "LOSS_BLOCK_VALUES", chunk_budget(spec, (), B, steps))
+            for r in range(R):
+                start = Params(params.theta[r], spec), h0[r], x, y, w[r] if per_start_weights else w
+                assert weighted_loss(*start) == want[r] == weighted_loss_grad(*start)[0]
 
 
-def test_stacked_nonfinite_error_names_only_the_overflowing_start():
+def test_stacked_nonfinite_error_names_only_the_overflowing_start(monkeypatch):
     stable, wild = scalar_linear(0.5, 1.0, 1.0), scalar_linear(1e4, 1e4, 1e4)
     theta = np.stack([stable.theta, wild.theta, stable.theta])
     x = np.ones((2, 300, 1))
@@ -490,6 +533,18 @@ def test_stacked_nonfinite_error_names_only_the_overflowing_start():
     assert err.value.time_index == alone.value.time_index
     assert "in starts [1]" in str(err.value)
     assert alone.value.starts is None
+    # the value-only loss in chunks of ten steps: a start that overflows in
+    # a later chunk than the first one is still named, as by one pass
+    slow = scalar_linear(1e2, 1e2, 1e2)
+    theta = np.vstack([theta, slow.theta])
+    w = segment_weights(300, 0, 2)
+    with pytest.raises(NonFiniteError) as both:
+        weighted_loss_grad(Params(theta, wild.spec), np.zeros((4, 2, 1)), x, x, w)
+    monkeypatch.setattr(autodiff, "LOSS_BLOCK_VALUES", chunk_budget(wild.spec, (4,), 2, 10))
+    with pytest.raises(NonFiniteError) as chunked:
+        weighted_loss(Params(theta, wild.spec), np.zeros((4, 2, 1)), x, x, w)
+    assert both.value.starts == chunked.value.starts == (1, 3)
+    assert chunked.value.time_index == both.value.time_index == alone.value.time_index
 
 
 # --- the chunked linear scan against the step loop ---------------------------

@@ -712,15 +712,37 @@ def test_benchmark_selected_variant_only(tmp_path):
     assert "solution_coupled_m2.json" in files
     assert not any(f.startswith("solution_tbptt") for f in files)
     assert "report.csv" not in files  # needs both star and bench
+    phases = json.loads((run_dir / "timings.json").read_text())["phases"]
+    assert [t["variant"] for t in phases["solve"]] == ["coupled"]
+    assert phases["analysis"] == []  # and so does the analysis it would time
 
 
 def test_benchmark_full_report(tmp_path):
+    # wall times go to timings.json: each (m, variant) solve and each m's
+    # analysis under phases; a rerun writes the same solution and report bytes
     base = synth(tmp_path)
-    out = tmp_path / "bench"
-    assert run("--out", out, "benchmark", "--data", base / "train.csv",
-               "--N", 10, "--m-list", "1,3", "--restarts", 1,
-               "--iters", 1500) == 0
-    run_dir = only_run_dir(out, "bench" "mark")
+    dirs = []
+    for name in ("bench", "again"):
+        assert run("--out", tmp_path / name, "benchmark", "--data", base / "train.csv",
+                   "--N", 10, "--m-list", "1,3", "--restarts", 1,
+                   "--iters", 1500) == 0
+        dirs.append(only_run_dir(tmp_path / name, "benchmark"))
+    run_dir = dirs[0]
+    written = sorted(p.name for p in run_dir.iterdir())
+    assert written == sorted(p.name for p in dirs[1].iterdir())
+    for name in written:
+        if name.startswith(("solution_", "report")):
+            assert (run_dir / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+    timings = json.loads((run_dir / "timings.json").read_text())
+    assert list(timings) == ["phases"]
+    phases = timings["phases"]
+    assert list(phases) == ["solve", "analysis"]
+    assert [list(t) for t in phases["solve"]] == [["m", "variant", "wall_time_s"]] * 6
+    assert [(t["m"], t["variant"]) for t in phases["solve"]] == [
+        (m, v) for m in (1, 3) for v in ("tbptt", "coupled", "unconstrained")]
+    assert [list(t) for t in phases["analysis"]] == [["m", "wall_time_s"]] * 2
+    assert [t["m"] for t in phases["analysis"]] == [1, 3]
+    assert all(t["wall_time_s"] >= 0 for t in phases["solve"] + phases["analysis"])
     with open(run_dir / "report.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["m"] for r in rows] == ["1", "3"]

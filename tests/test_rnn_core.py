@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from helpers import pack, read_params
-from tbptt import autodiff, cli
+from tbptt import autodiff, cli, rnn_core
 from tbptt.data import TimeSeriesDataset, make_plan, segment_arrays
 from tbptt.linalg import DimensionError
 from tbptt.rnn_core import (
@@ -337,6 +338,61 @@ def test_lstm_step_matches_per_gate_reference_bitwise(batch):
     npt.assert_array_equal(outputs, ref_outputs)
     npt.assert_array_equal(cache["gates"], ref_gates)
     npt.assert_array_equal(cache["tanh_c"], ref_tanh_c)
+
+
+# --- the LSTM gates of a pass without a cache, in blocks of whole steps -------
+
+BLOCK = 5
+
+
+@pytest.mark.parametrize("T", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 2])
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["unstacked", "stacked"])
+def test_gate_blocks_keep_the_cached_pass_bits(lead, batch, T, monkeypatch):
+    # GATE_BLOCK_VALUES holds BLOCK whole steps: the pass without a cache
+    # keeps one gate block of at most BLOCK steps and has the states and
+    # outputs of the cached pass, whose gates hold every step
+    spec = CellSpec("lstm", 2, 3, 2)
+    monkeypatch.setattr(rnn_core, "GATE_BLOCK_VALUES",
+                        BLOCK * int(np.prod(lead)) * batch * 4 * spec.d_h)
+    rng = np.random.default_rng(T)
+    theta = np.stack([init_params(spec, 70 + r).theta for r in range(3)])
+    params = Params(theta if lead else theta[0], spec)
+    h0 = rng.normal(size=lead + (batch, spec.state_dim))
+    inputs = rng.normal(scale=4.0, size=(batch, T, spec.d_x))
+    states, outputs, cache = batched_forward(params, h0, inputs, keep_cache=True)
+    assert cache["gates"].shape[-2] == T
+    workspace = Workspace()
+    got_states, got_outputs, got_cache = batched_forward(params, h0, inputs, workspace=workspace)
+    assert got_cache == {}
+    assert workspace.buffers["gates"].shape == lead + (batch, min(BLOCK, T), 4 * spec.d_h)
+    assert got_states.tobytes() == states.tobytes()
+    assert got_outputs.tobytes() == outputs.tobytes()
+
+
+@pytest.mark.parametrize("T", [200, 800])
+def test_lstm_forward_without_cache_holds_one_gate_block(T, monkeypatch):
+    # beyond the states and outputs it returns, the inputs' step-major copy
+    # and the finite check's one byte per state value, the pass holds one
+    # gate block and a few step-sized temporaries whatever T is; the gates of
+    # all steps would take T - 16 more steps
+    B, spec = 4, CellSpec("lstm", 1, 8, 1)
+    block = 16  # steps
+    monkeypatch.setattr(rnn_core, "GATE_BLOCK_VALUES", block * B * 4 * spec.d_h)
+    params = init_params(spec, 5)
+    rng = np.random.default_rng(0)
+    h0, inputs = rng.normal(size=(B, spec.state_dim)), rng.normal(size=(B, T, spec.d_x))
+    batched_forward(params, h0, inputs)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        states, outputs, _ = batched_forward(params, h0, inputs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    step_bytes = B * 4 * spec.d_h * states.itemsize
+    whole_pass = states.nbytes + outputs.nbytes + inputs.nbytes + states.size
+    assert peak <= whole_pass + (block + 4) * step_bytes + 16 * 1024
 
 
 # --- step-major, batch-innermost step rows -------------------------------------
