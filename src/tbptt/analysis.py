@@ -68,8 +68,9 @@ def estimate_stability(params: Params, dataset: TimeSeriesDataset,
     one staggered pass over the inputs: sorted by start, each pair's two rows
     join the batch when the pass reaches its start, so the pass takes at most
     T recurrence steps whatever the number of pairs. lambda comes from a
-    pooled least-squares slope on log r_t; C is the smallest constant whose
-    envelope dominates every sample the slope was fitted on.
+    pooled least-squares slope on log r_t, or is 1 when every sample kept
+    lies at one t (a one-step series, a nilpotent cell); C is the smallest
+    constant whose envelope dominates every sample the slope was fitted on.
 
     ``trajs`` holds one trajectory per model: one for unstacked ``params``,
     R for a stacked theta (R, n). The result is one estimate per model, each
@@ -152,7 +153,8 @@ def _fit_envelope(outs: np.ndarray, starts: list[int], gaps: np.ndarray) -> Stab
     # drop cancellation noise: lambda^-t would blow it up into the envelope
     keep = r_all > 1e-13 * r_max
     t_kept, r_kept = t_all[keep], r_all[keep]
-    slope = float(np.polyfit(t_kept, np.log(r_kept), 1)[0])
+    # samples at one t show no decay: no rate is fitted, and lambda = 1
+    slope = float(np.polyfit(t_kept, np.log(r_kept), 1)[0]) if np.ptp(t_kept) > 0 else 0.0
     lam = min(math.exp(slope), 1.0) if slope < 0 else 1.0
     with np.errstate(over="ignore"):
         ratios = r_kept / np.power(lam, t_kept)

@@ -3,10 +3,11 @@
 ``weighted_loss_grad`` is the loss-and-gradient entry point: a batch of
 sequences from given initial states, a squared error weighted per step
 (``segment_weights`` builds the burn-in weights), and the exact gradient
-with respect to theta and every row's initial state. It is ``record``, the
-forward pass that keeps a ``Tape``, followed by ``tape_loss_grad``, the one
-loss and gradient of a tape; a caller that already holds the batch's
-forward pass (the stateful state chain) builds its tape itself and calls
+with respect to theta and every row's initial state (none from
+``h0=None``, the zero states). It is ``record``, the forward pass that
+keeps a ``Tape``, followed by ``tape_loss_grad``, the one loss and
+gradient of a tape; a caller that already holds the batch's forward pass
+(the stateful state chain) builds its tape itself and calls
 ``tape_loss_grad`` alone. Both also take R models stacked on a leading
 start axis (theta (R, n), h0 (R, B, sd)) over shared inputs and targets,
 with shared or per-start weights, and then return one loss and one
@@ -74,7 +75,7 @@ class Tape:
     cache: dict
 
 
-def record(params: Params, h0: np.ndarray, inputs: np.ndarray,
+def record(params: Params, h0: np.ndarray | None, inputs: np.ndarray,
            workspace: Workspace | None = None) -> Tape:
     """Forward pass over a batch, keeping the activations backprop needs,
     in the arrays of ``workspace`` when one is given."""
@@ -299,7 +300,7 @@ def _weighted_sse(err: np.ndarray, weights: np.ndarray) -> float | np.ndarray:
 LOSS_BLOCK_VALUES = 1 << 18
 
 
-def weighted_loss(params: Params, h0: np.ndarray, inputs: np.ndarray,
+def weighted_loss(params: Params, h0: np.ndarray | None, inputs: np.ndarray,
                   targets: np.ndarray, weights: np.ndarray) -> float | np.ndarray:
     """sum_{b,t} weights[b,t] * ||y_{b,t} - targets_{b,t}||^2 by forward
     passes alone: bit for bit the loss ``weighted_loss_grad`` returns, one
@@ -356,23 +357,24 @@ def tape_loss_grad(tape: Tape, targets: np.ndarray, weights: np.ndarray,
 
 
 def weighted_loss_grad(
-    params: Params, h0: np.ndarray, inputs: np.ndarray,
+    params: Params, h0: np.ndarray | None, inputs: np.ndarray,
     targets: np.ndarray, weights: np.ndarray, workspace: Workspace | None = None,
-) -> tuple[float, np.ndarray, np.ndarray]:
+) -> tuple[float, np.ndarray, np.ndarray | None]:
     """Value and gradient of the weighted squared-error sum.
 
     weights: (B, T') nonnegative; entries of weight zero are excluded from the
-    loss and contribute no cogradient. Returns (loss, d_theta, d_h0 (B, sd)).
-    With R stacked starts (theta (R, n), h0 (R, B, sd)) over the shared
-    inputs and targets, and weights shared (B, T') or per start
-    (R, B, T'), it returns per-start losses (R,), d_theta (R, n) and d_h0
-    (R, B, sd), slice r bit-identical to the unstacked call with start r's
-    theta, h0 and weights. The forward and backward pass take their
-    buffers from ``workspace`` when one is given; what the call returns is
-    new either way.
+    loss and contribute no cogradient. Returns (loss, d_theta, d_h0 (B, sd)),
+    where d_h0 is None for ``h0=None``, the zero states. With R stacked starts
+    (theta (R, n), h0 (R, B, sd)) over the shared inputs and targets, and
+    weights shared (B, T') or per start (R, B, T'), it returns per-start
+    losses (R,), d_theta (R, n) and d_h0 (R, B, sd), slice r bit-identical to
+    the unstacked call with start r's theta, h0 and weights. The forward and
+    backward pass take their buffers from ``workspace`` when one is given;
+    what the call returns is new either way.
     """
     tape = record(params, h0, inputs, workspace)
-    return tape_loss_grad(tape, targets, weights, workspace)
+    loss, d_theta, d_h0 = tape_loss_grad(tape, targets, weights, workspace)
+    return loss, d_theta, None if h0 is None else d_h0
 
 
 # steps per chunk of ``_scan``: fixed, whatever T' is, so the powers of the
@@ -403,10 +405,11 @@ def _powers(A: np.ndarray, L: int) -> np.ndarray:
     return powers
 
 
-def _scan(A: np.ndarray, U: np.ndarray, h0: np.ndarray) -> np.ndarray:
+def _scan(A: np.ndarray, U: np.ndarray, h0: np.ndarray | None) -> np.ndarray:
     """The states h_1 … h_T' of h_t = A h_{t-1} + U_t as the rows of a
     (*lead, T', d) array, for (*lead, d, d) ``A``, (*lead, T', d) ``U`` and
-    (*lead, 1, d) ``h0``: a two-level chunked scan in place of T' steps.
+    (*lead, 1, d) ``h0``, or None for zero: a two-level chunked scan in
+    place of T' steps.
 
     The steps split into C chunks of L = ``_SCAN_CHUNK`` (U padded with
     zeros). All chunks run from zero at once, L steps at batch C; the state
@@ -426,7 +429,7 @@ def _scan(A: np.ndarray, U: np.ndarray, h0: np.ndarray) -> np.ndarray:
         local[..., j, :] += local[..., j - 1, :] @ A_T
     powers = _powers(A, L)[..., 1:, :, :]  # powers[..., k, :, :] = A^(k+1)
     entry = np.empty(lead + (C, d))
-    entry[..., :1, :] = h0
+    entry[..., :1, :] = 0.0 if h0 is None else h0
     A_L_T = powers[..., L - 1, :, :].mT
     for c in range(1, C):
         entry[..., c : c + 1, :] = entry[..., c - 1 : c, :] @ A_L_T + local[..., c - 1, -1:, :]
@@ -444,7 +447,7 @@ def _loop_where_not_finite(result, checked, params: Params, h0: np.ndarray | Non
     shape) are not all finite.
 
     The loop runs for those starts alone, from zero states when ``h0`` is
-    None (and the pass's d_h0 is None too), and its ``NonFiniteError`` is
+    None (and d_h0 is None on both paths), and its ``NonFiniteError`` is
     raised with their indices in the call. So a pass whose arithmetic
     differs from the loop's (a 0·∞ of an overflowing power) never surfaces
     a value the loop would not give, and a start that overflows fails
@@ -456,13 +459,12 @@ def _loop_where_not_finite(result, checked, params: Params, h0: np.ndarray | Non
         finite &= np.isfinite(a).reshape(lead + (-1,)).all(axis=-1)
     if finite.all():
         return result
-    loop_h0 = np.zeros(lead + (inputs.shape[0], params.spec.state_dim)) if h0 is None else h0
     if not lead:
-        loop = weighted_loss_grad(params, loop_h0, inputs, targets, weights)
-        return loop if h0 is not None else (loop[0], loop[1], None)
+        return weighted_loss_grad(params, h0, inputs, targets, weights)
     bad = np.flatnonzero(~finite)
     try:
-        loop = weighted_loss_grad(Params(params.theta[bad], params.spec), loop_h0[bad], inputs,
+        loop = weighted_loss_grad(Params(params.theta[bad], params.spec),
+                                  None if h0 is None else h0[bad], inputs,
                                   targets, weights[bad] if weights.ndim == 3 else weights)
     except NonFiniteError as exc:
         starts = tuple(bad[list(exc.starts)].tolist())
@@ -502,8 +504,7 @@ def linear_scan_loss_grad(
         cog = np.subtract(states[..., 1:, :] @ W_hy.mT, y)
         loss = _weighted_sse(cog[..., None, :, :], weights)
         cog *= 2.0 * weights[..., 0, :, None]
-        zero = np.zeros(lead + (1, W_hh.shape[-1]))
-        adj = np.ascontiguousarray(_scan(W_hh.mT, (cog @ W_hy)[..., ::-1, :], zero)[..., ::-1, :])
+        adj = np.ascontiguousarray(_scan(W_hh.mT, (cog @ W_hy)[..., ::-1, :], None)[..., ::-1, :])
         d_h0 = adj[..., :1, :] @ W_hh
         d_theta = np.empty(params.theta.shape)
         _write_grads(d_theta, {"W_hh": adj.mT @ states[..., :-1, :], "W_xh": adj.mT @ x,
@@ -541,19 +542,17 @@ def _window_gathers(N: int, d_x: int, d_y: int) -> tuple[np.ndarray, np.ndarray,
 
 def linear_window_loss_grad(
     params: Params, h0: np.ndarray | None, inputs: np.ndarray, targets: np.ndarray,
-    weights: np.ndarray, workspace: Workspace | None = None,
+    weights: np.ndarray,
 ) -> tuple[float | np.ndarray, np.ndarray, np.ndarray | None]:
     """``weighted_loss_grad`` of a bias-free linear cell over S windows
     (inputs (S, N, d_x), targets (S, N, d_y)) through its impulse response,
-    with no step loop: the same arguments, where ``h0`` is None for zero
-    starts (and the returned d_h0 is None) or (..., S, d_h), unstacked or
+    with no step loop: the same arguments but the workspace, unstacked or
     stacked, and the same return contract. The values agree with the
     loop's to rounding, not bit for bit; a stacked start keeps the bits of
     its unstacked call. The inputs and targets are read as (S, N·d)
     matrices, so C-contiguous ones are never copied. The one full-size
-    buffer, the (..., S, N·d_y) outputs, which become the errors and then
-    the cogradients in place, is the "window_outputs" array of
-    ``workspace`` when one is given.
+    buffer is the (..., S, N·d_y) outputs, which become the errors and
+    then the cogradients in place.
 
     Forward: P_j = W_hy·A^j for j = 0…N, with A = W_hh and its powers from
     ``_powers``, and K_j = P_j·W_xh, the Markov parameters of the cell. A
@@ -584,10 +583,8 @@ def linear_window_loss_grad(
         P = W_hy[..., None, :, :] @ powers  # (..., N+1, d_y, d_h)
         K = P[..., :N, :, :] @ W_xh[..., None, :, :]  # (..., N, d_y, d_x)
         K = np.concatenate([K.reshape(lead + (-1,)), np.zeros(lead + (1,))], axis=-1)
-        ws = workspace if workspace is not None else Workspace()
         # (..., S, N·d_y): the outputs, then the errors, then the cogradients
-        Y = np.matmul(X, np.take(K, toeplitz, axis=-1),
-                      out=ws.plain("window_outputs", lead + (S, N * d_y)))
+        Y = X @ np.take(K, toeplitz, axis=-1)
         P_out = P[..., 1:, :, :].reshape(lead + (N * d_y, d_h))  # [P_1 … P_N]ᵀ
         if h0 is not None:
             Y += h0 @ P_out.mT

@@ -21,7 +21,9 @@ outputs are one product with the Toeplitz matrix of the cell's impulse
 response, as long as N·d_x·d_y is at most ``autodiff.WINDOW_TERMS``. Both
 agree with the step loop to rounding. Every other pass keeps the loop:
 nonlinear cells, windows above that bound, and ``evaluate``'s passes,
-which are tied bit for bit to prefixes and restarts of ``forward``.
+which are tied bit for bit to prefixes and restarts of ``forward``. Every
+pass reads ``segment_arrays``' windows as they are and takes ``tbptt``'s
+zero starts as ``h0=None``.
 ``solve_variant`` is the one entry point. A start whose iterates stop
 being finite ends alone (``failed_starts`` in the diagnostics); the solve
 fails only when no start reached a finite objective. ``evaluate`` runs a
@@ -49,7 +51,6 @@ from .rnn_core import (
     Trajectory,
     Workspace,
     batched_forward,
-    empty_time_major,
     forward,
     init_params,
     num_params,
@@ -102,12 +103,10 @@ class _Problem:
     ``value_grad`` takes one of three passes (``linear_pass``): the chunked
     scan for a linear ``coupled`` problem, the window pass for a linear
     ``tbptt`` or ``unconstrained`` one whose N·d_x·d_y is at most
-    ``WINDOW_TERMS``, and the step loop (None) otherwise. ``xs`` and ``ys``
-    are kept in the memory the problem's pass reads, so no pass copies
-    them: batch-major (S, N, d) for the window pass, which reads each as
-    one (S, N·d) matrix, and step-major (``rnn_core``'s module docstring)
-    for the loop and the scan (one row, so both orders are the same). The
-    loop and the window pass keep their buffers in the problem's one
+    ``WINDOW_TERMS``, and the step loop (None) otherwise, each called the
+    same way, with ``h0=None`` for ``tbptt``'s zero starts. ``xs`` and
+    ``ys`` are ``segment_arrays``' windows, or the one whole series for
+    ``coupled``. The loop keeps its buffers in the problem's one
     ``Workspace`` over the iterations of a solve; ``value_grad`` returns no
     array of them."""
 
@@ -124,24 +123,18 @@ class _Problem:
         self.sd = spec.state_dim
         if variant == "coupled":
             self.n_states = 1
-            xs, ys = dataset.inputs[None, :, :], dataset.targets[None, :, :]
+            self.xs, self.ys = dataset.inputs[None, :, :], dataset.targets[None, :, :]
             # each segment term covering a time step adds one term's weight
             self.w = coupled_time_weights(plan, m, dataset.T)[None, :] * w[0, -1]
         else:
             self.n_states = 0 if variant == "tbptt" else plan.S
-            xs, ys = segment_arrays(dataset, plan)
+            self.xs, self.ys = segment_arrays(dataset, plan)
             self.w = w
         self.linear_pass = None  # the step loop
         if spec.kind == "linear" and variant == "coupled":
             self.linear_pass = linear_scan_loss_grad
         elif spec.kind == "linear" and plan.N * spec.d_x * spec.d_y <= WINDOW_TERMS:
             self.linear_pass = linear_window_loss_grad
-        if self.linear_pass is linear_window_loss_grad:
-            self.xs, self.ys = xs, ys  # batch-major, the window pass's (S, N·d) rows
-        else:
-            # step-major, the loop's memory; with one row also the scan's
-            self.xs, self.ys = (empty_time_major((), *a.shape) for a in (xs, ys))
-            self.xs[...], self.ys[...] = xs, ys
         self.workspace = Workspace()
 
     def split(self, z: np.ndarray) -> tuple[Params, np.ndarray]:
@@ -163,19 +156,14 @@ class _Problem:
         """Objective and gradient at z; R stacked starts (one per row of z)
         give (R,) objectives and one gradient row each in one pass."""
         params, states = self.split(z)
-        lead = z.shape[:-1]
-        if self.linear_pass is linear_scan_loss_grad:
-            loss, d_theta, d_h0 = linear_scan_loss_grad(params, states, self.xs, self.ys, self.w)
-        elif self.linear_pass is linear_window_loss_grad:
-            h0 = None if self.variant == "tbptt" else states
-            loss, d_theta, d_h0 = linear_window_loss_grad(params, h0, self.xs, self.ys, self.w,
-                                                          self.workspace)
-        else:
-            h0 = np.zeros(lead + (self.plan.S, self.sd)) if self.variant == "tbptt" else states
+        h0 = None if self.variant == "tbptt" else states
+        if self.linear_pass is None:
             loss, d_theta, d_h0 = weighted_loss_grad(params, h0, self.xs, self.ys, self.w,
                                                      self.workspace)
+        else:
+            loss, d_theta, d_h0 = self.linear_pass(params, h0, self.xs, self.ys, self.w)
         if self.n_states:
-            return loss, np.concatenate([d_theta, d_h0.reshape(lead + (-1,))], axis=-1)
+            return loss, np.concatenate([d_theta, d_h0.reshape(z.shape[:-1] + (-1,))], axis=-1)
         return loss, d_theta
 
     def project(self, z: np.ndarray, rho: float | None) -> np.ndarray:
@@ -303,7 +291,7 @@ def evaluate(sol: LiftedSolution, dataset: TimeSeriesDataset,
     full = forward(sol.params, sol.init_states[0] if sol.variant == "coupled" else None,
                    dataset.inputs)
     if sol.variant == "tbptt":
-        h0 = np.zeros((plan.S, sol.params.spec.state_dim))
+        h0 = None
     elif sol.variant == "coupled":
         h0 = full.hidden[np.array(plan.starts) - 1]
     else:

@@ -346,10 +346,9 @@ def _int_list(text: str) -> list[int]:
 def _zero_state_passes(params: Params, dataset) -> list[Trajectory]:
     """The zero-state forward pass over the series of each model stacked in
     ``params`` (one, unstacked, or R), all in one pass."""
-    lead = params.theta.shape[:-1]
-    states, outputs, _ = batched_forward(
-        params, np.zeros(lead + (1, params.spec.state_dim)), dataset.inputs[None])
-    return [Trajectory(states[r][0], outputs[r][0]) for r in start_indices(lead)]
+    states, outputs, _ = batched_forward(params, None, dataset.inputs[None])
+    return [Trajectory(states[r][0], outputs[r][0])
+            for r in start_indices(params.theta.shape[:-1])]
 
 
 def _train_group(dataset, args, N: int, ms: tuple[int, ...]) -> list[tuple]:

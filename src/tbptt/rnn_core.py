@@ -27,8 +27,12 @@ product with a weight matrix is one (n, k) @ (k, B) GEMM per start
 (``step_products``). Inputs and cogradients may have any memory order; a
 pass reads them through step-major views. A pass allocates its buffers,
 or takes them from a ``Workspace`` that its caller keeps over passes of
-the same shapes (``benchmark._Problem`` per solve, ``training.train`` per
-epoch log), so only the first of those passes faults in fresh pages.
+the same shapes (``benchmark._Problem``'s step loop per solve,
+``training.train`` per epoch log, ``autodiff.weighted_loss`` per chunk),
+so only the first of those passes faults in fresh pages.
+
+A pass given ``h0=None`` starts every row from the zero state, the start
+of every window of the truncated objective; no caller builds zeros for it.
 
 Memory of a pass: a pass that keeps its cache (``record``, the stateful
 span) holds every step of every buffer, which its backward pass reads. A
@@ -113,11 +117,10 @@ class Workspace:
     ``empty(name, lead, B, T, k)`` is ``empty_time_major(lead, B, T, k)``
     the first time, and the same array, not zeroed, on every later call
     with that name and shape; a call with another shape (a solver's stack
-    after a start stops) makes and keeps a new one. ``plain(name, shape)``
-    does the same for a C-contiguous array (the linear window pass's
-    outputs). The next pass given a workspace overwrites what the last one
-    wrote there, so a caller passes one only when it keeps none of a
-    pass's arrays. ``buffers`` holds the current array of each name."""
+    after a start stops) makes and keeps a new one. The next pass given a
+    workspace overwrites what the last one wrote there, so a caller passes
+    one only when it keeps none of a pass's arrays. ``buffers`` holds the
+    current array of each name."""
 
     def __init__(self):
         self.buffers: dict[str, np.ndarray] = {}
@@ -126,12 +129,6 @@ class Workspace:
         buf = self.buffers.get(name)
         if buf is None or buf.shape != (*lead, B, T, k):
             buf = self.buffers[name] = empty_time_major(lead, B, T, k)
-        return buf
-
-    def plain(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        buf = self.buffers.get(name)
-        if buf is None or buf.shape != shape:
-            buf = self.buffers[name] = np.empty(shape)
         return buf
 
 
@@ -160,10 +157,10 @@ def take_steps(a: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return _batch_major(np.ascontiguousarray(runs.transpose(0, *range(2, runs.ndim), 1)))
 
 
-def step_products(w: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def step_products(w: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``w @ a[t]`` for every step t of a step-major (T, *lead, k, B) array
     or view ``a``, with ``w`` (*lead, n, k): the (T, *lead, n, B) products,
-    written to ``out`` when given, one GEMM per step and start, so a
+    written to and returned as ``out``, one GEMM per step and start, so a
     start's bits do not depend on the others.
 
     With one batch row a start's steps are the rows of one (T, k) matrix,
@@ -174,8 +171,6 @@ def step_products(w: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -
     bits are the K = 1 GEMM's; a broadcast ``np.multiply`` would keep the
     -0.0, and allocates two iterator buffers of 8192 values per call.
     """
-    if out is None:
-        out = np.empty(a.shape[:-2] + (w.shape[-2], a.shape[-1]))
     if a.shape[-1] == 1:
         np.matmul(_rows(a), w.mT, out=_rows(out))
     elif a.shape[-2] == 1:
@@ -284,14 +279,13 @@ class Params:
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=np.float64)
-        layout = build_layout(self.spec)
-        n = max(stop for _, stop, _ in layout.values())
+        n = num_params(self.spec)
         if self.theta.ndim not in (1, 2) or self.theta.shape[-1] != n:
             raise DimensionError(f"theta has shape {self.theta.shape}, expected ({n},) or (R, {n})")
         lead = self.theta.shape[:-1]
         self._blocks = MappingProxyType({
             name: self.theta[..., start:stop].reshape(lead + shape)
-            for name, (start, stop, shape) in layout.items()
+            for name, (start, stop, shape) in build_layout(self.spec).items()
         })
 
     @property
@@ -347,17 +341,18 @@ class Trajectory:
 
 
 def batched_forward(
-    params: Params, h0: np.ndarray, inputs: np.ndarray, keep_cache: bool = False,
+    params: Params, h0: np.ndarray | None, inputs: np.ndarray, keep_cache: bool = False,
     workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Run the recursion on a batch of sequences sharing one parameter vector.
 
-    h0: (B, state_dim); inputs: (B, T', d_x). Returns (states (B, T'+1, sd),
-    outputs (B, T', d_y), cache). The cache holds what the backward pass needs
-    (LSTM gate activations; Elman derivatives are recomputed from the states).
+    h0: (B, state_dim), or None for zero states; inputs: (B, T', d_x).
+    Returns (states (B, T'+1, sd), outputs (B, T', d_y), cache). The cache
+    holds what the backward pass needs (LSTM gate activations; Elman
+    derivatives are recomputed from the states).
 
     A stacked ``params`` (theta (R, n)) runs R models on the same inputs at
-    once, each from its own initial states: h0 is (R, B, sd), and every
+    once, each from its own initial states: h0 is (R, B, sd) or None, and every
     returned array gains the leading start axis. Each time step is then one
     stacked product over the R models, so all of them share the per-step
     Python cost. The unstacked call is the same code without that axis.
@@ -405,7 +400,7 @@ def batched_forward(
     B, T, d_x = inputs.shape
     if d_x != spec.d_x:
         raise DimensionError(f"inputs have d_x={d_x}, spec wants {spec.d_x}")
-    if h0.shape != lead + (B, spec.state_dim):
+    if h0 is not None and h0.shape != lead + (B, spec.state_dim):
         raise DimensionError(f"h0 has shape {h0.shape}, expected {lead + (B, spec.state_dim)}")
 
     W_hh, W_xh, W_hy = blocks["W_hh"], blocks["W_xh"], blocks["W_hy"]
@@ -416,7 +411,7 @@ def batched_forward(
     ws = workspace if workspace is not None else Workspace()
 
     states = ws.empty("states", lead, B, T + 1, spec.state_dim)
-    states[..., 0, :] = h0
+    states[..., 0, :] = 0.0 if h0 is None else h0
     step_states = time_major(states)
     # the inputs in step-major memory, read by the hoisted input product
     x = _batch_major(np.ascontiguousarray(time_major(inputs)))
@@ -493,16 +488,16 @@ def forward(params: Params, h0, inputs) -> Trajectory:
     """Deterministic forward evaluation of one sequence from a given initial state.
 
     ``inputs`` is a (T', d_x) array (or sequence of length-d_x vectors);
-    ``h0`` may be None for the zero state.
+    ``h0`` is a (state_dim,) vector, or None for the zero state.
     """
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionError(f"inputs must be (T', d_x), got shape {x.shape}")
-    if h0 is None:
-        h0 = np.zeros(params.spec.state_dim)
-    h0 = np.asarray(h0, dtype=np.float64)
-    if h0.shape != (params.spec.state_dim,):
-        raise DimensionError(f"h0 has shape {h0.shape}, expected ({params.spec.state_dim},)")
-    states, outputs, _ = batched_forward(params, h0[None, :], x[None, :, :])
+    if h0 is not None:
+        h0 = np.asarray(h0, dtype=np.float64)
+        if h0.shape != (params.spec.state_dim,):
+            raise DimensionError(f"h0 has shape {h0.shape}, expected ({params.spec.state_dim},)")
+        h0 = h0[None, :]
+    states, outputs, _ = batched_forward(params, h0, x[None, :, :])
     return Trajectory(hidden=states[0], outputs=outputs[0])
 

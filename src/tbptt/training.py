@@ -154,8 +154,7 @@ def full_batch_objective(params: Params, xs: np.ndarray, ys: np.ndarray, m: int)
     states, outputs and LSTM gates, not the whole pass's.
     """
     S, N = xs.shape[:2]
-    h0 = np.zeros((S, params.spec.state_dim))
-    return weighted_loss(params, h0, xs, ys, segment_weights(N, m, S))
+    return weighted_loss(params, None, xs, ys, segment_weights(N, m, S))
 
 
 def full_batch_gradient(params: Params, xs: np.ndarray, ys: np.ndarray, m: int,
@@ -166,8 +165,7 @@ def full_batch_gradient(params: Params, xs: np.ndarray, ys: np.ndarray, m: int,
     The passes take their buffers from ``workspace`` when one is given.
     """
     S, N = xs.shape[:2]
-    h0 = np.zeros((S, params.spec.state_dim))
-    loss, d_theta, _ = weighted_loss_grad(params, h0, xs, ys, segment_weights(N, m, S),
+    loss, d_theta, _ = weighted_loss_grad(params, None, xs, ys, segment_weights(N, m, S),
                                           workspace)
     return loss, d_theta
 
@@ -228,15 +226,15 @@ def sgd_step(
     gathered once by ``segment_arrays``; the step reads the batch's rows.
     ``tape`` is the batch's forward pass under ``params`` when the caller
     has one (stateful mode: ``_stateful_inits``); without it the step
-    records the batch from the zero state (zero initialization). Either
-    way the gradient is ``tape_loss_grad`` of that tape. A stacked
-    ``params`` (theta (R, n)) takes one stacked step, with ``burn_ins`` (R,)
-    giving each start's burn-in in place of ``config.m``.
+    records the batch from ``h0=None``, the zero state (zero
+    initialization). Either way the gradient is ``tape_loss_grad`` of that
+    tape. A stacked ``params`` (theta (R, n)) takes one stacked step, with
+    ``burn_ins`` (R,) giving each start's burn-in in place of ``config.m``.
     """
     b = len(batch)
     lead = params.theta.shape[:-1]
     if tape is None:
-        tape = record(params, np.zeros(lead + (b, params.spec.state_dim)), xs[batch])
+        tape = record(params, None, xs[batch])
     if burn_ins is None:
         burn_ins = np.full(lead, config.m)
     w = per_start(lead, lambda r: segment_weights(xs.shape[1], int(burn_ins[r]), b))

@@ -188,7 +188,7 @@ def per_pair_stability(params, dataset, num_pairs, seed):
         return 0.5, 0.0, len(rs), (t_all[:0], r_all[:0])
     keep = r_all > 1e-13 * np.max(r_all)
     t, r = t_all[keep], r_all[keep]
-    slope = float(np.polyfit(t, np.log(r), 1)[0])
+    slope = float(np.polyfit(t, np.log(r), 1)[0]) if np.ptp(t) > 0 else 0.0
     lam = min(math.exp(slope), 1.0) if slope < 0 else 1.0
     with np.errstate(over="ignore"):
         ratios = r / lam**t
@@ -214,6 +214,25 @@ def test_stability_staggered_pass_matches_per_pair_runs(cell, T, num_pairs):
     assert tested == num_pairs
     assert est.lam == pytest.approx(lam, rel=1e-6)
     assert est.C == pytest.approx(C, rel=1e-6)
+
+
+# W_hh nilpotent: a state difference reaches the output at t = 1 and is
+# gone from t = 2 on
+NILPOTENT = pack(CellSpec("linear", 1, 2, 1, activation="identity", use_biases=False),
+                 {"W_hh": [[0.0, 1.0], [0.0, 0.0]], "W_xh": [[0.5], [0.3]], "W_hy": [[1.0, 0.7]]})
+
+
+@pytest.mark.parametrize("cell, T", [("nilpotent", 30), ("elman", 1), ("lstm", 1)])
+def test_stability_from_one_step_fits_no_rate(cell, T):
+    # every sample the fit keeps lies at t = 1, which shows no decay rate:
+    # lambda = 1 and C the largest sample, with no rank warning of a fit
+    params = NILPOTENT if cell == "nilpotent" else STABILITY_CELLS[cell]()
+    ds, _ = gen_synthetic(seed=5, T=T, noise_std=0.1)
+    est = estimate_stability(params, ds, [zero_pass(params, ds)], num_pairs=8, seed=2)[0]
+    *_, tested, (t, r) = per_pair_stability(params, ds, num_pairs=8, seed=2)
+    assert tested == 8 and set(t) == {1.0}
+    assert est.lam == 1.0
+    assert est.C == pytest.approx(np.max(r), rel=1e-12)
 
 
 def scaled_input_block(params, factor):

@@ -477,8 +477,8 @@ def test_outer_step_products_have_the_gemm_bits(B, lead):
     a = rng.normal(size=(6,) + lead + (1, B))
     a[::2] *= 0.0  # zeros of both signs
     w[..., 1, 0] = -0.0
-    got = step_products(w, a)
     want = np.matmul(w, a)
+    got = step_products(w, a, np.empty_like(want))
     assert got.shape == want.shape
     assert np.signbit(np.multiply(w, a)).sum() > np.signbit(want).sum()
     assert got.tobytes() == want.tobytes()
@@ -497,7 +497,8 @@ def test_stacked_loss_equals_loss_grad_per_start(spec, per_start_weights, monkey
     # T = 8 steps in chunks of one step, of three (8 is no multiple of 3),
     # of all eight, and in a chunk larger than the pass; with one row the
     # pass is one chunk. Each start's loss has the bits of its gradient
-    # call's, stacked and unstacked.
+    # call's, stacked and unstacked; from h0=None, those of zero states,
+    # with no initial-state gradient.
     R, T = 2, 8
     rng = np.random.default_rng(3)
     params = Params(np.stack([init_params(spec, 50 + r).theta for r in range(R)]), spec)
@@ -509,15 +510,26 @@ def test_stacked_loss_equals_loss_grad_per_start(spec, per_start_weights, monkey
         else:
             w = segment_weights(T, 3, B)
         want, _, _ = weighted_loss_grad(params, h0, x, y, w)
+        zero_loss, zero_theta, _ = weighted_loss_grad(params, np.zeros_like(h0), x, y, w)
+        none_loss, none_theta, none_h0 = weighted_loss_grad(params, None, x, y, w)
+        assert none_loss.tobytes() == zero_loss.tobytes() and none_h0 is None
+        assert none_theta.tobytes() == zero_theta.tobytes()
         for steps in (1, 3, T, 100):
             monkeypatch.setattr(autodiff, "LOSS_BLOCK_VALUES", chunk_budget(spec, (R,), B, steps))
             loss = weighted_loss(params, h0, x, y, w)
             assert loss.shape == (R,)
             npt.assert_array_equal(loss, want)
+            npt.assert_array_equal(weighted_loss(params, None, x, y, w), zero_loss)
             monkeypatch.setattr(autodiff, "LOSS_BLOCK_VALUES", chunk_budget(spec, (), B, steps))
             for r in range(R):
-                start = Params(params.theta[r], spec), h0[r], x, y, w[r] if per_start_weights else w
+                w_r = w[r] if per_start_weights else w
+                start = Params(params.theta[r], spec), h0[r], x, y, w_r
                 assert weighted_loss(*start) == want[r] == weighted_loss_grad(*start)[0]
+                loss, d_theta, d_h0 = weighted_loss_grad(Params(params.theta[r], spec), None, x, y,
+                                                         w_r)
+                assert weighted_loss(Params(params.theta[r], spec), None, x, y, w_r) == loss
+                assert loss == zero_loss[r] and d_h0 is None
+                assert d_theta.tobytes() == zero_theta[r].tobytes()
 
 
 def test_stacked_nonfinite_error_names_only_the_overflowing_start(monkeypatch):
@@ -764,21 +776,6 @@ def test_window_pass_stacked_rows_equal_unstacked_calls(spec, free, per_start_we
             assert d_h0[r].tobytes() == alone[2].tobytes()
         else:
             assert d_h0 is None and alone[2] is None
-
-
-def test_window_pass_reuses_its_workspace_outputs():
-    # the same bits in one workspace, call after call, in the same outputs
-    # buffer, which no returned array shares
-    params, h0, x, y, w = window_case(SCAN_CELLS[0], 30, N_W, 2)
-    want = autodiff.linear_window_loss_grad(params, h0, x, y, w)
-    workspace = Workspace()
-    first = autodiff.linear_window_loss_grad(params, h0, x, y, w, workspace)
-    (kept,) = workspace.buffers.values()
-    again = autodiff.linear_window_loss_grad(params, h0, x, y, w, workspace)
-    assert workspace.buffers == {"window_outputs": kept}
-    for got in (first, again):
-        assert_same_bits(got, want)
-        assert not any(np.shares_memory(a, kept) for a in got[1:])
 
 
 # (spec, S, N): one window; one step; the CLI's default d_h = 1; more

@@ -457,6 +457,11 @@ def test_solve_in_one_workspace_equals_fresh_buffers(stack_instance, kind, varia
     spec = WORKSPACE_SPECS[kind]
     shared, fresh = (_Problem(variant, ds, plan, 2, spec) for _ in range(2))
     assert shared.linear_pass is None
+    if variant != "coupled":
+        # the loop reads segment_arrays' windows as they are, batch-major
+        xs, ys = segment_arrays(ds, plan)
+        assert shared.xs.flags.c_contiguous and shared.ys.flags.c_contiguous
+        assert shared.xs.tobytes() == xs.tobytes() and shared.ys.tobytes() == ys.tobytes()
     fresh.workspace = None  # every pass allocates its own buffers
     extra = [(init_params(spec, 23), None), (twin_start(spec), None)]
     if kind == "linear":

@@ -404,6 +404,25 @@ LAYOUT_CELLS = [
 ]
 
 
+@pytest.mark.parametrize("keep_cache", [False, True], ids=["no-cache", "cache"])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["unstacked", "stacked"])
+@pytest.mark.parametrize("spec", LAYOUT_CELLS, ids=lambda s: s.kind)
+def test_no_initial_states_are_the_zero_states(spec, lead, keep_cache):
+    # h0=None starts every row of every start from zero: the bits of zeros
+    B, T = 4, 6
+    rng = np.random.default_rng(2)
+    theta = np.stack([init_params(spec, 60 + r).theta for r in range(3)])
+    params = Params(theta if lead else theta[0], spec)
+    inputs = rng.normal(size=(B, T, spec.d_x))
+    zeros = np.zeros(lead + (B, spec.state_dim))
+    got = batched_forward(params, None, inputs, keep_cache=keep_cache)
+    want = batched_forward(params, zeros, inputs, keep_cache=keep_cache)
+    for a, b in zip(got[:2], want[:2]):
+        assert a.tobytes() == b.tobytes()
+    assert got[2].keys() == want[2].keys()
+    assert all(got[2][name].tobytes() == want[2][name].tobytes() for name in want[2])
+
+
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["unstacked", "stacked"])
 @pytest.mark.parametrize("spec", LAYOUT_CELLS, ids=lambda s: s.kind)
 def test_step_rows_are_contiguous(spec, lead, monkeypatch):
