@@ -10,7 +10,6 @@ pairs.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -64,21 +63,20 @@ def estimate_stability(params: Params, dataset: TimeSeriesDataset,
     Initial states are drawn from a ball of twice the largest hidden-state
     norm the model reaches on the training data, read off its trajectory in
     ``trajs``, its forward pass over the series from its own initial state
-    (zero, or a coupled model's free state). All pairs run in
-    one staggered pass over the inputs: sorted by start, each pair's two rows
-    join the batch when the pass reaches its start, so the pass takes at most
-    T recurrence steps whatever the number of pairs. lambda comes from a
-    pooled least-squares slope on log r_t, or is 1 when every sample kept
-    lies at one t (a one-step series, a nilpotent cell); C is the smallest
-    constant whose envelope dominates every sample the slope was fitted on.
+    (zero, or a coupled model's free state). ``trajs`` holds one trajectory
+    per model: one for unstacked ``params``, R for a stacked theta (R, n).
+    The draws (start, direction, u) do not depend on the radius, so every
+    model scales the same draws by its own radius.
 
-    ``trajs`` holds one trajectory per model: one for unstacked ``params``,
-    R for a stacked theta (R, n). The result is one estimate per model, each
-    with the bits of the model's unstacked call. The draws (start, direction,
-    u) do not depend on the radius, so every model scales the same draws by
-    its own radius and all R run in the one staggered pass. Whether a pair
-    is degenerate does depend on the radius: when the models keep different
-    pairs, each model is estimated on its own.
+    Every pair runs, for every model, in one staggered pass over the inputs:
+    sorted by start, each pair's two rows join the batch when the pass
+    reaches its start, so the pass takes at most T recurrence steps whatever
+    the number of pairs. Each segment of the pass writes its samples
+    r_t = ||y_t - y'_t|| / ||h - h'|| into one (pair, absolute time) array
+    per model; the pass holds no outputs beyond its segment. A pair whose
+    two initial states lie within 1e-12 of each other for a model gives that
+    model no sample (``_fit_envelope``). Each result has the bits of the
+    model's unstacked call.
     """
     lead = params.theta.shape[:-1]
     if len(trajs) != (lead[0] if lead else 1):
@@ -103,55 +101,48 @@ def estimate_stability(params: Params, dataset: TimeSeriesDataset,
     pairs = np.array([[[radius * u * d for u, d in rows] for _, rows in draws]
                       for radius in radii]).reshape(len(radii), num_pairs, 2, sd)
     gaps = np.array([[float(np.linalg.norm(pair[0] - pair[1])) for pair in model]
-                     for model in pairs])
-    kept = gaps >= 1e-12  # a degenerate pair is skipped
-    if (kept != kept[0]).any():
-        return [estimate_stability(Params(params.theta[r], params.spec),
-                                   dataset, [trajs[r]], num_pairs, seed)[0]
-                for r in range(len(trajs))]
+                     for model in pairs]).reshape(len(radii), num_pairs)
 
-    starts = [start for (start, _), keep in zip(draws, kept[0]) if keep]
-    if not starts:
-        return [StabilityEstimate(C=0.0, lam=0.5) for _ in trajs]
-
-    order = sorted(range(len(starts)), key=starts.__getitem__)
-    rows = np.ravel([(2 * p, 2 * p + 1) for p in order])  # batch row -> pair row
-    init = pairs[:, kept[0]].reshape(len(trajs), -1, sd)[:, rows].reshape(lead + (-1, sd))
-    sorted_starts = sorted(starts)
-    outs = np.empty(lead + (rows.size, T, params.spec.d_y))  # pair row, absolute time
+    starts = np.array([start for start, _ in draws], dtype=int)
+    order = np.argsort(starts, kind="stable")  # pass pair -> drawn pair
+    init = pairs[:, order].reshape(lead + (-1, sd))
+    pass_gaps = gaps[:, order].reshape(lead + (-1, 1))
+    r = np.empty(lead + (num_pairs, T))  # drawn pair, absolute time
     h = init[..., :0, :]
-    bounds = sorted(set(starts)) + [T]
+    bounds = sorted(set(starts.tolist())) + [T]
     for lo, hi in zip(bounds, bounds[1:]):
-        active = 2 * bisect.bisect_right(sorted_starts, lo)
-        h = np.concatenate([h, init[..., h.shape[-2] : active, :]], axis=-2)
+        active = int(np.count_nonzero(starts <= lo))  # pairs begun by lo
+        h = np.concatenate([h, init[..., h.shape[-2] : 2 * active, :]], axis=-2)
         x = dataset.inputs[lo:hi]
         seg_states, seg_outs, _ = batched_forward(
-            params, h, np.broadcast_to(x, (active, *x.shape))
+            params, h, np.broadcast_to(x, (2 * active, *x.shape))
         )
-        outs[..., rows[:active], lo:hi, :] = seg_outs
+        dist = np.linalg.norm(seg_outs[..., 0::2, :, :] - seg_outs[..., 1::2, :, :], axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a degenerate pair's gap may be 0
+            r[..., order[:active], lo:hi] = dist / pass_gaps[..., :active, :]
         h = seg_states[..., -1, :]
 
-    outs = outs.reshape(len(trajs), *outs.shape[-3:])
-    return [_fit_envelope(outs[r], starts, gaps[r, kept[r]]) for r in range(len(trajs))]
+    r = r.reshape(len(trajs), num_pairs, T)
+    return [_fit_envelope(r[k], starts, gaps[k] >= 1e-12) for k in range(len(trajs))]
 
 
-def _fit_envelope(outs: np.ndarray, starts: list[int], gaps: np.ndarray) -> StabilityEstimate:
-    """The envelope fit of one model: ``outs`` (2P, T, d_y) holds pair p's
-    outputs in rows 2p and 2p + 1, from sample ``starts[p]`` on, and
-    ``gaps[p]`` is the distance of its initial states."""
-    T = outs.shape[1]
-    t_all = np.concatenate([np.arange(1, T - start + 1, dtype=np.float64) for start in starts])
-    r_all = np.concatenate([
-        np.linalg.norm(outs[2 * p, start:] - outs[2 * p + 1, start:], axis=1) / gap
-        for p, (start, gap) in enumerate(zip(starts, gaps))
-    ])
-    r_max = float(np.max(r_all))
-    if r_max == 0.0:
-        # outputs are insensitive to the initial state
+def _fit_envelope(r: np.ndarray, starts: np.ndarray, kept: np.ndarray) -> StabilityEstimate:
+    """The envelope fit of one model. ``r`` (P, T) holds pair p's samples
+    r_t from absolute time ``starts[p]`` on; the pairs with ``kept`` False
+    give none. lambda comes from a pooled least-squares slope on log r_t over
+    the samples in draw order, or is 1 when every sample kept lies at one t
+    (a one-step series, a nilpotent cell); C is the smallest constant whose
+    envelope dominates every sample the slope was fitted on. With no sample
+    above 0 (no pair, or outputs insensitive to the initial state) the
+    envelope is C = 0, lambda = 1/2."""
+    steps = np.arange(1, r.shape[-1] + 1) - starts[:, None]  # t of each sample
+    sampled = kept[:, None] & (steps > 0)
+    t_all, r_all = steps[sampled].astype(np.float64), r[sampled]
+    if not np.any(r_all > 0.0):
         return StabilityEstimate(C=0.0, lam=0.5)
 
     # drop cancellation noise: lambda^-t would blow it up into the envelope
-    keep = r_all > 1e-13 * r_max
+    keep = r_all > 1e-13 * float(np.max(r_all))
     t_kept, r_kept = t_all[keep], r_all[keep]
     # samples at one t show no decay: no rate is fitted, and lambda = 1
     slope = float(np.polyfit(t_kept, np.log(r_kept), 1)[0]) if np.ptp(t_kept) > 0 else 0.0

@@ -15,10 +15,11 @@ parameters, computed by a forward pass alone; it equals the same ``train``
 run's ``final_objective`` and is empty when ``--epochs 0``. The cells of one
 window length N train together as one stacked run over their burn-ins; then
 every trained model of the grid is evaluated in one stacked pass.
-The sweep's ``timings.json`` holds, under ``phases``, the times it measures:
-each N's training and the one evaluation. The benchmark's holds, in the
-same shape, each (m, variant) solve and each m's analysis (the stability
-fit, the checks and the report).
+Every command but ``synth`` writes ``timings.json`` with the times it
+measures under ``phases``: ``train``'s whole training call, setup included;
+the sweep's training of each N and its one evaluation; the benchmark's
+(m, variant) solves and each m's analysis (the stability fit, the checks
+and the report).
 
 Every run writes into ``<out-root>/<command>/<config-hash>/`` with a
 manifest.json describing it; rerunning with identical flags reproduces all
@@ -26,9 +27,7 @@ numeric outputs bit-exactly (timestamps live only in the manifest, wall
 times only in timings.json). A run's identity, which the hash digests, is
 every flag except ``--out``, with the data files (``--data``, and ``--test``
 when given) by the SHA-256 of their bytes: a file rewritten in place gets a
-new run directory, and two paths to one file share one. ``train``'s
-timings.json holds the wall time of its whole training call, setup
-included.
+new run directory, and two paths to one file share one.
 
 Every JSON run file is strict JSON, written by ``to_json``: a non-finite
 number, such as a bound constant of a fitted lambda >= 1, is the string
@@ -314,10 +313,10 @@ def cmd_train(args) -> int:
     run_dir = make_run_dir(args, run_config(args))
     t0 = time.perf_counter()
     log = training.train(dataset, config)
-    wall_time_s = time.perf_counter() - t0
+    train_s = time.perf_counter() - t0
     _write_json(run_dir / "params.json", log.params, indent=None)
     (run_dir / "log.jsonl").write_text("".join(to_json(r) + "\n" for r in log.records))
-    _write_json(run_dir / "timings.json", {"wall_time_s": wall_time_s})
+    _write_json(run_dir / "timings.json", {"phases": {"train": {"wall_time_s": train_s}}})
     _write_json(run_dir / "summary.json", {
         "final_objective": log.records[-1].objective if log.records else None,
         "epochs_run": len(log.records),

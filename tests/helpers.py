@@ -11,7 +11,8 @@ scaled by each column's largest magnitude, and ``realizing_params`` gives
 the linear cell that reproduces its noise-free map. ``read_params`` and
 ``read_solution`` read back what ``params.json`` and ``solution_*.json``
 hold. ``scalar_shuffle`` is the one-draw-at-a-time Fisher-Yates that
-``SplitMix64.shuffle`` vectorizes.
+``SplitMix64.shuffle`` vectorizes. ``scalar_linear_optimum`` is the exact
+global optimum of each reference problem for a one-state linear cell.
 """
 
 from __future__ import annotations
@@ -22,8 +23,11 @@ from fractions import Fraction
 import numpy as np
 
 from tbptt.autodiff import segment_weights, weighted_loss
-from tbptt.benchmark import LiftedSolution
-from tbptt.data import ColumnTransform, LinearSISOGenerator, TimeSeriesDataset, _simulate_raw
+from tbptt.benchmark import LiftedSolution, coupled_time_weights
+from tbptt.data import (
+    ColumnTransform, LinearSISOGenerator, SegmentationPlan, TimeSeriesDataset, _simulate_raw,
+    segment_arrays,
+)
 from tbptt.linalg import DimensionError
 from tbptt.rng import SplitMix64
 from tbptt.rnn_core import CellSpec, Params, build_layout, num_params
@@ -196,3 +200,66 @@ def scalar_shuffle(rng: SplitMix64, items: list) -> None:
     for i in range(len(items) - 1, 0, -1):
         j = rng.randrange(i + 1)
         items[i], items[j] = items[j], items[i]
+
+
+def scalar_linear_optimum(variant: str, dataset: TimeSeriesDataset, plan: SegmentationPlan,
+                          m: int, rho: float, grid: int = 2001):
+    """The global optimum of ``variant``'s objective for a bias-free linear
+    cell with d_h = d_x = d_y = 1 and |W_hh| <= ``rho``, found by variable
+    projection (Golub & Pereyra 1973).
+
+    h_t = a h_{t-1} + b x_t and y_t = c h_t, so at a fixed pole a every
+    output is linear in g = c b and in k = c h0: y_j = g u_j(a) + k a^j, with
+    u the zero-start response. ``tbptt`` has no k, ``coupled`` one k for the
+    whole series and ``unconstrained`` one k per window. Each row's k is
+    projected out of its weighted least squares in closed form, then g is a
+    one-unknown fit, which gives V(a). Its minimum over a in [-rho, rho] is
+    taken on a ``grid``-point grid, all points at once, and polished by a
+    golden-section search between the best point's neighbours. Returns
+    (V*, Params with W_hh = a, W_xh = g, W_hy = 1, the free states k)."""
+    x, y = dataset.inputs[:, 0], dataset.targets[:, 0]
+    if variant == "coupled":
+        xs, ys = x[None], y[None]
+        w = coupled_time_weights(plan, m, dataset.T)[None] * segment_weights(plan.N, m, plan.S)[0, -1]
+    else:
+        xs, ys = (a[..., 0] for a in segment_arrays(dataset, plan))
+        w = segment_weights(plan.N, m, plan.S)
+
+    def fit(a):  # a (G,) -> V (G,), g (G,), k (G, rows)
+        u = np.empty((a.size, *xs.shape))
+        h = np.zeros((a.size, xs.shape[0]))
+        for j in range(xs.shape[1]):
+            h = a[:, None] * h + xs[:, j]
+            u[:, :, j] = h
+        targets = np.broadcast_to(ys, u.shape)
+        k_u = k_y = np.zeros(u.shape[:2])
+        if variant != "tbptt":
+            v = a[:, None, None] ** np.arange(1, xs.shape[1] + 1)  # (G, 1, n)
+            vv = np.sum(w * v * v, axis=-1)
+            # a = 0 leaves k no output to act on: it stays 0
+            k_u, k_y = (np.divide(np.sum(w * z * v, axis=-1), vv, out=np.zeros(u.shape[:2]),
+                                  where=vv > 0) for z in (u, targets))
+            u, targets = u - k_u[..., None] * v, targets - k_y[..., None] * v
+        g = np.sum(w * u * targets, axis=(1, 2)) / np.sum(w * u * u, axis=(1, 2))
+        res = g[:, None, None] * u - targets
+        return np.sum(w * res * res, axis=(1, 2)), g, k_y - g[:, None] * k_u
+
+    def at(pole):
+        return [out[0] for out in fit(np.array([pole]))]
+
+    a = np.linspace(-rho, rho, grid)
+    best = int(np.argmin(fit(a)[0]))
+    lo, hi = a[max(best - 1, 0)], a[min(best + 1, grid - 1)]
+    ratio = (np.sqrt(5.0) - 1.0) / 2.0
+    while hi - lo > 1e-13:
+        p, q = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+        if at(p)[0] <= at(q)[0]:
+            hi = q
+        else:
+            lo = p
+    pole = (lo + hi) / 2.0
+    value, g, k = at(pole)
+    spec = CellSpec(kind="linear", d_x=1, d_h=1, d_y=1, activation="identity", use_biases=False)
+    params = pack(spec, {"W_hh": [[pole]], "W_xh": [[g]], "W_hy": [[1.0]]})
+    states = k[:, None] if variant != "tbptt" else np.zeros((0, 1))
+    return float(value), params, states

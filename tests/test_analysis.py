@@ -124,7 +124,7 @@ def test_stability_recovers_scalar_decay_rate():
     assert est.lam == pytest.approx(a, abs=1e-6)
     # envelope convention C lambda^t >= r_t with r_t = |c| a^t exactly
     assert est.C == pytest.approx(abs(c), rel=1e-7)
-    *_, (t, r) = per_pair_stability(params, ds, num_pairs=12, seed=4)
+    *_, (t, r), _ = per_pair_stability(params, ds, num_pairs=12, seed=4)
     assert np.max(r - est.C * est.lam**t) <= 1e-12
 
 
@@ -145,7 +145,7 @@ def test_stability_envelope_dominates_all_samples():
 
     params = project_stability(init_params(CellSpec("elman", 1, 3, 1), 5), 0.95)
     est = estimate_stability(params, ds, [zero_pass(params, ds)], num_pairs=16, seed=9)[0]
-    *_, tested, (t, r) = per_pair_stability(params, ds, num_pairs=16, seed=9)
+    *_, tested, (t, r), _ = per_pair_stability(params, ds, num_pairs=16, seed=9)
     assert tested > 0
     assert np.max(r - est.C * est.lam**t) <= 1e-12
     assert 0.0 < est.lam <= 1.0
@@ -156,12 +156,16 @@ def test_stability_insensitive_model_degenerates_gracefully():
     ds, _ = gen_synthetic(seed=8, T=40, noise_std=0.1)
     est = estimate_stability(params, ds, [zero_pass(params, ds)], num_pairs=8, seed=1)[0]
     assert est == StabilityEstimate(C=0.0, lam=0.5)
+    # no pair at all falls under the same no-sample rule
+    params = scalar_linear(0.5, 1.0, 1.0)
+    assert estimate_stability(params, ds, [zero_pass(params, ds)], num_pairs=0) == [est]
 
 
 def per_pair_stability(params, dataset, num_pairs, seed):
     """estimate_stability's samples with one forward pass per pair, from the
-    pair's start; returns (lambda, C, pairs tested, (t, r)), the last the
-    samples (t, r_t) that lambda and C are fitted on."""
+    pair's start; returns (lambda, C, pairs tested, (t, r), (t_all, r_all)):
+    the samples (t, r_t) that lambda and C are fitted on, then every sample of
+    the pairs tested, in draw order, before the fit drops rounding noise."""
     sd = params.spec.state_dim
     states, _, _ = batched_forward(params, np.zeros((1, sd)), dataset.inputs[None])
     radius = 2.0 * float(np.max(np.linalg.norm(states[0], axis=1))) or 1.0
@@ -185,14 +189,14 @@ def per_pair_stability(params, dataset, num_pairs, seed):
         rs.append(np.linalg.norm(outs[0] - outs[1], axis=1) / gap)
     t_all, r_all = np.concatenate([[], *ts]), np.concatenate([[], *rs])
     if not np.any(r_all > 0.0):  # no pair, or outputs blind to the state
-        return 0.5, 0.0, len(rs), (t_all[:0], r_all[:0])
+        return 0.5, 0.0, len(rs), (t_all[:0], r_all[:0]), (t_all, r_all)
     keep = r_all > 1e-13 * np.max(r_all)
     t, r = t_all[keep], r_all[keep]
     slope = float(np.polyfit(t, np.log(r), 1)[0]) if np.ptp(t) > 0 else 0.0
     lam = min(math.exp(slope), 1.0) if slope < 0 else 1.0
     with np.errstate(over="ignore"):
         ratios = r / lam**t
-    return lam, float(np.max(ratios[np.isfinite(ratios)])), len(rs), (t, r)
+    return lam, float(np.max(ratios[np.isfinite(ratios)])), len(rs), (t, r), (t_all, r_all)
 
 
 STABILITY_CELLS = {
@@ -210,10 +214,33 @@ def test_stability_staggered_pass_matches_per_pair_runs(cell, T, num_pairs):
     params = STABILITY_CELLS[cell]()
     ds, _ = gen_synthetic(seed=T, T=T, noise_std=0.1)
     est = estimate_stability(params, ds, [zero_pass(params, ds)], num_pairs=num_pairs, seed=3)[0]
-    lam, C, tested, _ = per_pair_stability(params, ds, num_pairs, seed=3)
+    lam, C, tested, *_ = per_pair_stability(params, ds, num_pairs, seed=3)
     assert tested == num_pairs
     assert est.lam == pytest.approx(lam, rel=1e-6)
     assert est.C == pytest.approx(C, rel=1e-6)
+
+
+@pytest.mark.parametrize("cell", sorted(STABILITY_CELLS))
+@pytest.mark.parametrize("T, num_pairs", [(60, 16), (9, 12), (5, 6), (300, 16)])
+def test_stability_samples_match_per_pair_runs(monkeypatch, cell, T, num_pairs):
+    # the samples themselves, not only the fitted constants, which amplify
+    # rounding: the staggered pass's r_t are the per-pair runs' to within
+    # 1e-14 of the largest, at the same t and in the same order
+    import tbptt.analysis as analysis
+
+    params = STABILITY_CELLS[cell]()
+    ds, _ = gen_synthetic(seed=T, T=T, noise_std=0.1)
+    fits = []
+    real = analysis._fit_envelope
+    monkeypatch.setattr(analysis, "_fit_envelope", lambda *a: fits.append(a) or real(*a))
+    analysis.estimate_stability(params, ds, [zero_pass(params, ds)], num_pairs=num_pairs, seed=3)
+    ((r, starts, kept),) = fits
+    *_, tested, _, (t_want, r_want) = per_pair_stability(params, ds, num_pairs, seed=3)
+    assert tested == num_pairs and kept.all()
+    t = np.concatenate([np.arange(1, T - start + 1) for start in starts])
+    got = np.concatenate([row[start:] for row, start in zip(r, starts)])
+    npt.assert_array_equal(t, t_want)
+    assert np.max(np.abs(got - r_want)) <= 1e-14 * np.max(r_want)
 
 
 # W_hh nilpotent: a state difference reaches the output at t = 1 and is
@@ -229,7 +256,7 @@ def test_stability_from_one_step_fits_no_rate(cell, T):
     params = NILPOTENT if cell == "nilpotent" else STABILITY_CELLS[cell]()
     ds, _ = gen_synthetic(seed=5, T=T, noise_std=0.1)
     est = estimate_stability(params, ds, [zero_pass(params, ds)], num_pairs=8, seed=2)[0]
-    *_, tested, (t, r) = per_pair_stability(params, ds, num_pairs=8, seed=2)
+    *_, tested, (t, r), _ = per_pair_stability(params, ds, num_pairs=8, seed=2)
     assert tested == 8 and set(t) == {1.0}
     assert est.lam == 1.0
     assert est.C == pytest.approx(np.max(r), rel=1e-12)
@@ -272,7 +299,7 @@ def test_stacked_stability_equals_per_model_calls(monkeypatch, cell, T, num_pair
 
 
 @pytest.mark.parametrize("cell", sorted(STABILITY_CELLS))
-def test_stacked_stability_with_different_degenerate_pairs_falls_back(monkeypatch, cell):
+def test_stacked_stability_with_different_degenerate_pairs_runs_one_pass(monkeypatch, cell):
     import tbptt.analysis as analysis
 
     base = STABILITY_CELLS[cell]()
@@ -290,7 +317,7 @@ def test_stacked_stability_with_different_degenerate_pairs_falls_back(monkeypatc
                         lambda *a, **k: calls.append(1) or real(*a, **k))
     stacked = analysis.estimate_stability(stack(models), ds, trajs, num_pairs=16, seed=3)
     assert stacked == alone
-    assert len(calls) == 3  # the stacked call and one per model
+    assert len(calls) == 1  # the degenerate pairs run too, and give the second model no sample
 
 
 def test_stability_of_a_list_of_one_is_a_list():

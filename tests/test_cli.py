@@ -347,7 +347,9 @@ def test_run_files_keep_their_layout(tmp_path):
     assert train_dir.name == "8972e378c2eedb05"
     summary = json.loads((train_dir / "summary.json").read_text())
     assert list(summary) == ["final_objective", "epochs_run"]
-    assert list(json.loads((train_dir / "timings.json").read_text())) == ["wall_time_s"]
+    timings = json.loads((train_dir / "timings.json").read_text())
+    assert list(timings) == ["phases"] and list(timings["phases"]) == ["train"]
+    assert list(timings["phases"]["train"]) == ["wall_time_s"]
     config = json.loads((train_dir / "manifest.json").read_text())["config"]
     assert list(config) == ["inputs", "input_cols", "target_cols", "cell", "d_h", "activation",
                             "stride", "lr", "seed", "rho", "batch", "opt", "epochs", "mode",
