@@ -14,9 +14,15 @@ with shared or per-start weights, and then return one loss and one
 gradient per start. ``weighted_loss`` is the value alone, unstacked or
 stacked, by the same reduction, from forward passes over chunks of steps
 of at most ``LOSS_BLOCK_VALUES`` values, or one step when one step of
-every row takes more. The backward pass is exact over whatever sequences
-it is given: truncation lives entirely in how callers segment the data,
-never inside the gradient.
+every row takes more (``_chunk_errors``). ``checkpointed_loss_grad`` is
+the loss and d_theta of ``weighted_loss_grad`` from zero states, with the
+same bits, for a batch whose one-pass tape does not fit
+``LOSS_BLOCK_VALUES`` (the epoch log's full-batch gradient): the same
+chunked forward keeps only the states where blocks of steps begin, and
+each block is recorded again from them for the backward sweep, walked
+from the last block to the first. The backward pass is exact over
+whatever sequences it is given: truncation lives entirely in how callers
+segment the data, never inside the gradient.
 
 A bias-free linear cell needs no step loop, and two passes give its
 ``weighted_loss_grad`` without one, equal to the loop's to rounding:
@@ -33,7 +39,13 @@ Buffers follow the memory layout of ``rnn_core``'s module docstring, in a
 caller's ``Workspace`` when one is given. ``tape_loss_grad`` writes the
 errors and then the cogradients over the tape's ``outputs``, and
 ``backprop`` writes only its adjoint buffers, so a tape's outputs are
-spent by its gradient.
+spent by its gradient. One backward implementation serves every cell and
+caller: ``_sweep`` runs the reverse loop over one block of steps with an
+adjoint carried in and out, and the weight gradients are per-step
+products summed in one order (``_in_step_order``); ``backprop`` is one
+block, the whole tape. The mini-batch steps, the stateful tapes and the
+solvers' iterations record one tape, since a recomputed forward pass
+would cost them one more pass on every call.
 """
 
 from __future__ import annotations
@@ -46,8 +58,8 @@ import numpy as np
 
 from .linalg import DimensionError
 from .rnn_core import (
-    CellSpec, Layout, NonFiniteError, Params, Workspace, batched_forward, check_finite, per_start,
-    start_indices, step_products, time_major,
+    CellSpec, Layout, NonFiniteError, Params, Workspace, batched_forward, check_finite,
+    empty_time_major, per_start, start_indices, step_products, time_major,
 )
 
 
@@ -95,24 +107,69 @@ def backprop(tape: Tape, cograds: np.ndarray,
     ``workspace`` ("da", or "dz", "c_path" and "dh_out") when one is given
     and allocates otherwise.
 
-    The loop carries only the adjoints, in step-major buffers like the
-    tape's (``rnn_core``'s module docstring). After the loop the weight
-    gradients are products of step blocks (``_step_sum``) over views with
-    the stride order of an unstacked call, so each start gets that call's
-    bits: with B > 1 one stacked product per block for all starts, each
-    (start, step) one (i, B) @ (B, j) GEMM; with one batch row one start at
-    a time, its steps the rows of one contiguous matrix. They are written
-    through the layout's slices into one theta-shaped array, the d_theta
-    returned.
+    ``backprop`` is the backward pass over one block of steps, the whole
+    tape: ``_sweep`` carries the adjoints back through the steps, from zero
+    after the last one, into an adjoint buffer, and the weight gradients are
+    products of that buffer, the tape's states and inputs and the
+    cogradients (``_factors``). With B > 1 they are summed
+    ``_in_step_order``, each step and start one (i, B) @ (B, j) GEMM over
+    views with the stride order of an unstacked call, so each start gets
+    that call's bits; ``checkpointed_loss_grad`` runs the same sweep and
+    sums block after block, with these bits. With one batch row, one start
+    at a time, a start's steps are the rows of one contiguous matrix and
+    each gradient is one product over all of them (``_row_grads``). They
+    are written through the layout's slices into one theta-shaped array,
+    the d_theta returned.
+    """
+    spec = tape.params.spec
+    lead = tape.params.theta.shape[:-1]
+    B, T, _ = tape.inputs.shape
+    if cograds.shape != tape.outputs.shape:
+        raise DimensionError(
+            f"cograds shape {cograds.shape} != outputs shape {tape.outputs.shape}"
+        )
+    check_finite("output cogradients", cograds)
+    A, d_h0 = _sweep(tape, cograds, None, workspace if workspace is not None else Workspace())
+
+    d_theta = np.empty(tape.params.theta.shape)
+    layout = tape.params.layout
+    S, dY, X = time_major(tape.states), time_major(cograds), time_major(tape.inputs)
+    if B > 1:
+        # the (T', R, k, B) views of every start at once
+        weights, biases = _factors(A, S, dY, X, spec)
+        grads = {name: _in_step_order(lambda lo, hi: np.matmul(a[lo:hi], b[lo:hi].mT), T, lead)
+                 for name, (a, b) in weights.items()}
+        grads |= {name: _sum_steps(a.sum(axis=-1), lead) for name, a in biases.items()}
+        _write_grads(d_theta, grads, layout)
+    else:
+        # start r is index r of the views with the start axis first, and an
+        # unstacked call's (T', k, 1) views are index (); each start's steps
+        # as the rows of one (T', k) matrix, contiguous as in an unstacked call
+        starts = [a.swapaxes(0, -3) for a in (A, S, dY)]
+        for r in start_indices(lead):
+            adj, states, cog = (np.ascontiguousarray(a[r]) for a in starts)
+            _write_grads(d_theta[r], _row_grads(adj, states, cog, X, spec), layout)
+    return d_theta, d_h0.mT
+
+
+def _sweep(tape: Tape, cograds: np.ndarray, carry: np.ndarray | None,
+           ws: Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """The reverse loop over the steps of a tape, one block of a longer
+    sequence or all of it: (the step-major (T', ..., k, B) adjoint buffer
+    whose step products give the weight gradients, the carry out).
+
+    ``carry`` is the (..., sd, B) adjoint of the block's last state that the
+    steps after the block carry in, None for zero (the sequence's last
+    block); the carry out is that of the block's entry states, d_h0 of a
+    whole tape. The loop carries only the adjoints, in step-major buffers
+    like the tape's (``rnn_core``'s module docstring), taken from ``ws``.
 
     Linear/Elman cells: one (..., B, T', d_h) buffer ``da`` first takes
     ``W_hyᵀ · cograds`` for every step; step t adds the carried adjoint to
     its block, multiplies it by phi', computed into one reused (..., d_h, B)
     block from the step's states (1 - h² for tanh, h > 0 for relu), and
-    carries ``W_hhᵀ`` times the block. ``W_hh`` is then the step products
-    of ``da`` with the previous states, ``W_xh`` with the inputs, and
-    ``b_h`` the sum of ``da``. ``da`` is the sweep's only full-length
-    buffer.
+    carries ``W_hhᵀ`` times the block. ``da`` is the sweep's only
+    full-length buffer, and the adjoint buffer.
 
     LSTM cells: before the loop, everything that does not depend on the
     carried adjoints is written in place, for all steps at once, into
@@ -122,27 +179,19 @@ def backprop(tape: Tape, cograds: np.ndarray,
     same size ``W_hyᵀ · cograds``. Step t then makes
     seven operations: dh and dc in their blocks, the in-place scaling of its
     ``dz`` block by dc (i, f, g) and by dh (o), and the carries
-    ``W_hhᵀ · dz`` and ``dc · f``. After the loop ``W_hh``, ``W_xh`` and
-    ``b_h`` are the step products and sum of ``dz``, as for the Elman cell.
-    The three buffers come to 1.5 times the tape's gate buffer, the sweep's
-    whole full-length memory.
+    ``W_hhᵀ · dz`` and ``dc · f``; the carry is [dc; dh], the c half first,
+    as in the state. ``dz`` is the adjoint buffer. The three buffers come
+    to 1.5 times the tape's gate buffer, the sweep's whole full-length
+    memory.
     """
     spec = tape.params.spec
     blocks = tape.params.unpack()
     lead = tape.params.theta.shape[:-1]
     B, T, _ = tape.inputs.shape
-    if cograds.shape != tape.outputs.shape:
-        raise DimensionError(
-            f"cograds shape {cograds.shape} != outputs shape {tape.outputs.shape}"
-        )
-    check_finite("output cogradients", cograds)
-    ws = workspace if workspace is not None else Workspace()
-
     W_hh, W_hy = blocks["W_hh"], blocks["W_hy"]
     d_h = spec.d_h
     # step-major views, (steps, ..., k, B): the tape's own memory for the
-    # states, and the cogradients (and, below, the inputs) in whatever
-    # memory they come
+    # states, and the cogradients in whatever memory they come
     S, dY = time_major(tape.states), time_major(cograds)
     W_hh_T = W_hh.mT
 
@@ -167,8 +216,10 @@ def backprop(tape: Tape, cograds: np.ndarray,
 
         # A's step blocks split per gate: (T', ..., 4, d_h, B), a view
         A_gates = A.reshape(A.shape[:-2] + (4, d_h, B))
-        carry_dc = np.zeros(lead + (d_h, B))
-        carry_dh = np.zeros(lead + (d_h, B))
+        if carry is None:
+            carry_dc, carry_dh = np.zeros(lead + (d_h, B)), np.zeros(lead + (d_h, B))
+        else:
+            carry_dc, carry_dh = carry[..., :d_h, :].copy(), carry[..., d_h:, :].copy()
         for t in range(T - 1, -1, -1):
             dh = DH[t]
             dh += carry_dh
@@ -180,64 +231,56 @@ def backprop(tape: Tape, cograds: np.ndarray,
             z[..., 3, :, :] *= dh
             np.matmul(W_hh_T, A[t], carry_dh)
             np.multiply(dc, gf[t], carry_dc)
-        d_h0 = np.concatenate([carry_dc, carry_dh], axis=-2)
-    else:
-        A = step_products(W_hy.mT, dY, out=time_major(ws.empty("da", lead, B, T, d_h)))
+        return A, np.concatenate([carry_dc, carry_dh], axis=-2)
+
+    A = step_products(W_hy.mT, dY, out=time_major(ws.empty("da", lead, B, T, d_h)))
+    if carry is None:
         carry = np.zeros(lead + (d_h, B))
-        # phi' of one step, from its post-activation states; relu'(0) := 0
-        phi = np.empty(lead + (d_h, B))
-        tanh, relu = spec.activation == "tanh", spec.activation == "relu"
-        # outputs go in positionally: numpy parses them faster than the keyword
-        for t in range(T - 1, -1, -1):
-            a_t = A[t]
-            a_t += carry
-            if tanh:
-                h = S[t + 1]
-                np.multiply(h, h, phi)
-                np.subtract(1.0, phi, phi)
-                a_t *= phi
-            elif relu:
-                np.greater(S[t + 1], 0.0, phi)
-                a_t *= phi
-            np.matmul(W_hh_T, a_t, carry)
-        d_h0 = carry
-
-    d_theta = np.empty(tape.params.theta.shape)
-    layout = tape.params.layout
-    X = time_major(tape.inputs)
-    if B > 1:
-        # the (T', R, k, B) views of every start at once; the shared inputs
-        # broadcast over the start axis
-        grads = _weight_grads(A, S, dY, X[:, None] if lead else X, spec, lead)
-        _write_grads(d_theta, grads, layout)
-    else:
-        # start r is index r of the views with the start axis first, and an
-        # unstacked call's (T', k, 1) views are index (); each start's steps
-        # as the rows of one (T', k) matrix, contiguous as in an unstacked call
-        starts = [a.swapaxes(0, -3) for a in (A, S, dY)]
-        for r in start_indices(lead):
-            adj, states, cog = (np.ascontiguousarray(a[r]) for a in starts)
-            _write_grads(d_theta[r], _weight_grads(adj, states, cog, X, spec, ()), layout)
-    return d_theta, d_h0.mT
+    # phi' of one step, from its post-activation states; relu'(0) := 0
+    phi = np.empty(lead + (d_h, B))
+    tanh, relu = spec.activation == "tanh", spec.activation == "relu"
+    # outputs go in positionally: numpy parses them faster than the keyword
+    for t in range(T - 1, -1, -1):
+        a_t = A[t]
+        a_t += carry
+        if tanh:
+            h = S[t + 1]
+            np.multiply(h, h, phi)
+            np.subtract(1.0, phi, phi)
+            a_t *= phi
+        elif relu:
+            np.greater(S[t + 1], 0.0, phi)
+            a_t *= phi
+        np.matmul(W_hh_T, a_t, carry)
+    return A, carry
 
 
-def _weight_grads(adj: np.ndarray, states: np.ndarray, cog: np.ndarray, x: np.ndarray,
-                  spec: CellSpec, lead: tuple[int, ...]) -> dict[str, np.ndarray]:
-    """The gradient of every weight block, by name, from step-major
-    (T', *lead, k, B) adjoints ``adj``, (T'+1, *lead, sd, B) states,
-    cogradients ``cog`` and inputs ``x``: one (*lead, ...) array each."""
+def _factors(adj: np.ndarray, states: np.ndarray, cog: np.ndarray, x: np.ndarray,
+             spec: CellSpec) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]],
+                                      dict[str, np.ndarray]]:
+    """The step-major factors of every gradient block, from (T', *lead, k,
+    B) adjoints ``adj``, (T'+1, *lead, sd, B) states, cogradients ``cog``
+    and inputs ``x``: (weights, biases), by block name. A weight block's
+    gradient sums ``a[t, ..., :, c] ⊗ b[t, ..., :, c]`` of its pair (a, b)
+    over steps t and batch rows c; a bias's sums the values of its one
+    factor. Inputs without the start axis of stacked adjoints are shared by
+    the starts and broadcast over it."""
     T = adj.shape[0]
+    if x.ndim < adj.ndim:
+        x = x[:, None]
     hidden = states[..., spec.state_dim - spec.d_h :, :]
-    grads = {
-        "W_hy": _step_sum(cog, hidden[1:], lead),
-        "W_hh": _step_sum(adj, hidden[:T], lead),
-        "W_xh": _step_sum(adj, x, lead),
-    }
-    if spec.use_biases:
-        # each step's batch rows first: contiguous runs of B
-        grads["b_y"] = _sum_steps(cog.sum(axis=-1), lead)
-        grads["b_h"] = _sum_steps(adj.sum(axis=-1), lead)
-    return grads
+    weights = {"W_hy": (cog, hidden[1:]), "W_hh": (adj, hidden[:T]), "W_xh": (adj, x)}
+    return weights, {"b_y": cog, "b_h": adj} if spec.use_biases else {}
+
+
+def _row_grads(adj: np.ndarray, states: np.ndarray, cog: np.ndarray, x: np.ndarray,
+               spec: CellSpec) -> dict[str, np.ndarray]:
+    """Every block gradient of one batch row of one start, from its
+    factors: each weight block one (i, T') @ (T', j) product, each bias the
+    sum over the steps of its factor."""
+    weights, biases = _factors(adj, states, cog, x, spec)
+    grads = {name: a[..., 0].T @ b[..., 0] for name, (a, b) in weights.items()}
+    return grads | {name: a.sum(axis=-1).sum(axis=0) for name, a in biases.items()}
 
 
 def _write_grads(d_theta: np.ndarray, grads: dict[str, np.ndarray], layout: Layout) -> None:
@@ -249,25 +292,21 @@ def _write_grads(d_theta: np.ndarray, grads: dict[str, np.ndarray], layout: Layo
         d_theta[..., start:stop] = grad.reshape(lead + (-1,))
 
 
-# steps per product in ``_step_sum``: its temporary is at most this many
-# (i, j) blocks, whatever T' is
+# steps per sum of ``_in_step_order``: a weight gradient's per-step products
+# are summed over chunks of this many steps, so ``backprop``'s temporary is
+# at most this many (i, j) blocks, whatever T' is
 _SUM_STEPS = 64
 
 
-def _step_sum(a: np.ndarray, b: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
-    """sum over steps t and batch rows c of ``a[t, ..., :, c] ⊗ b[t, ..., :, c]``,
-    for step-major (T', *lead, i, B) and (T', *lead, j, B) arrays or views:
-    a weight-gradient block (*lead, i, j), one per start.
-
-    Per step and start one (i, B) @ (B, j) GEMM, summed over the steps in
-    order (``_sum_steps``), in chunks of ``_SUM_STEPS`` steps. With one
-    batch row (unstacked only) the steps are the rows of a (T', i) and a
-    (T', j) matrix, and the sum is one (i, T') @ (T', j) product."""
-    if a.shape[-1] == 1:
-        return a[..., 0].T @ b[..., 0]
-    total = _sum_steps(np.matmul(a[:_SUM_STEPS], b[:_SUM_STEPS].mT), lead)
-    for lo in range(_SUM_STEPS, a.shape[0], _SUM_STEPS):
-        total += _sum_steps(np.matmul(a[lo : lo + _SUM_STEPS], b[lo : lo + _SUM_STEPS].mT), lead)
+def _in_step_order(chunk, T: int, lead: tuple[int, ...]) -> np.ndarray:
+    """A weight block's gradient, the sum of its per-step products over all
+    T' steps, where ``chunk(lo, hi)`` gives those of steps lo:hi as one
+    (hi - lo, *lead, i, j) array: in chunks of ``_SUM_STEPS`` steps, each
+    chunk's sum (``_sum_steps``) added in step order: the one order of
+    ``backprop`` and ``checkpointed_loss_grad``."""
+    total = _sum_steps(chunk(0, _SUM_STEPS), lead)
+    for lo in range(_SUM_STEPS, T, _SUM_STEPS):
+        total += _sum_steps(chunk(lo, lo + _SUM_STEPS), lead)
     return total
 
 
@@ -296,8 +335,41 @@ def _weighted_sse(err: np.ndarray, weights: np.ndarray) -> float | np.ndarray:
 
 
 # float64 values in the buffers of one step chunk of ``weighted_loss``: its
-# states, outputs and LSTM gates over every batch row and start
+# states, outputs and LSTM gates over every batch row and start; and the
+# largest tape ``checkpointed_loss_grad`` records in one pass
 LOSS_BLOCK_VALUES = 1 << 18
+
+
+def _chunk_errors(params: Params, h0: np.ndarray | None, inputs: np.ndarray,
+                  targets: np.ndarray, steps: int, workspace: Workspace,
+                  entries: list | None = None) -> np.ndarray:
+    """The errors y - targets of a batch, as one new step-major (..., B, T',
+    d_y) array, from forward passes over chunks of ``steps`` whole steps.
+    Step-major is the memory of a tape's outputs, so as cogradients a block
+    of them is whole contiguous steps, as ``_sweep`` reads a tape's.
+
+    Each chunk is a ``batched_forward`` of every row restarted from the
+    last chunk's states, in ``workspace``. Every step's products keep their
+    shape, so with B > 1 the chunks have the one pass's bits; a chunk of
+    fewer rows would not, since a GEMM's bits depend on its column count.
+    ``entries``, when given, gets each chunk's entry states in order, ``h0``
+    first. A chunk that goes non-finite sends the call to the whole pass,
+    which raises the ``NonFiniteError`` one pass gives."""
+    B, T, _ = inputs.shape
+    err = empty_time_major(params.theta.shape[:-1], B, T, params.spec.d_y)
+    h = h0
+    try:
+        for lo in range(0, T, steps):
+            if entries is not None:
+                entries.append(h)
+            states, outputs, _ = batched_forward(params, h, inputs[:, lo : lo + steps],
+                                                 workspace=workspace)
+            np.subtract(outputs, targets[:, lo : lo + steps], out=err[..., lo : lo + steps, :])
+            h = states[..., -1, :].copy()
+    except NonFiniteError:
+        batched_forward(params, h0, inputs)
+        raise
+    return err
 
 
 def weighted_loss(params: Params, h0: np.ndarray | None, inputs: np.ndarray,
@@ -306,42 +378,34 @@ def weighted_loss(params: Params, h0: np.ndarray | None, inputs: np.ndarray,
     passes alone: bit for bit the loss ``weighted_loss_grad`` returns, one
     per start when ``params`` is stacked.
 
-    With B > 1 rows the steps run in chunks of as many whole steps as fit
-    ``LOSS_BLOCK_VALUES``, at least one, each chunk a ``batched_forward`` of
-    every row restarted from the last chunk's states, in one ``Workspace``.
-    Every step's products keep their shape, so the chunks have the one
-    pass's bits; a chunk of fewer rows would not, since a GEMM's bits depend
-    on its column count. With one row the pass is one chunk: its output
-    product takes all steps at once (``step_products``). Each chunk writes
-    its errors into one (..., B, T', d_y) array, which ``_weighted_sse``
-    sums once. A chunk that goes non-finite sends the call to the whole
-    pass, which raises the ``NonFiniteError`` one pass gives."""
+    With B > 1 rows the steps run in chunks (``_chunk_errors``) of as many
+    whole steps as fit ``LOSS_BLOCK_VALUES``, at least one, in one
+    ``Workspace``. With one row the pass is one chunk: its output product
+    takes all steps at once (``step_products``). ``_weighted_sse`` sums the
+    errors of all chunks once."""
     spec = params.spec
     lead = params.theta.shape[:-1]
     B, T, d_x = inputs.shape
     gates = 4 * spec.d_h if spec.kind == "lstm" else 0
     step_values = B * (math.prod(lead) * (spec.state_dim + spec.d_y + gates) + d_x)
     steps = max(1, T if B == 1 else LOSS_BLOCK_VALUES // max(1, step_values))
-    err = np.empty(lead + (B, T, spec.d_y))
-    workspace = Workspace()
-    h = h0
-    try:
-        for lo in range(0, T, steps):
-            states, outputs, _ = batched_forward(params, h, inputs[:, lo : lo + steps],
-                                                 workspace=workspace)
-            np.subtract(outputs, targets[:, lo : lo + steps], out=err[..., lo : lo + steps, :])
-            h = states[..., -1, :].copy()
-    except NonFiniteError:
-        batched_forward(params, h0, inputs)
-        raise
-    return _weighted_sse(err, weights)
+    return _weighted_sse(_chunk_errors(params, h0, inputs, targets, steps, Workspace()), weights)
+
+
+def _cogradients(err: np.ndarray, weights: np.ndarray) -> float | np.ndarray:
+    """The loss of errors ``err``, which become the cogradients
+    2·weights·err of the outputs in place."""
+    loss = _weighted_sse(err, weights)
+    err *= 2.0 * weights[..., None]
+    return loss
 
 
 def tape_loss_grad(tape: Tape, targets: np.ndarray, weights: np.ndarray,
                    workspace: Workspace | None = None) -> tuple[float, np.ndarray, np.ndarray]:
     """Value and gradient of the weighted squared-error sum of a recorded
     batch: ``weighted_loss_grad`` after its forward pass. Every gradient
-    the package takes goes through here, whoever made the tape.
+    the package takes but the checkpointed one goes through here, whoever
+    made the tape.
 
     The tape's ``outputs`` are overwritten, in place: first with the
     errors, then with the cogradients, which ``backprop`` reads (with
@@ -350,8 +414,7 @@ def tape_loss_grad(tape: Tape, targets: np.ndarray, weights: np.ndarray,
     # gradient, which every caller checks, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         err = np.subtract(tape.outputs, targets, out=tape.outputs)
-        loss = _weighted_sse(err, weights)
-        err *= 2.0 * weights[..., None]  # the cogradients
+        loss = _cogradients(err, weights)
         d_theta, d_h0 = backprop(tape, err, workspace)
     return loss, d_theta, d_h0
 
@@ -375,6 +438,88 @@ def weighted_loss_grad(
     tape = record(params, h0, inputs, workspace)
     loss, d_theta, d_h0 = tape_loss_grad(tape, targets, weights, workspace)
     return loss, d_theta, None if h0 is None else d_h0
+
+
+def _checkpoint_steps(spec: CellSpec, lead: tuple[int, ...], B: int, T: int) -> int:
+    """Steps per block of ``checkpointed_loss_grad``: all T' (one block)
+    with one batch row or when the one-pass tape fits ``LOSS_BLOCK_VALUES``,
+    else L = max(1, round(√(T'·sd / v))).
+
+    v is what one block holds per row, start and step: the states, the LSTM
+    gates and tanh c, the adjoint buffers (``_sweep``) and the outputs. The
+    call holds ⌈T'/L⌉ checkpoints of sd values and one block of L·v per row
+    and start, and L minimises their sum."""
+    d_h, sd = spec.d_h, spec.state_dim
+    # gates and tanh c; dz, c_path and dh_out, or da
+    cache, adjoints = (5 * d_h, 6 * d_h) if spec.kind == "lstm" else (0, d_h)
+    v = sd + cache + adjoints + spec.d_y
+    if B == 1 or math.prod(lead) * B * (T * v + sd) <= LOSS_BLOCK_VALUES:
+        return T
+    return max(1, round(math.sqrt(T * sd / v)))
+
+
+def checkpointed_loss_grad(params: Params, inputs: np.ndarray, targets: np.ndarray,
+                           weights: np.ndarray, workspace: Workspace | None = None,
+                           ) -> tuple[float | np.ndarray, np.ndarray]:
+    """(loss, d_theta) of ``weighted_loss_grad`` from ``h0=None``, the zero
+    states, bit for bit, in memory that grows with B·√T' rather than B·T'
+    when the one-pass tape does not fit ``LOSS_BLOCK_VALUES``: gradient
+    checkpointing (Chen et al., arXiv:1604.06174; Gruslys et al.,
+    arXiv:1606.03401), unstacked or stacked.
+
+    The steps split into blocks of L = ``_checkpoint_steps`` steps; with one
+    block the call is ``weighted_loss_grad``. Otherwise the forward pass
+    runs in chunks of one block each (``_chunk_errors``), keeping only the
+    blocks' entry states, the checkpoints; the loss and cogradients are
+    taken once over all steps, as by ``tape_loss_grad``. The blocks are then
+    walked in reverse: each is re-``record``-ed from its checkpoint, and
+    ``_sweep`` runs its steps with the adjoint carried in from the block
+    after it; the per-step products of its gradient factors (``_factors``)
+    go to buffers of all T' steps, which are summed once at the end, in
+    ``backprop``'s order (``_in_step_order``).
+    Every step keeps all B rows, so a restart has the one pass's bits and
+    so has every product and sum. Beyond the inputs, targets and weights
+    the call holds the (..., B, T', d_y) cogradients, the checkpoints, one
+    block's tape and adjoints, and T' weight-gradient-sized products. A
+    chunk that goes non-finite raises the one pass's ``NonFiniteError``, and
+    a non-finite cogradient raises it as ``backprop`` does. The passes take
+    their buffers from ``workspace`` when one is given."""
+    lead = params.theta.shape[:-1]
+    B, T, _ = inputs.shape
+    steps = _checkpoint_steps(params.spec, lead, B, T)
+    if steps >= T:
+        loss, d_theta, _ = weighted_loss_grad(params, None, inputs, targets, weights, workspace)
+        return loss, d_theta
+    ws = workspace if workspace is not None else Workspace()
+    entries: list = []
+    # per gradient block one value per step: a weight block's (i, B) @ (B, j)
+    # products, a bias's sums over the rows, written block after block
+    layout = params.layout
+    products = {name: np.empty((T, *lead, *shape)) for name, (_, _, shape) in layout.items()}
+    # overflow surfaces as in ``tape_loss_grad``
+    with np.errstate(over="ignore", invalid="ignore"):
+        cog = _chunk_errors(params, None, inputs, targets, steps, ws, entries)
+        loss = _cogradients(cog, weights)
+        check_finite("output cogradients", cog)
+        carry = None
+        for lo, h in reversed(list(zip(range(0, T, steps), entries))):
+            tape = record(params, h, inputs[:, lo : lo + steps], ws)
+            block = cog[..., lo : lo + steps, :]
+            adj, carry = _sweep(tape, block, carry, ws)
+            factors, sums = _factors(adj, time_major(tape.states), time_major(block),
+                                     time_major(tape.inputs), params.spec)
+            at = slice(lo, lo + adj.shape[0])
+            for name, (a, b) in factors.items():
+                np.matmul(a, b.mT, out=products[name][at])
+            for name, a in sums.items():
+                np.sum(a, axis=-1, out=products[name][at])
+    # summed as ``backprop`` sums them
+    grads = {name: _in_step_order(lambda lo, hi, p=products[name]: p[lo:hi], T, lead)
+             for name in factors}
+    grads |= {name: _sum_steps(products[name], lead) for name in sums}
+    d_theta = np.empty(params.theta.shape)
+    _write_grads(d_theta, grads, layout)
+    return loss, d_theta
 
 
 # steps per chunk of ``_scan``: fixed, whatever T' is, so the powers of the

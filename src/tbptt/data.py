@@ -153,24 +153,30 @@ class LinearSISOGenerator:
 
 def _simulate_raw(seed: int, total: int, warmup: int, noise_std: float):
     """Raw input and output series of ``total`` recorded samples after
-    ``warmup`` unrecorded steps, and the generator that describes them."""
+    ``warmup`` unrecorded steps, and the generator that describes them.
+
+    The modal system is diagonal, so each mode steps on its own, in Python
+    floats: h_k ← a_k·h_k + b_k·u and y = c_0·h_0 + c_1·h_1, the products and
+    sums of ``_GEN_A @ h + _GEN_B * u`` and ``_GEN_C @ h`` without their
+    zero terms."""
     rng = SplitMix64(seed)
     u = rng.normals(warmup + total)
-    h = np.zeros(2)
-    ys = np.empty(total)
-    state_at_start = h
-    for t in range(warmup + total):
-        if t == warmup:
-            # state before the first recorded input is applied
-            state_at_start = h.copy()
-        h = _GEN_A @ h + _GEN_B * u[t]
-        if t >= warmup:
-            ys[t - warmup] = _GEN_C @ h
+    (a0, a1), (b0, b1), (c0, c1) = np.diag(_GEN_A).tolist(), _GEN_B.tolist(), _GEN_C.tolist()
+    h0 = h1 = 0.0
+    inputs = u.tolist()
+    for x in inputs[:warmup]:
+        h0, h1 = a0 * h0 + b0 * x, a1 * h1 + b1 * x
+    # state before the first recorded input is applied
+    state_at_start = np.array([h0, h1])
+    ys = []
+    for x in inputs[warmup:]:
+        h0, h1 = a0 * h0 + b0 * x, a1 * h1 + b1 * x
+        ys.append(c0 * h0 + c1 * h1)
     noise = rng.normals(total, sigma=noise_std) if noise_std > 0 else np.zeros(total)
     generator = LinearSISOGenerator(a=_GEN_A.copy(), b=_GEN_B.copy(), c=_GEN_C.copy(),
                                     noise_std=noise_std, seed=seed, warmup=warmup,
                                     state_at_start=state_at_start)
-    return u[warmup:], ys + noise, generator
+    return u[warmup:], np.array(ys, dtype=np.float64) + noise, generator
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +240,14 @@ def load_csv(
 
 
 def write_csv(path, columns: dict[str, np.ndarray]) -> None:
-    """Write aligned 1-D columns as a headed CSV with repr-exact doubles."""
+    """Write aligned 1-D columns as a headed CSV with repr-exact doubles,
+    formatted column by column and joined per row."""
     names = list(columns)
     arrays = [np.asarray(columns[n]).reshape(-1) for n in names]
     length = len(arrays[0])
     if any(len(a) != length for a in arrays):
         raise ValueError("all columns must have equal length")
+    cells = [map(repr, a.astype(np.float64).tolist()) for a in arrays]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names)
-        for r in range(length):
-            writer.writerow([repr(float(a[r])) for a in arrays])
+        csv.writer(fh, lineterminator="\n").writerow(names)
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))

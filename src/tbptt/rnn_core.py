@@ -28,7 +28,8 @@ product with a weight matrix is one (n, k) @ (k, B) GEMM per start
 pass reads them through step-major views. A pass allocates its buffers,
 or takes them from a ``Workspace`` that its caller keeps over passes of
 the same shapes (``benchmark._Problem``'s step loop per solve,
-``training.train`` per epoch log, ``autodiff.weighted_loss`` per chunk),
+``training.train`` per epoch log, ``autodiff.weighted_loss`` per chunk,
+``autodiff.checkpointed_loss_grad`` per chunk and block),
 so only the first of those passes faults in fresh pages.
 
 A pass given ``h0=None`` starts every row from the zero state, the start
@@ -40,6 +41,9 @@ forward-only pass holds the LSTM gates of one block of whole steps,
 ``GATE_BLOCK_VALUES`` values, and returns full-length states and outputs;
 ``autodiff.weighted_loss`` runs its steps in chunks of
 ``autodiff.LOSS_BLOCK_VALUES`` values, so of those it holds one chunk.
+``autodiff.checkpointed_loss_grad``, the epoch log's gradient, records and
+differentiates one block of steps at a time when the whole tape would not
+fit that budget, and holds the states where the blocks start.
 """
 
 from __future__ import annotations

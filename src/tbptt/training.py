@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import (
-    Tape, record, segment_weights, tape_loss_grad, weighted_loss, weighted_loss_grad,
+    Tape, checkpointed_loss_grad, record, segment_weights, tape_loss_grad, weighted_loss,
 )
 from .data import SegmentationPlan, TimeSeriesDataset, make_plan, segment_arrays
 from .linalg import spectral_norm
@@ -162,12 +162,14 @@ def full_batch_gradient(params: Params, xs: np.ndarray, ys: np.ndarray, m: int,
     """Objective value and its exact gradient over all gathered windows.
 
     ``xs`` (S, N, d_x) and ``ys`` (S, N, d_y) are ``segment_arrays`` output.
-    The passes take their buffers from ``workspace`` when one is given.
+    The gradient is ``checkpointed_loss_grad``'s, bit for bit one
+    ``weighted_loss_grad``: beyond the windows, the weights and the (S, N,
+    d_y) cogradients it holds one block of steps of the backward pass and
+    the states where the blocks start, not every window's tape. The passes
+    take their buffers from ``workspace`` when one is given.
     """
     S, N = xs.shape[:2]
-    loss, d_theta, _ = weighted_loss_grad(params, None, xs, ys, segment_weights(N, m, S),
-                                          workspace)
-    return loss, d_theta
+    return checkpointed_loss_grad(params, xs, ys, segment_weights(N, m, S), workspace)
 
 
 def project_stability(params: Params, rho: float | None) -> Params:
@@ -306,7 +308,9 @@ def train(dataset: TimeSeriesDataset, config: TrainConfig,
     burn-in ``config.m``) and log the full-batch objective and gradient norm
     after every epoch. It keeps no time: the CLI's ``timings.json`` holds the
     wall time of the whole call. The epochs' full-batch passes share one
-    ``Workspace``."""
+    ``Workspace``; a long series' gradient runs in checkpointed blocks of
+    steps (``full_batch_gradient``), so the log holds one block's tape, not
+    every window's."""
     epochs = train_burn_ins(dataset, config, [config.m], init)
     params, xs, ys = next(epochs)
     records: list[EpochRecord] = []

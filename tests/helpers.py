@@ -11,13 +11,15 @@ scaled by each column's largest magnitude, and ``realizing_params`` gives
 the linear cell that reproduces its noise-free map. ``read_params`` and
 ``read_solution`` read back what ``params.json`` and ``solution_*.json``
 hold. ``scalar_shuffle`` is the one-draw-at-a-time Fisher-Yates that
-``SplitMix64.shuffle`` vectorizes. ``scalar_linear_optimum`` is the exact
+``SplitMix64.shuffle`` vectorizes, and ``scalar_normal`` the one-value-at-a-time
+Box-Muller that ``SplitMix64.normals`` vectorizes. ``scalar_linear_optimum`` is the exact
 global optimum of each reference problem for a one-state linear cell.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -200,6 +202,23 @@ def scalar_shuffle(rng: SplitMix64, items: list) -> None:
     for i in range(len(items) - 1, 0, -1):
         j = rng.randrange(i + 1)
         items[i], items[j] = items[j], items[i]
+
+
+def scalar_normal(rng: SplitMix64, sigma: float = 1.0) -> float:
+    """One Gaussian of ``rng``'s Box-Muller stream, one stream value at a
+    time: the spare of the last pair, scaled by this call's sigma, when
+    there is one, else the first value of a new pair, whose second it
+    keeps in the same ``_spare_normal`` slot as ``SplitMix64.normals``."""
+    if rng._spare_normal is not None:
+        z = rng._spare_normal
+        rng._spare_normal = None
+        return sigma * z
+    # u1 in (0, 1] so log() is finite
+    u1 = ((rng.next_u64() >> 11) + 1) * 2.0**-53
+    u2 = (rng.next_u64() >> 11) * 2.0**-53
+    r = math.sqrt(-2.0 * math.log(u1))
+    rng._spare_normal = r * math.sin(2.0 * math.pi * u2)
+    return sigma * r * math.cos(2.0 * math.pi * u2)
 
 
 def scalar_linear_optimum(variant: str, dataset: TimeSeriesDataset, plan: SegmentationPlan,

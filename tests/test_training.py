@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ import pytest
 
 from helpers import fd_gradient, gen_synthetic, pack
 from tbptt.data import TimeSeriesDataset, make_plan, segment_arrays
+from tbptt import autodiff
 from tbptt.autodiff import segment_weights, tape_loss_grad, weighted_loss_grad
 from tbptt.linalg import spectral_norm
 from tbptt.rng import SplitMix64
@@ -650,3 +652,131 @@ def test_train_logs_every_epoch_in_one_workspace(monkeypatch, kind):
     assert len(log.records) == 3
     assert workspaces[0] is not None
     assert all(w is workspaces[0] for w in workspaces)
+
+
+# --- the epoch log's gradient in checkpointed blocks -------------------------
+
+BLOCK_CELLS = [
+    CellSpec("linear", 2, 3, 2, activation="identity", use_biases=False),
+    CellSpec("elman", 2, 3, 2, activation="tanh"),
+    CellSpec("elman", 2, 3, 2, activation="relu"),
+    CellSpec("lstm", 2, 3, 2),
+    CellSpec("elman", 1, 8, 1, activation="tanh"),
+]
+
+
+def block_case(spec, N, S, seed=0):
+    """Seeded parameters and the S windows of length N of a random series,
+    gathered as the epoch log gathers them."""
+    rng = np.random.default_rng(seed)
+    T = N + S - 1
+    ds = TimeSeriesDataset(rng.normal(size=(T, spec.d_x)), rng.normal(size=(T, spec.d_y)))
+    xs, ys = segment_arrays(ds, make_plan(T, N, 1))
+    return init_params(spec, 40 + seed), xs, ys
+
+
+def count_records(monkeypatch):
+    calls = []
+    real = autodiff.record
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(autodiff, "record", counting)
+    return calls
+
+
+@pytest.mark.parametrize("m_last", [False, True], ids=["m0", "mN-1"])
+@pytest.mark.parametrize("B", [2, 5])
+@pytest.mark.parametrize("N", [1, 2, 5, 21])
+@pytest.mark.parametrize("spec", BLOCK_CELLS, ids=lambda s: f"{s.kind}-{s.activation}-{s.d_h}")
+def test_full_batch_gradient_in_blocks_equals_one_pass(monkeypatch, spec, N, B, m_last):
+    # with no room for a one-pass tape, every window length above one step
+    # runs in blocks of the rule's size (one step to three here, a shorter
+    # last block at some N); loss and gradient keep the one pass's bits
+    m = N - 1 if m_last else 0
+    params, xs, ys = block_case(spec, N, B)
+    want_loss, want_theta, _ = weighted_loss_grad(params, None, xs, ys, segment_weights(N, m, B))
+    monkeypatch.setattr(autodiff, "LOSS_BLOCK_VALUES", 1)
+    steps = autodiff._checkpoint_steps(spec, (), B, N)
+    records = count_records(monkeypatch)
+    loss, d_theta = full_batch_gradient(params, xs, ys, m)
+    assert len(records) == -(-N // steps)
+    assert (len(records) > 1) == (N > 1)
+    assert loss == want_loss
+    assert d_theta.tobytes() == want_theta.tobytes()
+
+
+@pytest.mark.parametrize("steps", [1, 2, 4, 20])
+@pytest.mark.parametrize("spec", BLOCK_CELLS, ids=lambda s: f"{s.kind}-{s.activation}-{s.d_h}")
+def test_checkpointed_gradient_any_block_size_equals_one_pass(monkeypatch, spec, steps):
+    # block sizes the rule would not pick, 20 of 21 steps a block of one
+    # step after it; and starts stacked on a leading axis with their own
+    # burn-in weights, each with its unstacked call's bits
+    N, B = 21, 5
+    params, xs, ys = block_case(spec, N, B, seed=1)
+    stacked = Params(np.stack([params.theta, init_params(spec, 9).theta]), spec)
+    w = np.stack([segment_weights(N, 0, B), segment_weights(N, 7, B)])
+    want = weighted_loss_grad(stacked, None, xs, ys, w)
+    monkeypatch.setattr(autodiff, "_checkpoint_steps", lambda *args: steps)
+    records = count_records(monkeypatch)
+    loss, d_theta = autodiff.checkpointed_loss_grad(stacked, xs, ys, w)
+    assert len(records) == -(-N // steps)
+    assert loss.tobytes() == want[0].tobytes()
+    assert d_theta.tobytes() == want[1].tobytes()
+    for r in range(2):
+        alone = autodiff.checkpointed_loss_grad(Params(stacked.theta[r], spec), xs, ys, w[r])
+        assert alone[0] == loss[r] and alone[1].tobytes() == d_theta[r].tobytes()
+
+
+@pytest.mark.parametrize("overflow", ["forward", "cogradients"])
+def test_full_batch_gradient_in_blocks_raises_the_one_pass_error(monkeypatch, overflow):
+    # an overflow in a later block than the first: the error of the forward
+    # pass names the one pass's step, and so does that of a cogradient
+    N, B = 100, 3
+    x = np.ones((B, N, 1))
+    if overflow == "forward":
+        params, y = scalar_linear(1e4, 1e4, 1e4), np.ones((B, N, 1))
+    else:
+        params, y = scalar_linear(0.5, 1.0, 1.0), np.ones((B, N, 1))
+        y[1, 60:] = -np.finfo(float).max
+        params = Params(params.theta * np.array([1.0, 1.0, 1e300]), params.spec)
+    with pytest.raises(NonFiniteError) as one_pass:
+        weighted_loss_grad(params, None, x, y, segment_weights(N, 0, B))
+    monkeypatch.setattr(autodiff, "LOSS_BLOCK_VALUES", 1)
+    assert autodiff._checkpoint_steps(params.spec, (), B, N) < 60
+    with pytest.raises(NonFiniteError) as blocked:
+        full_batch_gradient(params, x, y, 0)
+    assert blocked.value.where == one_pass.value.where
+    assert blocked.value.time_index == one_pass.value.time_index > 60
+
+
+@pytest.mark.parametrize("spec", [CellSpec("elman", 1, 8, 1), CellSpec("lstm", 1, 4, 1)],
+                         ids=lambda s: s.kind)
+def test_full_batch_gradient_memory_is_its_cogradients_checkpoints_and_one_block(spec):
+    # S = 1000 windows of N = 40 steps, whose one-pass tape does not fit
+    # LOSS_BLOCK_VALUES: beyond the cogradients (and their squares), the
+    # weights, the checkpoints and one block of every row, the peak is a
+    # few steps of every row, not the whole tape and its adjoints
+    S, N = 1000, 40
+    params, xs, ys = block_case(spec, N, S)
+    full_batch_gradient(params, xs, ys, 5)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        full_batch_gradient(params, xs, ys, 5)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    sd, d_h = spec.state_dim, spec.d_h
+    # states, gates and tanh c, adjoint buffers and outputs, per row and step
+    v = sd + (11 * d_h if spec.kind == "lstm" else d_h) + spec.d_y
+    steps = autodiff._checkpoint_steps(spec, (), S, N)
+    assert 1 < steps < N
+    itemsize = xs.itemsize
+    errors = weights = S * N * itemsize
+    checkpoints = -(-N // steps) * S * sd * itemsize
+    block = S * (steps * v + sd) * itemsize
+    one_step = S * (v + spec.d_x) * itemsize
+    assert peak <= 2 * errors + weights + checkpoints + block + 2 * one_step + 32 * 1024
