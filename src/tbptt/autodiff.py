@@ -16,13 +16,13 @@ stacked, by the same reduction, from forward passes over chunks of steps
 of at most ``LOSS_BLOCK_VALUES`` values, or one step when one step of
 every row takes more (``_chunk_errors``). ``checkpointed_loss_grad`` is
 the loss and d_theta of ``weighted_loss_grad`` from zero states, with the
-same bits, for a batch whose one-pass tape does not fit
-``LOSS_BLOCK_VALUES`` (the epoch log's full-batch gradient): the same
-chunked forward keeps only the states where blocks of steps begin, and
-each block is recorded again from them for the backward sweep, walked
-from the last block to the first. The backward pass is exact over
-whatever sequences it is given: truncation lives entirely in how callers
-segment the data, never inside the gradient.
+same bits, in blocks of about √T' steps (the epoch log's full-batch
+gradient): the same chunked forward keeps only the states where blocks
+of steps begin, and each block but the last is recorded again from them
+for the backward sweep, walked from the last block to the first. The
+backward pass is exact over whatever sequences it is given: truncation
+lives entirely in how callers segment the data, never inside the
+gradient.
 
 A bias-free linear cell needs no step loop, and two passes give its
 ``weighted_loss_grad`` without one, equal to the loop's to rounding:
@@ -335,26 +335,28 @@ def _weighted_sse(err: np.ndarray, weights: np.ndarray) -> float | np.ndarray:
 
 
 # float64 values in the buffers of one step chunk of ``weighted_loss``: its
-# states, outputs and LSTM gates over every batch row and start; and the
-# largest tape ``checkpointed_loss_grad`` records in one pass
+# states, outputs and LSTM gates over every batch row and start
 LOSS_BLOCK_VALUES = 1 << 18
 
 
 def _chunk_errors(params: Params, h0: np.ndarray | None, inputs: np.ndarray,
                   targets: np.ndarray, steps: int, workspace: Workspace,
-                  entries: list | None = None) -> np.ndarray:
+                  entries: list | None = None) -> tuple[np.ndarray, Tape]:
     """The errors y - targets of a batch, as one new step-major (..., B, T',
-    d_y) array, from forward passes over chunks of ``steps`` whole steps.
-    Step-major is the memory of a tape's outputs, so as cogradients a block
-    of them is whole contiguous steps, as ``_sweep`` reads a tape's.
+    d_y) array, from forward passes over chunks of ``steps`` whole steps,
+    and the last chunk's pass as a ``Tape``. Step-major is the memory of a
+    tape's outputs, so as cogradients a block of them is whole contiguous
+    steps, as ``_sweep`` reads a tape's.
 
     Each chunk is a ``batched_forward`` of every row restarted from the
     last chunk's states, in ``workspace``. Every step's products keep their
     shape, so with B > 1 the chunks have the one pass's bits; a chunk of
     fewer rows would not, since a GEMM's bits depend on its column count.
     ``entries``, when given, gets each chunk's entry states in order, ``h0``
-    first. A chunk that goes non-finite sends the call to the whole pass,
-    which raises the ``NonFiniteError`` one pass gives."""
+    first, and every chunk keeps its cache as ``record``'s does, so the
+    tape returned is the last chunk's ``record``. A chunk that goes
+    non-finite sends the call to the whole pass, which raises the
+    ``NonFiniteError`` one pass gives."""
     B, T, _ = inputs.shape
     err = empty_time_major(params.theta.shape[:-1], B, T, params.spec.d_y)
     h = h0
@@ -362,14 +364,15 @@ def _chunk_errors(params: Params, h0: np.ndarray | None, inputs: np.ndarray,
         for lo in range(0, T, steps):
             if entries is not None:
                 entries.append(h)
-            states, outputs, _ = batched_forward(params, h, inputs[:, lo : lo + steps],
-                                                 workspace=workspace)
+            chunk = inputs[:, lo : lo + steps]
+            states, outputs, cache = batched_forward(params, h, chunk, entries is not None,
+                                                     workspace)
             np.subtract(outputs, targets[:, lo : lo + steps], out=err[..., lo : lo + steps, :])
             h = states[..., -1, :].copy()
     except NonFiniteError:
         batched_forward(params, h0, inputs)
         raise
-    return err
+    return err, Tape(params=params, inputs=chunk, states=states, outputs=outputs, cache=cache)
 
 
 def weighted_loss(params: Params, h0: np.ndarray | None, inputs: np.ndarray,
@@ -389,7 +392,8 @@ def weighted_loss(params: Params, h0: np.ndarray | None, inputs: np.ndarray,
     gates = 4 * spec.d_h if spec.kind == "lstm" else 0
     step_values = B * (math.prod(lead) * (spec.state_dim + spec.d_y + gates) + d_x)
     steps = max(1, T if B == 1 else LOSS_BLOCK_VALUES // max(1, step_values))
-    return _weighted_sse(_chunk_errors(params, h0, inputs, targets, steps, Workspace()), weights)
+    err, _ = _chunk_errors(params, h0, inputs, targets, steps, Workspace())
+    return _weighted_sse(err, weights)
 
 
 def _cogradients(err: np.ndarray, weights: np.ndarray) -> float | np.ndarray:
@@ -440,21 +444,22 @@ def weighted_loss_grad(
     return loss, d_theta, None if h0 is None else d_h0
 
 
-def _checkpoint_steps(spec: CellSpec, lead: tuple[int, ...], B: int, T: int) -> int:
+def _checkpoint_steps(spec: CellSpec, B: int, T: int) -> int:
     """Steps per block of ``checkpointed_loss_grad``: all T' (one block)
-    with one batch row or when the one-pass tape fits ``LOSS_BLOCK_VALUES``,
-    else L = max(1, round(√(T'·sd / v))).
+    with one batch row, else L = max(1, round(√(T'·sd / v))).
 
     v is what one block holds per row, start and step: the states, the LSTM
     gates and tanh c, the adjoint buffers (``_sweep``) and the outputs. The
     call holds ⌈T'/L⌉ checkpoints of sd values and one block of L·v per row
-    and start, and L minimises their sum."""
+    and start, and L minimises their sum. One row takes one block because
+    ``backprop`` then takes each weight gradient as one product over all
+    steps, whose bits a sum of per-step products does not have."""
+    if B == 1:
+        return T
     d_h, sd = spec.d_h, spec.state_dim
     # gates and tanh c; dz, c_path and dh_out, or da
     cache, adjoints = (5 * d_h, 6 * d_h) if spec.kind == "lstm" else (0, d_h)
     v = sd + cache + adjoints + spec.d_y
-    if B == 1 or math.prod(lead) * B * (T * v + sd) <= LOSS_BLOCK_VALUES:
-        return T
     return max(1, round(math.sqrt(T * sd / v)))
 
 
@@ -462,31 +467,33 @@ def checkpointed_loss_grad(params: Params, inputs: np.ndarray, targets: np.ndarr
                            weights: np.ndarray, workspace: Workspace | None = None,
                            ) -> tuple[float | np.ndarray, np.ndarray]:
     """(loss, d_theta) of ``weighted_loss_grad`` from ``h0=None``, the zero
-    states, bit for bit, in memory that grows with B·√T' rather than B·T'
-    when the one-pass tape does not fit ``LOSS_BLOCK_VALUES``: gradient
-    checkpointing (Chen et al., arXiv:1604.06174; Gruslys et al.,
+    states, bit for bit, in memory that grows with B·√T' rather than B·T':
+    gradient checkpointing (Chen et al., arXiv:1604.06174; Gruslys et al.,
     arXiv:1606.03401), unstacked or stacked.
 
     The steps split into blocks of L = ``_checkpoint_steps`` steps; with one
-    block the call is ``weighted_loss_grad``. Otherwise the forward pass
-    runs in chunks of one block each (``_chunk_errors``), keeping only the
-    blocks' entry states, the checkpoints; the loss and cogradients are
-    taken once over all steps, as by ``tape_loss_grad``. The blocks are then
-    walked in reverse: each is re-``record``-ed from its checkpoint, and
-    ``_sweep`` runs its steps with the adjoint carried in from the block
-    after it; the per-step products of its gradient factors (``_factors``)
-    go to buffers of all T' steps, which are summed once at the end, in
-    ``backprop``'s order (``_in_step_order``).
+    block (one batch row, or a window so short that L covers it) the call is
+    ``weighted_loss_grad``. Otherwise the forward pass runs in chunks of one
+    block each (``_chunk_errors``), keeping only the blocks' entry states,
+    the checkpoints, and the last block's tape; the loss and cogradients
+    are taken once over all steps, as by ``tape_loss_grad``. The blocks are
+    then walked in reverse: ``_sweep`` runs the last block's tape, and each
+    earlier block is re-``record``-ed from its checkpoint and swept with the
+    adjoint carried in from the block after it; the per-step products of
+    its gradient factors (``_factors``) go to buffers of all T' steps,
+    which are summed once at the end, in ``backprop``'s order
+    (``_in_step_order``).
     Every step keeps all B rows, so a restart has the one pass's bits and
     so has every product and sum. Beyond the inputs, targets and weights
     the call holds the (..., B, T', d_y) cogradients, the checkpoints, one
     block's tape and adjoints, and T' weight-gradient-sized products. A
     chunk that goes non-finite raises the one pass's ``NonFiniteError``, and
     a non-finite cogradient raises it as ``backprop`` does. The passes take
-    their buffers from ``workspace`` when one is given."""
+    their buffers from ``workspace`` when one is given; a last block shorter
+    than L takes views of the others' (``Workspace.empty``)."""
     lead = params.theta.shape[:-1]
     B, T, _ = inputs.shape
-    steps = _checkpoint_steps(params.spec, lead, B, T)
+    steps = _checkpoint_steps(params.spec, B, T)
     if steps >= T:
         loss, d_theta, _ = weighted_loss_grad(params, None, inputs, targets, weights, workspace)
         return loss, d_theta
@@ -498,12 +505,14 @@ def checkpointed_loss_grad(params: Params, inputs: np.ndarray, targets: np.ndarr
     products = {name: np.empty((T, *lead, *shape)) for name, (_, _, shape) in layout.items()}
     # overflow surfaces as in ``tape_loss_grad``
     with np.errstate(over="ignore", invalid="ignore"):
-        cog = _chunk_errors(params, None, inputs, targets, steps, ws, entries)
+        cog, tape = _chunk_errors(params, None, inputs, targets, steps, ws, entries)
         loss = _cogradients(cog, weights)
         check_finite("output cogradients", cog)
         carry = None
-        for lo, h in reversed(list(zip(range(0, T, steps), entries))):
-            tape = record(params, h, inputs[:, lo : lo + steps], ws)
+        starts = range(0, T, steps)
+        for lo, h in zip(reversed(starts), reversed(entries)):
+            if lo != starts[-1]:  # the last block's tape is the last chunk's
+                tape = record(params, h, inputs[:, lo : lo + steps], ws)
             block = cog[..., lo : lo + steps, :]
             adj, carry = _sweep(tape, block, carry, ws)
             factors, sums = _factors(adj, time_major(tape.states), time_major(block),

@@ -3,8 +3,9 @@
 Platform-independent by construction: all state updates are integer arithmetic
 modulo 2^64, Gaussians come from Box-Muller on 53-bit uniforms. The array
 draws (``uniforms``, ``normals``, ``shuffle``) take their stream values in
-one uint64 pass (``_draws``), with the bits of one value at a time; the
-Box-Muller transcendentals stay ``math``'s, one pair at a time.
+one uint64 pass (``_draws``), with the bits of one value at a time, and a
+small ``normals`` draw one value at a time; the Box-Muller transcendentals
+stay ``math``'s, one pair at a time.
 """
 
 from __future__ import annotations
@@ -15,6 +16,12 @@ import numpy as np
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+
+# stream values from which ``normals`` takes them in ``_draws``' one uint64
+# pass rather than one ``next_u64`` at a time: the pass costs about ten
+# numpy calls, a value one Python mix, and timed both ways ``normals(n)``
+# crossed between 16 and 20 values
+_ARRAY_DRAWS = 18
 
 
 def _mix(z):
@@ -71,14 +78,19 @@ class SplitMix64:
         u2) and then the spare r·sin(2π u2), scaled by the sigma of the call
         that takes it. A call that ends on a pair's first value keeps its
         spare for the next call, which starts with it. The stream values
-        come from one uint64 pass (``_draws``); the transcendentals are
-        ``math``'s, one pair at a time, so no value depends on numpy's
-        vector kernels."""
+        come from one uint64 pass (``_draws``), or one at a time for fewer
+        than ``_ARRAY_DRAWS`` of them, with the same bits; the
+        transcendentals are ``math``'s, one pair at a time, so no value
+        depends on numpy's vector kernels."""
         values = []
         if n and self._spare_normal is not None:
             values.append(sigma * self._spare_normal)
             self._spare_normal = None
-        z = (self._draws(2 * ((n - len(values) + 1) // 2)) >> 11).tolist()
+        k = 2 * ((n - len(values) + 1) // 2)
+        if k < _ARRAY_DRAWS:
+            z = [self.next_u64() >> 11 for _ in range(k)]
+        else:
+            z = (self._draws(k) >> 11).tolist()
         for a, b in zip(z[0::2], z[1::2]):
             u1 = (a + 1) * 2.0**-53
             u2 = b * 2.0**-53

@@ -42,8 +42,8 @@ forward-only pass holds the LSTM gates of one block of whole steps,
 ``autodiff.weighted_loss`` runs its steps in chunks of
 ``autodiff.LOSS_BLOCK_VALUES`` values, so of those it holds one chunk.
 ``autodiff.checkpointed_loss_grad``, the epoch log's gradient, records and
-differentiates one block of steps at a time when the whole tape would not
-fit that budget, and holds the states where the blocks start.
+differentiates one block of about √T' steps at a time, and holds the
+states where the blocks start.
 """
 
 from __future__ import annotations
@@ -120,20 +120,22 @@ class Workspace:
 
     ``empty(name, lead, B, T, k)`` is ``empty_time_major(lead, B, T, k)``
     the first time, and the same array, not zeroed, on every later call
-    with that name and shape; a call with another shape (a solver's stack
-    after a start stops) makes and keeps a new one. The next pass given a
-    workspace overwrites what the last one wrote there, so a caller passes
-    one only when it keeps none of a pass's arrays. ``buffers`` holds the
-    current array of each name."""
+    with that name and shape. A call for fewer steps than the array holds
+    gets a view of its first T steps, which are whole steps of step-major
+    memory (the short last chunk of a chunked pass); a call with another
+    shape (a solver's stack after a start stops, more steps) makes and
+    keeps a new one. The next pass given a workspace overwrites what the
+    last one wrote there, so a caller passes one only when it keeps none of
+    a pass's arrays. ``buffers`` holds the current array of each name."""
 
     def __init__(self):
         self.buffers: dict[str, np.ndarray] = {}
 
     def empty(self, name: str, lead: tuple[int, ...], B: int, T: int, k: int) -> np.ndarray:
         buf = self.buffers.get(name)
-        if buf is None or buf.shape != (*lead, B, T, k):
+        if buf is None or buf.shape[-2] < T or buf.shape != (*lead, B, buf.shape[-2], k):
             buf = self.buffers[name] = empty_time_major(lead, B, T, k)
-        return buf
+        return buf if buf.shape[-2] == T else _batch_major(time_major(buf)[:T])
 
 
 def _batch_major(a: np.ndarray) -> np.ndarray:

@@ -308,9 +308,9 @@ def train(dataset: TimeSeriesDataset, config: TrainConfig,
     burn-in ``config.m``) and log the full-batch objective and gradient norm
     after every epoch. It keeps no time: the CLI's ``timings.json`` holds the
     wall time of the whole call. The epochs' full-batch passes share one
-    ``Workspace``; a long series' gradient runs in checkpointed blocks of
-    steps (``full_batch_gradient``), so the log holds one block's tape, not
-    every window's."""
+    ``Workspace``; the gradient runs in checkpointed blocks of steps
+    (``full_batch_gradient``), so the log holds one block's tape, not every
+    window's."""
     epochs = train_burn_ins(dataset, config, [config.m], init)
     params, xs, ys = next(epochs)
     records: list[EpochRecord] = []

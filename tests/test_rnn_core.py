@@ -423,6 +423,25 @@ def test_no_initial_states_are_the_zero_states(spec, lead, keep_cache):
     assert all(got[2][name].tobytes() == want[2][name].tobytes() for name in want[2])
 
 
+def test_workspace_serves_fewer_steps_from_the_buffer_it_holds():
+    # a call for fewer steps is a view of the held buffer's first steps, in
+    # the step-major memory of a buffer of its own shape; more steps or
+    # another batch or width make a new buffer
+    workspace = Workspace()
+    full = workspace.empty("states", (2,), 5, 4, 3)
+    short = workspace.empty("states", (2,), 5, 3, 3)
+    assert short.shape == (2, 5, 3, 3)
+    assert np.shares_memory(short, full)
+    assert time_major(short).flags.c_contiguous
+    assert time_major(short).strides == time_major(np.empty_like(full)).strides
+    assert workspace.empty("states", (2,), 5, 4, 3) is full
+    assert workspace.buffers["states"] is full
+    for shape in [((2,), 5, 6, 3), ((2,), 4, 3, 3), ((2,), 5, 3, 2), ((), 5, 3, 3)]:
+        other = workspace.empty("states", *shape)
+        assert not np.shares_memory(other, full)
+        assert workspace.buffers["states"] is other
+
+
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["unstacked", "stacked"])
 @pytest.mark.parametrize("spec", LAYOUT_CELLS, ids=lambda s: s.kind)
 def test_step_rows_are_contiguous(spec, lead, monkeypatch):

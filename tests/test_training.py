@@ -14,8 +14,8 @@ from tbptt.autodiff import segment_weights, tape_loss_grad, weighted_loss_grad
 from tbptt.linalg import spectral_norm
 from tbptt.rng import SplitMix64
 from tbptt.rnn_core import (
-    CellSpec, NonFiniteError, Params, batched_forward, forward, init_params, num_params,
-    per_start,
+    CellSpec, NonFiniteError, Params, Workspace, batched_forward, forward, init_params,
+    num_params, per_start,
 )
 from tbptt.training import (
     AdamState,
@@ -675,15 +675,15 @@ def block_case(spec, N, S, seed=0):
     return init_params(spec, 40 + seed), xs, ys
 
 
-def count_records(monkeypatch):
+def count_forwards(monkeypatch):
     calls = []
-    real = autodiff.record
+    real = autodiff.batched_forward
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(autodiff, "record", counting)
+    monkeypatch.setattr(autodiff, "batched_forward", counting)
     return calls
 
 
@@ -692,18 +692,19 @@ def count_records(monkeypatch):
 @pytest.mark.parametrize("N", [1, 2, 5, 21])
 @pytest.mark.parametrize("spec", BLOCK_CELLS, ids=lambda s: f"{s.kind}-{s.activation}-{s.d_h}")
 def test_full_batch_gradient_in_blocks_equals_one_pass(monkeypatch, spec, N, B, m_last):
-    # with no room for a one-pass tape, every window length above one step
-    # runs in blocks of the rule's size (one step to three here, a shorter
-    # last block at some N); loss and gradient keep the one pass's bits
+    # with more than one row, every window length above one step runs in
+    # blocks of the rule's size (one step to three here, a shorter last
+    # block at some N): one chunk forward per block and one re-record per
+    # block but the last, whose tape is its chunk's; one block is one
+    # record. Loss and gradient keep the one pass's bits
     m = N - 1 if m_last else 0
     params, xs, ys = block_case(spec, N, B)
     want_loss, want_theta, _ = weighted_loss_grad(params, None, xs, ys, segment_weights(N, m, B))
-    monkeypatch.setattr(autodiff, "LOSS_BLOCK_VALUES", 1)
-    steps = autodiff._checkpoint_steps(spec, (), B, N)
-    records = count_records(monkeypatch)
+    blocks = -(-N // autodiff._checkpoint_steps(spec, B, N))
+    assert (blocks > 1) == (N > 1)
+    forwards = count_forwards(monkeypatch)
     loss, d_theta = full_batch_gradient(params, xs, ys, m)
-    assert len(records) == -(-N // steps)
-    assert (len(records) > 1) == (N > 1)
+    assert len(forwards) == 2 * blocks - 1
     assert loss == want_loss
     assert d_theta.tobytes() == want_theta.tobytes()
 
@@ -720,9 +721,9 @@ def test_checkpointed_gradient_any_block_size_equals_one_pass(monkeypatch, spec,
     w = np.stack([segment_weights(N, 0, B), segment_weights(N, 7, B)])
     want = weighted_loss_grad(stacked, None, xs, ys, w)
     monkeypatch.setattr(autodiff, "_checkpoint_steps", lambda *args: steps)
-    records = count_records(monkeypatch)
+    forwards = count_forwards(monkeypatch)
     loss, d_theta = autodiff.checkpointed_loss_grad(stacked, xs, ys, w)
-    assert len(records) == -(-N // steps)
+    assert len(forwards) == 2 * -(-N // steps) - 1
     assert loss.tobytes() == want[0].tobytes()
     assert d_theta.tobytes() == want[1].tobytes()
     for r in range(2):
@@ -744,8 +745,7 @@ def test_full_batch_gradient_in_blocks_raises_the_one_pass_error(monkeypatch, ov
         params = Params(params.theta * np.array([1.0, 1.0, 1e300]), params.spec)
     with pytest.raises(NonFiniteError) as one_pass:
         weighted_loss_grad(params, None, x, y, segment_weights(N, 0, B))
-    monkeypatch.setattr(autodiff, "LOSS_BLOCK_VALUES", 1)
-    assert autodiff._checkpoint_steps(params.spec, (), B, N) < 60
+    assert autodiff._checkpoint_steps(params.spec, B, N) < 60
     with pytest.raises(NonFiniteError) as blocked:
         full_batch_gradient(params, x, y, 0)
     assert blocked.value.where == one_pass.value.where
@@ -755,10 +755,9 @@ def test_full_batch_gradient_in_blocks_raises_the_one_pass_error(monkeypatch, ov
 @pytest.mark.parametrize("spec", [CellSpec("elman", 1, 8, 1), CellSpec("lstm", 1, 4, 1)],
                          ids=lambda s: s.kind)
 def test_full_batch_gradient_memory_is_its_cogradients_checkpoints_and_one_block(spec):
-    # S = 1000 windows of N = 40 steps, whose one-pass tape does not fit
-    # LOSS_BLOCK_VALUES: beyond the cogradients (and their squares), the
-    # weights, the checkpoints and one block of every row, the peak is a
-    # few steps of every row, not the whole tape and its adjoints
+    # S = 1000 windows of N = 40 steps: beyond the cogradients (and their
+    # squares), the weights, the checkpoints and one block of every row, the
+    # peak is a few steps of every row, not the whole tape and its adjoints
     S, N = 1000, 40
     params, xs, ys = block_case(spec, N, S)
     full_batch_gradient(params, xs, ys, 5)  # warm caches outside the measurement
@@ -772,7 +771,7 @@ def test_full_batch_gradient_memory_is_its_cogradients_checkpoints_and_one_block
     sd, d_h = spec.state_dim, spec.d_h
     # states, gates and tanh c, adjoint buffers and outputs, per row and step
     v = sd + (11 * d_h if spec.kind == "lstm" else d_h) + spec.d_y
-    steps = autodiff._checkpoint_steps(spec, (), S, N)
+    steps = autodiff._checkpoint_steps(spec, S, N)
     assert 1 < steps < N
     itemsize = xs.itemsize
     errors = weights = S * N * itemsize
@@ -780,3 +779,23 @@ def test_full_batch_gradient_memory_is_its_cogradients_checkpoints_and_one_block
     block = S * (steps * v + sd) * itemsize
     one_step = S * (v + spec.d_x) * itemsize
     assert peak <= 2 * errors + weights + checkpoints + block + 2 * one_step + 32 * 1024
+
+
+@pytest.mark.parametrize("spec", [CellSpec("elman", 1, 3, 1), CellSpec("lstm", 1, 3, 1)],
+                         ids=lambda s: s.kind)
+def test_full_batch_gradient_warm_call_keeps_its_workspace_buffers(spec):
+    # N = 41 steps in blocks that do not divide it: the short last block
+    # takes views of the full blocks' buffers, so a warm call, each epoch
+    # after the first, makes no buffer, and has the bits of a cold call
+    S, N = 50, 41
+    params, xs, ys = block_case(spec, N, S)
+    assert N % autodiff._checkpoint_steps(spec, S, N)
+    workspace = Workspace()
+    full_batch_gradient(params, xs, ys, 5, workspace)
+    held = dict(workspace.buffers)
+    loss, d_theta = full_batch_gradient(params, xs, ys, 5, workspace)
+    assert workspace.buffers.keys() == held.keys()
+    assert all(workspace.buffers[name] is a for name, a in held.items())
+    want_loss, want_theta = full_batch_gradient(params, xs, ys, 5)
+    assert loss == want_loss
+    assert d_theta.tobytes() == want_theta.tobytes()
