@@ -11,18 +11,17 @@ gradient of a tape; a caller that already holds the batch's forward pass
 ``tape_loss_grad`` alone. Both also take R models stacked on a leading
 start axis (theta (R, n), h0 (R, B, sd)) over shared inputs and targets,
 with shared or per-start weights, and then return one loss and one
-gradient per start. ``weighted_loss`` is the value alone, unstacked or
-stacked, by the same reduction, from forward passes over chunks of steps
-of at most ``LOSS_BLOCK_VALUES`` values, or one step when one step of
-every row takes more (``_chunk_errors``). ``checkpointed_loss_grad`` is
-the loss and d_theta of ``weighted_loss_grad`` from zero states, with the
-same bits, in blocks of about √T' steps (the epoch log's full-batch
-gradient): the same chunked forward keeps only the states where blocks
-of steps begin, and each block but the last is recorded again from them
-for the backward sweep, walked from the last block to the first. The
-backward pass is exact over whatever sequences it is given: truncation
-lives entirely in how callers segment the data, never inside the
-gradient.
+gradient per start. Two passes take all of a batch's steps in blocks of
+about √T' (``_checkpoint_steps``) through one chunked forward,
+``_chunk_errors``: ``weighted_loss``, the value alone, unstacked or
+stacked, by the same reduction, and ``checkpointed_loss_grad``, the loss
+and d_theta of ``weighted_loss_grad`` from zero states, with the same bits
+(the epoch log's full-batch gradient). The gradient keeps only the states
+where blocks of steps begin, and each block but the last is recorded again
+from them for the backward sweep, walked from the last block to the first.
+The backward pass is exact over whatever sequences it is given:
+truncation lives entirely in how callers segment the data, never inside
+the gradient.
 
 A bias-free linear cell needs no step loop, and two passes give its
 ``weighted_loss_grad`` without one, equal to the loop's to rounding:
@@ -334,36 +333,55 @@ def _weighted_sse(err: np.ndarray, weights: np.ndarray) -> float | np.ndarray:
     return loss if loss.ndim else float(loss)
 
 
-# float64 values in the buffers of one step chunk of ``weighted_loss``: its
-# states, outputs and LSTM gates over every batch row and start
-LOSS_BLOCK_VALUES = 1 << 18
+def _checkpoint_steps(spec: CellSpec, B: int, T: int) -> int:
+    """Steps per block of ``_chunk_errors``, the one rule of both
+    full-batch passes: all T' (one block) with one batch row, else
+    L = max(1, round(√(T'·sd / v))).
+
+    v is what one block of ``checkpointed_loss_grad`` holds per row, start
+    and step: the states, the LSTM gates and tanh c, the adjoint buffers
+    (``_sweep``) and the outputs. The call holds ⌈T'/L⌉ checkpoints of sd
+    values and one block of L·v per row and start, and L minimises their
+    sum; ``weighted_loss``, which keeps neither, holds one block of fewer
+    values. One row takes one block because ``backprop`` then takes each
+    weight gradient as one product over all steps, whose bits a sum of
+    per-step products does not have."""
+    if B == 1:
+        return T
+    d_h, sd = spec.d_h, spec.state_dim
+    # gates and tanh c; dz, c_path and dh_out, or da
+    cache, adjoints = (5 * d_h, 6 * d_h) if spec.kind == "lstm" else (0, d_h)
+    v = sd + cache + adjoints + spec.d_y
+    return max(1, round(math.sqrt(T * sd / v)))
 
 
 def _chunk_errors(params: Params, h0: np.ndarray | None, inputs: np.ndarray,
-                  targets: np.ndarray, steps: int, workspace: Workspace,
+                  targets: np.ndarray, workspace: Workspace,
                   entries: list | None = None) -> tuple[np.ndarray, Tape]:
     """The errors y - targets of a batch, as one new step-major (..., B, T',
-    d_y) array, from forward passes over chunks of ``steps`` whole steps,
-    and the last chunk's pass as a ``Tape``. Step-major is the memory of a
-    tape's outputs, so as cogradients a block of them is whole contiguous
-    steps, as ``_sweep`` reads a tape's.
+    d_y) array, from forward passes over blocks of L = ``_checkpoint_steps``
+    whole steps, and the last block's pass as a ``Tape``: the one chunked
+    forward of ``weighted_loss`` and ``checkpointed_loss_grad``. Step-major
+    is the memory of a tape's outputs, so as cogradients a block of them is
+    whole contiguous steps, as ``_sweep`` reads a tape's.
 
-    Each chunk is a ``batched_forward`` of every row restarted from the
-    last chunk's states, in ``workspace``. Every step's products keep their
-    shape, so with B > 1 the chunks have the one pass's bits; a chunk of
+    Each block is a ``batched_forward`` of every row restarted from the
+    last block's states, in ``workspace``. Every step's products keep their
+    shape, so with B > 1 the blocks have the one pass's bits; a block of
     fewer rows would not, since a GEMM's bits depend on its column count.
-    ``entries``, when given, gets each chunk's entry states in order, ``h0``
-    first, and every chunk keeps its cache as ``record``'s does, so the
-    tape returned is the last chunk's ``record``. A chunk that goes
-    non-finite sends the call to the whole pass, which raises the
-    ``NonFiniteError`` one pass gives."""
+    ``entries``, when given, gets each block's first step and entry states
+    in order, (0, ``h0``) first, and every block keeps its cache as
+    ``record``'s does, so the tape returned is the last block's ``record``.
+    A block that goes non-finite sends the call to the whole pass, which
+    raises the ``NonFiniteError`` one pass gives."""
     B, T, _ = inputs.shape
+    steps = _checkpoint_steps(params.spec, B, T)
     err = empty_time_major(params.theta.shape[:-1], B, T, params.spec.d_y)
     h = h0
     try:
         for lo in range(0, T, steps):
             if entries is not None:
-                entries.append(h)
+                entries.append((lo, h))
             chunk = inputs[:, lo : lo + steps]
             states, outputs, cache = batched_forward(params, h, chunk, entries is not None,
                                                      workspace)
@@ -381,18 +399,12 @@ def weighted_loss(params: Params, h0: np.ndarray | None, inputs: np.ndarray,
     passes alone: bit for bit the loss ``weighted_loss_grad`` returns, one
     per start when ``params`` is stacked.
 
-    With B > 1 rows the steps run in chunks (``_chunk_errors``) of as many
-    whole steps as fit ``LOSS_BLOCK_VALUES``, at least one, in one
-    ``Workspace``. With one row the pass is one chunk: its output product
-    takes all steps at once (``step_products``). ``_weighted_sse`` sums the
-    errors of all chunks once."""
-    spec = params.spec
-    lead = params.theta.shape[:-1]
-    B, T, d_x = inputs.shape
-    gates = 4 * spec.d_h if spec.kind == "lstm" else 0
-    step_values = B * (math.prod(lead) * (spec.state_dim + spec.d_y + gates) + d_x)
-    steps = max(1, T if B == 1 else LOSS_BLOCK_VALUES // max(1, step_values))
-    err, _ = _chunk_errors(params, h0, inputs, targets, steps, Workspace())
+    The steps run in the blocks of ``checkpointed_loss_grad``
+    (``_chunk_errors``), in one ``Workspace``: one block of all steps with
+    one row, whose output product takes all steps at once
+    (``step_products``). ``_weighted_sse`` sums the errors of all blocks
+    once."""
+    err, _ = _chunk_errors(params, h0, inputs, targets, Workspace())
     return _weighted_sse(err, weights)
 
 
@@ -444,25 +456,6 @@ def weighted_loss_grad(
     return loss, d_theta, None if h0 is None else d_h0
 
 
-def _checkpoint_steps(spec: CellSpec, B: int, T: int) -> int:
-    """Steps per block of ``checkpointed_loss_grad``: all T' (one block)
-    with one batch row, else L = max(1, round(√(T'·sd / v))).
-
-    v is what one block holds per row, start and step: the states, the LSTM
-    gates and tanh c, the adjoint buffers (``_sweep``) and the outputs. The
-    call holds ⌈T'/L⌉ checkpoints of sd values and one block of L·v per row
-    and start, and L minimises their sum. One row takes one block because
-    ``backprop`` then takes each weight gradient as one product over all
-    steps, whose bits a sum of per-step products does not have."""
-    if B == 1:
-        return T
-    d_h, sd = spec.d_h, spec.state_dim
-    # gates and tanh c; dz, c_path and dh_out, or da
-    cache, adjoints = (5 * d_h, 6 * d_h) if spec.kind == "lstm" else (0, d_h)
-    v = sd + cache + adjoints + spec.d_y
-    return max(1, round(math.sqrt(T * sd / v)))
-
-
 def checkpointed_loss_grad(params: Params, inputs: np.ndarray, targets: np.ndarray,
                            weights: np.ndarray, workspace: Workspace | None = None,
                            ) -> tuple[float | np.ndarray, np.ndarray]:
@@ -471,57 +464,54 @@ def checkpointed_loss_grad(params: Params, inputs: np.ndarray, targets: np.ndarr
     gradient checkpointing (Chen et al., arXiv:1604.06174; Gruslys et al.,
     arXiv:1606.03401), unstacked or stacked.
 
-    The steps split into blocks of L = ``_checkpoint_steps`` steps; with one
-    block (one batch row, or a window so short that L covers it) the call is
-    ``weighted_loss_grad``. Otherwise the forward pass runs in chunks of one
-    block each (``_chunk_errors``), keeping only the blocks' entry states,
-    the checkpoints, and the last block's tape; the loss and cogradients
-    are taken once over all steps, as by ``tape_loss_grad``. The blocks are
-    then walked in reverse: ``_sweep`` runs the last block's tape, and each
-    earlier block is re-``record``-ed from its checkpoint and swept with the
-    adjoint carried in from the block after it; the per-step products of
-    its gradient factors (``_factors``) go to buffers of all T' steps,
-    which are summed once at the end, in ``backprop``'s order
-    (``_in_step_order``).
+    The forward pass runs in the blocks of ``_chunk_errors``, L =
+    ``_checkpoint_steps`` steps each, keeping only the blocks' first steps
+    and entry states, the checkpoints, and the last block's tape; the loss
+    and cogradients are taken once over all steps, as by
+    ``tape_loss_grad``. With one block (one batch row, or a window so short
+    that L covers it) that tape is the whole pass's, and ``backprop`` takes
+    the gradient. Otherwise the blocks are walked in reverse: ``_sweep``
+    runs the last block's tape, and each earlier block is re-``record``-ed
+    from its checkpoint and swept with the adjoint carried in from the
+    block after it; the per-step products of its gradient factors
+    (``_factors``) go to buffers of all T' steps, which are summed once at
+    the end, in ``backprop``'s order (``_in_step_order``).
     Every step keeps all B rows, so a restart has the one pass's bits and
     so has every product and sum. Beyond the inputs, targets and weights
     the call holds the (..., B, T', d_y) cogradients, the checkpoints, one
     block's tape and adjoints, and T' weight-gradient-sized products. A
-    chunk that goes non-finite raises the one pass's ``NonFiniteError``, and
+    block that goes non-finite raises the one pass's ``NonFiniteError``, and
     a non-finite cogradient raises it as ``backprop`` does. The passes take
     their buffers from ``workspace`` when one is given; a last block shorter
     than L takes views of the others' (``Workspace.empty``)."""
     lead = params.theta.shape[:-1]
-    B, T, _ = inputs.shape
-    steps = _checkpoint_steps(params.spec, B, T)
-    if steps >= T:
-        loss, d_theta, _ = weighted_loss_grad(params, None, inputs, targets, weights, workspace)
-        return loss, d_theta
+    T = inputs.shape[1]
     ws = workspace if workspace is not None else Workspace()
     entries: list = []
-    # per gradient block one value per step: a weight block's (i, B) @ (B, j)
-    # products, a bias's sums over the rows, written block after block
-    layout = params.layout
-    products = {name: np.empty((T, *lead, *shape)) for name, (_, _, shape) in layout.items()}
     # overflow surfaces as in ``tape_loss_grad``
     with np.errstate(over="ignore", invalid="ignore"):
-        cog, tape = _chunk_errors(params, None, inputs, targets, steps, ws, entries)
+        cog, tape = _chunk_errors(params, None, inputs, targets, ws, entries)
         loss = _cogradients(cog, weights)
+        if len(entries) == 1:
+            return loss, backprop(tape, cog, ws)[0]
         check_finite("output cogradients", cog)
-        carry = None
-        starts = range(0, T, steps)
-        for lo, h in zip(reversed(starts), reversed(entries)):
-            if lo != starts[-1]:  # the last block's tape is the last chunk's
-                tape = record(params, h, inputs[:, lo : lo + steps], ws)
-            block = cog[..., lo : lo + steps, :]
+        # per gradient block one value per step: a weight block's (i, B) @ (B, j)
+        # products, a bias's sums over the rows, written block after block
+        layout = params.layout
+        products = {name: np.empty((T, *lead, *shape)) for name, (_, _, shape) in layout.items()}
+        carry, hi = None, T
+        for lo, h in reversed(entries):
+            if hi < T:  # the last block's tape is the last chunk's
+                tape = record(params, h, inputs[:, lo:hi], ws)
+            block = cog[..., lo:hi, :]
             adj, carry = _sweep(tape, block, carry, ws)
             factors, sums = _factors(adj, time_major(tape.states), time_major(block),
                                      time_major(tape.inputs), params.spec)
-            at = slice(lo, lo + adj.shape[0])
             for name, (a, b) in factors.items():
-                np.matmul(a, b.mT, out=products[name][at])
+                np.matmul(a, b.mT, out=products[name][lo:hi])
             for name, a in sums.items():
-                np.sum(a, axis=-1, out=products[name][at])
+                np.sum(a, axis=-1, out=products[name][lo:hi])
+            hi = lo
     # summed as ``backprop`` sums them
     grads = {name: _in_step_order(lambda lo, hi, p=products[name]: p[lo:hi], T, lead)
              for name in factors}

@@ -28,9 +28,9 @@ product with a weight matrix is one (n, k) @ (k, B) GEMM per start
 pass reads them through step-major views. A pass allocates its buffers,
 or takes them from a ``Workspace`` that its caller keeps over passes of
 the same shapes (``benchmark._Problem``'s step loop per solve,
-``training.train`` per epoch log, ``autodiff.weighted_loss`` per chunk,
-``autodiff.checkpointed_loss_grad`` per chunk and block),
-so only the first of those passes faults in fresh pages.
+``training.train`` per epoch log, ``autodiff.weighted_loss`` per block,
+``autodiff.checkpointed_loss_grad`` per block of both its passes), so
+only the first of those passes faults in fresh pages.
 
 A pass given ``h0=None`` starts every row from the zero state, the start
 of every window of the truncated objective; no caller builds zeros for it.
@@ -38,11 +38,11 @@ of every window of the truncated objective; no caller builds zeros for it.
 Memory of a pass: a pass that keeps its cache (``record``, the stateful
 span) holds every step of every buffer, which its backward pass reads. A
 forward-only pass holds the LSTM gates of one block of whole steps,
-``GATE_BLOCK_VALUES`` values, and returns full-length states and outputs;
-``autodiff.weighted_loss`` runs its steps in chunks of
-``autodiff.LOSS_BLOCK_VALUES`` values, so of those it holds one chunk.
-``autodiff.checkpointed_loss_grad``, the epoch log's gradient, records and
-differentiates one block of about √T' steps at a time, and holds the
+``GATE_BLOCK_VALUES`` values, and returns full-length states and outputs.
+``autodiff.weighted_loss`` and ``autodiff.checkpointed_loss_grad``, the
+epoch log's gradient, run their forward passes in the same blocks of about
+√T' steps (``autodiff._chunk_errors``), so of those they hold one block;
+the gradient records and differentiates one block at a time, and holds the
 states where the blocks start.
 """
 

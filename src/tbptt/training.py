@@ -149,9 +149,10 @@ def full_batch_objective(params: Params, xs: np.ndarray, ys: np.ndarray, m: int)
 
     ``xs`` (S, N, d_x) and ``ys`` (S, N, d_y) are ``segment_arrays`` output.
     The value is bit for bit the objective ``full_batch_gradient`` returns.
-    ``weighted_loss`` runs all S windows in chunks of steps, so beyond the
-    windows, the weights and the (S, N, d_y) errors it holds one chunk of
-    states, outputs and LSTM gates, not the whole pass's.
+    ``weighted_loss`` runs all S windows in the blocks of steps of
+    ``full_batch_gradient``, so beyond the windows, the weights and the
+    (S, N, d_y) errors it holds one block of states, outputs and LSTM
+    gates, not the whole pass's.
     """
     S, N = xs.shape[:2]
     return weighted_loss(params, None, xs, ys, segment_weights(N, m, S))

@@ -343,8 +343,8 @@ def test_lstm_backprop_memory_is_bounded_by_its_gate_buffer():
 
 @pytest.mark.parametrize("S", [1000, 4000])
 def test_weighted_loss_memory_is_its_errors_and_one_chunk(S):
-    # N = 50 steps in chunks of LOSS_BLOCK_VALUES (10 steps at S = 1000, 2 at
-    # S = 4000): beyond the errors and their squares, the peak is one chunk
+    # N = 50 steps in chunks of the checkpointed gradient's blocks (3 steps
+    # at both S): beyond the errors and their squares, the peak is one chunk
     # and a few steps of every row, not the pass's states and gates
     # (S·51·8 and S·50·16 values)
     N, spec = 50, CellSpec("lstm", 1, 4, 1)
@@ -363,7 +363,9 @@ def test_weighted_loss_memory_is_its_errors_and_one_chunk(S):
         tracemalloc.stop()
     errors = y.nbytes
     one_step = S * (spec.state_dim + 4 * spec.d_h + spec.d_y + spec.d_x) * y.itemsize
-    assert peak <= 2 * errors + 8 * autodiff.LOSS_BLOCK_VALUES + 4 * one_step + 32 * 1024
+    steps = autodiff._checkpoint_steps(spec, S, N)
+    assert steps == 3
+    assert peak <= 2 * errors + steps * one_step + 4 * one_step + 32 * 1024
 
 
 def block_grads(tape, cograds, adjoint, r) -> dict[str, np.ndarray]:
@@ -484,21 +486,15 @@ def test_outer_step_products_have_the_gemm_bits(B, lead):
     assert got.tobytes() == want.tobytes()
 
 
-def chunk_budget(spec, lead, B, steps):
-    """The ``LOSS_BLOCK_VALUES`` under which ``weighted_loss`` takes exactly
-    ``steps`` steps per chunk."""
-    gates = 4 * spec.d_h if spec.kind == "lstm" else 0
-    return steps * B * (int(np.prod(lead)) * (spec.state_dim + spec.d_y + gates) + spec.d_x)
-
-
 @pytest.mark.parametrize("per_start_weights", [False, True])
 @pytest.mark.parametrize("spec", STACK_CELLS, ids=lambda s: f"{s.kind}-{s.activation}")
 def test_stacked_loss_equals_loss_grad_per_start(spec, per_start_weights, monkeypatch):
     # T = 8 steps in chunks of one step, of three (8 is no multiple of 3),
     # of all eight, and in a chunk larger than the pass; with one row the
-    # pass is one chunk. Each start's loss has the bits of its gradient
-    # call's, stacked and unstacked; from h0=None, those of zero states,
-    # with no initial-state gradient.
+    # pass is one chunk, as the rule keeps it (one row in chunks of one step
+    # loses the bits on numpy's baseline kernels). Each start's loss has the
+    # bits of its gradient call's, stacked and unstacked; from h0=None, those
+    # of zero states, with no initial-state gradient.
     R, T = 2, 8
     rng = np.random.default_rng(3)
     params = Params(np.stack([init_params(spec, 50 + r).theta for r in range(R)]), spec)
@@ -515,12 +511,12 @@ def test_stacked_loss_equals_loss_grad_per_start(spec, per_start_weights, monkey
         assert none_loss.tobytes() == zero_loss.tobytes() and none_h0 is None
         assert none_theta.tobytes() == zero_theta.tobytes()
         for steps in (1, 3, T, 100):
-            monkeypatch.setattr(autodiff, "LOSS_BLOCK_VALUES", chunk_budget(spec, (R,), B, steps))
+            monkeypatch.setattr(autodiff, "_checkpoint_steps",
+                                lambda spec, B, T: T if B == 1 else steps)
             loss = weighted_loss(params, h0, x, y, w)
             assert loss.shape == (R,)
             npt.assert_array_equal(loss, want)
             npt.assert_array_equal(weighted_loss(params, None, x, y, w), zero_loss)
-            monkeypatch.setattr(autodiff, "LOSS_BLOCK_VALUES", chunk_budget(spec, (), B, steps))
             for r in range(R):
                 w_r = w[r] if per_start_weights else w
                 start = Params(params.theta[r], spec), h0[r], x, y, w_r
@@ -552,7 +548,7 @@ def test_stacked_nonfinite_error_names_only_the_overflowing_start(monkeypatch):
     w = segment_weights(300, 0, 2)
     with pytest.raises(NonFiniteError) as both:
         weighted_loss_grad(Params(theta, wild.spec), np.zeros((4, 2, 1)), x, x, w)
-    monkeypatch.setattr(autodiff, "LOSS_BLOCK_VALUES", chunk_budget(wild.spec, (4,), 2, 10))
+    monkeypatch.setattr(autodiff, "_checkpoint_steps", lambda *args: 10)
     with pytest.raises(NonFiniteError) as chunked:
         weighted_loss(Params(theta, wild.spec), np.zeros((4, 2, 1)), x, x, w)
     assert both.value.starts == chunked.value.starts == (1, 3)
@@ -752,6 +748,25 @@ def test_window_pass_lies_near_the_exact_values(spec, free, R):
         assert_near_exact(d_theta[r], exact_grad, 1e-13)
         if free:
             assert_near_exact(d_h0[r].ravel(), exact_h0, 1e-13)
+
+
+@pytest.mark.parametrize("R", [None, 2], ids=["unstacked", "stacked"])
+@pytest.mark.parametrize("steps", [7, 3, 2], ids=["one-block", "short-last-block", "blocks"])
+@pytest.mark.parametrize("spec", WINDOW_CELLS, ids=["scalar-io", "d_x2-d_y3"])
+def test_full_batch_passes_lie_near_the_exact_values(monkeypatch, spec, steps, R):
+    # the full-batch value and gradient over S windows of N = 7 steps from
+    # zero, in one block, in blocks of three (a one-step last block) and of
+    # two: loss and d_theta within 1e-13 of the exact values
+    params, _, x, y, w = window_case(spec, 6, 7, R)
+    monkeypatch.setattr(autodiff, "_checkpoint_steps", lambda *args: steps)
+    value = weighted_loss(params, None, x, y, w)
+    loss, d_theta = autodiff.checkpointed_loss_grad(params, x, y, w)
+    for r in start_indices(params.theta.shape[:-1]):
+        exact_loss, exact_grad, _ = exact_window_loss_grad(Params(params.theta[r], spec), None,
+                                                           x, y, w)
+        assert_near_exact([np.asarray(value)[r]], [exact_loss], 1e-13)
+        assert_near_exact([np.asarray(loss)[r]], [exact_loss], 1e-13)
+        assert_near_exact(d_theta[r], exact_grad, 1e-13)
 
 
 @pytest.mark.parametrize("per_start_weights", [False, True], ids=["shared", "per-start"])

@@ -143,9 +143,10 @@ def cli_pass(out):
     """Every subcommand and mode, small: synth with validation and test
     series; train as linear/zero/adam, elman/stateful/sgd and lstm/bptt; a
     sweep with a test series whose m = 6 > N - 1 cell gets an error row;
-    and a benchmark of all three variants on the default linear cell, whose
+    a benchmark of all three variants on the default linear cell, whose
     ``coupled`` iterations take the chunked scan and whose ``tbptt`` and
-    ``unconstrained`` iterations take the window pass."""
+    ``unconstrained`` iterations take the window pass; and one on an Elman
+    cell, whose iterations take the step loop and ``weighted_loss_grad``."""
 
     def run(*argv):
         assert cli.main(["--out", str(out), *map(str, argv)]) == 0, argv
@@ -161,6 +162,8 @@ def cli_pass(out):
         "--epochs", 2, "--batch", 4)
     run("benchmark", "--data", train, "--N", 10, "--m-list", "0,3", "--restarts", 2,
         "--iters", 20)
+    run("benchmark", "--data", train, "--cell", "elman", "--d-h", 2, "--N", 10, "--m-list", 0,
+        "--restarts", 1, "--iters", 3)
 
 
 def test_every_function_runs_and_every_field_is_read(tmp_path):

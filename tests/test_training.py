@@ -687,6 +687,68 @@ def count_forwards(monkeypatch):
     return calls
 
 
+def spy_step_ranges(monkeypatch, xs):
+    """The (lo, hi) step range of ``xs`` that each ``autodiff.batched_forward``
+    call runs, in call order; every call's inputs are a view of ``xs``."""
+    ranges = []
+    real = autodiff.batched_forward
+
+    def spying(params, h0, inputs, *args, **kwargs):
+        assert np.shares_memory(inputs, xs)
+        offset = inputs.__array_interface__["data"][0] - xs.__array_interface__["data"][0]
+        lo = offset // xs.strides[1]
+        ranges.append((lo, lo + inputs.shape[1]))
+        return real(params, h0, inputs, *args, **kwargs)
+
+    monkeypatch.setattr(autodiff, "batched_forward", spying)
+    return ranges
+
+
+@pytest.mark.parametrize("N", [21, 41])
+@pytest.mark.parametrize("spec", [CellSpec("elman", 1, 8, 1), CellSpec("lstm", 1, 8, 1)],
+                         ids=lambda s: s.kind)
+def test_value_and_gradient_passes_share_their_blocks(monkeypatch, spec, N):
+    # S = 50 windows: the value pass's forwards are the blocks of the
+    # gradient's rule, and so are the gradient's first forwards; the
+    # re-records after them walk every block but the last in reverse
+    S = 50
+    params, xs, ys = block_case(spec, N, S)
+    L = autodiff._checkpoint_steps(spec, S, N)
+    blocks = [(lo, min(lo + L, N)) for lo in range(0, N, L)]
+    assert len(blocks) > 1
+    ranges = spy_step_ranges(monkeypatch, xs)
+    full_batch_objective(params, xs, ys, 5)
+    assert ranges == blocks
+    ranges.clear()
+    full_batch_gradient(params, xs, ys, 5)
+    assert ranges == blocks + blocks[-2::-1]
+
+
+@pytest.mark.parametrize("S, N", [(1, 21), (50, 1)], ids=["S1", "N1"])
+@pytest.mark.parametrize("spec", [CellSpec("elman", 1, 8, 1), CellSpec("lstm", 1, 8, 1)],
+                         ids=lambda s: s.kind)
+def test_one_block_passes_make_one_forward(monkeypatch, spec, S, N):
+    # one row, or one step: each pass is one forward of all N steps, and the
+    # gradient differentiates that forward's own tape, with the bits of
+    # weighted_loss_grad and without calling it
+    params, xs, ys = block_case(spec, N, S)
+    want_loss, want_theta, _ = weighted_loss_grad(params, None, xs, ys,
+                                                  segment_weights(N, 0, S))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the one-block gradient called weighted_loss_grad")
+
+    monkeypatch.setattr(autodiff, "weighted_loss_grad", refuse)
+    ranges = spy_step_ranges(monkeypatch, xs)
+    assert full_batch_objective(params, xs, ys, 0) == want_loss
+    assert ranges == [(0, N)]
+    ranges.clear()
+    loss, d_theta = full_batch_gradient(params, xs, ys, 0)
+    assert ranges == [(0, N)]
+    assert loss == want_loss
+    assert d_theta.tobytes() == want_theta.tobytes()
+
+
 @pytest.mark.parametrize("m_last", [False, True], ids=["m0", "mN-1"])
 @pytest.mark.parametrize("B", [2, 5])
 @pytest.mark.parametrize("N", [1, 2, 5, 21])
@@ -696,7 +758,7 @@ def test_full_batch_gradient_in_blocks_equals_one_pass(monkeypatch, spec, N, B, 
     # blocks of the rule's size (one step to three here, a shorter last
     # block at some N): one chunk forward per block and one re-record per
     # block but the last, whose tape is its chunk's; one block is one
-    # record. Loss and gradient keep the one pass's bits
+    # forward. Loss and gradient keep the one pass's bits
     m = N - 1 if m_last else 0
     params, xs, ys = block_case(spec, N, B)
     want_loss, want_theta, _ = weighted_loss_grad(params, None, xs, ys, segment_weights(N, m, B))
