@@ -18,7 +18,7 @@ import numpy as np
 from .benchmark import Evaluation
 from .data import SegmentationPlan, TimeSeriesDataset, segment_arrays
 from .rng import SplitMix64
-from .rnn_core import Params, Trajectory, batched_forward
+from .rnn_core import Params, Trajectory, batched_forward, block_steps
 
 # ---------------------------------------------------------------------------
 # Truncated-MSE performance over the full sequence
@@ -71,12 +71,19 @@ def estimate_stability(params: Params, dataset: TimeSeriesDataset,
     Every pair runs, for every model, in one staggered pass over the inputs:
     sorted by start, each pair's two rows join the batch when the pass
     reaches its start, so the pass takes at most T recurrence steps whatever
-    the number of pairs. Each segment of the pass writes its samples
+    the number of pairs. Each segment of the pass, between two starts, runs
+    as blocks of whole steps, each a ``batched_forward`` from the last state
+    of the block before: ``rnn_core.block_steps`` steps, as many as fit
+    ``GATE_BLOCK_VALUES`` values over the models and the segment's rows, so
+    a segment shorter than that is one block. Each block writes its samples
     r_t = ||y_t - y'_t|| / ||h - h'|| into one (pair, absolute time) array
-    per model; the pass holds no outputs beyond its segment. A pair whose
-    two initial states lie within 1e-12 of each other for a model gives that
-    model no sample (``_fit_envelope``). Each result has the bits of the
-    model's unstacked call.
+    per model and drops its states and outputs before the next one runs:
+    beyond that array and the draws, the pass holds one block. Every block
+    has both rows of a pair, so each step is one GEMM of the segment's
+    shape and the samples have the bits of one pass per segment. A pair
+    whose two initial states lie within 1e-12 of each other for a model
+    gives that model no sample (``_fit_envelope``). Each result has the
+    bits of the model's unstacked call.
     """
     lead = params.theta.shape[:-1]
     if len(trajs) != (lead[0] if lead else 1):
@@ -113,14 +120,16 @@ def estimate_stability(params: Params, dataset: TimeSeriesDataset,
     for lo, hi in zip(bounds, bounds[1:]):
         active = int(np.count_nonzero(starts <= lo))  # pairs begun by lo
         h = np.concatenate([h, init[..., h.shape[-2] : 2 * active, :]], axis=-2)
-        x = dataset.inputs[lo:hi]
-        seg_states, seg_outs, _ = batched_forward(
-            params, h, np.broadcast_to(x, (2 * active, *x.shape))
-        )
-        dist = np.linalg.norm(seg_outs[..., 0::2, :, :] - seg_outs[..., 1::2, :, :], axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):  # a degenerate pair's gap may be 0
-            r[..., order[:active], lo:hi] = dist / pass_gaps[..., :active, :]
-        h = seg_states[..., -1, :]
+        steps = block_steps(params, 2 * active)
+        for b_lo in range(lo, hi, steps):
+            b_hi = min(b_lo + steps, hi)
+            x = dataset.inputs[b_lo:b_hi]
+            states, outs, _ = batched_forward(params, h, np.broadcast_to(x, (2 * active, *x.shape)))
+            h = states[..., -1, :].copy()  # a copy: no view keeps the block's states
+            dist = np.linalg.norm(outs[..., 0::2, :, :] - outs[..., 1::2, :, :], axis=-1)
+            with np.errstate(divide="ignore", invalid="ignore"):  # a degenerate pair's gap may be 0
+                r[..., order[:active], b_lo:b_hi] = dist / pass_gaps[..., :active, :]
+            del states, outs, dist  # the block's arrays go before the next block runs
 
     r = r.reshape(len(trajs), num_pairs, T)
     return [_fit_envelope(r[k], starts, gaps[k] >= 1e-12) for k in range(len(trajs))]

@@ -212,11 +212,18 @@ def cmd_synth(args) -> int:
 
 
 def _cell_spec(args, d_x: int, d_y: int) -> CellSpec:
+    """The cell the flags name. ``--activation`` is the Elman cell's: a
+    linear cell (identity) or an LSTM (tanh) takes the default, tanh, or the
+    activation it has, so no manifest names one its model does not have."""
+    if args.cell == "elman":
+        return CellSpec("elman", d_x, args.d_h, d_y, activation=args.activation)
+    own = "identity" if args.cell == "linear" else "tanh"
+    if args.activation not in ("tanh", own):
+        raise ValueError(f"--activation {args.activation}: {args.cell} cells have the "
+                         f"{own} activation")
     if args.cell == "linear":
         return CellSpec("linear", d_x, args.d_h, d_y, activation="identity",
                         use_biases=False)
-    if args.cell == "elman":
-        return CellSpec("elman", d_x, args.d_h, d_y, activation=args.activation)
     return CellSpec("lstm", d_x, args.d_h, d_y)
 
 

@@ -38,12 +38,17 @@ of every window of the truncated objective; no caller builds zeros for it.
 Memory of a pass: a pass that keeps its cache (``record``, the stateful
 span) holds every step of every buffer, which its backward pass reads. A
 forward-only pass holds the LSTM gates of one block of whole steps,
-``GATE_BLOCK_VALUES`` values, and returns full-length states and outputs.
-``autodiff.weighted_loss`` and ``autodiff.checkpointed_loss_grad``, the
-epoch log's gradient, run their forward passes in the same blocks of about
-√T' steps (``autodiff._chunk_errors``), so of those they hold one block;
-the gradient records and differentiates one block at a time, and holds the
-states where the blocks start.
+``GATE_BLOCK_VALUES`` values (``block_steps``), and returns full-length
+states and outputs. ``autodiff.weighted_loss`` and
+``autodiff.checkpointed_loss_grad``, the epoch log's gradient, run their
+forward passes in the same blocks of about √T' steps
+(``autodiff._chunk_errors``), so of those they hold one block; the
+gradient records and differentiates one block at a time, and holds the
+states where the blocks start. ``analysis.estimate_stability`` runs each
+segment of its staggered pass as passes of ``block_steps`` whole steps,
+each from the last state of the one before, so its states, outputs and
+gates are one block's, one gate block of its pass, whatever the segment
+length or T.
 """
 
 from __future__ import annotations
@@ -65,9 +70,14 @@ ACTIVATIONS = ("tanh", "relu", "identity")
 # LSTM gate row blocks, in fixed order: input, forget, cell candidate, output.
 LSTM_GATES = ("i", "f", "g", "o")
 
-# float64 values in the LSTM gate buffer of a forward pass without a cache:
-# it holds as many whole steps as fit, at least one
-GATE_BLOCK_VALUES = 1 << 18
+# float64 values in one block of a forward pass without a cache (its LSTM
+# gates, ``block_steps``): it holds as many whole steps as fit, at least
+# one. Measured on the sweep workload (4 LSTM models, up to 32 stability
+# probe rows, seeds 1-3): at 2^18 the probe's blocks were 64 steps at full
+# rows and the sweep's peak RSS 47.8-48.5 MB, at 2^16 16 steps and 46.1 MB,
+# at 2^15 45.8 MB; the zero-state series passes, evaluations and value
+# chunks it also blocks took the same time at 2^16 as at 2^18
+GATE_BLOCK_VALUES = 1 << 16
 
 
 class NonFiniteError(FloatingPointError):
@@ -338,6 +348,16 @@ def init_params(spec: CellSpec, seed: int) -> Params:
     return Params(theta, spec)
 
 
+def block_steps(params: Params, B: int) -> int:
+    """Whole steps in one block of a forward pass without a cache over B
+    rows of every model stacked in ``params``: as many as fit
+    ``GATE_BLOCK_VALUES`` values of the widest buffer a step fills, the
+    LSTM gates (4·d_h per row) or else the states, and at least one."""
+    spec = params.spec
+    width = 4 * spec.d_h if spec.kind == "lstm" else spec.state_dim
+    return max(1, GATE_BLOCK_VALUES // max(1, math.prod(params.theta.shape[:-1]) * B * width))
+
+
 @dataclass
 class Trajectory:
     """Forward-pass record: hidden[t] is the state after t inputs (hidden[0] = h0)."""
@@ -432,10 +452,8 @@ def batched_forward(
             W_xh, W_hh = W_xh * scale, W_hh * scale
             if b_h is not None:
                 b_h = b_h * scale
-            # whole steps per gate block: every step with keep_cache, else as
-            # many as fit GATE_BLOCK_VALUES, at least one
-            step_values = math.prod(lead) * B * 4 * d_h
-            block = max(1, T if keep_cache else GATE_BLOCK_VALUES // max(1, step_values))
+            # whole steps per gate block: every step with keep_cache
+            block = max(1, T) if keep_cache else block_steps(params, B)
             gates = ws.empty("gates", lead, B, min(block, T), 4 * d_h)
             step_gates = time_major(gates)
             tanh_c = ws.empty("tanh_c", lead, B, T if keep_cache else 1, d_h)

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from helpers import gen_synthetic, pack
+from tbptt import rnn_core
 from tbptt.analysis import (
     ObservedSets,
     StabilityEstimate,
@@ -318,6 +320,103 @@ def test_stacked_stability_with_different_degenerate_pairs_runs_one_pass(monkeyp
     stacked = analysis.estimate_stability(stack(models), ds, trajs, num_pairs=16, seed=3)
     assert stacked == alone
     assert len(calls) == 1  # the degenerate pairs run too, and give the second model no sample
+
+
+def blocked_probe(monkeypatch, params, ds, trajs, num_pairs, budget):
+    """estimate_stability at a block budget of ``budget`` values: its
+    results, the arguments of each model's ``_fit_envelope`` and the
+    (rows, steps) of each forward pass it ran."""
+    import tbptt.analysis as analysis
+
+    fits, passes = [], []
+    real_fit, real_forward = analysis._fit_envelope, analysis.batched_forward
+    with monkeypatch.context() as patch:
+        patch.setattr(rnn_core, "GATE_BLOCK_VALUES", budget)
+        patch.setattr(analysis, "_fit_envelope", lambda *a: fits.append(a) or real_fit(*a))
+        patch.setattr(analysis, "batched_forward",
+                      lambda p, h, x: passes.append(x.shape[:2]) or real_forward(p, h, x))
+        est = analysis.estimate_stability(params, ds, trajs, num_pairs=num_pairs, seed=3)
+    return est, fits, passes
+
+
+@pytest.mark.parametrize("steps", [1, 3, 7])
+@pytest.mark.parametrize("T, num_pairs", [(60, 16), (9, 12), (60, 1)])
+@pytest.mark.parametrize("stacked", [False, True], ids=["unstacked", "stacked"])
+@pytest.mark.parametrize("cell", sorted(STABILITY_CELLS))
+def test_stability_blocks_keep_the_bits_of_whole_segments(monkeypatch, cell, stacked, T,
+                                                          num_pairs, steps):
+    # a budget of one value, one-step blocks throughout; or one of 3 or 7
+    # steps of every row: blocks of that many steps once every pair has
+    # begun (7 leaves short last blocks), longer ones with fewer rows. T = 9
+    # repeats starts, and one pair is one segment of B = 2 rows. Every block
+    # carries the last state of the one before, so samples and constants
+    # are those of one pass per segment, byte for byte
+    base = STABILITY_CELLS[cell]()
+    models = [base, scaled_input_block(base, 0.01), scaled_input_block(base, 0.5)]
+    models = models if stacked else models[:1]
+    params = stack(models) if stacked else base
+    ds, _ = gen_synthetic(seed=T, T=T, noise_std=0.1)
+    trajs = [zero_pass(p, ds) for p in models]
+    spec = base.spec
+    width = 4 * spec.d_h if spec.kind == "lstm" else spec.state_dim
+    budget = steps * len(models) * 2 * num_pairs * width if steps > 1 else 1
+
+    whole, whole_fits, whole_passes = blocked_probe(monkeypatch, params, ds, trajs, num_pairs,
+                                                    1 << 62)
+    est, fits, passes = blocked_probe(monkeypatch, params, ds, trajs, num_pairs, budget)
+    starts = whole_fits[0][1]
+    assert len(whole_passes) == len(set(starts.tolist()))  # one pass per segment
+    assert len(passes) > len(whole_passes)
+    assert sum(n for _, n in passes) == T - min(starts)
+    assert all(n <= max(1, budget // (len(models) * rows * width)) for rows, n in passes)
+
+    assert len(fits) == len(whole_fits) == len(models)
+    for (r, got_starts, kept), (want_r, want_starts, want_kept) in zip(fits, whole_fits):
+        npt.assert_array_equal(got_starts, want_starts)
+        npt.assert_array_equal(kept, want_kept)
+        for p, start in enumerate(starts):
+            assert r[p, start:].tobytes() == want_r[p, start:].tobytes()
+    for got, want in zip(est, whole):
+        assert np.array([got.C, got.lam]).tobytes() == np.array([want.C, want.lam]).tobytes()
+
+
+def test_stability_probe_memory_is_its_samples_draws_and_one_block(monkeypatch):
+    # an LSTM probe of R = 4 models, 16 pairs, over T = 4 000 steps: beyond
+    # the (R, P, T) samples and the draws, the pass holds one block of whole
+    # steps, whatever its segments' lengths (at most GATE_BLOCK_VALUES / 4d_h
+    # row-steps per model, whatever the rows). One pass per segment held
+    # 36.2 MB in this call; the fit's own temporaries come after the pass
+    # and are left out (stubbed)
+    import tbptt.analysis as analysis
+
+    spec = CellSpec("lstm", 1, 8, 1)
+    R, P, T = 4, 16, 4000
+    models = [init_params(spec, 20 + r) for r in range(R)]
+    params = stack(models)
+    ds, _ = gen_synthetic(seed=8, T=T, noise_std=0.1)
+    trajs = [zero_pass(p, ds) for p in models]
+    fits = []
+    monkeypatch.setattr(analysis, "_fit_envelope", lambda *a: fits.append(a[0].shape))
+    analysis.estimate_stability(params, ds, trajs, num_pairs=P, seed=3)  # warm caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        analysis.estimate_stability(params, ds, trajs, num_pairs=P, seed=3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert fits == [(P, T)] * 2 * R
+    sd, d_h, itemsize = spec.state_dim, spec.d_h, 8
+    samples = R * P * T * itemsize
+    draws = 3 * R * P * 2 * sd * itemsize  # the pairs, their pass order, the carried rows
+    row_steps = rnn_core.GATE_BLOCK_VALUES // (R * 4 * d_h)
+    # per row and step: states, gates, outputs and inputs, and the finite
+    # check's byte per state and output; per row: the first state, the
+    # carried state and its copy, tanh c and one step's product
+    per_step = (sd + 4 * d_h + spec.d_y + spec.d_x) * itemsize + sd + spec.d_y
+    per_row = (3 * sd + 5 * d_h) * itemsize
+    block = R * (row_steps * per_step + 2 * P * per_row)
+    assert peak <= samples + draws + block + 64 * 1024
 
 
 def test_stability_of_a_list_of_one_is_a_list():

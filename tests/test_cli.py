@@ -873,6 +873,27 @@ def test_bad_shared_flag_is_usage_error(tmp_path, capsys, command, flag, value):
     assert_usage_error(capsys, tmp_path / "x", command, "--data", data_file, *argv, flag, value)
 
 
+@pytest.mark.parametrize("command", ["train", "sweep", "benchmark"])
+@pytest.mark.parametrize("cell, activation", [("lstm", "relu"), ("lstm", "identity"),
+                                              ("linear", "relu")])
+def test_activation_the_cell_does_not_have_is_usage_error(tmp_path, capsys, command, cell,
+                                                          activation):
+    # these ran with the cell's own activation, exit 0, and a manifest naming
+    # the flag's; the default tanh and a linear cell's identity still run
+    data_file = synth(tmp_path) / "train.csv"
+    argv = {
+        "train": ["--N", 10, "--epochs", 1],
+        "sweep": ["--N-list", 10, "--epochs", 1],
+        "benchmark": ["--N", 10, "--restarts", 1, "--iters", 5],
+    }[command]
+    assert_usage_error(capsys, tmp_path / "x", command, "--data", data_file, "--cell", cell,
+                       *argv, "--activation", activation)
+    own = "identity" if cell == "linear" else "tanh"
+    for kept in sorted({"tanh", own}):
+        assert run("--out", tmp_path / kept, command, "--data", data_file, "--cell", cell,
+                   *argv, "--activation", kept) == 0
+
+
 @pytest.mark.parametrize("flag, value", [("--N-list", 0), ("--N-list", "10,61"),
                                          ("--m-list", -1), ("--m-list", 60),
                                          ("--test-burn", -2), ("--test-burn", 30)])
