@@ -18,7 +18,7 @@ import numpy as np
 from .benchmark import Evaluation
 from .data import SegmentationPlan, TimeSeriesDataset, segment_arrays
 from .rng import SplitMix64
-from .rnn_core import Params, Trajectory, batched_forward, block_steps
+from .rnn_core import Params, Trajectory, batched_forward
 
 # ---------------------------------------------------------------------------
 # Truncated-MSE performance over the full sequence
@@ -54,6 +54,25 @@ def merge_stability(a: StabilityEstimate, b: StabilityEstimate) -> StabilityEsti
     return StabilityEstimate(C=max(a.C, b.C), lam=max(a.lam, b.lam))
 
 
+# float64 values in one block of the stability probe's pass (``block_steps``):
+# it holds as many whole steps as fit, at least one. Measured on the sweep
+# workload (4 LSTM models, up to 32 probe rows, seeds 1-3), when a block
+# counted 4·d_h values per row-step: at 2^18 the blocks were 64 steps at full
+# rows and the sweep's peak RSS 47.8-48.5 MB, at 2^16 16 steps and 46.1 MB,
+# at 2^15 45.8 MB
+GATE_BLOCK_VALUES = 1 << 16
+
+
+def block_steps(params: Params, B: int) -> int:
+    """Whole steps in one block of the probe's pass over B rows of every
+    model stacked in ``params``: as many as fit ``GATE_BLOCK_VALUES`` values
+    of the widest buffer a step fills per row, the LSTM cache (4·d_h gates
+    and d_h of tanh c) or else the states, and at least one."""
+    spec = params.spec
+    width = 5 * spec.d_h if spec.kind == "lstm" else spec.state_dim
+    return max(1, GATE_BLOCK_VALUES // max(1, math.prod(params.theta.shape[:-1]) * B * width))
+
+
 def estimate_stability(params: Params, dataset: TimeSeriesDataset,
                        trajs: list[Trajectory], num_pairs: int = 32,
                        seed: int = 0) -> list[StabilityEstimate]:
@@ -73,12 +92,13 @@ def estimate_stability(params: Params, dataset: TimeSeriesDataset,
     reaches its start, so the pass takes at most T recurrence steps whatever
     the number of pairs. Each segment of the pass, between two starts, runs
     as blocks of whole steps, each a ``batched_forward`` from the last state
-    of the block before: ``rnn_core.block_steps`` steps, as many as fit
-    ``GATE_BLOCK_VALUES`` values over the models and the segment's rows, so
-    a segment shorter than that is one block. Each block writes its samples
-    r_t = ||y_t - y'_t|| / ||h - h'|| into one (pair, absolute time) array
-    per model and drops its states and outputs before the next one runs:
-    beyond that array and the draws, the pass holds one block. Every block
+    of the block before: ``block_steps`` steps, as many as fit
+    ``GATE_BLOCK_VALUES`` values of the LSTM cache (else the states) over
+    the models and the segment's rows, so a segment shorter than that is
+    one block. Each block writes its samples r_t = ||y_t - y'_t|| / ||h -
+    h'|| into one (pair, absolute time) array per model and drops its
+    states, outputs and cache before the next one runs: beyond that array
+    and the draws, the pass holds one block. Every block
     has both rows of a pair, so each step is one GEMM of the segment's
     shape and the samples have the bits of one pass per segment. A pair
     whose two initial states lie within 1e-12 of each other for a model
@@ -124,12 +144,13 @@ def estimate_stability(params: Params, dataset: TimeSeriesDataset,
         for b_lo in range(lo, hi, steps):
             b_hi = min(b_lo + steps, hi)
             x = dataset.inputs[b_lo:b_hi]
-            states, outs, _ = batched_forward(params, h, np.broadcast_to(x, (2 * active, *x.shape)))
+            states, outs, cache = batched_forward(params, h,
+                                                  np.broadcast_to(x, (2 * active, *x.shape)))
             h = states[..., -1, :].copy()  # a copy: no view keeps the block's states
             dist = np.linalg.norm(outs[..., 0::2, :, :] - outs[..., 1::2, :, :], axis=-1)
             with np.errstate(divide="ignore", invalid="ignore"):  # a degenerate pair's gap may be 0
                 r[..., order[:active], b_lo:b_hi] = dist / pass_gaps[..., :active, :]
-            del states, outs, dist  # the block's arrays go before the next block runs
+            del states, outs, cache, dist  # the block's arrays go before the next block runs
 
     r = r.reshape(len(trajs), num_pairs, T)
     return [_fit_envelope(r[k], starts, gaps[k] >= 1e-12) for k in range(len(trajs))]

@@ -90,8 +90,7 @@ def record(params: Params, h0: np.ndarray | None, inputs: np.ndarray,
            workspace: Workspace | None = None) -> Tape:
     """Forward pass over a batch, keeping the activations backprop needs,
     in the arrays of ``workspace`` when one is given."""
-    states, outputs, cache = batched_forward(params, h0, inputs, keep_cache=True,
-                                             workspace=workspace)
+    states, outputs, cache = batched_forward(params, h0, inputs, workspace)
     return Tape(params=params, inputs=inputs, states=states, outputs=outputs, cache=cache)
 
 
@@ -342,10 +341,10 @@ def _checkpoint_steps(spec: CellSpec, B: int, T: int) -> int:
     and step: the states, the LSTM gates and tanh c, the adjoint buffers
     (``_sweep``) and the outputs. The call holds ⌈T'/L⌉ checkpoints of sd
     values and one block of L·v per row and start, and L minimises their
-    sum; ``weighted_loss``, which keeps neither, holds one block of fewer
-    values. One row takes one block because ``backprop`` then takes each
-    weight gradient as one product over all steps, whose bits a sum of
-    per-step products does not have."""
+    sum; ``weighted_loss``, which keeps no checkpoints and no adjoints,
+    holds one block of fewer values. One row takes one block because
+    ``backprop`` then takes each weight gradient as one product over all
+    steps, whose bits a sum of per-step products does not have."""
     if B == 1:
         return T
     d_h, sd = spec.d_h, spec.state_dim
@@ -369,11 +368,14 @@ def _chunk_errors(params: Params, h0: np.ndarray | None, inputs: np.ndarray,
     last block's states, in ``workspace``. Every step's products keep their
     shape, so with B > 1 the blocks have the one pass's bits; a block of
     fewer rows would not, since a GEMM's bits depend on its column count.
-    ``entries``, when given, gets each block's first step and entry states
-    in order, (0, ``h0``) first, and every block keeps its cache as
-    ``record``'s does, so the tape returned is the last block's ``record``.
-    A block that goes non-finite sends the call to the whole pass, which
-    raises the ``NonFiniteError`` one pass gives."""
+    Every block keeps its cache, as every pass does, so the tape returned
+    is the last block's ``record``; each block's pass overwrites the one
+    before in ``workspace``, so the call holds one block's. ``entries``,
+    when given, gets each block's first step and entry states in order,
+    (0, ``h0``) first. A block that goes non-finite sends the call to the
+    whole pass, which raises the ``NonFiniteError`` one pass gives; on that
+    failure path alone the call holds the whole pass's states, outputs and
+    LSTM cache."""
     B, T, _ = inputs.shape
     steps = _checkpoint_steps(params.spec, B, T)
     err = empty_time_major(params.theta.shape[:-1], B, T, params.spec.d_y)
@@ -383,8 +385,7 @@ def _chunk_errors(params: Params, h0: np.ndarray | None, inputs: np.ndarray,
             if entries is not None:
                 entries.append((lo, h))
             chunk = inputs[:, lo : lo + steps]
-            states, outputs, cache = batched_forward(params, h, chunk, entries is not None,
-                                                     workspace)
+            states, outputs, cache = batched_forward(params, h, chunk, workspace)
             np.subtract(outputs, targets[:, lo : lo + steps], out=err[..., lo : lo + steps, :])
             h = states[..., -1, :].copy()
     except NonFiniteError:
@@ -402,8 +403,9 @@ def weighted_loss(params: Params, h0: np.ndarray | None, inputs: np.ndarray,
     The steps run in the blocks of ``checkpointed_loss_grad``
     (``_chunk_errors``), in one ``Workspace``: one block of all steps with
     one row, whose output product takes all steps at once
-    (``step_products``). ``_weighted_sse`` sums the errors of all blocks
-    once."""
+    (``step_products``). Every block keeps its cache, which the next block
+    overwrites, so the call holds one block's states, outputs and cache.
+    ``_weighted_sse`` sums the errors of all blocks once."""
     err, _ = _chunk_errors(params, h0, inputs, targets, Workspace())
     return _weighted_sse(err, weights)
 

@@ -35,20 +35,14 @@ only the first of those passes faults in fresh pages.
 A pass given ``h0=None`` starts every row from the zero state, the start
 of every window of the truncated objective; no caller builds zeros for it.
 
-Memory of a pass: a pass that keeps its cache (``record``, the stateful
-span) holds every step of every buffer, which its backward pass reads. A
-forward-only pass holds the LSTM gates of one block of whole steps,
-``GATE_BLOCK_VALUES`` values (``block_steps``), and returns full-length
-states and outputs. ``autodiff.weighted_loss`` and
-``autodiff.checkpointed_loss_grad``, the epoch log's gradient, run their
-forward passes in the same blocks of about √T' steps
-(``autodiff._chunk_errors``), so of those they hold one block; the
-gradient records and differentiates one block at a time, and holds the
-states where the blocks start. ``analysis.estimate_stability`` runs each
-segment of its staggered pass as passes of ``block_steps`` whole steps,
-each from the last state of the one before, so its states, outputs and
-gates are one block's, one gate block of its pass, whatever the segment
-length or T.
+Memory of a pass: a pass holds every step of every buffer, the LSTM
+gates and tanh c with the states and outputs, and returns them all; the
+cache is what ``record``'s backward pass reads. Callers that bound memory
+run blocks of whole steps, each a pass from the last state of the one
+before: ``autodiff.weighted_loss`` and ``autodiff.checkpointed_loss_grad``,
+the epoch log's gradient, in blocks of about √T' steps
+(``autodiff._chunk_errors``), and ``analysis.estimate_stability`` in
+blocks of ``analysis.block_steps`` steps whatever the segment length or T.
 """
 
 from __future__ import annotations
@@ -69,15 +63,6 @@ ACTIVATIONS = ("tanh", "relu", "identity")
 
 # LSTM gate row blocks, in fixed order: input, forget, cell candidate, output.
 LSTM_GATES = ("i", "f", "g", "o")
-
-# float64 values in one block of a forward pass without a cache (its LSTM
-# gates, ``block_steps``): it holds as many whole steps as fit, at least
-# one. Measured on the sweep workload (4 LSTM models, up to 32 stability
-# probe rows, seeds 1-3): at 2^18 the probe's blocks were 64 steps at full
-# rows and the sweep's peak RSS 47.8-48.5 MB, at 2^16 16 steps and 46.1 MB,
-# at 2^15 45.8 MB; the zero-state series passes, evaluations and value
-# chunks it also blocks took the same time at 2^16 as at 2^18
-GATE_BLOCK_VALUES = 1 << 16
 
 
 class NonFiniteError(FloatingPointError):
@@ -348,16 +333,6 @@ def init_params(spec: CellSpec, seed: int) -> Params:
     return Params(theta, spec)
 
 
-def block_steps(params: Params, B: int) -> int:
-    """Whole steps in one block of a forward pass without a cache over B
-    rows of every model stacked in ``params``: as many as fit
-    ``GATE_BLOCK_VALUES`` values of the widest buffer a step fills, the
-    LSTM gates (4·d_h per row) or else the states, and at least one."""
-    spec = params.spec
-    width = 4 * spec.d_h if spec.kind == "lstm" else spec.state_dim
-    return max(1, GATE_BLOCK_VALUES // max(1, math.prod(params.theta.shape[:-1]) * B * width))
-
-
 @dataclass
 class Trajectory:
     """Forward-pass record: hidden[t] is the state after t inputs (hidden[0] = h0)."""
@@ -367,15 +342,15 @@ class Trajectory:
 
 
 def batched_forward(
-    params: Params, h0: np.ndarray | None, inputs: np.ndarray, keep_cache: bool = False,
-    workspace: Workspace | None = None,
+    params: Params, h0: np.ndarray | None, inputs: np.ndarray, workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Run the recursion on a batch of sequences sharing one parameter vector.
 
     h0: (B, state_dim), or None for zero states; inputs: (B, T', d_x).
     Returns (states (B, T'+1, sd), outputs (B, T', d_y), cache). The cache
-    holds what the backward pass needs (LSTM gate activations; Elman
-    derivatives are recomputed from the states).
+    holds what the backward pass needs, for every step: the LSTM "gates"
+    (B, T', 4·d_h) and "tanh_c" (B, T', d_h); linear/Elman cells keep none,
+    since their derivatives are recomputed from the states.
 
     A stacked ``params`` (theta (R, n)) runs R models on the same inputs at
     once, each from its own initial states: h0 is (R, B, sd) or None, and every
@@ -386,21 +361,19 @@ def batched_forward(
     Storage: ``states``, ``outputs`` and the LSTM ``gates``/``tanh_c`` are
     step-major (module docstring), and the inputs are copied once into the
     same order. Given a ``workspace``, they are its "states", "outputs",
-    "gates" and "tanh_c" arrays. With ``keep_cache`` the gates hold every
-    step; without it they hold one block of whole steps, as many as fit
-    ``GATE_BLOCK_VALUES`` values and at least one, which the steps of the
-    pass fill block after block.
+    "gates" and "tanh_c" arrays. Each holds every step of the pass; a
+    caller that bounds memory runs blocks of whole steps (module
+    docstring).
 
     The input half of every pre-activation, ``W_xh · x``, does not depend
     on the carried state and is computed before the steps it serves, into
     a buffer the pass holds anyway: once per call into
-    ``states[..., 1:, :]`` for linear/Elman cells, once per gate block into
-    the LSTM gate buffer (kept as ``cache["gates"]`` with ``keep_cache``),
-    with the bias added to it in the same place. Step t then adds
-    ``W_hh · h``, an (R, n, k) @ (R, k, B) product, into its block and
-    applies the activation there. The input product is one 3-index
-    ``einsum`` per start and block, whose bits per element do not depend
-    on B·T', on the block or on R, and each step's
+    ``states[..., 1:, :]`` for linear/Elman cells, into the LSTM gate
+    buffer ``cache["gates"]``, with the bias added to it in the same place.
+    Step t then adds ``W_hh · h``, an (R, n, k) @ (R, k, B) product, into
+    its block and applies the activation there. The input product is one
+    3-index ``einsum`` per start, whose bits per element do not depend on
+    B·T' or on R, and each step's
     product is one GEMM per start, so the states of a prefix, of a restart
     and of one start of a stack are the full unstacked run's bits. The
     outputs are ``step_products(W_hy, ...)``: with B > 1 one product per
@@ -416,9 +389,8 @@ def batched_forward(
     to the whole block, then ``z *= (1/2, 1/2, 1, 1/2)`` and
     ``z += (1/2, 1/2, 0, 1/2)`` per gate: the block holds the i, f, g, o
     activations, each gate a contiguous d_h·B run. c, h = o·tanh c and
-    tanh c go straight into their blocks (without ``keep_cache``, tanh c
-    goes to one reused block). The gates are within 2⁻⁵² of the logistic
-    function, exactly 0 or 1 in its tails.
+    tanh c go straight into their blocks. The gates are within 2⁻⁵² of the
+    logistic function, exactly 0 or 1 in its tails.
     """
     spec = params.spec
     blocks = params.unpack()
@@ -452,38 +424,29 @@ def batched_forward(
             W_xh, W_hh = W_xh * scale, W_hh * scale
             if b_h is not None:
                 b_h = b_h * scale
-            # whole steps per gate block: every step with keep_cache
-            block = max(1, T) if keep_cache else block_steps(params, B)
-            gates = ws.empty("gates", lead, B, min(block, T), 4 * d_h)
-            step_gates = time_major(gates)
-            tanh_c = ws.empty("tanh_c", lead, B, T if keep_cache else 1, d_h)
-            if keep_cache:
-                cache["gates"], cache["tanh_c"] = gates, tanh_c
-            # the gates of every step of a block, sliced once
-            step_tanh_c = time_major(tanh_c)
+            gates = cache["gates"] = ws.empty("gates", lead, B, T, 4 * d_h)
+            tanh_c = cache["tanh_c"] = ws.empty("tanh_c", lead, B, T, d_h)
+            for r in start_indices(lead):
+                np.einsum("btk,nk->btn", x, W_xh[r], out=gates[r])
+            step_gates, step_tanh_c = time_major(gates), time_major(tanh_c)
+            if b_h is not None:
+                step_gates += b_h
+            # the gates and state halves of every step, sliced once
             gi, gf, gg, go = (step_gates[..., k * d_h : (k + 1) * d_h, :] for k in range(4))
-            for lo in range(0, T, block):
-                n = min(block, T - lo)
-                for r in start_indices(lead):
-                    np.einsum("btk,nk->btn", x[:, lo : lo + n], W_xh[r], out=gates[r][:, :n])
-                if b_h is not None:
-                    step_gates[:n] += b_h
-                # the state halves from step lo on; with keep_cache lo is 0, so
-                # t indexes tanh_c too
-                step_c, step_h = step_states[lo:, ..., :d_h, :], step_states[lo:, ..., d_h:, :]
-                # outputs go in positionally: numpy parses them faster than the keyword
-                for t in range(n):
-                    z = step_gates[t]
-                    z += W_hh @ step_h[t]
-                    np.tanh(z, z)
-                    z *= scale
-                    z += shift
-                    c_new = step_c[t + 1]
-                    np.multiply(gf[t], step_c[t], c_new)
-                    c_new += gi[t] * gg[t]
-                    tc = step_tanh_c[t if keep_cache else 0]
-                    np.tanh(c_new, tc)
-                    np.multiply(go[t], tc, step_h[t + 1])
+            step_c, step_h = step_states[..., :d_h, :], step_states[..., d_h:, :]
+            # outputs go in positionally: numpy parses them faster than the keyword
+            for t in range(T):
+                z = step_gates[t]
+                z += W_hh @ step_h[t]
+                np.tanh(z, z)
+                z *= scale
+                z += shift
+                c_new = step_c[t + 1]
+                np.multiply(gf[t], step_c[t], c_new)
+                c_new += gi[t] * gg[t]
+                tc = step_tanh_c[t]
+                np.tanh(c_new, tc)
+                np.multiply(go[t], tc, step_h[t + 1])
         else:
             for r in start_indices(lead):
                 np.einsum("btk,nk->btn", x, W_xh[r], out=states[r][:, 1:])

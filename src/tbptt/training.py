@@ -152,7 +152,7 @@ def full_batch_objective(params: Params, xs: np.ndarray, ys: np.ndarray, m: int)
     ``weighted_loss`` runs all S windows in the blocks of steps of
     ``full_batch_gradient``, so beyond the windows, the weights and the
     (S, N, d_y) errors it holds one block of states, outputs and LSTM
-    gates, not the whole pass's.
+    gates and tanh c, not the whole pass's.
     """
     S, N = xs.shape[:2]
     return weighted_loss(params, None, xs, ys, segment_weights(N, m, S))
@@ -293,8 +293,7 @@ def _stateful_inits(
     j = max(batch[0] - 1, 0)
     s_j, N = plan.starts[j], plan.N
     span_inputs = inputs[s_j - 1 : plan.starts[batch[-1]] - 1 + N]
-    states, outputs, cache = batched_forward(params, cached[..., j, None, :],
-                                             span_inputs[None], keep_cache=True)
+    states, outputs, cache = batched_forward(params, cached[..., j, None, :], span_inputs[None])
     offsets = np.array([plan.starts[i] - s_j for i in batch])
     steps = offsets[:, None] + np.arange(N + 1)  # (B, N + 1) span steps per window
     cached[..., batch, :] = states[..., 0, offsets, :]

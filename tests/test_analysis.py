@@ -6,7 +6,6 @@ import numpy.testing as npt
 import pytest
 
 from helpers import gen_synthetic, pack
-from tbptt import rnn_core
 from tbptt.analysis import (
     ObservedSets,
     StabilityEstimate,
@@ -331,7 +330,7 @@ def blocked_probe(monkeypatch, params, ds, trajs, num_pairs, budget):
     fits, passes = [], []
     real_fit, real_forward = analysis._fit_envelope, analysis.batched_forward
     with monkeypatch.context() as patch:
-        patch.setattr(rnn_core, "GATE_BLOCK_VALUES", budget)
+        patch.setattr(analysis, "GATE_BLOCK_VALUES", budget)
         patch.setattr(analysis, "_fit_envelope", lambda *a: fits.append(a) or real_fit(*a))
         patch.setattr(analysis, "batched_forward",
                       lambda p, h, x: passes.append(x.shape[:2]) or real_forward(p, h, x))
@@ -358,7 +357,7 @@ def test_stability_blocks_keep_the_bits_of_whole_segments(monkeypatch, cell, sta
     ds, _ = gen_synthetic(seed=T, T=T, noise_std=0.1)
     trajs = [zero_pass(p, ds) for p in models]
     spec = base.spec
-    width = 4 * spec.d_h if spec.kind == "lstm" else spec.state_dim
+    width = 5 * spec.d_h if spec.kind == "lstm" else spec.state_dim
     budget = steps * len(models) * 2 * num_pairs * width if steps > 1 else 1
 
     whole, whole_fits, whole_passes = blocked_probe(monkeypatch, params, ds, trajs, num_pairs,
@@ -383,10 +382,10 @@ def test_stability_blocks_keep_the_bits_of_whole_segments(monkeypatch, cell, sta
 def test_stability_probe_memory_is_its_samples_draws_and_one_block(monkeypatch):
     # an LSTM probe of R = 4 models, 16 pairs, over T = 4 000 steps: beyond
     # the (R, P, T) samples and the draws, the pass holds one block of whole
-    # steps, whatever its segments' lengths (at most GATE_BLOCK_VALUES / 4d_h
-    # row-steps per model, whatever the rows). One pass per segment held
-    # 36.2 MB in this call; the fit's own temporaries come after the pass
-    # and are left out (stubbed)
+    # steps, whatever its segments' lengths (at most GATE_BLOCK_VALUES / 5d_h
+    # row-steps per model, whatever the rows), and no block's cache outlives
+    # it. One pass per segment held 36.2 MB in this call; the fit's own
+    # temporaries come after the pass and are left out (stubbed)
     import tbptt.analysis as analysis
 
     spec = CellSpec("lstm", 1, 8, 1)
@@ -409,12 +408,12 @@ def test_stability_probe_memory_is_its_samples_draws_and_one_block(monkeypatch):
     sd, d_h, itemsize = spec.state_dim, spec.d_h, 8
     samples = R * P * T * itemsize
     draws = 3 * R * P * 2 * sd * itemsize  # the pairs, their pass order, the carried rows
-    row_steps = rnn_core.GATE_BLOCK_VALUES // (R * 4 * d_h)
-    # per row and step: states, gates, outputs and inputs, and the finite
-    # check's byte per state and output; per row: the first state, the
-    # carried state and its copy, tanh c and one step's product
-    per_step = (sd + 4 * d_h + spec.d_y + spec.d_x) * itemsize + sd + spec.d_y
-    per_row = (3 * sd + 5 * d_h) * itemsize
+    row_steps = analysis.GATE_BLOCK_VALUES // (R * 5 * d_h)
+    # per row and step: states, gates, tanh c, outputs and inputs, and the
+    # finite check's byte per state and output; per row: the first state,
+    # the carried state and its copy, and one step's product
+    per_step = (sd + 5 * d_h + spec.d_y + spec.d_x) * itemsize + sd + spec.d_y
+    per_row = (3 * sd + 4 * d_h) * itemsize
     block = R * (row_steps * per_step + 2 * P * per_row)
     assert peak <= samples + draws + block + 64 * 1024
 

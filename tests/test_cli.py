@@ -593,8 +593,8 @@ def test_sweep_report_equals_lone_cell_sweep(tmp_path, monkeypatch, model):
     real_forward = rnn_core.batched_forward
     stacks = []
 
-    def poisoned_forward(params, h0, inputs, keep_cache=False):
-        states, outputs, cache = real_forward(params, h0, inputs, keep_cache)
+    def poisoned_forward(params, h0, inputs, workspace=None):
+        states, outputs, cache = real_forward(params, h0, inputs, workspace)
         if inputs.shape[0] == 1:  # a one-row pass: a zero-state pass over a series
             stacks.append(params.theta.shape)
             outputs[np.all(params.theta == poisoned.theta, axis=-1)] = np.nan

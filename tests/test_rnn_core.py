@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from helpers import pack, read_params
-from tbptt import autodiff, cli, rnn_core
+from tbptt import autodiff, cli
 from tbptt.data import TimeSeriesDataset, make_plan, segment_arrays
 from tbptt.linalg import DimensionError
 from tbptt.rnn_core import (
@@ -270,8 +269,7 @@ def test_lstm_gates_track_the_logistic_and_tanh():
     z = np.concatenate([np.linspace(-40.0, 40.0, 200_001), tails])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, _, cache = batched_forward(params, np.zeros((z.size, 2)), z[:, None, None],
-                                      keep_cache=True)
+        _, _, cache = batched_forward(params, np.zeros((z.size, 2)), z[:, None, None])
     gates = cache["gates"][:, 0]
     sigmoid_gates = gates[:, [0, 1, 3]]  # i, f, o
     assert np.max(np.abs(sigmoid_gates - masked_sigmoid(z)[:, None])) <= 2.0**-52
@@ -332,7 +330,7 @@ def test_lstm_step_matches_per_gate_reference_bitwise(batch):
     # large inputs drive gates into both saturated tails
     inputs = rng.normal(scale=4.0, size=(batch, 25, 2))
     h0 = rng.normal(size=(batch, spec.state_dim))
-    states, outputs, cache = batched_forward(params, h0, inputs, keep_cache=True)
+    states, outputs, cache = batched_forward(params, h0, inputs)
     ref_states, ref_outputs, ref_gates, ref_tanh_c = reference_lstm(params, h0, inputs)
     npt.assert_array_equal(states, ref_states)
     npt.assert_array_equal(outputs, ref_outputs)
@@ -340,59 +338,32 @@ def test_lstm_step_matches_per_gate_reference_bitwise(batch):
     npt.assert_array_equal(cache["tanh_c"], ref_tanh_c)
 
 
-# --- the LSTM gates of a pass without a cache, in blocks of whole steps -------
-
-BLOCK = 5
+# --- every pass keeps its cache -----------------------------------------------
 
 
-@pytest.mark.parametrize("T", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 2])
+@pytest.mark.parametrize("with_workspace", [False, True], ids=["new", "workspace"])
 @pytest.mark.parametrize("batch", [1, 3])
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["unstacked", "stacked"])
-def test_gate_blocks_keep_the_cached_pass_bits(lead, batch, T, monkeypatch):
-    # GATE_BLOCK_VALUES holds BLOCK whole steps: the pass without a cache
-    # keeps one gate block of at most BLOCK steps and has the states and
-    # outputs of the cached pass, whose gates hold every step
+def test_every_pass_returns_the_cache_of_all_its_steps(lead, batch, with_workspace):
+    # the LSTM gates and tanh c of every step, with record's bits, whoever
+    # calls the pass and wherever its buffers come from
     spec = CellSpec("lstm", 2, 3, 2)
-    monkeypatch.setattr(rnn_core, "GATE_BLOCK_VALUES",
-                        BLOCK * int(np.prod(lead)) * batch * 4 * spec.d_h)
-    rng = np.random.default_rng(T)
-    theta = np.stack([init_params(spec, 70 + r).theta for r in range(3)])
+    T = 17
+    rng = np.random.default_rng(batch)
+    theta = np.stack([init_params(spec, 80 + r).theta for r in range(3)])
     params = Params(theta if lead else theta[0], spec)
     h0 = rng.normal(size=lead + (batch, spec.state_dim))
     inputs = rng.normal(scale=4.0, size=(batch, T, spec.d_x))
-    states, outputs, cache = batched_forward(params, h0, inputs, keep_cache=True)
-    assert cache["gates"].shape[-2] == T
-    workspace = Workspace()
-    got_states, got_outputs, got_cache = batched_forward(params, h0, inputs, workspace=workspace)
-    assert got_cache == {}
-    assert workspace.buffers["gates"].shape == lead + (batch, min(BLOCK, T), 4 * spec.d_h)
-    assert got_states.tobytes() == states.tobytes()
-    assert got_outputs.tobytes() == outputs.tobytes()
-
-
-@pytest.mark.parametrize("T", [200, 800])
-def test_lstm_forward_without_cache_holds_one_gate_block(T, monkeypatch):
-    # beyond the states and outputs it returns, the inputs' step-major copy
-    # and the finite check's one byte per state value, the pass holds one
-    # gate block and a few step-sized temporaries whatever T is; the gates of
-    # all steps would take T - 16 more steps
-    B, spec = 4, CellSpec("lstm", 1, 8, 1)
-    block = 16  # steps
-    monkeypatch.setattr(rnn_core, "GATE_BLOCK_VALUES", block * B * 4 * spec.d_h)
-    params = init_params(spec, 5)
-    rng = np.random.default_rng(0)
-    h0, inputs = rng.normal(size=(B, spec.state_dim)), rng.normal(size=(B, T, spec.d_x))
-    batched_forward(params, h0, inputs)  # warm caches outside the measurement
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        states, outputs, _ = batched_forward(params, h0, inputs)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    step_bytes = B * 4 * spec.d_h * states.itemsize
-    whole_pass = states.nbytes + outputs.nbytes + inputs.nbytes + states.size
-    assert peak <= whole_pass + (block + 4) * step_bytes + 16 * 1024
+    tape = autodiff.record(params, h0, inputs)
+    workspace = Workspace() if with_workspace else None
+    states, outputs, cache = batched_forward(params, h0, inputs, workspace=workspace)
+    assert cache.keys() == {"gates", "tanh_c"}
+    assert cache["gates"].shape == lead + (batch, T, 4 * spec.d_h)
+    assert cache["tanh_c"].shape == lead + (batch, T, spec.d_h)
+    for name in cache:
+        assert cache[name].tobytes() == tape.cache[name].tobytes(), name
+    assert states.tobytes() == tape.states.tobytes()
+    assert outputs.tobytes() == tape.outputs.tobytes()
 
 
 # --- step-major, batch-innermost step rows -------------------------------------
@@ -404,10 +375,9 @@ LAYOUT_CELLS = [
 ]
 
 
-@pytest.mark.parametrize("keep_cache", [False, True], ids=["no-cache", "cache"])
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["unstacked", "stacked"])
 @pytest.mark.parametrize("spec", LAYOUT_CELLS, ids=lambda s: s.kind)
-def test_no_initial_states_are_the_zero_states(spec, lead, keep_cache):
+def test_no_initial_states_are_the_zero_states(spec, lead):
     # h0=None starts every row of every start from zero: the bits of zeros
     B, T = 4, 6
     rng = np.random.default_rng(2)
@@ -415,8 +385,8 @@ def test_no_initial_states_are_the_zero_states(spec, lead, keep_cache):
     params = Params(theta if lead else theta[0], spec)
     inputs = rng.normal(size=(B, T, spec.d_x))
     zeros = np.zeros(lead + (B, spec.state_dim))
-    got = batched_forward(params, None, inputs, keep_cache=keep_cache)
-    want = batched_forward(params, zeros, inputs, keep_cache=keep_cache)
+    got = batched_forward(params, None, inputs)
+    want = batched_forward(params, zeros, inputs)
     for a, b in zip(got[:2], want[:2]):
         assert a.tobytes() == b.tobytes()
     assert got[2].keys() == want[2].keys()
@@ -454,7 +424,7 @@ def test_step_rows_are_contiguous(spec, lead, monkeypatch):
     params = Params(theta if lead else theta[0], spec)
     h0 = rng.normal(size=lead + (B, spec.state_dim))
     inputs = rng.normal(size=(B, T, spec.d_x))
-    states, outputs, cache = batched_forward(params, h0, inputs, keep_cache=True)
+    states, outputs, cache = batched_forward(params, h0, inputs)
     assert set(cache) == ({"gates", "tanh_c"} if spec.kind == "lstm" else set())
     buffers = {"states": states, "outputs": outputs, **cache}
     cograds = []

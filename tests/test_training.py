@@ -442,8 +442,7 @@ def test_stateful_span_tape_equals_per_window_passes(spec, stride, batch_size, s
         npt.assert_array_equal(tape.inputs, xs[batch])
         # each window's own B = 1 pass from its chained start, bit for bit
         for row, i in enumerate(batch):
-            states, _, cache = batched_forward(params, starts[..., row, None, :],
-                                               xs[i][None], keep_cache=True)
+            states, _, cache = batched_forward(params, starts[..., row, None, :], xs[i][None])
             npt.assert_array_equal(tape.states[..., row, :, :], states[..., 0, :, :])
             assert cache.keys() == tape.cache.keys()
             for name, value in cache.items():
